@@ -280,7 +280,7 @@ let read_block t ctx ~file ~index =
       let v = packed / 1_000_000 and n = packed mod 1_000_000 in
       t.fetches <- t.fetches + n;
       (* Install the fetched blocks: ours first... *)
-      Kernel.struct_work t.kernel ctx ~home:e.Khash.home 150;
+      Kernel.struct_work t.kernel ctx ~home:(Cell.home e.Khash.status) 150;
       Ctx.write ctx e.Khash.payload.version v;
       (* ...then the read-ahead blocks, skipping any that are present or
          being fetched by someone else. *)
@@ -291,7 +291,7 @@ let read_block t ctx ~file ~index =
             ~make:(make_placeholder idx)
         with
         | `Inserted e2 ->
-          Kernel.struct_work t.kernel ctx ~home:e2.Khash.home 90;
+          Kernel.struct_work t.kernel ctx ~home:(Cell.home e2.Khash.status) 90;
           Ctx.write ctx e2.Khash.payload.version v;
           Khash.release_reserve ctx e2
         | `Reserved e2 ->

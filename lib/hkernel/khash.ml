@@ -40,9 +40,8 @@ let granularity_name = function
 
 type 'a elem = {
   key : int;
-  status : Cell.t; (* header word: reserve bits *)
+  status : Cell.t; (* header word: reserve bits; homed where the element is *)
   elem_lock : Spin_lock.t option; (* Fine mode only *)
-  home : int;
   payload : 'a;
   mutable reserver : int;
       (* processor holding the write reservation, -1 when none. Host-side
@@ -123,7 +122,7 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
             | Sharded -> shard_home (shard_of_bin i)
             | Hybrid | Coarse | Fine -> lock_home
           in
-          Machine.alloc machine ~label:(Printf.sprintf "binhead%d" i) ~home 0);
+          Machine.alloc machine ~home 0);
     lock = Lock.make machine ~home:lock_home ~vclass:(vname ^ ".lock") lock_algo;
     shard_locks =
       (match granularity with
@@ -225,33 +224,42 @@ let seq_write_end t ctx key =
   | Some sq -> Seqlock.write_end sq ctx
   | None -> ()
 
-(* Insert a fresh element; [status0] seeds the status word (e.g. already
-   reserved, for placeholder descriptors — the combining-tree trick).
-   [make] builds the payload given the element's home PMM, so payload cells
-   can be co-located with the element. *)
-let insert_locked ctx t key ~status0 ~make =
+(* Build an element on the table's next storage PMM, unlinked and untimed.
+   [status0] seeds the status word (e.g. already reserved, for placeholder
+   descriptors — the combining-tree trick). [make] builds the payload given
+   the element's home PMM, so payload cells can be co-located with the
+   element. No label: Verify names reserve words by class and cell id. *)
+let make_elem t key ~status0 ~make ~reserver =
   let home = pick_home t in
   let payload = make home in
-  let elem =
-    {
-      key;
-      status = Machine.alloc t.machine ~label:(Printf.sprintf "h%d" key) ~home status0;
-      elem_lock =
-        (match t.granularity with
-        | Fine ->
-          Some
-            (Spin_lock.create t.machine ~home ~vclass:t.elem_vclass
-               (fine_backoff t.machine))
-        | Hybrid | Coarse | Sharded -> None);
-      home;
-      payload;
-      reserver = (if status0 land 1 <> 0 then Ctx.proc ctx else -1);
-    }
-  in
-  let b = bin_of_key t key in
-  seq_write_begin t ctx key;
+  {
+    key;
+    status = Machine.alloc t.machine ~home status0;
+    elem_lock =
+      (match t.granularity with
+      | Fine ->
+        Some
+          (Spin_lock.create t.machine ~home ~vclass:t.elem_vclass
+             (fine_backoff t.machine))
+      | Hybrid | Coarse | Sharded -> None);
+    payload;
+    reserver;
+  }
+
+(* Push onto the head of the key's chain (host-side; timed callers charge
+   the header write). *)
+let link t elem =
+  let b = bin_of_key t elem.key in
   t.bins.(b) <- elem :: t.bins.(b);
-  t.n_elems <- t.n_elems + 1;
+  t.n_elems <- t.n_elems + 1
+
+let insert_locked ctx t key ~status0 ~make =
+  let elem =
+    make_elem t key ~status0 ~make
+      ~reserver:(if status0 land 1 <> 0 then Ctx.proc ctx else -1)
+  in
+  seq_write_begin t ctx key;
+  link t elem;
   (* Link the element into the chain: one header write. *)
   Ctx.write ctx elem.status status0;
   seq_write_end t ctx key;
@@ -501,33 +509,13 @@ let with_element t ctx key f =
            (fun () -> f e)))
 
 (* Untimed insertion for experiment setup (pre-populating descriptors
-   before the simulation starts). The element lock carries the same
-   {!Verify} class as a timed insert's, so lockdep sees pre-populated and
-   live elements identically. *)
+   before the simulation starts). Same element as a timed insert, Fine-mode
+   element lock and its {!Verify} class included, so lockdep sees
+   pre-populated and live elements identically. No live processor set a
+   seeded reserve bit, so a crash sweep has no corpse to attribute it to. *)
 let insert_untimed t key ~status0 ~make =
-  let home = pick_home t in
-  let payload = make home in
-  let elem =
-    {
-      key;
-      status = Cell.make ~label:(Printf.sprintf "h%d" key) ~home status0;
-      elem_lock =
-        (match t.granularity with
-        | Fine ->
-          Some
-            (Spin_lock.create t.machine ~home ~vclass:t.elem_vclass
-               (fine_backoff t.machine))
-        | Hybrid | Coarse | Sharded -> None);
-      home;
-      payload;
-      (* No live processor set this bit (untimed setup), so a crash sweep
-         has no corpse to attribute it to. *)
-      reserver = -1;
-    }
-  in
-  let b = bin_of_key t key in
-  t.bins.(b) <- elem :: t.bins.(b);
-  t.n_elems <- t.n_elems + 1;
+  let elem = make_elem t key ~status0 ~make ~reserver:(-1) in
+  link t elem;
   elem
 
 (* Untimed whole-table iteration, for tests and invariant checks. *)

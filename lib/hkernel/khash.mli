@@ -48,9 +48,11 @@ val granularity_name : granularity -> string
 
 type 'a elem = {
   key : int;
-  status : Cell.t; (* header word: reserve bits *)
+  status : Cell.t;
+      (** Header word holding the reserve bits. It lives on the element's
+          home PMM — the one passed to [make] — so [Cell.home e.status] is
+          the element's home. *)
   elem_lock : Spin_lock.t option; (* Fine mode only *)
-  home : int;
   payload : 'a;
   mutable reserver : int;
       (** Processor holding the write reservation, -1 when none — host-side

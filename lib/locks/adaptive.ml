@@ -353,9 +353,13 @@ let recover t ctx =
       (fun () ->
         let machine = Ctx.machine ctx in
         if t.holder >= 0 && not (Machine.proc_alive machine t.holder) then begin
+          let dead = t.holder in
           let ok = Lock_core.p_recover t.shapes.(t.holder_shape) ctx in
           if ok then begin
-            t.holder <- -1;
+            (* [p_recover] suspends on simulated memory while it forces
+               the hand-off; a successor may have validated and registered
+               itself in that window. Clear only the corpse's registration. *)
+            if t.holder = dead then t.holder <- -1;
             (* The window sampled a regime the crash just invalidated. *)
             t.w_acqs <- 0;
             t.w_contended <- 0;

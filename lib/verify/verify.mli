@@ -159,7 +159,11 @@ val proc_dead : t -> int -> bool
 val recoveries : t -> int
 
 (** {1 Reserve hooks} (called by [Locks.Reserve]; [word] is the status
-    cell's [Cell.id], [label] its allocation label for diagnostics) *)
+    cell's [Cell.id], [label] its allocation label for diagnostics).
+    Diagnostics name a reserve word [<class>#<cell id>], plus [(<label>)]
+    when the label is non-empty. Khash status words carry no label, so
+    they are identified by class and cell id alone
+    ([<vname>.reserve#<id>]). *)
 
 val reserve_set :
   t -> proc:int -> cls:lock_class -> word:int -> label:string -> now:int -> unit

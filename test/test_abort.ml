@@ -172,7 +172,7 @@ let test_zero_deadline_fail_fast () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_abort_safety;
+    Qc.to_alcotest prop_abort_safety;
     Alcotest.test_case "abort storm: bounded abandonment per composite"
       `Quick test_abort_storm_bounded;
     Alcotest.test_case "zero/negative deadline fails fast" `Quick

@@ -151,6 +151,6 @@ let suite =
     Alcotest.test_case "home_in_cluster uneven tail" `Quick
       test_home_in_cluster_uneven_tail;
     Alcotest.test_case "bad arguments rejected" `Quick test_bad_arguments;
-    QCheck_alcotest.to_alcotest prop_cluster_of_proc_consistent;
-    QCheck_alcotest.to_alcotest prop_home_in_cluster_total;
+    Qc.to_alcotest prop_cluster_of_proc_consistent;
+    Qc.to_alcotest prop_home_in_cluster_total;
   ]

@@ -403,7 +403,7 @@ let suite =
       test_draw_determinism;
     Alcotest.test_case "scheduled stalls: one per period" `Quick
       test_scheduled_stalls;
-    QCheck_alcotest.to_alcotest prop_stall_every_dosing;
+    Qc.to_alcotest prop_stall_every_dosing;
     Alcotest.test_case "hot-spot windows" `Quick test_hotspot_window;
     Alcotest.test_case "fault point spends the stall" `Quick
       test_fault_point_stalls;

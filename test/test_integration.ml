@@ -191,7 +191,7 @@ let suite =
   [
     Alcotest.test_case "monkey, fixed seeds" `Slow test_monkey_fixed_seeds;
     Alcotest.test_case "monkey, cluster sizes" `Slow test_monkey_cluster_sizes;
-    QCheck_alcotest.to_alcotest prop_monkey;
+    Qc.to_alcotest prop_monkey;
     Alcotest.test_case "reserve waiter survives element removal" `Quick
       test_reserve_waiter_survives_removal;
   ]

@@ -411,6 +411,75 @@ let prop_untimed_matches_inserted =
       List.sort compare !actual
       = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) expected []))
 
+(* Elements are homed round-robin over the table's storage PMMs (the lock's
+   PMM and its neighbour: 8 and 9 for homes 0..15). The status word lives
+   on the home [make] received, for timed and untimed inserts alike. *)
+let test_element_home_is_status_home () =
+  let eng, _, table, ctx = make () in
+  let check_home what e =
+    Alcotest.(check int)
+      (Printf.sprintf "%s key %d: status homed where make was told" what
+         e.Khash.key)
+      e.Khash.payload
+      (Cell.home e.Khash.status)
+  in
+  let homes = ref [] in
+  let record what e =
+    check_home what e;
+    homes := e.Khash.payload :: !homes
+  in
+  (* Keys k and k + 16 share a bin (16 bins), so chains grow. *)
+  List.iter
+    (fun k ->
+      record "untimed" (Khash.insert_untimed table k ~status0:0 ~make:Fun.id))
+    [ 0; 16; 1; 17 ];
+  simulate eng (fun () ->
+      let c = ctx 0 in
+      List.iter
+        (fun k -> record "timed" (Khash.insert table c k ~make:Fun.id))
+        [ 32; 2; 48; 3 ];
+      match Khash.reserve_or_insert table c 33 ~make:Fun.id with
+      | `Inserted e ->
+        record "placeholder" e;
+        Khash.release_reserve c e
+      | `Reserved _ -> Alcotest.fail "key 33 was absent");
+  Alcotest.(check (list int)) "homes alternate over the storage PMMs"
+    [ 8; 9; 8; 9; 8; 9; 8; 9; 8 ]
+    (List.rev !homes);
+  (* Chain order sets probe counts: bins in index order, newest element
+     first within a bin. *)
+  let order = ref [] in
+  Khash.iter_untimed table (fun e ->
+      check_home "iterated" e;
+      order := e.Khash.key :: !order);
+  Alcotest.(check (list int)) "iter_untimed order"
+    [ 48; 32; 16; 0; 33; 17; 1; 2; 3 ]
+    (List.rev !order)
+
+(* The SLO table's build: 2^17 bins over 16 shards. An untimed insert
+   allocates the element record, its status cell and one chain cons — 16
+   minor words — and nothing else: no per-element label or closure. *)
+let test_insert_untimed_allocation () =
+  let eng = Engine.create () in
+  let machine = Machine.create eng Config.hector in
+  let table =
+    Khash.create machine ~granularity:Khash.Sharded ~nbins:(1 lsl 17)
+      ~shards:16 ~lock_algo:Lock.Mcs_h2
+      ~homes:(List.init 16 (fun i -> i))
+  in
+  let n = 20_000 in
+  let make _ = () in
+  let before = Gc.minor_words () in
+  for k = 0 to n - 1 do
+    ignore (Khash.insert_untimed table k ~status0:0 ~make)
+  done;
+  let per_insert = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per insert_untimed <= 16 (got %.2f)"
+       per_insert)
+    true (per_insert <= 16.0);
+  Alcotest.(check int) "all inserted" n (Khash.size table)
+
 let suite =
   [
     Alcotest.test_case "insert and find" `Quick test_insert_and_find;
@@ -437,10 +506,14 @@ let suite =
     Alcotest.test_case "untimed Fine insert carries the element lock class"
       `Quick test_fine_untimed_insert_vclass;
     Alcotest.test_case "bin_of_key corner keys" `Quick test_bin_of_key_corners;
+    Alcotest.test_case "element home is its status word's home" `Quick
+      test_element_home_is_status_home;
+    Alcotest.test_case "insert_untimed allocates at most 16 words" `Quick
+      test_insert_untimed_allocation;
     Alcotest.test_case "sharded runs attribute waits to shard classes" `Quick
       test_sharded_obs_attribution;
-    QCheck_alcotest.to_alcotest prop_bin_of_key_in_range;
-    QCheck_alcotest.to_alcotest prop_sharded_mutual_exclusion;
-    QCheck_alcotest.to_alcotest prop_sharded_optimistic_lookup_consistency;
-    QCheck_alcotest.to_alcotest prop_untimed_matches_inserted;
+    Qc.to_alcotest prop_bin_of_key_in_range;
+    Qc.to_alcotest prop_sharded_mutual_exclusion;
+    Qc.to_alcotest prop_sharded_optimistic_lookup_consistency;
+    Qc.to_alcotest prop_untimed_matches_inserted;
   ]

@@ -387,6 +387,6 @@ let suite =
     Alcotest.test_case "timed acquire: two expired waiters collected" `Quick
       test_timed_acquire_two_waiters_expire;
     Alcotest.test_case "CAS release (Section 5.2)" `Quick test_cas_release;
-    QCheck_alcotest.to_alcotest prop_safety;
+    Qc.to_alcotest prop_safety;
     Alcotest.test_case "determinism" `Quick test_determinism;
   ]

@@ -274,5 +274,5 @@ let suite =
     Alcotest.test_case "read fault downgrades a writer" `Quick
       test_read_fault_downgrades_writer;
     Alcotest.test_case "no-combining read fault" `Quick test_no_combining_path;
-    QCheck_alcotest.to_alcotest prop_coherence_under_storm;
+    Qc.to_alcotest prop_coherence_under_storm;
   ]

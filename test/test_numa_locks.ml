@@ -130,7 +130,7 @@ let test_cna_starvation_bound () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_safety;
+    Qc.to_alcotest prop_safety;
     Alcotest.test_case "CNA starvation bound (escape hatch)" `Quick
       test_cna_starvation_bound;
   ]

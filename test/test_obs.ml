@@ -483,7 +483,7 @@ let suite =
     Alcotest.test_case "rpc accounting" `Quick test_rpc_accounting;
     Alcotest.test_case "unmatched events tolerated" `Quick
       test_unmatched_events_tolerated;
-    QCheck_alcotest.to_alcotest prop_snapshot_consistent;
+    Qc.to_alcotest prop_snapshot_consistent;
     Alcotest.test_case "trace ring bounded" `Quick test_trace_ring_bounded;
     Alcotest.test_case "trace off records nothing" `Quick
       test_trace_off_records_nothing;

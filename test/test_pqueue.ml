@@ -133,7 +133,7 @@ let suite =
     Alcotest.test_case "peek keeps elements" `Quick test_peek_does_not_remove;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "interleaved push/pop" `Quick test_interleaved_push_pop;
-    QCheck_alcotest.to_alcotest prop_drain_sorted;
-    QCheck_alcotest.to_alcotest prop_multiset_preserved;
-    QCheck_alcotest.to_alcotest prop_interleaved_order;
+    Qc.to_alcotest prop_drain_sorted;
+    Qc.to_alcotest prop_multiset_preserved;
+    Qc.to_alcotest prop_interleaved_order;
   ]

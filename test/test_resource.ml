@@ -97,6 +97,6 @@ let suite =
     Alcotest.test_case "zero service" `Quick test_zero_service;
     Alcotest.test_case "negative service rejected" `Quick
       test_negative_service_rejected;
-    QCheck_alcotest.to_alcotest prop_fifo_completion_monotone;
-    QCheck_alcotest.to_alcotest prop_finish_at_least_now_plus_service;
+    Qc.to_alcotest prop_fifo_completion_monotone;
+    Qc.to_alcotest prop_finish_at_least_now_plus_service;
   ]

@@ -92,6 +92,6 @@ let suite =
     Alcotest.test_case "range rejects hi<lo" `Quick test_range_bad;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
     Alcotest.test_case "float in [0,1)" `Quick test_float_range;
-    QCheck_alcotest.to_alcotest prop_int_nonnegative_and_bounded;
-    QCheck_alcotest.to_alcotest prop_bool_both_values;
+    Qc.to_alcotest prop_int_nonnegative_and_bounded;
+    Qc.to_alcotest prop_bool_both_values;
   ]

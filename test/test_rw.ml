@@ -623,19 +623,19 @@ let test_distributed_beats_centralised_on_remote_traffic () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_rw_safety;
+    Qc.to_alcotest prop_rw_safety;
     Alcotest.test_case "reader parallelism on three gauges" `Quick
       test_reader_parallelism;
     Alcotest.test_case "writer progress under a read flood" `Quick
       test_writer_progress_under_read_flood;
-    QCheck_alcotest.to_alcotest prop_rw_abort_safety;
+    Qc.to_alcotest prop_rw_abort_safety;
     Alcotest.test_case "zero/negative deadline fails fast (both faces)" `Quick
       test_rw_zero_deadline_fail_fast;
     Alcotest.test_case "dead reader swept out of the indicator" `Quick
       test_dead_reader_swept;
     Alcotest.test_case "dead writer released on its behalf" `Quick
       test_dead_writer_released;
-    QCheck_alcotest.to_alcotest prop_rw_crash_recovery;
+    Qc.to_alcotest prop_rw_crash_recovery;
     Alcotest.test_case "optimistic aborts visible to Obs, at zero cost" `Quick
       test_seqlock_abort_visible_and_free;
     Alcotest.test_case "read throughput beats every mutex at 99% reads" `Quick

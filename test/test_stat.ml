@@ -129,6 +129,6 @@ let suite =
     Alcotest.test_case "fraction above threshold" `Quick test_fraction_above;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "to_list keeps order" `Quick test_to_list;
-    QCheck_alcotest.to_alcotest prop_percentile_matches_sorted;
-    QCheck_alcotest.to_alcotest prop_mean_bounds;
+    Qc.to_alcotest prop_percentile_matches_sorted;
+    Qc.to_alcotest prop_mean_bounds;
   ]

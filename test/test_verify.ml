@@ -158,5 +158,5 @@ let suite =
       test_probe_aborted_waiter;
     Alcotest.test_case "probe: clean" `Quick test_probe_clean;
     Alcotest.test_case "checker on/off identity" `Quick test_checker_identity;
-    QCheck_alcotest.to_alcotest prop_status_word;
+    Qc.to_alcotest prop_status_word;
   ]
