@@ -5,11 +5,15 @@
    simulation deterministic.
 
    The heap stores its three columns in parallel arrays ([times], [seqs],
-   [payloads]) instead of an array of records. Push and pop then compare and
-   move unboxed ints, and the hot path ([push] / [min_time] / [pop_payload])
-   allocates nothing: the only allocations ever made are the occasional
-   capacity doublings. The record-returning [peek] / [pop] / [drain] views are
-   kept for tests and casual callers. *)
+   [payloads]) instead of an array of records, so comparisons read unboxed
+   ints. [push] and [pop_payload] sift a hole rather than swapping entries:
+   the moving entry is held in locals, each level copies one parent (or
+   child) into the hole, and the entry is written once at its final slot.
+   Both are plain loops with no local closures, so the hot path ([push] /
+   [min_time] / [pop_payload]) allocates nothing but the occasional capacity
+   doubling; [test/test_pqueue.ml] pins that at zero minor words. The
+   record-returning [peek] / [pop] / [drain] views are kept for tests and
+   casual callers. *)
 
 type 'a entry = { time : int; seq : int; payload : 'a }
 
@@ -24,22 +28,6 @@ let create () = { times = [||]; seqs = [||]; payloads = [||]; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
-
-(* (time, seq) at index [i] sorts before (time, seq) at index [j]. *)
-let before t i j =
-  let ti = t.times.(i) and tj = t.times.(j) in
-  ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
-
-let swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let sq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- sq;
-  let pl = t.payloads.(i) in
-  t.payloads.(i) <- t.payloads.(j);
-  t.payloads.(j) <- pl
 
 let grow t payload =
   let cap = Array.length t.times in
@@ -60,22 +48,26 @@ let grow t payload =
 
 let push t ~time ~seq payload =
   grow t payload;
-  let i = t.len in
-  t.times.(i) <- time;
-  t.seqs.(i) <- seq;
-  t.payloads.(i) <- payload;
-  t.len <- t.len + 1;
-  (* Sift the new entry up to its place. *)
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before t i parent then begin
-        swap t i parent;
-        up parent
-      end
+  let times = t.times and seqs = t.seqs and payloads = t.payloads in
+  (* Move the hole up from the new last slot while the parent sorts after
+     the new entry. *)
+  let i = ref t.len in
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let tp = times.(parent) in
+    if time < tp || (time = tp && seq < seqs.(parent)) then begin
+      times.(!i) <- tp;
+      seqs.(!i) <- seqs.(parent);
+      payloads.(!i) <- payloads.(parent);
+      i := parent
     end
-  in
-  up i
+    else moving := false
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  payloads.(!i) <- payload;
+  t.len <- t.len + 1
 
 let peek t =
   if t.len = 0 then None
@@ -87,34 +79,50 @@ let peek_time t = if t.len = 0 then None else Some t.times.(0)
    the engine's run loop can compare against a limit without an option. *)
 let min_time t = if t.len = 0 then max_int else t.times.(0)
 
-let sift_down t =
-  let rec down i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.len && before t l !smallest then smallest := l;
-    if r < t.len && before t r !smallest then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      down !smallest
-    end
-  in
-  down 0
-
-(* Remove the root, returning only its payload; allocation-free. The vacated
-   slot is overwritten with a live payload so popped closures are not
-   retained by the heap (at most one stale payload survives in slot 0 when
-   the heap drains completely). *)
+(* Remove the root, returning only its payload. The last entry is taken
+   into locals and the hole walks down from the root towards the smaller
+   child until the entry fits. The vacated last slot is overwritten with a
+   live payload so popped closures are not retained by the heap (at most one
+   stale payload survives in slot 0 when the heap drains completely). *)
 let pop_payload t =
   if t.len = 0 then invalid_arg "Pqueue.pop_payload: empty";
-  let top = t.payloads.(0) in
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.times.(0) <- t.times.(t.len);
-    t.seqs.(0) <- t.seqs.(t.len);
-    t.payloads.(0) <- t.payloads.(t.len);
-    (* Drop the moved copy's old slot so the heap keeps no extra reference. *)
-    t.payloads.(t.len) <- t.payloads.(0);
-    sift_down t
+  let times = t.times and seqs = t.seqs and payloads = t.payloads in
+  let top = payloads.(0) in
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then begin
+    let time = times.(n) and seq = seqs.(n) and payload = payloads.(n) in
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= n then moving := false
+      else begin
+        (* [c] is the smaller child by (time, seq). *)
+        let r = l + 1 in
+        let c =
+          if r < n then begin
+            let tl = times.(l) and tr = times.(r) in
+            if tr < tl || (tr = tl && seqs.(r) < seqs.(l)) then r else l
+          end
+          else l
+        in
+        let tc = times.(c) in
+        if tc < time || (tc = time && seqs.(c) < seq) then begin
+          times.(!i) <- tc;
+          seqs.(!i) <- seqs.(c);
+          payloads.(!i) <- payloads.(c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    payloads.(!i) <- payload;
+    (* Drop the moved entry's old slot so the heap keeps no extra
+       reference. *)
+    payloads.(n) <- payloads.(0)
   end;
   top
 

@@ -1,7 +1,13 @@
 (* Every qcheck property in the suite runs through [to_alcotest], on a fixed
    seed, so [dune runtest] is deterministic. Set QCHECK_SEED to an integer
-   to try another seed (e.g. a soak loop); a failing property prints the
-   seed that reproduces it. *)
+   to try another seed; a failing property prints the seed that reproduces
+   it.
+
+   [dune build @soak] (test/dune) is the soak run: it runs the whole suite
+   three times, with QCHECK_SEED 1, 2 and 3, under QCHECK_LONG=true and
+   QCHECK_LONG_FACTOR=10, which qcheck-alcotest and qcheck-core read to
+   multiply every property's count by 10. It is not part of
+   [dune runtest]. *)
 
 let default_seed = 20_240_611
 

@@ -125,6 +125,59 @@ let prop_interleaved_order =
       let rest = List.map (fun e -> (e.Pqueue.time, e.Pqueue.seq)) (Pqueue.drain q) in
       !ok && rest = List.sort compare !model)
 
+(* The hot path allocates nothing: with the heap 16 deep, a steady stream of
+   [pop_payload] + [push] pairs must not move [Gc.minor_words]. *)
+let test_push_pop_allocation_free () =
+  let q = Pqueue.create () in
+  for i = 0 to 15 do
+    Pqueue.push q ~time:(i * 37 land 255) ~seq:i i
+  done;
+  let pairs = 10_000 in
+  let before = Gc.minor_words () in
+  for seq = 16 to pairs + 15 do
+    let p = Pqueue.pop_payload q in
+    Pqueue.push q ~time:(seq * 2654435761 land 0xffff) ~seq p
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10 000 pop+push pairs" 0.
+    words;
+  Alcotest.(check int) "still 16 deep" 16 (Pqueue.length q)
+
+(* Deep heaps with heavy time ties: up to ~2 000 pushes over 8 distinct
+   times, interleaved with pops. Every pop must return the first-inserted
+   entry among those with the smallest time, and whatever is left must
+   drain as a stable sort by time of the insertion order. This walks the
+   hole through many levels and along equal-time chains, where only [seq]
+   decides the order. *)
+let prop_deep_ties_stable =
+  QCheck.Test.make ~name:"deep heap with time ties pops as a stable sort"
+    ~count:40
+    QCheck.(list_of_size Gen.(int_bound 2000) (option (int_bound 7)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      (* Live entries, newest first, as (time, seq). *)
+      let model = ref [] in
+      let seq = ref 0 in
+      let ok = ref true in
+      let by_time (a, _) (b, _) = compare a b in
+      List.iter
+        (fun op ->
+          match op with
+          | Some time ->
+            Pqueue.push q ~time ~seq:!seq !seq;
+            model := (time, !seq) :: !model;
+            incr seq
+          | None -> (
+            match List.stable_sort by_time (List.rev !model) with
+            | [] -> if not (Pqueue.is_empty q) then ok := false
+            | ((_, s) as expected) :: _ ->
+              if Pqueue.min_time q <> fst expected || Pqueue.pop_payload q <> s
+              then ok := false;
+              model := List.filter (fun x -> x <> expected) !model))
+        ops;
+      let rest = List.map (fun e -> (e.Pqueue.time, e.Pqueue.seq)) (Pqueue.drain q) in
+      !ok && rest = List.stable_sort by_time (List.rev !model))
+
 let suite =
   [
     Alcotest.test_case "empty queue" `Quick test_empty;
@@ -133,7 +186,10 @@ let suite =
     Alcotest.test_case "peek keeps elements" `Quick test_peek_does_not_remove;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "interleaved push/pop" `Quick test_interleaved_push_pop;
+    Alcotest.test_case "pop+push allocates nothing" `Quick
+      test_push_pop_allocation_free;
     Qc.to_alcotest prop_drain_sorted;
     Qc.to_alcotest prop_multiset_preserved;
     Qc.to_alcotest prop_interleaved_order;
+    Qc.to_alcotest prop_deep_ties_stable;
   ]
