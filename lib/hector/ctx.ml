@@ -59,6 +59,7 @@ let now t = Machine.now t.machine
 
 let irqs_taken t = t.irqs_taken
 let irqs_deferred t = t.irqs_deferred
+let instr_cycles t = t.instr_cycles
 let soft_masked t = t.soft_masked
 let in_interrupt t = t.in_interrupt
 let pending_interrupts t = Queue.length t.inbox
@@ -82,25 +83,35 @@ let work t cycles =
   t.instr_cycles <- t.instr_cycles + cycles;
   Machine.cpu_work t.machine cycles
 
+(* Charge [cost] instruction cycles, minus those hidden by the overlap
+   window; returns the cycles left to spend. *)
+let charge t cost =
+  let hidden = min t.overlap_credit cost in
+  t.overlap_credit <- t.overlap_credit - hidden;
+  let cost = cost - hidden in
+  t.instr_cycles <- t.instr_cycles + cost;
+  cost
+
 (* Charge [reg] register-to-register and [br] branch instructions. Cycles
    immediately following a fetch&store overlap with its store phase, so up
    to [atomic_overlap] of them are free (Section 4.1.1 of the paper). *)
 let instr t ?(reg = 0) ?(br = 0) () =
   halt_if_dead t;
   let cfg = config t in
-  let cost = (reg * cfg.Config.reg_cost) + (br * cfg.Config.branch_cost) in
-  let hidden = min t.overlap_credit cost in
-  t.overlap_credit <- t.overlap_credit - hidden;
-  let cost = cost - hidden in
-  t.instr_cycles <- t.instr_cycles + cost;
+  let cost =
+    charge t ((reg * cfg.Config.reg_cost) + (br * cfg.Config.branch_cost))
+  in
   if cost > 0 then Machine.cpu_work t.machine cost
+
+(* An interrupt is waiting and may be taken now (handlers never nest). *)
+let interrupt_pending t = (not t.in_interrupt) && not (Queue.is_empty t.inbox)
 
 (* Take pending interrupts, one at a time. A taken interrupt always pays
    handler entry; when the soft mask is set it only records its work on the
    deferred queue (a handful of local, cacheable cycles) and returns. *)
 let rec poll t =
   halt_if_dead t;
-  if (not t.in_interrupt) && not (Queue.is_empty t.inbox) then begin
+  if interrupt_pending t then begin
     let h = Queue.pop t.inbox in
     let cfg = config t in
     t.in_interrupt <- true;
@@ -186,6 +197,53 @@ let post_ipi target h =
     target.idle_wake <- None;
     wake ()
 
+(* -- Waits run as engine events -------------------------------------------
+
+   A busy-wait iteration (poll, test, pause or read) does no simulated work
+   of its own, so it need not run in the fiber. The fiber runs the first
+   [poll] and suspends once; later iterations run as plain engine
+   callbacks, allocated once per wait, which make every [Engine.schedule]
+   call the fiber loop would make, at the same time and in the same order.
+   The fiber is resumed only when it has to run: the wait is over, or
+   [poll] would take an interrupt (the fiber takes it and re-enters the
+   wait). A dead processor's wait just stops, leaving the fiber suspended
+   for good — parked, as [halt_if_dead] would park it. *)
+
+(* The shared core of [interruptible_pause], [await] and [await_timeout]:
+   [poll], then [step ()] gives the cycles to pause before the next poll,
+   or 0 once the wait is over. *)
+let poll_wait t step =
+  let eng = engine t in
+  let over = ref false and resume = ref ignore in
+  let rec tick () =
+    if not (Machine.proc_alive t.machine t.proc) then ()
+    else if interrupt_pending t then !resume ()
+    else begin
+      let d = step () in
+      if d > 0 then Engine.schedule_after eng ~delay:d tick
+      else begin
+        over := true;
+        !resume ()
+      end
+    end
+  in
+  let rec loop () =
+    poll t;
+    let d = step () in
+    if d > 0 then begin
+      Process.suspend (fun k ->
+          resume := k;
+          Engine.schedule_after eng ~delay:d tick);
+      if not !over then loop ()
+    end
+  in
+  loop ()
+
+let positive fn what n =
+  if n <= 0 then
+    invalid_arg
+      (Printf.sprintf "Ctx.%s: %s must be positive (got %d)" fn what n)
+
 (* An interruptible pause: the processor is merely waiting (backoff,
    polling delay), so interrupts keep being taken at a fine grain. Plain
    [work] models committed computation, which interrupts only at its
@@ -193,15 +251,78 @@ let post_ipi target h =
    sits in the inbox for the whole pause — long enough to re-synchronise
    retry loops into livelock. *)
 let interruptible_pause ?(granule = 32) t cycles =
-  let eng = engine t in
+  positive "interruptible_pause" "granule" granule;
   let deadline = Machine.now t.machine + cycles in
+  poll_wait t (fun () ->
+      let remaining = deadline - Machine.now t.machine in
+      if remaining <= 0 then 0
+      else if granule < remaining then granule
+      else remaining)
+
+(* Spin on a reply while continuing to take interrupts: this is how a
+   processor waits for an RPC to complete in an exception-based kernel — the
+   processor is busy, but interrupts (and hence incoming RPCs) still get
+   through, which matters for the cross-cluster deadlock scenarios. *)
+let await ?(poll_interval = 16) t ivar =
+  positive "await" "poll_interval" poll_interval;
+  (* Waiting for a remote reply while soft-masked could deadlock: the reply
+     may depend on a service this processor has deferred. The kernel never
+     holds a coarse lock across an RPC, so this must not happen. *)
+  assert (not t.soft_masked);
+  poll_wait t (fun () -> if Ivar.is_full ivar then 0 else poll_interval);
+  match Ivar.peek ivar with Some v -> v | None -> assert false
+
+(* [await] with a deadline: gives up once [timeout] cycles pass without the
+   ivar filling. This is what lets an RPC caller detect a lost message and
+   resend instead of spinning forever. *)
+let await_timeout ?(poll_interval = 16) t ~timeout ivar =
+  positive "await_timeout" "poll_interval" poll_interval;
+  assert (not t.soft_masked);
+  let deadline = Machine.now t.machine + timeout in
+  poll_wait t (fun () ->
+      if Ivar.is_full ivar || Machine.now t.machine >= deadline then 0
+      else poll_interval);
+  Ivar.peek ivar
+
+(* A read-branch-test spin: [Ctx.read] + one branch per iteration while
+   [keep v]. Two events per iteration, as in the fiber loop: the read's
+   completion (take the value, charge the branch) and the branch's end
+   (test, poll, issue the next read). *)
+let spin_while t cell keep =
+  let m = t.machine and eng = engine t in
+  let cfg = config t in
+  let v = ref 0 and over = ref false and resume = ref ignore in
+  let rec issue () =
+    t.overlap_credit <- 0;
+    let finish = Machine.read_start m ~proc:t.proc cell in
+    if finish >= 0 then Engine.schedule eng ~at:finish missed
+    else if cfg.Config.cache_hit > 0 then
+      Engine.schedule_after eng ~delay:cfg.Config.cache_hit hit
+    else hit ()
+  and missed () = completed (Machine.read_finish m ~proc:t.proc cell)
+  and hit () = completed (Cell.peek cell)
+  and completed x =
+    if Machine.proc_alive m t.proc then begin
+      v := x;
+      let cost = charge t cfg.Config.branch_cost in
+      if cost > 0 then Engine.schedule_after eng ~delay:cost branch
+      else branch ()
+    end
+  and branch () =
+    if not (keep !v) then begin
+      over := true;
+      !resume ()
+    end
+    else if not (Machine.proc_alive m t.proc) then ()
+    else if interrupt_pending t then !resume ()
+    else issue ()
+  in
   let rec loop () =
     poll t;
-    let remaining = deadline - Machine.now t.machine in
-    if remaining > 0 then begin
-      Process.pause eng (min granule remaining);
-      loop ()
-    end
+    Process.suspend (fun k ->
+        resume := k;
+        issue ());
+    if !over then !v else loop ()
   in
   loop ()
 
@@ -230,46 +351,6 @@ let fault_point t ~site =
       | None -> ()
       | Some cycles -> interruptible_pause t cycles
     end
-
-(* Spin on a reply while continuing to take interrupts: this is how a
-   processor waits for an RPC to complete in an exception-based kernel — the
-   processor is busy, but interrupts (and hence incoming RPCs) still get
-   through, which matters for the cross-cluster deadlock scenarios. *)
-let await ?(poll_interval = 16) t ivar =
-  (* Waiting for a remote reply while soft-masked could deadlock: the reply
-     may depend on a service this processor has deferred. The kernel never
-     holds a coarse lock across an RPC, so this must not happen. *)
-  assert (not t.soft_masked);
-  let eng = engine t in
-  let rec loop () =
-    poll t;
-    match Ivar.peek ivar with
-    | Some v -> v
-    | None ->
-      Process.pause eng poll_interval;
-      loop ()
-  in
-  loop ()
-
-(* [await] with a deadline: gives up once [timeout] cycles pass without the
-   ivar filling. This is what lets an RPC caller detect a lost message and
-   resend instead of spinning forever. *)
-let await_timeout ?(poll_interval = 16) t ~timeout ivar =
-  assert (not t.soft_masked);
-  let eng = engine t in
-  let deadline = Machine.now t.machine + timeout in
-  let rec loop () =
-    poll t;
-    match Ivar.peek ivar with
-    | Some v -> Some v
-    | None ->
-      if Machine.now t.machine >= deadline then None
-      else begin
-        Process.pause eng poll_interval;
-        loop ()
-      end
-  in
-  loop ()
 
 (* Idle loop for processors with no workload of their own: sleep until an
    IPI arrives, serve it, repeat. The suspension keeps the event heap empty

@@ -22,6 +22,10 @@ val now : t -> int
 
 val irqs_taken : t -> int
 val irqs_deferred : t -> int
+
+(** Instruction cycles charged by {!work} and {!instr}, net of the swap
+    overlap window. *)
+val instr_cycles : t -> int
 val soft_masked : t -> bool
 
 (** True while this context is running an interrupt handler (an RPC service
@@ -62,11 +66,6 @@ val with_soft_mask : t -> (unit -> 'a) -> 'a
 (** Deliver an interrupt to (another) processor, waking it if idle. *)
 val post_ipi : t -> handler -> unit
 
-(** Pause while continuing to take interrupts every [granule] cycles: for
-    backoffs and polling delays, where the processor is waiting rather than
-    computing. *)
-val interruptible_pause : ?granule:int -> t -> int -> unit
-
 (** Fault-injection point: consult the machine's installed fault plan
     ({!Machine.set_fault_plan}) and, if a crash is drawn, fail-stop this
     processor on the spot (the fiber parks; see {!halt_if_dead}); else if
@@ -82,12 +81,49 @@ val fault_point : t -> site:int -> unit
     cleanup. One host-side read when alive. *)
 val halt_if_dead : t -> unit
 
-(** Busy-wait for an ivar while continuing to take interrupts — how a
-    processor waits for an RPC reply in an exception-based kernel. *)
+(** {2 Waits}
+
+    The waits below run their iterations as plain engine events rather than
+    fiber round trips: the fiber runs the first iteration, suspends once,
+    and resumes when the wait is over, when an interrupt is pending (it is
+    taken in the fiber, then the wait goes on) — or never, if the processor
+    dies. Every event, its time and its order match the equivalent loop of
+    [poll]/{!read}, {!instr} and pauses written out in the fiber. *)
+
+(** Pause while continuing to take interrupts every [granule] cycles: for
+    backoffs and polling delays, where the processor is waiting rather than
+    computing.
+    @raise Invalid_argument if [granule <= 0]. *)
+val interruptible_pause : ?granule:int -> t -> int -> unit
+
+(** [spin_while t cell keep] spins on [cell]: {!read} it, charge one branch
+    ({!instr} [~br:1]), and repeat while [keep v] holds for the value [v]
+    read. Returns the first [v] for which [keep v] is false. Exactly the
+    loop
+
+    {[
+      let rec loop () =
+        let v = read t cell in
+        instr t ~br:1 ();
+        if keep v then loop () else v
+    ]}
+
+    — same reads, cycles, interrupts and events — at a fraction of the host
+    cost. [keep] runs from an engine callback, once per iteration at the
+    end of its branch: it may read host state (the value, deadlines against
+    {!now}, {!Machine.proc_alive}) but must not perform a simulated
+    operation; outside the fiber that raises [Effect.Unhandled]. *)
+val spin_while : t -> Cell.t -> (int -> bool) -> int
+
+(** Busy-wait for an ivar, polling every [poll_interval] cycles and taking
+    interrupts meanwhile — how a processor waits for an RPC reply in an
+    exception-based kernel.
+    @raise Invalid_argument if [poll_interval <= 0]. *)
 val await : ?poll_interval:int -> t -> 'a Ivar.t -> 'a
 
 (** {!await} with a deadline: [None] once [timeout] cycles pass without a
-    value — the caller can resend a lost request. *)
+    value — the caller can resend a lost request.
+    @raise Invalid_argument if [poll_interval <= 0]. *)
 val await_timeout : ?poll_interval:int -> t -> timeout:int -> 'a Ivar.t -> 'a option
 
 (** Idle service loop for processors without their own workload: sleeps

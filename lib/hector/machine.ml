@@ -248,21 +248,39 @@ let timed_access t ~proc cell ~accesses ?(atomic = false) op =
 
 let cache_hit t = Process.pause t.eng t.cfg.Config.cache_hit
 
-let read t ~proc cell =
+(* A read in two halves, so a waiter that spins from engine events
+   ({!Ctx.spin_while}) shares this one definition. [read_start] counts the
+   read and starts it: it returns the time a miss completes, or -1 for a
+   coherent cache hit, which takes [cache_hit] cycles and leaves the line
+   as it is. [read_finish] completes a miss at that time. *)
+let read_start t ~proc cell =
   t.reads <- t.reads + 1;
   if t.cfg.Config.cache_coherent && Cell.cached_by cell proc then begin
     t.cache_hits <- t.cache_hits + 1;
+    -1
+  end
+  else
+    access_finish_time t ~proc ~home:(Cell.home cell) ~accesses:1
+      ~atomic:false
+
+let read_finish t ~proc cell =
+  if t.cfg.Config.cache_coherent then begin
+    (* A read copy downgrades any exclusive holder. *)
+    Cell.cache_drop_exclusive cell;
+    Cell.cache_fill cell proc
+  end;
+  Cell.peek cell
+
+let read t ~proc cell =
+  let finish = read_start t ~proc cell in
+  if finish < 0 then begin
     cache_hit t;
     Cell.peek cell
   end
-  else
-    timed_access t ~proc cell ~accesses:1 (fun () ->
-        if t.cfg.Config.cache_coherent then begin
-          (* A read copy downgrades any exclusive holder. *)
-          Cell.cache_drop_exclusive cell;
-          Cell.cache_fill cell proc
-        end;
-        Cell.peek cell)
+  else begin
+    Process.wait_until t.eng finish;
+    read_finish t ~proc cell
+  end
 
 let write t ~proc cell v =
   t.writes <- t.writes + 1;

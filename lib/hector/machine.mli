@@ -106,6 +106,17 @@ val base_latency : t -> proc:int -> home:int -> int
     when the memory module serviced the access. *)
 val read : t -> proc:int -> Cell.t -> int
 
+(** Issue half of {!read}, for waits that run as engine events: counts the
+    read and reserves its path. Returns the time a miss completes — call
+    {!read_finish} then — or [-1] for a coherent cache hit, which costs
+    [cache_hit] cycles and returns {!Cell.peek} at completion. [read] is
+    exactly these two halves with a suspension between them. *)
+val read_start : t -> proc:int -> Cell.t -> int
+
+(** Completion half of a missing {!read_start}: fills the cache line on a
+    coherent machine and returns the value. *)
+val read_finish : t -> proc:int -> Cell.t -> int
+
 val write : t -> proc:int -> Cell.t -> int -> unit
 
 (** Atomic swap — HECTOR's only atomic primitive; costs two memory

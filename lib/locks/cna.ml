@@ -171,12 +171,7 @@ let acquire t ctx =
     Ctx.write ctx me.locked 1;
     Ctx.write ctx (qnode t pred).next (qid p);
     Ctx.instr ctx ~reg:1 ~br:1 ();
-    let rec spin () =
-      let v = Ctx.read ctx me.locked in
-      Ctx.instr ctx ~br:1 ();
-      if v <> 0 then spin ()
-    in
-    spin ()
+    ignore (Ctx.spin_while ctx me.locked (fun v -> v <> 0))
   end;
   t.active.(p) <- qid p;
   got_lock t ctx
@@ -222,12 +217,7 @@ and collect t ctx id =
       t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.tail old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx nd.next in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = Ctx.spin_while ctx nd.next (fun v -> v = nil) in
       Ctx.write ctx nd.next nil;
       Ctx.write ctx nd.mark 0;
       if usurper <> nil then begin
@@ -361,12 +351,7 @@ let release t ctx =
       t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.tail old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx me.next in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = Ctx.spin_while ctx me.next (fun v -> v = nil) in
       if usurper <> nil then begin
         t.grafts <- t.grafts + 1;
         Ctx.write ctx (qnode t usurper).next victim
@@ -417,26 +402,19 @@ let acquire_with_timeout t ctx ~timeout =
         Ctx.write ctx me.locked 1;
         Ctx.write ctx (qnode t pred).next my_id;
         Ctx.instr ctx ~reg:1 ~br:1 ();
-        let rec spin () =
-          let v = Ctx.read ctx me.locked in
-          Ctx.instr ctx ~br:1 ();
-          if v = 0 then true
-          else if Machine.now t.machine >= deadline then false
-          else spin ()
+        let granted =
+          Ctx.spin_while ctx me.locked (fun v ->
+              v <> 0 && Machine.now t.machine < deadline)
+          = 0
         in
-        if spin () then take ()
+        if granted then take ()
         else begin
           let prev = Ctx.fetch_and_store ctx me.mark mark_abandoned in
           Ctx.instr ctx ~br:1 ();
           if prev = mark_claimed then begin
             (* A hand-off committed before our abandonment: the lock is
                ours; nobody else will ever receive it. *)
-            let rec wait_grant () =
-              let v = Ctx.read ctx me.locked in
-              Ctx.instr ctx ~br:1 ();
-              if v <> 0 then wait_grant ()
-            in
-            wait_grant ();
+            ignore (Ctx.spin_while ctx me.locked (fun v -> v <> 0));
             take ()
           end
           else begin

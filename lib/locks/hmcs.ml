@@ -266,12 +266,7 @@ and collect_root t ctx id =
       t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.root_tail old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx cn.cnext in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = Ctx.spin_while ctx cn.cnext (fun v -> v = nil) in
       Ctx.write ctx cn.cnext nil;
       Ctx.write ctx cn.cmark 0;
       Ctx.write ctx cn.cbusy 0;
@@ -300,12 +295,7 @@ and collect_root t ctx id =
    traffic never opens the window, so the extra read stays uncontended. *)
 let acquire_root_via t ctx c via =
   let cn = cnode t via in
-  let rec wait_busy () =
-    let b = Ctx.read ctx cn.cbusy in
-    Ctx.instr ctx ~br:1 ();
-    if b <> 0 then wait_busy ()
-  in
-  wait_busy ();
+  ignore (Ctx.spin_while ctx cn.cbusy (fun b -> b <> 0));
   Ctx.write ctx cn.cbusy 1;
   Ctx.write ctx cn.cnext nil;
   Ctx.write ctx cn.clocked 1;
@@ -313,12 +303,7 @@ let acquire_root_via t ctx c via =
   Ctx.instr ctx ~reg:1 ~br:1 ();
   if pred <> nil then begin
     Ctx.write ctx (cnode t pred).cnext via;
-    let rec spin () =
-      let v = Ctx.read ctx cn.clocked in
-      Ctx.instr ctx ~br:1 ();
-      if v <> 0 then spin ()
-    in
-    spin ()
+    ignore (Ctx.spin_while ctx cn.clocked (fun v -> v <> 0))
   end;
   t.root_via.(c) <- via
 
@@ -342,12 +327,7 @@ let release_root t ctx c =
       t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.root_tail old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx cn.cnext in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = Ctx.spin_while ctx cn.cnext (fun v -> v = nil) in
       if usurper <> nil then begin
         t.grafts <- t.grafts + 1;
         Ctx.write ctx (cnode t usurper).cnext victim
@@ -406,12 +386,7 @@ and collect_local t ctx c id v =
       t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.local_tails.(c) old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let w = Ctx.read ctx nd.next in
-        Ctx.instr ctx ~br:1 ();
-        if w = nil then wait_next () else w
-      in
-      let victim = wait_next () in
+      let victim = Ctx.spin_while ctx nd.next (fun w -> w = nil) in
       Ctx.write ctx nd.next nil;
       Ctx.write ctx nd.mark 0;
       if usurper <> nil then begin
@@ -448,12 +423,7 @@ let acquire t ctx =
   else begin
     Ctx.write ctx (qnode t pred).next (qid p);
     Ctx.instr ctx ~reg:1 ~br:1 ();
-    let rec spin () =
-      let v = Ctx.read ctx me.locked in
-      Ctx.instr ctx ~br:1 ();
-      if v = w_wait then spin () else v
-    in
-    let v = spin () in
+    let v = Ctx.spin_while ctx me.locked (fun v -> v = w_wait) in
     if v = acquire_parent t then begin
       (* The previous head gave up the root (budget exhausted or cohort
          drained elsewhere): we are the new local head. *)
@@ -507,12 +477,7 @@ let release t ctx =
         t.repairs <- t.repairs + 1;
         let usurper = Ctx.fetch_and_store ctx t.local_tails.(c) old_tail in
         Ctx.instr ctx ~br:1 ();
-        let rec wait_next () =
-          let v = Ctx.read ctx me.next in
-          Ctx.instr ctx ~br:1 ();
-          if v = nil then wait_next () else v
-        in
-        let victim = wait_next () in
+        let victim = Ctx.spin_while ctx me.next (fun v -> v = nil) in
         if usurper <> nil then begin
           t.grafts <- t.grafts + 1;
           Ctx.write ctx (qnode t usurper).next victim
@@ -541,12 +506,7 @@ let pass_headship t ctx c me my_id =
       t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.local_tails.(c) old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx me.next in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = Ctx.spin_while ctx me.next (fun v -> v = nil) in
       Ctx.write ctx me.next nil;
       if usurper <> nil then begin
         t.grafts <- t.grafts + 1;
@@ -602,12 +562,10 @@ let acquire_with_timeout t ctx ~timeout =
            another processor's context — bounded, so wait it out, with the
            deadline as backstop. Re-enqueueing before it clears would
            clobber the in-flight unlink (see [acquire_root_via]). *)
-        let rec busy_wait () =
-          let b = Ctx.read ctx cn.cbusy in
-          Ctx.instr ctx ~br:1 ();
-          if b = 0 then true
-          else if Machine.now t.machine >= deadline then false
-          else busy_wait ()
+        let busy_wait () =
+          Ctx.spin_while ctx cn.cbusy (fun b ->
+              b <> 0 && Machine.now t.machine < deadline)
+          = 0
         in
         if marked <> 0 || not (busy_wait ()) then begin
           (* Our cluster's timed cnode is still abandoned in the root
@@ -630,12 +588,10 @@ let acquire_with_timeout t ctx ~timeout =
           end
           else begin
             Ctx.write ctx (cnode t pred).cnext via;
-            let rec spin () =
-              let v = Ctx.read ctx cn.clocked in
-              Ctx.instr ctx ~br:1 ();
-              if v = 0 then true
-              else if Machine.now t.machine >= deadline then false
-              else spin ()
+            let granted =
+              Ctx.spin_while ctx cn.clocked (fun v ->
+                  v <> 0 && Machine.now t.machine < deadline)
+              = 0
             in
             let take_root () =
               Ctx.write ctx cn.cmark 0;
@@ -644,18 +600,13 @@ let acquire_with_timeout t ctx ~timeout =
               got_lock t ctx;
               true
             in
-            if spin () then take_root ()
+            if granted then take_root ()
             else begin
               let prev = Ctx.fetch_and_store ctx cn.cmark mark_abandoned in
               Ctx.instr ctx ~br:1 ();
               if prev = mark_claimed then begin
                 (* The root hand-off already committed: it is ours. *)
-                let rec wait_grant () =
-                  let v = Ctx.read ctx cn.clocked in
-                  Ctx.instr ctx ~br:1 ();
-                  if v <> 0 then wait_grant ()
-                in
-                wait_grant ();
+                ignore (Ctx.spin_while ctx cn.clocked (fun v -> v <> 0));
                 take_root ()
               end
               else begin
@@ -679,13 +630,6 @@ let acquire_with_timeout t ctx ~timeout =
       else begin
         Ctx.write ctx (qnode t pred).next my_id;
         Ctx.instr ctx ~reg:1 ~br:1 ();
-        let rec spin () =
-          let v = Ctx.read ctx me.locked in
-          Ctx.instr ctx ~br:1 ();
-          if v <> w_wait then Some v
-          else if Machine.now t.machine >= deadline then None
-          else spin ()
-        in
         let with_value v =
           (* The passer claimed our mark before writing the value. *)
           Ctx.write ctx me.mark 0;
@@ -700,19 +644,17 @@ let acquire_with_timeout t ctx ~timeout =
             true
           end
         in
-        match spin () with
-        | Some v -> with_value v
-        | None ->
+        let v =
+          Ctx.spin_while ctx me.locked (fun v ->
+              v = w_wait && Machine.now t.machine < deadline)
+        in
+        if v <> w_wait then with_value v
+        else begin
           let prev = Ctx.fetch_and_store ctx me.mark mark_abandoned in
           Ctx.instr ctx ~br:1 ();
           if prev = mark_claimed then begin
             (* A hand-off committed: collect the value it delivers. *)
-            let rec wait_value () =
-              let v = Ctx.read ctx me.locked in
-              Ctx.instr ctx ~br:1 ();
-              if v = w_wait then wait_value () else v
-            in
-            let v = wait_value () in
+            let v = Ctx.spin_while ctx me.locked (fun v -> v = w_wait) in
             if v = acquire_parent t then begin
               (* Headship without the lock, past our deadline: we must
                  not park the cluster on an expired waiter — pass it on
@@ -727,6 +669,7 @@ let acquire_with_timeout t ctx ~timeout =
             (* Abandonment stands: the node remains queued, marked, until
                a later signal collects it. *)
             abandon_fail ()
+        end
       end
     end
   end

@@ -150,12 +150,7 @@ let holder_proc t = if t.holder = nil then None else Some (node_of_id t t.holder
    spinner's own memory module — local spinning is what removes the
    second-order network effects. *)
 let spin_while_locked ctx node =
-  let rec loop () =
-    let v = Ctx.read ctx node.locked in
-    Ctx.instr ctx ~br:1 ();
-    if v <> 0 then loop ()
-  in
-  loop ()
+  ignore (Ctx.spin_while ctx node.locked (fun v -> v <> 0))
 
 let got_lock t node =
   assert (t.holder = nil);
@@ -222,12 +217,7 @@ let successor_after t ctx node ~check_next =
       let usurper = Ctx.fetch_and_store ctx t.tail old_tail in
       Ctx.instr ctx ~br:1 ();
       (* Wait for the victim head pointer to materialise. *)
-      let rec wait_next () =
-        let v = Ctx.read ctx node.next in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = Ctx.spin_while ctx node.next (fun v -> v = nil) in
       if usurper <> nil then begin
         (* The usurper (tail of the new chain) just enqueued on an empty
            queue, so its next is nil and stays ours to set. *)
@@ -250,12 +240,7 @@ let successor_after_cas t ctx node =
   end
   else begin
     Ctx.instr ctx ~br:1 ();
-    let rec wait_next () =
-      let v = Ctx.read ctx node.next in
-      Ctx.instr ctx ~br:1 ();
-      if v = nil then wait_next () else v
-    in
-    `Next (wait_next ())
+    `Next (Ctx.spin_while ctx node.next (fun v -> v = nil))
   end
 
 (* Hand the lock to [succ_id], garbage-collecting abandoned TryLock nodes
@@ -454,14 +439,12 @@ let acquire_with_timeout t ctx ~timeout =
       | H1 | H2 -> node.dirty_locked <- true);
       Ctx.write ctx (node_of_id t pred).next (id_of_node t node);
       Ctx.instr ctx ~reg:1 ~br:1 ();
-      let rec spin_bounded () =
-        let v = Ctx.read ctx node.locked in
-        Ctx.instr ctx ~br:1 ();
-        if v = 0 then true
-        else if Machine.now t.machine >= deadline then false
-        else spin_bounded ()
+      let granted =
+        Ctx.spin_while ctx node.locked (fun v ->
+            v <> 0 && Machine.now t.machine < deadline)
+        = 0
       in
-      if spin_bounded () then begin
+      if granted then begin
         (* The releaser claimed the node (mark := claimed) before clearing
            [locked]; make the node reusable again. *)
         Ctx.write ctx node.mark 0;

@@ -290,14 +290,9 @@ let open_gate t ctx i =
 (* Spin until indicator [i] holds only our gate bit. [deadline] < 0 means
    block; returns false on expiry with the gate still closed. *)
 let drain_gate t ctx ~deadline i =
-  let rec go () =
-    let v = Ctx.read ctx t.inds.(i) in
-    Ctx.instr ctx ~br:1 ();
-    if v = 1 then true
-    else if deadline >= 0 && Ctx.now ctx >= deadline then false
-    else go ()
-  in
-  go ()
+  Ctx.spin_while ctx t.inds.(i) (fun v ->
+      v <> 1 && not (deadline >= 0 && Ctx.now ctx >= deadline))
+  = 1
 
 (* Close-and-drain every indicator per the policy; on a deadline expiry
    reopen everything closed so far and report failure. *)
