@@ -203,6 +203,26 @@ let bechamel_tests () =
            done;
            Eventsim.Engine.run eng))
   in
+  (* The same 16-chain stream, but every event is a freshly allocated
+     closure, as a fiber resume is. [feed] above reuses one closure, which
+     hides what storing a young pointer in the heap costs. *)
+  let engine_events_fresh =
+    Test.make ~name:"substrate: 100k fresh-closure events (events/sec)"
+      (Staged.stage (fun () ->
+           let eng = Eventsim.Engine.create () in
+           let remaining = ref 100_000 in
+           let rec feed chain =
+             if !remaining > 0 then begin
+               decr remaining;
+               Eventsim.Engine.schedule_after eng ~delay:1 (fun () ->
+                   feed chain)
+             end
+           in
+           for chain = 1 to 16 do
+             feed chain
+           done;
+           Eventsim.Engine.run eng))
+  in
   let machine_accesses =
     Test.make ~name:"substrate: 10k timed remote reads"
       (Staged.stage (fun () ->
@@ -221,6 +241,7 @@ let bechamel_tests () =
     (fig7_fault, None);
     (engine_events, Some 10_000);
     (engine_events_flat, Some 100_000);
+    (engine_events_fresh, Some 100_000);
     (machine_accesses, None);
   ]
 

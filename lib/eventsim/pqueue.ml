@@ -4,27 +4,42 @@
    events scheduled for the same instant run in FIFO order, which keeps every
    simulation deterministic.
 
-   The heap stores its three columns in parallel arrays ([times], [seqs],
-   [payloads]) instead of an array of records, so comparisons read unboxed
-   ints. [push] and [pop_payload] sift a hole rather than swapping entries:
-   the moving entry is held in locals, each level copies one parent (or
-   child) into the hole, and the entry is written once at its final slot.
-   Both are plain loops with no local closures, so the hot path ([push] /
-   [min_time] / [pop_payload]) allocates nothing but the occasional capacity
-   doubling; [test/test_pqueue.ml] pins that at zero minor words. The
-   record-returning [peek] / [pop] / [drain] views are kept for tests and
-   casual callers. *)
+   The heap keeps three int columns in heap order ([times], [seqs],
+   [slots]). Payloads do not move: each one lives in a slot table
+   ([payloads]) at the slot id its heap entry names, so the sift loops read
+   and write unboxed ints only and never hit the write barrier. [push]
+   takes a free slot, stores the payload there (the one boxed write), and
+   sifts a hole up; [pop_payload] reads the root's payload, overwrites its
+   table entry with the filler, frees the slot and sifts a hole down. In
+   both, the moving entry is held in locals, each level copies one parent
+   (or child) into the hole, and the entry is written once at its final
+   position.
+
+   The free slots are an int stack kept in the tail of [slots]: positions
+   [0, len) hold the heap's slot ids and [len, capacity) the free ones, so
+   [push] takes [slots.(len)] and [pop_payload] puts the freed id back
+   there once [len] has dropped. Slot ids run from 1; [payloads.(0)] holds
+   the filler, the first payload ever pushed, which every free table entry
+   points at. So popped payloads are never retained beyond that one value.
+
+   Both hot operations are plain loops with no local closures, so the hot
+   path ([push] / [min_time] / [pop_payload]) allocates nothing but the
+   occasional capacity doubling; [test/test_pqueue.ml] pins that at zero
+   minor words. The record-returning [peek] / [pop] / [drain] views are kept
+   for tests and casual callers. *)
 
 type 'a entry = { time : int; seq : int; payload : 'a }
 
 type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
+  mutable slots : int array;
   mutable payloads : 'a array;
   mutable len : int;
 }
 
-let create () = { times = [||]; seqs = [||]; payloads = [||]; len = 0 }
+let create () =
+  { times = [||]; seqs = [||]; slots = [||]; payloads = [||]; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
@@ -35,22 +50,32 @@ let grow t payload =
     let ncap = if cap = 0 then 16 else cap * 2 in
     let times = Array.make ncap 0 in
     let seqs = Array.make ncap 0 in
-    (* Fresh payload slots are filled with [payload]; it is about to be
-       stored at [t.len] anyway, so no foreign value is retained. *)
-    let payloads = Array.make ncap payload in
-    Array.blit t.times 0 times 0 t.len;
-    Array.blit t.seqs 0 seqs 0 t.len;
-    Array.blit t.payloads 0 payloads 0 t.len;
+    let slots = Array.make ncap 0 in
+    (* The first push picks the filler; later doublings keep it. *)
+    let filler = if cap = 0 then payload else t.payloads.(0) in
+    let payloads = Array.make (ncap + 1) filler in
+    Array.blit t.times 0 times 0 cap;
+    Array.blit t.seqs 0 seqs 0 cap;
+    Array.blit t.slots 0 slots 0 cap;
+    Array.blit t.payloads 0 payloads 0 (Array.length t.payloads);
+    (* The heap is full, so slots 1..cap are all taken; the new ones form
+       the free stack. *)
+    for i = cap to ncap - 1 do
+      slots.(i) <- i + 1
+    done;
     t.times <- times;
     t.seqs <- seqs;
+    t.slots <- slots;
     t.payloads <- payloads
   end
 
 let push t ~time ~seq payload =
   grow t payload;
-  let times = t.times and seqs = t.seqs and payloads = t.payloads in
-  (* Move the hole up from the new last slot while the parent sorts after
-     the new entry. *)
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let slot = slots.(t.len) in
+  t.payloads.(slot) <- payload;
+  (* Move the hole up from the new last position while the parent sorts
+     after the new entry. *)
   let i = ref t.len in
   let moving = ref true in
   while !moving && !i > 0 do
@@ -59,19 +84,25 @@ let push t ~time ~seq payload =
     if time < tp || (time = tp && seq < seqs.(parent)) then begin
       times.(!i) <- tp;
       seqs.(!i) <- seqs.(parent);
-      payloads.(!i) <- payloads.(parent);
+      slots.(!i) <- slots.(parent);
       i := parent
     end
     else moving := false
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  payloads.(!i) <- payload;
+  slots.(!i) <- slot;
   t.len <- t.len + 1
 
 let peek t =
   if t.len = 0 then None
-  else Some { time = t.times.(0); seq = t.seqs.(0); payload = t.payloads.(0) }
+  else
+    Some
+      {
+        time = t.times.(0);
+        seq = t.seqs.(0);
+        payload = t.payloads.(t.slots.(0));
+      }
 
 let peek_time t = if t.len = 0 then None else Some t.times.(0)
 
@@ -79,19 +110,21 @@ let peek_time t = if t.len = 0 then None else Some t.times.(0)
    the engine's run loop can compare against a limit without an option. *)
 let min_time t = if t.len = 0 then max_int else t.times.(0)
 
-(* Remove the root, returning only its payload. The last entry is taken
-   into locals and the hole walks down from the root towards the smaller
-   child until the entry fits. The vacated last slot is overwritten with a
-   live payload so popped closures are not retained by the heap (at most one
-   stale payload survives in slot 0 when the heap drains completely). *)
+(* Remove the root, returning only its payload. The root's table entry is
+   overwritten with the filler and its slot goes back on the free stack.
+   The last entry is taken into locals and the hole walks down from the
+   root towards the smaller child until the entry fits. *)
 let pop_payload t =
   if t.len = 0 then invalid_arg "Pqueue.pop_payload: empty";
-  let times = t.times and seqs = t.seqs and payloads = t.payloads in
-  let top = payloads.(0) in
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let payloads = t.payloads in
+  let freed = slots.(0) in
+  let top = payloads.(freed) in
+  payloads.(freed) <- payloads.(0);
   let n = t.len - 1 in
   t.len <- n;
   if n > 0 then begin
-    let time = times.(n) and seq = seqs.(n) and payload = payloads.(n) in
+    let time = times.(n) and seq = seqs.(n) and slot = slots.(n) in
     let i = ref 0 in
     let moving = ref true in
     while !moving do
@@ -111,7 +144,7 @@ let pop_payload t =
         if tc < time || (tc = time && seqs.(c) < seq) then begin
           times.(!i) <- tc;
           seqs.(!i) <- seqs.(c);
-          payloads.(!i) <- payloads.(c);
+          slots.(!i) <- slots.(c);
           i := c
         end
         else moving := false
@@ -119,11 +152,9 @@ let pop_payload t =
     done;
     times.(!i) <- time;
     seqs.(!i) <- seq;
-    payloads.(!i) <- payload;
-    (* Drop the moved entry's old slot so the heap keeps no extra
-       reference. *)
-    payloads.(n) <- payloads.(0)
+    slots.(!i) <- slot
   end;
+  slots.(n) <- freed;
   top
 
 let pop t =
@@ -135,7 +166,8 @@ let pop t =
   end
 
 let clear t =
-  (* Release payload references beyond slot 0 (see [pop_payload]). *)
+  (* Point every table entry back at the filler; [slots] stays a
+     permutation of the slot ids, all of them now free. *)
   if Array.length t.payloads > 0 then
     Array.fill t.payloads 1 (Array.length t.payloads - 1) t.payloads.(0);
   t.len <- 0

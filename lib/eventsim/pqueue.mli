@@ -4,13 +4,20 @@
     instant, so the queue pops same-time events in insertion (FIFO) order and
     every simulation run is deterministic.
 
-    Storage is structure-of-arrays ([times] / [seqs] / [payloads] columns).
-    [push] and [pop_payload] sift a hole: the moving entry stays in locals,
-    each level moves one entry into the hole, and the entry is written once
-    at its final slot. The hot path ([push], [min_time], [pop_payload])
+    Storage is structure-of-arrays: [times] / [seqs] / [slots] int columns
+    in heap order, and a slot table that holds each payload at the slot id
+    its entry names. Payloads never move: [push] writes the payload once
+    into a free slot and [pop_payload] overwrites the root's slot once, so
+    each costs one write barrier, and the sift loops move only unboxed
+    ints. Each sift moves a hole: the moving entry stays in locals, each
+    level moves one entry into the hole, and the entry is written once at
+    its final position. The hot path ([push], [min_time], [pop_payload])
     allocates nothing except occasional capacity doublings; a test pins a
     steady pop+push stream at zero minor words. The [entry]-record views
-    ([peek] / [pop] / [drain]) are convenience wrappers that do allocate. *)
+    ([peek] / [pop] / [drain]) are convenience wrappers that do allocate.
+
+    The heap retains no popped payload except one filler: the first payload
+    ever pushed stays referenced for the queue's lifetime. *)
 
 type 'a entry = { time : int; seq : int; payload : 'a }
 
@@ -41,11 +48,12 @@ val min_time : 'a t -> int
 val pop : 'a t -> 'a entry option
 
 (** Remove the earliest entry and return only its payload; allocation-free.
-    The vacated slot is overwritten, so the heap never retains a popped
-    payload beyond slot 0.
+    The payload's table slot is overwritten with the filler, so the heap
+    does not retain it.
     @raise Invalid_argument on an empty queue — callers check [is_empty]. *)
 val pop_payload : 'a t -> 'a
 
+(** Remove every entry; the heap then retains only the filler. *)
 val clear : 'a t -> unit
 
 (** Pop everything, in order. Mainly for tests. *)

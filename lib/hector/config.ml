@@ -98,6 +98,16 @@ let validate cfg =
   then invalid_arg "Config: latencies must be positive and non-decreasing";
   if cfg.atomic_mem_accesses <= 0 then
     invalid_arg "Config: atomic_mem_accesses must be positive";
+  (* Cache-coherence state ([Cell.cached_by]) and page-directory sharer
+     sets ([Page.sharer_bit]) are one-word bitmasks indexed by processor
+     and cluster id; [1 lsl id] is unspecified for [id >= Sys.int_size],
+     so larger machines would alias silently. *)
+  if n_procs cfg > Sys.int_size then
+    invalid_arg
+      (Printf.sprintf
+         "Config: %d processors exceed the %d-bit processor bitmask \
+          (Sys.int_size)"
+         (n_procs cfg) Sys.int_size);
   cfg
 
 (* Each PMM pairs one processor with one memory module, so the PMM id of a

@@ -41,7 +41,9 @@ val numachine : t
 
 val n_procs : t -> int
 
-(** Check invariants; returns the config or raises [Invalid_argument]. *)
+(** Check invariants; returns the config or raises [Invalid_argument].
+    Rejects machines with more than [Sys.int_size] processors: per-processor
+    and per-cluster state is kept in one-word bitmasks. *)
 val validate : t -> t
 
 val station_of_proc : t -> int -> int

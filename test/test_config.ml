@@ -50,6 +50,24 @@ let test_validate_rejects_bad () =
       | _ -> Alcotest.failf "bad config %d accepted" i)
     bad_cases
 
+(* Processor and cluster bitmasks are one word wide: [Sys.int_size]
+   processors is the largest machine [validate] accepts. *)
+let test_validate_bitmask_width () =
+  let machine procs =
+    { Config.hector with Config.stations = procs; procs_per_station = 1 }
+  in
+  let widest = machine Sys.int_size in
+  Alcotest.(check bool) "Sys.int_size processors accepted" true
+    (Config.validate widest == widest);
+  let too_wide = Sys.int_size + 1 in
+  Alcotest.check_raises "one more is rejected"
+    (Invalid_argument
+       (Printf.sprintf
+          "Config: %d processors exceed the %d-bit processor bitmask \
+           (Sys.int_size)"
+          too_wide Sys.int_size))
+    (fun () -> ignore (Config.validate (machine too_wide)))
+
 let test_validate_accepts_hector () =
   Alcotest.(check bool) "hector valid" true
     (Config.validate Config.hector == Config.hector)
@@ -62,6 +80,8 @@ let suite =
     Alcotest.test_case "with_cas" `Quick test_with_cas;
     Alcotest.test_case "validate rejects bad configs" `Quick
       test_validate_rejects_bad;
+    Alcotest.test_case "validate rejects more processors than bitmask bits"
+      `Quick test_validate_bitmask_width;
     Alcotest.test_case "validate accepts hector" `Quick
       test_validate_accepts_hector;
   ]

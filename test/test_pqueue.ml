@@ -126,12 +126,13 @@ let prop_interleaved_order =
       !ok && rest = List.sort compare !model)
 
 (* The hot path allocates nothing: with the heap 16 deep, a steady stream of
-   [pop_payload] + [push] pairs must not move [Gc.minor_words]. *)
-let test_push_pop_allocation_free () =
+   [pop_payload] + [push] pairs must not move [Gc.minor_words]. Run with int
+   payloads and with preallocated closures, the engine's boxed payloads. *)
+let check_pop_push_allocation_free what payloads =
   let q = Pqueue.create () in
-  for i = 0 to 15 do
-    Pqueue.push q ~time:(i * 37 land 255) ~seq:i i
-  done;
+  Array.iteri
+    (fun i p -> Pqueue.push q ~time:(i * 37 land 255) ~seq:i p)
+    payloads;
   let pairs = 10_000 in
   let before = Gc.minor_words () in
   for seq = 16 to pairs + 15 do
@@ -139,9 +140,15 @@ let test_push_pop_allocation_free () =
     Pqueue.push q ~time:(seq * 2654435761 land 0xffff) ~seq p
   done;
   let words = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.)) "minor words over 10 000 pop+push pairs" 0.
-    words;
+  Alcotest.(check (float 0.))
+    ("minor words over 10 000 pop+push pairs, " ^ what)
+    0. words;
   Alcotest.(check int) "still 16 deep" 16 (Pqueue.length q)
+
+let test_push_pop_allocation_free () =
+  check_pop_push_allocation_free "int payloads" (Array.init 16 Fun.id);
+  check_pop_push_allocation_free "closure payloads"
+    (Array.init 16 (fun i () -> i))
 
 (* Deep heaps with heavy time ties: up to ~2 000 pushes over 8 distinct
    times, interleaved with pops. Every pop must return the first-inserted
@@ -178,6 +185,112 @@ let prop_deep_ties_stable =
       let rest = List.map (fun e -> (e.Pqueue.time, e.Pqueue.seq)) (Pqueue.drain q) in
       !ok && rest = List.stable_sort by_time (List.rev !model))
 
+(* Payload identity under the slot indirection. Each case is one or more
+   segments separated by [clear]; a segment first pushes [k] entries (the
+   first segment at least 33, so the heap grows past 16 and 32), then runs
+   random pushes and pops. Every payload is a fresh closure returning its
+   own (time, seq); a pop must return, physically, the closure pushed with
+   the exact (time, seq) minimum. *)
+type op = Push of int | Pop
+
+let prop_payload_identity =
+  let op =
+    QCheck.Gen.(
+      frequency [ (3, map (fun t -> Push t) (int_bound 40)); (2, return Pop) ])
+  in
+  let segment min_k =
+    QCheck.Gen.(pair (int_range min_k 70) (list_size (int_bound 150) op))
+  in
+  let gen =
+    QCheck.Gen.(pair (segment 33) (list_size (int_bound 3) (segment 0)))
+  in
+  QCheck.Test.make ~name:"boxed payloads pop with their own (time, seq)"
+    ~count:150 (QCheck.make gen)
+    (fun (first, rest) ->
+      let q = Pqueue.create () in
+      let model = Hashtbl.create 64 (* (time, seq) -> pushed closure *) in
+      let seq = ref 0 in
+      let ok = ref true in
+      let push time =
+        let key = (time, !seq) in
+        let f () = key in
+        Pqueue.push q ~time ~seq:!seq f;
+        Hashtbl.replace model key f;
+        incr seq
+      in
+      let pop () =
+        let expected =
+          Hashtbl.fold (fun k _ m -> min k m) model (max_int, 0)
+        in
+        let f = Pqueue.pop_payload q in
+        if f () <> expected || Hashtbl.find model expected != f then
+          ok := false;
+        Hashtbl.remove model expected
+      in
+      List.iteri
+        (fun i (k, ops) ->
+          if i > 0 then begin
+            Pqueue.clear q;
+            Hashtbl.reset model
+          end;
+          for j = 1 to k do
+            push (j * 7 mod 41)
+          done;
+          List.iter
+            (function
+              | Push time -> push time
+              | Pop -> if Hashtbl.length model > 0 then pop ())
+            ops)
+        (first :: rest);
+      while Hashtbl.length model > 0 do
+        pop ()
+      done;
+      !ok && Pqueue.is_empty q)
+
+(* Fills [q] with [n] closures, each capturing a fresh ref, and records them
+   in [w]. Not inlined, so no stack slot of the caller keeps one alive. *)
+let[@inline never] fill_tracked q w n =
+  for i = 0 to n - 1 do
+    let r = ref i in
+    let f () = !r in
+    Weak.set w i (Some f);
+    Pqueue.push q ~time:(i * 13 mod 7) ~seq:i f
+  done
+
+let[@inline never] pop_n q n =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Pqueue.pop_payload q))
+  done
+
+let live w =
+  List.filter (fun i -> Weak.check w i) (List.init (Weak.length w) Fun.id)
+
+(* The heap must not retain popped payloads: after [pop_payload] and after
+   [clear], a full major collection frees them all except the documented
+   filler, the first payload ever pushed (index 0 here). *)
+let test_no_retention () =
+  let n = 40 in
+  let q = Pqueue.create () in
+  let w = Weak.create n in
+  fill_tracked q w n;
+  pop_n q 25;
+  Gc.full_major ();
+  Alcotest.(check int) "after 25 pops: 15 live entries + filler" 16
+    (List.length (live w));
+  Alcotest.(check bool) "filler kept" true (Weak.check w 0);
+  pop_n q 15;
+  Gc.full_major ();
+  Alcotest.(check (list int)) "drained: only the filler" [ 0 ] (live w);
+  let w2 = Weak.create n in
+  fill_tracked q w2 n;
+  Pqueue.clear q;
+  Gc.full_major ();
+  Alcotest.(check (list int)) "after clear: nothing from the second fill" []
+    (live w2);
+  Alcotest.(check (list int)) "filler still the first push" [ 0 ] (live w);
+  (* Keep the queue, and so its filler, reachable until here. *)
+  Alcotest.(check int) "empty" 0 (Pqueue.length q)
+
 let suite =
   [
     Alcotest.test_case "empty queue" `Quick test_empty;
@@ -188,8 +301,11 @@ let suite =
     Alcotest.test_case "interleaved push/pop" `Quick test_interleaved_push_pop;
     Alcotest.test_case "pop+push allocates nothing" `Quick
       test_push_pop_allocation_free;
+    Alcotest.test_case "popped and cleared payloads are not retained" `Quick
+      test_no_retention;
     Qc.to_alcotest prop_drain_sorted;
     Qc.to_alcotest prop_multiset_preserved;
     Qc.to_alcotest prop_interleaved_order;
     Qc.to_alcotest prop_deep_ties_stable;
+    Qc.to_alcotest prop_payload_identity;
   ]
