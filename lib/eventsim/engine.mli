@@ -3,11 +3,16 @@
     Time is in integer machine cycles. All simulated concurrency is
     cooperative: a thunk runs to completion at its timestamp and may schedule
     further thunks. Determinism is guaranteed by FIFO tie-breaking in the
-    event heap. *)
+    event heap: events at the same time run in the order they were
+    scheduled. Sequence numbers are spaced ([counter lsl 20]), which keeps
+    that order and leaves room for a materialised wait (below) to take its
+    place between two scheduled events. *)
 
 (** Raised when the event budget is exhausted, which in practice means the
     simulation livelocked (e.g. processors spinning forever on a lock that is
-    never released). *)
+    never released), or when {!run} without [until] drains the heap while
+    elided waits remain: nothing can ever end them. The message names the
+    waiting processors. *)
 exception Deadlock of string
 
 type t
@@ -29,7 +34,8 @@ val schedule : t -> at:int -> (unit -> unit) -> unit
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t + delay) f]. *)
 val schedule_after : t -> delay:int -> (unit -> unit) -> unit
 
-(** Number of events still queued. *)
+(** Number of events still queued. An elided wait counts as one: the event
+    its chain would keep in the heap. *)
 val pending : t -> int
 
 (** Execute the single earliest event. Returns [false] if none was queued. *)
@@ -37,5 +43,56 @@ val step : t -> bool
 
 (** Run until the heap is empty, or past [until] if given (events strictly
     later than [until] stay queued; the clock is advanced to [until] if the
-    heap drains early). *)
+    heap drains early). On return no wait is elided: with [until], each
+    elided wait's elements up to [until] count as run and its next element
+    is put in the heap; without, elided waits left over raise
+    {!Deadlock}. {!step} also materialises every elided wait after its
+    event, so it can run chain elements one at a time. *)
 val run : ?until:int -> t -> unit
+
+(** {2 Elided waits}
+
+    A wait whose iterations change nothing another event can observe can
+    leave them out of the heap. Its chain of events — element 0, then
+    alternately [even_gap] and [odd_gap] cycles apart — stays virtual from
+    {!elide} until {!materialise}, which puts into the heap the one element
+    the real loop would dispatch next, at exactly the (time, seq) place it
+    would have held: its position after the dispatch in progress is found
+    by comparing the scheduling ancestry of same-time events, from a ring
+    of recent dispatches. Results are identical to running every element;
+    only {!events_executed} is smaller. *)
+
+type wait
+
+(** [wait ~owner ~even_gap ~odd_gap ~fire ~credit] describes one wait of
+    processor [owner]. [fire j] runs element [j] for real; [credit j] is
+    told that elements [0, j) have virtually run (it is called with a
+    non-decreasing [j] per elision and must account for them itself).
+    @raise Invalid_argument unless both gaps are in [1, 65535]. *)
+val wait :
+  owner:int ->
+  even_gap:int ->
+  odd_gap:int ->
+  fire:(int -> unit) ->
+  credit:(int -> unit) ->
+  wait
+
+(** [elide t w ~at], called during a dispatch in place of scheduling element
+    0 at [at > now], makes [w]'s chain virtual and reserves element 0's
+    seq. Returns [false] (and does nothing) outside a dispatch or if [w] is
+    already elided or placed; the caller then schedules the element
+    itself. *)
+val elide : t -> wait -> at:int -> bool
+
+(** Put the first element of [w] ordered after the dispatch in progress
+    into the heap, crediting the elements before it; the wait is then no
+    longer elided. Call it whenever something that can end the wait
+    happens. A no-op unless [w] is elided. *)
+val materialise : t -> wait -> unit
+
+(** [w]'s chain is virtual: elided and not yet materialised. *)
+val is_elided : wait -> bool
+
+(** Credit [w]'s elements earlier than [now] (a no-op unless elided), so
+    counters read in between are up to date. *)
+val settle : t -> wait -> unit

@@ -110,6 +110,8 @@ let peek_time t = if t.len = 0 then None else Some t.times.(0)
    the engine's run loop can compare against a limit without an option. *)
 let min_time t = if t.len = 0 then max_int else t.times.(0)
 
+let min_seq t = if t.len = 0 then max_int else t.seqs.(0)
+
 (* Remove the root, returning only its payload. The root's table entry is
    overwritten with the filler and its slot goes back on the free stack.
    The last entry is taken into locals and the hole walks down from the

@@ -44,6 +44,10 @@ val peek_time : 'a t -> int option
     Allocation-free; this is what the engine's run loop compares against. *)
 val min_time : 'a t -> int
 
+(** Sequence number of the earliest entry, or [max_int] when the queue is
+    empty. Allocation-free; the engine reads it to place each dispatch. *)
+val min_seq : 'a t -> int
+
 (** Remove and return the earliest entry. Allocates the record. *)
 val pop : 'a t -> 'a entry option
 

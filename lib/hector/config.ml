@@ -98,6 +98,29 @@ let validate cfg =
   then invalid_arg "Config: latencies must be positive and non-decreasing";
   if cfg.atomic_mem_accesses <= 0 then
     invalid_arg "Config: atomic_mem_accesses must be positive";
+  List.iter
+    (fun (name, v) ->
+      if v < 0 then
+        invalid_arg
+          (Printf.sprintf "Config: %s must not be negative (got %d)" name v))
+    [
+      ("mem_service", cfg.mem_service);
+      ("bus_service", cfg.bus_service);
+      ("ring_service", cfg.ring_service);
+      ("atomic_module_overhead", cfg.atomic_module_overhead);
+      ("reg_cost", cfg.reg_cost);
+      ("branch_cost", cfg.branch_cost);
+      ("atomic_overlap", cfg.atomic_overlap);
+      ("irq_entry", cfg.irq_entry);
+      ("irq_exit", cfg.irq_exit);
+      ("cache_hit", cfg.cache_hit);
+    ];
+  (* A cache-hit spin iteration would take no simulated time: the spin
+     would loop on the host forever with the clock standing still. *)
+  if cfg.cache_coherent && cfg.cache_hit + cfg.branch_cost = 0 then
+    invalid_arg
+      "Config: a coherent machine needs cache_hit + branch_cost > 0 (a \
+       cache-hit spin iteration would take no time)";
   (* Cache-coherence state ([Cell.cached_by]) and page-directory sharer
      sets ([Page.sharer_bit]) are one-word bitmasks indexed by processor
      and cluster id; [1 lsl id] is unspecified for [id >= Sys.int_size],

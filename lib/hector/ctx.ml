@@ -59,7 +59,9 @@ let now t = Machine.now t.machine
 
 let irqs_taken t = t.irqs_taken
 let irqs_deferred t = t.irqs_deferred
-let instr_cycles t = t.instr_cycles
+let instr_cycles t =
+  Machine.settle t.machine ~proc:t.proc;
+  t.instr_cycles
 let soft_masked t = t.soft_masked
 let in_interrupt t = t.in_interrupt
 let pending_interrupts t = Queue.length t.inbox
@@ -191,6 +193,7 @@ let with_soft_mask t f =
    Hkernel.Rpc); the dispatch cost is charged by the receiver in [poll]. *)
 let post_ipi target h =
   Queue.push h target.inbox;
+  Machine.wake target.machine ~proc:target.proc;
   match target.idle_wake with
   | None -> ()
   | Some wake ->
@@ -287,15 +290,42 @@ let await_timeout ?(poll_interval = 16) t ~timeout ivar =
 (* A read-branch-test spin: [Ctx.read] + one branch per iteration while
    [keep v]. Two events per iteration, as in the fiber loop: the read's
    completion (take the value, charge the branch) and the branch's end
-   (test, poll, issue the next read). *)
-let spin_while t cell keep =
+   (test, poll, issue the next read).
+
+   A spin on this processor's own PMM, on an uncached machine with no fault
+   plan and no deadline, is elided: its iterations reserve nothing, so only
+   a write to the cell, an IPI or the processor's death can change what a
+   later one does ([Machine.elide_spin] watches for those). The iterations
+   become a virtual chain — element 2m is a read's completion, 2m+1 the
+   branch's end — and [credit] accounts each one's read and branch cycles
+   as it virtually runs. When the wait is materialised, its next element
+   runs the real code below, which re-elides if the spin goes on. *)
+let spin_while ?deadline t cell keep =
   let m = t.machine and eng = engine t in
   let cfg = config t in
+  let b = cfg.Config.branch_cost in
   let v = ref 0 and over = ref false and resume = ref ignore in
+  let elidable =
+    deadline = None && (not cfg.Config.cache_coherent)
+    && Cell.home cell = t.proc && b > 0
+  in
+  let credited = ref 0 in
   let rec issue () =
     t.overlap_credit <- 0;
     let finish = Machine.read_start m ~proc:t.proc cell in
-    if finish >= 0 then Engine.schedule eng ~at:finish missed
+    if finish >= 0 then begin
+      (* Until something wakes the wait, every read returns the value the
+         cell holds now, so the chain is virtual only if [keep] holds for
+         it. *)
+      let x = Cell.peek cell in
+      if elidable && keep x
+         && Machine.elide_spin m ~proc:t.proc cell (Lazy.force w) ~at:finish
+      then begin
+        v := x;
+        credited := 0
+      end
+      else Engine.schedule eng ~at:finish missed
+    end
     else if cfg.Config.cache_hit > 0 then
       Engine.schedule_after eng ~delay:cfg.Config.cache_hit hit
     else hit ()
@@ -304,18 +334,36 @@ let spin_while t cell keep =
   and completed x =
     if Machine.proc_alive m t.proc then begin
       v := x;
-      let cost = charge t cfg.Config.branch_cost in
+      let cost = charge t b in
       if cost > 0 then Engine.schedule_after eng ~delay:cost branch
       else branch ()
     end
   and branch () =
-    if not (keep !v) then begin
+    let expired =
+      match deadline with Some d -> Machine.now m >= d | None -> false
+    in
+    if expired || not (keep !v) then begin
       over := true;
       !resume ()
     end
     else if not (Machine.proc_alive m t.proc) then ()
     else if interrupt_pending t then !resume ()
     else issue ()
+  and credit j =
+    (* Elements [credited, j): each odd one issued a read, each even one
+       charged a branch. *)
+    let a = !credited in
+    if j > a then begin
+      Machine.credit_reads m ((j / 2) - (a / 2));
+      t.instr_cycles <- t.instr_cycles + (b * (((j + 1) / 2) - ((a + 1) / 2)));
+      credited := j
+    end
+  and w =
+    lazy
+      (Engine.wait ~owner:t.proc ~even_gap:b
+         ~odd_gap:cfg.Config.local_latency
+         ~fire:(fun j -> if j land 1 = 0 then missed () else branch ())
+         ~credit)
   in
   let rec loop () =
     poll t;

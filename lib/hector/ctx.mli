@@ -24,7 +24,8 @@ val irqs_taken : t -> int
 val irqs_deferred : t -> int
 
 (** Instruction cycles charged by {!work} and {!instr}, net of the swap
-    overlap window. *)
+    overlap window; includes elided spin iterations (exact outside a
+    dispatch). *)
 val instr_cycles : t -> int
 val soft_masked : t -> bool
 
@@ -88,7 +89,9 @@ val halt_if_dead : t -> unit
     and resumes when the wait is over, when an interrupt is pending (it is
     taken in the fiber, then the wait goes on) — or never, if the processor
     dies. Every event, its time and its order match the equivalent loop of
-    [poll]/{!read}, {!instr} and pauses written out in the fiber. *)
+    [poll]/{!read}, {!instr} and pauses written out in the fiber — except
+    the iterations of an elided local spin ({!spin_while}), which run no
+    event at all but leave every result as the loop would. *)
 
 (** Pause while continuing to take interrupts every [granule] cycles: for
     backoffs and polling delays, where the processor is waiting rather than
@@ -96,24 +99,40 @@ val halt_if_dead : t -> unit
     @raise Invalid_argument if [granule <= 0]. *)
 val interruptible_pause : ?granule:int -> t -> int -> unit
 
-(** [spin_while t cell keep] spins on [cell]: {!read} it, charge one branch
-    ({!instr} [~br:1]), and repeat while [keep v] holds for the value [v]
-    read. Returns the first [v] for which [keep v] is false. Exactly the
-    loop
+(** [spin_while ?deadline t cell keep] spins on [cell]: {!read} it, charge
+    one branch ({!instr} [~br:1]), and repeat while [keep v] holds for the
+    value [v] read and, with [deadline], while {!now} is before it. Returns
+    the first [v] that ends the spin (with a deadline, possibly a [v] that
+    [keep] would still accept). Exactly the loop
 
     {[
       let rec loop () =
         let v = read t cell in
         instr t ~br:1 ();
-        if keep v then loop () else v
+        if keep v && (match deadline with Some d -> now t < d | None -> true)
+        then loop ()
+        else v
     ]}
 
-    — same reads, cycles, interrupts and events — at a fraction of the host
-    cost. [keep] runs from an engine callback, once per iteration at the
-    end of its branch: it may read host state (the value, deadlines against
-    {!now}, {!Machine.proc_alive}) but must not perform a simulated
-    operation; outside the fiber that raises [Effect.Unhandled]. *)
-val spin_while : t -> Cell.t -> (int -> bool) -> int
+    — same reads, cycles, interrupts and results — at a fraction of the
+    host cost. [keep] must depend only on the value: it runs from an engine
+    callback, not once per iteration (see below), so it must not read the
+    clock, {!Machine.proc_alive} or other host state, and it must not
+    perform a simulated operation (outside the fiber that raises
+    [Effect.Unhandled]). A time limit goes in [deadline].
+
+    A spin without [deadline] on a cell homed on this processor's own PMM,
+    on a machine without cache coherence and with no fault plan installed,
+    is elided: its iterations reserve no shared resource, so after the
+    first one no event is scheduled until a write to the cell, an IPI to
+    this processor or its death ({!Machine.elide_spin}). Then the one
+    iteration event the loop would run next is put at exactly its place,
+    and the skipped iterations' reads and branch cycles are credited to
+    {!Machine.reads} and {!instr_cycles}. Only
+    {!Eventsim.Engine.events_executed} differs from the loop. Remote,
+    coherent, faulted and deadline spins run every iteration as
+    events. *)
+val spin_while : ?deadline:int -> t -> Cell.t -> (int -> bool) -> int
 
 (** Busy-wait for an ivar, polling every [poll_interval] cycles and taking
     interrupts meanwhile — how a processor waits for an RPC reply in an

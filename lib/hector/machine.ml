@@ -37,6 +37,9 @@ type t = {
   mutable on_restart : (int -> unit) option;
       (* workload callback to respawn work on a revived processor (the
          fiber that died stays parked forever) *)
+  watch : (Cell.t * Engine.wait) option array;
+      (* per processor: the cell of its last elided local spin, and the
+         wait (a processor has at most one wait at a time) *)
 }
 
 let create eng cfg =
@@ -62,6 +65,7 @@ let create eng cfg =
     crashes = 0;
     restarts = 0;
     on_restart = None;
+    watch = Array.make n None;
   }
 
 let engine t = t.eng
@@ -69,7 +73,58 @@ let config t = t.cfg
 let now t = Engine.now t.eng
 let n_procs t = Config.n_procs t.cfg
 
-let reads t = t.reads
+(* -- Elided local spins ----------------------------------------------------
+
+   A processor spinning on its own PMM reserves nothing, so {!Ctx.spin_while}
+   elides the iterations ({!Engine.elide}) and registers the wait here. The
+   only things that can end it are a mutation of the cell, an IPI to the
+   processor, its death, and a fault plan that changes local latency; each
+   of those materialises the wait ({!Engine.materialise}). *)
+
+let elide_spin t ~proc cell w ~at =
+  Option.is_none t.fault
+  (* One elided wait per processor: a second fiber's spin on the same
+     processor runs its iterations. *)
+  && (match t.watch.(proc) with
+     | Some (_, u) -> not (Engine.is_elided u)
+     | None -> true)
+  && Engine.elide t.eng w ~at
+  &&
+  (t.watch.(proc) <- Some (cell, w);
+   true)
+
+let wake t ~proc =
+  match t.watch.(proc) with
+  | Some (_, w) -> Engine.materialise t.eng w
+  | None -> ()
+
+let wake_cell t cell =
+  match t.watch.(Cell.home cell) with
+  | Some (c, w) when c == cell -> Engine.materialise t.eng w
+  | _ -> ()
+
+(* Every value mutation of a cell goes through here: untimed writes, and
+   the completions of timed writes and atomics. *)
+let poke t cell v =
+  Cell.poke cell v;
+  wake_cell t cell
+
+let settle t ~proc =
+  match t.watch.(proc) with
+  | Some (_, w) -> Engine.settle t.eng w
+  | None -> ()
+
+let settle_all t =
+  for p = 0 to Array.length t.watch - 1 do
+    settle t ~proc:p
+  done
+
+let credit_reads t n = t.reads <- t.reads + n
+
+let reads t =
+  settle_all t;
+  t.reads
+
 let writes t = t.writes
 let atomics t = t.atomics
 let cache_hits t = t.cache_hits
@@ -122,6 +177,7 @@ let kill_proc ?restart_after t proc =
     (match t.obs with
     | Some o -> Obs.proc_crashed o ~proc ~now:(now t)
     | None -> ());
+    wake t ~proc;
     if restart_after > 0 then
       Engine.schedule_after t.eng ~delay:restart_after (fun () ->
           revive t proc)
@@ -129,6 +185,11 @@ let kill_proc ?restart_after t proc =
 
 let set_fault_plan t plan =
   t.fault <- plan;
+  (* A plan scales local latency, so an elided spin must see it. *)
+  if Option.is_some plan then
+    for p = 0 to n_procs t - 1 do
+      wake t ~proc:p
+    done;
   (* Arm the plan's scheduled kills as engine events. Each event checks
      that this very plan is still installed when it fires, so clearing or
      replacing the plan disarms a schedule that cannot be unqueued. *)
@@ -287,12 +348,12 @@ let write t ~proc cell v =
   if t.cfg.Config.cache_coherent && Cell.exclusive_of cell = proc then begin
     t.cache_hits <- t.cache_hits + 1;
     cache_hit t;
-    Cell.poke cell v
+    poke t cell v
   end
   else
     timed_access t ~proc cell ~accesses:1 (fun () ->
         if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
-        Cell.poke cell v)
+        poke t cell v)
 
 let fetch_and_store t ~proc cell v =
   t.atomics <- t.atomics + 1;
@@ -302,7 +363,7 @@ let fetch_and_store t ~proc cell v =
     t.cache_hits <- t.cache_hits + 1;
     cache_hit t;
     let old = Cell.peek cell in
-    Cell.poke cell v;
+    poke t cell v;
     old
   end
   else
@@ -311,7 +372,7 @@ let fetch_and_store t ~proc cell v =
       (fun () ->
         if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
         let old = Cell.peek cell in
-        Cell.poke cell v;
+        poke t cell v;
         old)
 
 let test_and_set t ~proc cell = fetch_and_store t ~proc cell 1
@@ -324,7 +385,7 @@ let compare_and_swap t ~proc cell ~expect ~set =
     t.cache_hits <- t.cache_hits + 1;
     cache_hit t;
     if Cell.peek cell = expect then begin
-      Cell.poke cell set;
+      poke t cell set;
       true
     end
     else false
@@ -335,7 +396,7 @@ let compare_and_swap t ~proc cell ~expect ~set =
       (fun () ->
         if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
         if Cell.peek cell = expect then begin
-          Cell.poke cell set;
+          poke t cell set;
           true
         end
         else false)
@@ -343,6 +404,7 @@ let compare_and_swap t ~proc cell ~expect ~set =
 let cpu_work t cycles = Process.pause t.eng cycles
 
 let reset_counters t =
+  settle_all t;
   t.reads <- 0;
   t.writes <- 0;
   t.atomics <- 0;

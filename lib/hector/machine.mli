@@ -21,7 +21,8 @@ val now : t -> int
 val n_procs : t -> int
 
 (** Total read / write / atomic operations performed, for experiment
-    accounting. *)
+    accounting. [reads] includes the iterations of elided local spins
+    (exact outside a dispatch). *)
 val reads : t -> int
 
 val writes : t -> int
@@ -133,6 +134,36 @@ val compare_and_swap : t -> proc:int -> Cell.t -> expect:int -> set:int -> bool
 
 (** Pure compute: suspend for [cycles] without touching any resource. *)
 val cpu_work : t -> int -> unit
+
+(** Untimed write for set-up and recovery paths: like {!Cell.poke}, but an
+    elided spin on the cell sees the new value. Simulated code that writes
+    a cell another processor may spin on must use this, not
+    {!Cell.poke}. *)
+val poke : t -> Cell.t -> int -> unit
+
+(** {2 Elided local spins}
+
+    A processor spinning on its own PMM reserves no shared resource, so
+    {!Ctx.spin_while} runs those iterations as a virtual chain
+    ({!Eventsim.Engine.elide}). The machine keeps one watch slot per
+    processor and materialises the wait on everything that can end it: a
+    mutation of the cell (a write or atomic completing, or {!poke}), an IPI
+    ({!wake}), {!kill_proc}, and installing a fault plan. *)
+
+(** [elide_spin t ~proc cell w ~at] elides [w] (its next element is due at
+    [at]) and watches [cell] for it, if no fault plan is installed and
+    [proc] has no other elided wait. Returns [false] otherwise; the caller
+    then schedules the element. *)
+val elide_spin : t -> proc:int -> Cell.t -> Engine.wait -> at:int -> bool
+
+(** Materialise [proc]'s elided wait, if any. *)
+val wake : t -> proc:int -> unit
+
+(** Bring [proc]'s elided wait's counters up to date. *)
+val settle : t -> proc:int -> unit
+
+(** Add [n] elided reads to the read count. *)
+val credit_reads : t -> int -> unit
 
 (** Zero operation counters and free all resources (between experiments). *)
 val reset_counters : t -> unit

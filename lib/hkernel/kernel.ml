@@ -223,8 +223,9 @@ let populate_page t ~vpage ~master_cluster ~frame =
       Page.make t.machine ~home ~vpage ~frame ~master_cluster
         ~vstate:Page.st_valid_write
     in
-    Cell.poke desc.Page.dir_owner (master_cluster + 1);
-    Cell.poke desc.Page.dir_sharers (Page.sharer_bit master_cluster);
+    Machine.poke t.machine desc.Page.dir_owner (master_cluster + 1);
+    Machine.poke t.machine desc.Page.dir_sharers
+      (Page.sharer_bit master_cluster);
     desc
   in
   ignore (Khash.insert_untimed cd.page_hash vpage ~status0:0 ~make)

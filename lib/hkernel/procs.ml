@@ -130,6 +130,7 @@ let tree_table_of_pid t pid = t.tree_tables.(cluster_of_pid t pid)
 (* Untimed setup: create a process under [parent] (0 for a root). *)
 let spawn_process_untimed t ~pid ~parent =
   if pid <= 0 then invalid_arg "spawn_process_untimed: pid must be positive";
+  let machine = Kernel.machine t.kernel in
   let make home =
     {
       pid;
@@ -167,7 +168,7 @@ let spawn_process_untimed t ~pid ~parent =
         pd.children := pid :: !(pd.children);
         (* [nchildren] always equals the list length, so bump it
            incrementally rather than rescanning the list. *)
-        Cell.poke pd.nchildren (Cell.peek pd.nchildren + 1))
+        Machine.poke machine pd.nchildren (Cell.peek pd.nchildren + 1))
     | Separate ->
       let found = ref None in
       Khash.iter_untimed (tree_table_of_pid t parent) (fun e ->
@@ -176,7 +177,7 @@ let spawn_process_untimed t ~pid ~parent =
       | None -> invalid_arg "spawn_process_untimed: unknown parent"
       | Some tn ->
         tn.t_children := pid :: !(tn.t_children);
-        Cell.poke tn.t_nchildren (Cell.peek tn.t_nchildren + 1))
+        Machine.poke machine tn.t_nchildren (Cell.peek tn.t_nchildren + 1))
   end
 
 let alive_untimed t pid =

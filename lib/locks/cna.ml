@@ -403,9 +403,7 @@ let acquire_with_timeout t ctx ~timeout =
         Ctx.write ctx (qnode t pred).next my_id;
         Ctx.instr ctx ~reg:1 ~br:1 ();
         let granted =
-          Ctx.spin_while ctx me.locked (fun v ->
-              v <> 0 && Machine.now t.machine < deadline)
-          = 0
+          Ctx.spin_while ~deadline ctx me.locked (fun v -> v <> 0) = 0
         in
         if granted then take ()
         else begin

@@ -563,9 +563,7 @@ let acquire_with_timeout t ctx ~timeout =
            deadline as backstop. Re-enqueueing before it clears would
            clobber the in-flight unlink (see [acquire_root_via]). *)
         let busy_wait () =
-          Ctx.spin_while ctx cn.cbusy (fun b ->
-              b <> 0 && Machine.now t.machine < deadline)
-          = 0
+          Ctx.spin_while ~deadline ctx cn.cbusy (fun b -> b <> 0) = 0
         in
         if marked <> 0 || not (busy_wait ()) then begin
           (* Our cluster's timed cnode is still abandoned in the root
@@ -589,9 +587,7 @@ let acquire_with_timeout t ctx ~timeout =
           else begin
             Ctx.write ctx (cnode t pred).cnext via;
             let granted =
-              Ctx.spin_while ctx cn.clocked (fun v ->
-                  v <> 0 && Machine.now t.machine < deadline)
-              = 0
+              Ctx.spin_while ~deadline ctx cn.clocked (fun v -> v <> 0) = 0
             in
             let take_root () =
               Ctx.write ctx cn.cmark 0;
@@ -645,8 +641,7 @@ let acquire_with_timeout t ctx ~timeout =
           end
         in
         let v =
-          Ctx.spin_while ctx me.locked (fun v ->
-              v = w_wait && Machine.now t.machine < deadline)
+          Ctx.spin_while ~deadline ctx me.locked (fun v -> v = w_wait)
         in
         if v <> w_wait then with_value v
         else begin

@@ -440,9 +440,7 @@ let acquire_with_timeout t ctx ~timeout =
       Ctx.write ctx (node_of_id t pred).next (id_of_node t node);
       Ctx.instr ctx ~reg:1 ~br:1 ();
       let granted =
-        Ctx.spin_while ctx node.locked (fun v ->
-            v <> 0 && Machine.now t.machine < deadline)
-        = 0
+        Ctx.spin_while ~deadline ctx node.locked (fun v -> v <> 0) = 0
       in
       if granted then begin
         (* The releaser claimed the node (mark := claimed) before clearing

@@ -287,16 +287,14 @@ let open_gate t ctx i =
   go ();
   t.gates_closed <- min t.gates_closed i
 
-(* Spin until indicator [i] holds only our gate bit. [deadline] < 0 means
-   block; returns false on expiry with the gate still closed. *)
-let drain_gate t ctx ~deadline i =
-  Ctx.spin_while ctx t.inds.(i) (fun v ->
-      v <> 1 && not (deadline >= 0 && Ctx.now ctx >= deadline))
-  = 1
+(* Spin until indicator [i] holds only our gate bit. Without [deadline]
+   it blocks; returns false on expiry with the gate still closed. *)
+let drain_gate t ctx ?deadline i =
+  Ctx.spin_while ?deadline ctx t.inds.(i) (fun v -> v <> 1) = 1
 
 (* Close-and-drain every indicator per the policy; on a deadline expiry
    reopen everything closed so far and report failure. *)
-let sweep t ctx ~deadline =
+let sweep t ctx ?deadline () =
   let n = Array.length t.inds in
   let back_out () =
     for i = t.gates_closed - 1 downto 0 do
@@ -311,7 +309,7 @@ let sweep t ctx ~deadline =
     done;
     let rec drain i =
       if i >= n then true
-      else if drain_gate t ctx ~deadline i then drain (i + 1)
+      else if drain_gate t ctx ?deadline i then drain (i + 1)
       else back_out ()
     in
     drain 0
@@ -320,7 +318,7 @@ let sweep t ctx ~deadline =
       if i >= n then true
       else begin
         close_gate t ctx i;
-        if drain_gate t ctx ~deadline i then go (i + 1) else back_out ()
+        if drain_gate t ctx ?deadline i then go (i + 1) else back_out ()
       end
     in
     go 0
@@ -334,7 +332,7 @@ let acquire t ctx =
   Vhook.wait_acquire ctx ~cls:t.vcls_wr ~id:t.vid;
   Lock_core.p_acquire t.writer ctx;
   t.writer_proc <- Ctx.proc ctx;
-  let ok = sweep t ctx ~deadline:(-1) in
+  let ok = sweep t ctx () in
   assert ok;
   got_write t ctx
 
@@ -360,7 +358,7 @@ let try_acquire t ctx =
     t.writer_proc <- Ctx.proc ctx;
     (* One-shot drain: close the gates, then demand every indicator is
        already empty at the first sample — deadline "now". *)
-    if sweep t ctx ~deadline:(Ctx.now ctx) then begin
+    if sweep t ctx ~deadline:(Ctx.now ctx) () then begin
       got_write t ctx;
       true
     end
@@ -392,7 +390,7 @@ let try_acquire_for t ctx ~deadline =
       (* The packed lock may have been delivered by a committed hand-off
          past the deadline; still attempt one sweep pass so forward
          progress matches the cohort convention, but bound the drains. *)
-      if sweep t ctx ~deadline then begin
+      if sweep t ctx ~deadline () then begin
         got_write t ctx;
         true
       end

@@ -55,7 +55,7 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
       let vpage = shared_page ~round ~j in
       Kernel.populate_page kernel ~vpage ~master_cluster:0 ~frame:vpage;
       match Kernel.find_descriptor_untimed kernel ~cluster:0 ~vpage with
-      | Some e -> Cell.poke e.Khash.payload.Page.refcount config.p
+      | Some e -> Machine.poke machine e.Khash.payload.Page.refcount config.p
       | None -> assert false
     done
   done;

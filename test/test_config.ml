@@ -50,6 +50,52 @@ let test_validate_rejects_bad () =
       | _ -> Alcotest.failf "bad config %d accepted" i)
     bad_cases
 
+(* Negative latencies, services and costs, and a coherent machine whose
+   cache-hit spin iteration takes no time, are rejected with a message
+   naming the field. The zero-time spin would hang the host: simulated time
+   stands still and no event runs, so the event budget never catches it. *)
+let test_validate_rejects_negative_and_zero_time () =
+  let rejects what c expected =
+    Alcotest.check_raises what (Invalid_argument expected) (fun () ->
+        ignore (Config.validate c))
+  in
+  let negative name =
+    Printf.sprintf "Config: %s must not be negative (got -1)" name
+  in
+  rejects "mem_service" { Config.hector with Config.mem_service = -1 }
+    (negative "mem_service");
+  rejects "bus_service" { Config.hector with Config.bus_service = -1 }
+    (negative "bus_service");
+  rejects "ring_service" { Config.hector with Config.ring_service = -1 }
+    (negative "ring_service");
+  rejects "atomic_module_overhead"
+    { Config.hector with Config.atomic_module_overhead = -1 }
+    (negative "atomic_module_overhead");
+  rejects "reg_cost" { Config.hector with Config.reg_cost = -1 }
+    (negative "reg_cost");
+  rejects "branch_cost" { Config.hector with Config.branch_cost = -1 }
+    (negative "branch_cost");
+  rejects "atomic_overlap" { Config.hector with Config.atomic_overlap = -1 }
+    (negative "atomic_overlap");
+  rejects "irq_entry" { Config.hector with Config.irq_entry = -1 }
+    (negative "irq_entry");
+  rejects "irq_exit" { Config.hector with Config.irq_exit = -1 }
+    (negative "irq_exit");
+  rejects "cache_hit" { Config.numachine with Config.cache_hit = -1 }
+    (negative "cache_hit");
+  rejects "zero-time coherent spin"
+    { Config.numachine with Config.cache_hit = 0; branch_cost = 0 }
+    "Config: a coherent machine needs cache_hit + branch_cost > 0 (a \
+     cache-hit spin iteration would take no time)";
+  (* Either cost alone keeps time moving; an uncached machine never hits. *)
+  List.iter
+    (fun c -> ignore (Config.validate c))
+    [
+      { Config.numachine with Config.cache_hit = 0 };
+      { Config.numachine with Config.branch_cost = 0 };
+      { Config.hector with Config.cache_hit = 0; branch_cost = 0 };
+    ]
+
 (* Processor and cluster bitmasks are one word wide: [Sys.int_size]
    processors is the largest machine [validate] accepts. *)
 let test_validate_bitmask_width () =
@@ -80,6 +126,8 @@ let suite =
     Alcotest.test_case "with_cas" `Quick test_with_cas;
     Alcotest.test_case "validate rejects bad configs" `Quick
       test_validate_rejects_bad;
+    Alcotest.test_case "validate rejects negative costs and zero-time spins"
+      `Quick test_validate_rejects_negative_and_zero_time;
     Alcotest.test_case "validate rejects more processors than bitmask bits"
       `Quick test_validate_bitmask_width;
     Alcotest.test_case "validate accepts hector" `Quick

@@ -152,13 +152,17 @@ let test_with_soft_mask_restores_on_exception () =
 
 (* The fiber loops that [Ctx.spin_while], [interruptible_pause], [await] and
    [await_timeout] replace, written out with the public primitives: the
-   reference model the engine-driven waits must match event for event. *)
+   reference model the engine-driven waits must match — every event of the
+   loop, or for an elided spin every event but its iterations'. *)
 module Fiber_loops = struct
-  let spin_while c cell keep =
+  let spin_while ?deadline c cell keep =
     let rec loop () =
       let v = Ctx.read c cell in
       Ctx.instr c ~br:1 ();
-      if keep v then loop () else v
+      let live =
+        match deadline with Some d -> Ctx.now c < d | None -> true
+      in
+      if keep v && live then loop () else v
     in
     loop ()
 
@@ -202,7 +206,7 @@ module Fiber_loops = struct
 end
 
 type waits = {
-  spin : Ctx.t -> Cell.t -> (int -> bool) -> int;
+  spin : ?deadline:int -> Ctx.t -> Cell.t -> (int -> bool) -> int;
   pause : granule:int -> Ctx.t -> int -> unit;
   await : poll_interval:int -> Ctx.t -> int Ivar.t -> int;
   await_timeout :
@@ -227,18 +231,42 @@ let reference =
     await_timeout = Fiber_loops.await_timeout;
   }
 
-(* A random scenario on 4-8 processors (2 stations), HECTOR or NUMAchine:
-   every processor but the last runs a list of waits — spins on local and
-   remote cells (some deadline-bounded, some soft-masked), awaits with and
-   without timeout, interruptible pauses — while the last processor flips
-   cell values, ivars fill, IPIs land mid-wait (some writing cells from
-   the handler), processors die and restart, and hot-spots slow PMMs. The
-   whole run is replayed from [seed], so both wait implementations see the
-   same scenario. Returns everything the two runs must agree on. *)
+(* A metronome tick's action. *)
+type tick =
+  | Nothing
+  | Poke of int * int (* untimed write: cell index, value *)
+  | Poke_own of int (* untimed write of every waiter's own cell *)
+  | Ipi of int * int (* target waiter, handler work *)
+  | Kill of int * int (* waiter, restart delay *)
+  | Write of int * int (* timed write from a fresh writer fiber *)
+
+(* A random scenario on 4-8 processors (2 stations), HECTOR or (a quarter
+   of the time) NUMAchine, with a fault plan a quarter of the time, so more
+   than half the scenarios can elide local spins. Every processor but the
+   last runs a list of waits — spins on its own and on shared cells (some
+   deadline-bounded, some soft-masked), awaits with and without timeout,
+   interruptible pauses — while the last processor flips cell values, ivars
+   fill, IPIs land mid-wait (some writing cells from the handler),
+   processors die and restart, and hot-spots slow PMMs.
+
+   Metronomes force ties: engine-event chains that step with the spin's own
+   gaps (alternately [local_latency] and [branch_cost], so same-time events
+   tie at every depth), with one of them only (a tie at depth 1), with
+   both and a third (ties that end at depth 1, 2 or 3), or at random. Most
+   of the first kind start at time 0, in step with every waiter's first
+   spin. Every tick is logged with its time, as are IPI handlers,
+   timed-write completions, kills and waiter returns, and some ticks poke
+   cells (one, or every waiter's own, which wakes spins in lock-step at
+   once), post IPIs, kill waiters or start timed writes: a wake placed in
+   the wrong order among same-time events reorders the log.
+
+   The whole run is replayed from [seed], so both wait implementations see
+   the same scenario. Returns the events executed, and everything the two
+   runs must agree on. *)
 let run_scenario waits seed =
   let st = Random.State.make [| seed |] in
   let int n = Random.State.int st n and bool () = Random.State.bool st in
-  let coherent = bool () in
+  let coherent = int 4 = 0 in
   let cfg =
     {
       (if coherent then Config.numachine else Config.hector) with
@@ -249,7 +277,7 @@ let run_scenario waits seed =
   let eng = Engine.create () in
   let m = Machine.create eng cfg in
   let n = Machine.n_procs m in
-  if bool () then
+  if int 4 = 0 then
     Machine.set_fault_plan m
       (Some
          (Fault.create
@@ -264,21 +292,27 @@ let run_scenario waits seed =
   let ctxs =
     Array.init n (fun p -> Ctx.create m ~proc:p (Rng.create (7 + p)))
   in
-  let cells = Array.init 3 (fun _ -> Machine.alloc m ~home:(int n) (int 3)) in
+  let waiters = n - 1 in
+  (* Shared cells, then one cell homed on each waiter's own PMM. *)
+  let cells =
+    Array.init (3 + waiters) (fun i ->
+        let home = if i < 3 then int n else i - 3 in
+        Machine.alloc m ~home (int 3))
+  in
   let ivars = Array.init 4 (fun _ -> Ivar.create ()) in
   let horizon = 20_000 in
-  let results = ref [] in
-  let waiters = n - 1 in
+  let results = ref [] and log = ref [] in
+  let note what id = log := (what, id, Engine.now eng) :: !log in
   let plan =
     Array.init waiters (fun p ->
-        List.init (2 + int 5) (fun _ ->
-            match int 5 with
+        List.init (2 + int 5) (fun k ->
+            match if k = 0 && bool () then 0 else int 5 with
             | 0 | 1 ->
               (* Half the spins go to this processor's own cell. *)
-              let cell =
-                if bool () then Machine.alloc m ~home:p 1 else cells.(int 3)
+              let cell = if bool () then cells.(3 + p) else cells.(int 3) in
+              let deadline =
+                if int 3 = 0 then Some (200 + int 3000) else None
               in
-              let deadline = if bool () then Some (200 + int 3000) else None in
               `Spin (cell, int 3, deadline, bool ())
             | 2 -> `Await (int 4, 1 + int 40)
             | 3 -> `Await_timeout (int 4, 1 + int 40, int 2000)
@@ -294,13 +328,10 @@ let run_scenario waits seed =
           match w with
           | `Spin (cell, target, deadline, masked) ->
             let deadline = Option.map (fun d -> Ctx.now c + d) deadline in
-            let keep v =
-              v <> target
-              && match deadline with None -> true | Some d -> Ctx.now c < d
-            in
+            let keep v = v <> target in
             if masked then
-              Ctx.with_soft_mask c (fun () -> waits.spin c cell keep)
-            else waits.spin c cell keep
+              Ctx.with_soft_mask c (fun () -> waits.spin ?deadline c cell keep)
+            else waits.spin ?deadline c cell keep
           | `Await (i, poll_interval) -> waits.await ~poll_interval c ivars.(i)
           | `Await_timeout (i, poll_interval, timeout) -> (
             match waits.await_timeout ~poll_interval c ~timeout ivars.(i) with
@@ -311,6 +342,7 @@ let run_scenario waits seed =
             0
         in
         results := (tag, p, k, v, Ctx.now c) :: !results;
+        note "return" ((100 * p) + k);
         Ctx.work c (int 20))
       plan.(p)
   in
@@ -320,9 +352,13 @@ let run_scenario waits seed =
   Machine.set_restart_handler m (fun p ->
       if p < waiters then Process.spawn eng (run_waits "restart" p));
   let writer = ctxs.(n - 1) in
-  for _ = 1 to 10 + int 30 do
-    let cell = cells.(int 3) and v = int 3 in
-    Process.spawn_at eng ~at:(int horizon) (fun () -> Ctx.write writer cell v)
+  let timed_write id cell v =
+    Ctx.write writer cells.(cell) v;
+    note "write" id
+  in
+  for id = 1 to 10 + int 30 do
+    let cell = int 3 and v = int 3 in
+    Process.spawn_at eng ~at:(int horizon) (fun () -> timed_write id cell v)
   done;
   Array.iteri
     (fun i iv ->
@@ -330,32 +366,89 @@ let run_scenario waits seed =
         Engine.schedule eng ~at:(int horizon) (fun () ->
             Ivar.fill eng iv (100 + i)))
     ivars;
-  for _ = 1 to 20 + int 60 do
-    let target = ctxs.(int waiters) and work = 1 + int 80 in
-    let write = if bool () then Some (cells.(int 3), int 3) else None in
-    Engine.schedule eng ~at:(int horizon) (fun () ->
-        Ctx.post_ipi target (fun tc ->
-            Ctx.work tc work;
-            Option.iter (fun (cell, v) -> Ctx.write tc cell v) write))
+  let ipi id target work write =
+    Ctx.post_ipi ctxs.(target) (fun tc ->
+        note "ipi" id;
+        Ctx.work tc work;
+        Option.iter (fun (cell, v) -> Ctx.write tc cells.(cell) v) write)
+  in
+  for id = 1 to 20 + int 60 do
+    let target = int waiters and work = 1 + int 80 in
+    let write =
+      if bool () then Some (int (Array.length cells), int 3) else None
+    in
+    Engine.schedule eng ~at:(int horizon) (fun () -> ipi id target work write)
   done;
+  let kill p restart_after =
+    note "kill" p;
+    Machine.kill_proc ~restart_after m p
+  in
   for _ = 1 to int 3 do
     let p = int waiters and restart_after = int 3000 in
-    Engine.schedule eng ~at:(int horizon) (fun () ->
-        Machine.kill_proc ~restart_after m p)
+    Engine.schedule eng ~at:(int horizon) (fun () -> kill p restart_after)
+  done;
+  let b = cfg.Config.branch_cost and l = cfg.Config.local_latency in
+  for metronome = 1 to 3 + int 6 do
+    let gaps, start =
+      match int 10 with
+      | 0 | 1 | 2 | 3 -> ([| l; b |], 0)
+      | 4 | 5 -> ([| l; b |], int horizon)
+      | 6 -> ([| l |], int horizon)
+      | 7 -> ([| b |], int horizon)
+      | 8 -> ([| l; b; 1 + int 12 |], int (l + b))
+      | _ -> ([| 1 + int 12; 1 + int 12 |], int (l + b))
+    in
+    let ticks =
+      Array.init (50 + int 300) (fun _ ->
+          match int 40 with
+          | 0 | 1 | 2 -> Poke (int (Array.length cells), int 3)
+          | 7 -> Poke_own (int 3)
+          | 3 | 4 -> Ipi (int waiters, 1 + int 40)
+          | 5 -> if int 8 = 0 then Kill (int waiters, int 3000) else Nothing
+          | 6 -> Write (int 3, int 3)
+          | _ -> Nothing)
+    in
+    let rec tick k () =
+      note "tick" ((1000 * metronome) + k);
+      (match ticks.(k) with
+      | Nothing -> ()
+      | Poke (cell, v) -> Machine.poke m cells.(cell) v
+      | Poke_own v ->
+        for p = 0 to waiters - 1 do
+          Machine.poke m cells.(3 + p) v
+        done
+      | Ipi (target, work) -> ipi ((1000 * metronome) + k) target work None
+      | Kill (p, restart_after) -> kill p restart_after
+      | Write (cell, v) ->
+        Process.spawn eng (fun () ->
+            timed_write ((1000 * metronome) + k) cell v));
+      if k + 1 < Array.length ticks then
+        Engine.schedule_after eng
+          ~delay:gaps.(k mod Array.length gaps)
+          (tick (k + 1))
+    in
+    Engine.schedule eng ~at:start (tick 0)
   done;
   Engine.run ~until:(2 * horizon) eng;
-  ( (Engine.events_executed eng, Engine.now eng, Engine.pending eng),
-    (Machine.reads m, Machine.writes m, Machine.cache_hits m),
-    Array.to_list
-      (Array.map
-         (fun c -> (Ctx.instr_cycles c, Ctx.irqs_taken c, Ctx.irqs_deferred c))
-         ctxs),
-    List.rev !results )
+  ( Engine.events_executed eng,
+    ( (Engine.now eng, Engine.pending eng),
+      (Machine.reads m, Machine.writes m, Machine.cache_hits m),
+      Array.to_list
+        (Array.map
+           (fun c ->
+             (Ctx.instr_cycles c, Ctx.irqs_taken c, Ctx.irqs_deferred c))
+           ctxs),
+      List.rev !results,
+      List.rev !log ) )
 
+(* Elided spins run fewer events — that is the point — so the event count
+   may only fall; everything else must match. *)
 let prop_waits_match_fiber_loops =
   QCheck.Test.make ~name:"engine-driven waits replay the fiber loops exactly"
     ~count:150 QCheck.small_nat (fun seed ->
-      run_scenario library seed = run_scenario reference seed)
+      let lib_events, lib = run_scenario library seed in
+      let ref_events, expected = run_scenario reference seed in
+      lib_events <= ref_events && lib = expected)
 
 (* Minor words allocated by [f], which runs a whole simulation. *)
 let words_during f =
@@ -366,24 +459,186 @@ let words_during f =
 (* A wait costs O(1) minor words in total — its callbacks and the single
    suspension — not per iteration: about 120 words here, where the fiber
    loops (OCaml 5.1) allocate 40 words per spin iteration and 20 per pause
-   granule. *)
+   granule. The spin is remote, so every iteration runs as events: a read
+   issued every 21 cycles (19 to the station's other PMM, 2 for the
+   branch), the 10 000th at 209 979, ended by the write at 209 990. *)
 let test_spin_while_allocates_o1 () =
   let eng, machine, ctx = make () in
   let c = ctx 0 in
-  let cell = Machine.alloc machine ~home:0 1 in
-  let iters = ref 0 in
-  let keep _ =
-    incr iters;
-    !iters < 10_000
-  in
+  let cell = Machine.alloc machine ~home:1 1 in
+  Engine.schedule eng ~at:209_990 (fun () -> Machine.poke machine cell 0);
   let words =
     words_during (fun () ->
-        simulate eng (fun () -> ignore (Ctx.spin_while c cell keep)))
+        simulate eng (fun () ->
+            ignore (Ctx.spin_while c cell (fun v -> v <> 0))))
   in
-  Alcotest.(check int) "iterations" 10_000 !iters;
+  Alcotest.(check int) "iterations" 10_000 (Machine.reads machine);
   if words > 500. then
-    Alcotest.failf "10 000 local spin iterations allocated %.0f minor words"
+    Alcotest.failf "10 000 remote spin iterations allocated %.0f minor words"
       words
+
+(* One spin, run by [waits], until [poke_at] writes 0 into [cell]: what it
+   returned and when, the events executed and the read and instruction
+   counts. *)
+let spin_until_poked ?(cfg = Config.hector) ?plan waits ~home ~poke_at =
+  let eng, machine, ctx = make ~cfg () in
+  Option.iter (fun p -> Machine.set_fault_plan machine (Some p)) plan;
+  let c = ctx 0 in
+  let cell = Machine.alloc machine ~home 1 in
+  Engine.schedule eng ~at:poke_at (fun () -> Machine.poke machine cell 0);
+  let got = ref (-1, -1) in
+  simulate eng (fun () ->
+      let v = waits.spin c cell (fun v -> v <> 0) in
+      got := (v, Ctx.now c));
+  ( !got,
+    Engine.events_executed eng,
+    (Machine.reads machine, Ctx.instr_cycles c) )
+
+(* An own-PMM spin on HECTOR reads every 12 cycles (10 for the local read,
+   2 for the branch); the 10 000th read, issued at 119 988, sees the write
+   at 119 990. Elided, the whole spin is the fiber's start, the write, the
+   last read's completion and its branch — with the reads and branch
+   cycles of all 10 000 iterations counted. *)
+let test_local_spin_elided () =
+  let got, events, counts =
+    spin_until_poked library ~home:0 ~poke_at:119_990
+  in
+  let ref_got, ref_events, ref_counts =
+    spin_until_poked reference ~home:0 ~poke_at:119_990
+  in
+  Alcotest.(check (pair int int)) "returns 0 when the loop does" ref_got got;
+  Alcotest.(check (pair int int)) "reads and branch cycles" (10_000, 20_000)
+    counts;
+  Alcotest.(check (pair int int)) "as the loop counts them" ref_counts counts;
+  Alcotest.(check int) "the loop's events" 20_002 ref_events;
+  if events > 4 then Alcotest.failf "elided spin ran %d events" events
+
+(* Spins whose iterations can observe or change shared state keep one event
+   pair per iteration: remote, on a coherent machine (cache hits), or with
+   a fault plan installed (hot-spots scale local latency too). *)
+let test_unelided_spins_keep_events () =
+  let plan = Fault.create (Fault.validate Fault.disabled) in
+  List.iter
+    (fun (what, cfg, plan, home) ->
+      let got, events, (reads, _) =
+        spin_until_poked ~cfg ?plan library ~home ~poke_at:5_000
+      in
+      let ref_got, ref_events, _ =
+        spin_until_poked ~cfg ?plan reference ~home ~poke_at:5_000
+      in
+      Alcotest.(check (pair int int)) (what ^ ": same result") ref_got got;
+      Alcotest.(check int) (what ^ ": same events") ref_events events;
+      if events < 2 * reads then
+        Alcotest.failf "%s: %d events for %d iterations" what events reads)
+    [
+      ("remote", Config.hector, None, 1);
+      ("coherent", Config.numachine, None, 0);
+      ("fault plan", Config.hector, Some plan, 0);
+    ]
+
+(* A spin that nothing can end: no write, IPI or kill is left to come, so
+   [Engine.run] reports the deadlock at once, naming the processor, instead
+   of burning the event budget. *)
+let test_unending_spin_deadlocks () =
+  let eng, machine, ctx = make () in
+  let cell = Machine.alloc machine ~home:3 1 in
+  Process.spawn eng (fun () ->
+      ignore (Ctx.spin_while (ctx 3) cell (fun v -> v <> 0)));
+  Alcotest.check_raises "deadlock"
+    (Engine.Deadlock
+       "no event can end the elided waits of processors 3: the event heap is \
+        empty")
+    (fun () -> Engine.run eng)
+
+(* An elided wait counts as the one event its spin would keep queued, both
+   from inside a dispatch and after [run ~until]. *)
+let test_pending_counts_elided_wait () =
+  let observe waits =
+    let eng, machine, ctx = make () in
+    let c = ctx 0 in
+    let cell = Machine.alloc machine ~home:0 1 in
+    let seen = ref (-1) in
+    Engine.schedule eng ~at:500 (fun () -> seen := Engine.pending eng);
+    Process.spawn eng (fun () -> ignore (waits.spin c cell (fun v -> v <> 0)));
+    Engine.run ~until:1_000 eng;
+    (!seen, Engine.pending eng, Engine.now eng, Machine.reads machine,
+     Ctx.instr_cycles c)
+  in
+  let seen, after, now, reads, instr = observe library in
+  Alcotest.(check int) "pending mid-spin" 1 seen;
+  Alcotest.(check int) "pending after run ~until" 1 after;
+  Alcotest.(check (list int)) "as the loop leaves them"
+    (let s, a, n, r, i = observe reference in [ s; a; n; r; i ])
+    [ seen; after; now; reads; instr ]
+
+(* Two spins in lock-step outlast the dispatch ring: a metronome in step
+   with them runs 6 000 ticks (one dispatch each, far more than the ring
+   holds) before it ends both spins at once. The spins are re-rooted as
+   their roots age, and their tie order, fixed at time 0, must survive:
+   the log of ticks and returns matches the loop's. *)
+let test_long_lockstep_spins () =
+  let run waits =
+    let eng, machine, ctx = make () in
+    let cells = Array.init 2 (fun p -> Machine.alloc machine ~home:p 1) in
+    let log = ref [] in
+    let note what = log := (what, Engine.now eng) :: !log in
+    for p = 0 to 1 do
+      Process.spawn eng (fun () ->
+          ignore (waits.spin (ctx p) cells.(p) (fun v -> v <> 0));
+          note (Printf.sprintf "return %d" p))
+    done;
+    let rec tick k () =
+      note "tick";
+      if k = 5_000 then Array.iter (fun c -> Machine.poke machine c 0) cells;
+      if k < 6_000 then
+        Engine.schedule_after eng ~delay:(if k land 1 = 0 then 10 else 2)
+          (tick (k + 1))
+    in
+    Engine.schedule eng ~at:0 (tick 0);
+    Engine.run eng;
+    (Engine.events_executed eng, (List.rev !log, Machine.reads machine))
+  in
+  let events, got = run library and ref_events, expected = run reference in
+  Alcotest.(check bool) "same log and reads" true (got = expected);
+  if events >= ref_events - 9_000 then
+    Alcotest.failf "elided spins ran %d events, the loop %d" events ref_events
+
+(* Two fibers on one processor both spin on its own PMM: only one spin can
+   be elided at a time, and both end when their cells are written. *)
+let test_two_spins_on_one_processor () =
+  let run waits =
+    let eng, machine, ctx = make () in
+    let c = ctx 0 in
+    let cells = Array.init 2 (fun _ -> Machine.alloc machine ~home:0 1) in
+    let log = ref [] in
+    Array.iteri
+      (fun i cell ->
+        Process.spawn eng (fun () ->
+            let v = waits.spin c cell (fun v -> v <> 0) in
+            log := (i, v, Ctx.now c) :: !log);
+        Engine.schedule eng ~at:(1_000 - (500 * i)) (fun () ->
+            Machine.poke machine cell 0))
+      cells;
+    Engine.run eng;
+    (List.rev !log, Machine.reads machine, Ctx.instr_cycles c)
+  in
+  Alcotest.(check bool) "as the loops run" true (run library = run reference)
+
+(* The checker's watchdog still sees a waiter whose spin is elided: an MCS
+   holder that never releases leaves its successor spinning on its own PMM,
+   and the stall is reported. *)
+let test_watchdog_sees_elided_spin () =
+  let eng, machine, ctx = make () in
+  let v = Verify.create ~n_procs:(Machine.n_procs machine) () in
+  Machine.set_verify machine (Some v);
+  let lock = Locks.Mcs.create ~home:0 ~vclass:"ctx.stall" machine in
+  Process.spawn eng (fun () -> Locks.Mcs.acquire lock (ctx 0));
+  Process.spawn_at eng ~at:1_000 (fun () -> Locks.Mcs.acquire lock (ctx 1));
+  Verify.watchdog ~period:5_000 ~stall_limit:50_000 v eng;
+  match Engine.run eng with
+  | () -> Alcotest.fail "the stalled waiter went unreported"
+  | exception Verify.Violation viol ->
+    Alcotest.(check string) "stall" "stall" (Verify.kind_name viol.Verify.vkind)
 
 let test_interruptible_pause_allocates_o1 () =
   let eng, _, ctx = make () in
@@ -435,6 +690,20 @@ let suite =
     Qc.to_alcotest prop_waits_match_fiber_loops;
     Alcotest.test_case "spin_while allocates O(1) words" `Quick
       test_spin_while_allocates_o1;
+    Alcotest.test_case "own-PMM spin elided with exact counts" `Quick
+      test_local_spin_elided;
+    Alcotest.test_case "remote, coherent, faulted spins keep events" `Quick
+      test_unelided_spins_keep_events;
+    Alcotest.test_case "unending elided spin raises Deadlock" `Quick
+      test_unending_spin_deadlocks;
+    Alcotest.test_case "pending counts an elided wait as one" `Quick
+      test_pending_counts_elided_wait;
+    Alcotest.test_case "lock-step spins outlast the dispatch ring" `Quick
+      test_long_lockstep_spins;
+    Alcotest.test_case "two spins on one processor" `Quick
+      test_two_spins_on_one_processor;
+    Alcotest.test_case "watchdog sees a stall in an elided spin" `Quick
+      test_watchdog_sees_elided_spin;
     Alcotest.test_case "interruptible_pause allocates O(1) words" `Quick
       test_interruptible_pause_allocates_o1;
     Alcotest.test_case "non-positive wait intervals are rejected" `Quick
