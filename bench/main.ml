@@ -1,10 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's per-experiment index).
+   evaluation (see DESIGN.md's per-experiment index). The experiments, their
+   names and their outputs are the entries of [Registry].
 
    Usage:
      dune exec bench/main.exe                  # everything
      dune exec bench/main.exe fig5a fig7d ...  # selected experiments
      dune exec bench/main.exe -- --json [names] # write BENCH_results.json
+     dune exec bench/main.exe -- --dat DIR     # .dat series + plots.gp
      dune exec bench/main.exe -- --bechamel    # wall-clock micro-benchmarks
                                                # of the substrate (one
                                                # Test.make per table)
@@ -14,126 +16,12 @@
 
 open Hurricane
 
-let ppf = Format.std_formatter
-
-let run_fig4 () = Report.fig4 ppf (Experiments.fig4 ())
-let run_uncontended () = Report.uncontended ppf (Experiments.uncontended ())
-
-let run_fig5a () =
-  Report.fig5 ppf ~name:"FIG5a" ~hold_us:0.0 (Experiments.fig5a ())
-
-let run_fig5b () =
-  Report.fig5 ppf ~name:"FIG5b" ~hold_us:25.0 (Experiments.fig5b ())
-
-let run_starvation () = Report.starvation ppf (Experiments.starvation ())
-
-let run_fig7a () =
-  Report.fig7 ppf ~name:"FIG7a - independent faults, one 16-processor cluster"
-    ~xlabel:"p"
-    ~claim:
-      "little difference up to p=4; beyond that spin degrades; at p=16 spin \
-       is over 2x the distributed locks"
-    (Experiments.fig7a ())
-
-let run_fig7b () =
-  Report.fig7 ppf ~name:"FIG7b - shared faults, one 16-processor cluster"
-    ~xlabel:"p"
-    ~claim:
-      "smaller gap between distributed and spin locks: contention shifts to \
-       the reserve bits"
-    (Experiments.fig7b ())
-
-let run_fig7c () =
-  Report.fig7 ppf ~name:"FIG7c - independent faults, p=16, cluster-size sweep"
-    ~xlabel:"cluster"
-    ~claim:
-      "small clusters best; no degradation for cluster size <= 4 (hybrid \
-       matches fine-grain locking)"
-    (Experiments.fig7c ())
-
-let run_fig7d () =
-  Report.fig7 ppf ~name:"FIG7d - shared faults, p=16, cluster-size sweep"
-    ~xlabel:"cluster"
-    ~claim:
-      "moderate cluster sizes win: inter-cluster ownership traffic dominates \
-       very small clusters, lock contention the largest"
-    (Experiments.fig7d ())
-
-let run_constants () = Report.constants ppf (Experiments.constants ())
-let run_retries () = Report.retries ppf (Experiments.retries ())
-
-let run_abl1 () =
-  Report.ablation_granularity ppf (Experiments.ablation_granularity ())
-
-let run_abl2 () =
-  Report.ablation_combining ppf (Experiments.ablation_combining ())
-
-let run_abl3 () = Report.ablation_cas ppf (Experiments.ablation_cas ())
-let run_abl4 () = Report.ablation_clh ppf (Experiments.ablation_clh ())
-
-let run_abl5 () =
-  Report.ablation_cached_locks ppf (Experiments.ablation_cached_locks ())
-
-let run_abl6 () =
-  Report.ablation_spin_then_block ppf (Experiments.ablation_spin_then_block ())
-
-let run_abl7 () = Report.ablation_lockfree ppf (Experiments.ablation_lockfree ())
-let run_abl8 () = Report.ablation_layout ppf (Experiments.ablation_layout ())
-
-let run_abl9 () =
-  Report.ablation_lock_family ppf (Experiments.ablation_lock_family ())
-let run_trylock () = Report.trylock ppf (Experiments.trylock ())
-let run_classes () = Report.classes ppf (Experiments.classes ())
-let run_cow () = Report.cow ppf (Experiments.cow ())
-let run_fs () = Report.fs ppf (Experiments.fs ())
-let run_fault_matrix () = Report.fault_matrix ppf (Experiments.fault_matrix ())
-let run_verify () = Report.verify ppf (Experiments.verify_suite ())
-let run_obs () = Report.obs ppf (Experiments.obs_profile ())
-let run_numa () = Report.numa_locks ppf (Experiments.numa_locks ())
-let run_hash () = Report.hash_scaling ppf (Experiments.hash_scaling ())
-let run_abort () = Report.abort_storm ppf (Experiments.abort_storm ())
-let run_crash () = Report.crash_storm ppf (Experiments.crash_storm ())
-let run_rw () = Report.rw_scaling ppf (Experiments.rw_scaling ())
-let run_slo () = Report.slo ppf (Experiments.slo ())
-let run_adaptive () = Report.adaptive ppf (Experiments.adaptive ())
-
-let experiments =
-  [
-    ("fig4", run_fig4);
-    ("uncontended", run_uncontended);
-    ("fig5a", run_fig5a);
-    ("fig5b", run_fig5b);
-    ("starvation", run_starvation);
-    ("fig7a", run_fig7a);
-    ("fig7b", run_fig7b);
-    ("fig7c", run_fig7c);
-    ("fig7d", run_fig7d);
-    ("constants", run_constants);
-    ("retries", run_retries);
-    ("ablation-granularity", run_abl1);
-    ("ablation-combining", run_abl2);
-    ("ablation-cas", run_abl3);
-    ("ablation-clh", run_abl4);
-    ("ablation-cached-locks", run_abl5);
-    ("ablation-spin-then-block", run_abl6);
-    ("ablation-lockfree", run_abl7);
-    ("ablation-layout", run_abl8);
-    ("ablation-lock-family", run_abl9);
-    ("trylock", run_trylock);
-    ("classes", run_classes);
-    ("cow", run_cow);
-    ("fs", run_fs);
-    ("fault-matrix", run_fault_matrix);
-    ("verify", run_verify);
-    ("obs", run_obs);
-    ("numa", run_numa);
-    ("hash", run_hash);
-    ("abort-storm", run_abort);
-    ("crash-storm", run_crash);
-    ("rw", run_rw);
-    ("slo", run_slo);
-    ("adaptive", run_adaptive);
-  ]
+(* Run and print each entry as soon as its cells finish. *)
+let print entries =
+  List.iter
+    (fun e ->
+      List.iter (Registry.print Format.std_formatter) (Registry.run [ e ]))
+    entries
 
 (* -- Bechamel wall-clock micro-benchmarks ---------------------------------- *)
 
@@ -317,26 +205,19 @@ let () =
     let names, jobs, path = parse [] 1 "BENCH_results.json" rest in
     (try Bench_json.write ~path (Bench_json.document ~jobs ~names ())
      with Invalid_argument msg ->
-       Format.eprintf "%s; available: %s@." msg
-         (String.concat ", " Bench_json.default_names);
+       Format.eprintf "%s@." msg;
        exit 2);
     Format.printf "wrote %s@." path
   | [ "--dat"; dir ] ->
-    let written = Dat.write_all dir in
-    List.iter (Format.printf "wrote %s@.") written
+    List.iter (Format.printf "wrote %s@.") (Registry.write_dat dir)
   | [] ->
     Format.printf
       "HURRICANE locking reproduction - all experiments (simulated HECTOR \
        time)@.";
-    List.iter (fun (_, f) -> f ()) experiments
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None ->
-          Format.eprintf "unknown experiment %S; available: %s, --bechamel@."
-            name
-            (String.concat ", " (List.map fst experiments));
-          exit 2)
-      names
+    print Registry.all
+  | names -> (
+    match List.map Registry.find names with
+    | entries -> print entries
+    | exception Invalid_argument msg ->
+      Format.eprintf "%s, --bechamel@." msg;
+      exit 2)

@@ -1,10 +1,11 @@
 (* hurricane_sim — command-line driver for the HURRICANE locking simulator.
 
    Subcommands expose the building blocks individually (lock stress, fault
-   tests, calibration, destruction storms) with tunable parameters, so a
-   user can explore configurations beyond the paper's figures. The `figure`
-   subcommand regenerates a named table/figure exactly as the benchmark
-   harness does. *)
+   tests, destruction storms, the extension workloads) with tunable
+   parameters, so a user can explore configurations beyond the paper's
+   figures. The `figure` subcommand looks its name up in [Registry] and
+   regenerates that table/figure exactly as the benchmark harness does
+   (`figure constants` gives the absolute cost anchors). *)
 
 open Cmdliner
 open Hurricane
@@ -14,33 +15,47 @@ let ppf = Format.std_formatter
 
 (* -- shared arguments ------------------------------------------------------ *)
 
+(* Every fixed [--lock] spelling, aliases included; [spin:<us>] is parsed
+   on its own. The doc string and the parse error are both built from this
+   list. *)
+let algo_spellings =
+  Locks.Lock.
+    [
+      ("mcs", Mcs_original);
+      ("h1", Mcs_h1);
+      ("h1-mcs", Mcs_h1);
+      ("h2", Mcs_h2);
+      ("h2-mcs", Mcs_h2);
+      ("cas", Mcs_cas);
+      ("h2-cas", Mcs_cas);
+      ("clh", Clh);
+      ("ticket", Ticket);
+      ("anderson", Anderson);
+      ("cohort", c_mcs_mcs);
+      ("c-mcs-mcs", c_mcs_mcs);
+      ("hmcs", hmcs);
+      ("cna", cna);
+      ("adaptive", adaptive);
+      ("adaptive:cna", adaptive);
+      ("adaptive:cohort", Adaptive { numa = c_mcs_mcs });
+      ("adaptive:hmcs", Adaptive { numa = hmcs });
+    ]
+
+let algo_choices =
+  String.concat ", " (List.map fst algo_spellings) ^ " or spin:<max-backoff-us>"
+
 let algo_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "mcs" -> Ok Locks.Lock.Mcs_original
-    | "h1" | "h1-mcs" -> Ok Locks.Lock.Mcs_h1
-    | "h2" | "h2-mcs" -> Ok Locks.Lock.Mcs_h2
-    | "cas" | "h2-cas" -> Ok Locks.Lock.Mcs_cas
-    | "cohort" | "c-mcs-mcs" -> Ok Locks.Lock.c_mcs_mcs
-    | "hmcs" -> Ok Locks.Lock.hmcs
-    | "cna" -> Ok Locks.Lock.cna
-    | "clh" -> Ok Locks.Lock.Clh
-    | "ticket" -> Ok Locks.Lock.Ticket
-    | "anderson" -> Ok Locks.Lock.Anderson
-    | "adaptive" | "adaptive:cna" -> Ok Locks.Lock.adaptive
-    | "adaptive:cohort" ->
-      Ok (Locks.Lock.Adaptive { numa = Locks.Lock.c_mcs_mcs })
-    | "adaptive:hmcs" -> Ok (Locks.Lock.Adaptive { numa = Locks.Lock.hmcs })
-    | s -> (
+    let s = String.lowercase_ascii s in
+    match List.assoc_opt s algo_spellings with
+    | Some a -> Ok a
+    | None -> (
       match Scanf.sscanf_opt s "spin:%f" (fun v -> v) with
       | Some us -> Ok (Locks.Lock.Spin { max_backoff_us = us })
       | None ->
         Error
           (`Msg
-            (Printf.sprintf
-               "unknown lock algorithm %S (mcs | h1 | h2 | cas | clh | ticket \
-                | anderson | cohort | hmcs | cna | \
-                adaptive[:cna|:cohort|:hmcs] | spin:<us>)" s)))
+            (Printf.sprintf "unknown lock algorithm %S (%s)" s algo_choices)))
   in
   let print ppf a = Format.pp_print_string ppf (Locks.Lock.algo_name a) in
   Arg.conv (parse, print)
@@ -50,9 +65,7 @@ let algo_arg =
     value
     & opt algo_conv Locks.Lock.Mcs_h2
     & info [ "l"; "lock" ] ~docv:"ALGO"
-        ~doc:
-          "Lock algorithm: mcs, h1, h2, cas, cohort, hmcs, cna or \
-           spin:<max-backoff-us>.")
+        ~doc:("Lock algorithm: " ^ algo_choices ^ "."))
 
 let procs_arg =
   Arg.(
@@ -147,15 +160,6 @@ let faults_cmd =
     (Cmd.info "faults"
        ~doc:"Run a page-fault stress test on the simulated kernel (Figure 7).")
     Term.(const run $ algo_arg $ procs_arg $ cluster_arg $ shared $ seed_arg)
-
-(* -- calibrate subcommand --------------------------------------------------- *)
-
-let calibrate_cmd =
-  let run () = Report.constants ppf (Experiments.constants ()) in
-  Cmd.v
-    (Cmd.info "calibrate"
-       ~doc:"Measure the absolute cost anchors (fault, RPC, replication).")
-    Term.(const run $ const ())
 
 (* -- destroy subcommand ------------------------------------------------------ *)
 
@@ -1031,52 +1035,27 @@ let adaptive_cmd =
 
 let figure_cmd =
   let run name =
-    match name with
-    | "fig4" -> Report.fig4 ppf (Experiments.fig4 ())
-    | "uncontended" -> Report.uncontended ppf (Experiments.uncontended ())
-    | "fig5a" -> Report.fig5 ppf ~name:"FIG5a" ~hold_us:0.0 (Experiments.fig5a ())
-    | "fig5b" ->
-      Report.fig5 ppf ~name:"FIG5b" ~hold_us:25.0 (Experiments.fig5b ())
-    | "starvation" -> Report.starvation ppf (Experiments.starvation ())
-    | "fig7a" ->
-      Report.fig7 ppf ~name:"FIG7a" ~xlabel:"p" ~claim:"(see bench)"
-        (Experiments.fig7a ())
-    | "fig7b" ->
-      Report.fig7 ppf ~name:"FIG7b" ~xlabel:"p" ~claim:"(see bench)"
-        (Experiments.fig7b ())
-    | "fig7c" ->
-      Report.fig7 ppf ~name:"FIG7c" ~xlabel:"cluster" ~claim:"(see bench)"
-        (Experiments.fig7c ())
-    | "fig7d" ->
-      Report.fig7 ppf ~name:"FIG7d" ~xlabel:"cluster" ~claim:"(see bench)"
-        (Experiments.fig7d ())
-    | "constants" -> Report.constants ppf (Experiments.constants ())
-    | "retries" -> Report.retries ppf (Experiments.retries ())
-    | "trylock" -> Report.trylock ppf (Experiments.trylock ())
-    | "classes" -> Report.classes ppf (Experiments.classes ())
-    | "cow" -> Report.cow ppf (Experiments.cow ())
-    | "fault-matrix" -> Report.fault_matrix ppf (Experiments.fault_matrix ())
-    | "verify" -> Report.verify ppf (Experiments.verify_suite ())
-    | "obs" -> Report.obs ppf (Experiments.obs_profile ())
-    | "numa" -> Report.numa_locks ppf (Experiments.numa_locks ())
-    | "hash" -> Report.hash_scaling ppf (Experiments.hash_scaling ())
-    | "abort-storm" -> Report.abort_storm ppf (Experiments.abort_storm ())
-    | "crash-storm" -> Report.crash_storm ppf (Experiments.crash_storm ())
-    | "rw" -> Report.rw_scaling ppf (Experiments.rw_scaling ())
-    | "slo" -> Report.slo ppf (Experiments.slo ())
-    | "adaptive" -> Report.adaptive ppf (Experiments.adaptive ())
-    | other ->
-      Format.eprintf "unknown figure %S@." other;
+    match Registry.find name with
+    | e -> List.iter (Registry.print ppf) (Registry.run [ e ])
+    | exception Invalid_argument msg ->
+      Format.eprintf "%s@." msg;
       exit 2
   in
   let name_arg =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FIGURE" ~doc:"fig4, uncontended, fig5a, fig5b, ...")
+      & info [] ~docv:"FIGURE"
+          ~doc:
+            ("Experiment name: "
+            ^ String.concat ", " (List.map Registry.name Registry.all)
+            ^ "."))
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one of the paper's tables/figures.")
+    (Cmd.info "figure"
+       ~doc:
+         "Regenerate one of the paper's tables/figures or one experiment, \
+          exactly as the benchmark harness prints it.")
     Term.(const run $ name_arg)
 
 let main_cmd =
@@ -1086,7 +1065,6 @@ let main_cmd =
     [
       locks_cmd;
       faults_cmd;
-      calibrate_cmd;
       destroy_cmd;
       sweep_cmd;
       storm_cmd;

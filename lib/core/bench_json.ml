@@ -1,506 +1,56 @@
-(* JSON benchmark export (schema in bench_json.mli). Each experiment's
-   encoder works from the same result values the text reports print, so the
-   file and the tables can never disagree.
+(* JSON benchmark export (schema in bench_json.mli): the exported entries
+   of {!Registry}, run through the same cells and combine as the text
+   reports, so the file and the tables can never disagree.
 
    Every experiment is decomposed into independent *cells* — one value of
    its outermost sweep axis (an algorithm, a style, a processor count, an
    offered rate) — each of which builds its own Engine/Machine/Rng from a
    fixed seed. [document ~jobs] runs the cells of all requested experiments
-   through {!Par.map}, which returns fragments in input order, and
-   reassembles them by concatenation — the outermost axis is also the
-   outermost loop of every runner, so the parallel export is byte-identical
-   to the sequential one. *)
+   through one {!Par.map}, and each experiment combines its cell results in
+   cell order, so the parallel export is byte-identical to the sequential
+   one. *)
 
-open Locks
-open Workloads
-
-(* Version 2: added the "numa_locks" experiment (cross-cluster contention
-   with local/remote hand-off counts and worst-case waits).
-   Version 3: added the "hash_scaling" experiment (sharded hash table +
-   seqlock optimistic reads: throughput and read/update latency per
-   granularity x shard count x read ratio x p).
-   Version 4: added the "abort_storm" experiment (timed abandonment under
-   a planted cross-cluster holder stall: overshoot distribution, worst
-   return/timeout ratio, recovery latency and per-cluster abort counts
-   per abortable algorithm).
-   Version 5: added the "crash_storm" experiment (fail-stop kills planted
-   mid-critical-section: conservation, lockdep-legalised recovery
-   transfers, kill-to-forced-release latency per algorithm and worst
-   cluster).
-   Version 6: added the "rw_scaling" experiment (read-mostly lookups:
-   distributed RW lock vs its centralised baseline vs seqlock vs
-   per-cluster replication, with reader-parallelism peaks and remote
-   read-path traffic) and the "p999_us" field in every latency summary.
-   Version 7: added the "slo" experiment (open-loop request stream over
-   the sharded million-element table: offered vs achieved rate,
-   arrival-to-completion p50/p99/p99.9 per offered load, peak backlog,
-   zero lockdep violations). All pre-v7 experiment values unchanged.
-   Version 8: added the "adaptive" experiment (the diurnal load cycle:
-   per-phase throughput of the morphing lock against every static shape,
-   with observer-counted promotions/demotions and the final shape gauge).
-   All pre-v8 experiment values unchanged. *)
+(* The version history is in bench_json.mli. *)
 let schema_version = 8
 
 let default_names =
-  [
-    "fig4";
-    "uncontended";
-    "fig5a";
-    "fig5b";
-    "starvation";
-    "fig7a";
-    "fig7b";
-    "fig7c";
-    "fig7d";
-    "constants";
-    "numa_locks";
-    "hash_scaling";
-    "abort_storm";
-    "crash_storm";
-    "rw_scaling";
-    "slo";
-    "adaptive";
-  ]
-
-(* -- encoders ------------------------------------------------------------- *)
-
-let counts_json (c : Instr_model.counts) =
-  Json.Obj
-    [
-      ("atomic", Json.Int c.Instr_model.atomic);
-      ("mem", Json.Int c.Instr_model.mem);
-      ("reg", Json.Int c.Instr_model.reg);
-      ("br", Json.Int c.Instr_model.br);
-    ]
-
-let fig4_json (rows : Experiments.fig4_row list) =
-  Json.List
-    (List.map
-       (fun (r : Experiments.fig4_row) ->
-         Json.Obj
-           [
-             ("algo", Json.String (Instr_model.algo_name r.Experiments.algo));
-             ("ours", counts_json r.Experiments.ours);
-             ("paper", counts_json r.Experiments.paper);
-             ("matches_paper", Json.Bool (r.Experiments.ours = r.Experiments.paper));
-             ("predicted_us", Json.Float r.Experiments.predicted_us);
-           ])
-       rows)
-
-let uncontended_json (rows : Uncontended.result list) =
-  Json.List
-    (List.map
-       (fun (r : Uncontended.result) ->
-         Json.Obj
-           [
-             ("algo", Json.String (Lock.algo_name r.Uncontended.algo));
-             ("pair_us", Json.Float r.Uncontended.pair_us);
-             ("predicted_us",
-              match r.Uncontended.predicted_us with
-              | Some us -> Json.Float us
-              | None -> Json.Null);
-           ])
-       rows)
-
-let summary_fields (s : Measure.summary) =
-  [
-    ("n", Json.Int s.Measure.n);
-    ("mean_us", Json.Float s.Measure.mean_us);
-    ("p50_us", Json.Float s.Measure.p50_us);
-    ("p90_us", Json.Float s.Measure.p90_us);
-    ("p99_us", Json.Float s.Measure.p99_us);
-    ("p999_us", Json.Float s.Measure.p999_us);
-    ("min_us", Json.Float s.Measure.min_us);
-    ("max_us", Json.Float s.Measure.max_us);
-    ("frac_above_2ms", Json.Float s.Measure.frac_above_2ms);
-  ]
-
-let fig5_series_json (s : Experiments.fig5_series) =
-  Json.Obj
-    [
-      ("algo", Json.String (Lock.algo_name s.Experiments.algo));
-      ("points",
-       Json.List
-         (List.map
-            (fun (p, (r : Lock_stress.result)) ->
-              Json.Obj
-                (("p", Json.Int p)
-                 :: summary_fields r.Lock_stress.summary
-                @ [ ("acquisitions", Json.Int r.Lock_stress.acquisitions) ]))
-            s.Experiments.points));
-    ]
-
-let fig7_series_json (s : Experiments.fig7_series) =
-  Json.Obj
-    [
-      ("algo", Json.String (Lock.algo_name s.Experiments.lock_algo));
-      ("points",
-       Json.List
-         (List.map
-            (fun (p : Experiments.fig7_point) ->
-              Json.Obj
-                [
-                  ("x", Json.Int p.Experiments.x);
-                  ("mean_us", Json.Float p.Experiments.mean_us);
-                  ("p99_us", Json.Float p.Experiments.p99_us);
-                  ("retries", Json.Int p.Experiments.retries);
-                  ("rpcs", Json.Int p.Experiments.rpcs);
-                ])
-            s.Experiments.series));
-    ]
-
-let numa_locks_json (rows : Experiments.numa_point list) =
-  Json.List
-    (List.map
-       (fun (r : Experiments.numa_point) ->
-         Json.Obj
-           [
-             ("algo", Json.String (Lock.algo_name r.Experiments.nalgo));
-             ("clusters", Json.Int r.Experiments.nclusters);
-             ("hold_us", Json.Float r.Experiments.nhold_us);
-             ("mean_us", Json.Float r.Experiments.nmean_us);
-             ("p99_us", Json.Float r.Experiments.np99_us);
-             ("acquisitions", Json.Int r.Experiments.nacqs);
-             ("local_handoffs", Json.Int r.Experiments.nlocal);
-             ("remote_handoffs", Json.Int r.Experiments.nremote);
-             ("remote_frac", Json.Float r.Experiments.nremote_frac);
-             ("max_wait_us", Json.Float r.Experiments.nmax_wait_us);
-           ])
-       rows)
-
-let hash_scaling_json (rows : Experiments.hash_point list) =
-  Json.List
-    (List.map
-       (fun (r : Experiments.hash_point) ->
-         Json.Obj
-           [
-             ("granularity",
-              Json.String
-                (Hkernel.Khash.granularity_name r.Experiments.hgran));
-             ("shards", Json.Int r.Experiments.hshards);
-             ("optimistic", Json.Bool r.Experiments.hoptimistic);
-             ("p", Json.Int r.Experiments.hp);
-             ("read_ratio", Json.Float r.Experiments.hread_ratio);
-             ("read_mean_us", Json.Float r.Experiments.hread_mean_us);
-             ("read_p99_us", Json.Float r.Experiments.hread_p99_us);
-             ("update_mean_us", Json.Float r.Experiments.hupdate_mean_us);
-             ("throughput_ops_ms", Json.Float r.Experiments.hthroughput);
-             ("optimistic_hits", Json.Int r.Experiments.hopt_hits);
-             ("optimistic_fallbacks", Json.Int r.Experiments.hopt_fallbacks);
-             ("atomics", Json.Int r.Experiments.hatomics);
-           ])
-       rows)
-
-let abort_storm_json (rows : Experiments.abort_point list) =
-  Json.List
-    (List.map
-       (fun (r : Experiments.abort_point) ->
-         Json.Obj
-           [
-             ("algo", Json.String (Lock.algo_name r.Experiments.aalgo));
-             ("attempts", Json.Int r.Experiments.aattempts);
-             ("acquisitions", Json.Int r.Experiments.aacqs);
-             ("aborts", Json.Int r.Experiments.aaborts);
-             ("fast_fails", Json.Int r.Experiments.afast_fails);
-             ("stalls", Json.Int r.Experiments.astalls);
-             ("overshoot_mean_us", Json.Float r.Experiments.aover_mean_us);
-             ("overshoot_p99_us", Json.Float r.Experiments.aover_p99_us);
-             ("overshoot_max_us", Json.Float r.Experiments.aover_max_us);
-             ("bound_ratio", Json.Float r.Experiments.abound_ratio);
-             ("recovery_mean_us", Json.Float r.Experiments.arecovery_mean_us);
-             ("recovery_max_us", Json.Float r.Experiments.arecovery_max_us);
-             ("obs_aborts", Json.Int r.Experiments.aobs_aborts);
-             ("obs_repairs", Json.Int r.Experiments.aobs_repairs);
-             ("remote_aborts", Json.Int r.Experiments.aremote_aborts);
-             ("final_free", Json.Bool r.Experiments.afinal_free);
-           ])
-       rows)
-
-let crash_storm_json (rows : Experiments.crash_point list) =
-  Json.List
-    (List.map
-       (fun (r : Experiments.crash_point) ->
-         Json.Obj
-           [
-             ("algo", Json.String (Lock.algo_name r.Experiments.calgo));
-             ("kills", Json.Int r.Experiments.ckills);
-             ("acquisitions", Json.Int r.Experiments.cacqs);
-             ("obs_crashes", Json.Int r.Experiments.cobs_crashes);
-             ("obs_recoveries", Json.Int r.Experiments.cobs_recoveries);
-             ("lockdep_recoveries", Json.Int r.Experiments.clockdep_recoveries);
-             ("lockdep_violations", Json.Int r.Experiments.clockdep_violations);
-             ("recovery_mean_us", Json.Float r.Experiments.crec_mean_us);
-             ("recovery_p99_us", Json.Float r.Experiments.crec_p99_us);
-             ("recovery_max_us", Json.Float r.Experiments.crec_max_us);
-             ("recovery_n", Json.Int r.Experiments.crec_n);
-             ("clusters_hit", Json.Int r.Experiments.cclusters_hit);
-             ("worst_cluster_p99_us",
-              Json.Float r.Experiments.cworst_cluster_p99_us);
-             ("final_free", Json.Bool r.Experiments.cfinal_free);
-           ])
-       rows)
-
-let rw_scaling_json (rows : Experiments.rw_point list) =
-  Json.List
-    (List.map
-       (fun (r : Experiments.rw_point) ->
-         Json.Obj
-           [
-             ("style", Json.String r.Experiments.rstyle_name);
-             ("read_ratio", Json.Float r.Experiments.rread_ratio);
-             ("clusters", Json.Int r.Experiments.rclusters);
-             ("p", Json.Int r.Experiments.rp);
-             ("read_mean_us", Json.Float r.Experiments.rread_mean_us);
-             ("read_p99_us", Json.Float r.Experiments.rread_p99_us);
-             ("read_p999_us", Json.Float r.Experiments.rread_p999_us);
-             ("write_mean_us", Json.Float r.Experiments.rwrite_mean_us);
-             ("throughput_ops_ms", Json.Float r.Experiments.rthroughput);
-             ("read_throughput_ops_ms",
-              Json.Float r.Experiments.rread_throughput);
-             ("reads", Json.Int r.Experiments.rreads);
-             ("writes", Json.Int r.Experiments.rwrites);
-             ("peak_readers", Json.Int r.Experiments.rpeak_readers);
-             ("read_remote", Json.Int r.Experiments.rread_remote);
-             ("seq_aborts", Json.Int r.Experiments.rseq_aborts);
-             ("lockdep_violations",
-              Json.Int r.Experiments.rlockdep_violations);
-           ])
-       rows)
-
-let slo_json (rows : Experiments.slo_point list) =
-  Json.List
-    (List.map
-       (fun (r : Experiments.slo_point) ->
-         Json.Obj
-           [
-             ("offered_per_ms", Json.Float r.Experiments.srate);
-             ("p", Json.Int r.Experiments.sp);
-             ("elements", Json.Int r.Experiments.selements);
-             ("shards", Json.Int r.Experiments.sshards);
-             ("completed", Json.Int r.Experiments.scompleted);
-             ("achieved_per_ms", Json.Float r.Experiments.sachieved);
-             ("read", Json.Obj (summary_fields r.Experiments.sread));
-             ("update", Json.Obj (summary_fields r.Experiments.supdate));
-             ("peak_backlog", Json.Int r.Experiments.speak_backlog);
-             ("optimistic_hits", Json.Int r.Experiments.sopt_hits);
-             ("optimistic_fallbacks", Json.Int r.Experiments.sopt_fallbacks);
-             ("lockdep_violations", Json.Int r.Experiments.sviolations);
-           ])
-       rows)
-
-let adaptive_json (rows : Experiments.adaptive_point list) =
-  Json.List
-    (List.map
-       (fun (r : Experiments.adaptive_point) ->
-         Json.Obj
-           [
-             ("lock", Json.String r.Experiments.dname);
-             ("cold1_ops", Json.Int r.Experiments.dcold1_ops);
-             ("hot_ops", Json.Int r.Experiments.dhot_ops);
-             ("cold2_ops", Json.Int r.Experiments.dcold2_ops);
-             ("cold_throughput_ops_ms",
-              Json.Float r.Experiments.dcold_throughput);
-             ("hot_throughput_ops_ms",
-              Json.Float r.Experiments.dhot_throughput);
-             ("morphs_up", Json.Int r.Experiments.dmorphs_up);
-             ("morphs_down", Json.Int r.Experiments.dmorphs_down);
-             ("final_shape", Json.Int r.Experiments.dfinal_shape);
-             ("final_free", Json.Bool r.Experiments.dfinal_free);
-             ("lockdep_violations", Json.Int r.Experiments.dviolations);
-           ])
-       rows)
-
-let constants_json (r : Calibration.result) =
-  Json.Obj
-    [
-      ("soft_fault_us", Json.Float r.Calibration.soft_fault_us);
-      ("lockless_fault_us", Json.Float r.Calibration.lockless_fault_us);
-      ("lock_overhead_us", Json.Float r.Calibration.lock_overhead_us);
-      ("null_rpc_us", Json.Float r.Calibration.null_rpc_us);
-      ("replicate_fault_us", Json.Float r.Calibration.replicate_fault_us);
-      ("replicate_extra_us", Json.Float r.Calibration.replicate_extra_us);
-    ]
-
-(* -- cells and document ---------------------------------------------------- *)
-
-(* A cell is one independent simulation slice of an experiment; a plan is
-   the cell list plus how to reassemble the fragments (returned in input
-   order by {!Par.map}) into the experiment's JSON value. Splitting is
-   always along the runner's *outermost* sweep axis, so concatenating the
-   per-cell row lists reproduces the sequential row order exactly. *)
-
-type plan = {
-  cells : (unit -> Json.t) list;
-  assemble : Json.t list -> Json.t;
-}
-
-let single run =
-  {
-    cells = [ run ];
-    assemble =
-      (function
-      | [ frag ] -> frag
-      | frags ->
-        invalid_arg
-          (Printf.sprintf
-             "Bench_json: single-cell experiment got %d fragments"
-             (List.length frags)));
-  }
-
-let rows_of = function
-  | Json.List rows -> rows
-  | _ -> invalid_arg "Bench_json: cell fragment is not a list"
-
-let concat_rows frags = Json.List (List.concat_map rows_of frags)
-
-let plan_of ?cfg ?procs ?sizes ?iters ?rounds name =
-  let per_algo algos run = List.map (fun a () -> run a) algos in
-  match name with
-  | "fig4" -> single (fun () -> fig4_json (Experiments.fig4 ?cfg ()))
-  | "uncontended" ->
-    single (fun () -> uncontended_json (Experiments.uncontended ?cfg ()))
-  | "fig5a" ->
-    {
-      cells =
-        per_algo Experiments.fig5_algos (fun a ->
-            Json.List
-              (List.map fig5_series_json
-                 (Experiments.fig5a ?cfg ?procs ~algos:[ a ] ())));
-      assemble =
-        (fun frags ->
-          Json.Obj
-            [ ("hold_us", Json.Float 0.0); ("series", concat_rows frags) ]);
-    }
-  | "fig5b" ->
-    {
-      cells =
-        per_algo Experiments.fig5_algos (fun a ->
-            Json.List
-              (List.map fig5_series_json
-                 (Experiments.fig5b ?cfg ?procs ~algos:[ a ] ())));
-      assemble =
-        (fun frags ->
-          Json.Obj
-            [ ("hold_us", Json.Float 25.0); ("series", concat_rows frags) ]);
-    }
-  | "starvation" ->
-    single (fun () -> Json.Obj (summary_fields (Experiments.starvation ?cfg ())))
-  | "fig7a" | "fig7b" | "fig7c" | "fig7d" ->
-    let run, xlabel =
-      match name with
-      | "fig7a" ->
-        ( (fun a -> Experiments.fig7a ?cfg ?procs ?iters ~algos:[ a ] ()),
-          "p" )
-      | "fig7b" ->
-        ( (fun a -> Experiments.fig7b ?cfg ?procs ?rounds ~algos:[ a ] ()),
-          "p" )
-      | "fig7c" ->
-        ( (fun a -> Experiments.fig7c ?cfg ?sizes ?iters ~algos:[ a ] ()),
-          "cluster_size" )
-      | _ ->
-        ( (fun a -> Experiments.fig7d ?cfg ?sizes ?rounds ~algos:[ a ] ()),
-          "cluster_size" )
-    in
-    {
-      cells =
-        per_algo Experiments.fig7_algos (fun a ->
-            Json.List (List.map fig7_series_json (run a)));
-      assemble =
-        (fun frags ->
-          Json.Obj
-            [ ("xlabel", Json.String xlabel); ("series", concat_rows frags) ]);
-    }
-  | "constants" -> single (fun () -> constants_json (Experiments.constants ?cfg ()))
-  | "numa_locks" ->
-    {
-      cells =
-        per_algo Experiments.numa_algos (fun a ->
-            numa_locks_json (Experiments.numa_locks ?cfg ~algos:[ a ] ()));
-      assemble = concat_rows;
-    }
-  | "hash_scaling" ->
-    {
-      cells =
-        List.map
-          (fun p () ->
-            hash_scaling_json (Experiments.hash_scaling ?cfg ~procs:[ p ] ()))
-          [ 4; 8; 16 ];
-      assemble = concat_rows;
-    }
-  | "abort_storm" ->
-    {
-      cells =
-        per_algo Experiments.numa_algos (fun a ->
-            abort_storm_json (Experiments.abort_storm ?cfg ~algos:[ a ] ()));
-      assemble = concat_rows;
-    }
-  | "crash_storm" ->
-    {
-      cells =
-        per_algo Experiments.crash_algos (fun a ->
-            crash_storm_json (Experiments.crash_storm ?cfg ~algos:[ a ] ()));
-      assemble = concat_rows;
-    }
-  | "rw_scaling" ->
-    {
-      cells =
-        List.map
-          (fun style () ->
-            rw_scaling_json (Experiments.rw_scaling ?cfg ~styles:[ style ] ()))
-          Experiments.rw_styles;
-      assemble = concat_rows;
-    }
-  | "slo" ->
-    {
-      cells =
-        List.map
-          (fun rate () -> slo_json (Experiments.slo ?cfg ~rates:[ rate ] ()))
-          Experiments.slo_rates;
-      assemble = concat_rows;
-    }
-  | "adaptive" ->
-    {
-      cells =
-        per_algo Experiments.adaptive_algos (fun a ->
-            adaptive_json (Experiments.adaptive ?cfg ~algos:[ a ] ()));
-      assemble = concat_rows;
-    }
-  | other ->
-    invalid_arg
-      (Printf.sprintf "Bench_json.document: unknown experiment %S" other)
+  List.filter_map
+    (fun e -> if Registry.exported e then Some (Registry.name e) else None)
+    Registry.all
 
 let document ?cfg ?procs ?sizes ?iters ?rounds ?(jobs = 1) ~names () =
   let names = if names = [] then default_names else names in
-  (* Resolve every plan first so an unknown name fails before any cell has
+  (* Resolve every name first so an unknown one fails before any cell has
      burned simulation time. *)
-  let plans =
-    List.map (fun n -> (n, plan_of ?cfg ?procs ?sizes ?iters ?rounds n)) names
+  let entries =
+    List.map
+      (fun n ->
+        match
+          List.find_opt
+            (fun e -> Registry.name e = n && Registry.exported e)
+            Registry.all
+        with
+        | Some e -> e
+        | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Bench_json.document: unknown experiment %S; available: %s" n
+               (String.concat ", " default_names)))
+      names
   in
-  let cells = List.concat_map (fun (_, p) -> p.cells) plans in
-  let fragments = Par.map ~jobs (fun cell -> cell ()) cells in
-  let experiments, rest =
-    List.fold_left
-      (fun (acc, frags) (n, p) ->
-        let rec take k fr =
-          if k = 0 then ([], fr)
-          else
-            match fr with
-            | [] -> invalid_arg "Bench_json.document: missing cell result"
-            | f :: tl ->
-              let mine, rest = take (k - 1) tl in
-              (f :: mine, rest)
-        in
-        let mine, rest = take (List.length p.cells) frags in
-        ((n, p.assemble mine) :: acc, rest))
-      ([], fragments) plans
+  let knobs = { Registry.cfg; procs; sizes; iters; rounds } in
+  let experiments =
+    List.map2
+      (fun n o -> (n, Option.get (Registry.json o)))
+      names
+      (Registry.run ~jobs ~knobs entries)
   in
-  assert (rest = []);
   Json.Obj
     [
       ("schema_version", Json.Int schema_version);
       ("config", Json.String "hector");
       ("units", Json.Obj [ ("latency", Json.String "us") ]);
-      ("experiments", Json.Obj (List.rev experiments));
+      ("experiments", Json.Obj experiments);
     ]
 
 let write ~path doc =

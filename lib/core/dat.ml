@@ -1,8 +1,9 @@
 (* TSV emitters for the figure series, for plotting.
 
-   `bench/main.exe --dat DIR` writes one file per figure plus a gnuplot
-   script that renders them; columns are tab-separated with a commented
-   header, so any plotting tool can read them. *)
+   `bench/main.exe --dat DIR` writes one file per plotted figure of the
+   registry plus a gnuplot script that renders them; columns are
+   tab-separated with a commented header, so any plotting tool can read
+   them. *)
 
 open Locks
 open Workloads
@@ -88,47 +89,34 @@ let fig7 dir ~name (series : Experiments.fig7_series list) =
   in
   write_file dir (name ^ ".dat") (header :: List.map row xs)
 
-let gnuplot_script dir =
-  let lines =
-    [
-      "# gnuplot script regenerating the paper's figures from the .dat files";
-      "# usage: gnuplot plots.gp   (produces .svg next to the data)";
-      "set datafile commentschars '#'";
-      "set key top left";
-      "set grid";
-      "set style data linespoints";
-      "set terminal svg size 720,480";
-      "set ylabel 'response time (us)'";
-      "";
-      "set xlabel 'contending processors'";
-      "do for [f in 'fig5a fig5b fig7a fig7b'] {";
-      "  set output f.'.svg'";
-      "  set title f";
-      "  plot for [i=2:6] f.'.dat' using 1:i title columnheader(i)";
-      "}";
-      "";
-      "set xlabel 'cluster size'";
-      "do for [f in 'fig7c fig7d'] {";
-      "  set output f.'.svg'";
-      "  set title f";
-      "  plot for [i=2:4] f.'.dat' using 1:i title columnheader(i)";
-      "}";
-    ]
-  in
-  write_file dir "plots.gp" lines
+type plot = { path : string; xlabel : string; columns : int }
 
-(* Run every figure and drop its data into [dir]. *)
-let write_all dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let written =
+let plot ~xlabel path series =
+  { path; xlabel; columns = 1 + List.length series }
+
+(* One [plot] per .dat file, each over exactly the columns that file has. *)
+let gnuplot_script dir plots =
+  let figure { path; xlabel; columns } =
+    let data = Filename.basename path in
+    let fig = Filename.remove_extension data in
     [
-      fig5 dir ~name:"fig5a" (Experiments.fig5a ());
-      fig5 dir ~name:"fig5b" (Experiments.fig5b ());
-      fig7 dir ~name:"fig7a" (Experiments.fig7a ());
-      fig7 dir ~name:"fig7b" (Experiments.fig7b ());
-      fig7 dir ~name:"fig7c" (Experiments.fig7c ());
-      fig7 dir ~name:"fig7d" (Experiments.fig7d ());
-      gnuplot_script dir;
+      "";
+      Printf.sprintf "set xlabel '%s'" xlabel;
+      Printf.sprintf "set output '%s.svg'" fig;
+      Printf.sprintf "set title '%s'" fig;
+      Printf.sprintf
+        "plot for [i=2:%d] '%s' using 1:i title columnheader(i)" columns data;
     ]
   in
-  written
+  write_file dir "plots.gp"
+    ([
+       "# gnuplot script regenerating the paper's figures from the .dat files";
+       "# usage: gnuplot plots.gp   (produces .svg next to the data)";
+       "set datafile commentschars '#'";
+       "set key top left";
+       "set grid";
+       "set style data linespoints";
+       "set terminal svg size 720,480";
+       "set ylabel 'response time (us)'";
+     ]
+    @ List.concat_map figure plots)

@@ -102,128 +102,72 @@ type fig7_point = {
 
 type fig7_series = { lock_algo : Lock.algo; series : fig7_point list }
 
-let fig7a ?(cfg = Config.hector) ?(procs = paper_procs) ?(iters = 100)
-    ?(algos = fig7_algos) () =
+(* One series per lock algorithm, one point per [xs] value; [run] builds
+   and runs the fault test for one (algorithm, x). *)
+let fig7 ~algos xs run =
   List.map
     (fun lock_algo ->
       {
         lock_algo;
         series =
           List.map
-            (fun p ->
-              let r =
-                Independent_faults.run ~cfg
-                  ~config:
-                    {
-                      Independent_faults.default_config with
-                      p;
-                      iters;
-                      lock_algo;
-                    }
-                  ()
-              in
+            (fun x ->
+              let summary, retries, rpcs = run lock_algo x in
               {
-                x = p;
-                mean_us = r.Independent_faults.summary.Measure.mean_us;
-                p99_us = r.Independent_faults.summary.Measure.p99_us;
-                retries = r.Independent_faults.retries;
-                rpcs = r.Independent_faults.rpcs;
+                x;
+                mean_us = summary.Measure.mean_us;
+                p99_us = summary.Measure.p99_us;
+                retries;
+                rpcs;
               })
-            procs;
+            xs;
       })
     algos
 
+let independent ~cfg config =
+  let r = Independent_faults.run ~cfg ~config () in
+  Independent_faults.(r.summary, r.retries, r.rpcs)
+
+let shared ~cfg config =
+  let r = Shared_faults.run ~cfg ~config () in
+  Shared_faults.(r.summary, r.retries, r.rpcs)
+
+let fig7a ?(cfg = Config.hector) ?(procs = paper_procs) ?(iters = 100)
+    ?(algos = fig7_algos) () =
+  fig7 ~algos procs (fun lock_algo p ->
+      independent ~cfg
+        { Independent_faults.default_config with p; iters; lock_algo })
+
 let fig7b ?(cfg = Config.hector) ?(procs = paper_procs) ?(rounds = 20)
     ?(algos = fig7_algos) () =
-  List.map
-    (fun lock_algo ->
-      {
-        lock_algo;
-        series =
-          List.map
-            (fun p ->
-              let r =
-                Shared_faults.run ~cfg
-                  ~config:
-                    { Shared_faults.default_config with p; rounds; lock_algo }
-                  ()
-              in
-              {
-                x = p;
-                mean_us = r.Shared_faults.summary.Measure.mean_us;
-                p99_us = r.Shared_faults.summary.Measure.p99_us;
-                retries = r.Shared_faults.retries;
-                rpcs = r.Shared_faults.rpcs;
-              })
-            procs;
-      })
-    algos
+  fig7 ~algos procs (fun lock_algo p ->
+      shared ~cfg { Shared_faults.default_config with p; rounds; lock_algo })
 
 (* -- FIG7c/d: fault latency vs cluster size at p = 16 ---------------------- *)
 
 let fig7c ?(cfg = Config.hector) ?(sizes = paper_cluster_sizes) ?(iters = 100)
     ?(algos = fig7_algos) () =
-  List.map
-    (fun lock_algo ->
-      {
-        lock_algo;
-        series =
-          List.map
-            (fun cluster_size ->
-              let r =
-                Independent_faults.run ~cfg
-                  ~config:
-                    {
-                      Independent_faults.default_config with
-                      p = 16;
-                      iters;
-                      cluster_size;
-                      lock_algo;
-                    }
-                  ()
-              in
-              {
-                x = cluster_size;
-                mean_us = r.Independent_faults.summary.Measure.mean_us;
-                p99_us = r.Independent_faults.summary.Measure.p99_us;
-                retries = r.Independent_faults.retries;
-                rpcs = r.Independent_faults.rpcs;
-              })
-            sizes;
-      })
-    algos
+  fig7 ~algos sizes (fun lock_algo cluster_size ->
+      independent ~cfg
+        {
+          Independent_faults.default_config with
+          p = 16;
+          iters;
+          cluster_size;
+          lock_algo;
+        })
 
 let fig7d ?(cfg = Config.hector) ?(sizes = paper_cluster_sizes) ?(rounds = 15)
     ?(algos = fig7_algos) () =
-  List.map
-    (fun lock_algo ->
-      {
-        lock_algo;
-        series =
-          List.map
-            (fun cluster_size ->
-              let r =
-                Shared_faults.run ~cfg
-                  ~config:
-                    {
-                      Shared_faults.default_config with
-                      p = 16;
-                      rounds;
-                      cluster_size;
-                      lock_algo;
-                    }
-                  ()
-              in
-              {
-                x = cluster_size;
-                mean_us = r.Shared_faults.summary.Measure.mean_us;
-                p99_us = r.Shared_faults.summary.Measure.p99_us;
-                retries = r.Shared_faults.retries;
-                rpcs = r.Shared_faults.rpcs;
-              })
-            sizes;
-      })
-    algos
+  fig7 ~algos sizes (fun lock_algo cluster_size ->
+      shared ~cfg
+        {
+          Shared_faults.default_config with
+          p = 16;
+          rounds;
+          cluster_size;
+          lock_algo;
+        })
 
 (* -- CONST: absolute anchors ----------------------------------------------- *)
 
@@ -595,7 +539,9 @@ type hash_point = {
    HASH-SCALING): throughput scales with the shard count once the single
    lock saturates, and at read-heavy mixes the optimistic path serves
    lookups for a pair of loads instead of a lock round-trip. *)
-let hash_scaling ?(cfg = Config.hector) ?(procs = [ 4; 8; 16 ])
+let hash_procs = [ 4; 8; 16 ]
+
+let hash_scaling ?(cfg = Config.hector) ?(procs = hash_procs)
     ?(read_ratios = [ 0.5; 0.9 ]) ?(shard_counts = [ 2; 4; 8 ]) () =
   let point ~p ~read_ratio ~granularity ~shards ~optimistic =
     let r =

@@ -280,6 +280,9 @@ type hash_point = {
   hatomics : int;
 }
 
+(** The processor counts HASH-SCALING sweeps (its outermost axis). *)
+val hash_procs : int list
+
 val hash_scaling :
   ?cfg:Config.t ->
   ?procs:int list ->

@@ -469,10 +469,18 @@ let test_bench_json_schema () =
   | _ -> Alcotest.fail "fig5a series not a list"
 
 let test_bench_json_rejects_unknown () =
-  Alcotest.(check bool) "unknown name raises" true
-    (match Bench_json.document ~names:[ "fig9000" ] () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  List.iter
+    (fun unknown ->
+      match Bench_json.document ~names:[ unknown ] () with
+      | _ -> Alcotest.failf "%s exported" unknown
+      | exception Invalid_argument msg ->
+        List.iter
+          (fun n ->
+            Alcotest.(check bool) (n ^ " listed") true
+              (Astring.String.is_infix ~affix:n msg))
+          Bench_json.default_names)
+    (* A name no entry has, and an entry with no JSON encoder. *)
+    [ "fig9000"; "retries" ]
 
 let suite =
   [

@@ -79,8 +79,123 @@ let test_gnuplot_script () =
   let dir = Filename.temp_file "hurricane" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let path = Dat.gnuplot_script dir in
+  let path = Dat.gnuplot_script dir [] in
   Alcotest.(check bool) "written" true (Sys.file_exists path)
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
+
+(* -- the experiment registry --------------------------------------------- *)
+
+let registry_names = List.map Registry.name Registry.all
+
+let test_registry_names_unique () =
+  Alcotest.(check int) "34 experiments" 34 (List.length registry_names);
+  Alcotest.(check int) "no name twice" (List.length registry_names)
+    (List.length (List.sort_uniq compare registry_names))
+
+(* The committed export's top-level keys, in file order. The file sits at
+   the project root: one level up from the test's build directory. *)
+let committed_keys () =
+  let path =
+    List.find Sys.file_exists [ "../BENCH_results.json"; "BENCH_results.json" ]
+  in
+  match
+    Json.get
+      (Json.of_string (String.concat "\n" (read_lines path)))
+      "experiments"
+  with
+  | Json.Obj fields -> List.map fst fields
+  | _ -> Alcotest.fail "experiments is not an object"
+
+let test_default_names_are_exported_entries () =
+  let exported =
+    List.filter_map
+      (fun e -> if Registry.exported e then Some (Registry.name e) else None)
+      Registry.all
+  in
+  Alcotest.(check (list string)) "exported entries in registry order" exported
+    Bench_json.default_names;
+  Alcotest.(check (list string)) "the committed BENCH_results.json keys"
+    (committed_keys ()) Bench_json.default_names;
+  Alcotest.(check int) "17 exported" 17 (List.length Bench_json.default_names)
+
+let test_every_name_resolves () =
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (n ^ " resolves") n
+        (Registry.name (Registry.find n)))
+    registry_names;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " listed") true (List.mem n registry_names))
+    [ "ablation-cas"; "fs"; "fault-matrix"; "numa_locks"; "abort_storm" ];
+  List.iter
+    (fun alias ->
+      Alcotest.(check bool) (alias ^ " is gone") false
+        (List.mem alias registry_names))
+    [ "numa"; "hash"; "abort-storm"; "crash-storm"; "rw" ]
+
+let test_unknown_name_lists_available () =
+  match Registry.find "fig9000" with
+  | _ -> Alcotest.fail "fig9000 resolved"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "names the unknown experiment" true
+      (Astring.String.is_infix ~affix:"fig9000" msg);
+    List.iter
+      (fun n ->
+        Alcotest.(check bool) (n ^ " listed") true
+          (Astring.String.is_infix ~affix:n msg))
+      registry_names
+
+(* [--dat] through the registry on reduced sweeps: exactly the six figure
+   files plus the script, and every [plot for [i=2:N] 'F'] line ranges over
+   exactly the columns of F's header. *)
+let test_registry_dat () =
+  let dir = Filename.temp_file "hurricane" "" in
+  Sys.remove dir;
+  let knobs =
+    {
+      Registry.full with
+      procs = Some [ 1; 2 ];
+      sizes = Some [ 4 ];
+      iters = Some 5;
+      rounds = Some 2;
+    }
+  in
+  let written = List.map Filename.basename (Registry.write_dat ~knobs dir) in
+  Alcotest.(check (list string)) "files written"
+    [
+      "fig5a.dat"; "fig5b.dat"; "fig7a.dat"; "fig7b.dat"; "fig7c.dat";
+      "fig7d.dat"; "plots.gp";
+    ]
+    written;
+  let plotted =
+    List.filter_map
+      (fun l ->
+        match
+          Scanf.sscanf_opt l "plot for [i=2:%d] '%s@'" (fun n f -> (n, f))
+        with
+        | Some (n, f) ->
+          let header = List.hd (read_lines (Filename.concat dir f)) in
+          Alcotest.(check int) (f ^ " column range")
+            (List.length (String.split_on_char '\t' header))
+            n;
+          Some f
+        | None -> None)
+      (read_lines (Filename.concat dir "plots.gp"))
+  in
+  Alcotest.(check (list string)) "one plot per .dat file"
+    (List.filter (fun f -> f <> "plots.gp") written)
+    plotted
 
 let test_measure_pp () =
   let stat = Eventsim.Stat.create "x" in
@@ -104,5 +219,15 @@ let suite =
     Alcotest.test_case "fig5 .dat files" `Quick test_dat_files;
     Alcotest.test_case "fig7 .dat files" `Quick test_dat_fig7;
     Alcotest.test_case "gnuplot script" `Quick test_gnuplot_script;
+    Alcotest.test_case "registry names unique" `Quick
+      test_registry_names_unique;
+    Alcotest.test_case "default_names are the exported entries" `Quick
+      test_default_names_are_exported_entries;
+    Alcotest.test_case "every registry name resolves" `Quick
+      test_every_name_resolves;
+    Alcotest.test_case "unknown name lists the available names" `Quick
+      test_unknown_name_lists_available;
+    Alcotest.test_case "registry --dat writes the six figures" `Quick
+      test_registry_dat;
     Alcotest.test_case "Measure.pp" `Quick test_measure_pp;
   ]
