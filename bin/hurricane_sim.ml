@@ -80,6 +80,21 @@ let cluster_arg =
 let seed_arg =
   Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
+let window_arg =
+  Arg.(
+    value & opt float 20000.0
+    & info [ "window" ] ~docv:"US" ~doc:"Measurement window in us.")
+
+let hold_arg default =
+  Arg.(
+    value & opt float default
+    & info [ "hold" ] ~docv:"US" ~doc:"Critical-section length in us.")
+
+let clusters_arg =
+  Arg.(
+    value & opt int 4
+    & info [ "clusters" ] ~docv:"C" ~doc:"Number of clusters (p=16 split).")
+
 (* -- locks subcommand ------------------------------------------------------- *)
 
 let locks_cmd =
@@ -95,19 +110,9 @@ let locks_cmd =
       r.Lock_stress.acquisitions r.Lock_stress.lock_mem_utilization
       r.Lock_stress.atomics
   in
-  let hold =
-    Arg.(
-      value & opt float 0.0
-      & info [ "hold" ] ~docv:"US" ~doc:"Critical-section length in us.")
-  in
-  let window =
-    Arg.(
-      value & opt float 20000.0
-      & info [ "window" ] ~docv:"US" ~doc:"Measurement window in us.")
-  in
   Cmd.v
     (Cmd.info "locks" ~doc:"Stress one lock with P processors (Figure 5).")
-    Term.(const run $ algo_arg $ procs_arg $ hold $ window)
+    Term.(const run $ algo_arg $ procs_arg $ hold_arg 0.0 $ window_arg)
 
 (* -- faults subcommand ------------------------------------------------------ *)
 
@@ -482,9 +487,6 @@ let trace_cmd =
       & info [ "trace-events" ] ~docv:"N"
           ~doc:"Ring capacity: keep the last N events.")
   in
-  let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
@@ -493,7 +495,7 @@ let trace_cmd =
           per-lock-class contention profile. Tracing is host-side only: the \
           storm's simulated timing is identical with and without it.")
     Term.(
-      const run $ out $ workers $ window $ stall_every $ capacity $ seed)
+      const run $ out $ workers $ window $ stall_every $ capacity $ seed_arg)
 
 (* -- numa subcommand --------------------------------------------------------- *)
 
@@ -521,28 +523,13 @@ let numa_cmd =
        else 100.0 *. float_of_int r.Numa_stress.remote_handoffs /. float_of_int total)
       r.Numa_stress.max_wait_us r.Numa_stress.atomics
   in
-  let clusters =
-    Arg.(
-      value & opt int 4
-      & info [ "clusters" ] ~docv:"C" ~doc:"Number of clusters (p=16 split).")
-  in
-  let hold =
-    Arg.(
-      value & opt float 0.0
-      & info [ "hold" ] ~docv:"US" ~doc:"Critical-section length in us.")
-  in
-  let window =
-    Arg.(
-      value & opt float 20000.0
-      & info [ "window" ] ~docv:"US" ~doc:"Measurement window in us.")
-  in
   Cmd.v
     (Cmd.info "numa"
        ~doc:
          "Cross-cluster lock stress: measures hand-off locality (local vs \
           remote) and worst-case waits for one lock algorithm. Compare \
           cohort/hmcs/cna against h2.")
-    Term.(const run $ algo_arg $ clusters $ hold $ window)
+    Term.(const run $ algo_arg $ clusters_arg $ hold_arg 0.0 $ window_arg)
 
 (* -- abort subcommand --------------------------------------------------------- *)
 
@@ -573,11 +560,6 @@ let abort_cmd =
       r.Abort_storm.remote_aborts r.Abort_storm.obs_repairs
       r.Abort_storm.final_free
   in
-  let clusters =
-    Arg.(
-      value & opt int 4
-      & info [ "clusters" ] ~docv:"C" ~doc:"Number of clusters (p=16 split).")
-  in
   let timeout =
     Arg.(
       value & opt float 150.0
@@ -589,11 +571,6 @@ let abort_cmd =
       & info [ "stall" ] ~docv:"US"
           ~doc:"How long the planted holder goes dark per stall.")
   in
-  let window =
-    Arg.(
-      value & opt float 20000.0
-      & info [ "window" ] ~docv:"US" ~doc:"Measurement window in us.")
-  in
   Cmd.v
     (Cmd.info "abort"
        ~doc:
@@ -601,7 +578,9 @@ let abort_cmd =
           every waiter attempts through the timed face and must return \
           within a bounded overshoot of its deadline (experiment \
           ABORT-STORM). Only abortable algorithms are accepted.")
-    Term.(const run $ algo_arg $ clusters $ timeout $ stall $ window $ seed_arg)
+    Term.(
+      const run $ algo_arg $ clusters_arg $ timeout $ stall $ window_arg
+      $ seed_arg)
 
 (* -- crash subcommand --------------------------------------------------------- *)
 
@@ -633,11 +612,6 @@ let crash_cmd =
       r.Crash_storm.obs_recoveries r.Crash_storm.lockdep_recoveries
       r.Crash_storm.lockdep_violations r.Crash_storm.final_free
   in
-  let clusters =
-    Arg.(
-      value & opt int 4
-      & info [ "clusters" ] ~docv:"C" ~doc:"Number of clusters (p=16 split).")
-  in
   let kills =
     Arg.(
       value & opt int 6
@@ -650,16 +624,6 @@ let crash_cmd =
       & info [ "check-period" ] ~docv:"US"
           ~doc:"Recoverable-acquire slice (the dead-holder detector period).")
   in
-  let hold =
-    Arg.(
-      value & opt float 2.0
-      & info [ "hold" ] ~docv:"US" ~doc:"Critical-section length in us.")
-  in
-  let window =
-    Arg.(
-      value & opt float 20000.0
-      & info [ "window" ] ~docv:"US" ~doc:"Measurement window in us.")
-  in
   Cmd.v
     (Cmd.info "crash"
        ~doc:
@@ -668,8 +632,8 @@ let crash_cmd =
           and force-release each orphaned hold (experiment CRASH-STORM). \
           Only recoverable algorithms are accepted.")
     Term.(
-      const run $ algo_arg $ clusters $ kills $ check_period $ hold $ window
-      $ seed_arg)
+      const run $ algo_arg $ clusters_arg $ kills $ check_period $ hold_arg 2.0
+      $ window_arg $ seed_arg)
 
 (* -- rw subcommand ------------------------------------------------------------ *)
 
@@ -1016,11 +980,6 @@ let adaptive_cmd =
       & info [ "phase" ] ~docv:"US"
           ~doc:"Length of each of the three plateaus in us.")
   in
-  let hold =
-    Arg.(
-      value & opt float 1.5
-      & info [ "hold" ] ~docv:"US" ~doc:"Critical-section length in us.")
-  in
   Cmd.v
     (Cmd.info "adaptive"
        ~doc:
@@ -1029,7 +988,8 @@ let adaptive_cmd =
           peak arrives, then demotes as traffic cools (experiment \
           ADAPTIVE). Exits non-zero on lockdep violations.")
     Term.(
-      const run $ algo $ p_hot $ p_cold $ clusters $ phase $ hold $ seed_arg)
+      const run $ algo $ p_hot $ p_cold $ clusters $ phase $ hold_arg 1.5
+      $ seed_arg)
 
 (* -- figure subcommand -------------------------------------------------------- *)
 

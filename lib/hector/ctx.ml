@@ -66,6 +66,13 @@ let soft_masked t = t.soft_masked
 let in_interrupt t = t.in_interrupt
 let pending_interrupts t = Queue.length t.inbox
 
+let hooked t = Machine.hooked t.machine
+let emit t e = Machine.emit t.machine ~proc:t.proc ~now:(now t) e
+
+let since_kill t dead =
+  let killed = Machine.killed_at t.machine dead and now = now t in
+  if killed >= 0 && killed <= now then now - killed else 0
+
 (* Fail-stop enforcement: a dead processor's fiber parks — suspends with
    the resume continuation dropped on the floor — at the next operation
    boundary. Parking, not raising, is the point: an exception would unwind

@@ -35,6 +35,20 @@ val soft_masked : t -> bool
 val in_interrupt : t -> bool
 val pending_interrupts : t -> int
 
+(** {2 Hook events} *)
+
+(** [Machine.hooked] of this context's machine. Test it before building
+    an event:
+    [if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (cls, id))]. *)
+val hooked : t -> bool
+
+(** [Machine.emit] as this processor, now. *)
+val emit : t -> Verify.event -> unit
+
+(** Cycles since processor [dead] was killed: the latency a
+    [Verify.Recovered] event carries (0 if it has since revived). *)
+val since_kill : t -> int -> int
+
 (** Pure compute for [cycles]. *)
 val work : t -> int -> unit
 

@@ -26,6 +26,7 @@ type t = {
   mutable fault : Fault.t option; (* installed fault plan, for hot-spots *)
   mutable verify : Verify.t option; (* installed lockdep checker *)
   mutable obs : Obs.t option; (* installed contention observer *)
+  mutable hooked : bool; (* either sink installed *)
   (* Fail-stop state. A dead processor never runs another instruction: Ctx
      parks its fiber at the next operation boundary, and peers consult
      [alive] (a host-side read, no simulated cost) to fail fast instead of
@@ -60,6 +61,7 @@ let create eng cfg =
     fault = None;
     verify = None;
     obs = None;
+    hooked = false;
     alive = Array.make n true;
     killed_time = Array.make n (-1);
     crashes = 0;
@@ -129,6 +131,32 @@ let writes t = t.writes
 let atomics t = t.atomics
 let cache_hits t = t.cache_hits
 
+(* -- hook sinks -------------------------------------------------------------
+
+   Every lock, reserve-bit, RPC and crash report is one [Verify.event],
+   delivered to the checker first (an [`Abort]-mode violation raises before
+   the observer sees the event) and then to the observer. A hook site that
+   builds an event tests [hooked] first, so with no sink installed it is
+   one branch and allocates nothing. *)
+
+let hooked t = t.hooked
+
+let emit t ~proc ~now e =
+  (match t.verify with Some v -> Verify.on_event v ~proc ~now e | None -> ());
+  match t.obs with Some o -> Obs.on_event o ~proc ~now e | None -> ()
+
+let set_verify t v =
+  t.verify <- v;
+  t.hooked <- Option.is_some t.verify || Option.is_some t.obs
+
+let verify t = t.verify
+
+let set_obs t o =
+  t.obs <- o;
+  t.hooked <- Option.is_some t.verify || Option.is_some t.obs
+
+let obs t = t.obs
+
 (* -- fail-stop crashes ---------------------------------------------------- *)
 
 let proc_alive t proc = t.alive.(proc)
@@ -145,9 +173,7 @@ let revive t proc =
     (match t.fault with
     | Some plan -> Fault.record_restart plan ~proc ~now:(now t)
     | None -> ());
-    (match t.verify with
-    | Some v -> Verify.proc_revived v ~proc
-    | None -> ());
+    emit t ~proc ~now:(now t) Verify.Proc_revived;
     match t.on_restart with Some f -> f proc | None -> ()
   end
 
@@ -171,12 +197,7 @@ let kill_proc ?restart_after t proc =
     (match t.fault with
     | Some plan -> Fault.record_crash plan ~proc ~now:(now t)
     | None -> ());
-    (match t.verify with
-    | Some v -> Verify.proc_crashed v ~proc ~now:(now t)
-    | None -> ());
-    (match t.obs with
-    | Some o -> Obs.proc_crashed o ~proc ~now:(now t)
-    | None -> ());
+    emit t ~proc ~now:(now t) Verify.Proc_crashed;
     wake t ~proc;
     if restart_after > 0 then
       Engine.schedule_after t.eng ~delay:restart_after (fun () ->
@@ -208,12 +229,6 @@ let set_fault_plan t plan =
         (Fault.crash_schedule p)
 
 let fault_plan t = t.fault
-
-let set_verify t v = t.verify <- v
-let verify t = t.verify
-
-let set_obs t o = t.obs <- o
-let obs t = t.obs
 
 let mem_resource t m = t.mem.(m)
 let bus_resource t s = t.bus.(s)

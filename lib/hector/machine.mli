@@ -73,6 +73,8 @@ val set_restart_handler : t -> (int -> unit) -> unit
 val crashes : t -> int
 val restarts : t -> int
 
+(** {2 Hook sinks} *)
+
 (** Install (or clear) a lockdep checker: while installed, the locking
     layers report acquisitions, releases and reserve-bit transitions to it.
     Hooks are host-side bookkeeping only — they charge no simulated cycles
@@ -82,12 +84,22 @@ val set_verify : t -> Verify.t option -> unit
 val verify : t -> Verify.t option
 
 (** Install (or clear) a contention observer ({!Obs}): while installed,
-    the same hook sites that feed the checker also feed per-lock-class
+    the same events that feed the checker also feed per-lock-class
     profiles and the event trace. Host-side bookkeeping only — simulated
     timing is identical with and without an observer. *)
 val set_obs : t -> Obs.t option -> unit
 
 val obs : t -> Obs.t option
+
+(** Is a checker or an observer installed? A hook site tests this before
+    building its event, so with no sink it is one branch. *)
+val hooked : t -> bool
+
+(** [emit t ~proc ~now e] delivers one hook event to the installed checker
+    ({!Verify.on_event}), then to the installed observer
+    ({!Obs.on_event}); an [`Abort]-mode violation raises before the
+    observer sees it. {!kill_proc} and {!revive} report here. *)
+val emit : t -> proc:int -> now:int -> Verify.event -> unit
 
 val mem_resource : t -> int -> Resource.t
 val bus_resource : t -> int -> Resource.t

@@ -266,15 +266,14 @@ let insert_locked ctx t key ~status0 ~make =
   (* A placeholder born reserved (the combining-tree trick) belongs to its
      inserter from this moment; tell the checker, since no [try_reserve]
      will ever run for it. *)
-  if status0 land 1 <> 0 then begin
-    Vhook.on ctx (fun v ->
-        Verify.reserve_set v ~proc:(Ctx.proc ctx) ~cls:t.rcls
-          ~word:(Cell.id elem.status) ~label:(Cell.label elem.status)
-          ~now:(Ctx.now ctx));
-    Vhook.obs ctx (fun o ->
-        Obs.reserve_set o ~proc:(Ctx.proc ctx) ~cls:t.rcls
-          ~word:(Cell.id elem.status) ~now:(Ctx.now ctx))
-  end;
+  if status0 land 1 <> 0 && Ctx.hooked ctx then
+    Ctx.emit ctx
+      (Verify.Reserve_set
+         {
+           cls = t.rcls;
+           word = Cell.id elem.status;
+           label = Cell.label elem.status;
+         });
   elem
 
 let remove_locked ctx t key =

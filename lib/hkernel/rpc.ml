@@ -168,10 +168,7 @@ let call t ctx ~target service =
       | Fault.No_drop -> Ctx.post_ipi t.ctxs.(target) (handler ~drop_reply:false)
     in
     post ();
-    Locks.Vhook.on ctx (fun v ->
-        Verify.rpc_started v ~proc:(Ctx.proc ctx) ~target ~now:(Ctx.now ctx));
-    Locks.Vhook.obs ctx (fun o ->
-        Obs.rpc_issue o ~proc:(Ctx.proc ctx) ~target ~now:(Ctx.now ctx));
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Rpc_issue { target });
     let rec wait () =
       let timeout =
         match t.fault with Some plan -> Fault.reply_timeout plan | None -> 0
@@ -191,8 +188,7 @@ let call t ctx ~target service =
             (* The reply is overdue: assume the request or reply was lost
                and resend the IPI. *)
             t.resends <- t.resends + 1;
-            Locks.Vhook.obs ctx (fun o ->
-                Obs.rpc_retry o ~proc:(Ctx.proc ctx) ~now:(Ctx.now ctx));
+            if Ctx.hooked ctx then Ctx.emit ctx Verify.Rpc_retry;
             t.work ctx t.costs.Costs.rpc_send;
             Ctx.write ctx t.req_cells.(target) (Ctx.proc ctx + 1);
             post ();
@@ -202,10 +198,7 @@ let call t ctx ~target service =
     let r = wait () in
     (* Consume the reply word. *)
     ignore (Ctx.read ctx reply_cell);
-    Locks.Vhook.on ctx (fun v ->
-        Verify.rpc_finished v ~proc:(Ctx.proc ctx) ~now:(Ctx.now ctx));
-    Locks.Vhook.obs ctx (fun o ->
-        Obs.rpc_reply o ~proc:(Ctx.proc ctx) ~now:(Ctx.now ctx));
+    if Ctx.hooked ctx then Ctx.emit ctx Verify.Rpc_reply;
     (match r with
     | Would_deadlock -> t.deadlock_failures <- t.deadlock_failures + 1
     | Ok _ | Absent | Gave_up | Dead_target -> ());
@@ -230,8 +223,7 @@ let call_until_resolved ?(before_retry = fun () -> ()) ?(max_attempts = 0) t
     match r with
     | Would_deadlock ->
       t.retries <- t.retries + 1;
-      Locks.Vhook.obs ctx (fun o ->
-          Obs.rpc_retry o ~proc:(Ctx.proc ctx) ~now:(Ctx.now ctx));
+      if Ctx.hooked ctx then Ctx.emit ctx Verify.Rpc_retry;
       (* The backoff multiplier saturates at x8; attempts past that point
          no longer spread out and deserve a visible warning count. *)
       if attempt > 8 then t.backoff_cap_hits <- t.backoff_cap_hits + 1;

@@ -30,7 +30,7 @@
    — drains included — is a balanced pair on a constituent instance, and a
    recovery is the constituent's own forced hand-off. The observer gains
    [morphs_up]/[morphs_down] counters and a current-shape gauge through
-   {!Vhook.morphed}. *)
+   {!Verify.Morphed} events, which the checker ignores. *)
 
 open Hector
 
@@ -319,7 +319,8 @@ let maybe_morph t ctx ~cur =
         let up = tgt_idx > cur in
         if up then t.morphs_up <- t.morphs_up + 1
         else t.morphs_down <- t.morphs_down + 1;
-        Vhook.morphed ctx ~cls:t.vcls ~up ~shape:tgt_idx
+        if Ctx.hooked ctx then
+          Ctx.emit ctx (Verify.Morphed { cls = t.vcls; up; shape = tgt_idx })
       end
       else t.deferrals <- t.deferrals + 1;
       reset ()

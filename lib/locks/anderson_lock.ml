@@ -105,7 +105,7 @@ let got_lock t ctx slot =
   t.acquisitions <- t.acquisitions + 1
 
 let acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   let n = Array.length t.slots in
   let slot = take_slot t ctx mod n in
   (* Exit only on the grant value: an untimed waiter's slot can never hold
@@ -123,7 +123,7 @@ let acquire t ctx =
   (* Consume the flag for the next trip around the array. *)
   Ctx.write ctx t.slots.(slot) 0;
   got_lock t ctx slot;
-  Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
 
 (* Timed acquisition: take a slot like everyone else, but bound the spin
    and forfeit the slot on expiry (see the header comment for the
@@ -135,7 +135,7 @@ let acquire_with_timeout t ctx ~timeout =
     false
   end
   else begin
-    Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait_timed (t.vcls, t.vid));
     let deadline = Machine.now t.machine + timeout in
     let n = Array.length t.slots in
     let slot = take_slot t ctx mod n in
@@ -154,7 +154,7 @@ let acquire_with_timeout t ctx ~timeout =
       Ctx.write ctx t.slots.(slot) 0;
       t.timed_claim.(slot) <- false;
       got_lock t ctx slot;
-      Vhook.acquired ctx ~cls:t.vcls ~id:t.vid;
+      if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid));
       true
     in
     if wait () then take ()
@@ -171,7 +171,7 @@ let acquire_with_timeout t ctx ~timeout =
         t.forfeiter_of_slot.(slot) <- proc;
         t.pending_forfeit.(proc) <- true;
         t.timeouts <- t.timeouts + 1;
-        Vhook.wait_abandoned ctx;
+        if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
         false
       end
     end
@@ -201,7 +201,7 @@ let rec grant t ctx s =
     t.forfeiter_of_slot.(s) <- -1;
     if p >= 0 then t.pending_forfeit.(p) <- false;
     t.gc_count <- t.gc_count + 1;
-    Vhook.abandon_repaired ctx ~cls:t.vcls;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Abandon_repaired t.vcls);
     grant t ctx ((s + 1) mod n)
   end
 
@@ -218,7 +218,7 @@ let release t ctx =
   t.my_slot.(p) <- -1;
   (* Hook before the grant — the slot write is the transfer point, so an
      observer must order our release before the successor's acquisition. *)
-  Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls, t.vid));
   grant t ctx ((slot + 1) mod n)
 
 (* Dead-holder recovery: run the corpse's release — slot-skip GC included,
@@ -235,7 +235,10 @@ let recover t ctx =
       ~finally:(fun () -> t.recovering <- false)
       (fun () ->
         release t ctx;
-        Vhook.recovered ctx ~cls:t.vcls ~dead;
+        if Ctx.hooked ctx then
+          Ctx.emit ctx
+            (Verify.Recovered
+               { cls = t.vcls; dead; latency = Ctx.since_kill ctx dead });
         true)
   end
 

@@ -102,7 +102,7 @@ let reclaim_abandoned t ctx node =
   t.abandoner_of_node.(node) <- -1;
   if owner >= 0 then t.timed_node_of_proc.(owner) <- node;
   t.gc_count <- t.gc_count + 1;
-  Vhook.abandon_repaired ctx ~cls:t.vcls
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Abandon_repaired t.vcls)
 
 (* Spin on [pred]'s node until it reads released, following abandonment
    redirects; returns the node the grant finally arrived through (the node
@@ -119,7 +119,7 @@ let rec spin_on_pred t ctx pred =
   else spin_on_pred t ctx pred
 
 let acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   let proc = Ctx.proc ctx in
   let my = t.node_of_proc.(proc) in
   (* Mark our node locked (it may be a recycled node homed anywhere). *)
@@ -133,7 +133,7 @@ let acquire t ctx =
   assert (t.holder < 0);
   t.holder <- proc;
   t.acquisitions <- t.acquisitions + 1;
-  Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
 
 (* Timed acquisition on the per-processor timed node. On expiry the waiter
    publishes the redirect value and leaves; the level-triggered release
@@ -155,7 +155,7 @@ let acquire_with_timeout t ctx ~timeout =
       false
     end
     else begin
-      Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
+      if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait_timed (t.vcls, t.vid));
       let deadline = Machine.now t.machine + timeout in
       Ctx.write ctx t.nodes.(my) v_locked;
       let pred = Ctx.fetch_and_store ctx t.tail my in
@@ -188,7 +188,7 @@ let acquire_with_timeout t ctx ~timeout =
         assert (t.holder < 0);
         t.holder <- proc;
         t.acquisitions <- t.acquisitions + 1;
-        Vhook.acquired ctx ~cls:t.vcls ~id:t.vid;
+        if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid));
         true
       | Error cur_pred ->
         (* Abandon by value: our successor (or the next enqueuer, if we are
@@ -198,7 +198,7 @@ let acquire_with_timeout t ctx ~timeout =
         t.timed_node_of_proc.(proc) <- -1;
         Ctx.write ctx t.nodes.(my) (encode_abandoned ~pred:cur_pred);
         t.timeouts <- t.timeouts + 1;
-        Vhook.wait_abandoned ctx;
+        if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
         false
     end
   end
@@ -220,7 +220,7 @@ let release t ctx =
   in
   (* Hook before the grant write — the write is the transfer point, so an
      observer must order our release before the successor's acquisition. *)
-  Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls, t.vid));
   Ctx.write ctx t.nodes.(my) v_released;
   Ctx.instr ctx ~br:1 ();
   (* Adopt the predecessor's node for next time, into the slot the
@@ -253,7 +253,10 @@ let rescue_dead_holder t ctx =
       ~finally:(fun () -> t.recovering <- false)
       (fun () ->
         release t ctx;
-        Vhook.recovered ctx ~cls:t.vcls ~dead)
+        if Ctx.hooked ctx then
+          Ctx.emit ctx
+            (Verify.Recovered
+               { cls = t.vcls; dead; latency = Ctx.since_kill ctx dead }))
   | _ -> ()
 
 (* The queue pump used by [recover] on a free lock (below). It must spin
@@ -278,7 +281,7 @@ let rec pump_spin t ctx pred =
   end
 
 let pump_acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   let proc = Ctx.proc ctx in
   let my = t.node_of_proc.(proc) in
   Ctx.write ctx t.nodes.(my) v_locked;
@@ -289,7 +292,7 @@ let pump_acquire t ctx =
   assert (t.holder < 0);
   t.holder <- proc;
   t.acquisitions <- t.acquisitions + 1;
-  Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
 
 (* Dead-holder recovery: [release] is thread-oblivious, so recovery is the
    corpse's release run by the detector. The grant it publishes is
@@ -324,7 +327,10 @@ let recover t ctx =
         ~finally:(fun () -> t.recovering <- false)
         (fun () ->
           release t ctx;
-          Vhook.recovered ctx ~cls:t.vcls ~dead;
+          if Ctx.hooked ctx then
+            Ctx.emit ctx
+              (Verify.Recovered
+                 { cls = t.vcls; dead; latency = Ctx.since_kill ctx dead });
           true)
     end
 

@@ -157,11 +157,11 @@ let got_lock t ctx =
   assert (t.holder = -1);
   t.holder <- Ctx.proc ctx;
   t.acquisitions <- t.acquisitions + 1;
-  Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
 
 (* The acquire side is stock MCS — that is CNA's point. *)
 let acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   let p = Ctx.proc ctx in
   let me = t.nodes.(p) in
   Ctx.write ctx me.next nil;
@@ -192,7 +192,7 @@ let rec hand_off t ctx id =
 
 and collect t ctx id =
   t.gc_count <- t.gc_count + 1;
-  Vhook.abandon_repaired ctx ~cls:t.vcls;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Abandon_repaired t.vcls);
   let nd = qnode t id in
   Ctx.instr ctx ~br:1 ();
   let next = Ctx.read ctx nd.next in
@@ -332,7 +332,7 @@ let release t ctx =
   (* Hook after the successor read but before anything that can transfer
      the lock, so an observer orders our release before the successor's
      acquisition. *)
-  Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls, t.vid));
   if succ <> nil then dispatch t ctx ~my_cluster succ
   else begin
     let old_tail = Ctx.fetch_and_store ctx t.tail nil in
@@ -382,7 +382,7 @@ let acquire_with_timeout t ctx ~timeout =
       false
     end
     else begin
-      Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
+      if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait_timed (t.vcls, t.vid));
       let deadline = Machine.now t.machine + timeout in
       Ctx.write ctx me.next nil;
       let pred = Ctx.fetch_and_store ctx t.tail my_id in
@@ -419,7 +419,7 @@ let acquire_with_timeout t ctx ~timeout =
             (* Abandonment stands: the node remains queued, marked, until
                a grant reaches and collects it. *)
             t.timeouts <- t.timeouts + 1;
-            Vhook.wait_abandoned ctx;
+            if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
             false
           end
         end
@@ -442,7 +442,10 @@ let recover t ctx =
       ~finally:(fun () -> t.recovering <- false)
       (fun () ->
         release t ctx;
-        Vhook.recovered ctx ~cls:t.vcls ~dead;
+        if Ctx.hooked ctx then
+          Ctx.emit ctx
+            (Verify.Recovered
+               { cls = t.vcls; dead; latency = Ctx.since_kill ctx dead });
         true)
   end
 

@@ -156,10 +156,10 @@ let got_lock t ctx =
   assert (t.holder = -1);
   t.holder <- Ctx.proc ctx;
   t.acquisitions <- t.acquisitions + 1;
-  Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
 
 let acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   let c = cluster t ctx in
   Lock_core.p_acquire t.locals.(c) ctx;
   (* Accept any in-flight pass before the next timed operation: the
@@ -232,11 +232,11 @@ let try_acquire_for t ctx ~deadline =
     false
   end
   else begin
-    Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait_timed (t.vcls, t.vid));
     let c = cluster t ctx in
     if not (Lock_core.p_try_acquire_for t.locals.(c) ctx ~deadline) then begin
       t.timeouts <- t.timeouts + 1;
-      Vhook.wait_abandoned ctx;
+      if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
       false
     end
     else begin
@@ -259,7 +259,7 @@ let try_acquire_for t ctx ~deadline =
       else begin
         Lock_core.p_release t.locals.(c) ctx;
         t.timeouts <- t.timeouts + 1;
-        Vhook.wait_abandoned ctx;
+        if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
         false
       end
     end
@@ -292,7 +292,7 @@ let release t ctx =
   (* The released hook runs just before whichever constituent release can
      transfer the lock, so an observer sees our release before the
      successor's acquisition — and never the reverse. *)
-  Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls, t.vid));
   if may_pass then begin
     (* Local hand-off: keep the global lock with the cluster. *)
     t.passes.(c) <- t.passes.(c) + 1;
@@ -342,7 +342,10 @@ let recover t ctx =
       ~finally:(fun () -> t.recovering <- false)
       (fun () ->
         release t ctx;
-        Vhook.recovered ctx ~cls:t.vcls ~dead;
+        if Ctx.hooked ctx then
+          Ctx.emit ctx
+            (Verify.Recovered
+               { cls = t.vcls; dead; latency = Ctx.since_kill ctx dead });
         true)
   end
 

@@ -223,7 +223,7 @@ let got_lock t ctx =
   assert (t.holder = -1);
   t.holder <- Ctx.proc ctx;
   t.acquisitions <- t.acquisitions + 1;
-  Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
 
 (* -- root level ----------------------------------------------------------- *)
 
@@ -243,7 +243,7 @@ let rec signal_root t ctx id =
    grant to its true successor (repairing/grafting as a release would). *)
 and collect_root t ctx id =
   t.gc_count <- t.gc_count + 1;
-  Vhook.abandon_repaired ctx ~cls:t.vcls;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Abandon_repaired t.vcls);
   let cn = cnode t id in
   Ctx.instr ctx ~br:1 ();
   let next = Ctx.read ctx cn.cnext in
@@ -360,7 +360,7 @@ let rec signal_local t ctx c id v =
    release the root here or the cluster strands it forever. *)
 and collect_local t ctx c id v =
   t.gc_count <- t.gc_count + 1;
-  Vhook.abandon_repaired ctx ~cls:t.vcls;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Abandon_repaired t.vcls);
   let nd = qnode t id in
   Ctx.instr ctx ~br:1 ();
   let next = Ctx.read ctx nd.next in
@@ -406,7 +406,7 @@ and collect_local t ctx c id v =
 (* -- untimed faces -------------------------------------------------------- *)
 
 let acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   let p = Ctx.proc ctx in
   let c = t.cluster_of p in
   let me = t.nodes.(p) in
@@ -453,7 +453,7 @@ let release t ctx =
      the lock (the local pass write, or the root release waking another
      cluster), so an observer orders our release before the successor's
      acquisition. *)
-  Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls, t.vid));
   if succ <> nil && curcount < t.threshold then begin
     (* Pass within the cluster: the root stays put, the successor inherits
        the incremented pass count. *)
@@ -542,11 +542,11 @@ let acquire_with_timeout t ctx ~timeout =
       false
     end
     else begin
-      Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
+      if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait_timed (t.vcls, t.vid));
       let deadline = Machine.now t.machine + timeout in
       let abandon_fail () =
         t.timeouts <- t.timeouts + 1;
-        Vhook.wait_abandoned ctx;
+        if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
         false
       in
       (* Timed root acquisition as local head (our locked = pass count 1).
@@ -685,7 +685,10 @@ let recover t ctx =
       ~finally:(fun () -> t.recovering <- false)
       (fun () ->
         release t ctx;
-        Vhook.recovered ctx ~cls:t.vcls ~dead;
+        if Ctx.hooked ctx then
+          Ctx.emit ctx
+            (Verify.Recovered
+               { cls = t.vcls; dead; latency = Ctx.since_kill ctx dead });
         true)
   end
 

@@ -69,4 +69,4 @@ let p_acquisitions (Packed ((module M), v)) = M.acquisitions v
    constituent changing hands, so the checker's registered holder must
    follow or the eventual release looks foreign. *)
 let p_transferred (Packed ((module M), v)) ctx =
-  Vhook.transferred ctx ~cls:(M.vclass v) ~id:(M.vid v)
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Transferred (M.vclass v, M.vid v))

@@ -111,6 +111,6 @@ val p_waiters : packed -> bool
 val p_acquisitions : packed -> int
 
 (** Report to the installed checker (if any) that the calling processor
-    inherited this still-held lock — see {!Verify.transferred}. Fired by
+    inherited this still-held lock — see {!Verify.Transferred}. Fired by
     {!Cohort} when a pass recipient inherits the global constituent. *)
 val p_transferred : packed -> Ctx.t -> unit

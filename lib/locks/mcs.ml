@@ -175,7 +175,7 @@ let wait_behind t ctx node pred_id =
   got_lock t node
 
 let acquire_with_node t ctx node =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   (match t.variant with
   | Original -> Ctx.write ctx node.next nil (* the initialisation store *)
   | H1 | H2 -> ());
@@ -183,7 +183,7 @@ let acquire_with_node t ctx node =
   let pred = Ctx.fetch_and_store ctx t.tail (id_of_node t node) in
   Ctx.instr ctx ~reg:2 ~br:2 ();
   if pred = nil then got_lock t node else wait_behind t ctx node pred;
-  Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
 
 let acquire t ctx = acquire_with_node t ctx (regular_node t (Ctx.proc ctx))
 
@@ -269,7 +269,7 @@ let rec hand_off t ctx succ_id =
    free it for its owner, and continue down the queue. *)
 and collect t ctx succ =
   t.gc_count <- t.gc_count + 1;
-  Vhook.abandon_repaired ctx ~cls:t.vcls;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Abandon_repaired t.vcls);
   Ctx.instr ctx ~br:1 ();
   let continuation = successor_after t ctx succ ~check_next:true in
   (match continuation with
@@ -287,7 +287,7 @@ let release_with_node t ctx node =
      is itself a transfer point (a usurper acquires the instant the tail
      reads nil), so an observer must order our release before any
      successor's acquisition — and never the reverse. *)
-  Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls, t.vid));
   if t.track_in_use then Ctx.write ctx node.mark 0;
   let successor =
     if t.use_cas_release then successor_after_cas t ctx node
@@ -338,7 +338,10 @@ let recover t ctx =
         ~finally:(fun () -> t.recovering <- false)
         (fun () ->
           release t ctx;
-          Vhook.recovered ctx ~cls:t.vcls ~dead;
+          if Ctx.hooked ctx then
+            Ctx.emit ctx
+              (Verify.Recovered
+                 { cls = t.vcls; dead; latency = Ctx.since_kill ctx dead });
           true)
 
 (* TryLock variant 1: an interrupt handler may wait for the lock only when
@@ -378,7 +381,7 @@ let try_acquire_v2 t ctx =
     Ctx.instr ctx ~reg:1 ~br:2 ();
     if pred = nil then begin
       got_lock t node;
-      Vhook.try_acquired ctx ~cls:t.vcls ~id:t.vid;
+      if Ctx.hooked ctx then Ctx.emit ctx (Verify.Try_acquired (t.vcls, t.vid));
       true
     end
     else begin
@@ -421,7 +424,7 @@ let acquire_with_timeout t ctx ~timeout =
     false
   end
   else begin
-    Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait_timed (t.vcls, t.vid));
     let deadline = Machine.now t.machine + timeout in
     (match t.variant with
     | Original -> Ctx.write ctx node.next nil
@@ -430,7 +433,7 @@ let acquire_with_timeout t ctx ~timeout =
     Ctx.instr ctx ~reg:2 ~br:2 ();
     if pred = nil then begin
       got_lock t node;
-      Vhook.acquired ctx ~cls:t.vcls ~id:t.vid;
+      if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid));
       true
     end
     else begin
@@ -447,7 +450,7 @@ let acquire_with_timeout t ctx ~timeout =
            [locked]; make the node reusable again. *)
         Ctx.write ctx node.mark 0;
         got_lock t node;
-        Vhook.acquired ctx ~cls:t.vcls ~id:t.vid;
+        if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid));
         true
       end
       else begin
@@ -459,7 +462,7 @@ let acquire_with_timeout t ctx ~timeout =
           spin_while_locked ctx node;
           Ctx.write ctx node.mark 0;
           got_lock t node;
-          Vhook.acquired ctx ~cls:t.vcls ~id:t.vid;
+          if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid));
           true
         end
         else begin
@@ -468,7 +471,7 @@ let acquire_with_timeout t ctx ~timeout =
              the pre-initialisation invariant. *)
           node.dirty_locked <- false;
           t.timeouts <- t.timeouts + 1;
-          Vhook.wait_abandoned ctx;
+          if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
           false
         end
       end

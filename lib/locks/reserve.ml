@@ -28,14 +28,6 @@ open Hector
 let write_bit = 1
 let reader_one = 2
 
-(* Verification hooks: pure host-side bookkeeping, charged no simulated
-   cycles — one [match] on the installed checker when off. *)
-let vcheck ctx f =
-  match Machine.verify (Ctx.machine ctx) with None -> () | Some v -> f v
-
-let ocheck ctx f =
-  match Machine.obs (Ctx.machine ctx) with None -> () | Some o -> f o
-
 let default_cls = Verify.lock_class "reserve"
 
 (* All operations below assume the caller holds the coarse lock, except
@@ -59,23 +51,17 @@ let try_reserve ?known ?(cls = default_cls) ctx status =
   if v land write_bit <> 0 || v >= reader_one then false
   else begin
     Ctx.write ctx status (v lor write_bit);
-    vcheck ctx (fun vf ->
-        Verify.reserve_set vf ~proc:(Ctx.proc ctx) ~cls ~word:(Cell.id status)
-          ~label:(Cell.label status) ~now:(Ctx.now ctx));
-    ocheck ctx (fun o ->
-        Obs.reserve_set o ~proc:(Ctx.proc ctx) ~cls ~word:(Cell.id status)
-          ~now:(Ctx.now ctx));
+    if Ctx.hooked ctx then
+      Ctx.emit ctx
+        (Verify.Reserve_set
+           { cls; word = Cell.id status; label = Cell.label status });
     true
   end
 
 let clear ctx status =
   Ctx.write ctx status 0;
-  vcheck ctx (fun vf ->
-      Verify.reserve_clear vf ~proc:(Ctx.proc ctx) ~word:(Cell.id status)
-        ~now:(Ctx.now ctx));
-  ocheck ctx (fun o ->
-      Obs.reserve_clear o ~proc:(Ctx.proc ctx) ~word:(Cell.id status)
-        ~now:(Ctx.now ctx))
+  if Ctx.hooked ctx then
+    Ctx.emit ctx (Verify.Reserve_clear { word = Cell.id status })
 
 (* Crash repair: clear a write reservation abandoned by a fail-stopped
    holder. The abandoned reservation pins the word at [write_bit] (the
@@ -93,7 +79,9 @@ let clear_orphan ?(cls = default_cls) ctx status ~dead =
     if v land write_bit = 0 then false
     else begin
       clear ctx status;
-      Vhook.recovered ctx ~cls ~dead;
+      if Ctx.hooked ctx then
+        Ctx.emit ctx
+          (Verify.Recovered { cls; dead; latency = Ctx.since_kill ctx dead });
       true
     end
   end
@@ -104,12 +92,10 @@ let try_reserve_read ?(cls = default_cls) ctx status =
   if v land write_bit <> 0 then false
   else begin
     Ctx.write ctx status (v + reader_one);
-    vcheck ctx (fun vf ->
-        Verify.reserve_read_set vf ~proc:(Ctx.proc ctx) ~cls
-          ~word:(Cell.id status) ~label:(Cell.label status) ~now:(Ctx.now ctx));
-    ocheck ctx (fun o ->
-        Obs.reserve_read_set o ~proc:(Ctx.proc ctx) ~cls
-          ~word:(Cell.id status) ~now:(Ctx.now ctx));
+    if Ctx.hooked ctx then
+      Ctx.emit ctx
+        (Verify.Reserve_read_set
+           { cls; word = Cell.id status; label = Cell.label status });
     true
   end
 
@@ -118,27 +104,29 @@ let clear_read ctx status =
   Ctx.instr ctx ~br:1 ();
   assert (v >= reader_one);
   Ctx.write ctx status (v - reader_one);
-  vcheck ctx (fun vf ->
-      Verify.reserve_read_clear vf ~proc:(Ctx.proc ctx) ~word:(Cell.id status)
-        ~now:(Ctx.now ctx));
-  ocheck ctx (fun o ->
-      Obs.reserve_read_clear o ~proc:(Ctx.proc ctx) ~word:(Cell.id status)
-        ~now:(Ctx.now ctx))
+  if Ctx.hooked ctx then
+    Ctx.emit ctx (Verify.Reserve_read_clear { word = Cell.id status })
 
 let readers status = Cell.peek status / reader_one
 let write_reserved status = Cell.peek status land write_bit <> 0
+
+(* Both spins below report the same wait. *)
+let wait_begins ~cls ctx status =
+  if Ctx.hooked ctx then
+    Ctx.emit ctx
+      (Verify.Reserve_wait
+         {
+           cls;
+           word = Cell.id status;
+           label = Cell.label status;
+           in_interrupt = Ctx.in_interrupt ctx;
+         })
 
 (* Spin (with exponential backoff) until the exclusive bit clears. Called
    without the coarse lock held; the caller re-acquires the coarse lock and
    re-searches afterwards. *)
 let spin_until_clear ?(cls = default_cls) ctx backoff status =
-  vcheck ctx (fun vf ->
-      Verify.reserve_wait vf ~proc:(Ctx.proc ctx) ~cls ~word:(Cell.id status)
-        ~label:(Cell.label status) ~now:(Ctx.now ctx)
-        ~in_interrupt:(Ctx.in_interrupt ctx));
-  ocheck ctx (fun o ->
-      Obs.reserve_wait o ~proc:(Ctx.proc ctx) ~cls ~word:(Cell.id status)
-        ~now:(Ctx.now ctx));
+  wait_begins ~cls ctx status;
   let rec loop delay =
     let v = Ctx.read ctx status in
     Ctx.instr ctx ~br:1 ();
@@ -148,10 +136,7 @@ let spin_until_clear ?(cls = default_cls) ctx backoff status =
     end
   in
   loop (Backoff.initial backoff);
-  vcheck ctx (fun vf ->
-      Verify.reserve_wait_done vf ~proc:(Ctx.proc ctx) ~now:(Ctx.now ctx));
-  ocheck ctx (fun o ->
-      Obs.reserve_wait_done o ~proc:(Ctx.proc ctx) ~now:(Ctx.now ctx))
+  if Ctx.hooked ctx then Ctx.emit ctx Verify.Reserve_wait_done
 
 (* Bounded spin: gives up once [timeout] cycles pass with the bit still
    set, returning false so the caller can re-search — reserve another
@@ -162,13 +147,7 @@ let spin_until_clear ?(cls = default_cls) ctx backoff status =
 let spin_until_clear_timeout ?(cls = default_cls) ctx backoff status ~timeout =
   if timeout <= 0 then false
   else begin
-  vcheck ctx (fun vf ->
-      Verify.reserve_wait vf ~proc:(Ctx.proc ctx) ~cls ~word:(Cell.id status)
-        ~label:(Cell.label status) ~now:(Ctx.now ctx)
-        ~in_interrupt:(Ctx.in_interrupt ctx));
-  ocheck ctx (fun o ->
-      Obs.reserve_wait o ~proc:(Ctx.proc ctx) ~cls ~word:(Cell.id status)
-        ~now:(Ctx.now ctx));
+  wait_begins ~cls ctx status;
   let deadline = Ctx.now ctx + timeout in
   let rec loop delay =
     let v = Ctx.read ctx status in
@@ -181,9 +160,6 @@ let spin_until_clear_timeout ?(cls = default_cls) ctx backoff status ~timeout =
     end
   in
   let ok = loop (Backoff.initial backoff) in
-  vcheck ctx (fun vf ->
-      Verify.reserve_wait_done vf ~proc:(Ctx.proc ctx) ~now:(Ctx.now ctx));
-  ocheck ctx (fun o ->
-      Obs.reserve_wait_done o ~proc:(Ctx.proc ctx) ~now:(Ctx.now ctx));
+  if Ctx.hooked ctx then Ctx.emit ctx Verify.Reserve_wait_done;
   ok
   end

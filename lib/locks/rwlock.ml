@@ -193,10 +193,12 @@ let try_admit t ctx =
 let acquire_read t ctx =
   (* Order edges are wanted for the shared side too: a blocking reader
      gated by a writer can be the waiting side of a deadlock. *)
-  Vhook.wait_acquire ctx ~cls:t.vcls_rd ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls_rd, t.vid));
   let rec go () =
     match try_admit t ctx with
-    | `Admitted -> Vhook.acquired_shared ctx ~cls:t.vcls_rd ~id:t.vid
+    | `Admitted ->
+      if Ctx.hooked ctx then
+        Ctx.emit ctx (Verify.Acquired_shared (t.vcls_rd, t.vid))
     | `Gated | `Raced -> go ()
   in
   go ()
@@ -220,12 +222,14 @@ let release_read t ctx =
      (kill parks at the next timed op), so a corpse can never have
      decremented but still be marked inside. *)
   reader_out t proc;
-  Vhook.released_shared ctx ~cls:t.vcls_rd ~id:t.vid
+  if Ctx.hooked ctx then
+    Ctx.emit ctx (Verify.Released_shared (t.vcls_rd, t.vid))
 
 let try_acquire_read t ctx =
   match try_admit t ctx with
   | `Admitted ->
-    Vhook.try_acquired_shared ctx ~cls:t.vcls_rd ~id:t.vid;
+    if Ctx.hooked ctx then
+      Ctx.emit ctx (Verify.Try_acquired_shared (t.vcls_rd, t.vid));
     true
   | `Gated | `Raced -> false
 
@@ -235,16 +239,17 @@ let try_acquire_read_for t ctx ~deadline =
     false
   end
   else begin
-    Vhook.wait_acquire_timed ctx ~cls:t.vcls_rd ~id:t.vid;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait_timed (t.vcls_rd, t.vid));
     let rec go () =
       match try_admit t ctx with
       | `Admitted ->
-        Vhook.acquired_shared ctx ~cls:t.vcls_rd ~id:t.vid;
+        if Ctx.hooked ctx then
+          Ctx.emit ctx (Verify.Acquired_shared (t.vcls_rd, t.vid));
         true
       | `Gated | `Raced ->
         if Ctx.now ctx >= deadline then begin
           t.read_timeouts <- t.read_timeouts + 1;
-          Vhook.wait_abandoned ctx;
+          if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
           false
         end
         else go ()
@@ -326,10 +331,10 @@ let sweep t ctx ?deadline () =
 let got_write t ctx =
   t.w_acquired <- true;
   t.acquisitions <- t.acquisitions + 1;
-  Vhook.acquired ctx ~cls:t.vcls_wr ~id:t.vid
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls_wr, t.vid))
 
 let acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls_wr ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls_wr, t.vid));
   Lock_core.p_acquire t.writer ctx;
   t.writer_proc <- Ctx.proc ctx;
   let ok = sweep t ctx () in
@@ -344,7 +349,7 @@ let acquire t ctx =
 let release t ctx =
   if t.w_acquired then begin
     t.w_acquired <- false;
-    Vhook.released ctx ~cls:t.vcls_wr ~id:t.vid
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls_wr, t.vid))
   end;
   for i = t.gates_closed - 1 downto 0 do
     open_gate t ctx i
@@ -379,10 +384,10 @@ let try_acquire_for t ctx ~deadline =
     false
   end
   else begin
-    Vhook.wait_acquire_timed ctx ~cls:t.vcls_wr ~id:t.vid;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait_timed (t.vcls_wr, t.vid));
     if not (Lock_core.p_try_acquire_for t.writer ctx ~deadline) then begin
       t.timeouts <- t.timeouts + 1;
-      Vhook.wait_abandoned ctx;
+      if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
       false
     end
     else begin
@@ -398,7 +403,7 @@ let try_acquire_for t ctx ~deadline =
         t.writer_proc <- -1;
         Lock_core.p_release t.writer ctx;
         t.timeouts <- t.timeouts + 1;
-        Vhook.wait_abandoned ctx;
+        if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
         false
       end
     end
@@ -437,8 +442,18 @@ let recover t ctx =
               dec ();
               reader_out t p;
               t.reader_sweeps <- t.reader_sweeps + 1;
-              Vhook.released_dead ctx ~cls:t.vcls_rd ~id:t.vid ~dead:p;
-              Vhook.recovered ctx ~cls:t.vcls_rd ~dead:p;
+              if Ctx.hooked ctx then begin
+                Ctx.emit ctx
+                  (Verify.Released_dead
+                     { cls = t.vcls_rd; id = t.vid; dead = p });
+                Ctx.emit ctx
+                  (Verify.Recovered
+                     {
+                       cls = t.vcls_rd;
+                       dead = p;
+                       latency = Ctx.since_kill ctx p;
+                     })
+              end;
               progress := true
             end)
           t.reader_inside;
@@ -452,14 +467,22 @@ let recover t ctx =
                walks the caller's queue node. *)
             if t.w_acquired then begin
               t.w_acquired <- false;
-              Vhook.released ctx ~cls:t.vcls_wr ~id:t.vid
+              if Ctx.hooked ctx then
+                Ctx.emit ctx (Verify.Released (t.vcls_wr, t.vid))
             end;
             for i = t.gates_closed - 1 downto 0 do
               open_gate t ctx i
             done;
             t.writer_proc <- -1;
             ignore (Lock_core.p_recover t.writer ctx);
-            Vhook.recovered ctx ~cls:t.vcls_wr ~dead:wp;
+            if Ctx.hooked ctx then
+              Ctx.emit ctx
+                (Verify.Recovered
+                   {
+                     cls = t.vcls_wr;
+                     dead = wp;
+                     latency = Ctx.since_kill ctx wp;
+                   });
             progress := true
           end
           else ()

@@ -118,7 +118,7 @@ val with_write : t -> Ctx.t -> (unit -> 'a) -> 'a
     [recover t ctx] sweeps fail-stopped processors' wreckage: each dead
     reader's +2 is CASed back out of its cluster's indicator (one timed
     op sequence charged to the recoverer, reported as
-    [Verify.released_dead]), a dead writer's release runs on its behalf
+    [Verify.Released_dead]), a dead writer's release runs on its behalf
     (gates reopened; the packed constituent is repaired through its own
     [recover], never a foreign release), and with no registered writer
     the packed queue itself is checked for corpses. Returns [true] if

@@ -92,7 +92,7 @@ let read_begin t ctx =
   if v land 1 = 0 then Some v
   else begin
     t.read_aborts <- t.read_aborts + 1;
-    Vhook.optimistic_abort ctx ~cls:t.vcls;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Optimistic_abort t.vcls);
     None
   end
 
@@ -104,12 +104,14 @@ let read_validate t ctx seq =
     (* A zero-length try-acquire/release pair: the read shows up in the
        contention profile under the seqlock's class but adds no lock-order
        edges (it never blocks). *)
-    Vhook.try_acquired ctx ~cls:t.vcls ~id:t.vid;
-    Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+    if Ctx.hooked ctx then begin
+      Ctx.emit ctx (Verify.Try_acquired (t.vcls, t.vid));
+      Ctx.emit ctx (Verify.Released (t.vcls, t.vid))
+    end;
     true
   end
   else begin
     t.read_aborts <- t.read_aborts + 1;
-    Vhook.optimistic_abort ctx ~cls:t.vcls;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Optimistic_abort t.vcls);
     false
   end

@@ -46,7 +46,7 @@ val read_hits : t -> int
 
 (** Failed validations plus writer-busy samples — optimistic attempts that
     had to fall back to the caller's locked path. Each is also reported to
-    an installed observer ([Obs.lock_optimistic_abort]) under the lock's
+    an installed observer ([Verify.Optimistic_abort]) under the lock's
     class, at zero simulated cost. *)
 val read_aborts : t -> int
 

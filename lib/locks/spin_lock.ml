@@ -44,7 +44,7 @@ let home t = Cell.home t.flag
 let is_held t = Cell.peek t.flag <> 0
 
 let acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   let rec attempt delay =
     let old = Ctx.test_and_set ctx t.flag in
     if old = 0 then begin
@@ -53,7 +53,7 @@ let acquire t ctx =
       Ctx.instr ctx ~reg:1 ~br:2 ();
       t.acquisitions <- t.acquisitions + 1;
       t.holder_proc <- Ctx.proc ctx;
-      Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+      if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
     end
     else begin
       t.failed_attempts <- t.failed_attempts + 1;
@@ -68,7 +68,7 @@ let release t ctx =
   t.holder_proc <- -1;
   (* Hook before the clearing swap — the swap is the transfer point, so an
      observer must order our release before the successor's acquisition. *)
-  Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls, t.vid));
   (* swap(L, 0): the MC88100 has no plain "atomic" store-release; the paper
      counts the release as an atomic as well. *)
   ignore (Ctx.fetch_and_store ctx t.flag 0);
@@ -94,7 +94,10 @@ let recover t ctx =
       ~finally:(fun () -> t.recovering <- false)
       (fun () ->
         release t ctx;
-        Vhook.recovered ctx ~cls:t.vcls ~dead;
+        if Ctx.hooked ctx then
+          Ctx.emit ctx
+            (Verify.Recovered
+               { cls = t.vcls; dead; latency = Ctx.since_kill ctx dead });
         true)
   end
 
@@ -105,7 +108,7 @@ let try_acquire t ctx =
   if old = 0 then begin
     t.acquisitions <- t.acquisitions + 1;
     t.holder_proc <- Ctx.proc ctx;
-    Vhook.try_acquired ctx ~cls:t.vcls ~id:t.vid;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Try_acquired (t.vcls, t.vid));
     true
   end
   else begin
@@ -120,21 +123,21 @@ let try_acquire t ctx =
 let try_acquire_for t ctx ~deadline =
   if Ctx.now ctx >= deadline then false
   else begin
-    Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait_timed (t.vcls, t.vid));
     let rec attempt delay =
       let old = Ctx.test_and_set ctx t.flag in
       if old = 0 then begin
         Ctx.instr ctx ~reg:1 ~br:2 ();
         t.acquisitions <- t.acquisitions + 1;
         t.holder_proc <- Ctx.proc ctx;
-        Vhook.acquired ctx ~cls:t.vcls ~id:t.vid;
+        if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid));
         true
       end
       else begin
         t.failed_attempts <- t.failed_attempts + 1;
         Ctx.instr ctx ~reg:1 ~br:1 ();
         if Ctx.now ctx >= deadline then begin
-          Vhook.wait_abandoned ctx;
+          if Ctx.hooked ctx then Ctx.emit ctx Verify.Wait_abandoned;
           false
         end
         else begin

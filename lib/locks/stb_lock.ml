@@ -47,13 +47,13 @@ let handoffs t = t.handoffs
 let is_held t = Cell.peek t.flag <> 0
 
 let acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   let deadline = Machine.now t.machine + t.spin_cycles in
   let rec spin delay =
     if Ctx.test_and_set ctx t.flag = 0 then begin
       Ctx.instr ctx ~reg:1 ~br:2 ();
       t.acquisitions <- t.acquisitions + 1;
-      Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+      if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
     end
     else if Machine.now t.machine < deadline then begin
       Ctx.instr ctx ~reg:1 ~br:1 ();
@@ -79,7 +79,7 @@ let acquire t ctx =
       if !granted then begin
         (* Woken with the lock already ours. *)
         t.acquisitions <- t.acquisitions + 1;
-        Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+        if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
       end
       else
         (* Spurious wake: our enqueue raced a clearing release (the swap
@@ -95,7 +95,7 @@ let acquire t ctx =
    towards [acquisitions], which tracks the blocking-path statistics.) *)
 let try_acquire t ctx =
   if Ctx.test_and_set ctx t.flag = 0 then begin
-    Vhook.try_acquired ctx ~cls:t.vcls ~id:t.vid;
+    if Ctx.hooked ctx then Ctx.emit ctx (Verify.Try_acquired (t.vcls, t.vid));
     true
   end
   else false
@@ -105,7 +105,7 @@ let release t ctx =
      swap, or the hand-off whose wake-up work suspends us while the woken
      waiter runs), so an observer must order our release before the
      successor's acquisition. *)
-  Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls, t.vid));
   if Queue.is_empty t.waiters then begin
     ignore (Ctx.fetch_and_store ctx t.flag 0);
     Ctx.instr ctx ~br:1 ();

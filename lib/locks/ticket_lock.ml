@@ -64,7 +64,7 @@ let release t ctx =
   t.holder_proc <- -1;
   (* Hook before the owner write — the write is the transfer point, so an
      observer must order our release before the successor's acquisition. *)
-  Vhook.released ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Released (t.vcls, t.vid));
   Ctx.write ctx t.owner (my + 1);
   Ctx.instr ctx ~br:1 ()
 
@@ -80,12 +80,15 @@ let recover t ctx =
       ~finally:(fun () -> t.recovering <- false)
       (fun () ->
         release t ctx;
-        Vhook.recovered ctx ~cls:t.vcls ~dead;
+        if Ctx.hooked ctx then
+          Ctx.emit ctx
+            (Verify.Recovered
+               { cls = t.vcls; dead; latency = Ctx.since_kill ctx dead });
         true)
   end
 
 let acquire t ctx =
-  Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Wait (t.vcls, t.vid));
   let my = take_ticket t ctx in
   let rec wait () =
     let cur = Ctx.read ctx t.owner in
@@ -117,7 +120,7 @@ let acquire t ctx =
   t.holder <- my;
   t.holder_proc <- Ctx.proc ctx;
   t.acquisitions <- t.acquisitions + 1;
-  Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
+  if Ctx.hooked ctx then Ctx.emit ctx (Verify.Acquired (t.vcls, t.vid))
 
 (* Core-interface view; [try_acquire] takes a ticket and waits (a true
    TryLock would need fetch&decrement to give the ticket back). *)

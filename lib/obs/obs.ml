@@ -1,10 +1,11 @@
 (* Contention profiles and event tracing (see obs.mli for the contract).
 
-   Everything here is host-side bookkeeping driven by the same hook sites
-   as the lockdep checker: per-proc stacks of open waits, a holder table to
-   classify acquisitions as contended, per-word reserve ownership for hold
-   attribution, and a fixed-capacity ring of trace events. No call touches
-   the engine, so installed-vs-not cannot move simulated time. *)
+   Everything here is host-side bookkeeping driven by the same hook events
+   as the lockdep checker ([on_event]): per-proc stacks of open waits, a
+   holder table to classify acquisitions as contended, per-word reserve
+   ownership for hold attribution, and a fixed-capacity ring of trace
+   events. No call touches the engine, so installed-vs-not cannot move
+   simulated time. *)
 
 let rpc_class = Verify.lock_class "rpc"
 
@@ -214,7 +215,7 @@ let bucket t ~cls ~proc =
   in
   per_cluster.(cluster t proc)
 
-let emit t kind ~proc ~cls ~time ~dur =
+let record t kind ~proc ~cls ~time ~dur =
   if t.trace_cap > 0 then begin
     t.ring.(t.recorded mod t.trace_cap) <- { kind; proc; cls; time; dur };
     t.recorded <- t.recorded + 1
@@ -277,7 +278,7 @@ let lock_acquired t ~proc ~cls ~id ~now =
     let dur = now - f.since in
     b.b_wait <- b.b_wait + dur;
     if dur > b.b_max_wait then b.b_max_wait <- dur;
-    emit t Lock_acquired ~proc ~cls ~time:now ~dur
+    record t Lock_acquired ~proc ~cls ~time:now ~dur
   | _ ->
     let b = bucket t ~cls ~proc in
     b.b_acqs <- b.b_acqs + 1);
@@ -286,7 +287,7 @@ let lock_acquired t ~proc ~cls ~id ~now =
 let lock_try_acquired t ~proc ~cls ~id ~now =
   let b = bucket t ~cls ~proc in
   b.b_acqs <- b.b_acqs + 1;
-  emit t Lock_try ~proc ~cls ~time:now ~dur:0;
+  record t Lock_try ~proc ~cls ~time:now ~dur:0;
   start_hold t ~proc ~cls ~id ~now
 
 (* Abandonments bump [aborts] *before* [contended]: hooks run host-
@@ -305,12 +306,12 @@ let lock_wait_abandoned t ~proc ~now =
     let dur = now - f.since in
     b.b_wait <- b.b_wait + dur;
     if dur > b.b_max_wait then b.b_max_wait <- dur;
-    emit t Lock_abandoned ~proc ~cls:f.cls ~time:now ~dur
+    record t Lock_abandoned ~proc ~cls:f.cls ~time:now ~dur
   | _ -> ()
 
 (* A releaser (or a later hand-off) reclaimed a node some timed waiter left
    behind: attributed to the repairing processor's cluster. *)
-let lock_abandon_repaired t ~proc ~cls ~now:_ =
+let lock_abandon_repaired t ~proc ~cls =
   let b = bucket t ~cls ~proc in
   b.b_abandon_repairs <- b.b_abandon_repairs + 1
 
@@ -322,7 +323,7 @@ let lock_released t ~proc ~cls ~id ~now =
        let b = bucket t ~cls:h.h_cls ~proc in
        let dur = now - h.h_since in
        b.b_hold <- b.b_hold + dur;
-       emit t Lock_released ~proc ~cls:h.h_cls ~time:now ~dur
+       record t Lock_released ~proc ~cls:h.h_cls ~time:now ~dur
      | h :: rest -> go (h :: skipped) rest
    in
    go [] t.holds.(proc));
@@ -342,7 +343,7 @@ let lock_optimistic_abort t ~proc ~cls ~now =
   (* Abort before contended — see lock_wait_abandoned. *)
   b.b_aborts <- b.b_aborts + 1;
   b.b_contended <- b.b_contended + 1;
-  emit t Lock_abandoned ~proc ~cls ~time:now ~dur:0
+  record t Lock_abandoned ~proc ~cls ~time:now ~dur:0
 
 (* -- reader-concurrency gauge --------------------------------------------- *)
 
@@ -404,7 +405,7 @@ let lock_morphed t ~proc ~cls ~up ~shape ~now =
   one bs.(0);
   one bs.(1 + cluster t proc);
   Hashtbl.replace t.morph_shape cls shape;
-  emit t Lock_morphed ~proc ~cls ~time:now ~dur:0
+  record t Lock_morphed ~proc ~cls ~time:now ~dur:0
 
 let morphs_up t ~cls =
   match Hashtbl.find_opt t.morph cls with None -> 0 | Some bs -> bs.(0).mb_up
@@ -434,7 +435,7 @@ let crash_class = Verify.lock_class "crash"
 let proc_crashed t ~proc ~now =
   let cb = t.crash.(cluster t proc) in
   cb.cb_crashes <- cb.cb_crashes + 1;
-  emit t Proc_crash ~proc ~cls:crash_class ~time:now ~dur:0
+  record t Proc_crash ~proc ~cls:crash_class ~time:now ~dur:0
 
 (* A recoverer ([proc]) released lock [cls] on a dead holder's behalf.
    Attributed — crash and latency both — to the {e dead} processor's
@@ -444,7 +445,7 @@ let lock_recovered t ~proc ~cls ~dead ~latency ~now =
   let cb = t.crash.(cluster t dead) in
   cb.cb_recoveries <- cb.cb_recoveries + 1;
   cb.cb_latencies_rev <- latency :: cb.cb_latencies_rev;
-  emit t Lock_recovered ~proc ~cls ~time:now ~dur:latency
+  record t Lock_recovered ~proc ~cls ~time:now ~dur:latency
 
 let crash_rows t =
   let rows = ref [] in
@@ -474,7 +475,7 @@ let reserve_set t ~proc ~cls ~word ~now =
   Hashtbl.replace t.words word (proc, cls, now);
   let b = bucket t ~cls ~proc in
   b.b_acqs <- b.b_acqs + 1;
-  emit t Reserve_set ~proc ~cls ~time:now ~dur:0
+  record t Reserve_set ~proc ~cls ~time:now ~dur:0
 
 let reserve_clear t ~proc ~word ~now =
   match Hashtbl.find_opt t.words word with
@@ -487,13 +488,13 @@ let reserve_clear t ~proc ~word ~now =
     let dur = now - since in
     b.b_hold <- b.b_hold + dur;
     if count t.word_waiters word > 0 then b.b_handoffs <- b.b_handoffs + 1;
-    emit t Reserve_cleared ~proc ~cls ~time:now ~dur
+    record t Reserve_cleared ~proc ~cls ~time:now ~dur
 
 let reserve_read_set t ~proc ~cls ~word ~now =
   Hashtbl.replace t.read_words (word, proc) (cls, now);
   let b = bucket t ~cls ~proc in
   b.b_acqs <- b.b_acqs + 1;
-  emit t Reserve_set ~proc ~cls ~time:now ~dur:0
+  record t Reserve_set ~proc ~cls ~time:now ~dur:0
 
 let reserve_read_clear t ~proc ~word ~now =
   match Hashtbl.find_opt t.read_words (word, proc) with
@@ -503,7 +504,7 @@ let reserve_read_clear t ~proc ~word ~now =
     let b = bucket t ~cls ~proc in
     let dur = now - since in
     b.b_hold <- b.b_hold + dur;
-    emit t Reserve_cleared ~proc ~cls ~time:now ~dur
+    record t Reserve_cleared ~proc ~cls ~time:now ~dur
 
 let reserve_wait t ~proc ~cls ~word ~now =
   t.frames.(proc) <- Fspin { word; cls; since = now } :: t.frames.(proc);
@@ -518,21 +519,21 @@ let reserve_wait_done t ~proc ~now =
     let dur = now - f.since in
     b.b_wait <- b.b_wait + dur;
     if dur > b.b_max_wait then b.b_max_wait <- dur;
-    emit t Reserve_spin ~proc ~cls:f.cls ~time:now ~dur
+    record t Reserve_spin ~proc ~cls:f.cls ~time:now ~dur
   | _ -> ()
 
 (* -- rpc hooks ------------------------------------------------------------ *)
 
-let rpc_issue t ~proc ~target:_ ~now =
+let rpc_issue t ~proc ~now =
   t.frames.(proc) <- Frpc { since = now } :: t.frames.(proc);
   let b = bucket t ~cls:rpc_class ~proc in
   b.b_acqs <- b.b_acqs + 1;
-  emit t Rpc_issue ~proc ~cls:rpc_class ~time:now ~dur:0
+  record t Rpc_issue ~proc ~cls:rpc_class ~time:now ~dur:0
 
 let rpc_retry t ~proc ~now =
   let b = bucket t ~cls:rpc_class ~proc in
   b.b_contended <- b.b_contended + 1;
-  emit t Rpc_retry ~proc ~cls:rpc_class ~time:now ~dur:0
+  record t Rpc_retry ~proc ~cls:rpc_class ~time:now ~dur:0
 
 let rpc_reply t ~proc ~now =
   match pop_frame t proc (function Frpc _ -> true | _ -> false) with
@@ -541,8 +542,49 @@ let rpc_reply t ~proc ~now =
     let dur = now - f.since in
     b.b_wait <- b.b_wait + dur;
     if dur > b.b_max_wait then b.b_max_wait <- dur;
-    emit t Rpc_reply ~proc ~cls:rpc_class ~time:now ~dur
+    record t Rpc_reply ~proc ~cls:rpc_class ~time:now ~dur
   | _ -> ()
+
+(* -- the one entry point ------------------------------------------------- *)
+
+(* Ownership transfers and revivals move no profile state. A swept shared
+   hold ([Released_dead]) ends on the corpse, not the recoverer. *)
+let on_event t ~proc ~now (e : Verify.event) =
+  match e with
+  | Wait (cls, id) | Wait_timed (cls, id) -> lock_wait t ~proc ~cls ~id ~now
+  | Acquired (cls, id) -> lock_acquired t ~proc ~cls ~id ~now
+  | Try_acquired (cls, id) -> lock_try_acquired t ~proc ~cls ~id ~now
+  | Wait_abandoned -> lock_wait_abandoned t ~proc ~now
+  | Released (cls, id) -> lock_released t ~proc ~cls ~id ~now
+  | Acquired_shared (cls, id) ->
+    lock_acquired t ~proc ~cls ~id ~now;
+    rw_read_enter t ~proc ~cls
+  | Try_acquired_shared (cls, id) ->
+    lock_try_acquired t ~proc ~cls ~id ~now;
+    rw_read_enter t ~proc ~cls
+  | Released_shared (cls, id) ->
+    lock_released t ~proc ~cls ~id ~now;
+    rw_read_exit t ~proc ~cls
+  | Released_dead { cls; id; dead } ->
+    lock_released t ~proc:dead ~cls ~id ~now;
+    rw_read_exit t ~proc:dead ~cls
+  | Recovered { cls; dead; latency } ->
+    lock_recovered t ~proc ~cls ~dead ~latency ~now
+  | Abandon_repaired cls -> lock_abandon_repaired t ~proc ~cls
+  | Optimistic_abort cls -> lock_optimistic_abort t ~proc ~cls ~now
+  | Morphed { cls; up; shape } -> lock_morphed t ~proc ~cls ~up ~shape ~now
+  | Reserve_set { cls; word; _ } -> reserve_set t ~proc ~cls ~word ~now
+  | Reserve_read_set { cls; word; _ } ->
+    reserve_read_set t ~proc ~cls ~word ~now
+  | Reserve_clear { word } -> reserve_clear t ~proc ~word ~now
+  | Reserve_read_clear { word } -> reserve_read_clear t ~proc ~word ~now
+  | Reserve_wait { cls; word; _ } -> reserve_wait t ~proc ~cls ~word ~now
+  | Reserve_wait_done -> reserve_wait_done t ~proc ~now
+  | Rpc_issue _ -> rpc_issue t ~proc ~now
+  | Rpc_retry -> rpc_retry t ~proc ~now
+  | Rpc_reply -> rpc_reply t ~proc ~now
+  | Proc_crashed -> proc_crashed t ~proc ~now
+  | Transferred _ | Proc_revived -> ()
 
 (* -- profile -------------------------------------------------------------- *)
 

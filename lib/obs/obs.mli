@@ -1,9 +1,9 @@
 (** Contention observability: per-lock-class profiles and a bounded event
-    trace, fed by the same hook sites as the {!Verify} checker.
+    trace, fed by the same {!Verify.event} reports as the checker.
 
     The discipline matches [lib/verify]: nothing here touches the engine,
-    draws random numbers or charges simulated cycles. Uninstalled, every
-    hook site is a single branch on [Machine.obs]; installed, the hooks do
+    draws random numbers or charges simulated cycles. With no sink
+    installed, every hook site is a single branch; installed, the hooks do
     pure host-side bookkeeping, so an instrumented run is bit-identical in
     simulated time to a plain one.
 
@@ -29,56 +29,21 @@ val create :
   unit ->
   t
 
-(** {2 Hook sites}
+(** {2 The hook entry point} *)
 
-    Mirrors of the {!Verify} reporting entry points; see [Vhook],
-    [Reserve], [Rpc] and [Khash] for the call sites. All tolerate events
-    with no matching start (an observer installed mid-run). *)
-
-val lock_wait :
-  t -> proc:int -> cls:Verify.lock_class -> id:int -> now:int -> unit
-
-val lock_acquired :
-  t -> proc:int -> cls:Verify.lock_class -> id:int -> now:int -> unit
-
-val lock_try_acquired :
-  t -> proc:int -> cls:Verify.lock_class -> id:int -> now:int -> unit
-
-(** An abandoned wait bumps [aborts] and [contended] without an
-    acquisition; the bumps are sequenced (abort first) and hooks are
-    host-atomic, so any sampler — including an adaptive lock's policy
-    reading its own profile mid-run — sees rows satisfying
-    [contended <= acqs + aborts]. *)
-val lock_wait_abandoned : t -> proc:int -> now:int -> unit
-
-(** A hand-off reclaimed a node some timed waiter abandoned; attributed to
-    the repairing processor's cluster under [cls]. *)
-val lock_abandon_repaired :
-  t -> proc:int -> cls:Verify.lock_class -> now:int -> unit
-
-val lock_released :
-  t -> proc:int -> cls:Verify.lock_class -> id:int -> now:int -> unit
-
-(** An optimistic read sampled the lock and aborted (seqlock validation
-    failure or writer-in-progress). Charged to [proc]'s cluster as a
-    contended non-acquisition ([contended] and [aborts] both bump); no
-    frame or holder state moves since nothing was ever held. *)
-val lock_optimistic_abort :
-  t -> proc:int -> cls:Verify.lock_class -> now:int -> unit
+(** [on_event t ~proc ~now e] applies one {!Verify.event} (delivered by
+    [Hector.Machine.emit] after the checker has seen it; see
+    {!Verify.event} for each kind's contract). Kinds with no profile
+    meaning ([Transferred], [Proc_revived]) are ignored. Every report
+    tolerates a missing start (an observer installed mid-run). *)
+val on_event : t -> proc:int -> now:int -> Verify.event -> unit
 
 (** {2 Reader concurrency}
 
     A gauge of concurrent shared (reader-side) holders per lock class,
-    fed by [Vhook.acquired_shared]/[released_shared]. Kept beside the
+    fed by the [*_shared] and [Released_dead] events. Kept beside the
     profile like the crash buckets: {!cells} is schema-stable and a
     high-water mark is a gauge, not a counter. *)
-
-(** A shared acquisition of class [cls] completed on [proc]. *)
-val rw_read_enter : t -> proc:int -> cls:Verify.lock_class -> unit
-
-(** A shared hold of class [cls] ended on [proc] (possibly swept off a
-    corpse by a recoverer — pass the dead processor as [proc]). *)
-val rw_read_exit : t -> proc:int -> cls:Verify.lock_class -> unit
 
 (** Peak concurrent shared holders observed for [cls]; 0 if never held.
     Readers > 1 is the reader-parallelism evidence no exclusive
@@ -88,41 +53,11 @@ val rw_read_peak : t -> cls:Verify.lock_class -> int
 (** Per-cluster peaks, clusters with no shared activity omitted. *)
 val rw_read_peak_by_cluster : t -> cls:Verify.lock_class -> (int * int) list
 
-val reserve_set :
-  t -> proc:int -> cls:Verify.lock_class -> word:int -> now:int -> unit
-
-val reserve_clear : t -> proc:int -> word:int -> now:int -> unit
-
-val reserve_read_set :
-  t -> proc:int -> cls:Verify.lock_class -> word:int -> now:int -> unit
-
-val reserve_read_clear : t -> proc:int -> word:int -> now:int -> unit
-
-val reserve_wait :
-  t -> proc:int -> cls:Verify.lock_class -> word:int -> now:int -> unit
-
-val reserve_wait_done : t -> proc:int -> now:int -> unit
-
-val rpc_issue : t -> proc:int -> target:int -> now:int -> unit
-val rpc_retry : t -> proc:int -> now:int -> unit
-val rpc_reply : t -> proc:int -> now:int -> unit
-
 (** {2 Morphs (adaptive locks)}
 
     Promotion/demotion counters per cluster and a current-shape gauge per
-    lock class, fed by [Vhook.morphed]. Kept beside the profile like the
+    lock class, fed by [Morphed] events. Kept beside the profile like the
     crash and rw buckets: {!cells} is schema-stable. *)
-
-(** An adaptive lock of class [cls] switched to [shape] ([up] for a
-    promotion); attributed to the morphing releaser's cluster. *)
-val lock_morphed :
-  t ->
-  proc:int ->
-  cls:Verify.lock_class ->
-  up:bool ->
-  shape:int ->
-  now:int ->
-  unit
 
 type morph_row = { m_cluster : int; m_up : int; m_down : int }
 
@@ -144,21 +79,6 @@ val current_shape : t -> cls:Verify.lock_class -> int
 
 (** The interned class crash instants are traced under. *)
 val crash_class : Verify.lock_class
-
-(** Processor [proc] fail-stopped (called by [Machine.kill_proc]). *)
-val proc_crashed : t -> proc:int -> now:int -> unit
-
-(** Recoverer [proc] released lock class [cls] on dead processor [dead]'s
-    behalf, [latency] cycles after the kill. Crash-bucket attribution goes
-    to [dead]'s cluster. *)
-val lock_recovered :
-  t ->
-  proc:int ->
-  cls:Verify.lock_class ->
-  dead:int ->
-  latency:int ->
-  now:int ->
-  unit
 
 type crash_row = {
   cr_cluster : int;

@@ -102,6 +102,43 @@ let instance_counter = Atomic.make 0
 
 let fresh_id () = 1 + Atomic.fetch_and_add instance_counter 1
 
+(* -- hook events ---------------------------------------------------------- *)
+
+(* One value per report, shared with every sink (see verify.mli for each
+   kind's contract). *)
+type event =
+  | Wait of lock_class * int
+  | Wait_timed of lock_class * int
+  | Acquired of lock_class * int
+  | Try_acquired of lock_class * int
+  | Wait_abandoned
+  | Released of lock_class * int
+  | Acquired_shared of lock_class * int
+  | Try_acquired_shared of lock_class * int
+  | Released_shared of lock_class * int
+  | Released_dead of { cls : lock_class; id : int; dead : int }
+  | Transferred of lock_class * int
+  | Recovered of { cls : lock_class; dead : int; latency : int }
+  | Abandon_repaired of lock_class
+  | Optimistic_abort of lock_class
+  | Morphed of { cls : lock_class; up : bool; shape : int }
+  | Reserve_set of { cls : lock_class; word : int; label : string }
+  | Reserve_read_set of { cls : lock_class; word : int; label : string }
+  | Reserve_clear of { word : int }
+  | Reserve_read_clear of { word : int }
+  | Reserve_wait of {
+      cls : lock_class;
+      word : int;
+      label : string;
+      in_interrupt : bool;
+    }
+  | Reserve_wait_done
+  | Rpc_issue of { target : int }
+  | Rpc_retry
+  | Rpc_reply
+  | Proc_crashed
+  | Proc_revived
+
 (* -- violations ----------------------------------------------------------- *)
 
 type kind =
@@ -219,7 +256,6 @@ let report_fatal t ~kind ~proc ~now msg =
 
 let progress t ~now = t.last_progress <- now
 let recoveries t = t.recoveries
-let proc_dead t proc = t.dead.(proc)
 
 (* A processor fail-stopped. Its held entries stay — it really does still
    own what it owned, and recovery transfers ownership via [released] —
@@ -380,6 +416,20 @@ let add_edge t ~proc ~now ~from_held cls =
 
 let push_wait t ~proc w = t.waits.(proc) <- w :: t.waits.(proc)
 
+let holds_lock id h = h.h_kind = Hlock && h.h_id = id
+
+(* Remove and return the newest entry of [proc]'s held list satisfying
+   [pred]. *)
+let take_held t proc pred =
+  let rec go skipped = function
+    | [] -> None
+    | h :: rest when pred h ->
+      t.held.(proc) <- List.rev_append skipped rest;
+      Some h
+    | h :: rest -> go (h :: skipped) rest
+  in
+  go [] t.held.(proc)
+
 let pop_wait t ~proc =
   match t.waits.(proc) with [] -> () | _ :: rest -> t.waits.(proc) <- rest
 
@@ -388,11 +438,7 @@ let pop_wait t ~proc =
    the watchdog. Runs before the first spin, so the dependency is recorded
    even if the lock turns out to be free. *)
 let wait_acquire t ~proc ~cls ~id ~now =
-  if
-    List.exists
-      (fun h -> h.h_kind = Hlock && h.h_id = id)
-      t.held.(proc)
-  then
+  if List.exists (holds_lock id) t.held.(proc) then
     report t ~kind:Recursive_acquire ~proc ~now
       (Printf.sprintf "blocking acquire of %s already held by this processor"
          (describe_instance cls id));
@@ -408,20 +454,13 @@ let wait_acquire t ~proc ~cls ~id ~now =
    skips it: a cycle through a timed waiter self-resolves at the
    deadline. *)
 let wait_acquire_timed t ~proc ~cls ~id ~now =
-  if List.exists (fun h -> h.h_kind = Hlock && h.h_id = id) t.held.(proc) then
+  if List.exists (holds_lock id) t.held.(proc) then
     report t ~kind:Recursive_acquire ~proc ~now
       (Printf.sprintf
          "timed blocking acquire of %s already held by this processor"
          (describe_instance cls id));
   push_wait t ~proc
     { w_cls = cls; w_id = id; w_lock = true; w_timed = true; w_since = now }
-
-let acquired t ~proc ~cls ~id ~now =
-  pop_wait t ~proc;
-  t.held.(proc) <-
-    { h_cls = cls; h_id = id; h_kind = Hlock; h_since = now } :: t.held.(proc);
-  Hashtbl.replace t.lock_holder id proc;
-  progress t ~now
 
 (* A successful TryLock: held, but no order edges — it could not have
    waited. *)
@@ -431,24 +470,19 @@ let try_acquired t ~proc ~cls ~id ~now =
   Hashtbl.replace t.lock_holder id proc;
   progress t ~now
 
+let acquired t ~proc ~cls ~id ~now =
+  pop_wait t ~proc;
+  try_acquired t ~proc ~cls ~id ~now
+
 (* A timed-out blocking acquisition gave up. *)
 let wait_abandoned t ~proc ~now =
   pop_wait t ~proc;
   progress t ~now
 
 let released t ~proc ~cls ~id ~now =
-  let found = ref false in
-  t.held.(proc) <-
-    List.filter
-      (fun h ->
-        if (not !found) && h.h_kind = Hlock && h.h_id = id then begin
-          found := true;
-          false
-        end
-        else true)
-      t.held.(proc);
-  if !found then Hashtbl.remove t.lock_holder id
-  else begin
+  (match take_held t proc (holds_lock id) with
+  | Some _ -> Hashtbl.remove t.lock_holder id
+  | None -> (
     (* Recovery is a legal ownership transfer: a releaser that does not
        hold the lock, when the registered holder fail-stopped, is a
        recoverer running the dead holder's release on its behalf. Move
@@ -456,16 +490,13 @@ let released t ~proc ~cls ~id ~now =
     match Hashtbl.find_opt t.lock_holder id with
     | Some owner when t.dead.(owner) ->
       t.held.(owner) <-
-        List.filter
-          (fun h -> not (h.h_kind = Hlock && h.h_id = id))
-          t.held.(owner);
+        List.filter (fun h -> not (holds_lock id h)) t.held.(owner);
       Hashtbl.remove t.lock_holder id;
       t.recoveries <- t.recoveries + 1
     | _ ->
       report t ~kind:Bad_release ~proc ~now
         (Printf.sprintf "released %s without holding it"
-           (describe_instance cls id))
-  end;
+           (describe_instance cls id))));
   progress t ~now
 
 (* A recoverer sweeps a hold left by fail-stopped processor [dead]. The
@@ -480,28 +511,16 @@ let released_dead t ~proc ~dead ~cls ~id ~now =
     report t ~kind:Bad_release ~proc ~now
       (Printf.sprintf "swept %s off p%d, which is alive"
          (describe_instance cls id) dead)
-  else begin
-    let found = ref false in
-    t.held.(dead) <-
-      List.filter
-        (fun h ->
-          if (not !found) && h.h_kind = Hlock && h.h_id = id then begin
-            found := true;
-            false
-          end
-          else true)
-        t.held.(dead);
-    if !found then begin
-      (match Hashtbl.find_opt t.lock_holder id with
-      | Some owner when owner = dead -> Hashtbl.remove t.lock_holder id
-      | _ -> ());
-      t.recoveries <- t.recoveries + 1
-    end
-    else
-      report t ~kind:Bad_release ~proc ~now
-        (Printf.sprintf "swept %s off p%d, which does not hold it"
-           (describe_instance cls id) dead)
-  end;
+  else if Option.is_some (take_held t dead (holds_lock id)) then begin
+    (match Hashtbl.find_opt t.lock_holder id with
+    | Some owner when owner = dead -> Hashtbl.remove t.lock_holder id
+    | _ -> ());
+    t.recoveries <- t.recoveries + 1
+  end
+  else
+    report t ~kind:Bad_release ~proc ~now
+      (Printf.sprintf "swept %s off p%d, which does not hold it"
+         (describe_instance cls id) dead);
   progress t ~now
 
 (* A legal ownership hand-off with no release/acquire pair: a cohort's
@@ -516,17 +535,11 @@ let transferred t ~proc ~cls ~id ~now =
   (match Hashtbl.find_opt t.lock_holder id with
   | Some owner when owner = proc -> ()
   | Some owner ->
-    let frame = ref None in
-    t.held.(owner) <-
-      List.filter
-        (fun h ->
-          if !frame = None && h.h_kind = Hlock && h.h_id = id then begin
-            frame := Some h;
-            false
-          end
-          else true)
-        t.held.(owner);
-    let since = match !frame with Some h -> h.h_since | None -> now in
+    let since =
+      match take_held t owner (holds_lock id) with
+      | Some h -> h.h_since
+      | None -> now
+    in
     t.held.(proc) <-
       { h_cls = cls; h_id = id; h_kind = Hlock; h_since = since }
       :: t.held.(proc);
@@ -564,24 +577,14 @@ let reserve_set t ~proc ~cls ~word ~label ~now =
   progress t ~now
 
 let remove_held_word t ~proc ~word =
-  let found = ref false in
-  t.held.(proc) <-
-    List.filter
-      (fun h ->
-        if (not !found) && h.h_kind <> Hlock && h.h_id = word then begin
-          found := true;
-          false
-        end
-        else true)
-      t.held.(proc);
-  !found
+  ignore (take_held t proc (fun h -> h.h_kind <> Hlock && h.h_id = word))
 
 let reserve_clear t ~proc ~word ~now =
   (match Hashtbl.find_opt t.words word with
   | Some (Wwrite { owner; _ }) when owner = proc ->
-    ignore (remove_held_word t ~proc ~word)
+    remove_held_word t ~proc ~word
   | Some (Wwrite { owner; since }) ->
-    ignore (remove_held_word t ~proc:owner ~word);
+    remove_held_word t ~proc:owner ~word;
     (* Sweeping a reservation orphaned by a fail-stopped owner is legal
        recovery, not a foreign clear. *)
     if t.dead.(owner) then t.recoveries <- t.recoveries + 1
@@ -624,7 +627,7 @@ let reserve_read_set t ~proc ~cls ~word ~label ~now =
 let reserve_read_clear t ~proc ~word ~now =
   (match Hashtbl.find_opt t.words word with
   | Some (Wread rs) when List.mem_assoc proc rs ->
-    ignore (remove_held_word t ~proc ~word);
+    remove_held_word t ~proc ~word;
     let rs = List.remove_assoc proc rs in
     Hashtbl.replace t.words word (if rs = [] then Wfree else Wread rs)
   | Some (Wread ((p, _) :: _)) ->
@@ -673,6 +676,40 @@ let rpc_started t ~proc ~target ~now =
 let rpc_finished t ~proc ~now =
   t.rpc_to.(proc) <- -1;
   progress t ~now
+
+(* -- the one entry point ------------------------------------------------- *)
+
+(* Morphs, optimistic aborts, abandon repairs, recoveries (the forced
+   release arrives as [Released]) and RPC retries move no lockdep state. *)
+let on_event t ~proc ~now = function
+  | Wait (cls, id) -> wait_acquire t ~proc ~cls ~id ~now
+  | Wait_timed (cls, id) -> wait_acquire_timed t ~proc ~cls ~id ~now
+  | Acquired (cls, id) | Acquired_shared (cls, id) ->
+    acquired t ~proc ~cls ~id ~now
+  | Try_acquired (cls, id) | Try_acquired_shared (cls, id) ->
+    try_acquired t ~proc ~cls ~id ~now
+  | Wait_abandoned -> wait_abandoned t ~proc ~now
+  | Released (cls, id) | Released_shared (cls, id) ->
+    released t ~proc ~cls ~id ~now
+  | Released_dead { cls; id; dead } ->
+    released_dead t ~proc ~dead ~cls ~id ~now
+  | Transferred (cls, id) -> transferred t ~proc ~cls ~id ~now
+  | Reserve_set { cls; word; label } ->
+    reserve_set t ~proc ~cls ~word ~label ~now
+  | Reserve_read_set { cls; word; label } ->
+    reserve_read_set t ~proc ~cls ~word ~label ~now
+  | Reserve_clear { word } -> reserve_clear t ~proc ~word ~now
+  | Reserve_read_clear { word } -> reserve_read_clear t ~proc ~word ~now
+  | Reserve_wait { cls; word; label; in_interrupt } ->
+    reserve_wait t ~proc ~cls ~word ~label ~now ~in_interrupt
+  | Reserve_wait_done -> reserve_wait_done t ~proc ~now
+  | Rpc_issue { target } -> rpc_started t ~proc ~target ~now
+  | Rpc_reply -> rpc_finished t ~proc ~now
+  | Proc_crashed -> proc_crashed t ~proc ~now
+  | Proc_revived -> proc_revived t ~proc
+  | Recovered _ | Abandon_repaired _ | Optimistic_abort _ | Morphed _
+  | Rpc_retry ->
+    ()
 
 (* -- watchdog ------------------------------------------------------------- *)
 

@@ -89,110 +89,144 @@ val count_kind : t -> kind -> int
 (** Per-processor held/waiting/RPC state, for diagnostics. *)
 val dump : t -> now:int -> string
 
-(** {1 Lock hooks} (called by [lib/locks] implementations) *)
+(** {1 Hook events}
 
-(** A blocking acquisition is about to wait (called even if the lock turns
-    out to be free: the dependency exists either way). *)
-val wait_acquire : t -> proc:int -> cls:lock_class -> id:int -> now:int -> unit
+    Every lock, reserve-bit, RPC and crash report is one [event] value,
+    delivered by [Hector.Machine.emit] (and [Hector.Ctx.emit] from fiber
+    code) to the installed checker and then to the installed observer
+    ({!Obs.on_event}). Each sink ignores the kinds it does not use. [proc]
+    is the reporting processor and [now] the current cycle. A lock event
+    carries the pair [(cls, id)] of the lock's class and its instance
+    ({!fresh_id}); [word] is a reserve status cell's [Cell.id], with
+    [label] its allocation label for diagnostics.
+    Diagnostics name a reserve word [<class>#<cell id>], plus [(<label>)]
+    when the label is non-empty; Khash status words carry no label, so
+    they read [<vname>.reserve#<id>]. *)
 
-(** A {e timed} blocking acquisition is about to wait. Like {!try_acquired}
-    it records no order edges — a waiter that abandons at its deadline
-    cannot be the permanently-waiting side of a deadlock — but it does push
-    a wait frame (marked timed) so diagnostics show it; the watchdog's
-    deadlock walk and stall trigger both skip timed frames. Balance with
-    {!acquired} on success or {!wait_abandoned} on timeout, exactly as for
-    {!wait_acquire}. *)
-val wait_acquire_timed :
-  t -> proc:int -> cls:lock_class -> id:int -> now:int -> unit
+type event =
+  | Wait of lock_class * int
+      (** A blocking acquisition is about to wait. Reported before the
+          first spin, even if the lock turns out to be free: the dependency
+          exists either way, so order edges are recorded from every class
+          held. Balance with [Acquired] or [Wait_abandoned]. *)
+  | Wait_timed of lock_class * int
+      (** A {e timed} blocking acquisition is about to wait. Like
+          [Try_acquired] it records no order edges (a waiter that abandons
+          at its deadline cannot be the permanently-waiting side of a
+          deadlock), but it pushes a wait frame, marked timed, so
+          diagnostics show it; the watchdog's deadlock walk and stall
+          trigger skip timed frames. The observer sees an ordinary wait.
+          Balance as for [Wait]. *)
+  | Acquired of lock_class * int
+      (** The blocking acquisition of a [Wait] succeeded. *)
+  | Try_acquired of lock_class * int
+      (** A non-blocking acquisition succeeded (no [Wait] was reported). *)
+  | Wait_abandoned
+      (** The blocking acquisition timed out and gave up. The observer
+          bumps [aborts] and then [contended] without an acquisition;
+          since a report is host-atomic, any sampler (an adaptive lock's
+          policy reading its own profile, say) sees rows satisfying
+          [contended <= acqs + aborts]. *)
+  | Released of lock_class * int
+      (** A release. If the releasing processor does not hold the lock but
+          the registered holder has fail-stopped, the release is a legal
+          recovery transfer: the corpse's held entry is removed and
+          {!recoveries} incremented instead of reporting [Bad_release]. *)
+  | Acquired_shared of lock_class * int
+  | Try_acquired_shared of lock_class * int
+  | Released_shared of lock_class * int
+      (** The shared (reader-side) faces of an RW lock: lockdep-wise
+          ordinary acquisitions and releases. The per-processor held lists
+          make concurrent shared holders of one instance legal without
+          special casing, and a blocking shared acquire (after a [Wait])
+          still records order edges, since a reader can be the waiting
+          side of a deadlock when a writer gates it. The observer also
+          keeps the concurrent-reader gauge ({!Obs.rw_read_peak}). Use a
+          distinct reader class (e.g. ["foo.read"]) so reader and writer
+          rows separate in the profile. *)
+  | Released_dead of { cls : lock_class; id : int; dead : int }
+      (** A recoverer ([proc]) swept a shared hold off fail-stopped
+          processor [dead]. Unlike the dead-holder path of [Released] this
+          names the corpse: the holder table keeps only the last acquirer,
+          and a shared instance has many concurrent holders, so the
+          registered holder may be a live reader. Legal (the held entry is
+          removed and {!recoveries} incremented) exactly when [dead]
+          fail-stopped and holds the instance; a [Bad_release] otherwise.
+          The observer ends [dead]'s hold and reader-gauge entry. *)
+  | Transferred of lock_class * int
+      (** A legal ownership hand-off with no release/acquire pair: [proc]
+          inherits the lock from its registered holder (a cohort's local
+          pass moves the session to a cluster-mate while the global
+          constituent lock stays held). The held entry moves to [proc],
+          keeping its acquisition time; a transfer to the registered
+          holder itself is a no-op, and inheriting off a fail-stopped
+          holder is equally legal. Checker only. *)
+  | Recovered of { cls : lock_class; dead : int; latency : int }
+      (** A recovery forced the hand-off a dead holder [dead] will never
+          perform, [latency] cycles after the kill (0 if [dead] was since
+          revived). Observer only: the forced release itself reaches the
+          checker as [Released], which legalises the transfer. Crash-bucket
+          attribution goes to [dead]'s cluster. *)
+  | Abandon_repaired of lock_class
+      (** A hand-off reclaimed a node some timed waiter abandoned;
+          attributed to the repairing processor's cluster. Observer
+          only. *)
+  | Optimistic_abort of lock_class
+      (** An optimistic read (seqlock validation failure or writer in
+          progress) aborted. Nothing was ever held, so nothing needs
+          balancing: observer only, charged to [proc]'s cluster as a
+          contended non-acquisition ([contended] and [aborts] both
+          bump). *)
+  | Morphed of { cls : lock_class; up : bool; shape : int }
+      (** An adaptive lock switched to shape index [shape] ([up] for a
+          promotion), attributed to the morphing releaser's cluster.
+          Observer only: the shape-level acquire/release pairs the checker
+          sees across a morph already balance. *)
+  | Reserve_set of { cls : lock_class; word : int; label : string }
+      (** A write reservation was taken. Write-reserving an already
+          reserved word is a [Double_reserve]. *)
+  | Reserve_read_set of { cls : lock_class; word : int; label : string }
+      (** A read reservation was taken; read-reserving a write-held word
+          is a [Double_reserve]. *)
+  | Reserve_clear of { word : int }
+      (** A write reservation was cleared. Clearing a free word or one
+          owned by a live processor is a [Bad_clear]; clearing a word whose
+          owner fail-stopped is a legal sweep, counted in {!recoveries}.
+          The observer charges the hold to the setter. *)
+  | Reserve_read_clear of { word : int }
+      (** A read reservation was dropped; dropping one [proc] does not
+          hold is a [Bad_clear]. *)
+  | Reserve_wait of {
+      cls : lock_class;
+      word : int;
+      label : string;
+      in_interrupt : bool;
+    }
+      (** A blocking spin on a reserve word begins; balance with
+          [Reserve_wait_done]. [in_interrupt] set while servicing an
+          interrupt makes this an [Interrupt_wait] violation. *)
+  | Reserve_wait_done
+  | Rpc_issue of { target : int }
+      (** An RPC to [target] is in flight (checker: diagnostics only,
+          shown in {!dump}). *)
+  | Rpc_retry
+      (** A [Would_deadlock] or overdue call is retried. Observer only. *)
+  | Rpc_reply  (** The in-flight RPC's reply arrived. *)
+  | Proc_crashed
+      (** [proc] fail-stopped ([Hector.Machine.kill_proc]): its wait
+          frames and in-flight RPC are dropped, since the parked fiber
+          never resumes them; its held entries stay until recovery
+          transfers them. *)
+  | Proc_revived
+      (** [proc] came back ([Hector.Machine.revive]). Checker only. *)
 
-(** The blocking acquisition of [wait_acquire] succeeded. *)
-val acquired : t -> proc:int -> cls:lock_class -> id:int -> now:int -> unit
-
-(** A non-blocking acquisition succeeded (no [wait_acquire] was issued). *)
-val try_acquired :
-  t -> proc:int -> cls:lock_class -> id:int -> now:int -> unit
-
-(** The blocking acquisition of [wait_acquire] timed out and gave up. *)
-val wait_abandoned : t -> proc:int -> now:int -> unit
-
-(** A release. If the releasing processor does not hold the lock but the
-    registered holder has fail-stopped ({!proc_crashed}), the release is a
-    legal recovery transfer: the corpse's held entry is removed and
-    {!recoveries} incremented instead of reporting [Bad_release]. *)
-val released : t -> proc:int -> cls:lock_class -> id:int -> now:int -> unit
-
-(** A recoverer ([proc]) sweeps a hold off fail-stopped processor [dead].
-    Unlike the dead-holder path of {!released} this names the corpse
-    explicitly: the holder table keeps only the last acquirer of an
-    instance, and a shared (RW reader-side) instance has many concurrent
-    holders, so the registered holder may be a live reader while the
-    processor being swept is not. Legal — the held entry is removed and
-    {!recoveries} incremented — exactly when [dead] fail-stopped and holds
-    the instance; a [Bad_release] otherwise. *)
-val released_dead :
-  t -> proc:int -> dead:int -> cls:lock_class -> id:int -> now:int -> unit
-
-(** A legal ownership hand-off with no release/acquire pair: [proc]
-    inherits the lock from its registered holder (a cohort's local pass
-    moves the session to a cluster-mate while the global constituent lock
-    stays held). The held entry moves to [proc], keeping its original
-    acquisition time; a transfer to the registered holder itself is a
-    no-op, and inheriting off a fail-stopped holder is equally legal. *)
-val transferred :
-  t -> proc:int -> cls:lock_class -> id:int -> now:int -> unit
-
-(** {1 Crash hooks} (called by [Hector.Machine.kill_proc]/[revive]) *)
-
-(** Processor [proc] fail-stopped: its wait frames and in-flight RPC are
-    dropped (the parked fiber never resumes them); its held entries stay
-    until recovery transfers them. Clears by recoverers of reserve words
-    owned by a dead processor become legal sweeps, not [Bad_clear]s. *)
-val proc_crashed : t -> proc:int -> now:int -> unit
-
-val proc_revived : t -> proc:int -> unit
-
-(** Is the processor currently marked fail-stopped? *)
-val proc_dead : t -> int -> bool
+(** [on_event t ~proc ~now e] applies one report. All reports tolerate a
+    missing start (a checker installed mid-run adopts what it finds). *)
+val on_event : t -> proc:int -> now:int -> event -> unit
 
 (** Dead-holder ownership transfers and orphaned-reserve sweeps legalized
     so far. *)
 val recoveries : t -> int
-
-(** {1 Reserve hooks} (called by [Locks.Reserve]; [word] is the status
-    cell's [Cell.id], [label] its allocation label for diagnostics).
-    Diagnostics name a reserve word [<class>#<cell id>], plus [(<label>)]
-    when the label is non-empty. Khash status words carry no label, so
-    they are identified by class and cell id alone
-    ([<vname>.reserve#<id>]). *)
-
-val reserve_set :
-  t -> proc:int -> cls:lock_class -> word:int -> label:string -> now:int -> unit
-
-val reserve_clear : t -> proc:int -> word:int -> now:int -> unit
-
-val reserve_read_set :
-  t -> proc:int -> cls:lock_class -> word:int -> label:string -> now:int -> unit
-
-val reserve_read_clear : t -> proc:int -> word:int -> now:int -> unit
-
-(** A blocking spin on a reserve word begins. [in_interrupt] set while
-    servicing an interrupt makes this an [Interrupt_wait] violation. *)
-val reserve_wait :
-  t ->
-  proc:int ->
-  cls:lock_class ->
-  word:int ->
-  label:string ->
-  now:int ->
-  in_interrupt:bool ->
-  unit
-
-val reserve_wait_done : t -> proc:int -> now:int -> unit
-
-(** {1 RPC hooks} (diagnostics only: shown in [dump]) *)
-
-val rpc_started : t -> proc:int -> target:int -> now:int -> unit
-val rpc_finished : t -> proc:int -> now:int -> unit
 
 (** {1 Watchdog and end-of-run checks} *)
 

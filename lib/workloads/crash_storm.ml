@@ -76,7 +76,7 @@ type result = {
 
 let obs_class = "crashstorm"
 
-let run ?(cfg = Config.hector) ?(config = default_config) algo =
+let run ?(cfg = Config.hector) ?(config = default_config) ?obs algo =
   if config.n_clusters <= 0 || config.n_clusters > config.p then
     invalid_arg "Crash_storm.run: n_clusters out of range";
   if config.n_kills < 1 || config.n_kills > config.p - 1 then
@@ -97,7 +97,10 @@ let run ?(cfg = Config.hector) ?(config = default_config) algo =
   let cluster_of = Clustering.cluster_of_proc clustering in
   let n_clusters = Clustering.n_clusters clustering in
   let obs =
-    Obs.create ~cluster_of ~n_clusters ~n_procs:(Config.n_procs cfg) ()
+    match obs with
+    | Some o -> o
+    | None ->
+      Obs.create ~cluster_of ~n_clusters ~n_procs:(Config.n_procs cfg) ()
   in
   Machine.set_obs machine (Some obs);
   let verify = Verify.create ~mode:`Record ~n_procs:(Config.n_procs cfg) () in

@@ -51,5 +51,8 @@ val obs_class : string
 
 (** Run the storm over one algorithm. Raises [Invalid_argument] if the
     algorithm is not recoverable ({!Locks.Lock.t.recoverable}) or the
-    config is out of range. *)
-val run : ?cfg:Config.t -> ?config:config -> Lock.algo -> result
+    config is out of range. [obs], if given, is installed in place of
+    the run's own untraced observer (to keep a trace, say); build it over
+    the run's clustering. *)
+val run :
+  ?cfg:Config.t -> ?config:config -> ?obs:Obs.t -> Lock.algo -> result

@@ -72,7 +72,7 @@ type result = {
 
 let obs_class = "diurnal"
 
-let run ?(cfg = Config.hector) ?(config = default_config) () =
+let run ?(cfg = Config.hector) ?(config = default_config) ?obs () =
   if config.p_cold <= 0 || config.p_cold > config.p_hot then
     invalid_arg "Diurnal.run: p_cold out of range";
   if config.n_clusters <= 0 || config.n_clusters > config.p_hot then
@@ -102,10 +102,13 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
   let verify = Verify.create ~n_procs:(Config.n_procs cfg) () in
   Machine.set_verify machine (Some verify);
   let obs =
-    Obs.create
-      ~cluster_of:(Clustering.cluster_of_proc clustering)
-      ~n_clusters:(Clustering.n_clusters clustering)
-      ~n_procs:(Config.n_procs cfg) ()
+    match obs with
+    | Some o -> o
+    | None ->
+      Obs.create
+        ~cluster_of:(Clustering.cluster_of_proc clustering)
+        ~n_clusters:(Clustering.n_clusters clustering)
+        ~n_procs:(Config.n_procs cfg) ()
   in
   Machine.set_obs machine (Some obs);
   let lock = Lock.make machine ~vclass:obs_class ~topo config.algo in

@@ -50,4 +50,7 @@ type result = {
 (** The lock-order class the lock reports under ("diurnal"). *)
 val obs_class : string
 
-val run : ?cfg:Config.t -> ?config:config -> unit -> result
+(** [obs], if given, is installed in place of the run's own untraced
+    observer (to keep a trace, say); build it over the run's clustering. *)
+val run :
+  ?cfg:Config.t -> ?config:config -> ?obs:Obs.t -> unit -> result

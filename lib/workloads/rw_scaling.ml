@@ -98,7 +98,7 @@ type result = {
 
 let obs_class = "rw"
 
-let run ?(cfg = Config.hector) ?(config = default_config) () =
+let run ?(cfg = Config.hector) ?(config = default_config) ?obs () =
   if config.read_ratio < 0.0 || config.read_ratio > 1.0 then
     invalid_arg "Rw_scaling.run: read_ratio out of [0,1]";
   if config.n_clusters <= 0 || config.n_clusters > config.p then
@@ -132,10 +132,13 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
   let verify = Verify.create ~n_procs:(Config.n_procs cfg) () in
   Machine.set_verify machine (Some verify);
   let obs =
-    Obs.create
-      ~cluster_of:(Clustering.cluster_of_proc clustering)
-      ~n_clusters:(Clustering.n_clusters clustering)
-      ~n_procs:(Config.n_procs cfg) ()
+    match obs with
+    | Some o -> o
+    | None ->
+      Obs.create
+        ~cluster_of:(Clustering.cluster_of_proc clustering)
+        ~n_clusters:(Clustering.n_clusters clustering)
+        ~n_procs:(Config.n_procs cfg) ()
   in
   Machine.set_obs machine (Some obs);
   (* The descriptor word every style guards; homed with the lock. *)

@@ -61,4 +61,7 @@ type result = {
 (** The profile class the guarded structure reports under ("rw"). *)
 val obs_class : string
 
-val run : ?cfg:Config.t -> ?config:config -> unit -> result
+(** [obs], if given, is installed in place of the run's own untraced
+    observer (to keep a trace, say); build it over the run's clustering. *)
+val run :
+  ?cfg:Config.t -> ?config:config -> ?obs:Obs.t -> unit -> result

@@ -235,7 +235,7 @@ let run_aborted_waiter () =
 (* The second negative probe, for the crash path: the holder fail-stops
    mid-critical-section and a survivor force-releases the corpse's hold
    exactly as [Lock.acquire_recoverable]'s detector does. The checker saw
-   the crash ([Verify.proc_crashed]), so the foreign release must be
+   the crash ([Verify.Proc_crashed]), so the foreign release must be
    legalised as a recovery transfer — [ok] demands zero violations AND a
    recorded recovery, so a checker that silently dropped the crash
    bookkeeping (reporting nothing but transferring nothing) still fails. *)

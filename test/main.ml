@@ -36,6 +36,7 @@ let () =
       ("integration", Test_integration.suite);
       ("verify", Test_verify.suite);
       ("obs", Test_obs.suite);
+      ("hook_stream", Test_hook_stream.suite);
       ("rw", Test_rw.suite);
       ("par", Test_par.suite);
       ("slo", Test_slo.suite);

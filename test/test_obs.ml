@@ -80,14 +80,14 @@ let test_lock_accounting () =
   (* Two procs per cluster. p0 acquires free, p1 waits through p0's hold
      (contended + handoff), p2 (cluster 1) try-acquires. *)
   let o = Obs.create ~cluster_of:(fun p -> p / 2) ~n_clusters:2 ~n_procs:4 () in
-  Obs.lock_wait o ~proc:0 ~cls:cls_lock ~id:1 ~now:0;
-  Obs.lock_acquired o ~proc:0 ~cls:cls_lock ~id:1 ~now:10;
-  Obs.lock_wait o ~proc:1 ~cls:cls_lock ~id:1 ~now:20;
-  Obs.lock_released o ~proc:0 ~cls:cls_lock ~id:1 ~now:50;
-  Obs.lock_acquired o ~proc:1 ~cls:cls_lock ~id:1 ~now:60;
-  Obs.lock_released o ~proc:1 ~cls:cls_lock ~id:1 ~now:90;
-  Obs.lock_try_acquired o ~proc:2 ~cls:cls_lock ~id:2 ~now:0;
-  Obs.lock_released o ~proc:2 ~cls:cls_lock ~id:2 ~now:5;
+  Obs.on_event o ~proc:0 ~now:0 (Verify.Wait (cls_lock, 1));
+  Obs.on_event o ~proc:0 ~now:10 (Verify.Acquired (cls_lock, 1));
+  Obs.on_event o ~proc:1 ~now:20 (Verify.Wait (cls_lock, 1));
+  Obs.on_event o ~proc:0 ~now:50 (Verify.Released (cls_lock, 1));
+  Obs.on_event o ~proc:1 ~now:60 (Verify.Acquired (cls_lock, 1));
+  Obs.on_event o ~proc:1 ~now:90 (Verify.Released (cls_lock, 1));
+  Obs.on_event o ~proc:2 ~now:0 (Verify.Try_acquired (cls_lock, 2));
+  Obs.on_event o ~proc:2 ~now:5 (Verify.Released (cls_lock, 2));
   let r = find_row (Obs.profile_rows o) "obs.test.lock" in
   Alcotest.(check int) "acqs" 3 r.Obs.total.Obs.acqs;
   Alcotest.(check int) "contended" 1 r.Obs.total.Obs.contended;
@@ -104,10 +104,13 @@ let test_lock_accounting () =
 let test_reserve_accounting () =
   let o = Obs.create ~cluster_of:(fun p -> p / 2) ~n_clusters:2 ~n_procs:4 () in
   (* p2 (cluster 1) sets word 7; p3 spins on it; p2 clears mid-spin. *)
-  Obs.reserve_set o ~proc:2 ~cls:cls_res ~word:7 ~now:0;
-  Obs.reserve_wait o ~proc:3 ~cls:cls_res ~word:7 ~now:5;
-  Obs.reserve_clear o ~proc:2 ~word:7 ~now:40;
-  Obs.reserve_wait_done o ~proc:3 ~now:45;
+  Obs.on_event o ~proc:2 ~now:0
+    (Verify.Reserve_set { cls = cls_res; word = 7; label = "" });
+  Obs.on_event o ~proc:3 ~now:5
+    (Verify.Reserve_wait
+       { cls = cls_res; word = 7; label = ""; in_interrupt = false });
+  Obs.on_event o ~proc:2 ~now:40 (Verify.Reserve_clear { word = 7 });
+  Obs.on_event o ~proc:3 ~now:45 Verify.Reserve_wait_done;
   let r = find_row (Obs.profile_rows o) "obs.test.reserve" in
   Alcotest.(check int) "acqs" 1 r.Obs.total.Obs.acqs;
   Alcotest.(check int) "contended (completed spins)" 1 r.Obs.total.Obs.contended;
@@ -118,9 +121,9 @@ let test_reserve_accounting () =
 
 let test_rpc_accounting () =
   let o = Obs.create ~n_procs:2 () in
-  Obs.rpc_issue o ~proc:0 ~target:1 ~now:0;
-  Obs.rpc_retry o ~proc:0 ~now:10;
-  Obs.rpc_reply o ~proc:0 ~now:30;
+  Obs.on_event o ~proc:0 ~now:0 (Verify.Rpc_issue { target = 1 });
+  Obs.on_event o ~proc:0 ~now:10 Verify.Rpc_retry;
+  Obs.on_event o ~proc:0 ~now:30 Verify.Rpc_reply;
   let r = find_row (Obs.profile_rows o) "rpc" in
   Alcotest.(check int) "issues" 1 r.Obs.total.Obs.acqs;
   Alcotest.(check int) "retries" 1 r.Obs.total.Obs.contended;
@@ -130,11 +133,11 @@ let test_unmatched_events_tolerated () =
   (* An observer installed mid-run sees completions with no start; nothing
      may be counted for them and nothing may raise. *)
   let o = Obs.create ~n_procs:2 () in
-  Obs.lock_released o ~proc:0 ~cls:cls_lock ~id:9 ~now:10;
-  Obs.lock_wait_abandoned o ~proc:0 ~now:10;
-  Obs.reserve_clear o ~proc:0 ~word:3 ~now:10;
-  Obs.reserve_wait_done o ~proc:0 ~now:10;
-  Obs.rpc_reply o ~proc:0 ~now:10;
+  Obs.on_event o ~proc:0 ~now:10 (Verify.Released (cls_lock, 9));
+  Obs.on_event o ~proc:0 ~now:10 Verify.Wait_abandoned;
+  Obs.on_event o ~proc:0 ~now:10 (Verify.Reserve_clear { word = 3 });
+  Obs.on_event o ~proc:0 ~now:10 Verify.Reserve_wait_done;
+  Obs.on_event o ~proc:0 ~now:10 Verify.Rpc_reply;
   let rows = Obs.profile_rows o in
   Alcotest.(check bool) "only silent rows" true
     (List.for_all (fun (r : Obs.row) -> r.Obs.total.Obs.wait_cycles = 0) rows)
@@ -181,23 +184,23 @@ let prop_snapshot_consistent =
         | `Idle -> (
           match Rng.int rng 3 with
           | 0 ->
-            Obs.lock_wait o ~proc ~cls ~id:proc ~now:!now;
+            Obs.on_event o ~proc ~now:!now (Verify.Wait (cls, proc));
             state.(proc) <- `Waiting cls
           | 1 ->
-            Obs.lock_try_acquired o ~proc ~cls ~id:proc ~now:!now;
+            Obs.on_event o ~proc ~now:!now (Verify.Try_acquired (cls, proc));
             state.(proc) <- `Holding cls
-          | _ -> Obs.lock_optimistic_abort o ~proc ~cls ~now:!now)
+          | _ -> Obs.on_event o ~proc ~now:!now (Verify.Optimistic_abort cls))
         | `Waiting wcls ->
           if Rng.int rng 3 = 0 then begin
-            Obs.lock_wait_abandoned o ~proc ~now:!now;
+            Obs.on_event o ~proc ~now:!now Verify.Wait_abandoned;
             state.(proc) <- `Idle
           end
           else begin
-            Obs.lock_acquired o ~proc ~cls:wcls ~id:proc ~now:!now;
+            Obs.on_event o ~proc ~now:!now (Verify.Acquired (wcls, proc));
             state.(proc) <- `Holding wcls
           end
         | `Holding hcls ->
-          Obs.lock_released o ~proc ~cls:hcls ~id:proc ~now:!now;
+          Obs.on_event o ~proc ~now:!now (Verify.Released (hcls, proc));
           state.(proc) <- `Idle);
         if not (snapshot_consistent (Obs.profile_rows o)) then ok := false
       done;
@@ -208,7 +211,7 @@ let prop_snapshot_consistent =
 let test_trace_ring_bounded () =
   let o = Obs.create ~trace:4 ~n_procs:1 () in
   for i = 1 to 10 do
-    Obs.lock_try_acquired o ~proc:0 ~cls:cls_lock ~id:1 ~now:i
+    Obs.on_event o ~proc:0 ~now:i (Verify.Try_acquired (cls_lock, 1))
   done;
   Alcotest.(check int) "recorded" 10 (Obs.trace_recorded o);
   Alcotest.(check int) "dropped" 6 (Obs.trace_dropped o);
@@ -219,7 +222,7 @@ let test_trace_ring_bounded () =
 
 let test_trace_off_records_nothing () =
   let o = Obs.create ~n_procs:1 () in
-  Obs.lock_try_acquired o ~proc:0 ~cls:cls_lock ~id:1 ~now:1;
+  Obs.on_event o ~proc:0 ~now:1 (Verify.Try_acquired (cls_lock, 1));
   Alcotest.(check int) "no ring" 0 (Obs.trace_recorded o);
   Alcotest.(check (list int)) "empty" []
     (List.map (fun (e : Obs.event) -> e.Obs.time) (Obs.trace o))
@@ -228,10 +231,10 @@ let test_trace_json_shape () =
   let o = Obs.create ~trace:64 ~cluster_of:(fun p -> p / 2) ~n_clusters:2
       ~n_procs:4 ()
   in
-  Obs.lock_wait o ~proc:1 ~cls:cls_lock ~id:1 ~now:0;
-  Obs.lock_acquired o ~proc:1 ~cls:cls_lock ~id:1 ~now:400;
-  Obs.lock_released o ~proc:1 ~cls:cls_lock ~id:1 ~now:720;
-  Obs.rpc_issue o ~proc:3 ~target:0 ~now:100;
+  Obs.on_event o ~proc:1 ~now:0 (Verify.Wait (cls_lock, 1));
+  Obs.on_event o ~proc:1 ~now:400 (Verify.Acquired (cls_lock, 1));
+  Obs.on_event o ~proc:1 ~now:720 (Verify.Released (cls_lock, 1));
+  Obs.on_event o ~proc:3 ~now:100 (Verify.Rpc_issue { target = 0 });
   let doc = Obs.trace_json o ~us_per_cycle:(1.0 /. 16.0) in
   (* The export must itself be valid JSON. *)
   let parsed = Json.of_string (Json.to_string ~compact:true doc) in

@@ -23,25 +23,25 @@ let test_class_interning () =
 let test_ownership_units () =
   let v = Verify.create ~n_procs:4 () in
   let cls = Verify.lock_class "test.unit" in
-  Verify.reserve_set v ~proc:0 ~cls ~word:1 ~label:"w" ~now:0;
+  Verify.on_event v ~proc:0 ~now:0 (Verify.Reserve_set { cls; word = 1; label = "w" });
   (* Setting an already-set bit: double reserve. *)
-  Verify.reserve_set v ~proc:1 ~cls ~word:1 ~label:"w" ~now:5;
+  Verify.on_event v ~proc:1 ~now:5 (Verify.Reserve_set { cls; word = 1; label = "w" });
   Alcotest.(check int) "double reserve" 1
     (Verify.count_kind v Verify.Double_reserve);
   (* Clearing a bit someone else owns. *)
-  Verify.reserve_clear v ~proc:2 ~word:1 ~now:6;
+  Verify.on_event v ~proc:2 ~now:6 (Verify.Reserve_clear { word = 1 });
   Alcotest.(check int) "foreign clear" 1 (Verify.count_kind v Verify.Bad_clear);
   (* The word is free now: clearing again is a double clear. *)
-  Verify.reserve_clear v ~proc:2 ~word:1 ~now:7;
+  Verify.on_event v ~proc:2 ~now:7 (Verify.Reserve_clear { word = 1 });
   Alcotest.(check int) "double clear" 2 (Verify.count_kind v Verify.Bad_clear);
   (* Releasing a lock never acquired. *)
-  Verify.released v ~proc:3 ~cls ~id:99 ~now:8;
+  Verify.on_event v ~proc:3 ~now:8 (Verify.Released (cls, 99));
   Alcotest.(check int) "bad release" 1 (Verify.count_kind v Verify.Bad_release)
 
 let test_abort_mode_raises () =
   let v = Verify.create ~mode:`Abort ~n_procs:2 () in
   let cls = Verify.lock_class "test.abort" in
-  match Verify.released v ~proc:0 ~cls ~id:7 ~now:0 with
+  match Verify.on_event v ~proc:0 ~now:0 (Verify.Released (cls, 7)) with
   | () -> Alcotest.fail "expected Violation"
   | exception Verify.Violation viol ->
     Alcotest.(check string) "kind" "bad-release" (Verify.kind_name viol.vkind)
