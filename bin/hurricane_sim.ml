@@ -15,48 +15,8 @@ let ppf = Format.std_formatter
 
 (* -- shared arguments ------------------------------------------------------ *)
 
-(* Every fixed [--lock] spelling, aliases included; [spin:<us>] is parsed
-   on its own. The doc string and the parse error are both built from this
-   list. *)
-let algo_spellings =
-  Locks.Lock.
-    [
-      ("mcs", Mcs_original);
-      ("h1", Mcs_h1);
-      ("h1-mcs", Mcs_h1);
-      ("h2", Mcs_h2);
-      ("h2-mcs", Mcs_h2);
-      ("cas", Mcs_cas);
-      ("h2-cas", Mcs_cas);
-      ("clh", Clh);
-      ("ticket", Ticket);
-      ("anderson", Anderson);
-      ("cohort", c_mcs_mcs);
-      ("c-mcs-mcs", c_mcs_mcs);
-      ("hmcs", hmcs);
-      ("cna", cna);
-      ("adaptive", adaptive);
-      ("adaptive:cna", adaptive);
-      ("adaptive:cohort", Adaptive { numa = c_mcs_mcs });
-      ("adaptive:hmcs", Adaptive { numa = hmcs });
-    ]
-
-let algo_choices =
-  String.concat ", " (List.map fst algo_spellings) ^ " or spin:<max-backoff-us>"
-
 let algo_conv =
-  let parse s =
-    let s = String.lowercase_ascii s in
-    match List.assoc_opt s algo_spellings with
-    | Some a -> Ok a
-    | None -> (
-      match Scanf.sscanf_opt s "spin:%f" (fun v -> v) with
-      | Some us -> Ok (Locks.Lock.Spin { max_backoff_us = us })
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown lock algorithm %S (%s)" s algo_choices)))
-  in
+  let parse s = Result.map_error (fun m -> `Msg m) (Locks.Lock.of_string s) in
   let print ppf a = Format.pp_print_string ppf (Locks.Lock.algo_name a) in
   Arg.conv (parse, print)
 
@@ -65,7 +25,10 @@ let algo_arg =
     value
     & opt algo_conv Locks.Lock.Mcs_h2
     & info [ "l"; "lock" ] ~docv:"ALGO"
-        ~doc:("Lock algorithm: " ^ algo_choices ^ "."))
+        ~doc:
+          ("Lock algorithm: "
+          ^ String.concat ", " (List.map fst Locks.Lock.spellings)
+          ^ " or spin:<max-backoff-us> (at least 1)."))
 
 let procs_arg =
   Arg.(

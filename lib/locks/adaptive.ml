@@ -46,15 +46,10 @@ let shape_name = function
   | _ -> "numa"
 
 type t = {
-  name : string;
   shapes : Lock_core.packed array; (* [| ts; queue; numa |] *)
   current : Cell.t; (* the mode word: index of the active shape *)
   topo : Lock_core.topo;
-  (* policy: sliding window of acquisitions and its thresholds *)
-  window : int;
-  up_contended : float;
-  down_contended : float;
-  up_remote : float;
+  (* policy: sliding window of acquisitions *)
   wait_threshold : int; (* cycles; a slower acquire counts as contended *)
   mutable w_acqs : int;
   mutable w_contended : int;
@@ -88,10 +83,14 @@ type t = {
    window would leave the lock stuck in its worst shape for most of a
    load spike. Eight acquisitions is enough to estimate the contended
    fraction against thresholds this coarse. *)
-let default_window = 8
-let default_up_contended = 0.5
-let default_down_contended = 0.15
-let default_up_remote = 0.4
+let window = 8
+
+(* Promotion and demotion thresholds on the window's contended fraction
+   (their gap is the hysteresis), and the remote-hand-off fraction that
+   promotes the queue shape to the NUMA one. *)
+let up_contended = 0.5
+let down_contended = 0.15
+let up_remote = 0.4
 
 (* An acquisition also counts as contended when the shape-level acquire
    took longer than this. The instantaneous sample (holder set, or the
@@ -101,26 +100,15 @@ let default_up_remote = 0.4
    spin shape looks idle at route time. The threshold sits above the
    family's uncontended acquire costs (a few µs) and far below a
    saturated wait (tens of µs). *)
-let default_contended_wait_us = 10.0
+let contended_wait_us = 10.0
 
-let create ?(home = 0) ?(vclass = "adaptive") ?(window = default_window)
-    ?(up_contended = default_up_contended)
-    ?(down_contended = default_down_contended)
-    ?(up_remote = default_up_remote)
-    ?(contended_wait_us = default_contended_wait_us) ~name ~topo ~shapes
-    ~abortable ~recoverable machine =
+let create ?(home = 0) ?(vclass = "adaptive") ~topo ~shapes machine =
   if Array.length shapes <> n_shapes then
     invalid_arg "Adaptive.create: expected exactly [| ts; queue; numa |]";
-  if window < 2 then invalid_arg "Adaptive.create: window must be >= 2";
   {
-    name;
     shapes;
     current = Cell.make ~label:"adaptive.current" ~home shape_ts;
     topo;
-    window;
-    up_contended;
-    down_contended;
-    up_remote;
     wait_threshold =
       Config.cycles_of_us (Machine.config machine) contended_wait_us;
     w_acqs = 0;
@@ -136,13 +124,12 @@ let create ?(home = 0) ?(vclass = "adaptive") ?(window = default_window)
     drains = 0;
     deferrals = 0;
     recovering = false;
-    abortable;
-    recoverable;
+    abortable = Array.for_all Lock_core.p_abortable shapes;
+    recoverable = Array.for_all Lock_core.p_recoverable shapes;
     vcls = Verify.lock_class vclass;
     vid = Verify.fresh_id ();
   }
 
-let name t = t.name
 let acquisitions t = t.acquisitions
 let morphs_up t = t.morphs_up
 let morphs_down t = t.morphs_down
@@ -281,13 +268,13 @@ let try_acquire_for t ctx ~deadline =
    the old shape's words never carry the lock again until its queue has
    fully drained; a blocked morph is deferred and retried. *)
 let maybe_morph t ctx ~cur =
-  let quorum = max 2 (t.window / 4) in
+  let quorum = max 2 (window / 4) in
   (* The saturation fast path: half a window of arrivals blocked right
      now is direct evidence of the hot regime, available before the
      window can fill — a saturated test&set completes acquisitions so
      slowly that waiting for window samples from it would burn most of a
      load spike in the worst shape. *)
-  let saturated = t.in_flight >= max 2 (t.window / 2) in
+  let saturated = t.in_flight >= max 2 (window / 2) in
   if saturated || t.w_acqs >= quorum then begin
     let fc =
       min 1.0 (float_of_int t.w_contended /. float_of_int (max 1 t.w_acqs))
@@ -296,13 +283,13 @@ let maybe_morph t ctx ~cur =
       if t.w_contended = 0 then 0.0
       else min 1.0 (float_of_int t.w_remote /. float_of_int t.w_contended)
     in
-    let hot = saturated || (t.w_acqs >= quorum && fc >= t.up_contended) in
+    let hot = saturated || (t.w_acqs >= quorum && fc >= up_contended) in
     let target =
       if cur = shape_ts && hot then Some shape_queue
       else if
-        cur = shape_queue && hot && t.w_contended >= 2 && fr >= t.up_remote
+        cur = shape_queue && hot && t.w_contended >= 2 && fr >= up_remote
       then Some shape_numa
-      else if t.w_acqs >= t.window && cur > shape_ts && fc <= t.down_contended
+      else if t.w_acqs >= window && cur > shape_ts && fc <= down_contended
       then Some (cur - 1)
       else None
     in
@@ -324,7 +311,7 @@ let maybe_morph t ctx ~cur =
       end
       else t.deferrals <- t.deferrals + 1;
       reset ()
-    | None -> if t.w_acqs >= t.window then reset ()
+    | None -> if t.w_acqs >= window then reset ()
   end
 
 let release t ctx =
@@ -380,14 +367,13 @@ let recover t ctx =
 module Core = struct
   type nonrec t = t
 
-  let name = name
   let acquire = acquire
   let release = release
   let try_acquire = try_acquire
   let try_acquire_for = try_acquire_for
-  let abortable = true
+  let abortable t = t.abortable
   let recover = recover
-  let recoverable = true
+  let recoverable t = t.recoverable
   let is_free = is_free
   let waiters = waiters
   let acquisitions = acquisitions

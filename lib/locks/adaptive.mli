@@ -5,15 +5,18 @@
     The lock carries three pre-created shapes sharing one lockdep class and
     routes arrivals through a one-word timed mode cell. Promotion is eager:
     once a quarter-window quorum of samples exists, every release checks
-    whether the contended fraction crossed [up_contended] (and, for the
-    step to the NUMA shape, whether the remote-hand-off fraction crossed
-    [up_remote]). Demotion is conservative: only a full window whose
-    contended fraction fell to [down_contended] shrinks the lock one step —
-    the remote fraction is deliberately not a demotion trigger, because
-    under the NUMA shape it is low precisely {e because} that shape
-    localises hand-offs. The gap between [up_contended] and
-    [down_contended] is the hysteresis that keeps a borderline load from
-    thrashing shapes every window.
+    whether the contended fraction of the last eight acquisitions reached
+    one half (and, for the step to the NUMA shape, whether the
+    remote-hand-off fraction reached 0.4). An acquisition also counts as
+    contended when its shape-level acquire took 10 µs or more: the
+    instantaneous sample cannot see a saturated test&set shape, whose word
+    is free for most of the time between backed-off hand-offs. Demotion is
+    conservative: only a full window whose contended fraction fell to 0.15
+    shrinks the lock one step — the remote fraction is deliberately not a
+    demotion trigger, because under the NUMA shape it is low precisely
+    {e because} that shape localises hand-offs. The gap between the two
+    contended thresholds is the hysteresis that keeps a borderline load
+    from thrashing shapes every window.
 
     Morph safety: an acquirer validates the mode cell {e after} acquiring
     the routed shape and, on a stale read, releases it (draining the old
@@ -25,17 +28,6 @@ open Hector
 
 type t
 
-val default_window : int
-val default_up_contended : float
-val default_down_contended : float
-val default_up_remote : float
-
-(** An acquisition whose shape-level acquire exceeded this also counts as
-    contended — the instantaneous sample cannot see a saturated test&set
-    shape, whose word is free for most of the wall-clock time between
-    backed-off hand-offs. *)
-val default_contended_wait_us : float
-
 (** Shape indices, in promotion order. *)
 
 val shape_ts : int
@@ -43,31 +35,18 @@ val shape_queue : int
 val shape_numa : int
 val shape_name : int -> string
 
-(** [create ~name ~topo ~shapes ~abortable ~recoverable machine] builds the
-    morphing lock over [shapes = [| ts; queue; numa |]] — three
-    {!Lock_core.packed} instances that must share one lockdep class (their
-    distinct instance ids keep the checker's ledgers separate).
-    [abortable]/[recoverable] are the conjunction of the constituents'
-    dynamic capabilities, supplied by the caller because a packed view only
-    exposes static module flags ({!Lock.make} computes them). [home] places
-    the mode word. Thresholds default to the [default_*] values. *)
+(** [create ~topo ~shapes machine] builds the morphing lock over
+    [shapes = [| ts; queue; numa |]] — three {!Lock_core.packed} instances
+    that must share one lockdep class (their distinct instance ids keep the
+    checker's ledgers separate). The lock is abortable (recoverable) iff
+    every shape is. [home] places the mode word. *)
 val create :
   ?home:int ->
   ?vclass:string ->
-  ?window:int ->
-  ?up_contended:float ->
-  ?down_contended:float ->
-  ?up_remote:float ->
-  ?contended_wait_us:float ->
-  name:string ->
   topo:Lock_core.topo ->
   shapes:Lock_core.packed array ->
-  abortable:bool ->
-  recoverable:bool ->
   Machine.t ->
   t
-
-val name : t -> string
 
 (** Critical-section entries (validated acquisitions; drains excluded). *)
 val acquisitions : t -> int
@@ -104,8 +83,7 @@ val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
     registered holder really is dead. *)
 val recover : t -> Ctx.t -> bool
 
-(** The {!Lock_core.OPS} view, for packing. The static
-    [abortable]/[recoverable] flags are [true]; the instance capabilities
-    depend on the NUMA constituent — {!Lock.make} wires the dynamic
-    values into the uniform record. *)
+(** The {!Lock_core.OPS} view. [abortable]/[recoverable] are the
+    instance's: the conjunction over its shapes, so a non-abortable NUMA
+    shape makes the whole lock non-abortable. *)
 module Core : Lock_core.OPS with type t = t

@@ -248,10 +248,6 @@ let recover t ctx =
 module Core = struct
   type nonrec t = t
 
-  let algo = "Anderson"
-  let name _ = algo
-
-  let create ?(home = 0) ?(vclass = "anderson") machine = create ~home ~vclass machine
   let acquire = acquire
   let release = release
 
@@ -260,9 +256,9 @@ module Core = struct
     true
 
   let try_acquire_for = try_acquire_for
-  let abortable = true
+  let abortable _ = true
   let recover = recover
-  let recoverable = true
+  let recoverable _ = true
   let is_free = is_free
 
   (* Slots issued past the holder's mean queued waiters. The tail counter is

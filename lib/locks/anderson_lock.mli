@@ -36,5 +36,5 @@ val timeouts : t -> int
 (** Forfeited slots skipped and reset by releases. *)
 val gc_count : t -> int
 
-(** The {!Lock_core.S} view; [try_acquire] takes a slot and waits. *)
-module Core : Lock_core.S with type t = t
+(** The {!Lock_core.OPS} view; [try_acquire] takes a slot and waits. *)
+module Core : Lock_core.OPS with type t = t

@@ -339,10 +339,6 @@ let recover t ctx =
 module Core = struct
   type nonrec t = t
 
-  let algo = "CLH"
-  let name _ = algo
-
-  let create ?(home = 0) ?(vclass = "clh") machine = create ~home ~vclass machine
   let acquire = acquire
   let release = release
 
@@ -351,9 +347,9 @@ module Core = struct
     true
 
   let try_acquire_for = try_acquire_for
-  let abortable = true
+  let abortable _ = true
   let recover = recover
-  let recoverable = true
+  let recoverable _ = true
   let is_free = is_free
 
   (* The tail still pointing at a node other than the holder's means a

@@ -43,6 +43,6 @@ val timeouts : t -> int
 (** Abandoned nodes returned to their owners by an observing waiter. *)
 val gc_count : t -> int
 
-(** The {!Lock_core.S} view; [try_acquire] enqueues and waits (CLH has no
+(** The {!Lock_core.OPS} view; [try_acquire] enqueues and waits (CLH has no
     cheap TryLock). *)
-module Core : Lock_core.S with type t = t
+module Core : Lock_core.OPS with type t = t

@@ -128,7 +128,6 @@ let create ?(home = 0) ?(threshold = default_threshold) ?(vclass = "cna")
     vid = Verify.fresh_id ();
   }
 
-let name _ = "CNA"
 let vclass t = t.vcls
 let acquisitions t = t.acquisitions
 let local_handoffs t = t.local_handoffs
@@ -454,12 +453,6 @@ let recover t ctx =
 module Core = struct
   type nonrec t = t
 
-  let algo = "CNA"
-  let name = name
-
-  let create ?(home = 0) ?(vclass = "cna") machine =
-    create ~home ~vclass ~topo:(Lock_core.topo_of_machine machine) machine
-
   let acquire = acquire
   let release = release
 
@@ -468,9 +461,9 @@ module Core = struct
     true
 
   let try_acquire_for = try_acquire_for
-  let abortable = true
+  let abortable _ = true
   let recover = recover
-  let recoverable = true
+  let recoverable _ = true
   let is_free = is_free
   let waiters = waiters
   let acquisitions = acquisitions

@@ -15,9 +15,10 @@
    one per critical section).
 
    The combinator works over {!Lock_core.packed}, so the constituent
-   algorithms can be chosen at runtime ([Lock.make]); the {!Make} functor
-   is the statically-typed face over the same engine. Requirements on the
-   constituents (the cohorting paper's terms):
+   algorithms are chosen at run time ([Lock.build]), and it is itself a
+   {!Lock_core.OPS} instance ({!Core}) whose capabilities are its
+   constituents'. Requirements on the constituents (the cohorting paper's
+   terms):
    - the global lock must be *thread-oblivious* — acquired by one processor
      of a cluster, released by another. Every lock in this library
      qualifies: their release paths work from the releasing context, not a
@@ -63,7 +64,6 @@ open Hector
 let default_max_handoffs = 16
 
 type t = {
-  cname : string;
   locals : Lock_core.packed array; (* one per cluster *)
   global : Lock_core.packed;
   owned : bool array; (* cluster currently owns the global lock *)
@@ -99,16 +99,15 @@ let cluster_homes machine (topo : Lock_core.topo) =
     homes;
   homes
 
-let create_packed ?(vclass = "cohort") ?(max_handoffs = default_max_handoffs)
-    ~name ~topo ~local ~global machine =
+let create ?(vclass = "cohort") ?(max_handoffs = default_max_handoffs) ~topo
+    ~local ~global machine =
   if max_handoffs < 1 then
     invalid_arg "Cohort: max_handoffs must be at least 1";
   let homes = cluster_homes machine topo in
   {
-    cname = name;
     locals =
       Array.init topo.Lock_core.n_clusters (fun c ->
-          local ~cluster:c ~home:homes.(c) ~vclass:(vclass ^ ".local"));
+          local ~home:homes.(c) ~vclass:(vclass ^ ".local"));
     global = global ~vclass:(vclass ^ ".global");
     owned = Array.make topo.Lock_core.n_clusters false;
     passes = Array.make topo.Lock_core.n_clusters 0;
@@ -127,7 +126,6 @@ let create_packed ?(vclass = "cohort") ?(max_handoffs = default_max_handoffs)
     vid = Verify.fresh_id ();
   }
 
-let name t = t.cname
 let acquisitions t = t.acquisitions
 let local_handoffs t = t.local_handoffs
 let global_releases t = t.global_releases
@@ -321,10 +319,14 @@ let release t ctx =
 
 (* The composite is recoverable only if both constituents are: the unwind
    runs their releases on the corpse's behalf, which needs each to be
-   thread-oblivious with holder bookkeeping of its own. *)
+   thread-oblivious with holder bookkeeping of its own. Each must be
+   abortable too. A non-abortable constituent (Ticket) blocks its waiters
+   inside it, where the only repair that runs is its own in-spin one. That
+   releases the constituent alone and leaves the cohort session (holder,
+   owned flag, the other level) to the corpse. *)
 let recoverable t =
-  Array.for_all Lock_core.p_recoverable t.locals
-  && Lock_core.p_recoverable t.global
+  let repairable p = Lock_core.p_recoverable p && Lock_core.p_abortable p in
+  Array.for_all repairable t.locals && repairable t.global
 
 (* Dead-holder recovery: the thread-oblivious release unwinds the corpse's
    session — a local pass if cluster-mates are queued (the cluster keeps
@@ -349,50 +351,19 @@ let recover t ctx =
         true)
   end
 
-(* The statically-typed face: one functor application per (local, global)
-   algorithm pair, each yielding a full {!Lock_core.S} — so cohorts
-   compose (a cohort can be the local or global side of another). *)
-module Make (Local : Lock_core.S) (Global : Lock_core.S) = struct
+module Core = struct
   type nonrec t = t
 
-  let algo = Printf.sprintf "C-%s-%s" Local.algo Global.algo
-
-  let create_with ?(home = 0) ?vclass ?max_handoffs ~topo machine =
-    ignore home;
-    create_packed ?vclass ?max_handoffs ~name:algo ~topo
-      ~local:(fun ~cluster:_ ~home ~vclass ->
-        Lock_core.pack (module Local) (Local.create ~home ~vclass machine))
-      ~global:(fun ~vclass ->
-        Lock_core.pack (module Global) (Global.create ~home:0 ~vclass machine))
-      machine
-
-  let create ?home ?vclass machine =
-    create_with ?home ?vclass ~topo:(Lock_core.topo_of_machine machine) machine
-
-  let name = name
   let acquire = acquire
   let release = release
   let try_acquire = try_acquire
   let try_acquire_for = try_acquire_for
-  let abortable = Local.abortable && Global.abortable
+  let abortable = abortable
   let recover = recover
-  let recoverable = Local.recoverable && Global.recoverable
+  let recoverable = recoverable
   let is_free = is_free
   let waiters = waiters
   let acquisitions = acquisitions
   let vclass = vclass
   let vid = vid
-  let local_handoffs = local_handoffs
-  let global_releases = global_releases
 end
-
-(* The paper-faithful instance: MCS at both levels (C-MCS-MCS), the
-   configuration the cohorting paper benchmarks against flat MCS. The
-   constituents are the H1 variant: H2's always-fetch&store release opens a
-   repair window on every local hand-off, and under the cohort's longer
-   release path (the global hand-off's fixed-length stretch) that window
-   resonates with re-enqueue timing — a recently served processor usurps
-   the local queue every session and the queued cluster-mates starve. H1
-   hands off directly whenever the successor link is visible, so a deep
-   local queue never opens the window. *)
-module C_mcs_mcs = Make (Mcs.Core_h1) (Mcs.Core_h1)

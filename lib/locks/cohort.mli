@@ -9,23 +9,22 @@ open Hector
 
 type t
 
-(** Runtime-composed constructor used by [Lock.make]: [local] builds one
-    constituent per cluster (homed at the cluster's lowest processor),
-    [global] builds the top-level lock. Raises [Invalid_argument] if
-    [max_handoffs < 1] or some cluster has no processors. *)
-val create_packed :
+(** [create ~topo ~local ~global machine]: [local] builds one constituent
+    per cluster (homed at the cluster's lowest processor, reporting under
+    [vclass ^ ".local"]), [global] builds the top-level lock (under
+    [vclass ^ ".global"]). Raises [Invalid_argument] if [max_handoffs < 1]
+    or some cluster has no processors. *)
+val create :
   ?vclass:string ->
   ?max_handoffs:int ->
-  name:string ->
   topo:Lock_core.topo ->
-  local:(cluster:int -> home:int -> vclass:string -> Lock_core.packed) ->
+  local:(home:int -> vclass:string -> Lock_core.packed) ->
   global:(vclass:string -> Lock_core.packed) ->
   Machine.t ->
   t
 
 val default_max_handoffs : int
 
-val name : t -> string
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit
 val try_acquire : t -> Ctx.t -> bool
@@ -42,8 +41,10 @@ val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
     face is only bounded if so). *)
 val abortable : t -> bool
 
-(** The composite is recoverable only if both constituents are (the unwind
-    runs their releases on a dead holder's behalf). *)
+(** The composite is recoverable only if both constituents are recoverable
+    (the unwind runs their releases on a dead holder's behalf) and
+    abortable: a non-abortable constituent's in-spin repair (Ticket's)
+    releases that constituent alone, behind the cohort's back. *)
 val recoverable : t -> bool
 
 (** Dead-holder recovery: if the processor in the critical section has
@@ -69,35 +70,6 @@ val global_releases : t -> int
 
 val vclass : t -> Verify.lock_class
 
-(** Statically-typed instances: [Make (Local) (Global)] is a full
-    {!Lock_core.S} (so cohorts compose), plus cohort-specific extras. *)
-module Make (_ : Lock_core.S) (_ : Lock_core.S) : sig
-  include Lock_core.S with type t = t
-
-  val create_with :
-    ?home:int ->
-    ?vclass:string ->
-    ?max_handoffs:int ->
-    topo:Lock_core.topo ->
-    Machine.t ->
-    t
-
-  val local_handoffs : t -> int
-  val global_releases : t -> int
-end
-
-(** The paper-faithful instance: MCS at both levels (C-MCS-MCS). *)
-module C_mcs_mcs : sig
-  include Lock_core.S with type t = t
-
-  val create_with :
-    ?home:int ->
-    ?vclass:string ->
-    ?max_handoffs:int ->
-    topo:Lock_core.topo ->
-    Machine.t ->
-    t
-
-  val local_handoffs : t -> int
-  val global_releases : t -> int
-end
+(** The {!Lock_core.OPS} view; [abortable]/[recoverable] are {!abortable}
+    and {!recoverable}, answered from the constituents. *)
+module Core : Lock_core.OPS with type t = t

@@ -182,7 +182,6 @@ let create ?(home = 0) ?(threshold = default_threshold) ?(vclass = "hmcs")
     vid = Verify.fresh_id ();
   }
 
-let name _ = "HMCS"
 let vclass t = t.vcls
 let acquisitions t = t.acquisitions
 let local_passes t = t.local_passes
@@ -698,12 +697,6 @@ let recover t ctx =
 module Core = struct
   type nonrec t = t
 
-  let algo = "HMCS"
-  let name = name
-
-  let create ?(home = 0) ?(vclass = "hmcs") machine =
-    create ~home ~vclass ~topo:(Lock_core.topo_of_machine machine) machine
-
   let acquire = acquire
   let release = release
 
@@ -712,9 +705,9 @@ module Core = struct
     true
 
   let try_acquire_for = try_acquire_for
-  let abortable = true
+  let abortable _ = true
   let recover = recover
-  let recoverable = true
+  let recoverable _ = true
   let is_free = is_free
   let waiters = waiters
   let acquisitions = acquisitions

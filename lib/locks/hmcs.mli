@@ -22,7 +22,6 @@ val create :
 
 val default_threshold : int
 
-val name : t -> string
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit
 val is_free : t -> bool
@@ -63,6 +62,5 @@ val timeouts : t -> int
 (** Abandoned nodes collected by releasers, both levels. *)
 val gc_count : t -> int
 
-(** The {!Lock_core.S} view; [create] clusters by hardware station and
-    [try_acquire] enqueues and waits. *)
-module Core : Lock_core.S with type t = t
+(** The {!Lock_core.OPS} view; [try_acquire] enqueues and waits. *)
+module Core : Lock_core.OPS with type t = t

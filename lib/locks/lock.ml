@@ -17,7 +17,6 @@ type t = {
   recoverable : bool; (* [recover] can actually repair a dead holder *)
   is_free : unit -> bool; (* untimed, for assertions *)
   acquires : int ref; (* instrumentation: completed acquires *)
-  wait_cycles : int ref; (* total cycles spent inside acquire *)
 }
 
 type algo =
@@ -96,7 +95,6 @@ let null =
     recoverable = false;
     is_free = (fun () -> true);
     acquires = ref 0;
-    wait_cycles = ref 0;
   }
 
 let all_paper_algos =
@@ -106,7 +104,9 @@ let all_paper_algos =
 (* H1 constituents, not H2: H2's successor-check-free release opens a
    fetch&store repair window on every hand-off, and stacked under the
    cohort's release path that window resonates with re-enqueue timing and
-   starves the local queue behind a repeating usurper (see {!Cohort}). *)
+   starves the local queue behind a repeating usurper. H1 hands off
+   directly whenever the successor link is visible, so a deep local queue
+   never opens the window. *)
 let c_mcs_mcs =
   Cohort
     {
@@ -120,365 +120,192 @@ let cna = Cna { threshold = Cna.default_threshold }
 let all_numa_algos = [ c_mcs_mcs; hmcs; cna ]
 let adaptive = Adaptive { numa = cna }
 
-(* Wrap an acquire with wall-clock accounting (virtual cycles spent from
-   call to lock entry). Algorithms without a real abandonment protocol get
-   a blocking [try_acquire_for] (acquire, return true) and advertise it
-   with [abortable = false]. *)
-let instrumented ~name ~acquire ~release ~try_acquire ?try_acquire_for
-    ?(abortable = false) ?recover ~is_free () =
-  let acquires = ref 0 and wait_cycles = ref 0 in
-  let timed_acquire ctx =
-    let t0 = Machine.now (Ctx.machine ctx) in
-    acquire ctx;
-    incr acquires;
-    wait_cycles := !wait_cycles + (Machine.now (Ctx.machine ctx) - t0)
-  in
-  let try_acquire_for =
-    match try_acquire_for with
-    | Some f ->
-      fun ctx ~deadline ->
-        let ok = f ctx ~deadline in
-        if ok then incr acquires;
-        ok
+(* Every [--lock] spelling the command line accepts, aliases included;
+   [of_string] also parses [spin:<max-backoff-us>]. *)
+let spellings =
+  [
+    ("mcs", Mcs_original);
+    ("h1", Mcs_h1);
+    ("h1-mcs", Mcs_h1);
+    ("h2", Mcs_h2);
+    ("h2-mcs", Mcs_h2);
+    ("cas", Mcs_cas);
+    ("h2-cas", Mcs_cas);
+    ("clh", Clh);
+    ("ticket", Ticket);
+    ("anderson", Anderson);
+    ("cohort", c_mcs_mcs);
+    ("c-mcs-mcs", c_mcs_mcs);
+    ("hmcs", hmcs);
+    ("cna", cna);
+    ("adaptive", adaptive);
+    ("adaptive:cna", adaptive);
+    ("adaptive:cohort", Adaptive { numa = c_mcs_mcs });
+    ("adaptive:hmcs", Adaptive { numa = hmcs });
+  ]
+
+(* A spin cap under 1 us is refused here, as a usage error, rather than by
+   [Backoff.create] once a run has started: on the 16 MHz HECTOR a cap
+   under 0.5 us is below the backoff's first 8-cycle step. *)
+let of_string s =
+  let s = String.lowercase_ascii s in
+  match List.assoc_opt s spellings with
+  | Some a -> Ok a
+  | None -> (
+    match Scanf.sscanf_opt s "spin:%f" Fun.id with
+    | Some us when us >= 1.0 && Float.is_finite us ->
+      Ok (Spin { max_backoff_us = us })
+    | Some _ ->
+      Error (Printf.sprintf "%S: the spin backoff cap must be at least 1 us" s)
     | None ->
-      fun ctx ~deadline:_ ->
-        timed_acquire ctx;
-        true
+      Error
+        (Printf.sprintf "unknown lock algorithm %S (%s or spin:<us>)" s
+           (String.concat ", " (List.map fst spellings))))
+
+(* The roles an algorithm can take inside a composite: base algorithms are
+   cohort constituents, NUMA composites are Adaptive's top shape, and
+   either can serialise an RW lock's writers. *)
+let is_base = function
+  | Spin _ | Mcs_original | Mcs_h1 | Mcs_h2 | Mcs_cas | Clh | Ticket | Anderson
+    ->
+    true
+  | Spin_then_block _ | Null | Cohort _ | Hmcs _ | Cna _ | Rw _ | Adaptive _ ->
+    false
+
+let is_numa = function Cohort _ | Hmcs _ | Cna _ -> true | _ -> false
+
+let require ok ~role algo =
+  if not ok then
+    invalid_arg
+      (Printf.sprintf "Lock.build: %s cannot be %s" (algo_name algo) role)
+
+(* The test&set shape of a morphing lock caps its backoff far below the
+   standalone Spin default: by construction it only ever serves light
+   traffic (contention promotes the lock away from it), and a tight cap is
+   what lets a saturated spin shape drain quickly after a morph — with the
+   35us cap, the post-morph drain of a full complement of backed-off
+   waiters is as slow as the spin shape itself. *)
+let adaptive_shapes numa = [| Spin { max_backoff_us = 5.0 }; Mcs_h1; numa |]
+
+(* The one constructor: each algorithm as a {!Lock_core.packed} instance,
+   composites assembled from recursively built constituents. Leaves keep
+   their own default lockdep class ("mcs", "spinlock", "cohort", ...). *)
+let rec build machine ?home ?vclass ~topo algo : Lock_core.packed =
+  let mcs ?use_cas_release variant =
+    Lock_core.pack (module Mcs.Core)
+      (Mcs.create ~variant ?home ?use_cas_release ?vclass machine)
   in
-  let recover, recoverable =
-    match recover with
-    | Some f -> (f, true)
-    | None -> ((fun _ -> false), false)
-  in
-  {
-    name;
-    acquire = timed_acquire;
-    release;
-    try_acquire;
-    try_acquire_for;
-    abortable;
-    recover;
-    recoverable;
-    is_free;
-    acquires;
-    wait_cycles;
-  }
-
-let of_spin lock =
-  instrumented ~name:"spin"
-    ~acquire:(fun ctx -> Spin_lock.acquire lock ctx)
-    ~release:(fun ctx -> Spin_lock.release lock ctx)
-    ~try_acquire:(fun ctx -> Spin_lock.try_acquire lock ctx)
-    ~try_acquire_for:(fun ctx ~deadline ->
-      Spin_lock.try_acquire_for lock ctx ~deadline)
-    ~abortable:true
-    ~recover:(fun ctx -> Spin_lock.Core.recover lock ctx)
-    ~is_free:(fun () -> not (Spin_lock.is_held lock))
-    ()
-
-let of_mcs lock =
-  instrumented ~name:(Mcs.name lock)
-    ~acquire:(fun ctx -> Mcs.acquire lock ctx)
-    ~release:(fun ctx -> Mcs.release lock ctx)
-    ~try_acquire:(fun ctx -> Mcs.try_acquire_v2 lock ctx)
-    ~try_acquire_for:(fun ctx ~deadline -> Mcs.try_acquire_for lock ctx ~deadline)
-    ~abortable:true
-    ~recover:(fun ctx -> Mcs.Core.recover lock ctx)
-    ~is_free:(fun () -> Mcs.is_free lock)
-    ()
-
-(* A base algorithm as a {!Lock_core.packed} instance — the constituents a
-   runtime-composed [Cohort] is assembled from. Only algorithms exposing a
-   [Core] module qualify; nesting composites (or [Null] / STB) inside a
-   cohort is rejected. *)
-let packed_of_algo machine ~home ~vclass algo : Lock_core.packed =
-  let cfg = Machine.config machine in
   match algo with
   | Spin { max_backoff_us } ->
-    let backoff = Backoff.of_us cfg ~max_us:max_backoff_us () in
+    let backoff =
+      Backoff.of_us (Machine.config machine) ~max_us:max_backoff_us ()
+    in
     Lock_core.pack
       (module Spin_lock.Core)
-      (Spin_lock.create machine ~home ~vclass backoff)
-  | Mcs_original ->
-    Lock_core.pack (module Mcs.Core)
-      (Mcs.create ~variant:Mcs.Original ~home ~vclass machine)
-  | Mcs_h1 ->
-    Lock_core.pack (module Mcs.Core)
-      (Mcs.create ~variant:Mcs.H1 ~home ~vclass machine)
-  | Mcs_h2 ->
-    Lock_core.pack (module Mcs.Core)
-      (Mcs.create ~variant:Mcs.H2 ~home ~vclass machine)
+      (Spin_lock.create machine ?home ?vclass backoff)
+  | Mcs_original -> mcs Mcs.Original
+  | Mcs_h1 -> mcs Mcs.H1
+  | Mcs_h2 -> mcs Mcs.H2
   | Mcs_cas ->
-    if not cfg.Config.has_cas then
-      invalid_arg "Lock.make: Mcs_cas needs a machine with compare&swap";
-    Lock_core.pack (module Mcs.Core)
-      (Mcs.create ~variant:Mcs.H2 ~home ~use_cas_release:true ~vclass machine)
-  | Clh -> Lock_core.pack (module Clh.Core) (Clh.create ~home ~vclass machine)
+    if not (Machine.config machine).Config.has_cas then
+      invalid_arg "Lock.build: Mcs_cas needs a machine with compare&swap";
+    mcs ~use_cas_release:true Mcs.H2
+  | Clh -> Lock_core.pack (module Clh.Core) (Clh.create ?home ?vclass machine)
   | Ticket ->
     Lock_core.pack
       (module Ticket_lock.Core)
-      (Ticket_lock.create ~home ~vclass machine)
+      (Ticket_lock.create ?home ?vclass machine)
   | Anderson ->
     Lock_core.pack
       (module Anderson_lock.Core)
-      (Anderson_lock.create ~home ~vclass machine)
-  | Spin_then_block _ | Null | Cohort _ | Hmcs _ | Cna _ | Rw _ | Adaptive _ ->
-    invalid_arg
-      (Printf.sprintf
-         "Lock.make: %s cannot be a cohort constituent (base algorithms only)"
-         (algo_name algo))
-
-(* An algorithm as an RW writer constituent: any base algorithm, or one of
-   the NUMA composites — which is the point of building RW over [packed]:
-   RW-cohort and RW-CNA fall out of the existing combinators. Returns the
-   instance's *dynamic* abortable/recoverable capabilities alongside: a
-   runtime-composed cohort's packed view only knows the module's static
-   flags, which may be wrong for these constituents. *)
-let rw_writer machine ~home ~topo algo ~vclass :
-    Lock_core.packed * bool * bool =
-  match algo with
-  | Cohort { local; global; max_handoffs } ->
-    let c =
-      Cohort.create_packed ~vclass ~max_handoffs ~name:(algo_name algo) ~topo
-        ~local:(fun ~cluster:_ ~home ~vclass ->
-          packed_of_algo machine ~home ~vclass local)
-        ~global:(fun ~vclass -> packed_of_algo machine ~home ~vclass global)
-        machine
-    in
-    ( Lock_core.pack (module Cohort.C_mcs_mcs) c,
-      Cohort.abortable c,
-      Cohort.recoverable c )
-  | Hmcs { threshold } ->
-    let l = Hmcs.create ~home ~threshold ~vclass ~topo machine in
-    (Lock_core.pack (module Hmcs.Core) l, true, true)
-  | Cna { threshold } ->
-    let l = Cna.create ~home ~threshold ~vclass ~topo machine in
-    (Lock_core.pack (module Cna.Core) l, true, true)
-  | Null | Spin_then_block _ | Rw _ | Adaptive _ ->
-    invalid_arg
-      (Printf.sprintf "Lock.make: %s cannot be an RW writer constituent"
-         (algo_name algo))
-  | Spin _ | Mcs_original | Mcs_h1 | Mcs_h2 | Mcs_cas | Clh | Ticket | Anderson
-    ->
-    let p = packed_of_algo machine ~home ~vclass algo in
-    (p, Lock_core.p_abortable p, Lock_core.p_recoverable p)
-
-(* The RW composite itself, with both faces — workloads that want the
-   reader side use this directly; [make (Rw ...)] wraps the writer face in
-   the uniform record. *)
-let make_rw machine ?home ?(vclass = "rwlock") ?topo ~policy ~centralised
-    writer_algo =
-  let topo =
-    match topo with Some t -> t | None -> Lock_core.topo_of_machine machine
-  in
-  let name = algo_name (Rw { writer = writer_algo; policy; centralised }) in
-  let p, writer_abortable, writer_recoverable =
-    rw_writer machine
-      ~home:(match home with Some h -> h | None -> 0)
-      ~topo writer_algo
-      ~vclass:(vclass ^ ".writer")
-  in
-  Rwlock.create ?home ~vclass ~policy ~centralised ~name ~topo
-    ~writer:(fun ~vclass:_ -> p)
-    ~writer_abortable ~writer_recoverable machine
-
-let make machine ?(home = 0) ?vclass ?topo algo =
-  let cfg = Machine.config machine in
-  let topo =
-    match topo with
-    | Some t -> t
-    | None -> Lock_core.topo_of_machine machine
-  in
-  match algo with
-  | Null -> null
-  | Spin { max_backoff_us } ->
-    let backoff = Backoff.of_us cfg ~max_us:max_backoff_us () in
-    let lock = Spin_lock.create machine ~home ?vclass backoff in
-    { (of_spin lock) with name = algo_name algo }
-  | Mcs_original -> of_mcs (Mcs.create ~variant:Mcs.Original ~home ?vclass machine)
-  | Mcs_h1 -> of_mcs (Mcs.create ~variant:Mcs.H1 ~home ?vclass machine)
-  | Mcs_h2 -> of_mcs (Mcs.create ~variant:Mcs.H2 ~home ?vclass machine)
-  | Mcs_cas ->
-    if not cfg.Config.has_cas then
-      invalid_arg "Lock.make: Mcs_cas needs a machine with compare&swap";
-    let lock =
-      Mcs.create ~variant:Mcs.H2 ~home ~use_cas_release:true ?vclass machine
-    in
-    { (of_mcs lock) with name = algo_name Mcs_cas }
-  | Clh ->
-    let lock = Clh.create ~home ?vclass machine in
-    instrumented ~name:"CLH"
-      ~acquire:(fun ctx -> Clh.acquire lock ctx)
-      ~release:(fun ctx -> Clh.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        (* CLH has no cheap TryLock; enqueue and wait. *)
-        Clh.acquire lock ctx;
-        true)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Clh.try_acquire_for lock ctx ~deadline)
-      ~abortable:true
-      ~recover:(fun ctx -> Clh.Core.recover lock ctx)
-      ~is_free:(fun () -> Clh.is_free lock)
-      ()
-  | Ticket ->
-    (* A drawn ticket cannot be handed back (a skipped number would stall
-       every later waiter), so the timed face blocks: abortable = false. *)
-    let lock = Ticket_lock.create ~home ?vclass machine in
-    instrumented ~name:"Ticket"
-      ~acquire:(fun ctx -> Ticket_lock.acquire lock ctx)
-      ~release:(fun ctx -> Ticket_lock.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        Ticket_lock.acquire lock ctx;
-        true)
-      ~recover:(fun ctx -> Ticket_lock.Core.recover lock ctx)
-      ~is_free:(fun () -> Ticket_lock.is_free lock)
-      ()
-  | Anderson ->
-    let lock = Anderson_lock.create ~home ?vclass machine in
-    instrumented ~name:"Anderson"
-      ~acquire:(fun ctx -> Anderson_lock.acquire lock ctx)
-      ~release:(fun ctx -> Anderson_lock.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        Anderson_lock.acquire lock ctx;
-        true)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Anderson_lock.try_acquire_for lock ctx ~deadline)
-      ~abortable:true
-      ~recover:(fun ctx -> Anderson_lock.Core.recover lock ctx)
-      ~is_free:(fun () -> Anderson_lock.is_free lock)
-      ()
+      (Anderson_lock.create ?home ?vclass machine)
   | Spin_then_block { spin_us } ->
-    (* Blocking hands the processor to the scheduler; there is no waiter
-       state to retract, and wakeup is the scheduler's promise — the timed
-       face blocks: abortable = false. *)
-    let lock = Stb_lock.create ~home ~spin_us ?vclass machine in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Stb_lock.acquire lock ctx)
-      ~release:(fun ctx -> Stb_lock.release lock ctx)
-      ~try_acquire:(fun ctx -> Stb_lock.try_acquire lock ctx)
-      ~is_free:(fun () -> not (Stb_lock.is_held lock))
-      ()
+    Lock_core.pack
+      (module Stb_lock.Core)
+      (Stb_lock.create ?home ~spin_us ?vclass machine)
+  | Null -> invalid_arg "Lock.build: Null has no instance (use Lock.null)"
   | Cohort { local; global; max_handoffs } ->
-    let name = algo_name algo in
-    let vcls = Option.value vclass ~default:"cohort" in
-    let lock =
-      Cohort.create_packed ~vclass:vcls ~max_handoffs ~name ~topo
-        ~local:(fun ~cluster:_ ~home ~vclass ->
-          packed_of_algo machine ~home ~vclass local)
-        ~global:(fun ~vclass -> packed_of_algo machine ~home ~vclass global)
-        machine
-    in
-    instrumented ~name
-      ~acquire:(fun ctx -> Cohort.acquire lock ctx)
-      ~release:(fun ctx -> Cohort.release lock ctx)
-      ~try_acquire:(fun ctx -> Cohort.try_acquire lock ctx)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Cohort.try_acquire_for lock ctx ~deadline)
-      ~abortable:(Cohort.abortable lock)
-      ?recover:
-        (if Cohort.recoverable lock then
-           Some (fun ctx -> Cohort.recover lock ctx)
-         else None)
-      ~is_free:(fun () -> Cohort.is_free lock)
-      ()
+    let role = "a cohort constituent (base algorithms only)" in
+    require (is_base local) ~role local;
+    require (is_base global) ~role global;
+    Lock_core.pack
+      (module Cohort.Core)
+      (Cohort.create ?vclass ~max_handoffs ~topo
+         ~local:(fun ~home ~vclass -> build machine ~home ~vclass ~topo local)
+         ~global:(fun ~vclass -> build machine ?home ~vclass ~topo global)
+         machine)
   | Hmcs { threshold } ->
-    let lock = Hmcs.create ~home ~threshold ?vclass ~topo machine in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Hmcs.acquire lock ctx)
-      ~release:(fun ctx -> Hmcs.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        Hmcs.acquire lock ctx;
-        true)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Hmcs.try_acquire_for lock ctx ~deadline)
-      ~abortable:true
-      ~recover:(fun ctx -> Hmcs.Core.recover lock ctx)
-      ~is_free:(fun () -> Hmcs.is_free lock)
-      ()
+    Lock_core.pack (module Hmcs.Core)
+      (Hmcs.create ?home ~threshold ?vclass ~topo machine)
   | Cna { threshold } ->
-    let lock = Cna.create ~home ~threshold ?vclass ~topo machine in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Cna.acquire lock ctx)
-      ~release:(fun ctx -> Cna.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        Cna.acquire lock ctx;
-        true)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Cna.try_acquire_for lock ctx ~deadline)
-      ~abortable:true
-      ~recover:(fun ctx -> Cna.Core.recover lock ctx)
-      ~is_free:(fun () -> Cna.is_free lock)
-      ()
-  | Adaptive { numa } ->
-    (* Morphing lock: three pre-created shapes sharing one lockdep class
-       (distinct instance ids), routed through Adaptive's mode word. The
-       NUMA shape reuses the RW-writer constituent builder, which is the
-       one that knows the composites' *dynamic* abortable/recoverable
-       capabilities. *)
-    (match numa with
-    | Cohort _ | Hmcs _ | Cna _ -> ()
-    | _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Lock.make: Adaptive's numa shape must be a NUMA composite \
-            (Cohort/Hmcs/Cna), not %s"
-           (algo_name numa)));
-    let vcls = Option.value vclass ~default:"adaptive" in
-    (* The test&set shape caps its backoff far below the standalone
-       Spin default: by construction it only ever serves light traffic
-       (contention promotes the lock away from it), and a tight cap is
-       what lets a saturated spin shape drain quickly after a morph —
-       with the 35us cap, the post-morph drain of a full complement of
-       backed-off waiters is as slow as the spin shape itself. *)
-    let ts =
-      packed_of_algo machine ~home ~vclass:vcls (Spin { max_backoff_us = 5.0 })
-    in
-    let queue = packed_of_algo machine ~home ~vclass:vcls Mcs_h1 in
-    let numa_p, numa_abortable, numa_recoverable =
-      rw_writer machine ~home ~topo numa ~vclass:vcls
-    in
-    let abortable =
-      Lock_core.p_abortable ts && Lock_core.p_abortable queue && numa_abortable
-    in
-    let recoverable =
-      Lock_core.p_recoverable ts
-      && Lock_core.p_recoverable queue
-      && numa_recoverable
-    in
-    let lock =
-      Adaptive.create ~home ~vclass:vcls ~name:(algo_name algo) ~topo
-        ~shapes:[| ts; queue; numa_p |]
-        ~abortable ~recoverable machine
-    in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Adaptive.acquire lock ctx)
-      ~release:(fun ctx -> Adaptive.release lock ctx)
-      ~try_acquire:(fun ctx -> Adaptive.try_acquire lock ctx)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Adaptive.try_acquire_for lock ctx ~deadline)
-      ~abortable
-      ?recover:
-        (if recoverable then Some (fun ctx -> Adaptive.recover lock ctx)
-         else None)
-      ~is_free:(fun () -> Adaptive.is_free lock)
-      ()
+    Lock_core.pack (module Cna.Core)
+      (Cna.create ?home ~threshold ?vclass ~topo machine)
   | Rw { writer; policy; centralised } ->
-    (* The uniform record is the *writer* face; workloads wanting the
-       reader side build the lock with [make_rw] instead. *)
-    let lock = make_rw machine ~home ?vclass ~topo ~policy ~centralised writer in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Rwlock.acquire lock ctx)
-      ~release:(fun ctx -> Rwlock.release lock ctx)
-      ~try_acquire:(fun ctx -> Rwlock.try_acquire lock ctx)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Rwlock.try_acquire_for lock ctx ~deadline)
-      ~abortable:(Rwlock.abortable lock)
-      ?recover:
-        (if Rwlock.recoverable lock then
-           Some (fun ctx -> Rwlock.recover lock ctx)
-         else None)
-      ~is_free:(fun () -> Rwlock.is_free lock)
-      ()
+    Lock_core.pack
+      (module Rwlock.Core)
+      (rwlock machine ?home ?vclass ~topo ~policy ~centralised writer)
+  | Adaptive { numa } ->
+    require (is_numa numa) ~role:"Adaptive's NUMA shape (Cohort, Hmcs or Cna)"
+      numa;
+    (* Three pre-created shapes sharing one lockdep class (distinct
+       instance ids), built in promotion order. *)
+    let vclass = Option.value vclass ~default:"adaptive" in
+    let shapes =
+      Array.map (build machine ?home ~vclass ~topo) (adaptive_shapes numa)
+    in
+    Lock_core.pack
+      (module Adaptive.Core)
+      (Adaptive.create ?home ~vclass ~topo ~shapes machine)
+
+(* The RW composite over a built writer constituent. *)
+and rwlock machine ?home ?vclass ~topo ~policy ~centralised writer =
+  require
+    (is_base writer || is_numa writer)
+    ~role:"an RW writer constituent" writer;
+  Rwlock.create ?home ?vclass ~policy ~centralised ~topo
+    ~writer:(fun ~vclass -> build machine ?home ~vclass ~topo writer)
+    machine
+
+(* The uniform record over a built instance: the one place [acquires]
+   counts completed blocking and timed acquisitions. *)
+let of_packed ~name (Lock_core.Packed ((module M), l)) =
+  let acquires = ref 0 in
+  {
+    name;
+    acquire =
+      (fun ctx ->
+        M.acquire l ctx;
+        incr acquires);
+    release = M.release l;
+    try_acquire = M.try_acquire l;
+    try_acquire_for =
+      (fun ctx ~deadline ->
+        let ok = M.try_acquire_for l ctx ~deadline in
+        if ok then incr acquires;
+        ok);
+    abortable = M.abortable l;
+    recover = M.recover l;
+    recoverable = M.recoverable l;
+    is_free = (fun () -> M.is_free l);
+    acquires;
+  }
+
+let topo_or_machine machine = function
+  | Some t -> t
+  | None -> Lock_core.topo_of_machine machine
+
+let make machine ?(home = 0) ?vclass ?topo = function
+  | Null -> null
+  | algo ->
+    of_packed ~name:(algo_name algo)
+      (build machine ~home ?vclass ~topo:(topo_or_machine machine topo) algo)
+
+(* The RW composite with both faces — workloads that want the reader side
+   use this directly; [make (Rw ...)] wraps the writer face. *)
+let make_rw machine ?home ?vclass ?topo ~policy ~centralised writer =
+  rwlock machine ?home ?vclass
+    ~topo:(topo_or_machine machine topo)
+    ~policy ~centralised writer
 
 (* Crash-tolerant acquire: poll in bounded slices so a dead holder is
    noticed and repaired instead of being waited on forever. Each slice is a
@@ -578,7 +405,6 @@ let rec space_words ?(n_clusters = 1) ~n_procs = function
        max, not the sum, is the footprint comparable with the static
        rows. *)
     1
-    + List.fold_left max 0
-        (List.map
-           (space_words ~n_clusters ~n_procs)
-           [ Spin { max_backoff_us = 5.0 }; Mcs_h1; numa ])
+    + Array.fold_left
+        (fun m a -> max m (space_words ~n_clusters ~n_procs a))
+        0 (adaptive_shapes numa)

@@ -1,7 +1,9 @@
 (** Uniform lock interface over every algorithm the paper compares.
 
     Workloads take a [t] and stay agnostic of the algorithm; [make] builds
-    one from an [algo] tag. *)
+    one from an [algo] tag. Every algorithm is constructed in one place,
+    {!build}, as a {!Lock_core.packed} instance that reports its own
+    capabilities; [t] is a thin record over it. *)
 
 open Hector
 
@@ -21,7 +23,7 @@ type t = {
           non-abortable algorithm this simply blocks, acquires, and
           returns [true].
 
-          Abortability matrix:
+          Abortability matrix (as each built instance reports it):
           - abortable: Spin, MCS (all variants), CLH, Anderson, HMCS,
             CNA, Null, any Cohort whose two constituents are both
             abortable, and any Adaptive whose NUMA shape is abortable
@@ -41,13 +43,15 @@ type t = {
           Recoverability matrix: every base and composite algorithm except
           [Spin_then_block] (blocked waiters are the scheduler's, beyond
           the lock's reach) and [Null]; a [Cohort] is recoverable iff both
-          constituents are, and an [Adaptive] iff its NUMA shape is.
+          constituents are abortable and recoverable (not over Ticket,
+          whose in-spin repair would release one constituent behind the
+          cohort's back), and an [Adaptive] iff its NUMA shape is.
           Ticket is recoverable despite being non-abortable — its waiters
           run the dead-holder check inside their own spin. *)
   recoverable : bool;
   is_free : unit -> bool;
   acquires : int ref;
-  wait_cycles : int ref;
+      (** Completed blocking and successful timed acquisitions. *)
 }
 
 type algo =
@@ -65,7 +69,7 @@ type algo =
       (** Lock cohorting: one [local] lock per cluster under one [global]
           lock; at most [max_handoffs] consecutive in-cluster hand-offs.
           Constituents must be base algorithms (not [Null], STB, or another
-          composite) — [make] raises [Invalid_argument] otherwise. *)
+          composite) — {!build} raises [Invalid_argument] otherwise. *)
   | Hmcs of { threshold : int }
       (** Hierarchical MCS: a two-level MCS tree, local queue per cluster
           plus a root queue over clusters. *)
@@ -85,7 +89,7 @@ type algo =
           (capped low so a post-morph drain hands off quickly),
           promotes to H1-MCS when the contended fraction of a sliding
           acquisition window crosses a threshold, promotes again to [numa]
-          (a NUMA composite: [Cohort], [Hmcs] or [Cna] — [make] raises
+          (a NUMA composite: [Cohort], [Hmcs] or [Cna] — {!build} raises
           [Invalid_argument] otherwise) when the remote-hand-off fraction
           crosses a second threshold, and demotes as traffic cools. All
           three shapes share one lockdep class; the morph protocol drains
@@ -116,11 +120,35 @@ val all_numa_algos : algo list
 (** The default morphing lock: test&set → H1-MCS → CNA. *)
 val adaptive : algo
 
-(** [vclass] names the lock-order class reported to an installed
-    {!Verify.t} checker; defaults to a per-algorithm class name. [topo] is
-    the cluster topology the NUMA-aware composites ([Cohort], [Hmcs],
-    [Cna]) are built against, defaulting to the machine's hardware
-    stations; base algorithms ignore it. *)
+(** Every fixed command-line spelling with its algorithm, aliases
+    included. *)
+val spellings : (string * algo) list
+
+(** [of_string s] parses a spelling (case-insensitive) or
+    [spin:<max-backoff-us>]. A spin cap below 1 µs, or not finite, is an
+    [Error], as is an unknown name (the message lists the spellings). *)
+val of_string : string -> (algo, string) result
+
+(** [build machine ~topo algo] constructs [algo] as a {!Lock_core.packed}
+    instance — the one constructor every other entry point goes through.
+    Composites build their constituents recursively; each leaf reports
+    under [vclass], defaulting to its own class name ("mcs", "spinlock",
+    "cohort", ...). Raises [Invalid_argument] for [Null] (use {!null}), for
+    [Mcs_cas] on a machine without compare&swap, and for a constituent in
+    a role it cannot take (see {!algo}). *)
+val build :
+  Machine.t ->
+  ?home:int ->
+  ?vclass:string ->
+  topo:Lock_core.topo ->
+  algo ->
+  Lock_core.packed
+
+(** {!build} wrapped in the uniform record named [algo_name algo];
+    [Null] gives {!null}. [vclass] names the lock-order class reported to
+    an installed {!Verify.t} checker. [topo] is the cluster topology the
+    NUMA-aware composites are built against, defaulting to the machine's
+    hardware stations; base algorithms ignore it. *)
 val make :
   Machine.t -> ?home:int -> ?vclass:string -> ?topo:Lock_core.topo -> algo -> t
 
@@ -144,9 +172,6 @@ val make_rw :
 (** A lock that does nothing; calibration probes use it to measure a path
     with locking subtracted. *)
 val null : t
-
-val of_spin : Spin_lock.t -> t
-val of_mcs : Mcs.t -> t
 
 (** Crash-tolerant acquire: timed-acquisition slices of [check_period]
     cycles (default 2000) with a dead-holder {!recover} between them, so a

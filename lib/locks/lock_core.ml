@@ -1,8 +1,8 @@
 (* First-class-module lock interface (see lock_core.mli).
 
-   The module types are the contract; the [packed] existential is the glue
-   that lets [Lock.make] pick constituent algorithms at runtime and hand
-   them to the cohort engine, which only ever sees OPS. *)
+   OPS is the contract; the [packed] existential is the glue that lets
+   [Lock.build] pick constituent algorithms at runtime and hand them to the
+   composites, which only ever see OPS. *)
 
 open Hector
 
@@ -22,14 +22,13 @@ let topo_of_machine machine =
 module type OPS = sig
   type t
 
-  val name : t -> string
   val acquire : t -> Ctx.t -> unit
   val release : t -> Ctx.t -> unit
   val try_acquire : t -> Ctx.t -> bool
   val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
-  val abortable : bool
+  val abortable : t -> bool
   val recover : t -> Ctx.t -> bool
-  val recoverable : bool
+  val recoverable : t -> bool
   val is_free : t -> bool
   val waiters : t -> bool
   val acquisitions : t -> int
@@ -37,19 +36,11 @@ module type OPS = sig
   val vid : t -> int
 end
 
-module type S = sig
-  include OPS
-
-  val algo : string
-  val create : ?home:int -> ?vclass:string -> Machine.t -> t
-end
-
 type packed = Packed : (module OPS with type t = 'a) * 'a -> packed
 
 let pack (type a) (module M : OPS with type t = a) (v : a) =
   Packed ((module M), v)
 
-let p_name (Packed ((module M), v)) = M.name v
 let p_acquire (Packed ((module M), v)) ctx = M.acquire v ctx
 let p_release (Packed ((module M), v)) ctx = M.release v ctx
 let p_try_acquire (Packed ((module M), v)) ctx = M.try_acquire v ctx
@@ -57,9 +48,9 @@ let p_try_acquire (Packed ((module M), v)) ctx = M.try_acquire v ctx
 let p_try_acquire_for (Packed ((module M), v)) ctx ~deadline =
   M.try_acquire_for v ctx ~deadline
 
-let p_abortable (Packed ((module M), _)) = M.abortable
+let p_abortable (Packed ((module M), v)) = M.abortable v
 let p_recover (Packed ((module M), v)) ctx = M.recover v ctx
-let p_recoverable (Packed ((module M), _)) = M.recoverable
+let p_recoverable (Packed ((module M), v)) = M.recoverable v
 let p_is_free (Packed ((module M), v)) = M.is_free v
 let p_waiters (Packed ((module M), v)) = M.waiters v
 let p_acquisitions (Packed ((module M), v)) = M.acquisitions v

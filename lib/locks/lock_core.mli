@@ -1,10 +1,12 @@
-(** The core lock-algorithm signature, as a first-class-module interface.
+(** The lock-algorithm interface, as a first-class-module signature.
 
-    Every base algorithm in [lib/locks] ([Spin_lock], [Mcs], [Clh],
-    [Ticket_lock], [Anderson_lock]) exposes a [Core] module implementing
-    {!S}; the NUMA-aware composites ({!Cohort}, and — natively — [Hmcs]
-    and [Cna]) are built against {!OPS}/{!S} rather than any concrete
-    lock, so any local lock can be paired with any global lock. *)
+    Every algorithm in [lib/locks] exposes a [Core] module implementing
+    {!OPS} over its instance type. [Lock.build] packs one per [Lock.algo]
+    and the composites ({!Cohort}, {!Rwlock}, {!Adaptive}) are assembled
+    from {!packed} constituents, so any local lock can be paired with any
+    global lock. Capabilities are asked of the instance, not the module: a
+    composite assembled at run time can only answer once it knows its
+    constituents. *)
 
 open Hector
 
@@ -26,8 +28,6 @@ val topo : n_clusters:int -> cluster_of:(int -> int) -> topo
 module type OPS = sig
   type t
 
-  val name : t -> string
-
   val acquire : t -> Ctx.t -> unit
   val release : t -> Ctx.t -> unit
 
@@ -40,14 +40,15 @@ module type OPS = sig
       lock, or — on an abortable algorithm — [false] with no residual
       effect on the lock once its abandoned node has been reclaimed by a
       later hand-off. An already-expired deadline ([deadline <= now]) must
-      fail without touching the lock. Non-abortable algorithms
-      ([abortable = false]) ignore the deadline: they block, acquire, and
+      fail without touching the lock. Non-abortable instances
+      ([abortable t = false]) ignore the deadline: they block, acquire, and
       return [true]. *)
   val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
 
-  (** Capability probe: [true] iff {!try_acquire_for} can actually fail
-      past the deadline rather than degenerate to a blocking acquire. *)
-  val abortable : bool
+  (** Capability probe: [true] iff {!try_acquire_for} on this instance can
+      actually fail past the deadline rather than degenerate to a blocking
+      acquire. A composite answers from its constituents. *)
+  val abortable : t -> bool
 
   (** Dead-holder recovery. If the current holder has fail-stopped
       ([Machine.proc_alive] is the detector — fail-stop crashes are
@@ -58,9 +59,9 @@ module type OPS = sig
       re-opens the normal hand-off path and the recoverer re-contends. *)
   val recover : t -> Ctx.t -> bool
 
-  (** Capability probe: [true] iff {!recover} can actually repair a dead
-      holder rather than being a constant [false]. *)
-  val recoverable : bool
+  (** Capability probe: [true] iff {!recover} on this instance can actually
+      repair a dead holder rather than being a constant [false]. *)
+  val recoverable : t -> bool
 
   (** Untimed, for assertions. *)
   val is_free : t -> bool
@@ -82,23 +83,12 @@ module type OPS = sig
   val vid : t -> int
 end
 
-(** A full algorithm: instance operations plus construction. *)
-module type S = sig
-  include OPS
-
-  (** Algorithm name, as shown in reports ("MCS", "CLH", ...). *)
-  val algo : string
-
-  val create : ?home:int -> ?vclass:string -> Machine.t -> t
-end
-
-(** A lock instance packed with its operations — the dynamic counterpart
-    of {!S}, letting [Lock.make] compose algorithms chosen at runtime. *)
+(** A lock instance packed with its operations, letting [Lock.build]
+    compose algorithms chosen at run time. *)
 type packed = Packed : (module OPS with type t = 'a) * 'a -> packed
 
 val pack : (module OPS with type t = 'a) -> 'a -> packed
 
-val p_name : packed -> string
 val p_acquire : packed -> Ctx.t -> unit
 val p_release : packed -> Ctx.t -> unit
 val p_try_acquire : packed -> Ctx.t -> bool

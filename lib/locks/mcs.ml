@@ -123,7 +123,6 @@ let create ?(variant = H2) ?(home = 0) ?(use_cas_release = false)
   }
 
 let variant t = t.variant
-let name t = variant_name t.variant
 let vclass t = t.vcls
 let acquisitions t = t.acquisitions
 let repairs t = t.repairs
@@ -493,42 +492,16 @@ let try_acquire_for t ctx ~deadline =
 module Core = struct
   type nonrec t = t
 
-  let algo = "MCS"
-  let name = name
-
-  let create ?(home = 0) ?(vclass = "mcs") machine =
-    create ~variant:H2 ~home ~vclass machine
-
   let acquire = acquire
   let release = release
   let try_acquire = try_acquire_v2
   let try_acquire_for = try_acquire_for
-  let abortable = true
+  let abortable _ = true
   let recover = recover
-  let recoverable = true
+  let recoverable _ = true
   let is_free = is_free
   let waiters t = t.holder <> nil && Cell.peek t.tail <> t.holder
   let acquisitions = acquisitions
   let vclass = vclass
   let vid t = t.vid
-end
-
-(* The H1 face, for compositions. H2's removed successor check means every
-   contended release runs the fetch&store repair, opening a short window in
-   which the tail reads nil and a re-enqueuing processor usurps the lock
-   past the whole queue. Stacked under a combinator whose release path has
-   a long deterministic stretch (a cohort's global hand-off), that window
-   resonates with the re-enqueue cadence and the usurped queue can starve.
-   H1 keeps the fetch&store-only discipline but hands off directly whenever
-   the successor link is visible, so a deep queue never opens the window. *)
-let create_h1 ?(home = 0) ?(vclass = "mcs") machine =
-  create ~variant:H1 ~home ~vclass machine
-
-module Core_h1 = struct
-  include Core
-
-  let algo = "H1-MCS"
-
-  (* [include Core] shadowed the variant-taking [create] above. *)
-  let create = create_h1
 end

@@ -36,7 +36,6 @@ val create :
   t
 
 val variant : t -> variant
-val name : t -> string
 
 val acquisitions : t -> int
 
@@ -63,16 +62,10 @@ val holder_proc : t -> int option
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit
 
-(** The {!Lock_core.S} view: H2 variant, TryLock v2. [waiters] is the
-    untimed tail-behind-holder hint cohort releases consult. *)
-module Core : Lock_core.S with type t = t
-
-(** {!Core} with the H1 variant: release checks the successor link before
-    the fetch&store, so a contended hand-off opens no repair window. Use
-    this face inside compositions — H2's per-release window resonates with
-    re-enqueue timing under a combinator's longer release path and can
-    starve the queue behind a repeating usurper. *)
-module Core_h1 : Lock_core.S with type t = t
+(** The {!Lock_core.OPS} view, any variant; [try_acquire] is TryLock v2.
+    [waiters] is the untimed tail-behind-holder hint cohort releases
+    consult. *)
+module Core : Lock_core.OPS with type t = t
 
 (** TryLock variant 1: fails only when the caller's own queue node is in
     use (i.e. the interrupt arrived on the lock holder's processor);

@@ -28,7 +28,6 @@ let policy_name = function
   | Writer_blocking -> "wb"
 
 type t = {
-  name : string;
   machine : Machine.t;
   topo : Lock_core.topo;
   policy : policy;
@@ -57,7 +56,7 @@ type t = {
 }
 
 (* Lowest processor of each cluster — the indicator homes (same convention
-   as [Cohort.create_packed]). *)
+   as [Cohort.create]). *)
 let cluster_homes machine topo =
   let n_clusters = topo.Lock_core.n_clusters in
   let homes = Array.make n_clusters (-1) in
@@ -75,8 +74,7 @@ let cluster_homes machine topo =
   homes
 
 let create ?home ?(vclass = "rwlock") ?(policy = Writer_blocking)
-    ?(centralised = false) ~name ~topo ~writer ?writer_abortable
-    ?writer_recoverable machine =
+    ?(centralised = false) ~topo ~writer machine =
   if not (Machine.config machine).Config.has_cas then
     invalid_arg "Rwlock.create: reader indicators need compare&swap";
   let homes = cluster_homes machine topo in
@@ -96,20 +94,13 @@ let create ?home ?(vclass = "rwlock") ?(policy = Writer_blocking)
     else Array.init topo.Lock_core.n_clusters Fun.id
   in
   {
-    name;
     machine;
     topo;
     policy;
     centralised;
     writer;
-    w_abortable =
-      (match writer_abortable with
-      | Some b -> b
-      | None -> Lock_core.p_abortable writer);
-    w_recoverable =
-      (match writer_recoverable with
-      | Some b -> b
-      | None -> Lock_core.p_recoverable writer);
+    w_abortable = Lock_core.p_abortable writer;
+    w_recoverable = Lock_core.p_recoverable writer;
     inds;
     ind_cluster;
     reader_inside = Array.make (Machine.n_procs machine) false;
@@ -130,7 +121,6 @@ let create ?home ?(vclass = "rwlock") ?(policy = Writer_blocking)
     vid = Verify.fresh_id ();
   }
 
-let name t = t.name
 let policy t = t.policy
 let centralised t = t.centralised
 let acquisitions t = t.acquisitions
@@ -518,3 +508,20 @@ let is_free t =
 
 let waiters t = Lock_core.p_waiters t.writer
 let readers t = Array.fold_left (fun n ind -> n + (Cell.peek ind asr 1)) 0 t.inds
+
+module Core = struct
+  type nonrec t = t
+
+  let acquire = acquire
+  let release = release
+  let try_acquire = try_acquire
+  let try_acquire_for = try_acquire_for
+  let abortable = abortable
+  let recover = recover
+  let recoverable = recoverable
+  let is_free = is_free
+  let waiters = waiters
+  let acquisitions = acquisitions
+  let vclass = vclass
+  let vid t = t.vid
+end

@@ -46,29 +46,23 @@ type policy =
 (** Short tag used in report names: ["rp"] / ["wb"]. *)
 val policy_name : policy -> string
 
-(** [create ~name ~topo ~writer machine] builds the lock; [writer] builds
-    the exclusive constituent (it receives [vclass ^ ".writer"]).
-    [centralised] collapses the indicators to a single word homed at
-    [home] — the baseline the per-cluster layout is measured against.
-    [writer_abortable]/[writer_recoverable] override the packed
-    constituent's static capability flags (a runtime-composed cohort's
-    packed view reports the module defaults, not the instance's).
-    Raises [Invalid_argument] without compare&swap or on a cluster with
+(** [create ~topo ~writer machine] builds the lock; [writer] builds
+    the exclusive constituent (it receives [vclass ^ ".writer"]), whose
+    instance capabilities become the writer face's ({!abortable},
+    {!recoverable}). [centralised] collapses the indicators to a single
+    word homed at [home] — the baseline the per-cluster layout is measured
+    against. Raises [Invalid_argument] without compare&swap or on a cluster with
     no processors. *)
 val create :
   ?home:int ->
   ?vclass:string ->
   ?policy:policy ->
   ?centralised:bool ->
-  name:string ->
   topo:Lock_core.topo ->
   writer:(vclass:string -> Lock_core.packed) ->
-  ?writer_abortable:bool ->
-  ?writer_recoverable:bool ->
   Machine.t ->
   t
 
-val name : t -> string
 val policy : t -> policy
 val centralised : t -> bool
 
@@ -163,3 +157,6 @@ val is_free : t -> bool
 val waiters : t -> bool
 val vclass : t -> Verify.lock_class
 val vclass_read : t -> Verify.lock_class
+
+(** The writer face as a {!Lock_core.OPS} instance. *)
+module Core : Lock_core.OPS with type t = t

@@ -156,20 +156,13 @@ let try_acquire_for t ctx ~deadline =
 module Core = struct
   type nonrec t = t
 
-  let algo = "Spin(35us)"
-  let name _ = algo
-
-  let create ?(home = 0) ?(vclass = "spinlock") machine =
-    let cfg = Machine.config machine in
-    create machine ~home ~vclass (Backoff.of_us cfg ~max_us:35.0 ())
-
   let acquire = acquire
   let release = release
   let try_acquire = try_acquire
   let try_acquire_for = try_acquire_for
-  let abortable = true
+  let abortable _ = true
   let recover = recover
-  let recoverable = true
+  let recoverable _ = true
   let is_free t = not (is_held t)
   let waiters _ = false
   let acquisitions = acquisitions

@@ -40,7 +40,6 @@ val try_acquire : t -> Ctx.t -> bool
     side-effect-free. *)
 val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
 
-(** The {!Lock_core.S} view: creation defaults to the paper's 35 us capped
-    backoff. [waiters] is conservatively false (a test&set lock cannot see
+(** The {!Lock_core.OPS} view. [waiters] is conservatively false (a test&set lock cannot see
     its backers-off), so cohorts over a spin local never pass locally. *)
-module Core : Lock_core.S with type t = t
+module Core : Lock_core.OPS with type t = t

@@ -127,3 +127,27 @@ let release t ctx =
     Engine.schedule_after (Machine.engine t.machine) ~delay:0 w.resume;
     Ctx.instr ctx ~br:1 ()
   end
+
+(* Blocking hands the processor to the scheduler: there is no waiter state
+   to retract and wakeup is the scheduler's promise, so the timed face
+   blocks; a dead holder's parked waiters are beyond the lock's reach. *)
+module Core = struct
+  type nonrec t = t
+
+  let acquire = acquire
+  let release = release
+  let try_acquire = try_acquire
+
+  let try_acquire_for t ctx ~deadline:_ =
+    acquire t ctx;
+    true
+
+  let abortable _ = false
+  let recover _ _ = false
+  let recoverable _ = false
+  let is_free t = not (is_held t)
+  let waiters t = not (Queue.is_empty t.waiters)
+  let acquisitions = acquisitions
+  let vclass t = t.vcls
+  let vid t = t.vid
+end

@@ -29,3 +29,7 @@ val release : t -> Ctx.t -> unit
 (** Single test&set attempt, never blocking; true if the lock was
     obtained. *)
 val try_acquire : t -> Ctx.t -> bool
+
+(** The {!Lock_core.OPS} view: neither abortable ([try_acquire_for]
+    blocks) nor recoverable. *)
+module Core : Lock_core.OPS with type t = t

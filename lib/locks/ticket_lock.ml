@@ -127,10 +127,6 @@ let acquire t ctx =
 module Core = struct
   type nonrec t = t
 
-  let algo = "Ticket"
-  let name _ = algo
-
-  let create ?(home = 0) ?(vclass = "ticket") machine = create ~home ~vclass machine
   let acquire = acquire
   let release = release
 
@@ -146,12 +142,12 @@ module Core = struct
     acquire t ctx;
     true
 
-  let abortable = false
+  let abortable _ = false
 
   (* Recoverable despite not being abortable: waiters recover in-spin (see
      [acquire]), and a detector can call [recover] directly. *)
   let recover = recover
-  let recoverable = true
+  let recoverable _ = true
   let is_free = is_free
 
   (* More than one ticket outstanding past the one being served. *)

@@ -14,5 +14,6 @@ val is_free : t -> bool
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit
 
-(** The {!Lock_core.S} view; [try_acquire] takes a ticket and waits. *)
-module Core : Lock_core.S with type t = t
+(** The {!Lock_core.OPS} view; [try_acquire] takes a ticket and waits, and
+    so does [try_acquire_for] (not abortable). *)
+module Core : Lock_core.OPS with type t = t

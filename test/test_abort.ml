@@ -13,23 +13,12 @@ open Hector
 open Locks
 open Workloads
 
-(* Every algorithm whose timed face can actually abandon (the composing
-   layer knows: [Lock.t.abortable]); built per-machine since abortability
-   is a static property of the algo. *)
+(* Every algorithm in the capability table whose built instance can
+   actually abandon ([Lock.t.abortable]): abortability is the instance's,
+   so a composite's depends on its constituents. Null is left out — it
+   excludes nobody, so there is no mutual exclusion to check. *)
 let abortable_algos =
-  [
-    Lock.Spin { max_backoff_us = 35.0 };
-    Lock.Mcs_original;
-    Lock.Mcs_h1;
-    Lock.Mcs_h2;
-    Lock.Mcs_cas;
-    Lock.Clh;
-    Lock.Anderson;
-  ]
-  @ Lock.all_numa_algos
-  (* The morphing lock rides along: every abandonment path must stay safe
-     across drains and mid-flight morphs. *)
-  @ [ Lock.adaptive ]
+  Test_lock_family.algos_where (fun l -> l.Lock.abortable && l != Lock.null)
 
 (* Drive [p] processors through a random mix of timed and untimed
    acquisitions. Timeouts are drawn from [0, timeout_cycles): zero-deadline

@@ -11,25 +11,12 @@ open Hkernel
 open Locks
 open Workloads
 
-(* Every algorithm whose dead holder can be recovered ([Lock.t.recoverable]):
-   the whole family except Spin_then_block (blocked waiters belong to the
-   scheduler) and Null. Ticket is here despite being non-abortable — its
-   waiters run the dead-holder check inside their own spin. *)
-let recoverable_algos =
-  [
-    Lock.Spin { max_backoff_us = 35.0 };
-    Lock.Mcs_original;
-    Lock.Mcs_h1;
-    Lock.Mcs_h2;
-    Lock.Mcs_cas;
-    Lock.Clh;
-    Lock.Ticket;
-    Lock.Anderson;
-  ]
-  @ Lock.all_numa_algos
-  (* The morphing lock rides along: a corpse may die inside any shape,
-     mid-drain, or between the mode-cell flip and its shape hand-off. *)
-  @ [ Lock.adaptive ]
+(* Every algorithm in the capability table whose built instance can repair
+   a dead holder ([Lock.t.recoverable]): the whole family except
+   Spin_then_block (blocked waiters belong to the scheduler) and Null.
+   Ticket is here despite being non-abortable — its waiters run the
+   dead-holder check inside their own spin. *)
+let recoverable_algos = Test_lock_family.algos_where (fun l -> l.Lock.recoverable)
 
 (* -- the fail-stop machinery ------------------------------------------------- *)
 

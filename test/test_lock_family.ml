@@ -120,6 +120,177 @@ let test_space_accounting () =
   Alcotest.(check int) "adaptive(cohort) = 1 + max(1, 33, 173)" 174
     (w4 (Lock.Adaptive { numa = Lock.c_mcs_mcs }))
 
+(* The capability table: every algorithm the CLI can name plus the
+   configurations the paper's figures and the composites' edge cases use,
+   each with the facts a built instance must report. The abort and crash
+   suites draw their algorithm lists from it. *)
+type row = {
+  algo : Lock.algo;
+  name : string;
+  abortable : bool;
+  recoverable : bool;
+  cas : bool;
+  words : int; (* space_words ~n_clusters:4 ~n_procs:16 *)
+}
+
+let row algo name ~abortable ~recoverable ~cas ~words =
+  { algo; name; abortable; recoverable; cas; words }
+
+let table =
+  let c_ticket =
+    Lock.Cohort
+      {
+        local = Lock.Ticket;
+        global = Lock.Ticket;
+        max_handoffs = Cohort.default_max_handoffs;
+      }
+  in
+  [
+    row (Lock.Spin { max_backoff_us = 35.0 }) "Spin(35us)" ~abortable:true
+      ~recoverable:true ~cas:false ~words:1;
+    row (Lock.Spin { max_backoff_us = 2000.0 }) "Spin(2ms)" ~abortable:true
+      ~recoverable:true ~cas:false ~words:1;
+    row Lock.Mcs_original "MCS" ~abortable:true ~recoverable:true ~cas:false
+      ~words:33;
+    row Lock.Mcs_h1 "H1-MCS" ~abortable:true ~recoverable:true ~cas:false
+      ~words:33;
+    row Lock.Mcs_h2 "H2-MCS" ~abortable:true ~recoverable:true ~cas:false
+      ~words:33;
+    row Lock.Mcs_cas "H2-MCS(cas)" ~abortable:true ~recoverable:true ~cas:true
+      ~words:33;
+    row Lock.Clh "CLH" ~abortable:true ~recoverable:true ~cas:false ~words:18;
+    (* A drawn ticket cannot be handed back, but waiters recover in-spin. *)
+    row Lock.Ticket "Ticket" ~abortable:false ~recoverable:true ~cas:true
+      ~words:2;
+    row Lock.Anderson "Anderson" ~abortable:true ~recoverable:true ~cas:true
+      ~words:17;
+    (* Blocked waiters are the scheduler's: neither capability. *)
+    row (Lock.Spin_then_block { spin_us = 5.0 }) "STB(5us)" ~abortable:false
+      ~recoverable:false ~cas:false ~words:1;
+    row Lock.Null "none" ~abortable:true ~recoverable:false ~cas:false ~words:0;
+    row Lock.c_mcs_mcs "C-H1-MCS-H1-MCS" ~abortable:true ~recoverable:true
+      ~cas:false ~words:173;
+    row Lock.hmcs "HMCS" ~abortable:true ~recoverable:true ~cas:false ~words:45;
+    row Lock.cna "CNA" ~abortable:true ~recoverable:true ~cas:false ~words:51;
+    row
+      (Lock.Rw
+         {
+           writer = Lock.c_mcs_mcs;
+           policy = Rwlock.Writer_blocking;
+           centralised = false;
+         })
+      "RW-C-H1-MCS-H1-MCS" ~abortable:true ~recoverable:true ~cas:true
+      ~words:177;
+    (* Unlike a cohort, an RW lock over Ticket stays recoverable: the
+       writer's in-spin repair hands the writer lock on and the next
+       writer's sweep owns the gates, so the crash property holds. *)
+    row
+      (Lock.Rw
+         {
+           writer = Lock.Ticket;
+           policy = Rwlock.Writer_blocking;
+           centralised = false;
+         })
+      "RW-Ticket" ~abortable:false ~recoverable:true ~cas:true ~words:6;
+    row Lock.adaptive "Adaptive(CNA)" ~abortable:true ~recoverable:true
+      ~cas:false ~words:52;
+    row (Lock.Adaptive { numa = Lock.c_mcs_mcs }) "Adaptive(C-H1-MCS-H1-MCS)"
+      ~abortable:true ~recoverable:true ~cas:false ~words:174;
+    row (Lock.Adaptive { numa = Lock.hmcs }) "Adaptive(HMCS)" ~abortable:true
+      ~recoverable:true ~cas:false ~words:46;
+    (* Capabilities belong to the instance: a non-abortable NUMA shape
+       makes the whole morphing lock non-abortable, and a cohort over
+       Ticket cannot be recovered (Ticket's in-spin repair would release
+       one constituent behind the cohort's back), so neither can this. *)
+    row (Lock.Adaptive { numa = c_ticket }) "Adaptive(C-Ticket-Ticket)"
+      ~abortable:false ~recoverable:false ~cas:true ~words:34;
+  ]
+
+(* Each row's algorithm built on a compare&swap machine. *)
+let built () =
+  let eng = Engine.create () in
+  let machine = Machine.create eng Config.numachine in
+  List.map (fun r -> (r, Lock.make machine r.algo)) table
+
+let algos_where p =
+  List.filter_map (fun (r, l) -> if p l then Some r.algo else None) (built ())
+
+let test_capability_table () =
+  List.iter
+    (fun (r, (l : Lock.t)) ->
+      let n = r.name in
+      Alcotest.(check string) (n ^ " algo_name") r.name (Lock.algo_name r.algo);
+      Alcotest.(check string) (n ^ " name") r.name l.Lock.name;
+      Alcotest.(check bool) (n ^ " abortable") r.abortable l.Lock.abortable;
+      Alcotest.(check bool) (n ^ " recoverable") r.recoverable l.Lock.recoverable;
+      Alcotest.(check bool) (n ^ " needs_cas") r.cas (Lock.needs_cas r.algo);
+      Alcotest.(check int) (n ^ " space_words") r.words
+        (Lock.space_words ~n_clusters:4 ~n_procs:16 r.algo);
+      Alcotest.(check bool) (n ^ " free when built") true (l.Lock.is_free ()))
+    (built ());
+  List.iter
+    (fun (s, a) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "spelling %S is in the table" s)
+        true
+        (List.exists (fun r -> r.algo = a) table))
+    Lock.spellings
+
+(* Each role check in [Lock.build]: a cohort takes base algorithms only,
+   an RW writer a base algorithm or a NUMA composite, Adaptive's top shape
+   a NUMA composite; [Null] has no instance to build. *)
+let test_invalid_constructions () =
+  let eng = Engine.create () in
+  let machine = Machine.create eng Config.numachine in
+  let cohort local =
+    Lock.Cohort { local; global = Lock.Mcs_h1; max_handoffs = 4 }
+  in
+  let rw writer =
+    Lock.Rw { writer; policy = Rwlock.Writer_blocking; centralised = false }
+  in
+  List.iter
+    (fun algo ->
+      Alcotest.(check bool)
+        (Lock.algo_name algo ^ " refused")
+        true
+        (match Lock.make machine algo with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [
+      cohort Lock.cna;
+      cohort Lock.Null;
+      cohort (Lock.Spin_then_block { spin_us = 5.0 });
+      rw Lock.adaptive;
+      rw Lock.Null;
+      rw (rw Lock.Mcs_h1);
+      Lock.Adaptive { numa = Lock.Mcs_h2 };
+      Lock.Adaptive { numa = Lock.adaptive };
+    ];
+  Alcotest.(check bool) "build Null refused" true
+    (match
+       Lock.build machine ~topo:(Lock_core.topo_of_machine machine) Lock.Null
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* [Lock.of_string] is the CLI's [--lock] parser: a spin cap under 1 us is
+   refused at parse time (a usage error) instead of raising from
+   [Backoff.create] once the run has started. *)
+let test_of_string () =
+  let parses s =
+    match Lock.of_string s with Ok a -> Some (Lock.algo_name a) | Error _ -> None
+  in
+  List.iter
+    (fun s -> Alcotest.(check (option string)) s None (parses s))
+    [ "spin:0"; "spin:-5"; "spin:0.3"; "spin:nan"; "spin:inf"; "bogus"; "" ];
+  Alcotest.(check (option string)) "spin:35" (Some "Spin(35us)") (parses "spin:35");
+  Alcotest.(check (option string)) "spin:1" (Some "Spin(1us)") (parses "spin:1");
+  Alcotest.(check (option string)) "case-insensitive" (Some "CNA") (parses "CNA");
+  List.iter
+    (fun (s, a) ->
+      Alcotest.(check (option string)) s (Some (Lock.algo_name a)) (parses s))
+    Lock.spellings
+
 let test_lock_family_via_uniform_interface () =
   let eng, machine, ctx = make_numa () in
   List.iter
@@ -181,6 +352,10 @@ let suite =
       test_anderson_mutual_exclusion;
     Alcotest.test_case "Anderson FIFO" `Quick test_anderson_fifo;
     Alcotest.test_case "lock space accounting" `Quick test_space_accounting;
+    Alcotest.test_case "capability table" `Quick test_capability_table;
+    Alcotest.test_case "--lock spellings and spin caps" `Quick test_of_string;
+    Alcotest.test_case "invalid constructions are refused" `Quick
+      test_invalid_constructions;
     Alcotest.test_case "ticket/Anderson/composites via Lock.make" `Quick
       test_lock_family_via_uniform_interface;
     Alcotest.test_case "CLASSES: four access classes" `Slow
