@@ -13,6 +13,18 @@ open Workloads
 
 let ppf = Format.std_formatter
 
+(* Every subcommand is built here. Its run is a thunk, and a configuration
+   the workload's validator refuses (an [Invalid_argument]) is a usage
+   error: the validator's message, exit 124. *)
+let cmd name ~doc term =
+  let checked run =
+    match run () with
+    | () -> Ok ()
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(term_result ~usage:true (const checked $ term))
+
 (* -- shared arguments ------------------------------------------------------ *)
 
 let algo_conv =
@@ -61,7 +73,7 @@ let clusters_arg =
 (* -- locks subcommand ------------------------------------------------------- *)
 
 let locks_cmd =
-  let run algo p hold_us window_us =
+  let run algo p hold_us window_us () =
     let r =
       Lock_stress.run
         ~config:{ Lock_stress.default_config with p; hold_us; window_us }
@@ -73,14 +85,13 @@ let locks_cmd =
       r.Lock_stress.acquisitions r.Lock_stress.lock_mem_utilization
       r.Lock_stress.atomics
   in
-  Cmd.v
-    (Cmd.info "locks" ~doc:"Stress one lock with P processors (Figure 5).")
+  cmd "locks" ~doc:"Stress one lock with P processors (Figure 5)."
     Term.(const run $ algo_arg $ procs_arg $ hold_arg 0.0 $ window_arg)
 
 (* -- faults subcommand ------------------------------------------------------ *)
 
 let faults_cmd =
-  let run algo p cluster_size shared seed =
+  let run algo p cluster_size shared seed () =
     if shared then begin
       let r =
         Shared_faults.run
@@ -124,15 +135,14 @@ let faults_cmd =
       & info [ "shared" ]
           ~doc:"Run the shared-fault test instead of the independent one.")
   in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:"Run a page-fault stress test on the simulated kernel (Figure 7).")
+  cmd "faults"
+    ~doc:"Run a page-fault stress test on the simulated kernel (Figure 7)."
     Term.(const run $ algo_arg $ procs_arg $ cluster_arg $ shared $ seed_arg)
 
 (* -- destroy subcommand ------------------------------------------------------ *)
 
 let destroy_cmd =
-  let run cluster_size pessimistic children =
+  let run cluster_size pessimistic children () =
     let strategy =
       if pessimistic then Hkernel.Procs.Pessimistic else Hkernel.Procs.Optimistic
     in
@@ -157,15 +167,14 @@ let destroy_cmd =
       value & opt int 8
       & info [ "children" ] ~docv:"N" ~doc:"Processes per program.")
   in
-  Cmd.v
-    (Cmd.info "destroy"
-       ~doc:"Program-destruction storm across clusters (Section 2.5).")
+  cmd "destroy"
+    ~doc:"Program-destruction storm across clusters (Section 2.5)."
     Term.(const run $ cluster_arg $ pessimistic $ children)
 
 (* -- sweep subcommand --------------------------------------------------------- *)
 
 let sweep_cmd =
-  let run algo shared sizes =
+  let run algo shared sizes () =
     Format.fprintf ppf "%-14s" "cluster";
     List.iter (fun c -> Format.fprintf ppf "%9d" c) sizes;
     Format.fprintf ppf "@.%-14s" (Locks.Lock.algo_name algo);
@@ -212,41 +221,22 @@ let sweep_cmd =
       & opt (list int) [ 1; 2; 4; 8; 16 ]
       & info [ "sizes" ] ~docv:"N,N,..." ~doc:"Cluster sizes to sweep.")
   in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Sweep the cluster size at p=16 (Figures 7c/7d).")
+  cmd "sweep"
+    ~doc:"Sweep the cluster size at p=16 (Figures 7c/7d)."
     Term.(const run $ algo_arg $ shared $ sizes)
 
 (* -- storm subcommand --------------------------------------------------------- *)
 
-let check_fault_config fc =
-  match Eventsim.Fault.validate fc with
-  | fc -> fc
-  | exception Invalid_argument msg ->
-    Format.eprintf "%s@." msg;
-    exit 2
-
 let storm_cmd =
-  let run mech_name p stall_every_us stall_us drop_rate delay_rate use_verify
-      seed =
-    let mech =
-      match String.lowercase_ascii mech_name with
-      | "no-timeout" | "none" -> Fault_storm.No_timeout
-      | "timeout" -> Fault_storm.Timeout
-      | "bounded-retry" | "bounded" -> Fault_storm.Bounded_retry
-      | other ->
-        Format.eprintf
-          "unknown mechanism %S (no-timeout | timeout | bounded-retry)@." other;
-        exit 2
-    in
+  let run mech p stall_every_us stall_us drop_rate delay_rate use_verify seed
+      () =
     let cfg = Hector.Config.hector in
     let fault =
       if stall_every_us <= 0.0 && drop_rate <= 0.0 && delay_rate <= 0.0 then
         None
       else
         Some
-          (check_fault_config
-          @@ {
+          {
             Eventsim.Fault.disabled with
             seed;
             stall_every =
@@ -260,7 +250,7 @@ let storm_cmd =
             reply_timeout =
               (if drop_rate > 0.0 then Hector.Config.cycles_of_us cfg 250.0
                else 0);
-          })
+          }
     in
     let verify =
       if not use_verify then None
@@ -306,10 +296,19 @@ let storm_cmd =
       end
   in
   let mech =
+    let mechs =
+      Fault_storm.
+        [
+          ("no-timeout", No_timeout); ("none", No_timeout);
+          ("timeout", Timeout); ("bounded-retry", Bounded_retry);
+          ("bounded", Bounded_retry);
+        ]
+    in
     Arg.(
-      value & opt string "timeout"
+      value
+      & opt (enum mechs) Fault_storm.Timeout
       & info [ "m"; "mechanism" ] ~docv:"MECH"
-          ~doc:"Recovery mechanism: no-timeout, timeout or bounded-retry.")
+          ~doc:("Recovery mechanism: " ^ doc_alts_enum mechs ^ "."))
   in
   let workers =
     Arg.(
@@ -347,11 +346,10 @@ let storm_cmd =
              $(b,--drop-rate) 0: reply-drop recovery re-executes services, \
              which the ownership checker reports.")
   in
-  Cmd.v
-    (Cmd.info "storm"
-       ~doc:
-         "Fault-injection storm: holder stalls, RPC loss/delay, and the \
-          timeout/bounded-retry recovery mechanisms.")
+  cmd "storm"
+    ~doc:
+      "Fault-injection storm: holder stalls, RPC loss/delay, and the \
+       timeout/bounded-retry recovery mechanisms."
     Term.(
       const run $ mech $ workers $ stall_every $ stall $ drop $ delay
       $ use_verify $ seed_arg)
@@ -362,7 +360,7 @@ let verify_cmd =
   let run () =
     let rows = Experiments.verify_suite () in
     Report.verify ppf rows;
-    if List.for_all (fun r -> r.Experiments.vok) rows then begin
+    if List.for_all (fun r -> r.Verify_probes.ok) rows then begin
       Format.fprintf ppf "verify: all probes behaved as planted@.";
       exit 0
     end
@@ -371,31 +369,29 @@ let verify_cmd =
       exit 1
     end
   in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Run the lockdep checker against the planted-violation probes \
-          (inverted lock order, leaked reserve bit, interrupt-context spin, \
-          stalled holder, true deadlock, plus a clean storm that must stay \
-          silent). Exits non-zero if any probe misbehaves.")
-    Term.(const run $ const ())
+  cmd "verify"
+    ~doc:
+      "Run the lockdep checker against the planted-violation probes \
+       (inverted lock order, leaked reserve bit, interrupt-context spin, \
+       stalled holder, true deadlock, plus a clean storm that must stay \
+       silent). Exits non-zero if any probe misbehaves."
+    Term.(const run)
 
 (* -- trace subcommand -------------------------------------------------------- *)
 
 let trace_cmd =
-  let run out p window_us stall_every_us capacity seed =
+  let run out p window_us stall_every_us capacity seed () =
     let cfg = Hector.Config.hector in
     let fault =
       if stall_every_us <= 0.0 then None
       else
         Some
-          (check_fault_config
-          @@ {
-               Eventsim.Fault.disabled with
-               seed;
-               stall_every = Hector.Config.cycles_of_us cfg stall_every_us;
-               stall_cycles = Hector.Config.cycles_of_us cfg 1000.0;
-             })
+          {
+            Eventsim.Fault.disabled with
+            seed;
+            stall_every = Hector.Config.cycles_of_us cfg stall_every_us;
+            stall_cycles = Hector.Config.cycles_of_us cfg 1000.0;
+          }
     in
     let obs =
       Obs.create ~trace:capacity
@@ -450,20 +446,19 @@ let trace_cmd =
       & info [ "trace-events" ] ~docv:"N"
           ~doc:"Ring capacity: keep the last N events.")
   in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a fault storm with the contention observer installed and \
-          export the event trace as Chrome trace-event JSON, plus the \
-          per-lock-class contention profile. Tracing is host-side only: the \
-          storm's simulated timing is identical with and without it.")
+  cmd "trace"
+    ~doc:
+      "Run a fault storm with the contention observer installed and \
+       export the event trace as Chrome trace-event JSON, plus the \
+       per-lock-class contention profile. Tracing is host-side only: the \
+       storm's simulated timing is identical with and without it."
     Term.(
       const run $ out $ workers $ window $ stall_every $ capacity $ seed_arg)
 
 (* -- numa subcommand --------------------------------------------------------- *)
 
 let numa_cmd =
-  let run algo clusters hold_us window_us =
+  let run algo clusters hold_us window_us () =
     let r =
       Numa_stress.run
         ~config:
@@ -476,28 +471,25 @@ let numa_cmd =
         algo
     in
     Format.fprintf ppf "%a@." Measure.pp r.Numa_stress.summary;
-    let total = r.Numa_stress.local_handoffs + r.Numa_stress.remote_handoffs in
     Format.fprintf ppf
       "acquisitions=%d handoffs=%d/%d local/remote (remote %.0f%%) \
        max-wait=%.1fus atomics=%d@."
       r.Numa_stress.acquisitions r.Numa_stress.local_handoffs
       r.Numa_stress.remote_handoffs
-      (if total = 0 then 0.0
-       else 100.0 *. float_of_int r.Numa_stress.remote_handoffs /. float_of_int total)
+      (100.0 *. Numa_stress.remote_frac r)
       r.Numa_stress.max_wait_us r.Numa_stress.atomics
   in
-  Cmd.v
-    (Cmd.info "numa"
-       ~doc:
-         "Cross-cluster lock stress: measures hand-off locality (local vs \
-          remote) and worst-case waits for one lock algorithm. Compare \
-          cohort/hmcs/cna against h2.")
+  cmd "numa"
+    ~doc:
+      "Cross-cluster lock stress: measures hand-off locality (local vs \
+       remote) and worst-case waits for one lock algorithm. Compare \
+       cohort/hmcs/cna against h2."
     Term.(const run $ algo_arg $ clusters_arg $ hold_arg 0.0 $ window_arg)
 
 (* -- abort subcommand --------------------------------------------------------- *)
 
 let abort_cmd =
-  let run algo clusters timeout_us stall_us window_us seed =
+  let run algo clusters timeout_us stall_us window_us seed () =
     let r =
       Abort_storm.run
         ~config:
@@ -534,13 +526,12 @@ let abort_cmd =
       & info [ "stall" ] ~docv:"US"
           ~doc:"How long the planted holder goes dark per stall.")
   in
-  Cmd.v
-    (Cmd.info "abort"
-       ~doc:
-         "Timed acquisition under a planted cross-cluster holder stall: \
-          every waiter attempts through the timed face and must return \
-          within a bounded overshoot of its deadline (experiment \
-          ABORT-STORM). Only abortable algorithms are accepted.")
+  cmd "abort"
+    ~doc:
+      "Timed acquisition under a planted cross-cluster holder stall: \
+       every waiter attempts through the timed face and must return \
+       within a bounded overshoot of its deadline (experiment \
+       ABORT-STORM). Only abortable algorithms are accepted."
     Term.(
       const run $ algo_arg $ clusters_arg $ timeout $ stall $ window_arg
       $ seed_arg)
@@ -548,7 +539,7 @@ let abort_cmd =
 (* -- crash subcommand --------------------------------------------------------- *)
 
 let crash_cmd =
-  let run algo clusters kills check_period_us hold_us window_us seed =
+  let run algo clusters kills check_period_us hold_us window_us seed () =
     let r =
       Crash_storm.run
         ~config:
@@ -587,13 +578,12 @@ let crash_cmd =
       & info [ "check-period" ] ~docv:"US"
           ~doc:"Recoverable-acquire slice (the dead-holder detector period).")
   in
-  Cmd.v
-    (Cmd.info "crash"
-       ~doc:
-         "Fail-stop crashes planted mid-critical-section: victims die \
-          holding the lock, survivors acquire through the recoverable face \
-          and force-release each orphaned hold (experiment CRASH-STORM). \
-          Only recoverable algorithms are accepted.")
+  cmd "crash"
+    ~doc:
+      "Fail-stop crashes planted mid-critical-section: victims die \
+       holding the lock, survivors acquire through the recoverable face \
+       and force-release each orphaned hold (experiment CRASH-STORM). \
+       Only recoverable algorithms are accepted."
     Term.(
       const run $ algo_arg $ clusters_arg $ kills $ check_period $ hold_arg 2.0
       $ window_arg $ seed_arg)
@@ -601,22 +591,18 @@ let crash_cmd =
 (* -- rw subcommand ------------------------------------------------------------ *)
 
 let rw_cmd =
-  let run algo style_name p clusters read_ratio ops reader_pref centralised
-      seed =
+  let run algo style p clusters read_ratio ops reader_pref centralised seed
+      () =
     let policy =
       if reader_pref then Locks.Rwlock.Reader_preference
       else Locks.Rwlock.Writer_blocking
     in
     let style =
-      match String.lowercase_ascii style_name with
-      | "mutex" -> Rw_scaling.Mutex algo
-      | "rw" -> Rw_scaling.Rw_lock { writer = algo; policy; centralised }
-      | "seqlock" -> Rw_scaling.Seqlock_style { writer = algo }
-      | "replicated" -> Rw_scaling.Replicated { writer = algo }
-      | other ->
-        Format.eprintf "unknown style %S (mutex | rw | seqlock | replicated)@."
-          other;
-        exit 2
+      match style with
+      | `Mutex -> Rw_scaling.Mutex algo
+      | `Rw -> Rw_scaling.Rw_lock { writer = algo; policy; centralised }
+      | `Seqlock -> Rw_scaling.Seqlock_style { writer = algo }
+      | `Replicated -> Rw_scaling.Replicated { writer = algo }
     in
     let r =
       Rw_scaling.run
@@ -645,7 +631,14 @@ let rw_cmd =
   in
   let style =
     Arg.(
-      value & opt string "rw"
+      value
+      & opt
+          (enum
+             [
+               ("mutex", `Mutex); ("rw", `Rw); ("seqlock", `Seqlock);
+               ("replicated", `Replicated);
+             ])
+          `Rw
       & info [ "style" ] ~docv:"STYLE"
           ~doc:
             "Read-path style: mutex (exclusive lock), rw (distributed RW \
@@ -689,13 +682,12 @@ let rw_cmd =
             "Home every reader indicator on one cluster (the layout \
              baseline) instead of distributing them.")
   in
-  Cmd.v
-    (Cmd.info "rw"
-       ~doc:
-         "Read-mostly lookups: distributed reader-writer lock vs seqlock vs \
-          per-cluster replication vs one exclusive lock (experiment \
-          RW-SCALING). Reports reader-parallelism peaks, remote read-path \
-          traffic, and lockdep violations (non-zero exit on any violation).")
+  cmd "rw"
+    ~doc:
+      "Read-mostly lookups: distributed reader-writer lock vs seqlock vs \
+       per-cluster replication vs one exclusive lock (experiment \
+       RW-SCALING). Reports reader-parallelism peaks, remote read-path \
+       traffic, and lockdep violations (non-zero exit on any violation)."
     Term.(
       const run $ algo_arg $ style $ procs $ clusters $ read_ratio $ ops
       $ reader_pref $ centralised $ seed_arg)
@@ -703,18 +695,7 @@ let rw_cmd =
 (* -- hash subcommand --------------------------------------------------------- *)
 
 let hash_cmd =
-  let run algo granularity_name p shards read_ratio locked churn seed =
-    let granularity =
-      match String.lowercase_ascii granularity_name with
-      | "hybrid" -> Hkernel.Khash.Hybrid
-      | "coarse" -> Hkernel.Khash.Coarse
-      | "fine" -> Hkernel.Khash.Fine
-      | "sharded" -> Hkernel.Khash.Sharded
-      | other ->
-        Format.eprintf
-          "unknown granularity %S (hybrid | coarse | fine | sharded)@." other;
-        exit 2
-    in
+  let run algo granularity p shards read_ratio locked churn seed () =
     let r =
       Hash_scaling.run
         ~config:
@@ -743,10 +724,16 @@ let hash_cmd =
       r.Hash_scaling.reserve_conflicts r.Hash_scaling.atomics
   in
   let granularity =
+    let gs =
+      List.map
+        (fun g -> (Hkernel.Khash.granularity_name g, g))
+        Hkernel.Khash.[ Hybrid; Coarse; Fine; Sharded ]
+    in
     Arg.(
-      value & opt string "sharded"
+      value
+      & opt (enum gs) Hkernel.Khash.Sharded
       & info [ "g"; "granularity" ] ~docv:"G"
-          ~doc:"Table granularity: hybrid, coarse, fine or sharded.")
+          ~doc:("Table granularity: " ^ doc_alts_enum gs ^ "."))
   in
   let procs =
     Arg.(
@@ -780,12 +767,11 @@ let hash_cmd =
             "Fraction of non-read operations that delete and re-insert \
              their key (chain mutations).")
   in
-  Cmd.v
-    (Cmd.info "hash"
-       ~doc:
-         "Read/update mix over one hash table: sharded granularity and the \
-          seqlock optimistic read path against the single-lock hybrid \
-          (experiment HASH-SCALING).")
+  cmd "hash"
+    ~doc:
+      "Read/update mix over one hash table: sharded granularity and the \
+       seqlock optimistic read path against the single-lock hybrid \
+       (experiment HASH-SCALING)."
     Term.(
       const run $ algo_arg $ granularity $ procs $ shards $ read_ratio
       $ locked $ churn $ seed_arg)
@@ -793,7 +779,7 @@ let hash_cmd =
 (* -- slo subcommand ----------------------------------------------------------- *)
 
 let slo_cmd =
-  let run algo p elements rate requests shards read_ratio work_us seed =
+  let run algo p elements rate requests shards read_ratio work_us seed () =
     let r =
       Slo_stream.run
         ~config:
@@ -869,14 +855,13 @@ let slo_cmd =
       & opt float Slo_stream.default_config.Slo_stream.element_work_us
       & info [ "work" ] ~docv:"US" ~doc:"Update work under the element, us.")
   in
-  Cmd.v
-    (Cmd.info "slo"
-       ~doc:
-         "Open-loop sustained-request stream over the sharded \
-          million-element table: exponential arrivals at a fixed offered \
-          rate, FIFO queueing behind a random server, \
-          arrival-to-completion p50/p99/p99.9 (experiment SLO). Exits \
-          non-zero on lockdep violations.")
+  cmd "slo"
+    ~doc:
+      "Open-loop sustained-request stream over the sharded \
+       million-element table: exponential arrivals at a fixed offered \
+       rate, FIFO queueing behind a random server, \
+       arrival-to-completion p50/p99/p99.9 (experiment SLO). Exits \
+       non-zero on lockdep violations."
     Term.(
       const run $ algo_arg $ procs $ elements $ rate $ requests $ shards
       $ read_ratio $ work_us $ seed_arg)
@@ -884,7 +869,7 @@ let slo_cmd =
 (* -- adaptive subcommand ------------------------------------------------------ *)
 
 let adaptive_cmd =
-  let run algo p_hot p_cold clusters phase_us hold_us seed =
+  let run algo p_hot p_cold clusters phase_us hold_us seed () =
     let r =
       Diurnal.run
         ~config:
@@ -943,13 +928,12 @@ let adaptive_cmd =
       & info [ "phase" ] ~docv:"US"
           ~doc:"Length of each of the three plateaus in us.")
   in
-  Cmd.v
-    (Cmd.info "adaptive"
-       ~doc:
-         "The diurnal load cycle: load ramps cold -> hot -> cold and the \
-          morphing lock promotes test&set -> MCS -> NUMA composite as the \
-          peak arrives, then demotes as traffic cools (experiment \
-          ADAPTIVE). Exits non-zero on lockdep violations.")
+  cmd "adaptive"
+    ~doc:
+      "The diurnal load cycle: load ramps cold -> hot -> cold and the \
+       morphing lock promotes test&set -> MCS -> NUMA composite as the \
+       peak arrives, then demotes as traffic cools (experiment \
+       ADAPTIVE). Exits non-zero on lockdep violations."
     Term.(
       const run $ algo $ p_hot $ p_cold $ clusters $ phase $ hold_arg 1.5
       $ seed_arg)
@@ -957,12 +941,8 @@ let adaptive_cmd =
 (* -- figure subcommand -------------------------------------------------------- *)
 
 let figure_cmd =
-  let run name =
-    match Registry.find name with
-    | e -> List.iter (Registry.print ppf) (Registry.run [ e ])
-    | exception Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
+  let run name () =
+    List.iter (Registry.print ppf) (Registry.run [ Registry.find name ])
   in
   let name_arg =
     Arg.(
@@ -974,11 +954,10 @@ let figure_cmd =
             ^ String.concat ", " (List.map Registry.name Registry.all)
             ^ "."))
   in
-  Cmd.v
-    (Cmd.info "figure"
-       ~doc:
-         "Regenerate one of the paper's tables/figures or one experiment, \
-          exactly as the benchmark harness prints it.")
+  cmd "figure"
+    ~doc:
+      "Regenerate one of the paper's tables/figures or one experiment, \
+       exactly as the benchmark harness prints it."
     Term.(const run $ name_arg)
 
 let main_cmd =

@@ -18,7 +18,7 @@ let default_names =
     (fun e -> if Registry.exported e then Some (Registry.name e) else None)
     Registry.all
 
-let document ?cfg ?procs ?sizes ?iters ?rounds ?(jobs = 1) ~names () =
+let document ?knobs ?(jobs = 1) ~names () =
   let names = if names = [] then default_names else names in
   (* Resolve every name first so an unknown one fails before any cell has
      burned simulation time. *)
@@ -38,12 +38,11 @@ let document ?cfg ?procs ?sizes ?iters ?rounds ?(jobs = 1) ~names () =
                (String.concat ", " default_names)))
       names
   in
-  let knobs = { Registry.cfg; procs; sizes; iters; rounds } in
   let experiments =
     List.map2
       (fun n o -> (n, Option.get (Registry.json o)))
       names
-      (Registry.run ~jobs ~knobs entries)
+      (Registry.run ~jobs ?knobs entries)
   in
   Json.Obj
     [

@@ -85,8 +85,6 @@
     schema test re-runs an experiment and compares the parsed file against
     it. *)
 
-open Hector
-
 val schema_version : int
 
 (** ["fig4"; "uncontended"; "fig5a"; "fig5b"; "starvation"; "fig7a"-"d";
@@ -96,19 +94,15 @@ val schema_version : int
 val default_names : string list
 
 (** Build the document for the named experiments (unknown names raise
-    [Invalid_argument]). The sweep knobs ([procs]/[sizes]/[iters]/[rounds])
-    default to the paper's full settings; tests and CI pass reduced ones
-    through the same code path. [jobs] runs the independent experiment
+    [Invalid_argument]). [knobs] defaults to {!Registry.full}, the paper's
+    full settings; tests and CI pass reduced ones through the same code
+    path. [jobs] runs the independent experiment
     cells on that many OCaml domains via {!Par.map}; the document is
     byte-identical to a [jobs = 1] run (each cell owns its Engine, Machine
     and seeded Rng, and fragments are reassembled in the sequential
     order). *)
 val document :
-  ?cfg:Config.t ->
-  ?procs:int list ->
-  ?sizes:int list ->
-  ?iters:int ->
-  ?rounds:int ->
+  ?knobs:Registry.knobs ->
   ?jobs:int ->
   names:string list ->
   unit ->

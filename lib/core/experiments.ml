@@ -432,47 +432,9 @@ let fault_matrix ?(cfg = Config.hector)
 
 (* -- VERIFY: the lockdep checker against planted violations -------------------- *)
 
-type verify_row = {
-  vprobe : Verify_probes.probe;
-  vexpected : string; (* expected violation kind, "none" for the clean run *)
-  vviolations : int;
-  vhits : int; (* violations of the expected kind *)
-  vaborted : bool; (* run terminated by the watchdog raising *)
-  vok : bool;
-  vfirst : string; (* first violation recorded, for display *)
-}
-
-let verify_suite () =
-  List.map
-    (fun (r : Verify_probes.result) ->
-      {
-        vprobe = r.Verify_probes.probe;
-        vexpected =
-          (match r.Verify_probes.expected with
-          | None -> "none"
-          | Some k -> Verify.kind_name k);
-        vviolations = r.Verify_probes.violations;
-        vhits = r.Verify_probes.hits;
-        vaborted = r.Verify_probes.aborted;
-        vok = r.Verify_probes.ok;
-        vfirst = r.Verify_probes.first;
-      })
-    (Verify_probes.run_all ())
+let verify_suite = Verify_probes.run_all
 
 (* -- NUMA-LOCKS: cross-cluster contention, composites vs flat MCS ---------- *)
-
-type numa_point = {
-  nalgo : Lock.algo;
-  nclusters : int;
-  nhold_us : float;
-  nmean_us : float;
-  np99_us : float;
-  nacqs : int;
-  nlocal : int; (* contended hand-offs inside a cluster *)
-  nremote : int; (* contended hand-offs across clusters *)
-  nremote_frac : float; (* nremote / (nlocal + nremote); 0 if none *)
-  nmax_wait_us : float;
-}
 
 let numa_algos = Lock.Mcs_h2 :: Lock.all_numa_algos
 
@@ -484,54 +446,20 @@ let numa_algos = Lock.Mcs_h2 :: Lock.all_numa_algos
 let numa_locks ?(cfg = Config.hector) ?(clusters = [ 1; 2; 4 ])
     ?(holds_us = [ 0.0; 10.0 ]) ?(algos = numa_algos) () =
   List.concat_map
-    (fun nalgo ->
+    (fun algo ->
       List.concat_map
         (fun n_clusters ->
           List.map
             (fun hold_us ->
-              let r =
-                Numa_stress.run ~cfg
-                  ~config:
-                    { Numa_stress.default_config with n_clusters; hold_us }
-                  nalgo
+              let config =
+                { Numa_stress.default_config with n_clusters; hold_us }
               in
-              let local = r.Numa_stress.local_handoffs in
-              let remote = r.Numa_stress.remote_handoffs in
-              let total = local + remote in
-              {
-                nalgo;
-                nclusters = n_clusters;
-                nhold_us = hold_us;
-                nmean_us = r.Numa_stress.summary.Measure.mean_us;
-                np99_us = r.Numa_stress.summary.Measure.p99_us;
-                nacqs = r.Numa_stress.acquisitions;
-                nlocal = local;
-                nremote = remote;
-                nremote_frac =
-                  (if total = 0 then 0.0
-                   else float_of_int remote /. float_of_int total);
-                nmax_wait_us = r.Numa_stress.max_wait_us;
-              })
+              (algo, config, Numa_stress.run ~cfg ~config algo))
             holds_us)
         clusters)
     algos
 
 (* -- HASH-SCALING: sharded table + optimistic reads ------------------------- *)
-
-type hash_point = {
-  hgran : Hkernel.Khash.granularity;
-  hshards : int; (* 1 for Hybrid *)
-  hoptimistic : bool;
-  hp : int;
-  hread_ratio : float;
-  hread_mean_us : float; (* lookup latency *)
-  hread_p99_us : float;
-  hupdate_mean_us : float; (* with_element latency, element work excluded *)
-  hthroughput : float; (* completed ops per virtual millisecond *)
-  hopt_hits : int;
-  hopt_fallbacks : int;
-  hatomics : int;
-}
 
 (* The single-lock hybrid against the sharded table at several shard
    counts, with the seqlock read path off and on, sweeping concurrency and
@@ -544,33 +472,17 @@ let hash_procs = [ 4; 8; 16 ]
 let hash_scaling ?(cfg = Config.hector) ?(procs = hash_procs)
     ?(read_ratios = [ 0.5; 0.9 ]) ?(shard_counts = [ 2; 4; 8 ]) () =
   let point ~p ~read_ratio ~granularity ~shards ~optimistic =
-    let r =
-      Hash_scaling.run ~cfg
-        ~config:
-          {
-            Hash_scaling.default_config with
-            p;
-            read_ratio;
-            granularity;
-            shards;
-            optimistic;
-          }
-        ()
+    let config =
+      {
+        Hash_scaling.default_config with
+        p;
+        read_ratio;
+        granularity;
+        shards;
+        optimistic;
+      }
     in
-    {
-      hgran = granularity;
-      hshards = r.Hash_scaling.shards;
-      hoptimistic = optimistic;
-      hp = p;
-      hread_ratio = read_ratio;
-      hread_mean_us = r.Hash_scaling.read_summary.Measure.mean_us;
-      hread_p99_us = r.Hash_scaling.read_summary.Measure.p99_us;
-      hupdate_mean_us = r.Hash_scaling.update_summary.Measure.mean_us;
-      hthroughput = r.Hash_scaling.throughput_ops_ms;
-      hopt_hits = r.Hash_scaling.optimistic_hits;
-      hopt_fallbacks = r.Hash_scaling.optimistic_fallbacks;
-      hatomics = r.Hash_scaling.atomics;
-    }
+    (config, Hash_scaling.run ~cfg ~config ())
   in
   List.concat_map
     (fun p ->
@@ -619,26 +531,8 @@ let obs_profile ?(cfg = Config.hector) ?(mechanism = Fault_storm.Timeout) () =
   in
   { obs_rows = Obs.profile_rows obs; obs_storm = storm }
 
-(* -- ABORT-STORM: timed abandonment under a planted holder stall ------------ *)
 
-type abort_point = {
-  aalgo : Lock.algo;
-  aattempts : int;
-  aacqs : int;
-  aaborts : int;
-  afast_fails : int;
-  astalls : int;
-  aover_mean_us : float; (* waited-out expiries: return minus deadline *)
-  aover_p99_us : float;
-  aover_max_us : float;
-  abound_ratio : float; (* worst (return - issue) / timeout *)
-  arecovery_mean_us : float; (* stall release to next timed acquisition *)
-  arecovery_max_us : float;
-  aobs_aborts : int; (* observer-counted, cohort constituents included *)
-  aobs_repairs : int;
-  aremote_aborts : int; (* aborts outside the staller's cluster *)
-  afinal_free : bool;
-}
+(* -- ABORT-STORM: timed abandonment under a planted holder stall ------------ *)
 
 (* Each abortable algorithm — flat MCS and the three NUMA composites —
    under the same planted cross-cluster holder stall. The bound_ratio
@@ -647,50 +541,9 @@ type abort_point = {
    ridden out the whole stall; remote aborts > 0 shows waiters expired at
    every level of the composite, not just beside the holder. *)
 let abort_storm ?(cfg = Config.hector) ?(algos = numa_algos) () =
-  List.map
-    (fun aalgo ->
-      let r = Abort_storm.run ~cfg aalgo in
-      {
-        aalgo;
-        aattempts = r.Abort_storm.attempts;
-        aacqs = r.Abort_storm.acquisitions;
-        aaborts = r.Abort_storm.aborts;
-        afast_fails = r.Abort_storm.fast_fails;
-        astalls = r.Abort_storm.stalls;
-        aover_mean_us = r.Abort_storm.overshoot.Measure.mean_us;
-        aover_p99_us = r.Abort_storm.overshoot.Measure.p99_us;
-        aover_max_us = r.Abort_storm.max_overshoot_us;
-        abound_ratio = r.Abort_storm.bound_ratio;
-        arecovery_mean_us = r.Abort_storm.recovery.Measure.mean_us;
-        arecovery_max_us = r.Abort_storm.recovery.Measure.max_us;
-        aobs_aborts = r.Abort_storm.obs_aborts;
-        aobs_repairs = r.Abort_storm.obs_repairs;
-        aremote_aborts = r.Abort_storm.remote_aborts;
-        afinal_free = r.Abort_storm.final_free;
-      })
-    algos
+  List.map (Abort_storm.run ~cfg) algos
 
 (* -- RW-SCALING: read-mostly lookups, reader parallelism --------------------- *)
-
-type rw_point = {
-  rstyle : Rw_scaling.style;
-  rstyle_name : string;
-  rread_ratio : float;
-  rclusters : int;
-  rp : int;
-  rread_mean_us : float;
-  rread_p99_us : float;
-  rread_p999_us : float;
-  rwrite_mean_us : float;
-  rthroughput : float; (* all completed ops per virtual ms *)
-  rread_throughput : float;
-  rreads : int;
-  rwrites : int;
-  rpeak_readers : int;
-  rread_remote : int;
-  rseq_aborts : int;
-  rlockdep_violations : int;
-}
 
 (* The read-mostly candidates, one per strategy family: the exclusive-lock
    baseline every writer-serialising algorithm is stuck at, the RW lock
@@ -720,64 +573,26 @@ let rw_scaling ?(cfg = Config.hector) ?(styles = rw_styles)
     ?(ratios = [ 0.95; 0.99; 0.999 ]) ?(clusters = [ 1; 2; 4 ]) ?(ops = 200)
     () =
   List.concat_map
-    (fun rstyle ->
+    (fun style ->
       List.concat_map
-        (fun rread_ratio ->
+        (fun read_ratio ->
           List.map
-            (fun rclusters ->
-              let r =
-                Rw_scaling.run ~cfg
-                  ~config:
-                    {
-                      Rw_scaling.default_config with
-                      Rw_scaling.style = rstyle;
-                      read_ratio = rread_ratio;
-                      n_clusters = rclusters;
-                      ops;
-                    }
-                  ()
-              in
-              {
-                rstyle;
-                rstyle_name = r.Rw_scaling.style_name;
-                rread_ratio;
-                rclusters;
-                rp = r.Rw_scaling.p;
-                rread_mean_us = r.Rw_scaling.read_summary.Measure.mean_us;
-                rread_p99_us = r.Rw_scaling.read_summary.Measure.p99_us;
-                rread_p999_us = r.Rw_scaling.read_summary.Measure.p999_us;
-                rwrite_mean_us = r.Rw_scaling.write_summary.Measure.mean_us;
-                rthroughput = r.Rw_scaling.throughput_ops_ms;
-                rread_throughput = r.Rw_scaling.read_throughput_ops_ms;
-                rreads = r.Rw_scaling.reads_done;
-                rwrites = r.Rw_scaling.writes_done;
-                rpeak_readers = r.Rw_scaling.peak_readers;
-                rread_remote = r.Rw_scaling.read_remote;
-                rseq_aborts = r.Rw_scaling.seq_aborts;
-                rlockdep_violations = r.Rw_scaling.lockdep_violations;
-              })
+            (fun n_clusters ->
+              Rw_scaling.run ~cfg
+                ~config:
+                  {
+                    Rw_scaling.default_config with
+                    Rw_scaling.style;
+                    read_ratio;
+                    n_clusters;
+                    ops;
+                  }
+                ())
             clusters)
         ratios)
     styles
 
 (* -- CRASH-STORM: fail-stop mid-CS kills, crash-recoverable locking --------- *)
-
-type crash_point = {
-  calgo : Lock.algo;
-  ckills : int;
-  cacqs : int;
-  cobs_crashes : int;
-  cobs_recoveries : int; (* forced releases, cohort constituents included *)
-  clockdep_recoveries : int;
-  clockdep_violations : int;
-  crec_mean_us : float; (* kill to forced release *)
-  crec_p99_us : float;
-  crec_max_us : float;
-  crec_n : int;
-  cclusters_hit : int; (* clusters with at least one recovery sample *)
-  cworst_cluster_p99_us : float;
-  cfinal_free : bool;
-}
 
 (* Representative flat queue locks (MCS, CLH, and the non-abortable Ticket,
    whose waiters recover in-spin) plus the NUMA composites — each under the
@@ -785,48 +600,9 @@ type crash_point = {
 let crash_algos = Lock.Mcs_h2 :: Lock.Clh :: Lock.Ticket :: Lock.all_numa_algos
 
 let crash_storm ?(cfg = Config.hector) ?(algos = crash_algos) () =
-  List.map
-    (fun calgo ->
-      let r = Crash_storm.run ~cfg calgo in
-      let worst =
-        List.fold_left
-          (fun acc (_, s) -> Float.max acc s.Measure.p99_us)
-          0.0 r.Crash_storm.by_cluster
-      in
-      {
-        calgo;
-        ckills = r.Crash_storm.kills;
-        cacqs = r.Crash_storm.acquisitions;
-        cobs_crashes = r.Crash_storm.obs_crashes;
-        cobs_recoveries = r.Crash_storm.obs_recoveries;
-        clockdep_recoveries = r.Crash_storm.lockdep_recoveries;
-        clockdep_violations = r.Crash_storm.lockdep_violations;
-        crec_mean_us = r.Crash_storm.recovery.Measure.mean_us;
-        crec_p99_us = r.Crash_storm.recovery.Measure.p99_us;
-        crec_max_us = r.Crash_storm.recovery.Measure.max_us;
-        crec_n = r.Crash_storm.recovery.Measure.n;
-        cclusters_hit = List.length r.Crash_storm.by_cluster;
-        cworst_cluster_p99_us = worst;
-        cfinal_free = r.Crash_storm.final_free;
-      })
-    algos
+  List.map (Crash_storm.run ~cfg) algos
 
 (* -- SLO: open-loop sustained-request stream -------------------------------- *)
-
-type slo_point = {
-  srate : float; (* offered requests per virtual ms *)
-  sp : int;
-  selements : int;
-  sshards : int;
-  scompleted : int;
-  sachieved : float; (* completed requests per virtual ms *)
-  sread : Measure.summary; (* arrival-to-completion, reads *)
-  supdate : Measure.summary;
-  speak_backlog : int;
-  sopt_hits : int;
-  sopt_fallbacks : int;
-  sviolations : int; (* must be 0 *)
-}
 
 (* Offered-load sweep: comfortable, near the knee, and past it — the top
    rate exceeds the measured table capacity (~300 requests/ms for the
@@ -839,50 +615,19 @@ let slo ?(cfg = Config.hector) ?(rates = slo_rates)
     ?(elements = Slo_stream.default_config.Slo_stream.elements)
     ?(requests = Slo_stream.default_config.Slo_stream.requests) () =
   List.map
-    (fun rate ->
-      let r =
-        Slo_stream.run ~cfg
-          ~config:
-            {
-              Slo_stream.default_config with
-              Slo_stream.rate_per_ms = rate;
-              elements;
-              requests;
-            }
-          ()
+    (fun rate_per_ms ->
+      let config =
+        {
+          Slo_stream.default_config with
+          Slo_stream.rate_per_ms;
+          elements;
+          requests;
+        }
       in
-      {
-        srate = rate;
-        sp = Slo_stream.default_config.Slo_stream.p;
-        selements = elements;
-        sshards = Slo_stream.default_config.Slo_stream.shards;
-        scompleted = r.Slo_stream.completed;
-        sachieved = r.Slo_stream.achieved_per_ms;
-        sread = r.Slo_stream.read_summary;
-        supdate = r.Slo_stream.update_summary;
-        speak_backlog = r.Slo_stream.peak_backlog;
-        sopt_hits = r.Slo_stream.optimistic_hits;
-        sopt_fallbacks = r.Slo_stream.optimistic_fallbacks;
-        sviolations = r.Slo_stream.lockdep_violations;
-      })
+      (config, Slo_stream.run ~cfg ~config ()))
     rates
 
 (* -- ADAPTIVE: lock morphing over the diurnal load cycle -------------------- *)
-
-type adaptive_point = {
-  dalgo : Lock.algo;
-  dname : string;
-  dcold1_ops : int;
-  dhot_ops : int;
-  dcold2_ops : int;
-  dcold_throughput : float; (* ops per virtual ms, both cold plateaus *)
-  dhot_throughput : float;
-  dmorphs_up : int; (* observer-counted; 0 for the static shapes *)
-  dmorphs_down : int;
-  dfinal_shape : int;
-  dfinal_free : bool;
-  dviolations : int; (* must be 0 *)
-}
 
 (* The static field the morphing lock is raced against: the cold-phase
    favourite (test&set), both flat MCS hybrids, all three NUMA
@@ -896,24 +641,8 @@ let adaptive_algos =
 
 let adaptive ?(cfg = Config.hector) ?(algos = adaptive_algos) () =
   List.map
-    (fun dalgo ->
-      let r =
-        Diurnal.run ~cfg
-          ~config:{ Diurnal.default_config with Diurnal.algo = dalgo }
-          ()
-      in
-      {
-        dalgo;
-        dname = r.Diurnal.algo_name;
-        dcold1_ops = r.Diurnal.cold1_ops;
-        dhot_ops = r.Diurnal.hot_ops;
-        dcold2_ops = r.Diurnal.cold2_ops;
-        dcold_throughput = r.Diurnal.cold_throughput_ops_ms;
-        dhot_throughput = r.Diurnal.hot_throughput_ops_ms;
-        dmorphs_up = r.Diurnal.morphs_up;
-        dmorphs_down = r.Diurnal.morphs_down;
-        dfinal_shape = r.Diurnal.final_shape;
-        dfinal_free = r.Diurnal.final_free;
-        dviolations = r.Diurnal.lockdep_violations;
-      })
+    (fun algo ->
+      Diurnal.run ~cfg
+        ~config:{ Diurnal.default_config with Diurnal.algo }
+        ())
     algos

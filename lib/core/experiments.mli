@@ -1,7 +1,11 @@
 (** One runner per table/figure of the paper's evaluation, plus the
     ablations in DESIGN.md. Shared by the benchmark harness
     ([bench/main.exe]), the CLI ([bin/hurricane_sim]) and the claim-level
-    regression tests. *)
+    regression tests. The extension runners (VERIFY, NUMA-LOCKS,
+    HASH-SCALING, ABORT-STORM, RW-SCALING, CRASH-STORM, SLO, ADAPTIVE)
+    return their workload's own [result], paired with its [config] where
+    the result does not carry the row's sweep coordinates; the fields are
+    documented once, on the workload's interface. *)
 
 open Hector
 open Locks
@@ -218,37 +222,12 @@ val fault_matrix :
     probes: every deliberately wrong workload must be caught (the two
     watchdog probes by aborting an otherwise-endless run), and the clean
     storm must record nothing. *)
-
-type verify_row = {
-  vprobe : Verify_probes.probe;
-  vexpected : string;  (** expected violation kind, "none" for clean *)
-  vviolations : int;
-  vhits : int;  (** violations of the expected kind *)
-  vaborted : bool;  (** run terminated by the watchdog raising *)
-  vok : bool;
-  vfirst : string;  (** first violation recorded, for display *)
-}
-
-val verify_suite : unit -> verify_row list
+val verify_suite : unit -> Verify_probes.result list
 
 (** NUMA-LOCKS — cross-cluster contention: flat MCS against the NUMA-aware
     composites (C-MCS-MCS cohort, HMCS, CNA), sweeping cluster count and
-    hold time on 16 processors. [nremote_frac] is the fraction of
-    contended hand-offs that crossed a cluster boundary — the composites'
-    figure of merit. *)
-
-type numa_point = {
-  nalgo : Lock.algo;
-  nclusters : int;
-  nhold_us : float;
-  nmean_us : float;
-  np99_us : float;
-  nacqs : int;
-  nlocal : int;  (** contended hand-offs inside a cluster *)
-  nremote : int;  (** contended hand-offs across clusters *)
-  nremote_frac : float;  (** nremote / (nlocal + nremote); 0 if none *)
-  nmax_wait_us : float;
-}
+    hold time on 16 processors. One row per (algorithm, clusters, hold);
+    the composites' figure of merit is {!Workloads.Numa_stress.remote_frac}. *)
 
 (** The algorithms NUMA-LOCKS compares: flat H2-MCS plus the composites. *)
 val numa_algos : Lock.algo list
@@ -259,26 +238,11 @@ val numa_locks :
   ?holds_us:float list ->
   ?algos:Lock.algo list ->
   unit ->
-  numa_point list
+  (Lock.algo * Numa_stress.config * Numa_stress.result) list
 
 (** HASH-SCALING — the sharded hash table: single-lock Hybrid against
     [Sharded] at several shard counts, optimistic seqlock reads off/on,
-    sweeping concurrency and read mix. *)
-
-type hash_point = {
-  hgran : Hkernel.Khash.granularity;
-  hshards : int;  (** 1 for Hybrid *)
-  hoptimistic : bool;
-  hp : int;
-  hread_ratio : float;
-  hread_mean_us : float;  (** lookup latency *)
-  hread_p99_us : float;
-  hupdate_mean_us : float;  (** update latency, element work excluded *)
-  hthroughput : float;  (** completed ops per virtual millisecond *)
-  hopt_hits : int;
-  hopt_fallbacks : int;
-  hatomics : int;
-}
+    sweeping concurrency and read mix. One row per configuration. *)
 
 (** The processor counts HASH-SCALING sweeps (its outermost axis). *)
 val hash_procs : int list
@@ -289,7 +253,7 @@ val hash_scaling :
   ?read_ratios:float list ->
   ?shard_counts:int list ->
   unit ->
-  hash_point list
+  (Hash_scaling.config * Hash_scaling.result) list
 
 (** OBS — the contention profile ({!Obs}) of a dosed fault storm: which
     lock class, on which cluster (station), burned the waiting cycles. *)
@@ -302,62 +266,19 @@ val obs_profile :
 (** ABORT-STORM — timed acquisition under a planted cross-cluster holder
     stall ({!Workloads.Abort_storm}): flat MCS and the NUMA composites,
     each with a holder that goes dark far longer than any waiter's
-    deadline. [abound_ratio] is the acceptance bound — the worst
+    deadline. The acceptance bound is [bound_ratio], the worst
     return-time-to-timeout multiple over every expired attempt; remote
     aborts show waiters expiring at every level of the composite. *)
-
-type abort_point = {
-  aalgo : Lock.algo;
-  aattempts : int;
-  aacqs : int;
-  aaborts : int;
-  afast_fails : int;
-      (** refused instantly: an earlier expiry's abandoned node was still
-          enqueued awaiting repair *)
-  astalls : int;
-  aover_mean_us : float;  (** waited-out expiries: return minus deadline *)
-  aover_p99_us : float;
-  aover_max_us : float;
-  abound_ratio : float;  (** worst (return − issue) / timeout *)
-  arecovery_mean_us : float;
-      (** stall release to next successful timed acquisition *)
-  arecovery_max_us : float;
-  aobs_aborts : int;  (** observer-counted, cohort constituents included *)
-  aobs_repairs : int;
-  aremote_aborts : int;  (** aborts outside the staller's cluster *)
-  afinal_free : bool;  (** lock free after the final untimed drain *)
-}
-
 val abort_storm :
-  ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> abort_point list
+  ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> Abort_storm.result list
 
 (** RW-SCALING — read-mostly page-descriptor lookups
     ({!Workloads.Rw_scaling}): the exclusive-lock baseline against the
     distributed RW lock (plus its centralised-indicator comparator), the
     seqlock optimistic path and per-cluster replication, sweeping read
-    ratio and cluster count. [rpeak_readers] > 1 is the reader-parallelism
-    evidence; [rread_remote] = 0 the distributed layout's locality
+    ratio and cluster count. [peak_readers] > 1 is the reader-parallelism
+    evidence; [read_remote] = 0 the distributed layout's locality
     evidence. *)
-
-type rw_point = {
-  rstyle : Rw_scaling.style;
-  rstyle_name : string;
-  rread_ratio : float;
-  rclusters : int;
-  rp : int;
-  rread_mean_us : float;
-  rread_p99_us : float;
-  rread_p999_us : float;
-  rwrite_mean_us : float;
-  rthroughput : float;  (** all completed ops per virtual ms *)
-  rread_throughput : float;
-  rreads : int;
-  rwrites : int;
-  rpeak_readers : int;
-  rread_remote : int;
-  rseq_aborts : int;
-  rlockdep_violations : int;  (** must be 0 *)
-}
 
 (** The candidate styles RW-SCALING compares. *)
 val rw_styles : Rw_scaling.style list
@@ -369,7 +290,7 @@ val rw_scaling :
   ?clusters:int list ->
   ?ops:int ->
   unit ->
-  rw_point list
+  Rw_scaling.result list
 
 (** CRASH-STORM — fail-stop processor crashes planted mid-critical-section
     ({!Workloads.Crash_storm}): representative flat queue locks and the
@@ -379,51 +300,18 @@ val rw_scaling :
     every forced release as a recovery transfer, zero violations) and the
     kill-to-forced-release latency distribution, worst cluster included. *)
 
-type crash_point = {
-  calgo : Lock.algo;
-  ckills : int;
-  cacqs : int;  (** successful worker acquisitions around the kills *)
-  cobs_crashes : int;
-  cobs_recoveries : int;
-      (** forced releases, cohort constituents included *)
-  clockdep_recoveries : int;  (** checker-legalised recovery transfers *)
-  clockdep_violations : int;  (** must be 0 *)
-  crec_mean_us : float;  (** kill to forced release *)
-  crec_p99_us : float;
-  crec_max_us : float;
-  crec_n : int;
-  cclusters_hit : int;  (** clusters with at least one recovery sample *)
-  cworst_cluster_p99_us : float;
-  cfinal_free : bool;  (** lock free after the surviving-processor drain *)
-}
-
 (** The algorithms CRASH-STORM kills and recovers. *)
 val crash_algos : Lock.algo list
 
 val crash_storm :
-  ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> crash_point list
+  ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> Crash_storm.result list
 
 (** SLO — open-loop sustained-request stream over the sharded
     million-element table ({!Workloads.Slo_stream}): exponential arrivals
     at a fixed offered rate, FIFO queueing behind a random server,
-    arrival-to-completion latency with p50/p99/p99.9 tails. One point per
+    arrival-to-completion latency with p50/p99/p99.9 tails. One row per
     offered rate; the top rate sits past the knee so the tails visibly
     leave the service time while the stream still drains. *)
-
-type slo_point = {
-  srate : float;  (** offered requests per virtual ms *)
-  sp : int;
-  selements : int;
-  sshards : int;
-  scompleted : int;
-  sachieved : float;  (** completed requests per virtual ms *)
-  sread : Measure.summary;  (** arrival-to-completion, reads *)
-  supdate : Measure.summary;
-  speak_backlog : int;
-  sopt_hits : int;
-  sopt_fallbacks : int;
-  sviolations : int;  (** must be 0 *)
-}
 
 (** The offered-load sweep the SLO experiment runs. *)
 val slo_rates : float list
@@ -434,28 +322,13 @@ val slo :
   ?elements:int ->
   ?requests:int ->
   unit ->
-  slo_point list
+  (Slo_stream.config * Slo_stream.result) list
 
 (** ADAPTIVE — lock morphing over the diurnal load cycle
     ({!Workloads.Diurnal}): load ramps cold → hot → cold; no static shape
     wins both phases, while the morphing {!Locks.Lock.Adaptive} lock
-    tracks the per-phase winner. One point per algorithm raced over the
+    tracks the per-phase winner. One row per algorithm raced over the
     identical cycle. *)
-
-type adaptive_point = {
-  dalgo : Lock.algo;
-  dname : string;
-  dcold1_ops : int;
-  dhot_ops : int;
-  dcold2_ops : int;
-  dcold_throughput : float;  (** ops per virtual ms, both cold plateaus *)
-  dhot_throughput : float;
-  dmorphs_up : int;  (** observer-counted promotions; 0 for static shapes *)
-  dmorphs_down : int;
-  dfinal_shape : int;
-  dfinal_free : bool;
-  dviolations : int;  (** must be 0 *)
-}
 
 (** The algorithms the ADAPTIVE experiment races: the morphing lock's own
     three shapes (test&set, H1-MCS, CNA) plus H2-MCS, the cohort composite
@@ -464,4 +337,4 @@ type adaptive_point = {
 val adaptive_algos : Lock.algo list
 
 val adaptive :
-  ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> adaptive_point list
+  ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> Diurnal.result list

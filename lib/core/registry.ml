@@ -173,138 +173,138 @@ let constants_json (r : Calibration.result) =
     ]
 
 let numa_locks_json =
-  rows (fun (r : Experiments.numa_point) ->
+  rows (fun (algo, (c : Numa_stress.config), (r : Numa_stress.result)) ->
       Json.Obj
         [
-          ("algo", Json.String (Lock.algo_name r.Experiments.nalgo));
-          ("clusters", Json.Int r.Experiments.nclusters);
-          ("hold_us", Json.Float r.Experiments.nhold_us);
-          ("mean_us", Json.Float r.Experiments.nmean_us);
-          ("p99_us", Json.Float r.Experiments.np99_us);
-          ("acquisitions", Json.Int r.Experiments.nacqs);
-          ("local_handoffs", Json.Int r.Experiments.nlocal);
-          ("remote_handoffs", Json.Int r.Experiments.nremote);
-          ("remote_frac", Json.Float r.Experiments.nremote_frac);
-          ("max_wait_us", Json.Float r.Experiments.nmax_wait_us);
+          ("algo", Json.String (Lock.algo_name algo));
+          ("clusters", Json.Int c.n_clusters);
+          ("hold_us", Json.Float c.hold_us);
+          ("mean_us", Json.Float r.summary.Measure.mean_us);
+          ("p99_us", Json.Float r.summary.Measure.p99_us);
+          ("acquisitions", Json.Int r.acquisitions);
+          ("local_handoffs", Json.Int r.local_handoffs);
+          ("remote_handoffs", Json.Int r.remote_handoffs);
+          ("remote_frac", Json.Float (Numa_stress.remote_frac r));
+          ("max_wait_us", Json.Float r.max_wait_us);
         ])
 
 let hash_scaling_json =
-  rows (fun (r : Experiments.hash_point) ->
+  rows (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
       Json.Obj
         [
           ("granularity",
-           Json.String (Hkernel.Khash.granularity_name r.Experiments.hgran));
-          ("shards", Json.Int r.Experiments.hshards);
-          ("optimistic", Json.Bool r.Experiments.hoptimistic);
-          ("p", Json.Int r.Experiments.hp);
-          ("read_ratio", Json.Float r.Experiments.hread_ratio);
-          ("read_mean_us", Json.Float r.Experiments.hread_mean_us);
-          ("read_p99_us", Json.Float r.Experiments.hread_p99_us);
-          ("update_mean_us", Json.Float r.Experiments.hupdate_mean_us);
-          ("throughput_ops_ms", Json.Float r.Experiments.hthroughput);
-          ("optimistic_hits", Json.Int r.Experiments.hopt_hits);
-          ("optimistic_fallbacks", Json.Int r.Experiments.hopt_fallbacks);
-          ("atomics", Json.Int r.Experiments.hatomics);
+           Json.String (Hkernel.Khash.granularity_name r.granularity));
+          ("shards", Json.Int r.shards);
+          ("optimistic", Json.Bool r.optimistic);
+          ("p", Json.Int c.p);
+          ("read_ratio", Json.Float c.read_ratio);
+          ("read_mean_us", Json.Float r.read_summary.Measure.mean_us);
+          ("read_p99_us", Json.Float r.read_summary.Measure.p99_us);
+          ("update_mean_us", Json.Float r.update_summary.Measure.mean_us);
+          ("throughput_ops_ms", Json.Float r.throughput_ops_ms);
+          ("optimistic_hits", Json.Int r.optimistic_hits);
+          ("optimistic_fallbacks", Json.Int r.optimistic_fallbacks);
+          ("atomics", Json.Int r.atomics);
         ])
 
 let abort_storm_json =
-  rows (fun (r : Experiments.abort_point) ->
+  rows (fun (r : Abort_storm.result) ->
       Json.Obj
         [
-          ("algo", Json.String (Lock.algo_name r.Experiments.aalgo));
-          ("attempts", Json.Int r.Experiments.aattempts);
-          ("acquisitions", Json.Int r.Experiments.aacqs);
-          ("aborts", Json.Int r.Experiments.aaborts);
-          ("fast_fails", Json.Int r.Experiments.afast_fails);
-          ("stalls", Json.Int r.Experiments.astalls);
-          ("overshoot_mean_us", Json.Float r.Experiments.aover_mean_us);
-          ("overshoot_p99_us", Json.Float r.Experiments.aover_p99_us);
-          ("overshoot_max_us", Json.Float r.Experiments.aover_max_us);
-          ("bound_ratio", Json.Float r.Experiments.abound_ratio);
-          ("recovery_mean_us", Json.Float r.Experiments.arecovery_mean_us);
-          ("recovery_max_us", Json.Float r.Experiments.arecovery_max_us);
-          ("obs_aborts", Json.Int r.Experiments.aobs_aborts);
-          ("obs_repairs", Json.Int r.Experiments.aobs_repairs);
-          ("remote_aborts", Json.Int r.Experiments.aremote_aborts);
-          ("final_free", Json.Bool r.Experiments.afinal_free);
+          ("algo", Json.String (Lock.algo_name r.algo));
+          ("attempts", Json.Int r.attempts);
+          ("acquisitions", Json.Int r.acquisitions);
+          ("aborts", Json.Int r.aborts);
+          ("fast_fails", Json.Int r.fast_fails);
+          ("stalls", Json.Int r.stalls);
+          ("overshoot_mean_us", Json.Float r.overshoot.Measure.mean_us);
+          ("overshoot_p99_us", Json.Float r.overshoot.Measure.p99_us);
+          ("overshoot_max_us", Json.Float r.max_overshoot_us);
+          ("bound_ratio", Json.Float r.bound_ratio);
+          ("recovery_mean_us", Json.Float r.recovery.Measure.mean_us);
+          ("recovery_max_us", Json.Float r.recovery.Measure.max_us);
+          ("obs_aborts", Json.Int r.obs_aborts);
+          ("obs_repairs", Json.Int r.obs_repairs);
+          ("remote_aborts", Json.Int r.remote_aborts);
+          ("final_free", Json.Bool r.final_free);
         ])
 
 let crash_storm_json =
-  rows (fun (r : Experiments.crash_point) ->
+  rows (fun (r : Crash_storm.result) ->
       Json.Obj
         [
-          ("algo", Json.String (Lock.algo_name r.Experiments.calgo));
-          ("kills", Json.Int r.Experiments.ckills);
-          ("acquisitions", Json.Int r.Experiments.cacqs);
-          ("obs_crashes", Json.Int r.Experiments.cobs_crashes);
-          ("obs_recoveries", Json.Int r.Experiments.cobs_recoveries);
-          ("lockdep_recoveries", Json.Int r.Experiments.clockdep_recoveries);
-          ("lockdep_violations", Json.Int r.Experiments.clockdep_violations);
-          ("recovery_mean_us", Json.Float r.Experiments.crec_mean_us);
-          ("recovery_p99_us", Json.Float r.Experiments.crec_p99_us);
-          ("recovery_max_us", Json.Float r.Experiments.crec_max_us);
-          ("recovery_n", Json.Int r.Experiments.crec_n);
-          ("clusters_hit", Json.Int r.Experiments.cclusters_hit);
+          ("algo", Json.String (Lock.algo_name r.algo));
+          ("kills", Json.Int r.kills);
+          ("acquisitions", Json.Int r.acquisitions);
+          ("obs_crashes", Json.Int r.obs_crashes);
+          ("obs_recoveries", Json.Int r.obs_recoveries);
+          ("lockdep_recoveries", Json.Int r.lockdep_recoveries);
+          ("lockdep_violations", Json.Int r.lockdep_violations);
+          ("recovery_mean_us", Json.Float r.recovery.Measure.mean_us);
+          ("recovery_p99_us", Json.Float r.recovery.Measure.p99_us);
+          ("recovery_max_us", Json.Float r.recovery.Measure.max_us);
+          ("recovery_n", Json.Int r.recovery.Measure.n);
+          ("clusters_hit", Json.Int (Crash_storm.clusters_hit r));
           ("worst_cluster_p99_us",
-           Json.Float r.Experiments.cworst_cluster_p99_us);
-          ("final_free", Json.Bool r.Experiments.cfinal_free);
+           Json.Float (Crash_storm.worst_cluster_p99_us r));
+          ("final_free", Json.Bool r.final_free);
         ])
 
 let rw_scaling_json =
-  rows (fun (r : Experiments.rw_point) ->
+  rows (fun (r : Rw_scaling.result) ->
       Json.Obj
         [
-          ("style", Json.String r.Experiments.rstyle_name);
-          ("read_ratio", Json.Float r.Experiments.rread_ratio);
-          ("clusters", Json.Int r.Experiments.rclusters);
-          ("p", Json.Int r.Experiments.rp);
-          ("read_mean_us", Json.Float r.Experiments.rread_mean_us);
-          ("read_p99_us", Json.Float r.Experiments.rread_p99_us);
-          ("read_p999_us", Json.Float r.Experiments.rread_p999_us);
-          ("write_mean_us", Json.Float r.Experiments.rwrite_mean_us);
-          ("throughput_ops_ms", Json.Float r.Experiments.rthroughput);
-          ("read_throughput_ops_ms", Json.Float r.Experiments.rread_throughput);
-          ("reads", Json.Int r.Experiments.rreads);
-          ("writes", Json.Int r.Experiments.rwrites);
-          ("peak_readers", Json.Int r.Experiments.rpeak_readers);
-          ("read_remote", Json.Int r.Experiments.rread_remote);
-          ("seq_aborts", Json.Int r.Experiments.rseq_aborts);
-          ("lockdep_violations", Json.Int r.Experiments.rlockdep_violations);
+          ("style", Json.String r.style_name);
+          ("read_ratio", Json.Float r.read_ratio);
+          ("clusters", Json.Int r.n_clusters);
+          ("p", Json.Int r.p);
+          ("read_mean_us", Json.Float r.read_summary.Measure.mean_us);
+          ("read_p99_us", Json.Float r.read_summary.Measure.p99_us);
+          ("read_p999_us", Json.Float r.read_summary.Measure.p999_us);
+          ("write_mean_us", Json.Float r.write_summary.Measure.mean_us);
+          ("throughput_ops_ms", Json.Float r.throughput_ops_ms);
+          ("read_throughput_ops_ms", Json.Float r.read_throughput_ops_ms);
+          ("reads", Json.Int r.reads_done);
+          ("writes", Json.Int r.writes_done);
+          ("peak_readers", Json.Int r.peak_readers);
+          ("read_remote", Json.Int r.read_remote);
+          ("seq_aborts", Json.Int r.seq_aborts);
+          ("lockdep_violations", Json.Int r.lockdep_violations);
         ])
 
 let slo_json =
-  rows (fun (r : Experiments.slo_point) ->
+  rows (fun ((c : Slo_stream.config), (r : Slo_stream.result)) ->
       Json.Obj
         [
-          ("offered_per_ms", Json.Float r.Experiments.srate);
-          ("p", Json.Int r.Experiments.sp);
-          ("elements", Json.Int r.Experiments.selements);
-          ("shards", Json.Int r.Experiments.sshards);
-          ("completed", Json.Int r.Experiments.scompleted);
-          ("achieved_per_ms", Json.Float r.Experiments.sachieved);
-          ("read", Json.Obj (summary_fields r.Experiments.sread));
-          ("update", Json.Obj (summary_fields r.Experiments.supdate));
-          ("peak_backlog", Json.Int r.Experiments.speak_backlog);
-          ("optimistic_hits", Json.Int r.Experiments.sopt_hits);
-          ("optimistic_fallbacks", Json.Int r.Experiments.sopt_fallbacks);
-          ("lockdep_violations", Json.Int r.Experiments.sviolations);
+          ("offered_per_ms", Json.Float c.rate_per_ms);
+          ("p", Json.Int c.p);
+          ("elements", Json.Int c.elements);
+          ("shards", Json.Int c.shards);
+          ("completed", Json.Int r.completed);
+          ("achieved_per_ms", Json.Float r.achieved_per_ms);
+          ("read", Json.Obj (summary_fields r.read_summary));
+          ("update", Json.Obj (summary_fields r.update_summary));
+          ("peak_backlog", Json.Int r.peak_backlog);
+          ("optimistic_hits", Json.Int r.optimistic_hits);
+          ("optimistic_fallbacks", Json.Int r.optimistic_fallbacks);
+          ("lockdep_violations", Json.Int r.lockdep_violations);
         ])
 
 let adaptive_json =
-  rows (fun (r : Experiments.adaptive_point) ->
+  rows (fun (r : Diurnal.result) ->
       Json.Obj
         [
-          ("lock", Json.String r.Experiments.dname);
-          ("cold1_ops", Json.Int r.Experiments.dcold1_ops);
-          ("hot_ops", Json.Int r.Experiments.dhot_ops);
-          ("cold2_ops", Json.Int r.Experiments.dcold2_ops);
-          ("cold_throughput_ops_ms", Json.Float r.Experiments.dcold_throughput);
-          ("hot_throughput_ops_ms", Json.Float r.Experiments.dhot_throughput);
-          ("morphs_up", Json.Int r.Experiments.dmorphs_up);
-          ("morphs_down", Json.Int r.Experiments.dmorphs_down);
-          ("final_shape", Json.Int r.Experiments.dfinal_shape);
-          ("final_free", Json.Bool r.Experiments.dfinal_free);
-          ("lockdep_violations", Json.Int r.Experiments.dviolations);
+          ("lock", Json.String r.algo_name);
+          ("cold1_ops", Json.Int r.cold1_ops);
+          ("hot_ops", Json.Int r.hot_ops);
+          ("cold2_ops", Json.Int r.cold2_ops);
+          ("cold_throughput_ops_ms", Json.Float r.cold_throughput_ops_ms);
+          ("hot_throughput_ops_ms", Json.Float r.hot_throughput_ops_ms);
+          ("morphs_up", Json.Int r.morphs_up);
+          ("morphs_down", Json.Int r.morphs_down);
+          ("final_shape", Json.Int r.final_shape);
+          ("final_free", Json.Bool r.final_free);
+          ("lockdep_violations", Json.Int r.lockdep_violations);
         ])
 
 (* -- the entries ----------------------------------------------------------- *)

@@ -324,22 +324,21 @@ let verify ppf rows =
   Format.fprintf ppf "%-16s %-18s %6s %6s %8s %6s@." "probe" "expected"
     "total" "hits" "aborted" "ok";
   List.iter
-    (fun (r : Experiments.verify_row) ->
+    (fun (r : Verify_probes.result) ->
       Format.fprintf ppf "%-16s %-18s %6d %6d %8s %6s@."
-        (Verify_probes.probe_name r.Experiments.vprobe)
-        r.Experiments.vexpected r.Experiments.vviolations r.Experiments.vhits
-        (if r.Experiments.vaborted then "yes" else "no")
-        (if r.Experiments.vok then "ok" else "FAIL"))
+        (Verify_probes.probe_name r.probe)
+        (Verify_probes.expected_name r) r.violations r.hits
+        (if r.aborted then "yes" else "no")
+        (if r.ok then "ok" else "FAIL"))
     rows;
   List.iter
-    (fun (r : Experiments.verify_row) ->
-      if r.Experiments.vfirst <> "" then
+    (fun (r : Verify_probes.result) ->
+      if r.first <> "" then
         Format.fprintf ppf "  %-16s %s@."
-          (Verify_probes.probe_name r.Experiments.vprobe)
-          r.Experiments.vfirst)
+          (Verify_probes.probe_name r.probe) r.first)
     rows
 
-let numa_locks ppf (rows : Experiments.numa_point list) =
+let numa_locks ppf rows =
   section ppf "NUMA-LOCKS - cross-cluster contention (cohort/HMCS/CNA vs MCS)"
     "16 processors hammer one lock, partitioned into clusters; NUMA-aware \
      locks hand off within a cluster when they can, so the fraction of \
@@ -349,16 +348,15 @@ let numa_locks ppf (rows : Experiments.numa_point list) =
     "clusters" "hold(us)" "mean(us)" "p99(us)" "local" "remote" "rem%"
     "maxw(us)";
   List.iter
-    (fun (r : Experiments.numa_point) ->
+    (fun (algo, (c : Numa_stress.config), (r : Numa_stress.result)) ->
       Format.fprintf ppf "%-15s %8d %9.0f %10.2f %9.1f %9d %9d %7.1f%% %10.1f@."
-        (Lock.algo_name r.Experiments.nalgo)
-        r.Experiments.nclusters r.Experiments.nhold_us r.Experiments.nmean_us
-        r.Experiments.np99_us r.Experiments.nlocal r.Experiments.nremote
-        (100.0 *. r.Experiments.nremote_frac)
-        r.Experiments.nmax_wait_us)
+        (Lock.algo_name algo) c.n_clusters c.hold_us r.summary.Measure.mean_us
+        r.summary.Measure.p99_us r.local_handoffs r.remote_handoffs
+        (100.0 *. Numa_stress.remote_frac r)
+        r.max_wait_us)
     rows
 
-let hash_scaling ppf (rows : Experiments.hash_point list) =
+let hash_scaling ppf rows =
   section ppf "HASH-SCALING - sharded table + seqlock optimistic reads"
     "the hybrid table's single coarse lock is the ceiling within a \
      cluster; splitting the bins over per-shard locks homed on distinct \
@@ -369,20 +367,20 @@ let hash_scaling ppf (rows : Experiments.hash_point list) =
     "mode" "shards" "opt" "p" "read" "read(us)" "p99(us)" "upd(us)"
     "thr/ms" "hits" "fb";
   List.iter
-    (fun (r : Experiments.hash_point) ->
+    (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
       Format.fprintf ppf
         "%-8s %6d %4s %5d %4.0f%% %10.2f %9.1f %10.2f %9.1f %6d %5d@."
-        (Hkernel.Khash.granularity_name r.Experiments.hgran)
-        r.Experiments.hshards
-        (if r.Experiments.hoptimistic then "yes" else "no")
-        r.Experiments.hp
-        (100.0 *. r.Experiments.hread_ratio)
-        r.Experiments.hread_mean_us r.Experiments.hread_p99_us
-        r.Experiments.hupdate_mean_us r.Experiments.hthroughput
-        r.Experiments.hopt_hits r.Experiments.hopt_fallbacks)
+        (Hkernel.Khash.granularity_name r.granularity)
+        r.shards
+        (if r.optimistic then "yes" else "no")
+        c.p
+        (100.0 *. c.read_ratio)
+        r.read_summary.Measure.mean_us r.read_summary.Measure.p99_us
+        r.update_summary.Measure.mean_us r.throughput_ops_ms
+        r.optimistic_hits r.optimistic_fallbacks)
     rows
 
-let abort_storm ppf (rows : Experiments.abort_point list) =
+let abort_storm ppf rows =
   section ppf "ABORT-STORM - timed abandonment under a stalled holder"
     "one processor takes the lock and goes dark for ~10x any waiter's \
      deadline; every other processor attempts through the timed face. \
@@ -395,19 +393,17 @@ let abort_storm ppf (rows : Experiments.abort_point list) =
     "lock" "attempts" "acq" "aborts" "stall" "over(us)" "maxov(us)" "ratio"
     "rec(us)" "rem-ab" "repair" "free";
   List.iter
-    (fun (r : Experiments.abort_point) ->
+    (fun (r : Abort_storm.result) ->
       Format.fprintf ppf
         "%-15s %8d %6d %7d %6d %9.2f %9.1f %6.2f %9.1f %7d %7d %5s@."
-        (Lock.algo_name r.Experiments.aalgo)
-        r.Experiments.aattempts r.Experiments.aacqs r.Experiments.aaborts
-        r.Experiments.astalls r.Experiments.aover_mean_us
-        r.Experiments.aover_max_us r.Experiments.abound_ratio
-        r.Experiments.arecovery_mean_us r.Experiments.aremote_aborts
-        r.Experiments.aobs_repairs
-        (if r.Experiments.afinal_free then "yes" else "NO"))
+        (Lock.algo_name r.algo)
+        r.attempts r.acquisitions r.aborts r.stalls
+        r.overshoot.Measure.mean_us r.max_overshoot_us r.bound_ratio
+        r.recovery.Measure.mean_us r.remote_aborts r.obs_repairs
+        (if r.final_free then "yes" else "NO"))
     rows
 
-let crash_storm ppf (rows : Experiments.crash_point list) =
+let crash_storm ppf rows =
   section ppf "CRASH-STORM - fail-stop kills mid-critical-section"
     "victim processors fail-stop while holding the lock (the fiber parks, \
      releasing nothing); every survivor acquires through the recoverable \
@@ -419,19 +415,18 @@ let crash_storm ppf (rows : Experiments.crash_point list) =
     "lock" "kills" "acq" "crashes" "recov" "lkdep" "viol" "rec(us)" "p99(us)"
     "max(us)" "clus" "worstp99" "free";
   List.iter
-    (fun (r : Experiments.crash_point) ->
+    (fun (r : Crash_storm.result) ->
       Format.fprintf ppf
         "%-15s %6d %6d %7d %6d %6d %5d %9.1f %9.1f %9.1f %5d %10.1f %5s@."
-        (Lock.algo_name r.Experiments.calgo)
-        r.Experiments.ckills r.Experiments.cacqs r.Experiments.cobs_crashes
-        r.Experiments.cobs_recoveries r.Experiments.clockdep_recoveries
-        r.Experiments.clockdep_violations r.Experiments.crec_mean_us
-        r.Experiments.crec_p99_us r.Experiments.crec_max_us
-        r.Experiments.cclusters_hit r.Experiments.cworst_cluster_p99_us
-        (if r.Experiments.cfinal_free then "yes" else "NO"))
+        (Lock.algo_name r.algo)
+        r.kills r.acquisitions r.obs_crashes r.obs_recoveries
+        r.lockdep_recoveries r.lockdep_violations r.recovery.Measure.mean_us
+        r.recovery.Measure.p99_us r.recovery.Measure.max_us
+        (Crash_storm.clusters_hit r) (Crash_storm.worst_cluster_p99_us r)
+        (if r.final_free then "yes" else "NO"))
     rows
 
-let rw_scaling ppf (rows : Experiments.rw_point list) =
+let rw_scaling ppf rows =
   section ppf "RW-SCALING - read-mostly lookups: RW lock vs seqlock vs replication"
     "every writer-serialising lock queues readers like writers (peak \
      concurrent readers 1 by construction); per-cluster reader indicators \
@@ -445,16 +440,15 @@ let rw_scaling ppf (rows : Experiments.rw_point list) =
     "clus" "p" "read(us)" "p99.9" "write(us)" "rdthr/ms" "peak-rd" "rd-rem"
     "sq-ab" "viol";
   List.iter
-    (fun (r : Experiments.rw_point) ->
+    (fun (r : Rw_scaling.result) ->
       Format.fprintf ppf
         "%-22s %4.1f%% %4d %3d %9.2f %8.1f %9.2f %9.1f %7d %5d %7d %6d@."
-        r.Experiments.rstyle_name
-        (100.0 *. r.Experiments.rread_ratio)
-        r.Experiments.rclusters r.Experiments.rp r.Experiments.rread_mean_us
-        r.Experiments.rread_p999_us r.Experiments.rwrite_mean_us
-        r.Experiments.rread_throughput r.Experiments.rpeak_readers
-        r.Experiments.rread_remote r.Experiments.rseq_aborts
-        r.Experiments.rlockdep_violations)
+        r.style_name
+        (100.0 *. r.read_ratio)
+        r.n_clusters r.p r.read_summary.Measure.mean_us
+        r.read_summary.Measure.p999_us r.write_summary.Measure.mean_us
+        r.read_throughput_ops_ms r.peak_readers r.read_remote r.seq_aborts
+        r.lockdep_violations)
     rows
 
 let obs ?(cfg = Hector.Config.hector) ppf (r : Experiments.obs_result) =
@@ -491,7 +485,7 @@ let obs ?(cfg = Hector.Config.hector) ppf (r : Experiments.obs_result) =
     s.Fault_storm.rpc_calls s.Fault_storm.stalls_injected
     (Fault_storm.mechanism_name s.Fault_storm.mechanism)
 
-let slo ppf (rows : Experiments.slo_point list) =
+let slo ppf rows =
   section ppf "SLO - open-loop request stream over the million-element table"
     "requests arrive on their own clock and queue behind a random server, \
      so latency includes queueing delay: as the offered rate approaches \
@@ -503,18 +497,16 @@ let slo ppf (rows : Experiments.slo_point list) =
     "elements" "done" "ach/ms" "rd-p50" "rd-p99" "rd-p99.9" "up-p99" "backlog"
     "opt-h" "viol";
   List.iter
-    (fun (r : Experiments.slo_point) ->
+    (fun ((c : Slo_stream.config), (r : Slo_stream.result)) ->
       Format.fprintf ppf
         "%9.1f %3d %9d %7d %9.1f %8.2f %8.2f %9.2f %9.2f %8d %6d %5d@."
-        r.Experiments.srate r.Experiments.sp r.Experiments.selements
-        r.Experiments.scompleted r.Experiments.sachieved
-        r.Experiments.sread.Measure.p50_us r.Experiments.sread.Measure.p99_us
-        r.Experiments.sread.Measure.p999_us
-        r.Experiments.supdate.Measure.p99_us r.Experiments.speak_backlog
-        r.Experiments.sopt_hits r.Experiments.sviolations)
+        c.rate_per_ms c.p c.elements r.completed r.achieved_per_ms
+        r.read_summary.Measure.p50_us r.read_summary.Measure.p99_us
+        r.read_summary.Measure.p999_us r.update_summary.Measure.p99_us
+        r.peak_backlog r.optimistic_hits r.lockdep_violations)
     rows
 
-let adaptive ppf (rows : Experiments.adaptive_point list) =
+let adaptive ppf rows =
   section ppf "ADAPTIVE - lock morphing over the diurnal load cycle"
     "load ramps cold -> hot -> cold in three equal plateaus: a same-cluster \
      trickle where a test&set lock is unbeatable, then every processor \
@@ -528,12 +520,10 @@ let adaptive ppf (rows : Experiments.adaptive_point list) =
     "cold1-ops" "hot-ops" "cold2-ops" "cold/ms" "hot/ms" "up" "down" "shape"
     "free" "viol";
   List.iter
-    (fun (r : Experiments.adaptive_point) ->
+    (fun (r : Diurnal.result) ->
       Format.fprintf ppf "%-16s %9d %9d %9d %9.1f %9.1f %4d %5d %6d %5s %5d@."
-        r.Experiments.dname r.Experiments.dcold1_ops r.Experiments.dhot_ops
-        r.Experiments.dcold2_ops r.Experiments.dcold_throughput
-        r.Experiments.dhot_throughput r.Experiments.dmorphs_up
-        r.Experiments.dmorphs_down r.Experiments.dfinal_shape
-        (if r.Experiments.dfinal_free then "yes" else "NO")
-        r.Experiments.dviolations)
+        r.algo_name r.cold1_ops r.hot_ops r.cold2_ops r.cold_throughput_ops_ms
+        r.hot_throughput_ops_ms r.morphs_up r.morphs_down r.final_shape
+        (if r.final_free then "yes" else "NO")
+        r.lockdep_violations)
     rows

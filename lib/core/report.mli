@@ -63,19 +63,24 @@ val fs : Format.formatter -> File_read.result list -> unit
 
 val fault_matrix : Format.formatter -> Experiments.fault_row list -> unit
 
-val verify : Format.formatter -> Experiments.verify_row list -> unit
+val verify : Format.formatter -> Verify_probes.result list -> unit
 
-val numa_locks : Format.formatter -> Experiments.numa_point list -> unit
+val numa_locks :
+  Format.formatter ->
+  (Lock.algo * Numa_stress.config * Numa_stress.result) list ->
+  unit
 
-val hash_scaling : Format.formatter -> Experiments.hash_point list -> unit
+val hash_scaling :
+  Format.formatter -> (Hash_scaling.config * Hash_scaling.result) list -> unit
 
-val abort_storm : Format.formatter -> Experiments.abort_point list -> unit
-val crash_storm : Format.formatter -> Experiments.crash_point list -> unit
-val rw_scaling : Format.formatter -> Experiments.rw_point list -> unit
+val abort_storm : Format.formatter -> Abort_storm.result list -> unit
+val crash_storm : Format.formatter -> Crash_storm.result list -> unit
+val rw_scaling : Format.formatter -> Rw_scaling.result list -> unit
 
 val obs :
   ?cfg:Hector.Config.t -> Format.formatter -> Experiments.obs_result -> unit
 
-val slo : Format.formatter -> Experiments.slo_point list -> unit
+val slo :
+  Format.formatter -> (Slo_stream.config * Slo_stream.result) list -> unit
 
-val adaptive : Format.formatter -> Experiments.adaptive_point list -> unit
+val adaptive : Format.formatter -> Diurnal.result list -> unit

@@ -233,3 +233,9 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?obs algo =
     by_cluster;
     final_free = lock.Lock.is_free ();
   }
+
+let clusters_hit r = List.length r.by_cluster
+
+let worst_cluster_p99_us r =
+  List.fold_left (fun acc (_, s) -> Float.max acc s.Measure.p99_us) 0.0
+    r.by_cluster

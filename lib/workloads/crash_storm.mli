@@ -56,3 +56,9 @@ val obs_class : string
     the run's clustering. *)
 val run :
   ?cfg:Config.t -> ?config:config -> ?obs:Obs.t -> Lock.algo -> result
+
+(** Clusters with at least one recovery sample. *)
+val clusters_hit : result -> int
+
+(** The worst per-cluster recovery p99, in µs; 0 if nothing was recovered. *)
+val worst_cluster_p99_us : result -> float

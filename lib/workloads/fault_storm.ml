@@ -132,6 +132,7 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?verify ?obs
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let n = Config.n_procs cfg in
+  if config.p < 1 then invalid_arg "Fault_storm.run: p must be at least 1";
   if config.p + 2 > n then invalid_arg "Fault_storm.run: p + 2 procs needed";
   let server = config.p in
   let hog = config.p + 1 in

@@ -63,7 +63,11 @@ type result = {
 
     With [obs] a contention observer ({!Obs}) is installed before any lock
     traffic; like the checker its hooks are host-side only, so profiling or
-    tracing a storm cannot move its simulated timing. *)
+    tracing a storm cannot move its simulated timing.
+
+    Raises [Invalid_argument] if [config.p < 1], if [config.p + 2]
+    processors do not fit the machine, or if the fault plan does not
+    validate. *)
 val run :
   ?cfg:Config.t ->
   ?config:config ->

@@ -137,3 +137,8 @@ let run ?(cfg = Config.hector) ?(config = default_config) algo =
     max_wait_us = Config.us_of_cycles cfg max_wait_cycles;
     atomics = Machine.atomics machine;
   }
+
+let remote_frac r =
+  let total = r.local_handoffs + r.remote_handoffs in
+  if total = 0 then 0.0
+  else float_of_int r.remote_handoffs /. float_of_int total

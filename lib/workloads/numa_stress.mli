@@ -29,3 +29,7 @@ type result = {
 }
 
 val run : ?cfg:Config.t -> ?config:config -> Lock.algo -> result
+
+(** [remote_handoffs / (local_handoffs + remote_handoffs)]; 0 if no
+    hand-off was contended. *)
+val remote_frac : result -> float

@@ -310,3 +310,6 @@ let run probe =
   { probe; expected; violations; hits; aborted; ok; first }
 
 let run_all () = List.map run all
+
+let expected_name r =
+  match r.expected with None -> "none" | Some k -> Verify.kind_name k

@@ -41,3 +41,7 @@ val run : probe -> result
 
 (** All probes, in {!all} order. *)
 val run_all : unit -> result list
+
+(** The expected violation kind's name, ["none"] for a probe expected to
+    stay silent. *)
+val expected_name : result -> string

@@ -189,50 +189,54 @@ let test_crash_near_morph () =
    numbers [bench adaptive] prints and Bench_json exports. *)
 let test_diurnal_pins () =
   let pts = Hurricane.Experiments.adaptive () in
-  let open Hurricane.Experiments in
+  let open Workloads.Diurnal in
   List.iter
     (fun p ->
-      Alcotest.(check int) (p.dname ^ " violations") 0 p.dviolations;
-      Alcotest.(check bool) (p.dname ^ " free") true p.dfinal_free;
-      Alcotest.(check bool) (p.dname ^ " completed work in every phase") true
-        (p.dcold1_ops > 0 && p.dhot_ops > 0 && p.dcold2_ops > 0))
+      Alcotest.(check int) (p.algo_name ^ " violations") 0 p.lockdep_violations;
+      Alcotest.(check bool) (p.algo_name ^ " free") true p.final_free;
+      Alcotest.(check bool) (p.algo_name ^ " completed work in every phase")
+        true
+        (p.cold1_ops > 0 && p.hot_ops > 0 && p.cold2_ops > 0))
     pts;
   let is_adaptive p =
-    match p.dalgo with Lock.Adaptive _ -> true | _ -> false
+    match p.algo with Lock.Adaptive _ -> true | _ -> false
   in
   let statics = List.filter (fun p -> not (is_adaptive p)) pts in
   let adaptive = List.find is_adaptive pts in
   List.iter
     (fun p ->
-      Alcotest.(check int) (p.dname ^ " never morphs") 0
-        (p.dmorphs_up + p.dmorphs_down))
+      Alcotest.(check int) (p.algo_name ^ " never morphs") 0
+        (p.morphs_up + p.morphs_down))
     statics;
   let best f = List.fold_left (fun a p -> if f p > f a then p else a)
       (List.hd statics) statics in
-  let best_cold = best (fun p -> p.dcold_throughput) in
-  let best_hot = best (fun p -> p.dhot_throughput) in
+  let best_cold = best (fun p -> p.cold_throughput_ops_ms) in
+  let best_hot = best (fun p -> p.hot_throughput_ops_ms) in
   (* The point of the experiment: the regimes have different winners. *)
   Alcotest.(check bool)
     (Printf.sprintf "no static wins both phases (cold: %s, hot: %s)"
-       best_cold.dname best_hot.dname)
+       best_cold.algo_name best_hot.algo_name)
     true
-    (best_cold.dalgo <> best_hot.dalgo);
+    (best_cold.algo <> best_hot.algo);
   (* Adaptive tracks each phase winner within the pinned margin... *)
   Alcotest.(check bool)
     (Printf.sprintf "adaptive cold %.1f within 0.75x of %s's %.1f"
-       adaptive.dcold_throughput best_cold.dname best_cold.dcold_throughput)
+       adaptive.cold_throughput_ops_ms best_cold.algo_name
+       best_cold.cold_throughput_ops_ms)
     true
-    (adaptive.dcold_throughput >= 0.75 *. best_cold.dcold_throughput);
+    (adaptive.cold_throughput_ops_ms
+    >= 0.75 *. best_cold.cold_throughput_ops_ms);
   Alcotest.(check bool)
     (Printf.sprintf "adaptive hot %.1f within 0.5x of %s's %.1f"
-       adaptive.dhot_throughput best_hot.dname best_hot.dhot_throughput)
+       adaptive.hot_throughput_ops_ms best_hot.algo_name
+       best_hot.hot_throughput_ops_ms)
     true
-    (adaptive.dhot_throughput >= 0.5 *. best_hot.dhot_throughput);
+    (adaptive.hot_throughput_ops_ms >= 0.5 *. best_hot.hot_throughput_ops_ms);
   (* ...by actually morphing, and cooling back down by the end. *)
-  Alcotest.(check bool) "at least one promotion" true (adaptive.dmorphs_up >= 1);
+  Alcotest.(check bool) "at least one promotion" true (adaptive.morphs_up >= 1);
   Alcotest.(check bool) "at least one demotion" true
-    (adaptive.dmorphs_down >= 1);
-  Alcotest.(check int) "back to test&set overnight" 0 adaptive.dfinal_shape
+    (adaptive.morphs_down >= 1);
+  Alcotest.(check int) "back to test&set overnight" 0 adaptive.final_shape
 
 let suite =
   [

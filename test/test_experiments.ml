@@ -229,54 +229,58 @@ let test_granularity_ablation () =
    machine is busy (p >= 8) for every shard count, and the seqlock
    optimistic read path undercuts locked lookups at a 90% read ratio. *)
 let test_hash_scaling_claims () =
-  let open Hurricane.Experiments in
   let rows =
-    hash_scaling ~procs:[ 8; 16 ] ~read_ratios:[ 0.5; 0.9 ]
-      ~shard_counts:[ 2; 4; 8 ] ()
+    Hurricane.Experiments.hash_scaling ~procs:[ 8; 16 ]
+      ~read_ratios:[ 0.5; 0.9 ] ~shard_counts:[ 2; 4; 8 ] ()
+  in
+  let mean_read (r : Hash_scaling.result) =
+    r.Hash_scaling.read_summary.Measure.mean_us
   in
   let hybrid p rr =
     List.find
-      (fun r ->
-        r.hgran = Hkernel.Khash.Hybrid && r.hp = p && r.hread_ratio = rr)
+      (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
+        r.granularity = Hkernel.Khash.Hybrid && c.p = p && c.read_ratio = rr)
       rows
+    |> snd
   in
   List.iter
-    (fun r ->
-      if r.hgran = Hkernel.Khash.Sharded then begin
-        let base = hybrid r.hp r.hread_ratio in
+    (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
+      if r.granularity = Hkernel.Khash.Sharded then begin
+        let base = hybrid c.p c.read_ratio in
         Alcotest.(check bool)
           (Printf.sprintf
              "sharded (s=%d opt=%b p=%d rr=%.1f) %.1f ops/ms beats hybrid %.1f"
-             r.hshards r.hoptimistic r.hp r.hread_ratio r.hthroughput
-             base.hthroughput)
+             r.shards r.optimistic c.p c.read_ratio r.throughput_ops_ms
+             base.throughput_ops_ms)
           true
-          (r.hthroughput > base.hthroughput)
+          (r.throughput_ops_ms > base.throughput_ops_ms)
       end)
     rows;
   List.iter
-    (fun r ->
+    (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
       if
-        r.hgran = Hkernel.Khash.Sharded && r.hoptimistic
-        && r.hread_ratio = 0.9
+        r.granularity = Hkernel.Khash.Sharded && r.optimistic
+        && c.read_ratio = 0.9
       then begin
         let locked =
           List.find
-            (fun l ->
-              l.hgran = Hkernel.Khash.Sharded
-              && (not l.hoptimistic)
-              && l.hshards = r.hshards && l.hp = r.hp
-              && l.hread_ratio = r.hread_ratio)
+            (fun ((lc : Hash_scaling.config), (l : Hash_scaling.result)) ->
+              l.granularity = Hkernel.Khash.Sharded
+              && (not l.optimistic)
+              && l.shards = r.shards && lc.p = c.p
+              && lc.read_ratio = c.read_ratio)
             rows
+          |> snd
         in
         Alcotest.(check bool)
           (Printf.sprintf "optimistic reads (s=%d p=%d) %.1fus beat locked %.1fus"
-             r.hshards r.hp r.hread_mean_us locked.hread_mean_us)
+             r.shards c.p (mean_read r) (mean_read locked))
           true
-          (r.hread_mean_us < locked.hread_mean_us);
+          (mean_read r < mean_read locked);
         Alcotest.(check bool)
-          (Printf.sprintf "optimistic path actually taken (s=%d p=%d)" r.hshards
-             r.hp)
-          true (r.hopt_hits > 0)
+          (Printf.sprintf "optimistic path actually taken (s=%d p=%d)" r.shards
+             c.p)
+          true (r.optimistic_hits > 0)
       end)
     rows
 

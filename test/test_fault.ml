@@ -396,9 +396,29 @@ let test_storm_timeouts_retain_more () =
     true
     (timed.Fault_storm.ops > plain.Fault_storm.ops)
 
+(* A storm with no workers is refused up front, like one with more workers
+   than the machine has room for, not left to fail inside the run. *)
+let test_storm_refuses_bad_p () =
+  let open Workloads in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "p=%d refused with Invalid_argument" p)
+        true
+        (match
+           Fault_storm.run
+             ~config:{ Fault_storm.default_config with p }
+             Fault_storm.Timeout
+         with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ 0; -1; 15 ]
+
 let suite =
   [
     Alcotest.test_case "config validation" `Quick test_validate;
+    Alcotest.test_case "storm refuses p < 1 and p + 2 > n" `Quick
+      test_storm_refuses_bad_p;
     Alcotest.test_case "draws are deterministic and counted" `Quick
       test_draw_determinism;
     Alcotest.test_case "scheduled stalls: one per period" `Quick

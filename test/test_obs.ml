@@ -361,7 +361,16 @@ let test_bench_json_schema () =
     ]
   in
   let doc =
-    Bench_json.document ~procs:[ 2 ] ~sizes:[ 4 ] ~iters:5 ~rounds:2 ~names ()
+    Bench_json.document
+      ~knobs:
+        {
+          Registry.full with
+          procs = Some [ 2 ];
+          sizes = Some [ 4 ];
+          iters = Some 5;
+          rounds = Some 2;
+        }
+      ~names ()
   in
   Alcotest.(check bool) "document round trips" true
     (Json.of_string (Json.to_string doc) = doc);
@@ -413,19 +422,19 @@ let test_bench_json_schema () =
     let direct = Experiments.abort_storm () in
     Alcotest.(check int) "abort rows" (List.length direct) (List.length rows);
     List.iter2
-      (fun row (d : Experiments.abort_point) ->
+      (fun row (d : Abort_storm.result) ->
         Alcotest.(check bool) "abort algo" true
           (Json.get row "algo"
-          = Json.String (Locks.Lock.algo_name d.Experiments.aalgo));
-        Alcotest.(check int) "abort aborts" d.Experiments.aaborts
+          = Json.String (Locks.Lock.algo_name d.Abort_storm.algo));
+        Alcotest.(check int) "abort aborts" d.Abort_storm.aborts
           (match Json.get row "aborts" with Json.Int i -> i | _ -> -1);
         Alcotest.(check (float 0.0)) "abort bound ratio"
-          d.Experiments.abound_ratio
+          d.Abort_storm.bound_ratio
           (get_float row "bound_ratio");
         Alcotest.(check bool) "abort final free" true
           (Json.get row "final_free" = Json.Bool true);
         Alcotest.(check bool) "abort remote aborts" true
-          (d.Experiments.aremote_aborts > 0))
+          (d.Abort_storm.remote_aborts > 0))
       rows direct
   | _ -> Alcotest.fail "abort_storm not a list");
   (* crash_storm: rows equal a direct deterministic rerun, and carry the
@@ -436,16 +445,16 @@ let test_bench_json_schema () =
     let direct = Experiments.crash_storm () in
     Alcotest.(check int) "crash rows" (List.length direct) (List.length rows);
     List.iter2
-      (fun row (d : Experiments.crash_point) ->
+      (fun row (d : Crash_storm.result) ->
         Alcotest.(check bool) "crash algo" true
           (Json.get row "algo"
-          = Json.String (Locks.Lock.algo_name d.Experiments.calgo));
-        Alcotest.(check int) "crash kills" d.Experiments.ckills
+          = Json.String (Locks.Lock.algo_name d.Crash_storm.algo));
+        Alcotest.(check int) "crash kills" d.Crash_storm.kills
           (match Json.get row "kills" with Json.Int i -> i | _ -> -1);
-        Alcotest.(check int) "crash recovery samples" d.Experiments.ckills
+        Alcotest.(check int) "crash recovery samples" d.Crash_storm.kills
           (match Json.get row "recovery_n" with Json.Int i -> i | _ -> -1);
         Alcotest.(check (float 0.0)) "crash recovery p99"
-          d.Experiments.crec_p99_us
+          d.Crash_storm.recovery.Measure.p99_us
           (get_float row "recovery_p99_us");
         Alcotest.(check bool) "crash zero violations" true
           (Json.get row "lockdep_violations" = Json.Int 0);

@@ -47,7 +47,9 @@ let test_document_deterministic () =
      experiments, so reassembly order is actually exercised. *)
   let names = [ "fig4"; "fig5a"; "constants" ] in
   let doc jobs =
-    Bench_json.document ~procs:[ 2; 4 ] ~jobs ~names ()
+    Bench_json.document
+      ~knobs:{ Registry.full with procs = Some [ 2; 4 ] }
+      ~jobs ~names ()
   in
   let seq = Json.to_string (doc 1) in
   let par = Json.to_string (doc 4) in
