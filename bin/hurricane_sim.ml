@@ -14,13 +14,14 @@ open Workloads
 let ppf = Format.std_formatter
 
 (* Every subcommand is built here. Its run is a thunk, and a configuration
-   the workload's validator refuses (an [Invalid_argument]) is a usage
-   error: the validator's message, exit 124. *)
+   the workload's validator refuses (an [Invalid_argument]) or a file the
+   system refuses (a [Sys_error]) is a usage error: the message, exit
+   124. *)
 let cmd name ~doc term =
   let checked run =
     match run () with
     | () -> Ok ()
-    | exception Invalid_argument msg -> Error (`Msg msg)
+    | exception (Invalid_argument msg | Sys_error msg) -> Error (`Msg msg)
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(term_result ~usage:true (const checked $ term))
@@ -866,9 +867,9 @@ let slo_cmd =
       const run $ algo_arg $ procs $ elements $ rate $ requests $ shards
       $ read_ratio $ work_us $ seed_arg)
 
-(* -- adaptive subcommand ------------------------------------------------------ *)
+(* -- diurnal subcommand ------------------------------------------------------- *)
 
-let adaptive_cmd =
+let diurnal_cmd =
   let run algo p_hot p_cold clusters phase_us hold_us seed () =
     let r =
       Diurnal.run
@@ -890,21 +891,9 @@ let adaptive_cmd =
       r.Diurnal.algo_name r.Diurnal.cold1_ops r.Diurnal.hot_ops
       r.Diurnal.cold2_ops r.Diurnal.cold_throughput_ops_ms
       r.Diurnal.hot_throughput_ops_ms;
-    Format.fprintf ppf
-      "morphs-up=%d morphs-down=%d final-shape=%d final-free=%b \
-       lockdep-violations=%d@."
-      r.Diurnal.morphs_up r.Diurnal.morphs_down r.Diurnal.final_shape
+    Format.fprintf ppf "final-free=%b lockdep-violations=%d@."
       r.Diurnal.final_free r.Diurnal.lockdep_violations;
     if r.Diurnal.lockdep_violations > 0 then exit 1
-  in
-  let algo =
-    Arg.(
-      value
-      & opt algo_conv Locks.Lock.adaptive
-      & info [ "l"; "lock" ] ~docv:"ALGO"
-          ~doc:
-            "Lock algorithm (adaptive[:cna|:cohort|:hmcs], or any static \
-             shape to race against).")
   in
   let p_hot =
     Arg.(
@@ -928,14 +917,13 @@ let adaptive_cmd =
       & info [ "phase" ] ~docv:"US"
           ~doc:"Length of each of the three plateaus in us.")
   in
-  cmd "adaptive"
+  cmd "diurnal"
     ~doc:
-      "The diurnal load cycle: load ramps cold -> hot -> cold and the \
-       morphing lock promotes test&set -> MCS -> NUMA composite as the \
-       peak arrives, then demotes as traffic cools (experiment \
-       ADAPTIVE). Exits non-zero on lockdep violations."
+      "The diurnal load cycle: load ramps cold -> hot -> cold over one \
+       lock, with per-phase throughput (experiment DIURNAL). Exits \
+       non-zero on lockdep violations."
     Term.(
-      const run $ algo $ p_hot $ p_cold $ clusters $ phase $ hold_arg 1.5
+      const run $ algo_arg $ p_hot $ p_cold $ clusters $ phase $ hold_arg 1.5
       $ seed_arg)
 
 (* -- figure subcommand -------------------------------------------------------- *)
@@ -978,7 +966,7 @@ let main_cmd =
       rw_cmd;
       hash_cmd;
       slo_cmd;
-      adaptive_cmd;
+      diurnal_cmd;
       figure_cmd;
     ]
 

@@ -11,7 +11,7 @@
    one. *)
 
 (* The version history is in bench_json.mli. *)
-let schema_version = 8
+let schema_version = 9
 
 let default_names =
   List.filter_map

@@ -50,10 +50,9 @@
                           p99_us, p999_us, min_us, max_us, frac_above_2ms},
                           update:{...}, peak_backlog, optimistic_hits,
                           optimistic_fallbacks, lockdep_violations} ],
-        "adaptive":    [ {lock, cold1_ops, hot_ops, cold2_ops,
+        "diurnal":     [ {lock, cold1_ops, hot_ops, cold2_ops,
                           cold_throughput_ops_ms, hot_throughput_ops_ms,
-                          morphs_up, morphs_down, final_shape, final_free,
-                          lockdep_violations} ]
+                          final_free, lockdep_violations} ]
       } }
     v}
     Version 2 added "numa_locks" (cross-cluster contention: NUMA-aware
@@ -81,6 +80,10 @@
     throughput of the morphing lock against every static shape, with
     observer-counted promotions/demotions and the final shape gauge); all
     pre-v8 experiment values unchanged.
+    Version 9 renamed "adaptive" to "diurnal" and dropped the morphing
+    lock's row and the three fields that counted its morphs (the lock was
+    deleted); the six static rows and every other experiment's values are
+    unchanged.
     Every number is the exact value the in-process runner returned — the
     schema test re-runs an experiment and compares the parsed file against
     it. *)
@@ -89,7 +92,7 @@ val schema_version : int
 
 (** ["fig4"; "uncontended"; "fig5a"; "fig5b"; "starvation"; "fig7a"-"d";
     "constants"; "numa_locks"; "hash_scaling"; "abort_storm";
-    "crash_storm"; "rw_scaling"; "slo"; "adaptive"] — what a bare [--json]
+    "crash_storm"; "rw_scaling"; "slo"; "diurnal"] — what a bare [--json]
     exports. *)
 val default_names : string list
 

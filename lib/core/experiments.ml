@@ -627,19 +627,17 @@ let slo ?(cfg = Config.hector) ?(rates = slo_rates)
       (config, Slo_stream.run ~cfg ~config ()))
     rates
 
-(* -- ADAPTIVE: lock morphing over the diurnal load cycle -------------------- *)
+(* -- DIURNAL: a race of static shapes over the diurnal load cycle ---------- *)
 
-(* The static field the morphing lock is raced against: the cold-phase
-   favourite (test&set), both flat MCS hybrids, all three NUMA
-   composites, and the morphing lock itself. No static row tops both
-   phase columns — test&set collapses at the peak, the composites pay
-   for their layers in the trickle — which is the regime gap Adaptive
-   exists to close. *)
-let adaptive_algos =
+(* The cold-phase favourite (test&set), both flat MCS hybrids and all
+   three NUMA composites. No row tops both phase columns — test&set
+   collapses at the peak, the composites pay for their layers in the
+   trickle. *)
+let diurnal_algos =
   [ Lock.Spin { max_backoff_us = 35.0 }; Lock.Mcs_h1; Lock.Mcs_h2;
-    Lock.cna; Lock.c_mcs_mcs; Lock.hmcs; Lock.adaptive ]
+    Lock.cna; Lock.c_mcs_mcs; Lock.hmcs ]
 
-let adaptive ?(cfg = Config.hector) ?(algos = adaptive_algos) () =
+let diurnal ?(cfg = Config.hector) ?(algos = diurnal_algos) () =
   List.map
     (fun algo ->
       Diurnal.run ~cfg

@@ -2,7 +2,7 @@
     ablations in DESIGN.md. Shared by the benchmark harness
     ([bench/main.exe]), the CLI ([bin/hurricane_sim]) and the claim-level
     regression tests. The extension runners (VERIFY, NUMA-LOCKS,
-    HASH-SCALING, ABORT-STORM, RW-SCALING, CRASH-STORM, SLO, ADAPTIVE)
+    HASH-SCALING, ABORT-STORM, RW-SCALING, CRASH-STORM, SLO, DIURNAL)
     return their workload's own [result], paired with its [config] where
     the result does not carry the row's sweep coordinates; the fields are
     documented once, on the workload's interface. *)
@@ -324,17 +324,15 @@ val slo :
   unit ->
   (Slo_stream.config * Slo_stream.result) list
 
-(** ADAPTIVE — lock morphing over the diurnal load cycle
-    ({!Workloads.Diurnal}): load ramps cold → hot → cold; no static shape
-    wins both phases, while the morphing {!Locks.Lock.Adaptive} lock
-    tracks the per-phase winner. One row per algorithm raced over the
-    identical cycle. *)
+(** DIURNAL — a race of static lock shapes over the diurnal load cycle
+    ({!Workloads.Diurnal}): load ramps cold → hot → cold, and no shape
+    wins both phases. One row per algorithm raced over the identical
+    cycle. *)
 
-(** The algorithms the ADAPTIVE experiment races: the morphing lock's own
-    three shapes (test&set, H1-MCS, CNA) plus H2-MCS, the cohort composite
-    and HMCS, and the morphing lock itself — a field wide enough that each
-    phase's winner is a different static shape. *)
-val adaptive_algos : Lock.algo list
+(** The shapes the DIURNAL experiment races: test&set (35 µs cap),
+    H1-MCS, H2-MCS, CNA, the cohort composite and HMCS — a field wide
+    enough that each phase's winner is a different shape. *)
+val diurnal_algos : Lock.algo list
 
-val adaptive :
+val diurnal :
   ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> Diurnal.result list

@@ -290,7 +290,7 @@ let slo_json =
           ("lockdep_violations", Json.Int r.lockdep_violations);
         ])
 
-let adaptive_json =
+let diurnal_json =
   rows (fun (r : Diurnal.result) ->
       Json.Obj
         [
@@ -300,9 +300,6 @@ let adaptive_json =
           ("cold2_ops", Json.Int r.cold2_ops);
           ("cold_throughput_ops_ms", Json.Float r.cold_throughput_ops_ms);
           ("hot_throughput_ops_ms", Json.Float r.hot_throughput_ops_ms);
-          ("morphs_up", Json.Int r.morphs_up);
-          ("morphs_down", Json.Int r.morphs_down);
-          ("final_shape", Json.Int r.final_shape);
           ("final_free", Json.Bool r.final_free);
           ("lockdep_violations", Json.Int r.lockdep_violations);
         ])
@@ -434,9 +431,9 @@ let all =
     split "slo" ~json:slo_json Experiments.slo_rates
       (fun k r -> Experiments.slo ?cfg:k.cfg ~rates:[ r ] ())
       Report.slo;
-    split "adaptive" ~json:adaptive_json Experiments.adaptive_algos
-      (fun k a -> Experiments.adaptive ?cfg:k.cfg ~algos:[ a ] ())
-      Report.adaptive;
+    split "diurnal" ~json:diurnal_json Experiments.diurnal_algos
+      (fun k a -> Experiments.diurnal ?cfg:k.cfg ~algos:[ a ] ())
+      Report.diurnal;
   ]
 
 let find n =

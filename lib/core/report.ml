@@ -506,24 +506,20 @@ let slo ppf rows =
         r.peak_backlog r.optimistic_hits r.lockdep_violations)
     rows
 
-let adaptive ppf rows =
-  section ppf "ADAPTIVE - lock morphing over the diurnal load cycle"
+let diurnal ppf rows =
+  section ppf "DIURNAL - static lock shapes raced over the diurnal load cycle"
     "load ramps cold -> hot -> cold in three equal plateaus: a same-cluster \
      trickle where a test&set lock is unbeatable, then every processor \
-     across every cluster where hand-offs go mostly remote and the NUMA \
-     composite wins, then the trickle again. No static shape tops both \
-     phase columns; the morphing lock promotes through its shapes as the \
-     peak arrives (up/down count the observer's morph events) and demotes \
-     back once traffic cools, tracking the per-phase winner. Every row \
-     runs under the lockdep checker (viol must be 0)";
-  Format.fprintf ppf "%-16s %9s %9s %9s %9s %9s %4s %5s %6s %5s %5s@." "lock"
-    "cold1-ops" "hot-ops" "cold2-ops" "cold/ms" "hot/ms" "up" "down" "shape"
-    "free" "viol";
+     across every cluster where hand-offs go mostly remote and a NUMA \
+     composite wins, then the trickle again. No shape tops both phase \
+     columns. Every row runs under the lockdep checker (viol must be 0)";
+  Format.fprintf ppf "%-16s %9s %9s %9s %9s %9s %5s %5s@." "lock" "cold1-ops"
+    "hot-ops" "cold2-ops" "cold/ms" "hot/ms" "free" "viol";
   List.iter
     (fun (r : Diurnal.result) ->
-      Format.fprintf ppf "%-16s %9d %9d %9d %9.1f %9.1f %4d %5d %6d %5s %5d@."
-        r.algo_name r.cold1_ops r.hot_ops r.cold2_ops r.cold_throughput_ops_ms
-        r.hot_throughput_ops_ms r.morphs_up r.morphs_down r.final_shape
+      Format.fprintf ppf "%-16s %9d %9d %9d %9.1f %9.1f %5s %5d@." r.algo_name
+        r.cold1_ops r.hot_ops r.cold2_ops r.cold_throughput_ops_ms
+        r.hot_throughput_ops_ms
         (if r.final_free then "yes" else "NO")
         r.lockdep_violations)
     rows

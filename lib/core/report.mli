@@ -83,4 +83,4 @@ val obs :
 val slo :
   Format.formatter -> (Slo_stream.config * Slo_stream.result) list -> unit
 
-val adaptive : Format.formatter -> Diurnal.result list -> unit
+val diurnal : Format.formatter -> Diurnal.result list -> unit

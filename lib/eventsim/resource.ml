@@ -1,12 +1,16 @@
 (* FIFO server resource.
 
    A resource models a component that serves one request at a time (a memory
-   module, a station bus, the ring). A request arriving at [now] begins
-   service at [max now next_free] and holds the resource for [service]
-   cycles. Because the engine executes events in time order and requests
-   claim their slot at arrival, slot assignment is FIFO — exactly the
-   queueing behaviour that produces the paper's second-order contention
-   effects.
+   module, a station bus, the ring). [reserve ~now ~service] books a slot
+   starting at [max now next_free] and holds the resource for [service]
+   cycles. Callers book ahead: [Machine.access_finish_time] reserves every
+   stage of an access's path when the access is issued, each at its
+   computed arrival time there (the previous stage's finish). So service
+   is FIFO in issue order, not arrival order, and not work-conserving: a
+   request issued later but arriving at a stage earlier still queues
+   behind every slot already booked, and an idle gap before a booked slot
+   is never back-filled. This queueing is what produces the paper's
+   second-order contention effects.
 
    The resource also keeps utilisation counters so experiments can report
    where time was lost. *)

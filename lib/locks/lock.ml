@@ -36,8 +36,6 @@ type algo =
   | Cna of { threshold : int } (* compact NUMA-aware MCS: secondary queue *)
   | Rw of { writer : algo; policy : Rwlock.policy; centralised : bool }
     (* distributed RW lock: per-cluster reader indicators over [writer] *)
-  | Adaptive of { numa : algo }
-    (* morphing lock: test&set -> H1-MCS -> [numa] by observed contention *)
 
 let rec algo_name = function
   | Spin { max_backoff_us } ->
@@ -64,7 +62,6 @@ let rec algo_name = function
       | Rwlock.Reader_preference -> "(rp)")
       (if centralised then "(1w)" else "")
       (algo_name writer)
-  | Adaptive { numa } -> Printf.sprintf "Adaptive(%s)" (algo_name numa)
 
 (* Whether [make] will demand a compare&swap machine for this algorithm —
    so workloads sweeping the whole family can upgrade the configuration
@@ -73,10 +70,6 @@ let rec needs_cas = function
   | Mcs_cas | Ticket | Anderson -> true
   | Rw _ -> true (* reader admission is a CAS retry loop *)
   | Cohort { local; global; _ } -> needs_cas local || needs_cas global
-  | Adaptive { numa } ->
-    (* The test&set and H1-MCS shapes are swap-only; only the NUMA
-       constituent can raise the requirement. *)
-    needs_cas numa
   | Spin _ | Mcs_original | Mcs_h1 | Mcs_h2 | Clh | Spin_then_block _ | Null
   | Hmcs _ | Cna _ ->
     false
@@ -118,7 +111,6 @@ let c_mcs_mcs =
 let hmcs = Hmcs { threshold = Hmcs.default_threshold }
 let cna = Cna { threshold = Cna.default_threshold }
 let all_numa_algos = [ c_mcs_mcs; hmcs; cna ]
-let adaptive = Adaptive { numa = cna }
 
 (* Every [--lock] spelling the command line accepts, aliases included;
    [of_string] also parses [spin:<max-backoff-us>]. *)
@@ -138,10 +130,6 @@ let spellings =
     ("c-mcs-mcs", c_mcs_mcs);
     ("hmcs", hmcs);
     ("cna", cna);
-    ("adaptive", adaptive);
-    ("adaptive:cna", adaptive);
-    ("adaptive:cohort", Adaptive { numa = c_mcs_mcs });
-    ("adaptive:hmcs", Adaptive { numa = hmcs });
   ]
 
 (* A spin cap under 1 us is refused here, as a usage error, rather than by
@@ -163,14 +151,13 @@ let of_string s =
            (String.concat ", " (List.map fst spellings))))
 
 (* The roles an algorithm can take inside a composite: base algorithms are
-   cohort constituents, NUMA composites are Adaptive's top shape, and
-   either can serialise an RW lock's writers. *)
+   cohort constituents, and base algorithms or NUMA composites can
+   serialise an RW lock's writers. *)
 let is_base = function
   | Spin _ | Mcs_original | Mcs_h1 | Mcs_h2 | Mcs_cas | Clh | Ticket | Anderson
     ->
     true
-  | Spin_then_block _ | Null | Cohort _ | Hmcs _ | Cna _ | Rw _ | Adaptive _ ->
-    false
+  | Spin_then_block _ | Null | Cohort _ | Hmcs _ | Cna _ | Rw _ -> false
 
 let is_numa = function Cohort _ | Hmcs _ | Cna _ -> true | _ -> false
 
@@ -178,14 +165,6 @@ let require ok ~role algo =
   if not ok then
     invalid_arg
       (Printf.sprintf "Lock.build: %s cannot be %s" (algo_name algo) role)
-
-(* The test&set shape of a morphing lock caps its backoff far below the
-   standalone Spin default: by construction it only ever serves light
-   traffic (contention promotes the lock away from it), and a tight cap is
-   what lets a saturated spin shape drain quickly after a morph — with the
-   35us cap, the post-morph drain of a full complement of backed-off
-   waiters is as slow as the spin shape itself. *)
-let adaptive_shapes numa = [| Spin { max_backoff_us = 5.0 }; Mcs_h1; numa |]
 
 (* The one constructor: each algorithm as a {!Lock_core.packed} instance,
    composites assembled from recursively built constituents. Leaves keep
@@ -244,18 +223,6 @@ let rec build machine ?home ?vclass ~topo algo : Lock_core.packed =
     Lock_core.pack
       (module Rwlock.Core)
       (rwlock machine ?home ?vclass ~topo ~policy ~centralised writer)
-  | Adaptive { numa } ->
-    require (is_numa numa) ~role:"Adaptive's NUMA shape (Cohort, Hmcs or Cna)"
-      numa;
-    (* Three pre-created shapes sharing one lockdep class (distinct
-       instance ids), built in promotion order. *)
-    let vclass = Option.value vclass ~default:"adaptive" in
-    let shapes =
-      Array.map (build machine ?home ~vclass ~topo) (adaptive_shapes numa)
-    in
-    Lock_core.pack
-      (module Adaptive.Core)
-      (Adaptive.create ?home ~vclass ~topo ~shapes machine)
 
 (* The RW composite over a built writer constituent. *)
 and rwlock machine ?home ?vclass ~topo ~policy ~centralised writer =
@@ -396,15 +363,3 @@ let rec space_words ?(n_clusters = 1) ~n_procs = function
        centralised baseline. *)
     space_words ~n_clusters ~n_procs writer
     + (if centralised then 1 else n_clusters)
-  | Adaptive { numa } ->
-    (* The mode word plus the max over the three shapes. The accounting
-       convention throughout this function is the paper's per-lock *active*
-       view (MCS nodes are per-processor but shared across locks on real
-       systems); under that convention only one shape's words spin at a
-       time — the morph guard keeps the inactive shapes quiescent — so the
-       max, not the sum, is the footprint comparable with the static
-       rows. *)
-    1
-    + Array.fold_left
-        (fun m a -> max m (space_words ~n_clusters ~n_procs a))
-        0 (adaptive_shapes numa)

@@ -25,9 +25,8 @@ type t = {
 
           Abortability matrix (as each built instance reports it):
           - abortable: Spin, MCS (all variants), CLH, Anderson, HMCS,
-            CNA, Null, any Cohort whose two constituents are both
-            abortable, and any Adaptive whose NUMA shape is abortable
-            (its test&set and MCS shapes always are);
+            CNA, Null, and any Cohort whose two constituents are both
+            abortable;
           - non-abortable (timed face blocks): Ticket (a drawn ticket
             cannot be handed back), Spin_then_block (wakeup is the
             scheduler's promise). *)
@@ -45,7 +44,7 @@ type t = {
           the lock's reach) and [Null]; a [Cohort] is recoverable iff both
           constituents are abortable and recoverable (not over Ticket,
           whose in-spin repair would release one constituent behind the
-          cohort's back), and an [Adaptive] iff its NUMA shape is.
+          cohort's back).
           Ticket is recoverable despite being non-abortable — its waiters
           run the dead-holder check inside their own spin. *)
   recoverable : bool;
@@ -84,16 +83,6 @@ type algo =
           and RW-CNA come free; not [Null], STB, or another [Rw]. The
           uniform record carries the {e writer} face; workloads that want
           the reader side build with {!make_rw}. Requires compare&swap. *)
-  | Adaptive of { numa : algo }
-      (** Morphing lock ({!Adaptive}): starts as a 5 µs-capped test&set
-          (capped low so a post-morph drain hands off quickly),
-          promotes to H1-MCS when the contended fraction of a sliding
-          acquisition window crosses a threshold, promotes again to [numa]
-          (a NUMA composite: [Cohort], [Hmcs] or [Cna] — {!build} raises
-          [Invalid_argument] otherwise) when the remote-hand-off fraction
-          crosses a second threshold, and demotes as traffic cools. All
-          three shapes share one lockdep class; the morph protocol drains
-          the old shape before the new one carries the lock. *)
 
 val algo_name : algo -> string
 
@@ -116,9 +105,6 @@ val cna : algo
 
 (** The three NUMA-aware composites at default thresholds. *)
 val all_numa_algos : algo list
-
-(** The default morphing lock: test&set → H1-MCS → CNA. *)
-val adaptive : algo
 
 (** Every fixed command-line spelling with its algorithm, aliases
     included. *)
@@ -211,11 +197,7 @@ val with_lock : t -> Ctx.t -> (unit -> 'a) -> 'a
     - [Rw]: space(writer) + C reader-indicator words (count and gate bit
       share a word; 1 word when [centralised]) — the read-parallelism
       upgrade costs one word per cluster on top of whatever exclusive
-      lock serialises the writers;
-    - [Adaptive]: 1 + max(space(shape)) over its three shapes (mode word
-      plus the largest constituent) — under the per-lock {e active} view
-      only the current shape's words carry the lock, the morph guard
-      keeping the other two quiescent.
+      lock serialises the writers.
 
     Timed-acquisition state is {e excluded}, by the same convention that
     excludes MCS's per-processor interrupt nodes: the timed twin nodes

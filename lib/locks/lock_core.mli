@@ -2,9 +2,9 @@
 
     Every algorithm in [lib/locks] exposes a [Core] module implementing
     {!OPS} over its instance type. [Lock.build] packs one per [Lock.algo]
-    and the composites ({!Cohort}, {!Rwlock}, {!Adaptive}) are assembled
-    from {!packed} constituents, so any local lock can be paired with any
-    global lock. Capabilities are asked of the instance, not the module: a
+    and the composites ({!Cohort}, {!Rwlock}) are assembled from {!packed}
+    constituents, so any local lock can be paired with any global lock.
+    Capabilities are asked of the instance, not the module: a
     composite assembled at run time can only answer once it knows its
     constituents. *)
 

@@ -72,7 +72,6 @@ type kind =
   | Rpc_retry
   | Rpc_reply
   | Proc_crash
-  | Lock_morphed
 
 let kind_name = function
   | Lock_acquired -> "lock_acquired"
@@ -87,7 +86,6 @@ let kind_name = function
   | Rpc_retry -> "rpc_retry"
   | Rpc_reply -> "rpc_reply"
   | Proc_crash -> "proc_crash"
-  | Lock_morphed -> "lock_morphed"
 
 type event = {
   kind : kind;
@@ -132,13 +130,6 @@ type crash_row = {
    not a counter. *)
 type rw_bucket = { mutable rw_now : int; mutable rw_peak : int }
 
-(* Morph accounting for adaptive locks: promotions/demotions per cluster
-   plus a current-shape gauge per class. Beside the profile, not inside it,
-   for the same schema-stability reason as the crash and rw buckets. *)
-type morph_bucket = { mutable mb_up : int; mutable mb_down : int }
-
-type morph_row = { m_cluster : int; m_up : int; m_down : int }
-
 type t = {
   n_clusters : int;
   cluster_of : int -> int;
@@ -156,9 +147,6 @@ type t = {
   mutable recorded : int; (* monotonic; ring index = recorded mod cap *)
   crash : crash_bucket array; (* per cluster *)
   rw : (int, rw_bucket array) Hashtbl.t; (* class id -> total :: per-cluster *)
-  morph : (int, morph_bucket array) Hashtbl.t;
-  (* class id -> total :: per-cluster *)
-  morph_shape : (int, int) Hashtbl.t; (* class id -> current shape gauge *)
 }
 
 let create ?(trace = 0) ?cluster_of ?(n_clusters = 1) ~n_procs () =
@@ -190,8 +178,6 @@ let create ?(trace = 0) ?cluster_of ?(n_clusters = 1) ~n_procs () =
       Array.init n_clusters (fun _ ->
           { cb_crashes = 0; cb_recoveries = 0; cb_latencies_rev = [] });
     rw = Hashtbl.create 8;
-    morph = Hashtbl.create 4;
-    morph_shape = Hashtbl.create 4;
   }
 
 let cluster t proc =
@@ -291,8 +277,7 @@ let lock_try_acquired t ~proc ~cls ~id ~now =
   start_hold t ~proc ~cls ~id ~now
 
 (* Abandonments bump [aborts] *before* [contended]: hooks run host-
-   atomically, so a mid-run sampler (the adaptive policy reading its own
-   profile, a periodic reporter) lands between hooks, never inside one —
+   atomically, so a mid-run sampler (a periodic reporter) lands between hooks, never inside one —
    but keeping the excuse written before the excess preserves the row
    invariant [contended <= acqs + aborts] at every sequencing granularity,
    and the qcheck property in test_obs pins it. *)
@@ -384,49 +369,6 @@ let rw_read_peak_by_cluster t ~cls =
     List.filteri (fun i _ -> i > 0) (Array.to_list bs)
     |> List.mapi (fun c b -> (c, b.rw_peak))
     |> List.filter (fun (_, p) -> p > 0)
-
-(* -- morph hooks ---------------------------------------------------------- *)
-
-let morph_buckets t ~cls =
-  match Hashtbl.find_opt t.morph cls with
-  | Some bs -> bs
-  | None ->
-    let bs =
-      Array.init (t.n_clusters + 1) (fun _ -> { mb_up = 0; mb_down = 0 })
-    in
-    Hashtbl.replace t.morph cls bs;
-    bs
-
-(* An adaptive lock of class [cls] switched shape; attributed to the
-   morphing releaser's cluster. [shape] updates the current-shape gauge. *)
-let lock_morphed t ~proc ~cls ~up ~shape ~now =
-  let bs = morph_buckets t ~cls in
-  let one b = if up then b.mb_up <- b.mb_up + 1 else b.mb_down <- b.mb_down + 1 in
-  one bs.(0);
-  one bs.(1 + cluster t proc);
-  Hashtbl.replace t.morph_shape cls shape;
-  record t Lock_morphed ~proc ~cls ~time:now ~dur:0
-
-let morphs_up t ~cls =
-  match Hashtbl.find_opt t.morph cls with None -> 0 | Some bs -> bs.(0).mb_up
-
-let morphs_down t ~cls =
-  match Hashtbl.find_opt t.morph cls with None -> 0 | Some bs -> bs.(0).mb_down
-
-let current_shape t ~cls =
-  match Hashtbl.find_opt t.morph_shape cls with None -> 0 | Some s -> s
-
-let morph_rows t ~cls =
-  match Hashtbl.find_opt t.morph cls with
-  | None -> []
-  | Some bs ->
-    let rows = ref [] in
-    Array.iteri
-      (fun i b ->
-        if i > 0 && (b.mb_up <> 0 || b.mb_down <> 0) then
-          rows := { m_cluster = i - 1; m_up = b.mb_up; m_down = b.mb_down } :: !rows)
-      bs;
-    List.rev !rows
 
 (* -- crash hooks ---------------------------------------------------------- *)
 
@@ -572,7 +514,6 @@ let on_event t ~proc ~now (e : Verify.event) =
     lock_recovered t ~proc ~cls ~dead ~latency ~now
   | Abandon_repaired cls -> lock_abandon_repaired t ~proc ~cls
   | Optimistic_abort cls -> lock_optimistic_abort t ~proc ~cls ~now
-  | Morphed { cls; up; shape } -> lock_morphed t ~proc ~cls ~up ~shape ~now
   | Reserve_set { cls; word; _ } -> reserve_set t ~proc ~cls ~word ~now
   | Reserve_read_set { cls; word; _ } ->
     reserve_read_set t ~proc ~cls ~word ~now
@@ -680,11 +621,10 @@ let span_name e =
   | Rpc_retry -> "rpc retry"
   | Rpc_reply -> "rpc"
   | Proc_crash -> "crash"
-  | Lock_morphed -> cls ^ " morph"
 
 let category = function
   | Lock_acquired | Lock_released | Lock_try | Lock_abandoned | Lock_recovered
-  | Lock_morphed ->
+    ->
     "lock"
   | Reserve_set | Reserve_cleared | Reserve_spin -> "reserve"
   | Rpc_issue | Rpc_retry | Rpc_reply -> "rpc"
@@ -694,8 +634,7 @@ let is_span e =
   match e.kind with
   | Lock_acquired | Lock_released | Lock_abandoned | Lock_recovered
   | Reserve_cleared | Reserve_spin | Rpc_reply -> true
-  | Lock_try | Reserve_set | Rpc_issue | Rpc_retry | Proc_crash | Lock_morphed
-    -> false
+  | Lock_try | Reserve_set | Rpc_issue | Rpc_retry | Proc_crash -> false
 
 let trace_json t ~us_per_cycle =
   let us c = float_of_int c *. us_per_cycle in

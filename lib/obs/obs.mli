@@ -53,24 +53,6 @@ val rw_read_peak : t -> cls:Verify.lock_class -> int
 (** Per-cluster peaks, clusters with no shared activity omitted. *)
 val rw_read_peak_by_cluster : t -> cls:Verify.lock_class -> (int * int) list
 
-(** {2 Morphs (adaptive locks)}
-
-    Promotion/demotion counters per cluster and a current-shape gauge per
-    lock class, fed by [Morphed] events. Kept beside the profile like the
-    crash and rw buckets: {!cells} is schema-stable. *)
-
-type morph_row = { m_cluster : int; m_up : int; m_down : int }
-
-(** One row per cluster with any morph activity for [cls]. *)
-val morph_rows : t -> cls:Verify.lock_class -> morph_row list
-
-val morphs_up : t -> cls:Verify.lock_class -> int
-val morphs_down : t -> cls:Verify.lock_class -> int
-
-(** Latest shape index reported for [cls]; 0 (the base shape) if the class
-    never morphed. *)
-val current_shape : t -> cls:Verify.lock_class -> int
-
 (** {2 Crash and recovery}
 
     Kept beside the profile, not inside {!cells}: the profile schema is
@@ -140,7 +122,6 @@ type kind =
   | Rpc_retry  (** instant: [Would_deadlock] resend/backoff *)
   | Rpc_reply  (** span: issue to reply *)
   | Proc_crash  (** instant: a processor fail-stopped *)
-  | Lock_morphed  (** instant: an adaptive lock switched shape *)
 
 val kind_name : kind -> string
 

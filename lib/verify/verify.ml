@@ -121,7 +121,6 @@ type event =
   | Recovered of { cls : lock_class; dead : int; latency : int }
   | Abandon_repaired of lock_class
   | Optimistic_abort of lock_class
-  | Morphed of { cls : lock_class; up : bool; shape : int }
   | Reserve_set of { cls : lock_class; word : int; label : string }
   | Reserve_read_set of { cls : lock_class; word : int; label : string }
   | Reserve_clear of { word : int }
@@ -679,7 +678,7 @@ let rpc_finished t ~proc ~now =
 
 (* -- the one entry point ------------------------------------------------- *)
 
-(* Morphs, optimistic aborts, abandon repairs, recoveries (the forced
+(* Optimistic aborts, abandon repairs, recoveries (the forced
    release arrives as [Released]) and RPC retries move no lockdep state. *)
 let on_event t ~proc ~now = function
   | Wait (cls, id) -> wait_acquire t ~proc ~cls ~id ~now
@@ -707,9 +706,7 @@ let on_event t ~proc ~now = function
   | Rpc_reply -> rpc_finished t ~proc ~now
   | Proc_crashed -> proc_crashed t ~proc ~now
   | Proc_revived -> proc_revived t ~proc
-  | Recovered _ | Abandon_repaired _ | Optimistic_abort _ | Morphed _
-  | Rpc_retry ->
-    ()
+  | Recovered _ | Abandon_repaired _ | Optimistic_abort _ | Rpc_retry -> ()
 
 (* -- watchdog ------------------------------------------------------------- *)
 

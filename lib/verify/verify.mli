@@ -124,9 +124,8 @@ type event =
   | Wait_abandoned
       (** The blocking acquisition timed out and gave up. The observer
           bumps [aborts] and then [contended] without an acquisition;
-          since a report is host-atomic, any sampler (an adaptive lock's
-          policy reading its own profile, say) sees rows satisfying
-          [contended <= acqs + aborts]. *)
+          since a report is host-atomic, any mid-run sampler sees rows
+          satisfying [contended <= acqs + aborts]. *)
   | Released of lock_class * int
       (** A release. If the releasing processor does not hold the lock but
           the registered holder has fail-stopped, the release is a legal
@@ -177,11 +176,6 @@ type event =
           balancing: observer only, charged to [proc]'s cluster as a
           contended non-acquisition ([contended] and [aborts] both
           bump). *)
-  | Morphed of { cls : lock_class; up : bool; shape : int }
-      (** An adaptive lock switched to shape index [shape] ([up] for a
-          promotion), attributed to the morphing releaser's cluster.
-          Observer only: the shape-level acquire/release pairs the checker
-          sees across a morph already balance. *)
   | Reserve_set of { cls : lock_class; word : int; label : string }
       (** A write reservation was taken. Write-reserving an already
           reserved word is a [Double_reserve]. *)

@@ -1,4 +1,4 @@
-(* The diurnal load cycle (the ADAPTIVE experiment).
+(* The diurnal load cycle (the DIURNAL experiment).
 
    The paper hand-picked a lock shape per subsystem because no single
    shape wins across load regimes; this workload makes the regime change
@@ -10,15 +10,12 @@
    composite wins), then the trickle again.
 
    Completed operations are classified into phases by completion time, so
-   per-phase throughput compares a morphing lock against each static
-   shape on the regime that shape is best at — the acceptance pin is that
-   no static algorithm wins both phases while Adaptive tracks the
-   per-phase winner within a fixed margin, and that the run shows at
-   least one promotion and one demotion.
+   per-phase throughput races the static shapes on both regimes — the
+   acceptance pin is that no one shape wins both phases.
 
-   A Verify checker and an Obs observer are always installed: the zero-
-   violation gate covers the morph protocol's drain hand-offs, and the
-   morph counters come from the observer, not from trusting the lock. *)
+   A Verify checker and an Obs observer are always installed: every run
+   is gated on zero lockdep violations, and the observer's profile rows
+   go out with the result. *)
 
 open Eventsim
 open Hector
@@ -46,7 +43,7 @@ let default_config =
     hold_us = 1.5;
     think_cold_us = 5.0;
     think_hot_us = 3.0;
-    algo = Lock.adaptive;
+    algo = Lock.Mcs_h2;
     seed = 42;
   }
 
@@ -62,9 +59,6 @@ type result = {
   cold2_ops : int;
   cold_throughput_ops_ms : float; (* both cold plateaus combined *)
   hot_throughput_ops_ms : float;
-  morphs_up : int; (* observer-counted promotions (0 for static shapes) *)
-  morphs_down : int;
-  final_shape : int; (* observer gauge: shape index after the run *)
   final_free : bool;
   lockdep_violations : int;
   obs_rows : Obs.row list;
@@ -191,7 +185,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?obs () =
   done;
   Engine.run eng;
   Verify.finish verify ~now:(Machine.now machine);
-  let cls = Verify.lock_class obs_class in
   let phase_ms = config.phase_us /. 1000.0 in
   {
     algo = config.algo;
@@ -206,9 +199,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?obs () =
     cold_throughput_ops_ms =
       float_of_int (!cold1_ops + !cold2_ops) /. (2.0 *. phase_ms);
     hot_throughput_ops_ms = float_of_int !hot_ops /. phase_ms;
-    morphs_up = Obs.morphs_up obs ~cls;
-    morphs_down = Obs.morphs_down obs ~cls;
-    final_shape = Obs.current_shape obs ~cls;
     final_free = lock.Lock.is_free ();
     lockdep_violations = Verify.violation_count verify;
     obs_rows = Obs.profile_rows obs;

@@ -1,12 +1,10 @@
-(** The diurnal load cycle (the ADAPTIVE experiment): load ramps
+(** The diurnal load cycle (the DIURNAL experiment): load ramps
     cold → hot → cold in three equal plateaus — a same-cluster trickle
     with long think times, then every processor across every cluster with
     short think times, then the trickle again. Completed operations are
     classified into phases by completion time, so per-phase throughput
-    compares a morphing {!Locks.Lock.Adaptive} lock against each static
-    shape on the regime that shape is best at. A Verify checker and an
-    Obs observer are always installed; the morph counters in the result
-    come from the observer. *)
+    races static lock shapes on both regimes. A Verify checker and an Obs
+    observer are always installed. *)
 
 open Hector
 open Locks
@@ -24,7 +22,7 @@ type config = {
 }
 
 (** 16 hot / 1 cold processor over 4 clusters, 1.2 ms plateaus, 1.5 µs
-    holds, 5 µs cold and 3 µs hot think times, [Lock.adaptive]. *)
+    holds, 5 µs cold and 3 µs hot think times, H2-MCS. *)
 val default_config : config
 
 type result = {
@@ -39,9 +37,6 @@ type result = {
   cold2_ops : int;
   cold_throughput_ops_ms : float;  (** both cold plateaus combined *)
   hot_throughput_ops_ms : float;
-  morphs_up : int;  (** observer-counted promotions; 0 for static shapes *)
-  morphs_down : int;
-  final_shape : int;  (** observer gauge: shape index after the run *)
   final_free : bool;
   lockdep_violations : int;  (** must be 0 *)
   obs_rows : Obs.row list;

@@ -44,6 +44,10 @@ type result = {
 let vpage_of ~proc ~j = 100_000 + (1000 * proc) + j
 
 let run ?(cfg = Config.hector) ?(config = default_config) () =
+  if config.p < 1 || config.p > Config.n_procs cfg then
+    invalid_arg
+      (Printf.sprintf "Independent_faults.run: p must be in 1..%d (got %d)"
+         (Config.n_procs cfg) config.p);
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let kernel =

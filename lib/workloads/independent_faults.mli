@@ -27,4 +27,5 @@ type result = {
 
 val vpage_of : proc:int -> j:int -> int
 
+(** Raises [Invalid_argument] unless [1 <= p <= Config.n_procs cfg]. *)
 val run : ?cfg:Hector.Config.t -> ?config:config -> unit -> result

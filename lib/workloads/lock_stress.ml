@@ -43,6 +43,10 @@ type result = {
 }
 
 let run ?(cfg = Config.hector) ?(config = default_config) algo =
+  if config.p < 1 || config.p > Config.n_procs cfg then
+    invalid_arg
+      (Printf.sprintf "Lock_stress.run: p must be in 1..%d (got %d)"
+         (Config.n_procs cfg) config.p);
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let lock = Lock.make machine ~home:0 algo in

@@ -24,6 +24,7 @@ type result = {
   atomics : int;
 }
 
+(** Raises [Invalid_argument] unless [1 <= p <= Config.n_procs cfg]. *)
 val run : ?cfg:Config.t -> ?config:config -> Lock.algo -> result
 
 (** Sweep several algorithms over processor counts. *)

@@ -25,7 +25,7 @@ let model_algo = function
   | Lock.Spin _ -> Some Instr_model.Spin
   | Lock.Mcs_cas | Lock.Null | Lock.Clh | Lock.Ticket | Lock.Anderson
   | Lock.Spin_then_block _ | Lock.Cohort _ | Lock.Hmcs _ | Lock.Cna _
-  | Lock.Rw _ | Lock.Adaptive _ ->
+  | Lock.Rw _ ->
     None
 
 let run ?(cfg = Config.hector) ?(iters = 2000) algo =

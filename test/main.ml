@@ -27,7 +27,6 @@ let () =
       ("lock_family", Test_lock_family.suite);
       ("numa_locks", Test_numa_locks.suite);
       ("abort", Test_abort.suite);
-      ("adaptive", Test_adaptive.suite);
       ("crash", Test_crash.suite);
       ("cow", Test_cow.suite);
       ("report", Test_report.suite);

@@ -147,22 +147,6 @@ let test_clh_pump_rescue () =
     (crash_stress ~algo:Lock.Clh ~p:4 ~n_kills:2 ~iters:6 ~hold:7 ~think:30
        ~seed:4315)
 
-(* Regression: qcheck-found inputs where Adaptive(CNA) failed [release]'s
-   holder assertion. [Adaptive.recover] cleared [t.holder] after the
-   shape's recover returned, but that recover suspends while it forces the
-   hand-off, and the successor validated and registered itself in between;
-   the stale clear then wiped the successor's registration. *)
-let test_adaptive_recover_keeps_successor () =
-  List.iter
-    (fun (p, n_kills, hold, seed) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "Adaptive p=%d n_kills=%d hold=%d seed=%d" p n_kills
-           hold seed)
-        true
-        (crash_stress ~algo:Lock.adaptive ~p ~n_kills ~iters:6 ~hold ~think:30
-           ~seed))
-    [ (6, 1, 26, 7549); (4, 1, 24, 5506) ]
-
 let prop_crash_safety =
   QCheck.Test.make
     ~name:"every recoverable Lock.algo: safety under planted mid-CS kills"
@@ -410,8 +394,6 @@ let suite =
     Qc.to_alcotest prop_crash_safety;
     Alcotest.test_case "CLH pump rescues a dead holder" `Quick
       test_clh_pump_rescue;
-    Alcotest.test_case "Adaptive recover keeps a successor's registration"
-      `Quick test_adaptive_recover_keeps_successor;
     Alcotest.test_case "crash storm: recovery conservation per algorithm"
       `Quick test_crash_storm;
     Alcotest.test_case "khash repair: shard lock, seqlock, reserve bit" `Quick

@@ -97,14 +97,16 @@ let test_rw_scaling () =
   check_digest obs "0c2f922be51e650f37c97773018e2042"
 
 let test_diurnal () =
-  let config = { Diurnal.default_config with phase_us = 500.0 } in
+  let config =
+    { Diurnal.default_config with algo = Locks.Lock.cna; phase_us = 500.0 }
+  in
   let obs =
     clustered_obs ~p:config.Diurnal.p_hot ~n_clusters:config.Diurnal.n_clusters
   in
   let r = Diurnal.run ~cfg ~config ~obs () in
-  Alcotest.(check bool) "morphed" true (r.Diurnal.morphs_up > 0);
+  Alcotest.(check bool) "free" true r.Diurnal.final_free;
   Alcotest.(check int) "violations" 0 r.Diurnal.lockdep_violations;
-  check_digest obs "236edee87561bcfc481869e5eb8362a8"
+  check_digest obs "87d69eeb4d7b12fedcf34f30c3a1d247"
 
 let suite =
   [
@@ -113,5 +115,5 @@ let suite =
     Alcotest.test_case "crash storm on h2: stream digest" `Quick
       test_crash_storm;
     Alcotest.test_case "rw-style scaling: stream digest" `Quick test_rw_scaling;
-    Alcotest.test_case "diurnal on adaptive: stream digest" `Quick test_diurnal;
+    Alcotest.test_case "diurnal on cna: stream digest" `Quick test_diurnal;
   ]

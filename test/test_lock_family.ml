@@ -111,14 +111,7 @@ let test_space_accounting () =
   (* CNA's "compact" claim: its footprint does not grow with the cluster
      count. *)
   Alcotest.(check int) "cna is cluster-independent" (w4 Lock.cna)
-    (Lock.space_words ~n_clusters:1 ~n_procs:16 Lock.cna);
-  (* Adaptive reports the mode word plus the max over its shapes — only
-     one shape's words carry the lock at a time (the morph guard keeps
-     the inactive shapes quiescent), so the sum would overstate the
-     active footprint. At P=16, C=4: 1 + max(spin 1, mcs 33, cna 51). *)
-  Alcotest.(check int) "adaptive = 1 + max over shapes" 52 (w4 Lock.adaptive);
-  Alcotest.(check int) "adaptive(cohort) = 1 + max(1, 33, 173)" 174
-    (w4 (Lock.Adaptive { numa = Lock.c_mcs_mcs }))
+    (Lock.space_words ~n_clusters:1 ~n_procs:16 Lock.cna)
 
 (* The capability table: every algorithm the CLI can name plus the
    configurations the paper's figures and the composites' edge cases use,
@@ -192,18 +185,12 @@ let table =
            centralised = false;
          })
       "RW-Ticket" ~abortable:false ~recoverable:true ~cas:true ~words:6;
-    row Lock.adaptive "Adaptive(CNA)" ~abortable:true ~recoverable:true
-      ~cas:false ~words:52;
-    row (Lock.Adaptive { numa = Lock.c_mcs_mcs }) "Adaptive(C-H1-MCS-H1-MCS)"
-      ~abortable:true ~recoverable:true ~cas:false ~words:174;
-    row (Lock.Adaptive { numa = Lock.hmcs }) "Adaptive(HMCS)" ~abortable:true
-      ~recoverable:true ~cas:false ~words:46;
-    (* Capabilities belong to the instance: a non-abortable NUMA shape
-       makes the whole morphing lock non-abortable, and a cohort over
-       Ticket cannot be recovered (Ticket's in-spin repair would release
-       one constituent behind the cohort's back), so neither can this. *)
-    row (Lock.Adaptive { numa = c_ticket }) "Adaptive(C-Ticket-Ticket)"
-      ~abortable:false ~recoverable:false ~cas:true ~words:34;
+    (* Capabilities belong to the instance: a non-abortable constituent
+       makes the cohort non-abortable, and a cohort over Ticket cannot be
+       recovered (Ticket's in-spin repair would release one constituent
+       behind the cohort's back). *)
+    row c_ticket "C-Ticket-Ticket" ~abortable:false ~recoverable:false
+      ~cas:true ~words:18;
   ]
 
 (* Each row's algorithm built on a compare&swap machine. *)
@@ -237,8 +224,8 @@ let test_capability_table () =
     Lock.spellings
 
 (* Each role check in [Lock.build]: a cohort takes base algorithms only,
-   an RW writer a base algorithm or a NUMA composite, Adaptive's top shape
-   a NUMA composite; [Null] has no instance to build. *)
+   an RW writer a base algorithm or a NUMA composite; [Null] has no
+   instance to build. *)
 let test_invalid_constructions () =
   let eng = Engine.create () in
   let machine = Machine.create eng Config.numachine in
@@ -260,11 +247,8 @@ let test_invalid_constructions () =
       cohort Lock.cna;
       cohort Lock.Null;
       cohort (Lock.Spin_then_block { spin_us = 5.0 });
-      rw Lock.adaptive;
       rw Lock.Null;
       rw (rw Lock.Mcs_h1);
-      Lock.Adaptive { numa = Lock.Mcs_h2 };
-      Lock.Adaptive { numa = Lock.adaptive };
     ];
   Alcotest.(check bool) "build Null refused" true
     (match

@@ -144,10 +144,9 @@ let test_unmatched_events_tolerated () =
 
 (* -- snapshot consistency ---------------------------------------------------
 
-   The profile is sampled mid-run by host-side readers (the adaptive
-   lock's policy, gauges, tests): after *every* hook, every row — total
-   and per-cluster — must satisfy [contended <= acqs + aborts]. The
-   ordering inside the abandon/optimistic-abort hooks (abort bumped
+   The profile is sampled mid-run by host-side readers (gauges, tests):
+   after *every* hook, every row — total and per-cluster — must satisfy
+   [contended <= acqs + aborts]. The ordering inside the abandon/optimistic-abort hooks (abort bumped
    before contended) is exactly what this property pins: a random
    interleaving of waits, acquisitions, abandonments, try-acquires and
    optimistic aborts across processors, clusters and two classes, with

@@ -106,6 +106,25 @@ let test_lock_stress_single_proc_near_uncontended () =
   Alcotest.(check bool) "close to uncontended" true
     (r.Lock_stress.summary.Measure.mean_us < 4.0)
 
+(* A processor count the machine cannot run is refused up front, by the
+   workload's own validator (its message names the workload), not by a
+   layer below it once the run has started. *)
+let refuses validator run =
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s refuses p=%d" validator p)
+        true
+        (match run p with
+        | exception Invalid_argument m ->
+          String.starts_with ~prefix:validator m
+        | _ -> false))
+    [ 0; 17 ]
+
+let test_lock_stress_refuses_bad_p () =
+  refuses "Lock_stress.run" (fun p ->
+      Lock_stress.run ~config:{ Lock_stress.default_config with p } Lock.Mcs_h2)
+
 (* -- independent faults --------------------------------------------------------- *)
 
 let test_independent_faults_counts () =
@@ -120,6 +139,12 @@ let test_independent_faults_counts () =
   Alcotest.(check bool) "fault latency in a sane band" true
     (r.Independent_faults.summary.Measure.mean_us > 100.0
     && r.Independent_faults.summary.Measure.mean_us < 400.0)
+
+let test_independent_faults_refuses_bad_p () =
+  refuses "Independent_faults.run" (fun p ->
+      Independent_faults.run
+        ~config:{ Independent_faults.default_config with p }
+        ())
 
 (* -- shared faults ----------------------------------------------------------------- *)
 
@@ -244,8 +269,12 @@ let suite =
     Alcotest.test_case "lock stress sanity" `Quick test_lock_stress_sane;
     Alcotest.test_case "lock stress, single processor" `Quick
       test_lock_stress_single_proc_near_uncontended;
+    Alcotest.test_case "lock stress refuses bad processor counts" `Quick
+      test_lock_stress_refuses_bad_p;
     Alcotest.test_case "independent faults accounting" `Quick
       test_independent_faults_counts;
+    Alcotest.test_case "independent faults refuses bad processor counts"
+      `Quick test_independent_faults_refuses_bad_p;
     Alcotest.test_case "shared faults, one cluster" `Quick
       test_shared_faults_single_cluster_no_rpcs;
     Alcotest.test_case "shared faults, cross-cluster traffic" `Quick
