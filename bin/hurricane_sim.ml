@@ -26,104 +26,111 @@ let cmd name ~doc term =
   Cmd.v (Cmd.info name ~doc)
     Term.(term_result ~usage:true (const checked $ term))
 
-(* -- shared arguments ------------------------------------------------------ *)
+(* -- knobs ----------------------------------------------------------------- *)
+
+(* A knob is one flag that sets one field of a workload's config: [get]
+   reads the field, [set] writes it, and the flag's default is [get d],
+   where [d] is the workload's [default_config]. A subcommand at its
+   defaults therefore runs the configuration its experiment exports. *)
+let knob ?absent typ names ~docv ~doc (d : 'c) get (set : 'c -> 'v -> 'c) =
+  Term.(
+    const (fun v c -> set c v)
+    $ Arg.(value & opt typ (get d) & info names ?absent ~docv ~doc))
+
+(* A flag that applies [set] when it is given. *)
+let switch names ~doc set =
+  Term.(
+    const (fun on c -> if on then set c else c)
+    $ Arg.(value & flag & info names ~doc))
+
+(* A subcommand's config: [d] with every knob's update applied. *)
+let config d knobs =
+  List.fold_left
+    (fun acc knob -> Term.(const (fun c set -> set c) $ acc $ knob))
+    (Term.const d) knobs
 
 let algo_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Locks.Lock.of_string s) in
   let print ppf a = Format.pp_print_string ppf (Locks.Lock.algo_name a) in
   Arg.conv (parse, print)
 
-let algo_arg =
-  Arg.(
-    value
-    & opt algo_conv Locks.Lock.Mcs_h2
-    & info [ "l"; "lock" ] ~docv:"ALGO"
-        ~doc:
-          ("Lock algorithm: "
-          ^ String.concat ", " (List.map fst Locks.Lock.spellings)
-          ^ " or spin:<max-backoff-us> (at least 1)."))
+let lock_doc =
+  "Lock algorithm: "
+  ^ String.concat ", " (List.map fst Locks.Lock.spellings)
+  ^ " or spin:<max-backoff-us> (at least 1)."
 
-let procs_arg =
-  Arg.(
-    value & opt int 16
-    & info [ "p"; "procs" ] ~docv:"P" ~doc:"Number of contending processors.")
+let lock d = knob algo_conv [ "l"; "lock" ] ~docv:"ALGO" ~doc:lock_doc d
 
-let cluster_arg =
+(* The lock of a workload that takes it as an argument, not a field. *)
+let lock_arg default =
   Arg.(
-    value & opt int 16
-    & info [ "c"; "cluster-size" ] ~docv:"N" ~doc:"Processors per cluster.")
+    value & opt algo_conv default
+    & info [ "l"; "lock" ] ~docv:"ALGO" ~doc:lock_doc)
 
-let seed_arg =
-  Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
+let procs ?(doc = "Number of contending processors.") d =
+  knob Arg.int [ "p"; "procs" ] ~docv:"P" ~doc d
 
-let window_arg =
-  Arg.(
-    value & opt float 20000.0
-    & info [ "window" ] ~docv:"US" ~doc:"Measurement window in us.")
+let workers d =
+  knob Arg.int [ "p"; "workers" ] ~docv:"P" ~doc:"Worker processors." d
 
-let hold_arg default =
-  Arg.(
-    value & opt float default
-    & info [ "hold" ] ~docv:"US" ~doc:"Critical-section length in us.")
+let cluster_size d =
+  knob Arg.int [ "c"; "cluster-size" ] ~docv:"N" ~doc:"Processors per cluster."
+    d
 
-let clusters_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "clusters" ] ~docv:"C" ~doc:"Number of clusters (p=16 split).")
+let clusters ?(doc = "Number of clusters (p=16 split).") d =
+  knob Arg.int [ "clusters" ] ~docv:"C" ~doc d
+
+let seed d = knob Arg.int [ "seed" ] ~docv:"SEED" ~doc:"RNG seed." d
+
+let window d =
+  knob Arg.float [ "window" ] ~docv:"US" ~doc:"Measurement window in us." d
+
+let hold d =
+  knob Arg.float [ "hold" ] ~docv:"US" ~doc:"Critical-section length in us." d
+
+let read_ratio ?(doc = "Fraction of operations that are read-only lookups.") d
+    =
+  knob Arg.float [ "read-ratio" ] ~docv:"R" ~doc d
 
 (* -- locks subcommand ------------------------------------------------------- *)
 
 let locks_cmd =
-  let run algo p hold_us window_us () =
-    let r =
-      Lock_stress.run
-        ~config:{ Lock_stress.default_config with p; hold_us; window_us }
-        algo
-    in
+  let run algo config () =
+    let r = Lock_stress.run ~config algo in
     Format.fprintf ppf "%a@." Measure.pp r.Lock_stress.summary;
     Format.fprintf ppf
       "acquisitions=%d lock-module-utilization=%.2f atomics=%d@."
       r.Lock_stress.acquisitions r.Lock_stress.lock_mem_utilization
       r.Lock_stress.atomics
   in
+  let d = Lock_stress.default_config in
   cmd "locks" ~doc:"Stress one lock with P processors (Figure 5)."
-    Term.(const run $ algo_arg $ procs_arg $ hold_arg 0.0 $ window_arg)
+    Term.(
+      const run $ lock_arg Locks.Lock.Mcs_h2
+      $ config d
+          [
+            procs d (fun c -> c.p) (fun c p -> { c with p });
+            hold d (fun c -> c.hold_us) (fun c hold_us -> { c with hold_us });
+            window d
+              (fun c -> c.window_us)
+              (fun c window_us -> { c with window_us });
+          ])
 
 (* -- faults subcommand ------------------------------------------------------ *)
 
+(* The independent and the shared test share their flags; each knob sets
+   the field in both configs. *)
 let faults_cmd =
-  let run algo p cluster_size shared seed () =
+  let run shared (independent, shared_config) () =
     if shared then begin
-      let r =
-        Shared_faults.run
-          ~config:
-            {
-              Shared_faults.default_config with
-              p;
-              cluster_size;
-              lock_algo = algo;
-              seed;
-            }
-          ()
-      in
+      let r = Shared_faults.run ~config:shared_config () in
       Format.fprintf ppf "%a@." Measure.pp r.Shared_faults.summary;
       Format.fprintf ppf "retries=%d rpcs=%d replications=%d invalidations=%d@."
         r.Shared_faults.retries r.Shared_faults.rpcs
         r.Shared_faults.replications r.Shared_faults.invalidations
     end
     else begin
-      let r =
-        Independent_faults.run
-          ~config:
-            {
-              Independent_faults.default_config with
-              p;
-              cluster_size;
-              lock_algo = algo;
-              seed;
-            }
-          ()
-      in
+      let r = Independent_faults.run ~config:independent () in
       Format.fprintf ppf "%a@." Measure.pp r.Independent_faults.summary;
       Format.fprintf ppf "retries=%d rpcs=%d reserve-conflicts=%d@."
         r.Independent_faults.retries r.Independent_faults.rpcs
@@ -136,79 +143,85 @@ let faults_cmd =
       & info [ "shared" ]
           ~doc:"Run the shared-fault test instead of the independent one.")
   in
+  let d = (Independent_faults.default_config, Shared_faults.default_config) in
+  (* Each test's own seed unless --seed is given. *)
+  let seed =
+    knob (Arg.some Arg.int) [ "seed" ] ~docv:"SEED" ~doc:"RNG seed."
+      ~absent:
+        (Printf.sprintf "%d independent, %d shared" (fst d).seed (snd d).seed)
+      d
+      (fun _ -> None)
+      (fun (i, s) -> function
+        | None -> (i, s) | Some seed -> ({ i with seed }, { s with seed }))
+  in
   cmd "faults"
     ~doc:"Run a page-fault stress test on the simulated kernel (Figure 7)."
-    Term.(const run $ algo_arg $ procs_arg $ cluster_arg $ shared $ seed_arg)
+    Term.(
+      const run $ shared
+      $ config d
+          [
+            lock d
+              (fun (i, _) -> i.lock_algo)
+              (fun (i, s) lock_algo ->
+                ({ i with lock_algo }, { s with lock_algo }));
+            procs d
+              (fun (i, _) -> i.p)
+              (fun (i, s) p -> ({ i with p }, { s with p }));
+            cluster_size d
+              (fun (i, _) -> i.cluster_size)
+              (fun (i, s) cluster_size ->
+                ({ i with cluster_size }, { s with cluster_size }));
+            seed;
+          ])
 
 (* -- destroy subcommand ------------------------------------------------------ *)
 
 let destroy_cmd =
-  let run cluster_size pessimistic children () =
-    let strategy =
-      if pessimistic then Hkernel.Procs.Pessimistic else Hkernel.Procs.Optimistic
-    in
-    let r =
-      Destruction.run
-        ~config:{ Destruction.default_config with cluster_size; strategy; children }
-        ()
-    in
+  let run config () =
+    let r = Destruction.run ~config () in
     Format.fprintf ppf "%a@." Measure.pp r.Destruction.destroy_summary;
     Format.fprintf ppf "destroys=%d retries=%d revalidations=%d lost-races=%d@."
       r.Destruction.destroys r.Destruction.retries r.Destruction.revalidations
       r.Destruction.lost_races
   in
-  let pessimistic =
-    Arg.(
-      value & flag
-      & info [ "pessimistic" ]
-          ~doc:"Use the pessimistic deadlock-management strategy.")
-  in
-  let children =
-    Arg.(
-      value & opt int 8
-      & info [ "children" ] ~docv:"N" ~doc:"Processes per program.")
-  in
+  let d = Destruction.default_config in
   cmd "destroy"
     ~doc:"Program-destruction storm across clusters (Section 2.5)."
-    Term.(const run $ cluster_arg $ pessimistic $ children)
+    Term.(
+      const run
+      $ config d
+          [
+            cluster_size d
+              (fun c -> c.cluster_size)
+              (fun c cluster_size -> { c with cluster_size });
+            switch [ "pessimistic" ]
+              ~doc:"Use the pessimistic deadlock-management strategy."
+              (fun (c : Destruction.config) ->
+                { c with strategy = Hkernel.Procs.Pessimistic });
+            knob Arg.int [ "children" ] ~docv:"N"
+              ~doc:"Processes per program." d
+              (fun c -> c.children)
+              (fun c children -> { c with children });
+          ])
 
 (* -- sweep subcommand --------------------------------------------------------- *)
 
 let sweep_cmd =
   let run algo shared sizes () =
+    let series =
+      if shared then Experiments.fig7d ~algos:[ algo ] ~sizes ()
+      else Experiments.fig7c ~algos:[ algo ] ~sizes ()
+    in
     Format.fprintf ppf "%-14s" "cluster";
     List.iter (fun c -> Format.fprintf ppf "%9d" c) sizes;
     Format.fprintf ppf "@.%-14s" (Locks.Lock.algo_name algo);
     List.iter
-      (fun cluster_size ->
-        let mean =
-          if shared then
-            (Shared_faults.run
-               ~config:
-                 {
-                   Shared_faults.default_config with
-                   p = 16;
-                   cluster_size;
-                   lock_algo = algo;
-                 }
-               ())
-              .Shared_faults.summary
-              .Measure.mean_us
-          else
-            (Independent_faults.run
-               ~config:
-                 {
-                   Independent_faults.default_config with
-                   p = 16;
-                   cluster_size;
-                   lock_algo = algo;
-                 }
-               ())
-              .Independent_faults.summary
-              .Measure.mean_us
-        in
-        Format.fprintf ppf "%9.1f" mean)
-      sizes;
+      (fun (s : Experiments.fig7_series) ->
+        List.iter
+          (fun (pt : Experiments.fig7_point) ->
+            Format.fprintf ppf "%9.1f" pt.mean_us)
+          s.series)
+      series;
     Format.fprintf ppf "@."
   in
   let shared =
@@ -219,18 +232,20 @@ let sweep_cmd =
   let sizes =
     Arg.(
       value
-      & opt (list int) [ 1; 2; 4; 8; 16 ]
+      & opt (list int) Experiments.paper_cluster_sizes
       & info [ "sizes" ] ~docv:"N,N,..." ~doc:"Cluster sizes to sweep.")
   in
   cmd "sweep"
     ~doc:"Sweep the cluster size at p=16 (Figures 7c/7d)."
-    Term.(const run $ algo_arg $ shared $ sizes)
+    Term.(const run $ lock_arg Locks.Lock.Mcs_h2 $ shared $ sizes)
 
 (* -- storm subcommand --------------------------------------------------------- *)
 
+(* The flags that build the injected fault plan have no config field, so
+   their defaults are this subcommand's own. *)
 let storm_cmd =
-  let run mech p stall_every_us stall_us drop_rate delay_rate use_verify seed
-      () =
+  let run mech stall_every_us stall_us drop_rate delay_rate use_verify
+      (config : Fault_storm.config) () =
     let cfg = Hector.Config.hector in
     let fault =
       if stall_every_us <= 0.0 && drop_rate <= 0.0 && delay_rate <= 0.0 then
@@ -239,7 +254,7 @@ let storm_cmd =
         Some
           {
             Eventsim.Fault.disabled with
-            seed;
+            seed = config.seed;
             stall_every =
               (if stall_every_us > 0.0 then
                  Hector.Config.cycles_of_us cfg stall_every_us
@@ -265,9 +280,7 @@ let storm_cmd =
       end
     in
     let r =
-      Fault_storm.run ~cfg
-        ~config:{ Fault_storm.default_config with p; seed; fault }
-        ?verify mech
+      Fault_storm.run ~cfg ~config:{ config with fault } ?verify mech
     in
     Format.fprintf ppf
       "%s: ops=%d deferred=%d rpc-ok=%d/%d resends=%d gave-ups=%d@."
@@ -311,11 +324,6 @@ let storm_cmd =
       & info [ "m"; "mechanism" ] ~docv:"MECH"
           ~doc:("Recovery mechanism: " ^ doc_alts_enum mechs ^ "."))
   in
-  let workers =
-    Arg.(
-      value & opt int 8
-      & info [ "p"; "workers" ] ~docv:"P" ~doc:"Worker processors.")
-  in
   let stall_every =
     Arg.(
       value & opt float 2000.0
@@ -347,13 +355,18 @@ let storm_cmd =
              $(b,--drop-rate) 0: reply-drop recovery re-executes services, \
              which the ownership checker reports.")
   in
+  let d = Fault_storm.default_config in
   cmd "storm"
     ~doc:
       "Fault-injection storm: holder stalls, RPC loss/delay, and the \
        timeout/bounded-retry recovery mechanisms."
     Term.(
-      const run $ mech $ workers $ stall_every $ stall $ drop $ delay
-      $ use_verify $ seed_arg)
+      const run $ mech $ stall_every $ stall $ drop $ delay $ use_verify
+      $ config d
+          [
+            workers d (fun c -> c.p) (fun c p -> { c with p });
+            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+          ])
 
 (* -- verify subcommand --------------------------------------------------------- *)
 
@@ -381,7 +394,7 @@ let verify_cmd =
 (* -- trace subcommand -------------------------------------------------------- *)
 
 let trace_cmd =
-  let run out p window_us stall_every_us capacity seed () =
+  let run out stall_every_us capacity (config : Fault_storm.config) () =
     let cfg = Hector.Config.hector in
     let fault =
       if stall_every_us <= 0.0 then None
@@ -389,7 +402,7 @@ let trace_cmd =
         Some
           {
             Eventsim.Fault.disabled with
-            seed;
+            seed = config.seed;
             stall_every = Hector.Config.cycles_of_us cfg stall_every_us;
             stall_cycles = Hector.Config.cycles_of_us cfg 1000.0;
           }
@@ -401,9 +414,8 @@ let trace_cmd =
         ~n_procs:(Hector.Config.n_procs cfg) ()
     in
     let r =
-      Fault_storm.run ~cfg
-        ~config:{ Fault_storm.default_config with p; window_us; seed; fault }
-        ~obs Fault_storm.Timeout
+      Fault_storm.run ~cfg ~config:{ config with fault } ~obs
+        Fault_storm.Timeout
     in
     let doc =
       Obs.trace_json obs ~us_per_cycle:(Hector.Config.us_of_cycles cfg 1)
@@ -425,16 +437,6 @@ let trace_cmd =
           ~doc:"Output file (Chrome trace-event JSON; load in Perfetto or \
                 chrome://tracing).")
   in
-  let workers =
-    Arg.(
-      value & opt int 8
-      & info [ "p"; "workers" ] ~docv:"P" ~doc:"Worker processors.")
-  in
-  let window =
-    Arg.(
-      value & opt float 8000.0
-      & info [ "w"; "window-us" ] ~docv:"US" ~doc:"Storm window, simulated us.")
-  in
   let stall_every =
     Arg.(
       value & opt float 2000.0
@@ -447,6 +449,7 @@ let trace_cmd =
       & info [ "trace-events" ] ~docv:"N"
           ~doc:"Ring capacity: keep the last N events.")
   in
+  let d = Fault_storm.default_config in
   cmd "trace"
     ~doc:
       "Run a fault storm with the contention observer installed and \
@@ -454,23 +457,22 @@ let trace_cmd =
        per-lock-class contention profile. Tracing is host-side only: the \
        storm's simulated timing is identical with and without it."
     Term.(
-      const run $ out $ workers $ window $ stall_every $ capacity $ seed_arg)
+      const run $ out $ stall_every $ capacity
+      $ config d
+          [
+            workers d (fun c -> c.p) (fun c p -> { c with p });
+            knob Arg.float [ "w"; "window-us" ] ~docv:"US"
+              ~doc:"Storm window, simulated us." d
+              (fun c -> c.window_us)
+              (fun c window_us -> { c with window_us });
+            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+          ])
 
 (* -- numa subcommand --------------------------------------------------------- *)
 
 let numa_cmd =
-  let run algo clusters hold_us window_us () =
-    let r =
-      Numa_stress.run
-        ~config:
-          {
-            Numa_stress.default_config with
-            n_clusters = clusters;
-            hold_us;
-            window_us;
-          }
-        algo
-    in
+  let run algo config () =
+    let r = Numa_stress.run ~config algo in
     Format.fprintf ppf "%a@." Measure.pp r.Numa_stress.summary;
     Format.fprintf ppf
       "acquisitions=%d handoffs=%d/%d local/remote (remote %.0f%%) \
@@ -480,30 +482,30 @@ let numa_cmd =
       (100.0 *. Numa_stress.remote_frac r)
       r.Numa_stress.max_wait_us r.Numa_stress.atomics
   in
+  let d = Numa_stress.default_config in
   cmd "numa"
     ~doc:
       "Cross-cluster lock stress: measures hand-off locality (local vs \
        remote) and worst-case waits for one lock algorithm. Compare \
        cohort/hmcs/cna against h2."
-    Term.(const run $ algo_arg $ clusters_arg $ hold_arg 0.0 $ window_arg)
+    Term.(
+      const run $ lock_arg Locks.Lock.Mcs_h2
+      $ config d
+          [
+            clusters d
+              (fun c -> c.n_clusters)
+              (fun c n_clusters -> { c with n_clusters });
+            hold d (fun c -> c.hold_us) (fun c hold_us -> { c with hold_us });
+            window d
+              (fun c -> c.window_us)
+              (fun c window_us -> { c with window_us });
+          ])
 
 (* -- abort subcommand --------------------------------------------------------- *)
 
 let abort_cmd =
-  let run algo clusters timeout_us stall_us window_us seed () =
-    let r =
-      Abort_storm.run
-        ~config:
-          {
-            Abort_storm.default_config with
-            n_clusters = clusters;
-            timeout_us;
-            stall_us;
-            window_us;
-            seed;
-          }
-        algo
-    in
+  let run algo config () =
+    let r = Abort_storm.run ~config algo in
     Format.fprintf ppf "overshoot: %a@." Measure.pp r.Abort_storm.overshoot;
     Format.fprintf ppf "recovery:  %a@." Measure.pp r.Abort_storm.recovery;
     Format.fprintf ppf
@@ -516,17 +518,7 @@ let abort_cmd =
       r.Abort_storm.remote_aborts r.Abort_storm.obs_repairs
       r.Abort_storm.final_free
   in
-  let timeout =
-    Arg.(
-      value & opt float 150.0
-      & info [ "timeout" ] ~docv:"US" ~doc:"Per-attempt deadline in us.")
-  in
-  let stall =
-    Arg.(
-      value & opt float 1500.0
-      & info [ "stall" ] ~docv:"US"
-          ~doc:"How long the planted holder goes dark per stall.")
-  in
+  let d = Abort_storm.default_config in
   cmd "abort"
     ~doc:
       "Timed acquisition under a planted cross-cluster holder stall: \
@@ -534,27 +526,31 @@ let abort_cmd =
        within a bounded overshoot of its deadline (experiment \
        ABORT-STORM). Only abortable algorithms are accepted."
     Term.(
-      const run $ algo_arg $ clusters_arg $ timeout $ stall $ window_arg
-      $ seed_arg)
+      const run $ lock_arg Locks.Lock.Mcs_h2
+      $ config d
+          [
+            clusters d
+              (fun c -> c.n_clusters)
+              (fun c n_clusters -> { c with n_clusters });
+            knob Arg.float [ "timeout" ] ~docv:"US"
+              ~doc:"Per-attempt deadline in us." d
+              (fun c -> c.timeout_us)
+              (fun c timeout_us -> { c with timeout_us });
+            knob Arg.float [ "stall" ] ~docv:"US"
+              ~doc:"How long the planted holder goes dark per stall." d
+              (fun c -> c.stall_us)
+              (fun c stall_us -> { c with stall_us });
+            window d
+              (fun c -> c.window_us)
+              (fun c window_us -> { c with window_us });
+            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+          ])
 
 (* -- crash subcommand --------------------------------------------------------- *)
 
 let crash_cmd =
-  let run algo clusters kills check_period_us hold_us window_us seed () =
-    let r =
-      Crash_storm.run
-        ~config:
-          {
-            Crash_storm.default_config with
-            n_clusters = clusters;
-            n_kills = kills;
-            check_period_us;
-            hold_us;
-            window_us;
-            seed;
-          }
-        algo
-    in
+  let run algo config () =
+    let r = Crash_storm.run ~config algo in
     Format.fprintf ppf "recovery: %a@." Measure.pp r.Crash_storm.recovery;
     List.iter
       (fun (c, s) ->
@@ -567,18 +563,7 @@ let crash_cmd =
       r.Crash_storm.obs_recoveries r.Crash_storm.lockdep_recoveries
       r.Crash_storm.lockdep_violations r.Crash_storm.final_free
   in
-  let kills =
-    Arg.(
-      value & opt int 6
-      & info [ "kills" ] ~docv:"N"
-          ~doc:"Victim processors, each fail-stopped once mid-critical-section.")
-  in
-  let check_period =
-    Arg.(
-      value & opt float 25.0
-      & info [ "check-period" ] ~docv:"US"
-          ~doc:"Recoverable-acquire slice (the dead-holder detector period).")
-  in
+  let d = Crash_storm.default_config in
   cmd "crash"
     ~doc:
       "Fail-stop crashes planted mid-critical-section: victims die \
@@ -586,39 +571,99 @@ let crash_cmd =
        and force-release each orphaned hold (experiment CRASH-STORM). \
        Only recoverable algorithms are accepted."
     Term.(
-      const run $ algo_arg $ clusters_arg $ kills $ check_period $ hold_arg 2.0
-      $ window_arg $ seed_arg)
+      const run $ lock_arg Locks.Lock.Mcs_h2
+      $ config d
+          [
+            clusters d
+              (fun c -> c.n_clusters)
+              (fun c n_clusters -> { c with n_clusters });
+            knob Arg.int [ "kills" ] ~docv:"N"
+              ~doc:
+                "Victim processors, each fail-stopped once \
+                 mid-critical-section."
+              d
+              (fun c -> c.n_kills)
+              (fun c n_kills -> { c with n_kills });
+            knob Arg.float [ "check-period" ] ~docv:"US"
+              ~doc:
+                "Recoverable-acquire slice (the dead-holder detector period)."
+              d
+              (fun c -> c.check_period_us)
+              (fun c check_period_us -> { c with check_period_us });
+            hold d (fun c -> c.hold_us) (fun c hold_us -> { c with hold_us });
+            window d
+              (fun c -> c.window_us)
+              (fun c window_us -> { c with window_us });
+            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+          ])
 
 (* -- rw subcommand ------------------------------------------------------------ *)
 
-let rw_cmd =
-  let run algo style p clusters read_ratio ops reader_pref centralised seed
-      () =
-    let policy =
-      if reader_pref then Locks.Rwlock.Reader_preference
-      else Locks.Rwlock.Writer_blocking
-    in
+(* The read-path style is one field set by four flags: --style picks the
+   shape, --lock its writer, and --reader-preference and --centralised the
+   RW lock's sweep order and indicator layout. *)
+let rw_style (d : Rw_scaling.config) =
+  let open Rw_scaling in
+  let shape, writer, policy, centralised =
+    match d.style with
+    | Mutex writer -> (`Mutex, writer, Locks.Rwlock.Writer_blocking, false)
+    | Rw_lock { writer; policy; centralised } ->
+      (`Rw, writer, policy, centralised)
+    | Seqlock_style { writer } ->
+      (`Seqlock, writer, Locks.Rwlock.Writer_blocking, false)
+    | Replicated { writer } ->
+      (`Replicated, writer, Locks.Rwlock.Writer_blocking, false)
+  in
+  let set shape writer reader_pref central (c : config) =
     let style =
-      match style with
-      | `Mutex -> Rw_scaling.Mutex algo
-      | `Rw -> Rw_scaling.Rw_lock { writer = algo; policy; centralised }
-      | `Seqlock -> Rw_scaling.Seqlock_style { writer = algo }
-      | `Replicated -> Rw_scaling.Replicated { writer = algo }
+      match shape with
+      | `Mutex -> Mutex writer
+      | `Rw ->
+        let policy =
+          if reader_pref then Locks.Rwlock.Reader_preference else policy
+        in
+        Rw_lock { writer; policy; centralised = centralised || central }
+      | `Seqlock -> Seqlock_style { writer }
+      | `Replicated -> Replicated { writer }
     in
-    let r =
-      Rw_scaling.run
-        ~config:
-          {
-            Rw_scaling.default_config with
-            p;
-            n_clusters = clusters;
-            ops;
-            read_ratio;
-            style;
-            seed;
-          }
-        ()
-    in
+    { c with style }
+  in
+  let shape =
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("mutex", `Mutex); ("rw", `Rw); ("seqlock", `Seqlock);
+               ("replicated", `Replicated);
+             ])
+          shape
+      & info [ "style" ] ~docv:"STYLE"
+          ~doc:
+            "Read-path style: mutex (exclusive lock), rw (distributed RW \
+             lock over the writer algorithm), seqlock, or replicated.")
+  in
+  let reader_pref =
+    Arg.(
+      value & flag
+      & info [ "reader-preference" ]
+          ~doc:
+            "Use the reader-preference sweep order (close and drain one \
+             cluster gate at a time) instead of writer-blocking.")
+  in
+  let central =
+    Arg.(
+      value & flag
+      & info [ "centralised" ]
+          ~doc:
+            "Home every reader indicator on one cluster (the layout \
+             baseline) instead of distributing them.")
+  in
+  Term.(const set $ shape $ lock_arg writer $ reader_pref $ central)
+
+let rw_cmd =
+  let run config () =
+    let r = Rw_scaling.run ~config () in
     Format.fprintf ppf "reads:  %a@." Measure.pp r.Rw_scaling.read_summary;
     Format.fprintf ppf "writes: %a@." Measure.pp r.Rw_scaling.write_summary;
     Format.fprintf ppf
@@ -630,59 +675,7 @@ let rw_cmd =
       r.Rw_scaling.seq_aborts r.Rw_scaling.lockdep_violations;
     if r.Rw_scaling.lockdep_violations > 0 then exit 1
   in
-  let style =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("mutex", `Mutex); ("rw", `Rw); ("seqlock", `Seqlock);
-               ("replicated", `Replicated);
-             ])
-          `Rw
-      & info [ "style" ] ~docv:"STYLE"
-          ~doc:
-            "Read-path style: mutex (exclusive lock), rw (distributed RW \
-             lock over the writer algorithm), seqlock, or replicated.")
-  in
-  let procs =
-    Arg.(
-      value & opt int 8
-      & info [ "p"; "procs" ] ~docv:"P" ~doc:"Contending processors.")
-  in
-  let clusters =
-    Arg.(
-      value & opt int 2
-      & info [ "clusters" ] ~docv:"C"
-          ~doc:"Clusters the processors are spread across.")
-  in
-  let read_ratio =
-    Arg.(
-      value & opt float 0.99
-      & info [ "read-ratio" ] ~docv:"R"
-          ~doc:"Fraction of operations that are read-only lookups.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 200
-      & info [ "ops" ] ~docv:"N" ~doc:"Operations per processor.")
-  in
-  let reader_pref =
-    Arg.(
-      value & flag
-      & info [ "reader-preference" ]
-          ~doc:
-            "Use the reader-preference sweep order (close and drain one \
-             cluster gate at a time) instead of writer-blocking.")
-  in
-  let centralised =
-    Arg.(
-      value & flag
-      & info [ "centralised" ]
-          ~doc:
-            "Home every reader indicator on one cluster (the layout \
-             baseline) instead of distributing them.")
-  in
+  let d = Rw_scaling.default_config in
   cmd "rw"
     ~doc:
       "Read-mostly lookups: distributed reader-writer lock vs seqlock vs \
@@ -690,29 +683,30 @@ let rw_cmd =
        RW-SCALING). Reports reader-parallelism peaks, remote read-path \
        traffic, and lockdep violations (non-zero exit on any violation)."
     Term.(
-      const run $ algo_arg $ style $ procs $ clusters $ read_ratio $ ops
-      $ reader_pref $ centralised $ seed_arg)
+      const run
+      $ config d
+          [
+            rw_style d;
+            procs ~doc:"Contending processors." d
+              (fun c -> c.p)
+              (fun c p -> { c with p });
+            clusters ~doc:"Clusters the processors are spread across." d
+              (fun c -> c.n_clusters)
+              (fun c n_clusters -> { c with n_clusters });
+            read_ratio d
+              (fun c -> c.read_ratio)
+              (fun c read_ratio -> { c with read_ratio });
+            knob Arg.int [ "ops" ] ~docv:"N" ~doc:"Operations per processor." d
+              (fun c -> c.ops)
+              (fun c ops -> { c with ops });
+            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+          ])
 
 (* -- hash subcommand --------------------------------------------------------- *)
 
 let hash_cmd =
-  let run algo granularity p shards read_ratio locked churn seed () =
-    let r =
-      Hash_scaling.run
-        ~config:
-          {
-            Hash_scaling.default_config with
-            p;
-            shards;
-            read_ratio;
-            churn_fraction = churn;
-            granularity;
-            optimistic = not locked;
-            lock_algo = algo;
-            seed;
-          }
-        ()
-    in
+  let run config () =
+    let r = Hash_scaling.run ~config () in
     Format.fprintf ppf "reads:   %a@." Measure.pp r.Hash_scaling.read_summary;
     Format.fprintf ppf "updates: %a@." Measure.pp r.Hash_scaling.update_summary;
     Format.fprintf ppf
@@ -724,80 +718,60 @@ let hash_cmd =
       r.Hash_scaling.optimistic_hits r.Hash_scaling.optimistic_fallbacks
       r.Hash_scaling.reserve_conflicts r.Hash_scaling.atomics
   in
-  let granularity =
-    let gs =
-      List.map
-        (fun g -> (Hkernel.Khash.granularity_name g, g))
-        Hkernel.Khash.[ Hybrid; Coarse; Fine; Sharded ]
-    in
-    Arg.(
-      value
-      & opt (enum gs) Hkernel.Khash.Sharded
-      & info [ "g"; "granularity" ] ~docv:"G"
-          ~doc:("Table granularity: " ^ doc_alts_enum gs ^ "."))
+  let granularities =
+    List.map
+      (fun g -> (Hkernel.Khash.granularity_name g, g))
+      Hkernel.Khash.[ Hybrid; Coarse; Fine; Sharded ]
   in
-  let procs =
-    Arg.(
-      value & opt int 8
-      & info [ "p"; "procs" ] ~docv:"P" ~doc:"Contending processors.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"S" ~doc:"Shard count (sharded granularity).")
-  in
-  let read_ratio =
-    Arg.(
-      value & opt float 0.9
-      & info [ "read-ratio" ] ~docv:"R"
-          ~doc:"Fraction of operations that are read-only lookups.")
-  in
-  let locked =
-    Arg.(
-      value & flag
-      & info [ "locked" ]
-          ~doc:
-            "Force lookups through the locked path (disable the seqlock \
-             optimistic reads).")
-  in
-  let churn =
-    Arg.(
-      value & opt float 0.3
-      & info [ "churn" ] ~docv:"F"
-          ~doc:
-            "Fraction of non-read operations that delete and re-insert \
-             their key (chain mutations).")
-  in
+  let d = Hash_scaling.default_config in
   cmd "hash"
     ~doc:
       "Read/update mix over one hash table: sharded granularity and the \
        seqlock optimistic read path against the single-lock hybrid \
        (experiment HASH-SCALING)."
     Term.(
-      const run $ algo_arg $ granularity $ procs $ shards $ read_ratio
-      $ locked $ churn $ seed_arg)
+      const run
+      $ config d
+          [
+            lock d
+              (fun c -> c.lock_algo)
+              (fun c lock_algo -> { c with lock_algo });
+            knob (Arg.enum granularities) [ "g"; "granularity" ] ~docv:"G"
+              ~doc:
+                ("Table granularity: " ^ Arg.doc_alts_enum granularities ^ ".")
+              d
+              (fun c -> c.granularity)
+              (fun c granularity -> { c with granularity });
+            procs ~doc:"Contending processors." d
+              (fun c -> c.p)
+              (fun c p -> { c with p });
+            knob Arg.int [ "shards" ] ~docv:"S"
+              ~doc:"Shard count (sharded granularity)." d
+              (fun c -> c.shards)
+              (fun c shards -> { c with shards });
+            read_ratio d
+              (fun c -> c.read_ratio)
+              (fun c read_ratio -> { c with read_ratio });
+            switch [ "locked" ]
+              ~doc:
+                "Force lookups through the locked path (disable the seqlock \
+                 optimistic reads)."
+              (fun (c : Hash_scaling.config) -> { c with optimistic = false });
+            knob Arg.float [ "churn" ] ~docv:"F"
+              ~doc:
+                "Fraction of non-read operations that delete and re-insert \
+                 their key (chain mutations)."
+              d
+              (fun c -> c.churn_fraction)
+              (fun c churn_fraction -> { c with churn_fraction });
+            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+          ])
 
 (* -- slo subcommand ----------------------------------------------------------- *)
 
 let slo_cmd =
-  let run algo p elements rate requests shards read_ratio work_us seed () =
-    let r =
-      Slo_stream.run
-        ~config:
-          {
-            Slo_stream.default_config with
-            Slo_stream.p;
-            elements;
-            rate_per_ms = rate;
-            requests;
-            shards;
-            read_ratio;
-            element_work_us = work_us;
-            lock_algo = algo;
-            seed;
-          }
-        ()
-    in
+  let run config () =
+    let r = Slo_stream.run ~config () in
     Format.fprintf ppf "reads:   %a@." Measure.pp r.Slo_stream.read_summary;
     Format.fprintf ppf "updates: %a@." Measure.pp r.Slo_stream.update_summary;
     Format.fprintf ppf
@@ -811,51 +785,7 @@ let slo_cmd =
       r.Slo_stream.lockdep_violations;
     if r.Slo_stream.lockdep_violations > 0 then exit 1
   in
-  let procs =
-    Arg.(
-      value
-      & opt int Slo_stream.default_config.Slo_stream.p
-      & info [ "p"; "procs" ] ~docv:"P" ~doc:"Server processors.")
-  in
-  let elements =
-    Arg.(
-      value
-      & opt int Slo_stream.default_config.Slo_stream.elements
-      & info [ "elements" ] ~docv:"N"
-          ~doc:"Keys pre-inserted into the table (requests target these).")
-  in
-  let rate =
-    Arg.(
-      value
-      & opt float Slo_stream.default_config.Slo_stream.rate_per_ms
-      & info [ "rate" ] ~docv:"R"
-          ~doc:"Offered load: requests per virtual millisecond, total.")
-  in
-  let requests =
-    Arg.(
-      value
-      & opt int Slo_stream.default_config.Slo_stream.requests
-      & info [ "requests" ] ~docv:"N" ~doc:"Arrivals generated.")
-  in
-  let shards =
-    Arg.(
-      value
-      & opt int Slo_stream.default_config.Slo_stream.shards
-      & info [ "shards" ] ~docv:"S" ~doc:"Table shard count.")
-  in
-  let read_ratio =
-    Arg.(
-      value
-      & opt float Slo_stream.default_config.Slo_stream.read_ratio
-      & info [ "read-ratio" ] ~docv:"R"
-          ~doc:"Fraction of requests that are read-only lookups.")
-  in
-  let work_us =
-    Arg.(
-      value
-      & opt float Slo_stream.default_config.Slo_stream.element_work_us
-      & info [ "work" ] ~docv:"US" ~doc:"Update work under the element, us.")
-  in
+  let d = Slo_stream.default_config in
   cmd "slo"
     ~doc:
       "Open-loop sustained-request stream over the sharded \
@@ -864,28 +794,46 @@ let slo_cmd =
        arrival-to-completion p50/p99/p99.9 (experiment SLO). Exits \
        non-zero on lockdep violations."
     Term.(
-      const run $ algo_arg $ procs $ elements $ rate $ requests $ shards
-      $ read_ratio $ work_us $ seed_arg)
+      const run
+      $ config d
+          [
+            lock d
+              (fun c -> c.lock_algo)
+              (fun c lock_algo -> { c with lock_algo });
+            procs ~doc:"Server processors." d
+              (fun c -> c.p)
+              (fun c p -> { c with p });
+            knob Arg.int [ "elements" ] ~docv:"N"
+              ~doc:"Keys pre-inserted into the table (requests target these)."
+              d
+              (fun c -> c.elements)
+              (fun c elements -> { c with elements });
+            knob Arg.float [ "rate" ] ~docv:"R"
+              ~doc:"Offered load: requests per virtual millisecond, total." d
+              (fun c -> c.rate_per_ms)
+              (fun c rate_per_ms -> { c with rate_per_ms });
+            knob Arg.int [ "requests" ] ~docv:"N" ~doc:"Arrivals generated." d
+              (fun c -> c.requests)
+              (fun c requests -> { c with requests });
+            knob Arg.int [ "shards" ] ~docv:"S" ~doc:"Table shard count." d
+              (fun c -> c.shards)
+              (fun c shards -> { c with shards });
+            read_ratio ~doc:"Fraction of requests that are read-only lookups."
+              d
+              (fun c -> c.read_ratio)
+              (fun c read_ratio -> { c with read_ratio });
+            knob Arg.float [ "work" ] ~docv:"US"
+              ~doc:"Update work under the element, us." d
+              (fun c -> c.element_work_us)
+              (fun c element_work_us -> { c with element_work_us });
+            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+          ])
 
 (* -- diurnal subcommand ------------------------------------------------------- *)
 
 let diurnal_cmd =
-  let run algo p_hot p_cold clusters phase_us hold_us seed () =
-    let r =
-      Diurnal.run
-        ~config:
-          {
-            Diurnal.default_config with
-            Diurnal.algo;
-            p_hot;
-            p_cold;
-            n_clusters = clusters;
-            phase_us;
-            hold_us;
-            seed;
-          }
-        ()
-    in
+  let run config () =
+    let r = Diurnal.run ~config () in
     Format.fprintf ppf
       "%s: cold1=%d hot=%d cold2=%d cold/ms=%.1f hot/ms=%.1f@."
       r.Diurnal.algo_name r.Diurnal.cold1_ops r.Diurnal.hot_ops
@@ -895,36 +843,35 @@ let diurnal_cmd =
       r.Diurnal.final_free r.Diurnal.lockdep_violations;
     if r.Diurnal.lockdep_violations > 0 then exit 1
   in
-  let p_hot =
-    Arg.(
-      value & opt int 16
-      & info [ "p-hot" ] ~docv:"P" ~doc:"Processors at the daytime peak.")
-  in
-  let p_cold =
-    Arg.(
-      value & opt int 1
-      & info [ "p-cold" ] ~docv:"P"
-          ~doc:"Processors in the overnight trickle.")
-  in
-  let clusters =
-    Arg.(
-      value & opt int 4
-      & info [ "clusters" ] ~docv:"C" ~doc:"Number of clusters.")
-  in
-  let phase =
-    Arg.(
-      value & opt float 1200.0
-      & info [ "phase" ] ~docv:"US"
-          ~doc:"Length of each of the three plateaus in us.")
-  in
+  let d = Diurnal.default_config in
   cmd "diurnal"
     ~doc:
       "The diurnal load cycle: load ramps cold -> hot -> cold over one \
        lock, with per-phase throughput (experiment DIURNAL). Exits \
        non-zero on lockdep violations."
     Term.(
-      const run $ algo_arg $ p_hot $ p_cold $ clusters $ phase $ hold_arg 1.5
-      $ seed_arg)
+      const run
+      $ config d
+          [
+            lock d (fun c -> c.algo) (fun c algo -> { c with algo });
+            knob Arg.int [ "p-hot" ] ~docv:"P"
+              ~doc:"Processors at the daytime peak." d
+              (fun c -> c.p_hot)
+              (fun c p_hot -> { c with p_hot });
+            knob Arg.int [ "p-cold" ] ~docv:"P"
+              ~doc:"Processors in the overnight trickle." d
+              (fun c -> c.p_cold)
+              (fun c p_cold -> { c with p_cold });
+            clusters ~doc:"Number of clusters." d
+              (fun c -> c.n_clusters)
+              (fun c n_clusters -> { c with n_clusters });
+            knob Arg.float [ "phase" ] ~docv:"US"
+              ~doc:"Length of each of the three plateaus in us." d
+              (fun c -> c.phase_us)
+              (fun c phase_us -> { c with phase_us });
+            hold d (fun c -> c.hold_us) (fun c hold_us -> { c with hold_us });
+            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+          ])
 
 (* -- figure subcommand -------------------------------------------------------- *)
 

@@ -53,7 +53,8 @@ type fig5_series = {
 }
 
 let fig5 ?(cfg = Config.hector) ?(hold_us = 0.0) ?(procs = paper_procs)
-    ?(window_us = 20_000.0) ?(algos = fig5_algos) () =
+    ?(window_us = Lock_stress.default_config.Lock_stress.window_us)
+    ?(algos = fig5_algos) () =
   List.map
     (fun algo ->
       {
@@ -71,7 +72,6 @@ let fig5 ?(cfg = Config.hector) ?(hold_us = 0.0) ?(procs = paper_procs)
     algos
 
 let fig5a ?cfg ?procs ?algos () = fig5 ?cfg ~hold_us:0.0 ?procs ?algos ()
-let fig5b ?cfg ?procs ?algos () = fig5 ?cfg ~hold_us:25.0 ?procs ?algos ()
 
 (* The Section 4.1.2 starvation observation: fraction of acquisitions of
    the 2 ms-backoff spin lock taking more than 2 ms, at p = 16 and a 25 us
@@ -206,7 +206,12 @@ let ablation_cas () =
     let con =
       (Lock_stress.run ~cfg
          ~config:
-           { Lock_stress.default_config with p = 16; hold_us = 0.0 }
+           {
+             Lock_stress.default_config with
+             p = 16;
+             hold_us = 0.0;
+             window_us = 30_000.0;
+           }
          algo)
         .Lock_stress.summary
         .Measure.mean_us
@@ -282,7 +287,7 @@ let ablation_cached_locks () =
 
 (* -- ABL6: spin-then-block (Section 5.3) -------------------------------------- *)
 
-let ablation_spin_then_block ?(hold_us = 50.0) () =
+let ablation_spin_then_block () =
   List.map
     (fun algo ->
       ( algo,
@@ -291,7 +296,7 @@ let ablation_spin_then_block ?(hold_us = 50.0) () =
             {
               Lock_stress.default_config with
               p = 12;
-              hold_us;
+              hold_us = 50.0;
               window_us = 20_000.0;
             }
           algo ))
@@ -384,8 +389,7 @@ type fault_row = {
 (* One stall dose (scheduled mode, identical for every mechanism) per
    period x mechanism, plus a fault-free baseline per mechanism to express
    throughput as a retained fraction. *)
-let fault_matrix ?(cfg = Config.hector)
-    ?(periods_us = [ 4000.0; 2000.0; 1000.0 ]) () =
+let fault_matrix ?(cfg = Config.hector) () =
   let stall_cycles = Config.cycles_of_us cfg 1000.0 in
   let run mech ~period_us =
     let fault =
@@ -427,7 +431,7 @@ let fault_matrix ?(cfg = Config.hector)
       row ~period_us:0.0 base
       :: List.map
            (fun period_us -> row ~period_us (run mech ~period_us))
-           periods_us)
+           [ 4000.0; 2000.0; 1000.0 ])
     [ Fault_storm.No_timeout; Fault_storm.Timeout; Fault_storm.Bounded_retry ]
 
 (* -- VERIFY: the lockdep checker against planted violations -------------------- *)
@@ -443,8 +447,7 @@ let numa_algos = Lock.Mcs_h2 :: Lock.all_numa_algos
    must show a lower cross-cluster hand-off fraction whenever there is
    more than one cluster; at hold > 0 the locality should also buy back
    latency (the protected data stops migrating every hand-off). *)
-let numa_locks ?(cfg = Config.hector) ?(clusters = [ 1; 2; 4 ])
-    ?(holds_us = [ 0.0; 10.0 ]) ?(algos = numa_algos) () =
+let numa_locks ?(cfg = Config.hector) ?(algos = numa_algos) () =
   List.concat_map
     (fun algo ->
       List.concat_map
@@ -455,8 +458,8 @@ let numa_locks ?(cfg = Config.hector) ?(clusters = [ 1; 2; 4 ])
                 { Numa_stress.default_config with n_clusters; hold_us }
               in
               (algo, config, Numa_stress.run ~cfg ~config algo))
-            holds_us)
-        clusters)
+            [ 0.0; 10.0 ])
+        [ 1; 2; 4 ])
     algos
 
 (* -- HASH-SCALING: sharded table + optimistic reads ------------------------- *)
@@ -469,8 +472,7 @@ let numa_locks ?(cfg = Config.hector) ?(clusters = [ 1; 2; 4 ])
    lookups for a pair of loads instead of a lock round-trip. *)
 let hash_procs = [ 4; 8; 16 ]
 
-let hash_scaling ?(cfg = Config.hector) ?(procs = hash_procs)
-    ?(read_ratios = [ 0.5; 0.9 ]) ?(shard_counts = [ 2; 4; 8 ]) () =
+let hash_scaling ?(cfg = Config.hector) ?(procs = hash_procs) () =
   let point ~p ~read_ratio ~granularity ~shards ~optimistic =
     let config =
       {
@@ -497,8 +499,8 @@ let hash_scaling ?(cfg = Config.hector) ?(procs = hash_procs)
                      point ~p ~read_ratio ~granularity:Hkernel.Khash.Sharded
                        ~shards ~optimistic)
                    [ false; true ])
-               shard_counts)
-        read_ratios)
+               [ 2; 4; 8 ])
+        [ 0.5; 0.9 ])
     procs
 
 (* -- OBS: contention profile of the fault storm ---------------------------- *)
@@ -509,7 +511,7 @@ type obs_result = { obs_rows : Obs.row list; obs_storm : Fault_storm.result }
    cluster attribution is the HECTOR station each processor sits on. The
    dosed stall plan matches the fault matrix's middle column, giving the
    profile real contention to attribute. *)
-let obs_profile ?(cfg = Config.hector) ?(mechanism = Fault_storm.Timeout) () =
+let obs_profile ?(cfg = Config.hector) () =
   let obs =
     Obs.create
       ~cluster_of:(Config.station_of_proc cfg)
@@ -527,7 +529,7 @@ let obs_profile ?(cfg = Config.hector) ?(mechanism = Fault_storm.Timeout) () =
   let storm =
     Fault_storm.run ~cfg
       ~config:{ Fault_storm.default_config with fault }
-      ~obs mechanism
+      ~obs Fault_storm.Timeout
   in
   { obs_rows = Obs.profile_rows obs; obs_storm = storm }
 
@@ -569,9 +571,7 @@ let rw_styles =
     Rw_scaling.Replicated { writer = Lock.Mcs_h2 };
   ]
 
-let rw_scaling ?(cfg = Config.hector) ?(styles = rw_styles)
-    ?(ratios = [ 0.95; 0.99; 0.999 ]) ?(clusters = [ 1; 2; 4 ]) ?(ops = 200)
-    () =
+let rw_scaling ?(cfg = Config.hector) ?(styles = rw_styles) () =
   List.concat_map
     (fun style ->
       List.concat_map
@@ -585,11 +585,10 @@ let rw_scaling ?(cfg = Config.hector) ?(styles = rw_styles)
                     Rw_scaling.style;
                     read_ratio;
                     n_clusters;
-                    ops;
                   }
                 ())
-            clusters)
-        ratios)
+            [ 1; 2; 4 ])
+        [ 0.95; 0.99; 0.999 ])
     styles
 
 (* -- CRASH-STORM: fail-stop mid-CS kills, crash-recoverable locking --------- *)
@@ -611,19 +610,10 @@ let crash_storm ?(cfg = Config.hector) ?(algos = crash_algos) () =
    a small multiple of the service time. *)
 let slo_rates = [ 150.0; 250.0; 350.0 ]
 
-let slo ?(cfg = Config.hector) ?(rates = slo_rates)
-    ?(elements = Slo_stream.default_config.Slo_stream.elements)
-    ?(requests = Slo_stream.default_config.Slo_stream.requests) () =
+let slo ?(cfg = Config.hector) ?(rates = slo_rates) () =
   List.map
     (fun rate_per_ms ->
-      let config =
-        {
-          Slo_stream.default_config with
-          Slo_stream.rate_per_ms;
-          elements;
-          requests;
-        }
-      in
+      let config = { Slo_stream.default_config with Slo_stream.rate_per_ms } in
       (config, Slo_stream.run ~cfg ~config ()))
     rates
 

@@ -58,13 +58,6 @@ val fig5a :
   unit ->
   fig5_series list
 
-val fig5b :
-  ?cfg:Config.t ->
-  ?procs:int list ->
-  ?algos:Lock.algo list ->
-  unit ->
-  fig5_series list
-
 (** The Section 4.1.2 starvation measurement (2 ms spin lock, p=16,
     25 µs hold). *)
 val starvation : ?cfg:Config.t -> unit -> Measure.summary
@@ -157,8 +150,7 @@ type abl5_row = {
 val ablation_cached_locks : unit -> abl5_row list
 
 (** ABL6 — spin-then-block under long holds (Section 5.3). *)
-val ablation_spin_then_block :
-  ?hold_us:float -> unit -> (Lock.algo * Lock_stress.result) list
+val ablation_spin_then_block : unit -> (Lock.algo * Lock_stress.result) list
 
 (** ABL7 — lock-free single-word updates (Section 5.3). *)
 val ablation_lockfree : unit -> Counter_stress.result list
@@ -215,8 +207,7 @@ type fault_row = {
   stalls : int;
 }
 
-val fault_matrix :
-  ?cfg:Config.t -> ?periods_us:float list -> unit -> fault_row list
+val fault_matrix : ?cfg:Config.t -> unit -> fault_row list
 
 (** VERIFY — the lockdep checker ({!Verify}) against the planted-violation
     probes: every deliberately wrong workload must be caught (the two
@@ -234,8 +225,6 @@ val numa_algos : Lock.algo list
 
 val numa_locks :
   ?cfg:Config.t ->
-  ?clusters:int list ->
-  ?holds_us:float list ->
   ?algos:Lock.algo list ->
   unit ->
   (Lock.algo * Numa_stress.config * Numa_stress.result) list
@@ -250,8 +239,6 @@ val hash_procs : int list
 val hash_scaling :
   ?cfg:Config.t ->
   ?procs:int list ->
-  ?read_ratios:float list ->
-  ?shard_counts:int list ->
   unit ->
   (Hash_scaling.config * Hash_scaling.result) list
 
@@ -260,8 +247,7 @@ val hash_scaling :
 
 type obs_result = { obs_rows : Obs.row list; obs_storm : Fault_storm.result }
 
-val obs_profile :
-  ?cfg:Config.t -> ?mechanism:Fault_storm.mechanism -> unit -> obs_result
+val obs_profile : ?cfg:Config.t -> unit -> obs_result
 
 (** ABORT-STORM — timed acquisition under a planted cross-cluster holder
     stall ({!Workloads.Abort_storm}): flat MCS and the NUMA composites,
@@ -286,9 +272,6 @@ val rw_styles : Rw_scaling.style list
 val rw_scaling :
   ?cfg:Config.t ->
   ?styles:Rw_scaling.style list ->
-  ?ratios:float list ->
-  ?clusters:int list ->
-  ?ops:int ->
   unit ->
   Rw_scaling.result list
 
@@ -319,8 +302,6 @@ val slo_rates : float list
 val slo :
   ?cfg:Config.t ->
   ?rates:float list ->
-  ?elements:int ->
-  ?requests:int ->
   unit ->
   (Slo_stream.config * Slo_stream.result) list
 

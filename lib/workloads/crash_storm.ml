@@ -81,6 +81,8 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?obs algo =
     invalid_arg "Crash_storm.run: n_clusters out of range";
   if config.n_kills < 1 || config.n_kills > config.p - 1 then
     invalid_arg "Crash_storm.run: n_kills must leave a survivor";
+  if config.check_period_us <= 0.0 then
+    invalid_arg "Crash_storm.run: check_period_us must be positive";
   (* Ticket/Anderson need compare&swap; upgrade the configuration for
      exactly those algorithms so the rest of the family still runs on the
      paper's swap-only machine. *)

@@ -51,7 +51,8 @@ val obs_class : string
 
 (** Run the storm over one algorithm. Raises [Invalid_argument] if the
     algorithm is not recoverable ({!Locks.Lock.t.recoverable}) or the
-    config is out of range. [obs], if given, is installed in place of
+    config is out of range (a non-positive [check_period_us] included).
+    [obs], if given, is installed in place of
     the run's own untraced observer (to keep a trace, say); build it over
     the run's clustering. *)
 val run :

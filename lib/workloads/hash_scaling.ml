@@ -76,6 +76,10 @@ type result = {
 
 let run ?(cfg = Config.hector) ?(config = default_config) ?(observe = false) ()
     =
+  if config.p < 1 || config.p > Config.n_procs cfg then
+    invalid_arg
+      (Printf.sprintf "Hash_scaling.run: p must be in 1..%d (got %d)"
+         (Config.n_procs cfg) config.p);
   if config.read_ratio < 0.0 || config.read_ratio > 1.0 then
     invalid_arg "Hash_scaling.run: read_ratio out of [0,1]";
   let eng = Engine.create () in

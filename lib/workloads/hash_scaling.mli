@@ -46,6 +46,7 @@ type result = {
 
 (** [run ()] executes one configuration. [observe] installs a contention
     observer so [obs_rows] carries the per-shard profile (class
-    [khash.shard<i>] / [khash.seq<i>]). *)
+    [khash.shard<i>] / [khash.seq<i>]). Raises [Invalid_argument] unless
+    [1 <= p <= Config.n_procs cfg] and [read_ratio] is in [0, 1]. *)
 val run :
   ?cfg:Hector.Config.t -> ?config:config -> ?observe:bool -> unit -> result

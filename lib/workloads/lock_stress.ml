@@ -31,7 +31,7 @@ let default_config =
     hold_us = 0.0;
     think_us = 3.0;
     warmup_us = 200.0;
-    window_us = 30_000.0;
+    window_us = 20_000.0;
     seed = 7;
   }
 

@@ -208,6 +208,25 @@ let test_crash_storm () =
         true r.Crash_storm.final_free)
     (Lock.Mcs_h2 :: Lock.Clh :: Lock.Ticket :: Lock.all_numa_algos)
 
+(* A non-positive detector period is refused before the run starts. At
+   zero the recoverable acquire would re-check every cycle until the
+   engine's event budget ran out. *)
+let test_crash_storm_refuses_bad_check_period () =
+  List.iter
+    (fun check_period_us ->
+      Alcotest.(check bool)
+        (Printf.sprintf "refuses check_period_us=%g" check_period_us)
+        true
+        (match
+           Crash_storm.run
+             ~config:{ Crash_storm.default_config with check_period_us }
+             Lock.Mcs_h2
+         with
+        | exception Invalid_argument m ->
+          String.starts_with ~prefix:"Crash_storm.run" m
+        | _ -> false))
+    [ 0.0; -5.0 ]
+
 (* -- structure repair: khash shard, seqlock, reserve bits -------------------- *)
 
 let test_khash_crash_repair () =
@@ -396,6 +415,8 @@ let suite =
       test_clh_pump_rescue;
     Alcotest.test_case "crash storm: recovery conservation per algorithm"
       `Quick test_crash_storm;
+    Alcotest.test_case "crash storm refuses a non-positive check period"
+      `Quick test_crash_storm_refuses_bad_check_period;
     Alcotest.test_case "khash repair: shard lock, seqlock, reserve bit" `Quick
       test_khash_crash_repair;
     Alcotest.test_case "repair no-ops on the living" `Quick

@@ -146,6 +146,10 @@ let test_independent_faults_refuses_bad_p () =
         ~config:{ Independent_faults.default_config with p }
         ())
 
+let test_hash_scaling_refuses_bad_p () =
+  refuses "Hash_scaling.run" (fun p ->
+      Hash_scaling.run ~config:{ Hash_scaling.default_config with p } ())
+
 (* -- shared faults ----------------------------------------------------------------- *)
 
 let test_shared_faults_single_cluster_no_rpcs () =
@@ -275,6 +279,8 @@ let suite =
       test_independent_faults_counts;
     Alcotest.test_case "independent faults refuses bad processor counts"
       `Quick test_independent_faults_refuses_bad_p;
+    Alcotest.test_case "hash scaling refuses bad processor counts" `Quick
+      test_hash_scaling_refuses_bad_p;
     Alcotest.test_case "shared faults, one cluster" `Quick
       test_shared_faults_single_cluster_no_rpcs;
     Alcotest.test_case "shared faults, cross-cluster traffic" `Quick
