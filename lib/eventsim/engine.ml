@@ -18,7 +18,10 @@
    [odd_gap] cycles apart — stays virtual until something that can end it
    happens ([materialise]). Then the one element the real loop would
    dispatch next goes into the heap at exactly the (time, seq) place it
-   would have held, and the owner's code runs it for real.
+   would have held, and the owner's code runs it for real. A chain may also
+   end on its own (a poll wait's deadline): its first element at or after
+   [until] is its last virtual one, and [run] places that element before
+   the clock reaches it ([horizon]).
 
    Placing that element needs its sequence number, and a virtual element
    never took one. Three things make the place computable:
@@ -69,7 +72,69 @@ type wait = {
   mutable m_time : int; (* placed element: time, seq and index *)
   mutable m_seq : int;
   mutable m_j : int;
+  mutable end_j : int; (* the chain's last element, index and time; *)
+  mutable end_time : int; (* [max_int] when only a wake can end it *)
 }
+
+(* A map from a pair of real seqs [a < b] to a bool, by open addressing
+   over int columns. A [Hashtbl] entry is a key tuple and a bucket cell
+   stored into a long-lived table, so each is promoted at the next minor
+   collection, and [fault_sweep]'s peak heap grew with them; here an entry
+   allocates nothing. *)
+module Pairs = struct
+  type t = {
+    mutable lo : int array; (* [a]; -1 marks a free slot *)
+    mutable hi : int array;
+    mutable v : Bytes.t; (* '\001' for true *)
+    mutable size : int;
+  }
+
+  let create n =
+    { lo = Array.make n (-1); hi = Array.make n 0; v = Bytes.make n '\000';
+      size = 0 }
+
+  (* The slot holding [(a, b)], or the free slot where it would go. *)
+  let slot t a b =
+    let mask = Array.length t.lo - 1 in
+    let h = ((a lsr seq_bits) * 0x9E3779B1) lxor (b lsr seq_bits) in
+    let i = ref ((h lxor (h lsr 15)) land mask) in
+    while t.lo.(!i) >= 0 && not (t.lo.(!i) = a && t.hi.(!i) = b) do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  (* 1 (true), 0 (false), or -1 when absent. *)
+  let find t a b =
+    let i = slot t a b in
+    if t.lo.(i) < 0 then -1 else Char.code (Bytes.get t.v i)
+
+  let rec add t a b v =
+    if 2 * (t.size + 1) > Array.length t.lo then begin
+      let old = { t with size = 0 } in
+      let n = 2 * Array.length t.lo in
+      t.lo <- Array.make n (-1);
+      t.hi <- Array.make n 0;
+      t.v <- Bytes.make n '\000';
+      t.size <- 0;
+      Array.iteri
+        (fun i x ->
+          if x >= 0 then add t x old.hi.(i) (Bytes.get old.v i = '\001'))
+        old.lo
+    end;
+    let i = slot t a b in
+    if t.lo.(i) < 0 then begin
+      t.lo.(i) <- a;
+      t.hi.(i) <- b;
+      t.size <- t.size + 1
+    end;
+    Bytes.set t.v i (if v then '\001' else '\000')
+
+  let clear t =
+    if t.size > 0 then begin
+      Array.fill t.lo 0 (Array.length t.lo) (-1);
+      t.size <- 0
+    end
+end
 
 (* Dispatch ring capacity (a power of two). An elided wait whose root gets
    within an eighth of the capacity of falling out is re-rooted. *)
@@ -94,6 +159,7 @@ type t = {
   mutable n_active : int;
   mutable live : int;
   mutable min_root : int; (* lower bound on an elided wait's root *)
+  mutable horizon : int; (* lower bound on an elided chain's end time *)
   (* The dispatch ring: one column per field, allocated on first use.
      Entries [r_base, r_next) are valid, at index [i land ring_mask]. *)
   mutable r_time : int array;
@@ -110,8 +176,8 @@ type t = {
      Two generations, swapped every [memo_period] dispatches recorded; the
      pairs of active waits are carried into the new one, and a hit in the
      old one is copied forward. *)
-  mutable memo : (int * int, bool) Hashtbl.t;
-  mutable memo_old : (int * int, bool) Hashtbl.t;
+  mutable memo : Pairs.t;
+  mutable memo_old : Pairs.t;
   mutable memo_swap : int;
 }
 
@@ -129,6 +195,7 @@ let create ?(max_events = 200_000_000) () =
     n_active = 0;
     live = 0;
     min_root = max_int;
+    horizon = max_int;
     r_time = [||];
     r_first = [||];
     r_seq = [||];
@@ -136,8 +203,8 @@ let create ?(max_events = 200_000_000) () =
     r_jg = [||];
     r_base = 0;
     r_next = 0;
-    memo = Hashtbl.create 16;
-    memo_old = Hashtbl.create 16;
+    memo = Pairs.create 16;
+    memo_old = Pairs.create 16;
     memo_swap = memo_period;
   }
 
@@ -250,28 +317,28 @@ let rec before_ring_precedes t = function
   | Before_ring -> ambiguous ()
 
 (* Lock-step chains. Two chains with the same gaps whose elements of the
-   same parity meet at one time tie at every level above, back to the
-   first element 0: their order is fixed for as long as both exist, and
-   that history can be far older than the ring. So each elision computes
-   its order against every elided lock-step chain while the history is at
-   hand ([elide]), and [before] answers such ties from [memo]. *)
+   same parity (of any parity, when both gaps are equal) meet at one time
+   tie at every level above, back to the first element 0: their order is
+   fixed for as long as both exist, and that history can be far older than
+   the ring. So each elision computes its order against every elided
+   lock-step chain while the history is at hand ([elide]), and [before]
+   answers such ties from [memo]. *)
 let memo_find t a b =
-  let key = if a < b then (a, b) else (b, a) in
-  let found =
-    match Hashtbl.find_opt t.memo key with
-    | Some _ as r -> r
-    | None -> (
-      match Hashtbl.find_opt t.memo_old key with
-      | Some r as found ->
-        Hashtbl.replace t.memo key r;
-        found
-      | None -> None)
+  let lo = if a < b then a else b and hi = if a < b then b else a in
+  let r = Pairs.find t.memo lo hi in
+  let r =
+    if r >= 0 then r
+    else begin
+      let r = Pairs.find t.memo_old lo hi in
+      if r >= 0 then Pairs.add t.memo lo hi (r = 1);
+      r
+    end
   in
-  match found with Some r -> Some (if a < b then r else not r) | None -> None
+  if r < 0 then None else Some ((r = 1) = (a < b))
 
 let memo_add t a b a_first =
-  if a < b then Hashtbl.replace t.memo (a, b) a_first
-  else Hashtbl.replace t.memo (b, a) (not a_first)
+  if a < b then Pairs.add t.memo a b a_first
+  else Pairs.add t.memo b a (not a_first)
 
 (* [before t a b]: the event at [a] is dispatched before the one at [b]. *)
 let rec before t a b =
@@ -285,7 +352,8 @@ let rec before t a b =
     else begin
       match (a, b) with
       | Elem (t0a, s0a, even, odd, j), Elem (t0b, s0b, even', odd', k)
-        when even = even' && odd = odd' && j land 1 = k land 1 -> (
+        when even = even' && odd = odd' && (even = odd || j land 1 = k land 1)
+        -> (
         match memo_find t s0a s0b with
         | Some r -> r
         | None ->
@@ -302,8 +370,11 @@ let rec before t a b =
 
 (* -- Elided waits ---------------------------------------------------------- *)
 
+(* A gap must fit the 16 bits a ring entry keeps for it. *)
+let max_gap = 0xffff
+
 let wait ~owner ~even_gap ~odd_gap ~fire ~credit =
-  if even_gap <= 0 || odd_gap <= 0 || even_gap > 0xffff || odd_gap > 0xffff
+  if even_gap <= 0 || odd_gap <= 0 || even_gap > max_gap || odd_gap > max_gap
   then invalid_arg "Engine.wait: chain gaps must be in [1, 65535]";
   {
     owner;
@@ -319,7 +390,13 @@ let wait ~owner ~even_gap ~odd_gap ~fire ~credit =
     m_time = 0;
     m_seq = 0;
     m_j = 0;
+    end_j = max_int;
+    end_time = max_int;
   }
+
+(* Fills [active]'s free slots, so they keep no finished wait alive. *)
+let no_wait =
+  wait ~owner:(-1) ~even_gap:1 ~odd_gap:1 ~fire:ignore ~credit:ignore
 
 let w_elem w j =
   elem ~t0:w.t0 ~s0:w.s0 ~even:w.even_gap ~odd:w.odd_gap j
@@ -340,7 +417,7 @@ let first_from w time =
 
 let add_active t w =
   if t.n_active = Array.length t.active then begin
-    let a = Array.make (max 4 (2 * t.n_active)) w in
+    let a = Array.make (max 4 (2 * t.n_active)) no_wait in
     Array.blit t.active 0 a 0 t.n_active;
     t.active <- a
   end;
@@ -353,55 +430,65 @@ let remove_active t w =
   let moved = t.active.(last) in
   t.active.(w.slot) <- moved;
   moved.slot <- w.slot;
+  t.active.(last) <- no_wait;
   t.n_active <- last;
   w.slot <- -1
 
-let elide t w ~at =
+let elide ?until t w ~at =
   if t.cur_seq < 0 || w.state <> idle || at <= t.now then false
   else begin
-    if t.cur_entry < 0 then begin
-      (* Nothing was active when this dispatch began, so the ring holds no
-         current history: restart it here. *)
-      if t.n_active = 0 then t.r_base <- t.r_next;
-      record t
-    end;
-    let c = t.seq in
-    t.seq <- c + 1;
     w.t0 <- at;
-    w.s0 <- c lsl seq_bits;
-    w.root <- t.cur_entry;
-    if t.r_next >= t.memo_swap then begin
-      let fresh = t.memo_old in
-      Hashtbl.reset fresh;
+    let end_j = match until with Some u -> first_from w u | None -> max_int in
+    (* A chain that ends at element 0 has nothing to elide. *)
+    if end_j = 0 then false
+    else begin
+      if t.cur_entry < 0 then begin
+        (* Nothing was active when this dispatch began, so the ring holds no
+           current history: restart it here. *)
+        if t.n_active = 0 then t.r_base <- t.r_next;
+        record t
+      end;
+      let c = t.seq in
+      t.seq <- c + 1;
+      w.s0 <- c lsl seq_bits;
+      w.end_j <- end_j;
+      w.end_time <- (if end_j = max_int then max_int else w_time w end_j);
+      if w.end_time < t.horizon then t.horizon <- w.end_time;
+      w.root <- t.cur_entry;
+      if t.r_next >= t.memo_swap then begin
+        let fresh = t.memo_old in
+        Pairs.clear fresh;
+        for a = 0 to t.n_active - 1 do
+          for b = a + 1 to t.n_active - 1 do
+            let x = t.active.(a).s0 and y = t.active.(b).s0 in
+            let lo = if x < y then x else y and hi = if x < y then y else x in
+            let r = Pairs.find t.memo lo hi in
+            if r >= 0 then Pairs.add fresh lo hi (r = 1)
+          done
+        done;
+        t.memo_old <- t.memo;
+        t.memo <- fresh;
+        t.memo_swap <- t.r_next + memo_period
+      end;
+      (* Order this chain against each elided lock-step chain: element 0
+         against that chain's element at the same time. *)
       for a = 0 to t.n_active - 1 do
-        for b = a + 1 to t.n_active - 1 do
-          let x = t.active.(a).s0 and y = t.active.(b).s0 in
-          let key = if x < y then (x, y) else (y, x) in
-          match Hashtbl.find_opt t.memo key with
-          | Some r -> Hashtbl.replace fresh key r
-          | None -> ()
-        done
+        let u = t.active.(a) in
+        if
+          u.state = elided && u.even_gap = w.even_gap
+          && u.odd_gap = w.odd_gap
+        then begin
+          let j = first_from u at in
+          if w_time u j = at && (u.even_gap = u.odd_gap || j land 1 = 0) then
+            memo_add t w.s0 u.s0 (before t (Seq (at, w.s0)) (w_elem u j))
+        end
       done;
-      t.memo_old <- t.memo;
-      t.memo <- fresh;
-      t.memo_swap <- t.r_next + memo_period
-    end;
-    (* Order this chain against each elided lock-step chain: element 0
-       against that chain's element at the same time. *)
-    let period = w.even_gap + w.odd_gap in
-    for a = 0 to t.n_active - 1 do
-      let u = t.active.(a) in
-      if u.state = elided && u.even_gap = w.even_gap && u.odd_gap = w.odd_gap
-         && (at - u.t0) mod period = 0
-      then
-        memo_add t w.s0 u.s0
-          (before t (Seq (at, w.s0)) (w_elem u ((at - u.t0) / period * 2)))
-    done;
-    w.state <- elided;
-    t.live <- t.live + 1;
-    add_active t w;
-    if w.root < t.min_root then t.min_root <- w.root;
-    true
+      w.state <- elided;
+      t.live <- t.live + 1;
+      add_active t w;
+      if w.root < t.min_root then t.min_root <- w.root;
+      true
+    end
   end
 
 (* Run a placed element: it is the dispatch in progress. *)
@@ -418,17 +505,18 @@ let place t w j =
     else begin
       (* [x]: the first counter assigned by a dispatch ordered after the
          element's parent, element [j - 1]. *)
-      let parent = w_elem w (j - 1) and ptime = w_time w (j - 1) in
-      let x = ref t.seq and i = ref (t.r_next - 1) in
-      let after e =
-        let te = t.r_time.(e land ring_mask) in
-        te > ptime || (te = ptime && before t parent (Entry e))
-      in
-      while !i >= t.r_base && after !i do
-        x := t.r_first.(!i land ring_mask);
-        decr i
+      let ptime = w_time w (j - 1) in
+      let x = ref t.seq and i = ref (t.r_next - 1) and scanning = ref true in
+      while !scanning do
+        if !i < t.r_base then ambiguous ();
+        let te = t.r_time.(!i land ring_mask) in
+        if te > ptime || (te = ptime && before t (w_elem w (j - 1)) (Entry !i))
+        then begin
+          x := t.r_first.(!i land ring_mask);
+          decr i
+        end
+        else scanning := false
       done;
-      if !i < t.r_base then ambiguous ();
       (* Between the real seqs of counters [x - 1] and [x], ordered against
          the other placed elements of the same gap and time. *)
       let floor = (!x - 1) lsl seq_bits and ceiling = !x lsl seq_bits in
@@ -576,14 +664,36 @@ let park_after t limit =
     end
   done
 
+(* Place the last element of every elided chain that ends at [horizon],
+   and move [horizon] to the earliest end left. Called before the clock
+   reaches [horizon], so every dispatch so far precedes those elements.
+   Only the earliest: what they run may wake a chain that ends later. *)
+let end_chains t =
+  let h = ref max_int in
+  for a = 0 to t.n_active - 1 do
+    let w = t.active.(a) in
+    if w.state = elided && w.end_time < max_int then begin
+      if w.end_time <= t.horizon then place t w w.end_j
+      else if w.end_time < !h then h := w.end_time
+    end
+  done;
+  t.horizon <- !h
+
 let run ?until t =
   (* [Pqueue.min_time] reads the earliest timestamp as a bare int, so the
-     loop condition is two comparisons and allocates nothing. *)
+     loop's test is three comparisons and allocates nothing. *)
   let limit = match until with None -> max_int | Some l -> l in
   if t.executed > t.max_events then budget_exhausted t;
-  while (not (Pqueue.is_empty t.events)) && Pqueue.min_time t.events <= limit do
-    dispatch t;
-    if t.executed > t.max_events then budget_exhausted t
+  let go = ref true in
+  while !go do
+    let next = Pqueue.min_time t.events in
+    if next >= t.horizon && t.horizon <= limit && t.horizon < max_int then
+      end_chains t
+    else if next <= limit && not (Pqueue.is_empty t.events) then begin
+      dispatch t;
+      if t.executed > t.max_events then budget_exhausted t
+    end
+    else go := false
   done;
   leave_dispatch t;
   if t.live > 0 then begin

@@ -11,8 +11,10 @@
 (** Raised when the event budget is exhausted, which in practice means the
     simulation livelocked (e.g. processors spinning forever on a lock that is
     never released), or when {!run} without [until] drains the heap while
-    elided waits remain: nothing can ever end them. The message names the
-    waiting processors. *)
+    elided waits remain: nothing can ever end them — a local spin whose cell
+    is never written, or an await on an ivar that is never filled, raises
+    at once rather than after the budget. The message names the waiting
+    processors. *)
 exception Deadlock of string
 
 type t
@@ -59,16 +61,28 @@ val run : ?until:int -> t -> unit
     the real loop would dispatch next, at exactly the (time, seq) place it
     would have held: its position after the dispatch in progress is found
     by comparing the scheduling ancestry of same-time events, from a ring
-    of recent dispatches. Results are identical to running every element;
-    only {!events_executed} is smaller. *)
+    of recent dispatches. A chain elided with [until] also ends on its own:
+    {!run} puts its first element at or after [until] into the heap before
+    the clock reaches it. Results are identical to running every element;
+    only {!events_executed} is smaller.
+
+    Two kinds of waits are elided: a local spin (gaps: read latency and
+    branch cost), which a write to its cell can end, and a poll wait
+    ([Ctx.await], [Ctx.interruptible_pause]; both gaps the poll
+    interval), which an ivar fill or its deadline can end; an IPI or the
+    processor's death ends either. *)
 
 type wait
+
+(** The widest chain gap, 65535 cycles. A wait with a wider gap runs its
+    elements as events. *)
+val max_gap : int
 
 (** [wait ~owner ~even_gap ~odd_gap ~fire ~credit] describes one wait of
     processor [owner]. [fire j] runs element [j] for real; [credit j] is
     told that elements [0, j) have virtually run (it is called with a
     non-decreasing [j] per elision and must account for them itself).
-    @raise Invalid_argument unless both gaps are in [1, 65535]. *)
+    @raise Invalid_argument unless both gaps are in [1, {!max_gap}]. *)
 val wait :
   owner:int ->
   even_gap:int ->
@@ -77,12 +91,15 @@ val wait :
   credit:(int -> unit) ->
   wait
 
-(** [elide t w ~at], called during a dispatch in place of scheduling element
-    0 at [at > now], makes [w]'s chain virtual and reserves element 0's
-    seq. Returns [false] (and does nothing) outside a dispatch or if [w] is
-    already elided or placed; the caller then schedules the element
+(** [elide ?until t w ~at], called during a dispatch in place of scheduling
+    element 0 at [at > now], makes [w]'s chain virtual and reserves element
+    0's seq. With [until], the chain's first element at or after [until] is
+    its last: the engine materialises it itself, before the clock passes
+    it, so a wait can run out without a wake. Returns [false] (and does
+    nothing) outside a dispatch, if [w] is already elided or placed, or if
+    element 0 is already the last; the caller then schedules the element
     itself. *)
-val elide : t -> wait -> at:int -> bool
+val elide : ?until:int -> t -> wait -> at:int -> bool
 
 (** Put the first element of [w] ordered after the dispatch in progress
     into the heap, crediting the elements before it; the wait is then no

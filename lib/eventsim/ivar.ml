@@ -1,17 +1,21 @@
 (* One-shot synchronisation variable.
 
    Used for RPC replies: the caller reads (suspending if empty), the handler
-   fills. Filling wakes all readers at the current virtual time. *)
+   fills. Filling wakes all readers at the current virtual time, and
+   materialises the elided waits of processors polling it. *)
 
 type 'a state =
   | Empty of (unit -> unit) list (* waiting resume thunks, newest first *)
   | Full of 'a
 
-type 'a t = { mutable state : 'a state }
+type 'a t = {
+  mutable state : 'a state;
+  mutable pollers : Engine.wait list;
+}
 
 exception Already_filled
 
-let create () = { state = Empty [] }
+let create () = { state = Empty []; pollers = [] }
 
 let is_full t =
   match t.state with
@@ -23,11 +27,19 @@ let peek t =
   | Full v -> Some v
   | Empty _ -> None
 
+let watch t w =
+  if not (List.memq w t.pollers) then t.pollers <- w :: t.pollers
+
 let fill eng t v =
   match t.state with
   | Full _ -> raise Already_filled
   | Empty waiters ->
     t.state <- Full v;
+    (* Materialise the pollers here, not from a scheduled event: that
+       event would run after this dispatch's own, and a poll due between
+       the two would miss the fill. *)
+    List.iter (Engine.materialise eng) t.pollers;
+    t.pollers <- [];
     (* Wake in arrival order: the list is newest-first. *)
     List.iter
       (fun resume -> Engine.schedule eng ~at:(Engine.now eng) resume)

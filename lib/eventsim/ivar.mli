@@ -15,9 +15,15 @@ val is_full : 'a t -> bool
 val peek : 'a t -> 'a option
 
 (** Fill and wake all waiting readers (at the current virtual time, in their
-    arrival order).
+    arrival order), and materialise every watching wait
+    ({!Engine.materialise}) before returning.
     @raise Already_filled on a second fill. *)
 val fill : Engine.t -> 'a t -> 'a -> unit
+
+(** [watch t w]: [w] is an elided poll of [t] ({!Engine.elide}), so
+    {!fill} must materialise it in the filling dispatch itself. Watching
+    twice is watching once. *)
+val watch : 'a t -> Engine.wait -> unit
 
 (** Return the value, suspending the calling process until filled. Must be
     called from within a {!Process.spawn}ed process. *)

@@ -28,9 +28,16 @@ type t = {
   mutable irqs_taken : int;
   mutable irqs_deferred : int;
   mutable instr_cycles : int;
+  mutable poll_tick : unit -> unit;
+      (* the tick of the suspended poll wait that holds [polls], or
+         [no_tick] while they are free *)
+  mutable polls : (int * Engine.wait) list;
+      (* per gap, the chain this processor's poll waits elide *)
 }
 
 and handler = t -> unit
+
+let no_tick () = ()
 
 let create machine ~proc rng =
   if proc < 0 || proc >= Machine.n_procs machine then
@@ -48,6 +55,8 @@ let create machine ~proc rng =
     irqs_taken = 0;
     irqs_deferred = 0;
     instr_cycles = 0;
+    poll_tick = no_tick;
+    polls = [];
   }
 
 let machine t = t.machine
@@ -219,32 +228,77 @@ let post_ipi target h =
    wait). A dead processor's wait just stops, leaving the fiber suspended
    for good — parked, as [halt_if_dead] would park it. *)
 
+(* This processor's chain of [gap]-cycle polls, made on first use: its
+   poll waits share one chain per gap, so a wait allocates no chain of its
+   own. The chain runs whichever tick [poll_tick] holds. *)
+let poller t gap =
+  let rec find = function
+    | (g, w) :: rest -> if g = gap then w else find rest
+    | [] ->
+      let w =
+        Engine.wait ~owner:t.proc ~even_gap:gap ~odd_gap:gap
+          ~fire:(fun _ -> t.poll_tick ())
+          ~credit:ignore
+      in
+      t.polls <- (gap, w) :: t.polls;
+      w
+  in
+  find t.polls
+
+(* Free the shared chains if [tick]'s wait holds them. *)
+let release t tick = if t.poll_tick == tick then t.poll_tick <- no_tick
+
 (* The shared core of [interruptible_pause], [await] and [await_timeout]:
    [poll], then [step ()] gives the cycles to pause before the next poll,
-   or 0 once the wait is over. *)
-let poll_wait t step =
-  let eng = engine t in
+   or 0 once the wait is over.
+
+   The ticks are elided. A tick changes nothing: it reads the clock, the
+   inbox, [alive] and [ivar], and re-schedules itself. [step ()] gives
+   [gap] at every tick before [until] unless [ivar] has been filled, so
+   the ticks from the next one on form a chain of [gap] steps
+   ({!Engine.elide}) that only an IPI, the processor's death
+   ({!Machine.wake}), a fill of [ivar] ({!Ivar.fill}) or its first tick at
+   or after [until] can end; the engine materialises that one itself, and
+   its real tick code sees the wait through. The wait holds the shared
+   chain ([poll_tick]) from its suspension to its resumption, when the
+   chain is idle; a wait that finds it held by another fiber's wait, or
+   whose gap is wider than {!Engine.max_gap}, runs real ticks. *)
+let poll_wait ?ivar ?until t ~gap step =
   let over = ref false and resume = ref ignore in
-  let rec tick () =
-    if not (Machine.proc_alive t.machine t.proc) then ()
-    else if interrupt_pending t then !resume ()
-    else begin
-      let d = step () in
-      if d > 0 then Engine.schedule_after eng ~delay:d tick
-      else begin
-        over := true;
-        !resume ()
-      end
-    end
-  in
   let rec loop () =
     poll t;
     let d = step () in
     if d > 0 then begin
       Process.suspend (fun k ->
           resume := k;
-          Engine.schedule_after eng ~delay:d tick);
+          if t.poll_tick == no_tick && gap <= Engine.max_gap then
+            t.poll_tick <- tick;
+          pause d);
+      release t tick;
       if not !over then loop ()
+    end
+  and pause d =
+    let at = Machine.now t.machine + d in
+    let elided =
+      d = gap && t.poll_tick == tick
+      &&
+      let w = poller t gap in
+      Machine.elide_wait ?until t.machine ~proc:t.proc w ~at
+      &&
+      (Option.iter (fun iv -> Ivar.watch iv w) ivar;
+       true)
+    in
+    if not elided then Engine.schedule (engine t) ~at tick
+  and tick () =
+    if not (Machine.proc_alive t.machine t.proc) then release t tick
+    else if interrupt_pending t then !resume ()
+    else begin
+      let d = step () in
+      if d > 0 then pause d
+      else begin
+        over := true;
+        !resume ()
+      end
     end
   in
   loop ()
@@ -263,7 +317,8 @@ let positive fn what n =
 let interruptible_pause ?(granule = 32) t cycles =
   positive "interruptible_pause" "granule" granule;
   let deadline = Machine.now t.machine + cycles in
-  poll_wait t (fun () ->
+  (* A tick [granule] or more before the deadline pauses a whole granule. *)
+  poll_wait ~until:(deadline - granule + 1) t ~gap:granule (fun () ->
       let remaining = deadline - Machine.now t.machine in
       if remaining <= 0 then 0
       else if granule < remaining then granule
@@ -279,7 +334,8 @@ let await ?(poll_interval = 16) t ivar =
      may depend on a service this processor has deferred. The kernel never
      holds a coarse lock across an RPC, so this must not happen. *)
   assert (not t.soft_masked);
-  poll_wait t (fun () -> if Ivar.is_full ivar then 0 else poll_interval);
+  poll_wait ~ivar t ~gap:poll_interval (fun () ->
+      if Ivar.is_full ivar then 0 else poll_interval);
   match Ivar.peek ivar with Some v -> v | None -> assert false
 
 (* [await] with a deadline: gives up once [timeout] cycles pass without the
@@ -289,7 +345,7 @@ let await_timeout ?(poll_interval = 16) t ~timeout ivar =
   positive "await_timeout" "poll_interval" poll_interval;
   assert (not t.soft_masked);
   let deadline = Machine.now t.machine + timeout in
-  poll_wait t (fun () ->
+  poll_wait ~ivar ~until:deadline t ~gap:poll_interval (fun () ->
       if Ivar.is_full ivar || Machine.now t.machine >= deadline then 0
       else poll_interval);
   Ivar.peek ivar
@@ -302,7 +358,7 @@ let await_timeout ?(poll_interval = 16) t ~timeout ivar =
    A spin on this processor's own PMM, on an uncached machine with no fault
    plan and no deadline, is elided: its iterations reserve nothing, so only
    a write to the cell, an IPI or the processor's death can change what a
-   later one does ([Machine.elide_spin] watches for those). The iterations
+   later one does ([Machine.elide_wait] watches for those). The iterations
    become a virtual chain — element 2m is a read's completion, 2m+1 the
    branch's end — and [credit] accounts each one's read and branch cycles
    as it virtually runs. When the wait is materialised, its next element
@@ -326,7 +382,7 @@ let spin_while ?deadline t cell keep =
          it. *)
       let x = Cell.peek cell in
       if elidable && keep x
-         && Machine.elide_spin m ~proc:t.proc cell (Lazy.force w) ~at:finish
+         && Machine.elide_wait m ~cell ~proc:t.proc (Lazy.force w) ~at:finish
       then begin
         v := x;
         credited := 0

@@ -104,12 +104,20 @@ val halt_if_dead : t -> unit
     taken in the fiber, then the wait goes on) — or never, if the processor
     dies. Every event, its time and its order match the equivalent loop of
     [poll]/{!read}, {!instr} and pauses written out in the fiber — except
-    the iterations of an elided local spin ({!spin_while}), which run no
-    event at all but leave every result as the loop would. *)
+    the iterations of an elided wait, which run no event at all but leave
+    every result as the loop would: a local spin ({!spin_while}) and the
+    polls of {!interruptible_pause}, {!await} and {!await_timeout}. A poll
+    changes nothing, so after the first one a poll wait schedules nothing
+    until an IPI to this processor, its death, the fill of the awaited
+    ivar or the wait's deadline; then the one poll the loop would run next
+    runs at exactly its place ({!Eventsim.Engine.elide}). A processor has
+    at most one elided wait, and a poll interval or granule wider than
+    {!Eventsim.Engine.max_gap} keeps every poll as an event. *)
 
 (** Pause while continuing to take interrupts every [granule] cycles: for
     backoffs and polling delays, where the processor is waiting rather than
-    computing.
+    computing. The polls are elided (above): a pause that no IPI or kill
+    interrupts runs O(1) events and ends exactly at its deadline.
     @raise Invalid_argument if [granule <= 0]. *)
 val interruptible_pause : ?granule:int -> t -> int -> unit
 
@@ -139,7 +147,7 @@ val interruptible_pause : ?granule:int -> t -> int -> unit
     on a machine without cache coherence and with no fault plan installed,
     is elided: its iterations reserve no shared resource, so after the
     first one no event is scheduled until a write to the cell, an IPI to
-    this processor or its death ({!Machine.elide_spin}). Then the one
+    this processor or its death ({!Machine.elide_wait}). Then the one
     iteration event the loop would run next is put at exactly its place,
     and the skipped iterations' reads and branch cycles are credited to
     {!Machine.reads} and {!instr_cycles}. Only
@@ -150,12 +158,18 @@ val spin_while : ?deadline:int -> t -> Cell.t -> (int -> bool) -> int
 
 (** Busy-wait for an ivar, polling every [poll_interval] cycles and taking
     interrupts meanwhile — how a processor waits for an RPC reply in an
-    exception-based kernel.
+    exception-based kernel. The polls are elided (above), and
+    {!Eventsim.Ivar.fill} ends the wait at the loop's next poll. An await
+    on an ivar that nothing will fill leaves an elided wait no event can
+    end, so {!Eventsim.Engine.run} raises {!Eventsim.Engine.Deadlock} at
+    once, naming the processor, instead of polling until the event budget
+    runs out.
     @raise Invalid_argument if [poll_interval <= 0]. *)
 val await : ?poll_interval:int -> t -> 'a Ivar.t -> 'a
 
 (** {!await} with a deadline: [None] once [timeout] cycles pass without a
-    value — the caller can resend a lost request.
+    value — the caller can resend a lost request. Elided like {!await}; the
+    engine runs the first poll at or after the deadline itself.
     @raise Invalid_argument if [poll_interval <= 0]. *)
 val await_timeout : ?poll_interval:int -> t -> timeout:int -> 'a Ivar.t -> 'a option
 

@@ -38,10 +38,17 @@ type t = {
   mutable on_restart : (int -> unit) option;
       (* workload callback to respawn work on a revived processor (the
          fiber that died stays parked forever) *)
-  watch : (Cell.t * Engine.wait) option array;
-      (* per processor: the cell of its last elided local spin, and the
-         wait (a processor has at most one wait at a time) *)
+  watch : Engine.wait array;
+      (* per processor: its last elided wait, or [no_wait] (a processor has
+         at most one elided wait at a time) *)
+  watch_cell : Cell.t option array; (* that wait's cell, for a local spin *)
 }
+
+(* Two arrays and a sentinel, not a [(cell, wait) option] per elision: an
+   entry stored into these long-lived arrays is promoted at the next minor
+   collection. *)
+let no_wait =
+  Engine.wait ~owner:(-1) ~even_gap:1 ~odd_gap:1 ~fire:ignore ~credit:ignore
 
 let create eng cfg =
   let cfg = Config.validate cfg in
@@ -67,7 +74,8 @@ let create eng cfg =
     crashes = 0;
     restarts = 0;
     on_restart = None;
-    watch = Array.make n None;
+    watch = Array.make n no_wait;
+    watch_cell = Array.make n None;
   }
 
 let engine t = t.eng
@@ -75,34 +83,33 @@ let config t = t.cfg
 let now t = Engine.now t.eng
 let n_procs t = Config.n_procs t.cfg
 
-(* -- Elided local spins ----------------------------------------------------
+(* -- Elided waits ------------------------------------------------------------
 
-   A processor spinning on its own PMM reserves nothing, so {!Ctx.spin_while}
-   elides the iterations ({!Engine.elide}) and registers the wait here. The
-   only things that can end it are a mutation of the cell, an IPI to the
-   processor, its death, and a fault plan that changes local latency; each
-   of those materialises the wait ({!Engine.materialise}). *)
+   A processor spinning on its own PMM reserves nothing, and a poll tick
+   ({!Ctx.await}, {!Ctx.interruptible_pause}) touches no memory at all, so
+   Ctx elides their iterations ({!Engine.elide}) and registers the wait
+   here. An IPI to the processor or its death can end either; so can a
+   mutation of a spin's cell, or a fault plan that changes its local
+   latency. Each of those materialises the wait ({!Engine.materialise}).
+   An ivar fill or a deadline ends a poll wait without the machine. *)
 
-let elide_spin t ~proc cell w ~at =
-  Option.is_none t.fault
-  (* One elided wait per processor: a second fiber's spin on the same
+let elide_wait ?cell ?until t ~proc w ~at =
+  (Option.is_none cell || Option.is_none t.fault)
+  (* One elided wait per processor: a second fiber's wait on the same
      processor runs its iterations. *)
-  && (match t.watch.(proc) with
-     | Some (_, u) -> not (Engine.is_elided u)
-     | None -> true)
-  && Engine.elide t.eng w ~at
+  && (not (Engine.is_elided t.watch.(proc)))
+  && Engine.elide ?until t.eng w ~at
   &&
-  (t.watch.(proc) <- Some (cell, w);
+  (t.watch.(proc) <- w;
+   t.watch_cell.(proc) <- cell;
    true)
 
-let wake t ~proc =
-  match t.watch.(proc) with
-  | Some (_, w) -> Engine.materialise t.eng w
-  | None -> ()
+let wake t ~proc = Engine.materialise t.eng t.watch.(proc)
 
 let wake_cell t cell =
-  match t.watch.(Cell.home cell) with
-  | Some (c, w) when c == cell -> Engine.materialise t.eng w
+  let p = Cell.home cell in
+  match t.watch_cell.(p) with
+  | Some c when c == cell -> Engine.materialise t.eng t.watch.(p)
   | _ -> ()
 
 (* Every value mutation of a cell goes through here: untimed writes, and
@@ -111,10 +118,7 @@ let poke t cell v =
   Cell.poke cell v;
   wake_cell t cell
 
-let settle t ~proc =
-  match t.watch.(proc) with
-  | Some (_, w) -> Engine.settle t.eng w
-  | None -> ()
+let settle t ~proc = Engine.settle t.eng t.watch.(proc)
 
 let settle_all t =
   for p = 0 to Array.length t.watch - 1 do
@@ -206,7 +210,8 @@ let kill_proc ?restart_after t proc =
 
 let set_fault_plan t plan =
   t.fault <- plan;
-  (* A plan scales local latency, so an elided spin must see it. *)
+  (* A plan scales local latency, so an elided spin must see it (an elided
+     poll is materialised too, harmlessly). *)
   if Option.is_some plan then
     for p = 0 to n_procs t - 1 do
       wake t ~proc:p

@@ -153,20 +153,26 @@ val cpu_work : t -> int -> unit
     {!Cell.poke}. *)
 val poke : t -> Cell.t -> int -> unit
 
-(** {2 Elided local spins}
+(** {2 Elided waits}
 
-    A processor spinning on its own PMM reserves no shared resource, so
-    {!Ctx.spin_while} runs those iterations as a virtual chain
-    ({!Eventsim.Engine.elide}). The machine keeps one watch slot per
-    processor and materialises the wait on everything that can end it: a
-    mutation of the cell (a write or atomic completing, or {!poke}), an IPI
-    ({!wake}), {!kill_proc}, and installing a fault plan. *)
+    A processor spinning on its own PMM reserves no shared resource, and a
+    poll wait's ticks touch no memory, so {!Ctx.spin_while}, {!Ctx.await},
+    {!Ctx.await_timeout} and {!Ctx.interruptible_pause} run those
+    iterations as a virtual chain ({!Eventsim.Engine.elide}). The machine
+    keeps one watch slot per processor and materialises the wait on
+    everything it sees that can end it: an IPI ({!wake}), {!kill_proc},
+    and for a spin a mutation of its cell (a write or atomic completing,
+    or {!poke}) and installing a fault plan. An ivar fill
+    ({!Eventsim.Ivar.watch}) and the engine itself ([until]) end a poll
+    wait. *)
 
-(** [elide_spin t ~proc cell w ~at] elides [w] (its next element is due at
-    [at]) and watches [cell] for it, if no fault plan is installed and
-    [proc] has no other elided wait. Returns [false] otherwise; the caller
-    then schedules the element. *)
-val elide_spin : t -> proc:int -> Cell.t -> Engine.wait -> at:int -> bool
+(** [elide_wait ?cell ?until t ~proc w ~at] elides [w] (its next element is
+    due at [at], its chain ends by [until]) if [proc] has no other elided
+    wait, and watches [cell] for it: a spin on [cell] is elided only while
+    no fault plan is installed. Returns [false] otherwise; the caller then
+    schedules the element. *)
+val elide_wait :
+  ?cell:Cell.t -> ?until:int -> t -> proc:int -> Engine.wait -> at:int -> bool
 
 (** Materialise [proc]'s elided wait, if any. *)
 val wake : t -> proc:int -> unit

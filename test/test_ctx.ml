@@ -247,23 +247,28 @@ type tick =
    deadline-bounded, some soft-masked), awaits with and without timeout,
    interruptible pauses — while the last processor flips cell values, ivars
    fill, IPIs land mid-wait (some writing cells from the handler),
-   processors die and restart, and hot-spots slow PMMs.
+   processors die and restart, and hot-spots slow PMMs. Waiters also post
+   IPIs to each other between waits, so wakes go on after the scheduled
+   ones run out.
 
    Metronomes force ties: engine-event chains that step with the spin's own
    gaps (alternately [local_latency] and [branch_cost], so same-time events
    tie at every depth), with one of them only (a tie at depth 1), with
-   both and a third (ties that end at depth 1, 2 or 3), or at random. Most
-   of the first kind start at time 0, in step with every waiter's first
-   spin. Every tick is logged with its time, as are IPI handlers,
-   timed-write completions, kills and waiter returns, and some ticks poke
-   cells (one, or every waiter's own, which wakes spins in lock-step at
-   once), post IPIs, kill waiters or start timed writes: a wake placed in
-   the wrong order among same-time events reorders the log.
+   both and a third (ties that end at depth 1, 2 or 3), at random, or with
+   the poll interval or granule of a waiter's first wait. Most of the first
+   kind and all of the last start at time 0, in step with every waiter's
+   first spin or that waiter's first poll. Half the poll waits share one
+   interval, so their chains also tie with each other. Every tick is
+   logged with its time, as are IPI handlers, timed-write completions,
+   kills and waiter returns, and some ticks poke cells (one, or every
+   waiter's own, which wakes spins in lock-step at once), post IPIs, kill
+   waiters or start timed writes: a wake placed in the wrong order among
+   same-time events reorders the log.
 
    The whole run is replayed from [seed], so both wait implementations see
    the same scenario. Returns the events executed, and everything the two
    runs must agree on. *)
-let run_scenario waits seed =
+let run_scenario ?(polls_only = false) waits seed =
   let st = Random.State.make [| seed |] in
   let int n = Random.State.int st n and bool () = Random.State.bool st in
   let coherent = int 4 = 0 in
@@ -303,10 +308,16 @@ let run_scenario waits seed =
   let horizon = 20_000 in
   let results = ref [] and log = ref [] in
   let note what id = log := (what, id, Engine.now eng) :: !log in
+  let common_gap = 1 + int 40 in
+  let gap n = if bool () then common_gap else 1 + int n in
   let plan =
     Array.init waiters (fun p ->
         List.init (2 + int 5) (fun k ->
-            match if k = 0 && bool () then 0 else int 5 with
+            match
+              if polls_only then 2 + int 3
+              else if k = 0 && bool () then 0
+              else int 5
+            with
             | 0 | 1 ->
               (* Half the spins go to this processor's own cell. *)
               let cell = if bool () then cells.(3 + p) else cells.(int 3) in
@@ -314,9 +325,15 @@ let run_scenario waits seed =
                 if int 3 = 0 then Some (200 + int 3000) else None
               in
               `Spin (cell, int 3, deadline, bool ())
-            | 2 -> `Await (int 4, 1 + int 40)
-            | 3 -> `Await_timeout (int 4, 1 + int 40, int 2000)
-            | _ -> `Pause (int 1500, 1 + int 64)))
+            | 2 -> `Await (int 4, gap 40)
+            | 3 -> `Await_timeout (int 4, gap 40, int 2000)
+            | _ -> `Pause (int 1500, gap 64)))
+  in
+  let ipi id target work write =
+    Ctx.post_ipi ctxs.(target) (fun tc ->
+        note "ipi" id;
+        Ctx.work tc work;
+        Option.iter (fun (cell, v) -> Ctx.write tc cells.(cell) v) write)
   in
   let run_waits tag p () =
     let c = ctxs.(p) in
@@ -343,6 +360,10 @@ let run_scenario waits seed =
         in
         results := (tag, p, k, v, Ctx.now c) :: !results;
         note "return" ((100 * p) + k);
+        (* Wake another waiter, perhaps from an elided wait that ends
+           later: the end of one chain can cut another short. *)
+        if int 4 = 0 then
+          ipi (10_000 + (100 * p) + k) (int waiters) (1 + int 40) None;
         Ctx.work c (int 20))
       plan.(p)
   in
@@ -366,12 +387,6 @@ let run_scenario waits seed =
         Engine.schedule eng ~at:(int horizon) (fun () ->
             Ivar.fill eng iv (100 + i)))
     ivars;
-  let ipi id target work write =
-    Ctx.post_ipi ctxs.(target) (fun tc ->
-        note "ipi" id;
-        Ctx.work tc work;
-        Option.iter (fun (cell, v) -> Ctx.write tc cells.(cell) v) write)
-  in
   for id = 1 to 20 + int 60 do
     let target = int waiters and work = 1 + int 80 in
     let write =
@@ -388,15 +403,31 @@ let run_scenario waits seed =
     Engine.schedule eng ~at:(int horizon) (fun () -> kill p restart_after)
   done;
   let b = cfg.Config.branch_cost and l = cfg.Config.local_latency in
+  let first_polls =
+    List.filter_map
+      (fun waits ->
+        match waits with
+        | (`Await (_, g) | `Await_timeout (_, g, _) | `Pause (_, g)) :: _ ->
+          Some g
+        | _ -> None)
+      (Array.to_list plan)
+  in
   for metronome = 1 to 3 + int 6 do
     let gaps, start =
-      match int 10 with
+      match int 12 with
       | 0 | 1 | 2 | 3 -> ([| l; b |], 0)
       | 4 | 5 -> ([| l; b |], int horizon)
       | 6 -> ([| l |], int horizon)
       | 7 -> ([| b |], int horizon)
       | 8 -> ([| l; b; 1 + int 12 |], int (l + b))
-      | _ -> ([| 1 + int 12; 1 + int 12 |], int (l + b))
+      | 9 -> ([| 1 + int 12; 1 + int 12 |], int (l + b))
+      | _ ->
+        let g =
+          match first_polls with
+          | [] -> common_gap
+          | gs -> List.nth gs (int (List.length gs))
+        in
+        ([| g |], 0)
     in
     let ticks =
       Array.init (50 + int 300) (fun _ ->
@@ -441,8 +472,8 @@ let run_scenario waits seed =
       List.rev !results,
       List.rev !log ) )
 
-(* Elided spins run fewer events — that is the point — so the event count
-   may only fall; everything else must match. *)
+(* Elided spins and polls run fewer events — that is the point — so the
+   event count may only fall; everything else must match. *)
 let prop_waits_match_fiber_loops =
   QCheck.Test.make ~name:"engine-driven waits replay the fiber loops exactly"
     ~count:150 QCheck.small_nat (fun seed ->
@@ -512,6 +543,120 @@ let test_local_spin_elided () =
   Alcotest.(check (pair int int)) "as the loop counts them" ref_counts counts;
   Alcotest.(check int) "the loop's events" 20_002 ref_events;
   if events > 4 then Alcotest.failf "elided spin ran %d events" events
+
+(* -- Elided poll waits ------------------------------------------------------
+
+   [await] and [interruptible_pause] run no event per poll either: only an
+   IPI, a kill, the ivar's fill or the wait's own deadline ends the chain,
+   and then the one poll the loop would run next runs for real. *)
+
+(* [f waits eng machine ctx note] on a fresh machine with nothing else
+   scheduled: what it [note]d, with times, and the events executed. *)
+let poll_run waits f =
+  let eng, machine, ctx = make () in
+  let log = ref [] in
+  let note what = log := (what, Engine.now eng) :: !log in
+  f waits eng machine ctx note;
+  Engine.run eng;
+  (List.rev !log, Engine.events_executed eng)
+
+(* Check the library against the loop: same log; at most [max_events]
+   events for the library, which the loop exceeds. *)
+let check_polls what ~max_events f =
+  let got, events = poll_run library f in
+  let expected, ref_events = poll_run reference f in
+  Alcotest.(check (list (pair string int))) (what ^ ": as the loop") expected
+    got;
+  if events > max_events || ref_events <= max_events then
+    Alcotest.failf "%s: %d events elided, %d in the loop" what events
+      ref_events
+
+(* The reply comes 100 000 cycles out: 6 250 polls of 16 cycles in the
+   loop, a handful of events elided. *)
+let test_await_elided () =
+  check_polls "await" ~max_events:4 (fun waits eng _ ctx note ->
+      let iv = Ivar.create () in
+      Engine.schedule eng ~at:100_000 (fun () -> Ivar.fill eng iv 7);
+      Process.spawn eng (fun () ->
+          let v = waits.await ~poll_interval:16 (ctx 0) iv in
+          note (Printf.sprintf "got %d" v)))
+
+(* Deadlines on the granule grid and off it: the pause ends exactly there. *)
+let test_pause_ends_at_deadline () =
+  List.iter
+    (fun cycles ->
+      check_polls
+        (Printf.sprintf "pause %d" cycles)
+        ~max_events:4
+        (fun waits eng _ ctx note ->
+          Process.spawn eng (fun () ->
+              waits.pause ~granule:32 (ctx 0) cycles;
+              note "done")))
+    [ 100_000; 100_007 ]
+
+(* An IPI in the middle of an elided pause is served at the loop's next
+   poll, from a scheduled event and from the end of another processor's
+   elided pause, with nothing else in the heap. *)
+let test_ipi_mid_pause () =
+  let serve ctx note _ =
+    note "served";
+    Ctx.work ctx 40
+  in
+  check_polls "scheduled IPI" ~max_events:16 (fun waits eng _ ctx note ->
+      let c = ctx 0 in
+      Engine.schedule eng ~at:50_003 (fun () -> Ctx.post_ipi c (serve c note));
+      Process.spawn eng (fun () ->
+          waits.pause ~granule:32 c 100_000;
+          note "done"));
+  check_polls "IPI from a pause's end" ~max_events:16
+    (fun waits eng _ ctx note ->
+      let c0 = ctx 0 and c1 = ctx 1 in
+      Process.spawn eng (fun () ->
+          waits.pause ~granule:32 c1 100_000;
+          note "done 1");
+      Process.spawn eng (fun () ->
+          waits.pause ~granule:16 c0 50_003;
+          Ctx.post_ipi c1 (serve c1 note);
+          note "done 0"))
+
+(* An await on an ivar nothing will fill: [run] says so at once, naming
+   the processor, where the loop would burn the event budget. *)
+let test_unending_await_deadlocks () =
+  let eng, _, ctx = make () in
+  Process.spawn eng (fun () -> ignore (Ctx.await (ctx 2) (Ivar.create ())));
+  Alcotest.check_raises "deadlock"
+    (Engine.Deadlock
+       "no event can end the elided waits of processors 2: the event heap is \
+        empty")
+    (fun () -> Engine.run eng);
+  if Engine.events_executed eng > 3 then
+    Alcotest.failf "%d events before the deadlock" (Engine.events_executed eng)
+
+(* Gaps wider than [Engine.max_gap] cannot be a chain: those waits run
+   every poll as an event, exactly as the loop does. *)
+let test_wide_poll_gaps () =
+  let f waits eng _ ctx note =
+    let iv = Ivar.create () in
+    Engine.schedule eng ~at:250_000 (fun () -> Ivar.fill eng iv 1);
+    Process.spawn eng (fun () ->
+        ignore (waits.await ~poll_interval:100_000 (ctx 0) iv);
+        note "await";
+        waits.pause ~granule:100_000 (ctx 0) 350_000;
+        note "pause")
+  in
+  let got = poll_run library f and expected = poll_run reference f in
+  Alcotest.(check (pair (list (pair string int)) int))
+    "as the loop, event for event" expected got
+
+(* Scenarios of poll waits only: exact, and with strictly fewer events. *)
+let test_poll_scenarios_elided () =
+  for seed = 0 to 9 do
+    let events, got = run_scenario ~polls_only:true library seed in
+    let ref_events, expected = run_scenario ~polls_only:true reference seed in
+    if got <> expected then Alcotest.failf "seed %d: differs from the loop" seed;
+    if events >= ref_events then
+      Alcotest.failf "seed %d: %d events, the loop %d" seed events ref_events
+  done
 
 (* Spins whose iterations can observe or change shared state keep one event
    pair per iteration: remote, on a coherent machine (cache hits), or with
@@ -640,17 +785,25 @@ let test_watchdog_sees_elided_spin () =
   | exception Verify.Violation viol ->
     Alcotest.(check string) "stall" "stall" (Verify.kind_name viol.Verify.vkind)
 
+(* Elided (granule 8) or running every tick as an event (a granule wider
+   than [Engine.max_gap]), a 10 000-granule pause costs O(1) minor words. *)
 let test_interruptible_pause_allocates_o1 () =
-  let eng, _, ctx = make () in
-  let c = ctx 0 in
-  let words =
-    words_during (fun () ->
-        simulate eng (fun () -> Ctx.interruptible_pause ~granule:8 c 80_000))
-  in
-  Alcotest.(check int)
-    "one event per granule" 10_001 (Engine.events_executed eng);
-  if words > 500. then
-    Alcotest.failf "a 10 000-granule pause allocated %.0f minor words" words
+  List.iter
+    (fun (granule, events) ->
+      let eng, _, ctx = make () in
+      let c = ctx 0 in
+      let words =
+        words_during (fun () ->
+            simulate eng (fun () ->
+                Ctx.interruptible_pause ~granule c (granule * 10_000)))
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "events at granule %d" granule)
+        events (Engine.events_executed eng);
+      if words > 500. then
+        Alcotest.failf "a 10 000-granule pause allocated %.0f minor words"
+          words)
+    [ (8, 2); (Engine.max_gap + 1, 10_001) ]
 
 (* A zero poll interval or granule never suspends ([Process.pause 0] is a
    no-op), so the wait would spin on the host forever: rejected up front. *)
@@ -692,6 +845,18 @@ let suite =
       test_spin_while_allocates_o1;
     Alcotest.test_case "own-PMM spin elided with exact counts" `Quick
       test_local_spin_elided;
+    Alcotest.test_case "await elided, returns as the loop" `Quick
+      test_await_elided;
+    Alcotest.test_case "interruptible_pause ends at its deadline" `Quick
+      test_pause_ends_at_deadline;
+    Alcotest.test_case "IPI mid-pause served as in the loop" `Quick
+      test_ipi_mid_pause;
+    Alcotest.test_case "unending await raises Deadlock" `Quick
+      test_unending_await_deadlocks;
+    Alcotest.test_case "wide poll gaps keep every event" `Quick
+      test_wide_poll_gaps;
+    Alcotest.test_case "poll scenarios run fewer events" `Quick
+      test_poll_scenarios_elided;
     Alcotest.test_case "remote, coherent, faulted spins keep events" `Quick
       test_unelided_spins_keep_events;
     Alcotest.test_case "unending elided spin raises Deadlock" `Quick
