@@ -23,9 +23,12 @@ type t = {
    numbering order being nondeterministic is harmless. *)
 let counter = Atomic.make 0
 
-let make ?(label = "") ~home value =
-  let id = 1 + Atomic.fetch_and_add counter 1 in
+let reserve_id () = 1 + Atomic.fetch_and_add counter 1
+
+let make_reserved ?(label = "") ~id ~home value =
   { value; home; id; label; cached_by = 0; excl = -1 }
+
+let make ?label ~home value = make_reserved ?label ~id:(reserve_id ()) ~home value
 
 let home t = t.home
 let id t = t.id

@@ -6,7 +6,16 @@
 
 type t
 
+(** The cell takes the next id. *)
 val make : ?label:string -> home:int -> int -> t
+
+(** Consume the id the next {!make} would take, for a later
+    {!make_reserved}. *)
+val reserve_id : unit -> int
+
+(** A cell taking [id], handed out earlier by {!reserve_id}: for a cell
+    built later than the moment it stands for (a deferred table element). *)
+val make_reserved : ?label:string -> id:int -> home:int -> int -> t
 
 val home : t -> int
 val id : t -> int

@@ -239,10 +239,17 @@ let mem_resource t m = t.mem.(m)
 let bus_resource t s = t.bus.(s)
 let ring_resource t = t.ring
 
-let alloc t ?label ~home v =
+let check_home t home =
   if home < 0 || home >= n_procs t then
-    invalid_arg (Printf.sprintf "Machine.alloc: bad home PMM %d" home);
+    invalid_arg (Printf.sprintf "Machine.alloc: bad home PMM %d" home)
+
+let alloc t ?label ~home v =
+  check_home t home;
   Cell.make ?label ~home v
+
+let alloc_reserved t ~id ~home v =
+  check_home t home;
+  Cell.make_reserved ~id ~home v
 
 let us_of_cycles t c = Config.us_of_cycles t.cfg c
 let cycles_of_us t us = Config.cycles_of_us t.cfg us

@@ -108,6 +108,10 @@ val ring_resource : t -> Resource.t
 (** Allocate a cell homed on the given PMM. *)
 val alloc : t -> ?label:string -> home:int -> int -> Cell.t
 
+(** As {!alloc}, taking the id [id] as for {!Cell.make_reserved}; no
+    optional argument, so a hot caller boxes nothing. *)
+val alloc_reserved : t -> id:int -> home:int -> int -> Cell.t
+
 val us_of_cycles : t -> int -> float
 val cycles_of_us : t -> float -> int
 

@@ -25,7 +25,14 @@
 
    Chain traversal charges one timed read per element examined (the header
    word holding key and status), so long chains and remote bins cost what
-   they should. *)
+   they should.
+
+   Untimed (set-up) inserts outside [Fine] are only recorded: key, seeded
+   status, home and payload go into table-owned columns, threaded per bin
+   newest first, and the first operation that walks the bin builds them
+   into ordinary elements in front of its chain. A table pre-populated
+   with 10^6 keys but visited on a few thousand bins builds only those
+   bins. *)
 
 open Hector
 open Locks
@@ -50,12 +57,28 @@ type 'a elem = {
          sweep can tell an orphaned reservation from a live one. *)
 }
 
+(* A block of recorded untimed inserts. Entry [o] is [ints.(4o)] (key),
+   [ints.(4o+1)] (seeded status word), [ints.(4o+2)] (the status cell's
+   id, reserved at insert so ids are numbered as if built there) and
+   [ints.(4o+3)], which packs the next older pending entry of the same bin
+   ([-1] for none) with the index of the element's home in [elem_homes];
+   its payload is [payloads.(o)]. A built entry's payload slot is reset to
+   [fill] (the block's first payload), so a block keeps at most one built
+   payload alive. *)
+type 'a chunk = { ints : int array; payloads : 'a array; fill : 'a }
+
 type 'a t = {
   machine : Machine.t;
   granularity : granularity;
   nbins : int;
   nshards : int; (* 1 unless [Sharded] *)
-  bins : 'a elem list array;
+  bins : 'a elem list array; (* built elements, newest first *)
+  mutable pfirst : int array;
+      (* per bin, the newest pending entry, -1 for none; [||] until the
+         first untimed insert *)
+  mutable chunks : 'a chunk array;
+      (* pending entry [i] is in [chunks.(i / chunk_size)] *)
+  mutable recorded : int; (* untimed inserts ever recorded *)
   bin_heads : Cell.t array; (* chain-head words, co-located with the lock *)
   lock : Lock.t; (* coarse table lock (Hybrid / Coarse) *)
   shard_locks : Lock.t array; (* Sharded: one coarse lock per shard *)
@@ -115,6 +138,9 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
     nbins;
     nshards;
     bins = Array.make nbins [];
+    pfirst = [||];
+    chunks = [||];
+    recorded = 0;
     bin_heads =
       Array.init nbins (fun i ->
           let home =
@@ -176,10 +202,126 @@ let shard_of_key t key = bin_of_key t key mod t.nshards
 let shard_lock t s = t.shard_locks.(s)
 let seqlock t s = t.seqlocks.(s)
 
-let pick_home t =
-  let h = t.elem_homes.(t.next_home mod Array.length t.elem_homes) in
+(* The index in [elem_homes] of the next element's home: the storage PMMs
+   in turn, in global insert order. *)
+let next_home_index t =
+  let h = t.next_home mod Array.length t.elem_homes in
   t.next_home <- t.next_home + 1;
   h
+
+(* -- elements and pending (recorded, unbuilt) entries ----------------- *)
+
+(* The element on PMM [home]: its status word seeded with [status0] (e.g.
+   already reserved, for placeholder descriptors — the combining-tree
+   trick) and taking cell id [id] if it is not [-1] (a fresh id
+   otherwise), plus, in Fine mode, its spin lock. No label: Verify names
+   reserve words by class and cell id. *)
+let build_elem t key ~id ~home ~status0 ~payload ~reserver =
+  {
+    key;
+    status =
+      (if id < 0 then Machine.alloc t.machine ~home status0
+       else Machine.alloc_reserved t.machine ~id ~home status0);
+    elem_lock =
+      (match t.granularity with
+      | Fine ->
+        Some
+          (Spin_lock.create t.machine ~home ~vclass:t.elem_vclass
+             (fine_backoff t.machine))
+      | Hybrid | Coarse | Sharded -> None);
+    payload;
+    reserver;
+  }
+
+(* Build an element on the table's next storage PMM, unlinked and untimed.
+   [make] builds the payload given the element's home PMM, so payload cells
+   can be co-located with the element. *)
+let make_elem t key ~status0 ~make ~reserver =
+  let home = t.elem_homes.(next_home_index t) in
+  let payload = make home in
+  build_elem t key ~id:(-1) ~home ~status0 ~payload ~reserver
+
+(* Pending entries live in blocks of [chunk_size]; the first block starts at
+   8 entries and doubles, so the kernel's small tables stay small. *)
+let chunk_size = 16_384
+let stride = 4
+
+let new_chunk n payload =
+  {
+    ints = Array.make (stride * n) 0;
+    payloads = Array.make n payload;
+    fill = payload;
+  }
+
+let pending_chunk t i = t.chunks.(i / chunk_size)
+
+(* The block that will hold the next pending entry, allocated or grown as
+   needed; [payload] is that entry's payload. *)
+let pending_slot t payload =
+  let i = t.recorded in
+  if i = 0 then begin
+    t.pfirst <- Array.make t.nbins (-1);
+    t.chunks <- [| new_chunk 8 payload |]
+  end
+  else if i mod chunk_size = 0 then
+    t.chunks <- Array.append t.chunks [| new_chunk chunk_size payload |]
+  else if i = Array.length t.chunks.(0).payloads then begin
+    let c = t.chunks.(0) in
+    let c' = new_chunk (2 * i) c.fill in
+    Array.blit c.ints 0 c'.ints 0 (stride * i);
+    Array.blit c.payloads 0 c'.payloads 0 i;
+    t.chunks.(0) <- c'
+  end;
+  pending_chunk t i
+
+(* Record an untimed insert homed on [elem_homes.(hidx)] as bin [b]'s newest
+   pending entry, reserving its status cell's id. *)
+let record t key ~status0 ~hidx payload =
+  let i = t.recorded in
+  let c = pending_slot t payload in
+  let o = i mod chunk_size in
+  let at = stride * o in
+  let b = bin_of_key t key in
+  c.ints.(at) <- key;
+  c.ints.(at + 1) <- status0;
+  c.ints.(at + 2) <- Cell.reserve_id ();
+  c.ints.(at + 3) <- ((t.pfirst.(b) + 1) * Array.length t.elem_homes) + hidx;
+  c.payloads.(o) <- payload;
+  t.pfirst.(b) <- i;
+  t.recorded <- i + 1
+
+(* Build pending entry [i] and the older ones of its bin, newest first, in
+   front of [built]. Top level and tail-mod-cons, so a bin's build costs
+   what eager building did: the element, its status cell and one cons. *)
+let[@tail_mod_cons] rec build_pending t i built =
+  if i < 0 then built
+  else begin
+    let nh = Array.length t.elem_homes in
+    let c = pending_chunk t i in
+    let o = i mod chunk_size in
+    let at = stride * o in
+    let packed = c.ints.(at + 3) in
+    let e =
+      build_elem t c.ints.(at) ~status0:c.ints.(at + 1) ~id:c.ints.(at + 2)
+        ~home:t.elem_homes.(packed mod nh)
+        ~payload:c.payloads.(o) ~reserver:(-1)
+    in
+    c.payloads.(o) <- c.fill;
+    e :: build_pending t ((packed / nh) - 1) built
+  end
+
+(* Build bin [b]'s pending entries and put them in front of its chain,
+   newest first: every pending entry was recorded after every element
+   already linked there, since linking builds the bin first. *)
+let build_bin t b =
+  let first = t.pfirst.(b) in
+  t.pfirst.(b) <- -1;
+  t.bins.(b) <- build_pending t first t.bins.(b)
+
+(* Bin [b]'s chain, built first if it holds pending entries. *)
+let chain t b =
+  if t.recorded > 0 && t.pfirst.(b) >= 0 then build_bin t b;
+  t.bins.(b)
 
 (* -- operations that require the protecting lock to be held ------------- *)
 
@@ -201,7 +343,7 @@ let search_locked_status ctx t key =
       let v = costs_probe e in
       if e.key = key then Some (e, v) else go rest
   in
-  go t.bins.(bin_of_key t key)
+  go (chain t (bin_of_key t key))
 
 let search_locked ctx t key =
   Option.map fst (search_locked_status ctx t key)
@@ -224,33 +366,11 @@ let seq_write_end t ctx key =
   | Some sq -> Seqlock.write_end sq ctx
   | None -> ()
 
-(* Build an element on the table's next storage PMM, unlinked and untimed.
-   [status0] seeds the status word (e.g. already reserved, for placeholder
-   descriptors — the combining-tree trick). [make] builds the payload given
-   the element's home PMM, so payload cells can be co-located with the
-   element. No label: Verify names reserve words by class and cell id. *)
-let make_elem t key ~status0 ~make ~reserver =
-  let home = pick_home t in
-  let payload = make home in
-  {
-    key;
-    status = Machine.alloc t.machine ~home status0;
-    elem_lock =
-      (match t.granularity with
-      | Fine ->
-        Some
-          (Spin_lock.create t.machine ~home ~vclass:t.elem_vclass
-             (fine_backoff t.machine))
-      | Hybrid | Coarse | Sharded -> None);
-    payload;
-    reserver;
-  }
-
 (* Push onto the head of the key's chain (host-side; timed callers charge
    the header write). *)
 let link t elem =
   let b = bin_of_key t elem.key in
-  t.bins.(b) <- elem :: t.bins.(b);
+  t.bins.(b) <- elem :: chain t b;
   t.n_elems <- t.n_elems + 1
 
 let insert_locked ctx t key ~status0 ~make =
@@ -288,7 +408,7 @@ let remove_locked ctx t key =
           false
         end
         else true)
-      t.bins.(b);
+      (chain t b);
   if !found then begin
     t.n_elems <- t.n_elems - 1;
     (* Unlink write. *)
@@ -427,7 +547,7 @@ let search_unlocked ctx t key =
       Ctx.instr ctx ~reg:1 ~br:1 ();
       if e.key = key then Some e else go rest
   in
-  go t.bins.(bin_of_key t key)
+  go (chain t (bin_of_key t key))
 
 (* Read-only lookup. Under [Sharded] this is the optimistic read path:
    sample the shard's sequence word, probe the chain unlocked, validate.
@@ -508,20 +628,30 @@ let with_element t ctx key f =
            (fun () -> f e)))
 
 (* Untimed insertion for experiment setup (pre-populating descriptors
-   before the simulation starts). Same element as a timed insert, Fine-mode
-   element lock and its {!Verify} class included, so lockdep sees
-   pre-populated and live elements identically. No live processor set a
-   seeded reserve bit, so a crash sweep has no corpse to attribute it to. *)
+   before the simulation starts). The home is picked, [make] called and the
+   status cell's id reserved now, in insert order, as for a timed insert;
+   the element itself is built when an operation first walks its bin
+   ({!chain}). A Fine-mode element also carries a spin lock with its own
+   cell and {!Verify} instance id, so Fine tables (the small ABL1
+   ablation) build at once and number those ids in insert order too. No
+   live processor set a seeded reserve bit, so a crash sweep has no corpse
+   to attribute it to. *)
 let insert_untimed t key ~status0 ~make =
-  let elem = make_elem t key ~status0 ~make ~reserver:(-1) in
-  link t elem;
-  elem
+  match t.granularity with
+  | Fine -> link t (make_elem t key ~status0 ~make ~reserver:(-1))
+  | Hybrid | Coarse | Sharded ->
+    let hidx = next_home_index t in
+    record t key ~status0 ~hidx (make t.elem_homes.(hidx));
+    t.n_elems <- t.n_elems + 1
 
 (* Untimed whole-table iteration, for tests and invariant checks. *)
-let iter_untimed t f = Array.iter (fun chain -> List.iter f chain) t.bins
+let iter_untimed t f =
+  for b = 0 to t.nbins - 1 do
+    List.iter f (chain t b)
+  done
 
 let mem_untimed t key =
-  List.exists (fun e -> e.key = key) t.bins.(bin_of_key t key)
+  List.exists (fun e -> e.key = key) (chain t (bin_of_key t key))
 
 (* -- crash repair --------------------------------------------------------- *)
 
@@ -536,7 +666,9 @@ let mem_untimed t key =
    [write_begin] asserts an even word. The roll itself cannot race a live
    writer because the corpse still notionally holds the shard lock while
    we repair. Free when nobody died — every check is host-side except one
-   probe load per dead-owned reservation. *)
+   probe load per dead-owned reservation. Pending (unbuilt) entries are
+   skipped: none has a reserver, and Fine tables, whose elements carry
+   locks, build at insert. *)
 let recover t ctx =
   let repairs = ref 0 in
   let bump b = if b then incr repairs in
@@ -547,13 +679,17 @@ let recover t ctx =
     t.shard_locks;
   bump (t.lock.Lock.recover ctx);
   Array.iter (fun l -> bump (Spin_lock.Core.recover l ctx)) t.bin_locks;
-  iter_untimed t (fun e ->
-      (match e.elem_lock with
-      | Some l -> bump (Spin_lock.Core.recover l ctx)
-      | None -> ());
-      if e.reserver >= 0 && not (Machine.proc_alive t.machine e.reserver)
-      then begin
-        bump (Reserve.clear_orphan ~cls:t.rcls ctx e.status ~dead:e.reserver);
-        e.reserver <- -1
-      end);
+  (* Built elements only: [t.bins], not {!chain}. *)
+  Array.iter
+    (List.iter (fun e ->
+         (match e.elem_lock with
+         | Some l -> bump (Spin_lock.Core.recover l ctx)
+         | None -> ());
+         if e.reserver >= 0 && not (Machine.proc_alive t.machine e.reserver)
+         then begin
+           bump
+             (Reserve.clear_orphan ~cls:t.rcls ctx e.status ~dead:e.reserver);
+           e.reserver <- -1
+         end))
+    t.bins;
   !repairs

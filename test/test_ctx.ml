@@ -249,7 +249,7 @@ type tick =
    fill, IPIs land mid-wait (some writing cells from the handler),
    processors die and restart, and hot-spots slow PMMs. Waiters also post
    IPIs to each other between waits, so wakes go on after the scheduled
-   ones run out.
+   ones run out, and end with a pause into a quiet tail past them.
 
    Metronomes force ties: engine-event chains that step with the spin's own
    gaps (alternately [local_latency] and [branch_cost], so same-time events
@@ -365,7 +365,16 @@ let run_scenario ?(polls_only = false) waits seed =
         if int 4 = 0 then
           ipi (10_000 + (100 * p) + k) (int waiters) (1 + int 40) None;
         Ctx.work c (int 20))
-      plan.(p)
+      plan.(p);
+    (* The quiet tail: pause until a time past [horizon], where nothing
+       else is scheduled, so the waiters' chains end back to back with an
+       empty heap between them; each end's IPI can cut another's pause
+       short, which only placing one chain end at a time gets right. *)
+    let until = horizon + int 3000 in
+    if until > Ctx.now c then
+      waits.pause ~granule:(gap 64) c (until - Ctx.now c);
+    note "tail" p;
+    ipi (20_000 + p) (int waiters) (1 + int 40) None
   in
   for p = 0 to waiters - 1 do
     Process.spawn eng (run_waits "first" p)

@@ -240,10 +240,19 @@ let test_with_coarse_exception_safety () =
       Khash.with_coarse table c (fun () ->
           Alcotest.(check bool) "masked again" true (Ctx.soft_masked c)))
 
+(* The element [key] of [table], found by untimed iteration (which builds
+   every pending entry). *)
+let find_untimed table key =
+  let found = ref None in
+  Khash.iter_untimed table (fun e -> if e.Khash.key = key then found := Some e);
+  match !found with
+  | Some e -> e
+  | None -> Alcotest.failf "key %d not in the table" key
+
 let test_fine_untimed_insert_vclass () =
   let _, _, table, _ = make ~granularity:Khash.Fine () in
-  let e = Khash.insert_untimed table 7 ~status0:0 ~make:(fun _ -> ()) in
-  match e.Khash.elem_lock with
+  Khash.insert_untimed table 7 ~status0:0 ~make:(fun _ -> ());
+  match (find_untimed table 7).Khash.elem_lock with
   | None -> Alcotest.fail "Fine element must carry a spin lock"
   | Some l ->
     Alcotest.(check string) "untimed insert uses the table's element class"
@@ -429,10 +438,11 @@ let test_element_home_is_status_home () =
     homes := e.Khash.payload :: !homes
   in
   (* Keys k and k + 16 share a bin (16 bins), so chains grow. *)
+  let untimed = [ 0; 16; 1; 17 ] in
   List.iter
-    (fun k ->
-      record "untimed" (Khash.insert_untimed table k ~status0:0 ~make:Fun.id))
-    [ 0; 16; 1; 17 ];
+    (fun k -> Khash.insert_untimed table k ~status0:0 ~make:Fun.id)
+    untimed;
+  List.iter (fun k -> record "untimed" (find_untimed table k)) untimed;
   simulate eng (fun () ->
       let c = ctx 0 in
       List.iter
@@ -456,10 +466,185 @@ let test_element_home_is_status_home () =
     [ 48; 32; 16; 0; 33; 17; 1; 2; 3 ]
     (List.rev !order)
 
-(* The SLO table's build: 2^17 bins over 16 shards. An untimed insert
-   allocates the element record, its status cell and one chain cons — 16
-   minor words — and nothing else: no per-element label or closure. *)
-let test_insert_untimed_allocation () =
+(* Untimed inserts build lazily, on the first walk of their bin; a mixed
+   sequence of every operation must still see exactly what eager building
+   gave. The model is a list per bin, newest first, of (insert number,
+   key, home, status word); the n-th insert of any kind is homed on the
+   n-th storage PMM in turn (8 and 9 for homes 0..15). *)
+type step =
+  | Untimed of int * int (* key, seeded status word *)
+  | Insert of int
+  | Placeholder of int
+  | Remove of int
+  | Lookup of int
+  | Mem of int
+  | Iter
+
+let show_step = function
+  | Untimed (k, s) -> Printf.sprintf "untimed %d/%d" k s
+  | Insert k -> Printf.sprintf "insert %d" k
+  | Placeholder k -> Printf.sprintf "placeholder %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Lookup k -> Printf.sprintf "lookup %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Iter -> "iter"
+
+let arb_steps =
+  let step =
+    QCheck.Gen.(
+      let key = int_bound 11 in
+      frequency
+        [
+          (3, map2 (fun k s -> Untimed (k, s)) key (oneofl [ 0; 2; 4 ]));
+          (2, map (fun k -> Insert k) key);
+          (1, map (fun k -> Placeholder k) key);
+          (2, map (fun k -> Remove k) key);
+          (3, map (fun k -> Lookup k) key);
+          (1, map (fun k -> Mem k) key);
+          (1, return Iter);
+        ])
+  in
+  QCheck.make ~shrink:QCheck.Shrink.list
+    ~print:(fun steps -> String.concat "; " (List.map show_step steps))
+    QCheck.Gen.(list_size (int_bound 40) step)
+
+let prop_lazy_build_matches_model =
+  QCheck.Test.make ~name:"lazy untimed build: chains, homes, status, probes"
+    ~count:200 arb_steps (fun steps ->
+      let eng = Engine.create () in
+      let machine = Machine.create eng Config.hector in
+      let table =
+        Khash.create machine ~granularity:Khash.Sharded ~nbins:4 ~shards:2
+          ~lock_algo:Lock.Mcs_h2
+          ~homes:(List.init 16 (fun i -> i))
+      in
+      let model = Array.make 4 [] in
+      let inserts = ref 0 and probes = ref 0 in
+      let fail step fmt =
+        QCheck.Test.fail_reportf ("after %s: " ^^ fmt) (show_step step)
+      in
+      (* The next insert's number and the home it must get. *)
+      let fresh () =
+        let n = !inserts in
+        incr inserts;
+        (n, if n mod 2 = 0 then 8 else 9)
+      in
+      let make n home = (n, home) in
+      let push k entry =
+        let b = Khash.bin_of_key table k in
+        model.(b) <- entry :: model.(b)
+      in
+      (* The model's first entry for [k] and its chain position, or the
+         chain length when absent. *)
+      let find k =
+        let rec go i = function
+          | [] -> (None, i)
+          | ((_, k', _, _) as m) :: rest ->
+            if k' = k then (Some m, i + 1) else go (i + 1) rest
+        in
+        go 0 model.(Khash.bin_of_key table k)
+      in
+      let check_elem step (e : (int * int) Khash.elem) (n, k, home, status) =
+        if
+          e.Khash.key <> k || e.Khash.payload <> (n, home)
+          || Cell.home e.Khash.status <> home
+          || Cell.peek e.Khash.status <> status
+        then
+          fail step
+            "element (key %d, insert %d, made on %d, status on %d = %d), \
+             model (%d, %d, %d, %d)"
+            e.Khash.key (fst e.Khash.payload) (snd e.Khash.payload)
+            (Cell.home e.Khash.status) (Cell.peek e.Khash.status) k n home
+            status
+      in
+      let check_all step =
+        let seen = ref [] in
+        Khash.iter_untimed table (fun e -> seen := e :: !seen);
+        let expected = List.concat (Array.to_list model) in
+        if List.length !seen <> List.length expected then
+          fail step "iter_untimed saw %d elements, model has %d"
+            (List.length !seen) (List.length expected);
+        List.iter2 (check_elem step) (List.rev !seen) expected
+      in
+      let run c step =
+        match step with
+        | Untimed (k, status0) ->
+          let n, home = fresh () in
+          Khash.insert_untimed table k ~status0 ~make:(make n);
+          push k (n, k, home, status0)
+        | Insert k ->
+          let n, home = fresh () in
+          let e = Khash.insert table c k ~make:(make n) in
+          check_elem step e (n, k, home, 0);
+          push k (n, k, home, 0)
+        | Placeholder k | Lookup k -> (
+          let found, pos = find k in
+          probes := !probes + pos;
+          match (step, found) with
+          | Placeholder _, None -> (
+            let n, home = fresh () in
+            match Khash.reserve_or_insert table c k ~make:(make n) with
+            | `Inserted e ->
+              check_elem step e (n, k, home, 1);
+              Khash.release_reserve c e;
+              push k (n, k, home, 0)
+            | `Reserved _ -> fail step "reserved an absent key")
+          | Placeholder _, Some ((_, _, _, 0) as m) -> (
+            match Khash.reserve_or_insert table c k ~make:(make (-1)) with
+            | `Reserved e ->
+              check_elem step e (match m with n, k, h, _ -> (n, k, h, 1));
+              Khash.release_reserve c e
+            | `Inserted _ -> fail step "inserted a present key")
+          | _, found -> (
+            (* A reader-reserved element cannot be write-reserved by the
+               only processor; look it up instead. *)
+            match (Khash.lookup table c k, found) with
+            | None, None -> ()
+            | Some e, Some m -> check_elem step e m
+            | Some _, None -> fail step "lookup found an absent key"
+            | None, Some _ -> fail step "lookup missed a present key"))
+        | Remove k ->
+          let b = Khash.bin_of_key table k in
+          let present = fst (find k) <> None in
+          (model.(b) <-
+             let rec drop = function
+               | [] -> []
+               | ((_, k', _, _) as m) :: rest ->
+                 if k' = k then rest else m :: drop rest
+             in
+             drop model.(b));
+          if Khash.remove table c k <> present then
+            fail step "remove returned %b" (not present)
+        | Mem k ->
+          if Khash.mem_untimed table k <> (fst (find k) <> None) then
+            fail step "mem_untimed disagrees"
+        | Iter -> check_all step
+      in
+      Process.spawn eng (fun () ->
+          let c = Ctx.create machine ~proc:0 (Rng.create 7) in
+          List.iter
+            (fun step ->
+              run c step;
+              let size =
+                Array.fold_left (fun n l -> n + List.length l) 0 model
+              in
+              if Khash.size table <> size then
+                fail step "size %d, model %d" (Khash.size table) size;
+              if Khash.probes table <> !probes then
+                fail step "probes %d, model %d" (Khash.probes table) !probes)
+            steps;
+          check_all Iter);
+      Engine.run eng;
+      true)
+
+(* The SLO table: 2^17 bins over 16 shards. *)
+
+(* Words reachable from the table and not from its machine (which the
+   table's cells and locks point into). *)
+let own_words machine table =
+  Obj.reachable_words (Obj.repr table) - Obj.reachable_words (Obj.repr machine)
+
+let slo_shaped_table () =
   let eng = Engine.create () in
   let machine = Machine.create eng Config.hector in
   let table =
@@ -467,18 +652,77 @@ let test_insert_untimed_allocation () =
       ~shards:16 ~lock_algo:Lock.Mcs_h2
       ~homes:(List.init 16 (fun i -> i))
   in
+  (eng, machine, table)
+
+(* An untimed insert records the key in the table's packed columns and
+   builds no element, so its minor-heap cost is the columns' amortised
+   growth: no record, status cell, chain cons or closure per key. *)
+let test_insert_untimed_allocation () =
+  let _, _, table = slo_shaped_table () in
   let n = 20_000 in
   let make _ = () in
   let before = Gc.minor_words () in
   for k = 0 to n - 1 do
-    ignore (Khash.insert_untimed table k ~status0:0 ~make)
+    Khash.insert_untimed table k ~status0:0 ~make
   done;
   let per_insert = (Gc.minor_words () -. before) /. float_of_int n in
   Alcotest.(check bool)
-    (Printf.sprintf "minor words per insert_untimed <= 16 (got %.2f)"
+    (Printf.sprintf "minor words per insert_untimed <= 1 (got %.2f)"
        per_insert)
-    true (per_insert <= 16.0);
+    true (per_insert <= 1.0);
   Alcotest.(check int) "all inserted" n (Khash.size table)
+
+(* The element an untimed insert defers costs what eager building did
+   when its bin is first walked: the element record, its status cell and
+   one chain cons — 16 minor words — and nothing else: no per-element
+   label, boxed id, closure or second list. *)
+let test_insert_untimed_build_allocation () =
+  let _, _, table = slo_shaped_table () in
+  let n = 20_000 in
+  for k = 0 to n - 1 do
+    Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ())
+  done;
+  let built = ref 0 in
+  let count _ = incr built in
+  let before = Gc.minor_words () in
+  Khash.iter_untimed table count;
+  let per_elem = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per deferred element built <= 16 (got %.2f)"
+       per_elem)
+    true (per_elem <= 16.0);
+  Alcotest.(check int) "all built" n !built
+
+(* An untouched pre-populated table keeps its keys in the columns alone:
+   10^5 keys cost at most 8 words each beyond the empty table (bin
+   heads and locks), where built elements cost 16. *)
+let test_untouched_table_retained_size () =
+  let _, machine, table = slo_shaped_table () in
+  let words () = own_words machine table in
+  let empty = words () in
+  let n = 100_000 in
+  for k = 0 to n - 1 do
+    Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ())
+  done;
+  let per_key = float_of_int (words () - empty) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "retained words per untouched key <= 8 (got %.2f)"
+       per_key)
+    true (per_key <= 8.0)
+
+(* Crash repair on a populated table nobody has touched: no processor died,
+   so nothing is repaired, and the sweep builds no pending element. *)
+let test_recover_builds_nothing () =
+  let _, machine, table = slo_shaped_table () in
+  for k = 0 to 9_999 do
+    Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ())
+  done;
+  let words () = own_words machine table in
+  let before = words () in
+  (* Nothing to repair means no timed access, so no fiber is needed. *)
+  let c = Ctx.create machine ~proc:0 (Rng.create 1) in
+  Alcotest.(check int) "no repairs" 0 (Khash.recover table c);
+  Alcotest.(check int) "no element built" before (words ())
 
 let suite =
   [
@@ -508,12 +752,19 @@ let suite =
     Alcotest.test_case "bin_of_key corner keys" `Quick test_bin_of_key_corners;
     Alcotest.test_case "element home is its status word's home" `Quick
       test_element_home_is_status_home;
-    Alcotest.test_case "insert_untimed allocates at most 16 words" `Quick
+    Alcotest.test_case "insert_untimed allocates at most 1 word amortised" `Quick
       test_insert_untimed_allocation;
+    Alcotest.test_case "insert_untimed allocates at most 16 words" `Quick
+      test_insert_untimed_build_allocation;
+    Alcotest.test_case "an untouched table retains at most 8 words a key"
+      `Quick test_untouched_table_retained_size;
+    Alcotest.test_case "recover on an untouched table builds nothing" `Quick
+      test_recover_builds_nothing;
     Alcotest.test_case "sharded runs attribute waits to shard classes" `Quick
       test_sharded_obs_attribution;
     Qc.to_alcotest prop_bin_of_key_in_range;
     Qc.to_alcotest prop_sharded_mutual_exclusion;
     Qc.to_alcotest prop_sharded_optimistic_lookup_consistency;
     Qc.to_alcotest prop_untimed_matches_inserted;
+    Qc.to_alcotest prop_lazy_build_matches_model;
   ]
