@@ -372,7 +372,7 @@ let storm_cmd =
 
 let verify_cmd =
   let run () =
-    let rows = Experiments.verify_suite () in
+    let rows = Verify_probes.run_all () in
     Report.verify ppf rows;
     if List.for_all (fun r -> r.Verify_probes.ok) rows then begin
       Format.fprintf ppf "verify: all probes behaved as planted@.";
@@ -468,29 +468,42 @@ let trace_cmd =
             seed d (fun c -> c.seed) (fun c seed -> { c with seed });
           ])
 
-(* -- numa subcommand --------------------------------------------------------- *)
+(* -- the workload subcommands ---------------------------------------------- *)
+
+(* A workload subcommand runs its workload once, on the config its knob
+   table builds, and prints that run's row of the export as one line of
+   compact JSON, from the export's own encoder. A row that reports lockdep
+   violations exits 1. *)
+let row_cmd name ~doc row term =
+  let run c () =
+    let r = row c in
+    print_endline (Json.to_string ~compact:true r);
+    match Json.member r "lockdep_violations" with
+    | Some (Json.Int n) when n > 0 -> exit 1
+    | _ -> ()
+  in
+  cmd name
+    ~doc:
+      (doc
+     ^ " Prints the run's export row (as in BENCH_results.json) as one line \
+        of JSON; exits 1 if the row reports lockdep violations.")
+    Term.(const run $ term)
+
+(* The config of a workload that takes its lock as an argument. *)
+let with_lock config =
+  Term.(const (fun a c -> (a, c)) $ lock_arg Locks.Lock.Mcs_h2 $ config)
 
 let numa_cmd =
-  let run algo config () =
-    let r = Numa_stress.run ~config algo in
-    Format.fprintf ppf "%a@." Measure.pp r.Numa_stress.summary;
-    Format.fprintf ppf
-      "acquisitions=%d handoffs=%d/%d local/remote (remote %.0f%%) \
-       max-wait=%.1fus atomics=%d@."
-      r.Numa_stress.acquisitions r.Numa_stress.local_handoffs
-      r.Numa_stress.remote_handoffs
-      (100.0 *. Numa_stress.remote_frac r)
-      r.Numa_stress.max_wait_us r.Numa_stress.atomics
-  in
   let d = Numa_stress.default_config in
-  cmd "numa"
+  row_cmd "numa"
     ~doc:
-      "Cross-cluster lock stress: measures hand-off locality (local vs \
-       remote) and worst-case waits for one lock algorithm. Compare \
-       cohort/hmcs/cna against h2."
-    Term.(
-      const run $ lock_arg Locks.Lock.Mcs_h2
-      $ config d
+      "Cross-cluster lock stress: hand-off locality (local vs remote) and \
+       worst-case waits for one lock algorithm (experiment NUMA-LOCKS). \
+       Compare cohort/hmcs/cna against h2."
+    (fun (algo, config) ->
+      Registry.numa_locks_row (algo, config, Numa_stress.run ~config algo))
+    (with_lock
+       (config d
           [
             clusters d
               (fun c -> c.n_clusters)
@@ -499,35 +512,20 @@ let numa_cmd =
             window d
               (fun c -> c.window_us)
               (fun c window_us -> { c with window_us });
-          ])
-
-(* -- abort subcommand --------------------------------------------------------- *)
+          ]))
 
 let abort_cmd =
-  let run algo config () =
-    let r = Abort_storm.run ~config algo in
-    Format.fprintf ppf "overshoot: %a@." Measure.pp r.Abort_storm.overshoot;
-    Format.fprintf ppf "recovery:  %a@." Measure.pp r.Abort_storm.recovery;
-    Format.fprintf ppf
-      "attempts=%d acquisitions=%d aborts=%d (fast-fail %d) stalls=%d \
-       max-overshoot=%.1fus bound-ratio=%.2f remote-aborts=%d repairs=%d \
-       final-free=%b@."
-      r.Abort_storm.attempts r.Abort_storm.acquisitions r.Abort_storm.aborts
-      r.Abort_storm.fast_fails r.Abort_storm.stalls
-      r.Abort_storm.max_overshoot_us r.Abort_storm.bound_ratio
-      r.Abort_storm.remote_aborts r.Abort_storm.obs_repairs
-      r.Abort_storm.final_free
-  in
   let d = Abort_storm.default_config in
-  cmd "abort"
+  row_cmd "abort"
     ~doc:
       "Timed acquisition under a planted cross-cluster holder stall: \
        every waiter attempts through the timed face and must return \
        within a bounded overshoot of its deadline (experiment \
        ABORT-STORM). Only abortable algorithms are accepted."
-    Term.(
-      const run $ lock_arg Locks.Lock.Mcs_h2
-      $ config d
+    (fun (algo, config) ->
+      Registry.abort_storm_row (Abort_storm.run ~config algo))
+    (with_lock
+       (config d
           [
             clusters d
               (fun c -> c.n_clusters)
@@ -544,35 +542,20 @@ let abort_cmd =
               (fun c -> c.window_us)
               (fun c window_us -> { c with window_us });
             seed d (fun c -> c.seed) (fun c seed -> { c with seed });
-          ])
-
-(* -- crash subcommand --------------------------------------------------------- *)
+          ]))
 
 let crash_cmd =
-  let run algo config () =
-    let r = Crash_storm.run ~config algo in
-    Format.fprintf ppf "recovery: %a@." Measure.pp r.Crash_storm.recovery;
-    List.iter
-      (fun (c, s) ->
-        Format.fprintf ppf "cluster %d: %a@." c Measure.pp s)
-      r.Crash_storm.by_cluster;
-    Format.fprintf ppf
-      "kills=%d acquisitions=%d obs-crashes=%d obs-recoveries=%d \
-       lockdep-recoveries=%d lockdep-violations=%d final-free=%b@."
-      r.Crash_storm.kills r.Crash_storm.acquisitions r.Crash_storm.obs_crashes
-      r.Crash_storm.obs_recoveries r.Crash_storm.lockdep_recoveries
-      r.Crash_storm.lockdep_violations r.Crash_storm.final_free
-  in
   let d = Crash_storm.default_config in
-  cmd "crash"
+  row_cmd "crash"
     ~doc:
       "Fail-stop crashes planted mid-critical-section: victims die \
        holding the lock, survivors acquire through the recoverable face \
        and force-release each orphaned hold (experiment CRASH-STORM). \
        Only recoverable algorithms are accepted."
-    Term.(
-      const run $ lock_arg Locks.Lock.Mcs_h2
-      $ config d
+    (fun (algo, config) ->
+      Registry.crash_storm_row (Crash_storm.run ~config algo))
+    (with_lock
+       (config d
           [
             clusters d
               (fun c -> c.n_clusters)
@@ -595,9 +578,7 @@ let crash_cmd =
               (fun c -> c.window_us)
               (fun c window_us -> { c with window_us });
             seed d (fun c -> c.seed) (fun c seed -> { c with seed });
-          ])
-
-(* -- rw subcommand ------------------------------------------------------------ *)
+          ]))
 
 (* The read-path style is one field set by four flags: --style picks the
    shape, --lock its writer, and --reader-preference and --centralised the
@@ -662,216 +643,153 @@ let rw_style (d : Rw_scaling.config) =
   Term.(const set $ shape $ lock_arg writer $ reader_pref $ central)
 
 let rw_cmd =
-  let run config () =
-    let r = Rw_scaling.run ~config () in
-    Format.fprintf ppf "reads:  %a@." Measure.pp r.Rw_scaling.read_summary;
-    Format.fprintf ppf "writes: %a@." Measure.pp r.Rw_scaling.write_summary;
-    Format.fprintf ppf
-      "%s: reads=%d writes=%d throughput=%.1f ops/ms (reads %.1f/ms) \
-       peak-readers=%d read-remote=%d seq-aborts=%d lockdep-violations=%d@."
-      r.Rw_scaling.style_name r.Rw_scaling.reads_done r.Rw_scaling.writes_done
-      r.Rw_scaling.throughput_ops_ms r.Rw_scaling.read_throughput_ops_ms
-      r.Rw_scaling.peak_readers r.Rw_scaling.read_remote
-      r.Rw_scaling.seq_aborts r.Rw_scaling.lockdep_violations;
-    if r.Rw_scaling.lockdep_violations > 0 then exit 1
-  in
   let d = Rw_scaling.default_config in
-  cmd "rw"
+  row_cmd "rw"
     ~doc:
       "Read-mostly lookups: distributed reader-writer lock vs seqlock vs \
        per-cluster replication vs one exclusive lock (experiment \
-       RW-SCALING). Reports reader-parallelism peaks, remote read-path \
-       traffic, and lockdep violations (non-zero exit on any violation)."
-    Term.(
-      const run
-      $ config d
-          [
-            rw_style d;
-            procs ~doc:"Contending processors." d
-              (fun c -> c.p)
-              (fun c p -> { c with p });
-            clusters ~doc:"Clusters the processors are spread across." d
-              (fun c -> c.n_clusters)
-              (fun c n_clusters -> { c with n_clusters });
-            read_ratio d
-              (fun c -> c.read_ratio)
-              (fun c read_ratio -> { c with read_ratio });
-            knob Arg.int [ "ops" ] ~docv:"N" ~doc:"Operations per processor." d
-              (fun c -> c.ops)
-              (fun c ops -> { c with ops });
-            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
-          ])
-
-(* -- hash subcommand --------------------------------------------------------- *)
+       RW-SCALING): reader-parallelism peaks, remote read-path traffic \
+       and lockdep violations."
+    (fun config -> Registry.rw_scaling_row (Rw_scaling.run ~config ()))
+    (config d
+      [
+        rw_style d;
+        procs ~doc:"Contending processors." d
+          (fun c -> c.p)
+          (fun c p -> { c with p });
+        clusters ~doc:"Clusters the processors are spread across." d
+          (fun c -> c.n_clusters)
+          (fun c n_clusters -> { c with n_clusters });
+        read_ratio d
+          (fun c -> c.read_ratio)
+          (fun c read_ratio -> { c with read_ratio });
+        knob Arg.int [ "ops" ] ~docv:"N" ~doc:"Operations per processor." d
+          (fun c -> c.ops)
+          (fun c ops -> { c with ops });
+        seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+      ])
 
 let hash_cmd =
-  let run config () =
-    let r = Hash_scaling.run ~config () in
-    Format.fprintf ppf "reads:   %a@." Measure.pp r.Hash_scaling.read_summary;
-    Format.fprintf ppf "updates: %a@." Measure.pp r.Hash_scaling.update_summary;
-    Format.fprintf ppf
-      "%s shards=%d optimistic=%b: throughput=%.1f ops/ms makespan=%.0fus \
-       opt-hits=%d opt-fallbacks=%d reserve-conflicts=%d atomics=%d@."
-      (Hkernel.Khash.granularity_name r.Hash_scaling.granularity)
-      r.Hash_scaling.shards r.Hash_scaling.optimistic
-      r.Hash_scaling.throughput_ops_ms r.Hash_scaling.makespan_us
-      r.Hash_scaling.optimistic_hits r.Hash_scaling.optimistic_fallbacks
-      r.Hash_scaling.reserve_conflicts r.Hash_scaling.atomics
-  in
   let granularities =
     List.map
       (fun g -> (Hkernel.Khash.granularity_name g, g))
       Hkernel.Khash.[ Hybrid; Coarse; Fine; Sharded ]
   in
   let d = Hash_scaling.default_config in
-  cmd "hash"
+  row_cmd "hash"
     ~doc:
       "Read/update mix over one hash table: sharded granularity and the \
        seqlock optimistic read path against the single-lock hybrid \
        (experiment HASH-SCALING)."
-    Term.(
-      const run
-      $ config d
-          [
-            lock d
-              (fun c -> c.lock_algo)
-              (fun c lock_algo -> { c with lock_algo });
-            knob (Arg.enum granularities) [ "g"; "granularity" ] ~docv:"G"
-              ~doc:
-                ("Table granularity: " ^ Arg.doc_alts_enum granularities ^ ".")
-              d
-              (fun c -> c.granularity)
-              (fun c granularity -> { c with granularity });
-            procs ~doc:"Contending processors." d
-              (fun c -> c.p)
-              (fun c p -> { c with p });
-            knob Arg.int [ "shards" ] ~docv:"S"
-              ~doc:"Shard count (sharded granularity)." d
-              (fun c -> c.shards)
-              (fun c shards -> { c with shards });
-            read_ratio d
-              (fun c -> c.read_ratio)
-              (fun c read_ratio -> { c with read_ratio });
-            switch [ "locked" ]
-              ~doc:
-                "Force lookups through the locked path (disable the seqlock \
-                 optimistic reads)."
-              (fun (c : Hash_scaling.config) -> { c with optimistic = false });
-            knob Arg.float [ "churn" ] ~docv:"F"
-              ~doc:
-                "Fraction of non-read operations that delete and re-insert \
-                 their key (chain mutations)."
-              d
-              (fun c -> c.churn_fraction)
-              (fun c churn_fraction -> { c with churn_fraction });
-            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
-          ])
-
-(* -- slo subcommand ----------------------------------------------------------- *)
+    (fun config ->
+      Registry.hash_scaling_row (config, Hash_scaling.run ~config ()))
+    (config d
+      [
+        lock d
+          (fun c -> c.lock_algo)
+          (fun c lock_algo -> { c with lock_algo });
+        knob (Arg.enum granularities) [ "g"; "granularity" ] ~docv:"G"
+          ~doc:
+            ("Table granularity: " ^ Arg.doc_alts_enum granularities ^ ".")
+          d
+          (fun c -> c.granularity)
+          (fun c granularity -> { c with granularity });
+        procs ~doc:"Contending processors." d
+          (fun c -> c.p)
+          (fun c p -> { c with p });
+        knob Arg.int [ "shards" ] ~docv:"S"
+          ~doc:"Shard count (sharded granularity)." d
+          (fun c -> c.shards)
+          (fun c shards -> { c with shards });
+        read_ratio d
+          (fun c -> c.read_ratio)
+          (fun c read_ratio -> { c with read_ratio });
+        switch [ "locked" ]
+          ~doc:
+            "Force lookups through the locked path (disable the seqlock \
+             optimistic reads)."
+          (fun (c : Hash_scaling.config) -> { c with optimistic = false });
+        knob Arg.float [ "churn" ] ~docv:"F"
+          ~doc:
+            "Fraction of non-read operations that delete and re-insert \
+             their key (chain mutations)."
+          d
+          (fun c -> c.churn_fraction)
+          (fun c churn_fraction -> { c with churn_fraction });
+        seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+      ])
 
 let slo_cmd =
-  let run config () =
-    let r = Slo_stream.run ~config () in
-    Format.fprintf ppf "reads:   %a@." Measure.pp r.Slo_stream.read_summary;
-    Format.fprintf ppf "updates: %a@." Measure.pp r.Slo_stream.update_summary;
-    Format.fprintf ppf
-      "offered=%.1f/ms achieved=%.1f/ms completed=%d makespan=%.0fus \
-       peak-backlog=%d opt-hits=%d opt-fallbacks=%d atomics=%d \
-       lockdep-violations=%d@."
-      r.Slo_stream.offered_per_ms r.Slo_stream.achieved_per_ms
-      r.Slo_stream.completed r.Slo_stream.makespan_us
-      r.Slo_stream.peak_backlog r.Slo_stream.optimistic_hits
-      r.Slo_stream.optimistic_fallbacks r.Slo_stream.atomics
-      r.Slo_stream.lockdep_violations;
-    if r.Slo_stream.lockdep_violations > 0 then exit 1
-  in
   let d = Slo_stream.default_config in
-  cmd "slo"
+  row_cmd "slo"
     ~doc:
       "Open-loop sustained-request stream over the sharded \
        million-element table: exponential arrivals at a fixed offered \
        rate, FIFO queueing behind a random server, \
-       arrival-to-completion p50/p99/p99.9 (experiment SLO). Exits \
-       non-zero on lockdep violations."
-    Term.(
-      const run
-      $ config d
-          [
-            lock d
-              (fun c -> c.lock_algo)
-              (fun c lock_algo -> { c with lock_algo });
-            procs ~doc:"Server processors." d
-              (fun c -> c.p)
-              (fun c p -> { c with p });
-            knob Arg.int [ "elements" ] ~docv:"N"
-              ~doc:"Keys pre-inserted into the table (requests target these)."
-              d
-              (fun c -> c.elements)
-              (fun c elements -> { c with elements });
-            knob Arg.float [ "rate" ] ~docv:"R"
-              ~doc:"Offered load: requests per virtual millisecond, total." d
-              (fun c -> c.rate_per_ms)
-              (fun c rate_per_ms -> { c with rate_per_ms });
-            knob Arg.int [ "requests" ] ~docv:"N" ~doc:"Arrivals generated." d
-              (fun c -> c.requests)
-              (fun c requests -> { c with requests });
-            knob Arg.int [ "shards" ] ~docv:"S" ~doc:"Table shard count." d
-              (fun c -> c.shards)
-              (fun c shards -> { c with shards });
-            read_ratio ~doc:"Fraction of requests that are read-only lookups."
-              d
-              (fun c -> c.read_ratio)
-              (fun c read_ratio -> { c with read_ratio });
-            knob Arg.float [ "work" ] ~docv:"US"
-              ~doc:"Update work under the element, us." d
-              (fun c -> c.element_work_us)
-              (fun c element_work_us -> { c with element_work_us });
-            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
-          ])
-
-(* -- diurnal subcommand ------------------------------------------------------- *)
+       arrival-to-completion p50/p99/p99.9 (experiment SLO)."
+    (fun config -> Registry.slo_row (config, Slo_stream.run ~config ()))
+    (config d
+      [
+        lock d
+          (fun c -> c.lock_algo)
+          (fun c lock_algo -> { c with lock_algo });
+        procs ~doc:"Server processors." d
+          (fun c -> c.p)
+          (fun c p -> { c with p });
+        knob Arg.int [ "elements" ] ~docv:"N"
+          ~doc:"Keys pre-inserted into the table (requests target these)."
+          d
+          (fun c -> c.elements)
+          (fun c elements -> { c with elements });
+        knob Arg.float [ "rate" ] ~docv:"R"
+          ~doc:"Offered load: requests per virtual millisecond, total." d
+          (fun c -> c.rate_per_ms)
+          (fun c rate_per_ms -> { c with rate_per_ms });
+        knob Arg.int [ "requests" ] ~docv:"N" ~doc:"Arrivals generated." d
+          (fun c -> c.requests)
+          (fun c requests -> { c with requests });
+        knob Arg.int [ "shards" ] ~docv:"S" ~doc:"Table shard count." d
+          (fun c -> c.shards)
+          (fun c shards -> { c with shards });
+        read_ratio ~doc:"Fraction of requests that are read-only lookups."
+          d
+          (fun c -> c.read_ratio)
+          (fun c read_ratio -> { c with read_ratio });
+        knob Arg.float [ "work" ] ~docv:"US"
+          ~doc:"Update work under the element, us." d
+          (fun c -> c.element_work_us)
+          (fun c element_work_us -> { c with element_work_us });
+        seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+      ])
 
 let diurnal_cmd =
-  let run config () =
-    let r = Diurnal.run ~config () in
-    Format.fprintf ppf
-      "%s: cold1=%d hot=%d cold2=%d cold/ms=%.1f hot/ms=%.1f@."
-      r.Diurnal.algo_name r.Diurnal.cold1_ops r.Diurnal.hot_ops
-      r.Diurnal.cold2_ops r.Diurnal.cold_throughput_ops_ms
-      r.Diurnal.hot_throughput_ops_ms;
-    Format.fprintf ppf "final-free=%b lockdep-violations=%d@."
-      r.Diurnal.final_free r.Diurnal.lockdep_violations;
-    if r.Diurnal.lockdep_violations > 0 then exit 1
-  in
   let d = Diurnal.default_config in
-  cmd "diurnal"
+  row_cmd "diurnal"
     ~doc:
       "The diurnal load cycle: load ramps cold -> hot -> cold over one \
-       lock, with per-phase throughput (experiment DIURNAL). Exits \
-       non-zero on lockdep violations."
-    Term.(
-      const run
-      $ config d
-          [
-            lock d (fun c -> c.algo) (fun c algo -> { c with algo });
-            knob Arg.int [ "p-hot" ] ~docv:"P"
-              ~doc:"Processors at the daytime peak." d
-              (fun c -> c.p_hot)
-              (fun c p_hot -> { c with p_hot });
-            knob Arg.int [ "p-cold" ] ~docv:"P"
-              ~doc:"Processors in the overnight trickle." d
-              (fun c -> c.p_cold)
-              (fun c p_cold -> { c with p_cold });
-            clusters ~doc:"Number of clusters." d
-              (fun c -> c.n_clusters)
-              (fun c n_clusters -> { c with n_clusters });
-            knob Arg.float [ "phase" ] ~docv:"US"
-              ~doc:"Length of each of the three plateaus in us." d
-              (fun c -> c.phase_us)
-              (fun c phase_us -> { c with phase_us });
-            hold d (fun c -> c.hold_us) (fun c hold_us -> { c with hold_us });
-            seed d (fun c -> c.seed) (fun c seed -> { c with seed });
-          ])
+       lock, with per-phase throughput (experiment DIURNAL)."
+    (fun config -> Registry.diurnal_row (Diurnal.run ~config ()))
+    (config d
+      [
+        lock d (fun c -> c.algo) (fun c algo -> { c with algo });
+        knob Arg.int [ "p-hot" ] ~docv:"P"
+          ~doc:"Processors at the daytime peak." d
+          (fun c -> c.p_hot)
+          (fun c p_hot -> { c with p_hot });
+        knob Arg.int [ "p-cold" ] ~docv:"P"
+          ~doc:"Processors in the overnight trickle." d
+          (fun c -> c.p_cold)
+          (fun c p_cold -> { c with p_cold });
+        clusters ~doc:"Number of clusters." d
+          (fun c -> c.n_clusters)
+          (fun c n_clusters -> { c with n_clusters });
+        knob Arg.float [ "phase" ] ~docv:"US"
+          ~doc:"Length of each of the three plateaus in us." d
+          (fun c -> c.phase_us)
+          (fun c phase_us -> { c with phase_us });
+        hold d (fun c -> c.hold_us) (fun c hold_us -> { c with hold_us });
+        seed d (fun c -> c.seed) (fun c seed -> { c with seed });
+      ])
 
 (* -- figure subcommand -------------------------------------------------------- *)
 

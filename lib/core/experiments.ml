@@ -2,8 +2,11 @@
    ablations called out in DESIGN.md). Each returns structured rows so the
    benchmark harness, the CLI and the test suite all share the same code.
 
-   Experiment ids (DESIGN.md): FIG4, UNC, FIG5a, FIG5b, FIG7a, FIG7b,
-   FIG7c, FIG7d, CONST, RETRY, ABL1, ABL2, ABL3, TRY. *)
+   Experiment ids (DESIGN.md): FIG4, FIG5a, FIG5b, FIG7a, FIG7b, FIG7c,
+   FIG7d, RETRY, ABL3-ABL6, ABL9, FAULTS, OBS and the extensions. An
+   experiment that only runs its workload (UNC, CONST, ABL1, ABL2, ABL7,
+   ABL8, TRY, CLASSES, COW, FS, VERIFY) has no runner here: {!Registry}
+   calls the workload. *)
 
 open Hector
 open Locks
@@ -30,20 +33,16 @@ type fig4_row = {
   predicted_us : float;
 }
 
-let fig4 ?(cfg = Config.hector) () =
+let fig4 () =
   List.map
     (fun a ->
       {
         algo = a;
         ours = Instr_model.counts a;
         paper = Instr_model.paper_counts a;
-        predicted_us = Instr_model.predicted_us cfg a;
+        predicted_us = Instr_model.predicted_us Config.hector a;
       })
     Instr_model.all
-
-(* -- UNC: uncontended latency --------------------------------------------- *)
-
-let uncontended ?cfg () = Uncontended.run_all ?cfg ()
 
 (* -- FIG5: lock latency under contention ---------------------------------- *)
 
@@ -52,7 +51,7 @@ type fig5_series = {
   points : (int * Lock_stress.result) list; (* p, result *)
 }
 
-let fig5 ?(cfg = Config.hector) ?(hold_us = 0.0) ?(procs = paper_procs)
+let fig5 ?(hold_us = 0.0) ?(procs = paper_procs)
     ?(window_us = Lock_stress.default_config.Lock_stress.window_us)
     ?(algos = fig5_algos) () =
   List.map
@@ -63,7 +62,7 @@ let fig5 ?(cfg = Config.hector) ?(hold_us = 0.0) ?(procs = paper_procs)
           List.map
             (fun p ->
               ( p,
-                Lock_stress.run ~cfg
+                Lock_stress.run
                   ~config:
                     { Lock_stress.default_config with p; hold_us; window_us }
                   algo ))
@@ -71,14 +70,12 @@ let fig5 ?(cfg = Config.hector) ?(hold_us = 0.0) ?(procs = paper_procs)
       })
     algos
 
-let fig5a ?cfg ?procs ?algos () = fig5 ?cfg ~hold_us:0.0 ?procs ?algos ()
-
 (* The Section 4.1.2 starvation observation: fraction of acquisitions of
    the 2 ms-backoff spin lock taking more than 2 ms, at p = 16 and a 25 us
    hold. *)
-let starvation ?(cfg = Config.hector) () =
+let starvation () =
   let r =
-    Lock_stress.run ~cfg
+    Lock_stress.run
       ~config:
         {
           Lock_stress.default_config with
@@ -124,31 +121,31 @@ let fig7 ~algos xs run =
       })
     algos
 
-let independent ~cfg config =
-  let r = Independent_faults.run ~cfg ~config () in
+let independent config =
+  let r = Independent_faults.run ~config () in
   Independent_faults.(r.summary, r.retries, r.rpcs)
 
-let shared ~cfg config =
-  let r = Shared_faults.run ~cfg ~config () in
+let shared config =
+  let r = Shared_faults.run ~config () in
   Shared_faults.(r.summary, r.retries, r.rpcs)
 
-let fig7a ?(cfg = Config.hector) ?(procs = paper_procs) ?(iters = 100)
+let fig7a ?(procs = paper_procs) ?(iters = 100)
     ?(algos = fig7_algos) () =
   fig7 ~algos procs (fun lock_algo p ->
-      independent ~cfg
+      independent
         { Independent_faults.default_config with p; iters; lock_algo })
 
-let fig7b ?(cfg = Config.hector) ?(procs = paper_procs) ?(rounds = 20)
+let fig7b ?(procs = paper_procs) ?(rounds = 20)
     ?(algos = fig7_algos) () =
   fig7 ~algos procs (fun lock_algo p ->
-      shared ~cfg { Shared_faults.default_config with p; rounds; lock_algo })
+      shared { Shared_faults.default_config with p; rounds; lock_algo })
 
 (* -- FIG7c/d: fault latency vs cluster size at p = 16 ---------------------- *)
 
-let fig7c ?(cfg = Config.hector) ?(sizes = paper_cluster_sizes) ?(iters = 100)
+let fig7c ?(sizes = paper_cluster_sizes) ?(iters = 100)
     ?(algos = fig7_algos) () =
   fig7 ~algos sizes (fun lock_algo cluster_size ->
-      independent ~cfg
+      independent
         {
           Independent_faults.default_config with
           p = 16;
@@ -157,10 +154,10 @@ let fig7c ?(cfg = Config.hector) ?(sizes = paper_cluster_sizes) ?(iters = 100)
           lock_algo;
         })
 
-let fig7d ?(cfg = Config.hector) ?(sizes = paper_cluster_sizes) ?(rounds = 15)
+let fig7d ?(sizes = paper_cluster_sizes) ?(rounds = 15)
     ?(algos = fig7_algos) () =
   fig7 ~algos sizes (fun lock_algo cluster_size ->
-      shared ~cfg
+      shared
         {
           Shared_faults.default_config with
           p = 16;
@@ -169,27 +166,13 @@ let fig7d ?(cfg = Config.hector) ?(sizes = paper_cluster_sizes) ?(rounds = 15)
           lock_algo;
         })
 
-(* -- CONST: absolute anchors ----------------------------------------------- *)
-
-let constants ?cfg () = Calibration.run ?cfg ()
-
 (* -- RETRY: optimistic vs pessimistic deadlock management ------------------ *)
 
-let retries ?cfg () =
+let retries () =
   let run strategy =
-    Destruction.run ?cfg
-      ~config:{ Destruction.default_config with strategy }
-      ()
+    Destruction.run ~config:{ Destruction.default_config with strategy } ()
   in
   (run Hkernel.Procs.Optimistic, run Hkernel.Procs.Pessimistic)
-
-(* -- ABL1: locking granularity --------------------------------------------- *)
-
-let ablation_granularity ?cfg () = Hash_stress.run_all ?cfg ()
-
-(* -- ABL2: combining tree --------------------------------------------------- *)
-
-let ablation_combining ?cfg () = Replication_storm.run_both ?cfg ()
 
 (* -- ABL3: compare&swap release (Section 5.2) ------------------------------- *)
 
@@ -229,10 +212,6 @@ let ablation_cas () =
     mk "hector(+cas)" cas_cfg Lock.Mcs_h2;
     mk "hector(+cas)" cas_cfg Lock.Mcs_cas;
   ]
-
-(* -- TRY: TryLock fairness --------------------------------------------------- *)
-
-let trylock ?cfg () = Trylock_starvation.run ?cfg ()
 
 (* -- ABL4: CLH vs MCS on non-coherent vs coherent NUMA ---------------------- *)
 
@@ -306,14 +285,6 @@ let ablation_spin_then_block () =
       Lock.Spin_then_block { spin_us = 10.0 };
     ]
 
-(* -- ABL7: lock-free single-word updates (Section 5.3) ------------------------- *)
-
-let ablation_lockfree () = Counter_stress.run_all ()
-
-(* -- ABL8: data-structure design (Section 2.5) -------------------------------- *)
-
-let ablation_layout ?cfg () = Messaging_mix.run_both ?cfg ()
-
 (* -- ABL9: the queue-lock family on the modern machine ------------------------ *)
 
 type abl9_row = {
@@ -333,7 +304,8 @@ let abl9_algos =
     Lock.Spin_then_block { spin_us = 10.0 };
   ]
 
-let ablation_lock_family ?(cfg = Config.numachine) () =
+let ablation_lock_family () =
+  let cfg = Config.numachine in
   List.map
     (fun algo ->
       let unc = (Uncontended.run ~cfg algo).Uncontended.pair_us in
@@ -358,18 +330,6 @@ let ablation_lock_family ?(cfg = Config.numachine) () =
       })
     abl9_algos
 
-(* -- CLASSES: the four access-behaviour classes at once ------------------------ *)
-
-let classes ?cfg () = Four_classes.run ?cfg ()
-
-(* -- COW: simultaneous copy-on-write breaks (Sections 2.3 / 2.5) --------------- *)
-
-let cow ?cfg () = Cow_storm.run_both ?cfg ()
-
-(* -- FS: the file server (Section 5.1) ----------------------------------------- *)
-
-let fs ?cfg () = File_read.run_grid ?cfg ()
-
 (* -- FAULTS: injected holder stalls vs recovery mechanisms --------------------- *)
 
 type fault_row = {
@@ -389,7 +349,8 @@ type fault_row = {
 (* One stall dose (scheduled mode, identical for every mechanism) per
    period x mechanism, plus a fault-free baseline per mechanism to express
    throughput as a retained fraction. *)
-let fault_matrix ?(cfg = Config.hector) () =
+let fault_matrix () =
+  let cfg = Config.hector in
   let stall_cycles = Config.cycles_of_us cfg 1000.0 in
   let run mech ~period_us =
     let fault =
@@ -434,10 +395,6 @@ let fault_matrix ?(cfg = Config.hector) () =
            [ 4000.0; 2000.0; 1000.0 ])
     [ Fault_storm.No_timeout; Fault_storm.Timeout; Fault_storm.Bounded_retry ]
 
-(* -- VERIFY: the lockdep checker against planted violations -------------------- *)
-
-let verify_suite = Verify_probes.run_all
-
 (* -- NUMA-LOCKS: cross-cluster contention, composites vs flat MCS ---------- *)
 
 let numa_algos = Lock.Mcs_h2 :: Lock.all_numa_algos
@@ -447,7 +404,7 @@ let numa_algos = Lock.Mcs_h2 :: Lock.all_numa_algos
    must show a lower cross-cluster hand-off fraction whenever there is
    more than one cluster; at hold > 0 the locality should also buy back
    latency (the protected data stops migrating every hand-off). *)
-let numa_locks ?(cfg = Config.hector) ?(algos = numa_algos) () =
+let numa_locks ?(algos = numa_algos) () =
   List.concat_map
     (fun algo ->
       List.concat_map
@@ -457,7 +414,7 @@ let numa_locks ?(cfg = Config.hector) ?(algos = numa_algos) () =
               let config =
                 { Numa_stress.default_config with n_clusters; hold_us }
               in
-              (algo, config, Numa_stress.run ~cfg ~config algo))
+              (algo, config, Numa_stress.run ~config algo))
             [ 0.0; 10.0 ])
         [ 1; 2; 4 ])
     algos
@@ -472,7 +429,7 @@ let numa_locks ?(cfg = Config.hector) ?(algos = numa_algos) () =
    lookups for a pair of loads instead of a lock round-trip. *)
 let hash_procs = [ 4; 8; 16 ]
 
-let hash_scaling ?(cfg = Config.hector) ?(procs = hash_procs) () =
+let hash_scaling ?(procs = hash_procs) () =
   let point ~p ~read_ratio ~granularity ~shards ~optimistic =
     let config =
       {
@@ -484,7 +441,7 @@ let hash_scaling ?(cfg = Config.hector) ?(procs = hash_procs) () =
         optimistic;
       }
     in
-    (config, Hash_scaling.run ~cfg ~config ())
+    (config, Hash_scaling.run ~config ())
   in
   List.concat_map
     (fun p ->
@@ -511,7 +468,8 @@ type obs_result = { obs_rows : Obs.row list; obs_storm : Fault_storm.result }
    cluster attribution is the HECTOR station each processor sits on. The
    dosed stall plan matches the fault matrix's middle column, giving the
    profile real contention to attribute. *)
-let obs_profile ?(cfg = Config.hector) () =
+let obs_profile () =
+  let cfg = Config.hector in
   let obs =
     Obs.create
       ~cluster_of:(Config.station_of_proc cfg)
@@ -542,8 +500,8 @@ let obs_profile ?(cfg = Config.hector) () =
    that multiple of its deadline, where the unbounded protocol would have
    ridden out the whole stall; remote aborts > 0 shows waiters expired at
    every level of the composite, not just beside the holder. *)
-let abort_storm ?(cfg = Config.hector) ?(algos = numa_algos) () =
-  List.map (Abort_storm.run ~cfg) algos
+let abort_storm ?(algos = numa_algos) () =
+  List.map (fun algo -> Abort_storm.run algo) algos
 
 (* -- RW-SCALING: read-mostly lookups, reader parallelism --------------------- *)
 
@@ -571,14 +529,14 @@ let rw_styles =
     Rw_scaling.Replicated { writer = Lock.Mcs_h2 };
   ]
 
-let rw_scaling ?(cfg = Config.hector) ?(styles = rw_styles) () =
+let rw_scaling ?(styles = rw_styles) () =
   List.concat_map
     (fun style ->
       List.concat_map
         (fun read_ratio ->
           List.map
             (fun n_clusters ->
-              Rw_scaling.run ~cfg
+              Rw_scaling.run
                 ~config:
                   {
                     Rw_scaling.default_config with
@@ -598,8 +556,8 @@ let rw_scaling ?(cfg = Config.hector) ?(styles = rw_styles) () =
    same planted mid-critical-section kill schedule. *)
 let crash_algos = Lock.Mcs_h2 :: Lock.Clh :: Lock.Ticket :: Lock.all_numa_algos
 
-let crash_storm ?(cfg = Config.hector) ?(algos = crash_algos) () =
-  List.map (Crash_storm.run ~cfg) algos
+let crash_storm ?(algos = crash_algos) () =
+  List.map (fun algo -> Crash_storm.run algo) algos
 
 (* -- SLO: open-loop sustained-request stream -------------------------------- *)
 
@@ -610,11 +568,11 @@ let crash_storm ?(cfg = Config.hector) ?(algos = crash_algos) () =
    a small multiple of the service time. *)
 let slo_rates = [ 150.0; 250.0; 350.0 ]
 
-let slo ?(cfg = Config.hector) ?(rates = slo_rates) () =
+let slo ?(rates = slo_rates) () =
   List.map
     (fun rate_per_ms ->
       let config = { Slo_stream.default_config with Slo_stream.rate_per_ms } in
-      (config, Slo_stream.run ~cfg ~config ()))
+      (config, Slo_stream.run ~config ()))
     rates
 
 (* -- DIURNAL: a race of static shapes over the diurnal load cycle ---------- *)
@@ -627,10 +585,8 @@ let diurnal_algos =
   [ Lock.Spin { max_backoff_us = 35.0 }; Lock.Mcs_h1; Lock.Mcs_h2;
     Lock.cna; Lock.c_mcs_mcs; Lock.hmcs ]
 
-let diurnal ?(cfg = Config.hector) ?(algos = diurnal_algos) () =
+let diurnal ?(algos = diurnal_algos) () =
   List.map
     (fun algo ->
-      Diurnal.run ~cfg
-        ~config:{ Diurnal.default_config with Diurnal.algo }
-        ())
+      Diurnal.run ~config:{ Diurnal.default_config with Diurnal.algo } ())
     algos

@@ -1,5 +1,8 @@
 (** One runner per table/figure of the paper's evaluation, plus the
-    ablations in DESIGN.md. Shared by the benchmark harness
+    ablations in DESIGN.md, wherever a runner does more than call its
+    workload's own [run]: an entry that only runs a workload
+    ([Uncontended.run_all], [Calibration.run], [Verify_probes.run_all], …)
+    calls it directly from {!Registry}. Shared by the benchmark harness
     ([bench/main.exe]), the CLI ([bin/hurricane_sim]) and the claim-level
     regression tests. The extension runners (VERIFY, NUMA-LOCKS,
     HASH-SCALING, ABORT-STORM, RW-SCALING, CRASH-STORM, SLO, DIURNAL)
@@ -7,7 +10,6 @@
     the result does not carry the row's sweep coordinates; the fields are
     documented once, on the workload's interface. *)
 
-open Hector
 open Locks
 open Workloads
 
@@ -30,10 +32,7 @@ type fig4_row = {
   predicted_us : float;
 }
 
-val fig4 : ?cfg:Config.t -> unit -> fig4_row list
-
-(** UNC — Section 4.1.1 uncontended latencies. *)
-val uncontended : ?cfg:Config.t -> unit -> Uncontended.result list
+val fig4 : unit -> fig4_row list
 
 (** FIG5a/FIG5b — lock response time under contention. *)
 
@@ -43,7 +42,6 @@ type fig5_series = {
 }
 
 val fig5 :
-  ?cfg:Config.t ->
   ?hold_us:float ->
   ?procs:int list ->
   ?window_us:float ->
@@ -51,16 +49,9 @@ val fig5 :
   unit ->
   fig5_series list
 
-val fig5a :
-  ?cfg:Config.t ->
-  ?procs:int list ->
-  ?algos:Lock.algo list ->
-  unit ->
-  fig5_series list
-
 (** The Section 4.1.2 starvation measurement (2 ms spin lock, p=16,
     25 µs hold). *)
-val starvation : ?cfg:Config.t -> unit -> Measure.summary
+val starvation : unit -> Measure.summary
 
 (** FIG7 — page-fault latency series. *)
 
@@ -75,7 +66,6 @@ type fig7_point = {
 type fig7_series = { lock_algo : Lock.algo; series : fig7_point list }
 
 val fig7a :
-  ?cfg:Config.t ->
   ?procs:int list ->
   ?iters:int ->
   ?algos:Lock.algo list ->
@@ -83,7 +73,6 @@ val fig7a :
   fig7_series list
 
 val fig7b :
-  ?cfg:Config.t ->
   ?procs:int list ->
   ?rounds:int ->
   ?algos:Lock.algo list ->
@@ -91,7 +80,6 @@ val fig7b :
   fig7_series list
 
 val fig7c :
-  ?cfg:Config.t ->
   ?sizes:int list ->
   ?iters:int ->
   ?algos:Lock.algo list ->
@@ -99,27 +87,14 @@ val fig7c :
   fig7_series list
 
 val fig7d :
-  ?cfg:Config.t ->
   ?sizes:int list ->
   ?rounds:int ->
   ?algos:Lock.algo list ->
   unit ->
   fig7_series list
 
-(** CONST — the absolute anchors. *)
-val constants : ?cfg:Config.t -> unit -> Calibration.result
-
 (** RETRY — optimistic vs pessimistic destruction storms. *)
-val retries :
-  ?cfg:Config.t -> unit -> Destruction.result * Destruction.result
-
-(** ABL1 — hybrid vs coarse vs fine hash locking. *)
-val ablation_granularity :
-  ?cfg:Config.t -> unit -> Hash_stress.result list
-
-(** ABL2 — combining tree on/off. *)
-val ablation_combining :
-  ?cfg:Config.t -> unit -> Replication_storm.result * Replication_storm.result
+val retries : unit -> Destruction.result * Destruction.result
 
 (** ABL3 — compare&swap release (Section 5.2). *)
 
@@ -152,14 +127,6 @@ val ablation_cached_locks : unit -> abl5_row list
 (** ABL6 — spin-then-block under long holds (Section 5.3). *)
 val ablation_spin_then_block : unit -> (Lock.algo * Lock_stress.result) list
 
-(** ABL7 — lock-free single-word updates (Section 5.3). *)
-val ablation_lockfree : unit -> Counter_stress.result list
-
-(** ABL8 — data-structure design: combined vs separate family tree
-    (Section 2.5). *)
-val ablation_layout :
-  ?cfg:Config.t -> unit -> Messaging_mix.result * Messaging_mix.result
-
 (** ABL9 — the queue-lock family (spin, ticket, Anderson, CLH, MCS-CAS,
     spin-then-block) on the modern machine: latency and space
     (Section 5.2's trade-off discussion). *)
@@ -172,22 +139,7 @@ type abl9_row = {
 }
 
 val abl9_algos : Lock.algo list
-val ablation_lock_family : ?cfg:Config.t -> unit -> abl9_row list
-
-(** TRY — TryLock fairness under saturation (Section 3.2). *)
-val trylock : ?cfg:Config.t -> unit -> Trylock_starvation.result
-
-(** CLASSES — the paper's four access-behaviour classes (Section 1) running
-    simultaneously, one cluster each. *)
-val classes : ?cfg:Config.t -> unit -> Four_classes.result
-
-(** COW — simultaneous copy-on-write breaks under both deadlock strategies
-    (Sections 2.3 / 2.5). *)
-val cow : ?cfg:Config.t -> unit -> Cow_storm.result * Cow_storm.result
-
-(** FS — the file server built from the same techniques (Section 5.1):
-    private vs shared files, read-ahead off/on. *)
-val fs : ?cfg:Config.t -> unit -> File_read.result list
+val ablation_lock_family : unit -> abl9_row list
 
 (** FAULTS — injected lock-holder stalls (1 ms, scheduled at a fixed
     period so every mechanism gets the same dose) against the unbounded
@@ -207,13 +159,7 @@ type fault_row = {
   stalls : int;
 }
 
-val fault_matrix : ?cfg:Config.t -> unit -> fault_row list
-
-(** VERIFY — the lockdep checker ({!Verify}) against the planted-violation
-    probes: every deliberately wrong workload must be caught (the two
-    watchdog probes by aborting an otherwise-endless run), and the clean
-    storm must record nothing. *)
-val verify_suite : unit -> Verify_probes.result list
+val fault_matrix : unit -> fault_row list
 
 (** NUMA-LOCKS — cross-cluster contention: flat MCS against the NUMA-aware
     composites (C-MCS-MCS cohort, HMCS, CNA), sweeping cluster count and
@@ -224,7 +170,6 @@ val verify_suite : unit -> Verify_probes.result list
 val numa_algos : Lock.algo list
 
 val numa_locks :
-  ?cfg:Config.t ->
   ?algos:Lock.algo list ->
   unit ->
   (Lock.algo * Numa_stress.config * Numa_stress.result) list
@@ -237,17 +182,14 @@ val numa_locks :
 val hash_procs : int list
 
 val hash_scaling :
-  ?cfg:Config.t ->
-  ?procs:int list ->
-  unit ->
-  (Hash_scaling.config * Hash_scaling.result) list
+  ?procs:int list -> unit -> (Hash_scaling.config * Hash_scaling.result) list
 
 (** OBS — the contention profile ({!Obs}) of a dosed fault storm: which
     lock class, on which cluster (station), burned the waiting cycles. *)
 
 type obs_result = { obs_rows : Obs.row list; obs_storm : Fault_storm.result }
 
-val obs_profile : ?cfg:Config.t -> unit -> obs_result
+val obs_profile : unit -> obs_result
 
 (** ABORT-STORM — timed acquisition under a planted cross-cluster holder
     stall ({!Workloads.Abort_storm}): flat MCS and the NUMA composites,
@@ -255,8 +197,7 @@ val obs_profile : ?cfg:Config.t -> unit -> obs_result
     deadline. The acceptance bound is [bound_ratio], the worst
     return-time-to-timeout multiple over every expired attempt; remote
     aborts show waiters expiring at every level of the composite. *)
-val abort_storm :
-  ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> Abort_storm.result list
+val abort_storm : ?algos:Lock.algo list -> unit -> Abort_storm.result list
 
 (** RW-SCALING — read-mostly page-descriptor lookups
     ({!Workloads.Rw_scaling}): the exclusive-lock baseline against the
@@ -270,10 +211,7 @@ val abort_storm :
 val rw_styles : Rw_scaling.style list
 
 val rw_scaling :
-  ?cfg:Config.t ->
-  ?styles:Rw_scaling.style list ->
-  unit ->
-  Rw_scaling.result list
+  ?styles:Rw_scaling.style list -> unit -> Rw_scaling.result list
 
 (** CRASH-STORM — fail-stop processor crashes planted mid-critical-section
     ({!Workloads.Crash_storm}): representative flat queue locks and the
@@ -286,8 +224,7 @@ val rw_scaling :
 (** The algorithms CRASH-STORM kills and recovers. *)
 val crash_algos : Lock.algo list
 
-val crash_storm :
-  ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> Crash_storm.result list
+val crash_storm : ?algos:Lock.algo list -> unit -> Crash_storm.result list
 
 (** SLO — open-loop sustained-request stream over the sharded
     million-element table ({!Workloads.Slo_stream}): exponential arrivals
@@ -300,10 +237,7 @@ val crash_storm :
 val slo_rates : float list
 
 val slo :
-  ?cfg:Config.t ->
-  ?rates:float list ->
-  unit ->
-  (Slo_stream.config * Slo_stream.result) list
+  ?rates:float list -> unit -> (Slo_stream.config * Slo_stream.result) list
 
 (** DIURNAL — a race of static lock shapes over the diurnal load cycle
     ({!Workloads.Diurnal}): load ramps cold → hot → cold, and no shape
@@ -315,5 +249,4 @@ val slo :
     enough that each phase's winner is a different shape. *)
 val diurnal_algos : Lock.algo list
 
-val diurnal :
-  ?cfg:Config.t -> ?algos:Lock.algo list -> unit -> Diurnal.result list
+val diurnal : ?algos:Lock.algo list -> unit -> Diurnal.result list

@@ -4,20 +4,17 @@
    plots and [hurricane_sim figure] — goes through {!run}, so each output
    comes from the same cells and the same combine. *)
 
-open Hector
 open Locks
 open Workloads
 
 type knobs = {
-  cfg : Config.t option;
   procs : int list option;
   sizes : int list option;
   iters : int option;
   rounds : int option;
 }
 
-let full =
-  { cfg = None; procs = None; sizes = None; iters = None; rounds = None }
+let full = { procs = None; sizes = None; iters = None; rounds = None }
 
 (* One experiment: its cells along the outermost sweep axis, how their
    results combine (in cell order), and the outputs the combined value
@@ -36,7 +33,7 @@ type t = Experiment : ('c, 'r) spec -> t
 let name (Experiment s) = s.name
 let exported (Experiment s) = Option.is_some s.json
 
-(* A whole experiment as one cell. *)
+(* A whole experiment as one cell; no knob reaches it. *)
 let one ?json name run report =
   let combine = function
     | [ r ] -> r
@@ -45,7 +42,8 @@ let one ?json name run report =
         (Printf.sprintf "Registry: single-cell experiment %s got %d results"
            name (List.length rs))
   in
-  Experiment { name; cells = [ run ]; combine; report; json; dat = None }
+  Experiment
+    { name; cells = [ (fun _ -> run ()) ]; combine; report; json; dat = None }
 
 (* One cell per value of the outermost sweep axis. Every runner's outermost
    loop is that axis, so concatenating the cells' rows in order reproduces
@@ -172,144 +170,140 @@ let constants_json (r : Calibration.result) =
       ("replicate_extra_us", Json.Float r.Calibration.replicate_extra_us);
     ]
 
-let numa_locks_json =
-  rows (fun (algo, (c : Numa_stress.config), (r : Numa_stress.result)) ->
-      Json.Obj
-        [
-          ("algo", Json.String (Lock.algo_name algo));
-          ("clusters", Json.Int c.n_clusters);
-          ("hold_us", Json.Float c.hold_us);
-          ("mean_us", Json.Float r.summary.Measure.mean_us);
-          ("p99_us", Json.Float r.summary.Measure.p99_us);
-          ("acquisitions", Json.Int r.acquisitions);
-          ("local_handoffs", Json.Int r.local_handoffs);
-          ("remote_handoffs", Json.Int r.remote_handoffs);
-          ("remote_frac", Json.Float (Numa_stress.remote_frac r));
-          ("max_wait_us", Json.Float r.max_wait_us);
-        ])
+(* The extension experiments' row encoders are exposed: [hurricane_sim]
+   prints one row per run through them. *)
 
-let hash_scaling_json =
-  rows (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
-      Json.Obj
-        [
-          ("granularity",
-           Json.String (Hkernel.Khash.granularity_name r.granularity));
-          ("shards", Json.Int r.shards);
-          ("optimistic", Json.Bool r.optimistic);
-          ("p", Json.Int c.p);
-          ("read_ratio", Json.Float c.read_ratio);
-          ("read_mean_us", Json.Float r.read_summary.Measure.mean_us);
-          ("read_p99_us", Json.Float r.read_summary.Measure.p99_us);
-          ("update_mean_us", Json.Float r.update_summary.Measure.mean_us);
-          ("throughput_ops_ms", Json.Float r.throughput_ops_ms);
-          ("optimistic_hits", Json.Int r.optimistic_hits);
-          ("optimistic_fallbacks", Json.Int r.optimistic_fallbacks);
-          ("atomics", Json.Int r.atomics);
-        ])
+let numa_locks_row (algo, (c : Numa_stress.config), (r : Numa_stress.result))
+    =
+  Json.Obj
+    [
+      ("algo", Json.String (Lock.algo_name algo));
+      ("clusters", Json.Int c.n_clusters);
+      ("hold_us", Json.Float c.hold_us);
+      ("mean_us", Json.Float r.summary.Measure.mean_us);
+      ("p99_us", Json.Float r.summary.Measure.p99_us);
+      ("acquisitions", Json.Int r.acquisitions);
+      ("local_handoffs", Json.Int r.local_handoffs);
+      ("remote_handoffs", Json.Int r.remote_handoffs);
+      ("remote_frac", Json.Float (Numa_stress.remote_frac r));
+      ("max_wait_us", Json.Float r.max_wait_us);
+    ]
 
-let abort_storm_json =
-  rows (fun (r : Abort_storm.result) ->
-      Json.Obj
-        [
-          ("algo", Json.String (Lock.algo_name r.algo));
-          ("attempts", Json.Int r.attempts);
-          ("acquisitions", Json.Int r.acquisitions);
-          ("aborts", Json.Int r.aborts);
-          ("fast_fails", Json.Int r.fast_fails);
-          ("stalls", Json.Int r.stalls);
-          ("overshoot_mean_us", Json.Float r.overshoot.Measure.mean_us);
-          ("overshoot_p99_us", Json.Float r.overshoot.Measure.p99_us);
-          ("overshoot_max_us", Json.Float r.max_overshoot_us);
-          ("bound_ratio", Json.Float r.bound_ratio);
-          ("recovery_mean_us", Json.Float r.recovery.Measure.mean_us);
-          ("recovery_max_us", Json.Float r.recovery.Measure.max_us);
-          ("obs_aborts", Json.Int r.obs_aborts);
-          ("obs_repairs", Json.Int r.obs_repairs);
-          ("remote_aborts", Json.Int r.remote_aborts);
-          ("final_free", Json.Bool r.final_free);
-        ])
+let hash_scaling_row ((c : Hash_scaling.config), (r : Hash_scaling.result)) =
+  Json.Obj
+    [
+      ("granularity",
+       Json.String (Hkernel.Khash.granularity_name r.granularity));
+      ("shards", Json.Int r.shards);
+      ("optimistic", Json.Bool r.optimistic);
+      ("p", Json.Int c.p);
+      ("read_ratio", Json.Float c.read_ratio);
+      ("read_mean_us", Json.Float r.read_summary.Measure.mean_us);
+      ("read_p99_us", Json.Float r.read_summary.Measure.p99_us);
+      ("update_mean_us", Json.Float r.update_summary.Measure.mean_us);
+      ("throughput_ops_ms", Json.Float r.throughput_ops_ms);
+      ("optimistic_hits", Json.Int r.optimistic_hits);
+      ("optimistic_fallbacks", Json.Int r.optimistic_fallbacks);
+      ("atomics", Json.Int r.atomics);
+    ]
 
-let crash_storm_json =
-  rows (fun (r : Crash_storm.result) ->
-      Json.Obj
-        [
-          ("algo", Json.String (Lock.algo_name r.algo));
-          ("kills", Json.Int r.kills);
-          ("acquisitions", Json.Int r.acquisitions);
-          ("obs_crashes", Json.Int r.obs_crashes);
-          ("obs_recoveries", Json.Int r.obs_recoveries);
-          ("lockdep_recoveries", Json.Int r.lockdep_recoveries);
-          ("lockdep_violations", Json.Int r.lockdep_violations);
-          ("recovery_mean_us", Json.Float r.recovery.Measure.mean_us);
-          ("recovery_p99_us", Json.Float r.recovery.Measure.p99_us);
-          ("recovery_max_us", Json.Float r.recovery.Measure.max_us);
-          ("recovery_n", Json.Int r.recovery.Measure.n);
-          ("clusters_hit", Json.Int (Crash_storm.clusters_hit r));
-          ("worst_cluster_p99_us",
-           Json.Float (Crash_storm.worst_cluster_p99_us r));
-          ("final_free", Json.Bool r.final_free);
-        ])
+let abort_storm_row (r : Abort_storm.result) =
+  Json.Obj
+    [
+      ("algo", Json.String (Lock.algo_name r.algo));
+      ("attempts", Json.Int r.attempts);
+      ("acquisitions", Json.Int r.acquisitions);
+      ("aborts", Json.Int r.aborts);
+      ("fast_fails", Json.Int r.fast_fails);
+      ("stalls", Json.Int r.stalls);
+      ("overshoot_mean_us", Json.Float r.overshoot.Measure.mean_us);
+      ("overshoot_p99_us", Json.Float r.overshoot.Measure.p99_us);
+      ("overshoot_max_us", Json.Float r.max_overshoot_us);
+      ("bound_ratio", Json.Float r.bound_ratio);
+      ("recovery_mean_us", Json.Float r.recovery.Measure.mean_us);
+      ("recovery_max_us", Json.Float r.recovery.Measure.max_us);
+      ("obs_aborts", Json.Int r.obs_aborts);
+      ("obs_repairs", Json.Int r.obs_repairs);
+      ("remote_aborts", Json.Int r.remote_aborts);
+      ("final_free", Json.Bool r.final_free);
+    ]
 
-let rw_scaling_json =
-  rows (fun (r : Rw_scaling.result) ->
-      Json.Obj
-        [
-          ("style", Json.String r.style_name);
-          ("read_ratio", Json.Float r.read_ratio);
-          ("clusters", Json.Int r.n_clusters);
-          ("p", Json.Int r.p);
-          ("read_mean_us", Json.Float r.read_summary.Measure.mean_us);
-          ("read_p99_us", Json.Float r.read_summary.Measure.p99_us);
-          ("read_p999_us", Json.Float r.read_summary.Measure.p999_us);
-          ("write_mean_us", Json.Float r.write_summary.Measure.mean_us);
-          ("throughput_ops_ms", Json.Float r.throughput_ops_ms);
-          ("read_throughput_ops_ms", Json.Float r.read_throughput_ops_ms);
-          ("reads", Json.Int r.reads_done);
-          ("writes", Json.Int r.writes_done);
-          ("peak_readers", Json.Int r.peak_readers);
-          ("read_remote", Json.Int r.read_remote);
-          ("seq_aborts", Json.Int r.seq_aborts);
-          ("lockdep_violations", Json.Int r.lockdep_violations);
-        ])
+let crash_storm_row (r : Crash_storm.result) =
+  Json.Obj
+    [
+      ("algo", Json.String (Lock.algo_name r.algo));
+      ("kills", Json.Int r.kills);
+      ("acquisitions", Json.Int r.acquisitions);
+      ("obs_crashes", Json.Int r.obs_crashes);
+      ("obs_recoveries", Json.Int r.obs_recoveries);
+      ("lockdep_recoveries", Json.Int r.lockdep_recoveries);
+      ("lockdep_violations", Json.Int r.lockdep_violations);
+      ("recovery_mean_us", Json.Float r.recovery.Measure.mean_us);
+      ("recovery_p99_us", Json.Float r.recovery.Measure.p99_us);
+      ("recovery_max_us", Json.Float r.recovery.Measure.max_us);
+      ("recovery_n", Json.Int r.recovery.Measure.n);
+      ("clusters_hit", Json.Int (Crash_storm.clusters_hit r));
+      ("worst_cluster_p99_us",
+       Json.Float (Crash_storm.worst_cluster_p99_us r));
+      ("final_free", Json.Bool r.final_free);
+    ]
 
-let slo_json =
-  rows (fun ((c : Slo_stream.config), (r : Slo_stream.result)) ->
-      Json.Obj
-        [
-          ("offered_per_ms", Json.Float c.rate_per_ms);
-          ("p", Json.Int c.p);
-          ("elements", Json.Int c.elements);
-          ("shards", Json.Int c.shards);
-          ("completed", Json.Int r.completed);
-          ("achieved_per_ms", Json.Float r.achieved_per_ms);
-          ("read", Json.Obj (summary_fields r.read_summary));
-          ("update", Json.Obj (summary_fields r.update_summary));
-          ("peak_backlog", Json.Int r.peak_backlog);
-          ("optimistic_hits", Json.Int r.optimistic_hits);
-          ("optimistic_fallbacks", Json.Int r.optimistic_fallbacks);
-          ("lockdep_violations", Json.Int r.lockdep_violations);
-        ])
+let rw_scaling_row (r : Rw_scaling.result) =
+  Json.Obj
+    [
+      ("style", Json.String r.style_name);
+      ("read_ratio", Json.Float r.read_ratio);
+      ("clusters", Json.Int r.n_clusters);
+      ("p", Json.Int r.p);
+      ("read_mean_us", Json.Float r.read_summary.Measure.mean_us);
+      ("read_p99_us", Json.Float r.read_summary.Measure.p99_us);
+      ("read_p999_us", Json.Float r.read_summary.Measure.p999_us);
+      ("write_mean_us", Json.Float r.write_summary.Measure.mean_us);
+      ("throughput_ops_ms", Json.Float r.throughput_ops_ms);
+      ("read_throughput_ops_ms", Json.Float r.read_throughput_ops_ms);
+      ("reads", Json.Int r.reads_done);
+      ("writes", Json.Int r.writes_done);
+      ("peak_readers", Json.Int r.peak_readers);
+      ("read_remote", Json.Int r.read_remote);
+      ("seq_aborts", Json.Int r.seq_aborts);
+      ("lockdep_violations", Json.Int r.lockdep_violations);
+    ]
 
-let diurnal_json =
-  rows (fun (r : Diurnal.result) ->
-      Json.Obj
-        [
-          ("lock", Json.String r.algo_name);
-          ("cold1_ops", Json.Int r.cold1_ops);
-          ("hot_ops", Json.Int r.hot_ops);
-          ("cold2_ops", Json.Int r.cold2_ops);
-          ("cold_throughput_ops_ms", Json.Float r.cold_throughput_ops_ms);
-          ("hot_throughput_ops_ms", Json.Float r.hot_throughput_ops_ms);
-          ("final_free", Json.Bool r.final_free);
-          ("lockdep_violations", Json.Int r.lockdep_violations);
-        ])
+let slo_row ((c : Slo_stream.config), (r : Slo_stream.result)) =
+  Json.Obj
+    [
+      ("offered_per_ms", Json.Float c.rate_per_ms);
+      ("p", Json.Int c.p);
+      ("elements", Json.Int c.elements);
+      ("shards", Json.Int c.shards);
+      ("completed", Json.Int r.completed);
+      ("achieved_per_ms", Json.Float r.achieved_per_ms);
+      ("read", Json.Obj (summary_fields r.read_summary));
+      ("update", Json.Obj (summary_fields r.update_summary));
+      ("peak_backlog", Json.Int r.peak_backlog);
+      ("optimistic_hits", Json.Int r.optimistic_hits);
+      ("optimistic_fallbacks", Json.Int r.optimistic_fallbacks);
+      ("lockdep_violations", Json.Int r.lockdep_violations);
+    ]
+
+let diurnal_row (r : Diurnal.result) =
+  Json.Obj
+    [
+      ("lock", Json.String r.algo_name);
+      ("cold1_ops", Json.Int r.cold1_ops);
+      ("hot_ops", Json.Int r.hot_ops);
+      ("cold2_ops", Json.Int r.cold2_ops);
+      ("cold_throughput_ops_ms", Json.Float r.cold_throughput_ops_ms);
+      ("hot_throughput_ops_ms", Json.Float r.hot_throughput_ops_ms);
+      ("final_free", Json.Bool r.final_free);
+      ("lockdep_violations", Json.Int r.lockdep_violations);
+    ]
 
 (* -- the entries ----------------------------------------------------------- *)
 
 let fig5 name ~title ~hold_us =
   split name Experiments.fig5_algos
-    (fun k a ->
-      Experiments.fig5 ?cfg:k.cfg ~hold_us ?procs:k.procs ~algos:[ a ] ())
+    (fun k a -> Experiments.fig5 ~hold_us ?procs:k.procs ~algos:[ a ] ())
     (Report.fig5 ~name:title ~hold_us)
     ~json:(fig5_json ~hold_us)
     ~dat:(fun dir s ->
@@ -329,110 +323,83 @@ let fig7 name ~title ~claim ~by run =
 
 let all =
   [
-    one "fig4" ~json:fig4_json
-      (fun k -> Experiments.fig4 ?cfg:k.cfg ())
-      Report.fig4;
-    one "uncontended" ~json:uncontended_json
-      (fun k -> Experiments.uncontended ?cfg:k.cfg ())
+    one "fig4" ~json:fig4_json Experiments.fig4 Report.fig4;
+    one "uncontended" ~json:uncontended_json Uncontended.run_all
       Report.uncontended;
     fig5 "fig5a" ~title:"FIG5a" ~hold_us:0.0;
     fig5 "fig5b" ~title:"FIG5b" ~hold_us:25.0;
-    one "starvation"
-      ~json:(fun s -> Json.Obj (summary_fields s))
-      (fun k -> Experiments.starvation ?cfg:k.cfg ())
-      Report.starvation;
+    one "starvation" ~json:(fun s -> Json.Obj (summary_fields s))
+      Experiments.starvation Report.starvation;
     fig7 "fig7a" ~title:"FIG7a - independent faults, one 16-processor cluster"
       ~by:`P
       ~claim:
         "little difference up to p=4; beyond that spin degrades; at p=16 \
          spin is over 2x the distributed locks"
       (fun k algos ->
-        Experiments.fig7a ?cfg:k.cfg ?procs:k.procs ?iters:k.iters ~algos ());
+        Experiments.fig7a ?procs:k.procs ?iters:k.iters ~algos ());
     fig7 "fig7b" ~title:"FIG7b - shared faults, one 16-processor cluster"
       ~by:`P
       ~claim:
         "smaller gap between distributed and spin locks: contention shifts \
          to the reserve bits"
       (fun k algos ->
-        Experiments.fig7b ?cfg:k.cfg ?procs:k.procs ?rounds:k.rounds ~algos ());
+        Experiments.fig7b ?procs:k.procs ?rounds:k.rounds ~algos ());
     fig7 "fig7c" ~title:"FIG7c - independent faults, p=16, cluster-size sweep"
       ~by:`Cluster
       ~claim:
         "small clusters best; no degradation for cluster size <= 4 (hybrid \
          matches fine-grain locking)"
       (fun k algos ->
-        Experiments.fig7c ?cfg:k.cfg ?sizes:k.sizes ?iters:k.iters ~algos ());
+        Experiments.fig7c ?sizes:k.sizes ?iters:k.iters ~algos ());
     fig7 "fig7d" ~title:"FIG7d - shared faults, p=16, cluster-size sweep"
       ~by:`Cluster
       ~claim:
         "moderate cluster sizes win: inter-cluster ownership traffic \
          dominates very small clusters, lock contention the largest"
       (fun k algos ->
-        Experiments.fig7d ?cfg:k.cfg ?sizes:k.sizes ?rounds:k.rounds ~algos ());
-    one "constants" ~json:constants_json
-      (fun k -> Experiments.constants ?cfg:k.cfg ())
-      Report.constants;
-    one "retries" (fun k -> Experiments.retries ?cfg:k.cfg ()) Report.retries;
-    one "ablation-granularity"
-      (fun k -> Experiments.ablation_granularity ?cfg:k.cfg ())
-      Report.ablation_granularity;
-    one "ablation-combining"
-      (fun k -> Experiments.ablation_combining ?cfg:k.cfg ())
+        Experiments.fig7d ?sizes:k.sizes ?rounds:k.rounds ~algos ());
+    one "constants" ~json:constants_json Calibration.run Report.constants;
+    one "retries" Experiments.retries Report.retries;
+    one "ablation-granularity" Hash_stress.run_all Report.ablation_granularity;
+    one "ablation-combining" Replication_storm.run_both
       Report.ablation_combining;
-    one "ablation-cas"
-      (fun _ -> Experiments.ablation_cas ())
-      Report.ablation_cas;
-    one "ablation-clh"
-      (fun _ -> Experiments.ablation_clh ())
-      Report.ablation_clh;
-    one "ablation-cached-locks"
-      (fun _ -> Experiments.ablation_cached_locks ())
+    one "ablation-cas" Experiments.ablation_cas Report.ablation_cas;
+    one "ablation-clh" Experiments.ablation_clh Report.ablation_clh;
+    one "ablation-cached-locks" Experiments.ablation_cached_locks
       Report.ablation_cached_locks;
-    one "ablation-spin-then-block"
-      (fun _ -> Experiments.ablation_spin_then_block ())
+    one "ablation-spin-then-block" Experiments.ablation_spin_then_block
       Report.ablation_spin_then_block;
-    one "ablation-lockfree"
-      (fun _ -> Experiments.ablation_lockfree ())
-      Report.ablation_lockfree;
-    one "ablation-layout"
-      (fun k -> Experiments.ablation_layout ?cfg:k.cfg ())
-      Report.ablation_layout;
-    one "ablation-lock-family"
-      (fun k -> Experiments.ablation_lock_family ?cfg:k.cfg ())
+    one "ablation-lockfree" Counter_stress.run_all Report.ablation_lockfree;
+    one "ablation-layout" Messaging_mix.run_both Report.ablation_layout;
+    one "ablation-lock-family" Experiments.ablation_lock_family
       Report.ablation_lock_family;
-    one "trylock" (fun k -> Experiments.trylock ?cfg:k.cfg ()) Report.trylock;
-    one "classes" (fun k -> Experiments.classes ?cfg:k.cfg ()) Report.classes;
-    one "cow" (fun k -> Experiments.cow ?cfg:k.cfg ()) Report.cow;
-    one "fs" (fun k -> Experiments.fs ?cfg:k.cfg ()) Report.fs;
-    one "fault-matrix"
-      (fun k -> Experiments.fault_matrix ?cfg:k.cfg ())
-      Report.fault_matrix;
-    one "verify" (fun _ -> Experiments.verify_suite ()) Report.verify;
-    (* The profile's report converts cycles at HECTOR's clock, so the run
-       stays on HECTOR whatever [cfg] says. *)
-    one "obs"
-      (fun _ -> Experiments.obs_profile ())
-      (fun ppf r -> Report.obs ppf r);
-    split "numa_locks" ~json:numa_locks_json Experiments.numa_algos
-      (fun k a -> Experiments.numa_locks ?cfg:k.cfg ~algos:[ a ] ())
+    one "trylock" Trylock_starvation.run Report.trylock;
+    one "classes" Four_classes.run Report.classes;
+    one "cow" Cow_storm.run_both Report.cow;
+    one "fs" File_read.run_grid Report.fs;
+    one "fault-matrix" Experiments.fault_matrix Report.fault_matrix;
+    one "verify" Verify_probes.run_all Report.verify;
+    one "obs" Experiments.obs_profile (fun ppf r -> Report.obs ppf r);
+    split "numa_locks" ~json:(rows numa_locks_row) Experiments.numa_algos
+      (fun _ a -> Experiments.numa_locks ~algos:[ a ] ())
       Report.numa_locks;
-    split "hash_scaling" ~json:hash_scaling_json Experiments.hash_procs
-      (fun k p -> Experiments.hash_scaling ?cfg:k.cfg ~procs:[ p ] ())
+    split "hash_scaling" ~json:(rows hash_scaling_row) Experiments.hash_procs
+      (fun _ p -> Experiments.hash_scaling ~procs:[ p ] ())
       Report.hash_scaling;
-    split "abort_storm" ~json:abort_storm_json Experiments.numa_algos
-      (fun k a -> Experiments.abort_storm ?cfg:k.cfg ~algos:[ a ] ())
+    split "abort_storm" ~json:(rows abort_storm_row) Experiments.numa_algos
+      (fun _ a -> Experiments.abort_storm ~algos:[ a ] ())
       Report.abort_storm;
-    split "crash_storm" ~json:crash_storm_json Experiments.crash_algos
-      (fun k a -> Experiments.crash_storm ?cfg:k.cfg ~algos:[ a ] ())
+    split "crash_storm" ~json:(rows crash_storm_row) Experiments.crash_algos
+      (fun _ a -> Experiments.crash_storm ~algos:[ a ] ())
       Report.crash_storm;
-    split "rw_scaling" ~json:rw_scaling_json Experiments.rw_styles
-      (fun k s -> Experiments.rw_scaling ?cfg:k.cfg ~styles:[ s ] ())
+    split "rw_scaling" ~json:(rows rw_scaling_row) Experiments.rw_styles
+      (fun _ s -> Experiments.rw_scaling ~styles:[ s ] ())
       Report.rw_scaling;
-    split "slo" ~json:slo_json Experiments.slo_rates
-      (fun k r -> Experiments.slo ?cfg:k.cfg ~rates:[ r ] ())
+    split "slo" ~json:(rows slo_row) Experiments.slo_rates
+      (fun _ r -> Experiments.slo ~rates:[ r ] ())
       Report.slo;
-    split "diurnal" ~json:diurnal_json Experiments.diurnal_algos
-      (fun k a -> Experiments.diurnal ?cfg:k.cfg ~algos:[ a ] ())
+    split "diurnal" ~json:(rows diurnal_row) Experiments.diurnal_algos
+      (fun _ a -> Experiments.diurnal ~algos:[ a ] ())
       Report.diurnal;
   ]
 

@@ -8,7 +8,6 @@
 (** The sweep knobs a cell takes; [None] keeps the paper's full setting. A
     knob an experiment's runner has no parameter for is ignored. *)
 type knobs = {
-  cfg : Hector.Config.t option;
   procs : int list option;
   sizes : int list option;
   iters : int option;
@@ -51,3 +50,25 @@ val json : outcome -> Json.t option
     file plus [plots.gp] into [dir], creating it if needed. Returns the
     written paths, [plots.gp] last. *)
 val write_dat : ?knobs:knobs -> string -> string list
+
+(** {2 Row encoders}
+
+    One row of an extension experiment's JSON section, exactly as the
+    export writes it. [hurricane_sim]'s workload subcommands print the row
+    of their one run through these. *)
+
+val numa_locks_row :
+  Locks.Lock.algo
+  * Workloads.Numa_stress.config
+  * Workloads.Numa_stress.result ->
+  Json.t
+
+val hash_scaling_row :
+  Workloads.Hash_scaling.config * Workloads.Hash_scaling.result -> Json.t
+
+val abort_storm_row : Workloads.Abort_storm.result -> Json.t
+val crash_storm_row : Workloads.Crash_storm.result -> Json.t
+val rw_scaling_row : Workloads.Rw_scaling.result -> Json.t
+val slo_row :
+  Workloads.Slo_stream.config * Workloads.Slo_stream.result -> Json.t
+val diurnal_row : Workloads.Diurnal.result -> Json.t

@@ -51,7 +51,7 @@ let default_config =
     elements = 1_000_000;
     nbins = 1 lsl 17;
     shards = 16;
-    rate_per_ms = 400.0;
+    rate_per_ms = 350.0;
     requests = 4_000;
     read_ratio = 0.9;
     element_work_us = 2.0;

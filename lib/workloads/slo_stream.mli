@@ -25,6 +25,8 @@ type config = {
   seed : int;
 }
 
+(** The SLO experiment's past-the-knee row (350 requests/ms), so
+    [hurricane_sim slo] at its defaults prints an exported row. *)
 val default_config : config
 
 type result = {

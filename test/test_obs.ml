@@ -363,8 +363,7 @@ let test_bench_json_schema () =
     Bench_json.document
       ~knobs:
         {
-          Registry.full with
-          procs = Some [ 2 ];
+          Registry.procs = Some [ 2 ];
           sizes = Some [ 4 ];
           iters = Some 5;
           rounds = Some 2;
@@ -403,7 +402,7 @@ let test_bench_json_schema () =
   (* uncontended: measured latencies equal a direct deterministic rerun. *)
   (match Json.get exps "uncontended" with
   | Json.List rows ->
-    let direct = Experiments.uncontended () in
+    let direct = Uncontended.run_all () in
     List.iter2
       (fun row (d : Uncontended.result) ->
         Alcotest.(check bool) "unc algo" true
@@ -462,7 +461,7 @@ let test_bench_json_schema () =
       rows direct
   | _ -> Alcotest.fail "crash_storm not a list");
   (* fig5a on the same knobs: series values equal the in-process sweep. *)
-  let direct5 = Experiments.fig5a ~procs:[ 2 ] () in
+  let direct5 = Experiments.fig5 ~procs:[ 2 ] () in
   match Json.get (Json.get exps "fig5a") "series" with
   | Json.List series ->
     Alcotest.(check int) "fig5a series count" (List.length direct5)

@@ -21,7 +21,7 @@ let test_fig4_printer () =
 
 let test_uncontended_printer () =
   nonempty "uncontended"
-    (buf_print (fun ppf -> Report.uncontended ppf (Experiments.uncontended ())))
+    (buf_print (fun ppf -> Report.uncontended ppf (Uncontended.run_all ())))
 
 let test_fig5_printer () =
   let series = Experiments.fig5 ~procs:[ 1; 2 ] ~window_us:1000.0 () in
@@ -36,7 +36,7 @@ let test_fig7_printer () =
 
 let test_constants_printer () =
   nonempty "constants"
-    (buf_print (fun ppf -> Report.constants ppf (Experiments.constants ())))
+    (buf_print (fun ppf -> Report.constants ppf (Calibration.run ())))
 
 let test_section_format () =
   let s = buf_print (fun ppf -> Report.section ppf "TITLE" "CLAIM") in
@@ -102,9 +102,9 @@ let test_registry_names_unique () =
   Alcotest.(check int) "no name twice" (List.length registry_names)
     (List.length (List.sort_uniq compare registry_names))
 
-(* The committed export's top-level keys, in file order. The file sits at
-   the project root: one level up from the test's build directory. *)
-let committed_keys () =
+(* The committed export's sections, in file order. The file sits at the
+   project root: one level up from the test's build directory. *)
+let committed_experiments () =
   let path =
     List.find Sys.file_exists [ "../BENCH_results.json"; "BENCH_results.json" ]
   in
@@ -113,8 +113,10 @@ let committed_keys () =
       (Json.of_string (String.concat "\n" (read_lines path)))
       "experiments"
   with
-  | Json.Obj fields -> List.map fst fields
+  | Json.Obj fields -> fields
   | _ -> Alcotest.fail "experiments is not an object"
+
+let committed_keys () = List.map fst (committed_experiments ())
 
 let test_default_names_are_exported_entries () =
   let exported =
@@ -127,6 +129,40 @@ let test_default_names_are_exported_entries () =
   Alcotest.(check (list string)) "the committed BENCH_results.json keys"
     (committed_keys ()) Bench_json.default_names;
   Alcotest.(check int) "17 exported" 17 (List.length Bench_json.default_names)
+
+(* [hurricane_sim]'s workload subcommands run their workload once at its
+   [default_config] (the lock-argument ones on H2-MCS, the CLI's default
+   lock) and print the run's row: each must be a row of the committed
+   export, or a default has drifted from the experiment's sweep. *)
+let test_defaults_are_export_rows () =
+  let exps = committed_experiments () in
+  let check section row =
+    match List.assoc section exps with
+    | Json.List rows when List.mem row rows -> ()
+    | _ ->
+      Alcotest.failf "%s: the default row is not exported: %s" section
+        (Json.to_string ~compact:true row)
+  in
+  let h2 = Lock.Mcs_h2 in
+  let numa = Numa_stress.default_config in
+  check "numa_locks"
+    (Registry.numa_locks_row (h2, numa, Numa_stress.run ~config:numa h2));
+  check "abort_storm"
+    (Registry.abort_storm_row
+       (Abort_storm.run ~config:Abort_storm.default_config h2));
+  check "crash_storm"
+    (Registry.crash_storm_row
+       (Crash_storm.run ~config:Crash_storm.default_config h2));
+  check "rw_scaling"
+    (Registry.rw_scaling_row
+       (Rw_scaling.run ~config:Rw_scaling.default_config ()));
+  let hash = Hash_scaling.default_config in
+  check "hash_scaling"
+    (Registry.hash_scaling_row (hash, Hash_scaling.run ~config:hash ()));
+  let slo = Slo_stream.default_config in
+  check "slo" (Registry.slo_row (slo, Slo_stream.run ~config:slo ()));
+  check "diurnal"
+    (Registry.diurnal_row (Diurnal.run ~config:Diurnal.default_config ()))
 
 let test_every_name_resolves () =
   List.iter
@@ -164,8 +200,7 @@ let test_registry_dat () =
   Sys.remove dir;
   let knobs =
     {
-      Registry.full with
-      procs = Some [ 1; 2 ];
+      Registry.procs = Some [ 1; 2 ];
       sizes = Some [ 4 ];
       iters = Some 5;
       rounds = Some 2;
@@ -223,6 +258,8 @@ let suite =
       test_registry_names_unique;
     Alcotest.test_case "default_names are the exported entries" `Quick
       test_default_names_are_exported_entries;
+    Alcotest.test_case "CLI defaults are rows of the committed export" `Quick
+      test_defaults_are_export_rows;
     Alcotest.test_case "every registry name resolves" `Quick
       test_every_name_resolves;
     Alcotest.test_case "unknown name lists the available names" `Quick
