@@ -55,6 +55,9 @@
                           final_free, lockdep_violations} ]
       } }
     v}
+    The seven extension sections ("numa_locks" .. "diurnal") hold one row
+    per grid config of their {!Spec}; a row's fields are the spec's keyed
+    columns, in column order (the listing above).
     Version 2 added "numa_locks" (cross-cluster contention: NUMA-aware
     composites vs flat MCS, with hand-off locality and worst-case waits).
     Version 3 added "hash_scaling" (sharded hash table + seqlock

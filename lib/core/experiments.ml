@@ -3,10 +3,10 @@
    benchmark harness, the CLI and the test suite all share the same code.
 
    Experiment ids (DESIGN.md): FIG4, FIG5a, FIG5b, FIG7a, FIG7b, FIG7c,
-   FIG7d, RETRY, ABL3-ABL6, ABL9, FAULTS, OBS and the extensions. An
-   experiment that only runs its workload (UNC, CONST, ABL1, ABL2, ABL7,
-   ABL8, TRY, CLASSES, COW, FS, VERIFY) has no runner here: {!Registry}
-   calls the workload. *)
+   FIG7d, RETRY, ABL3-ABL6, ABL9, FAULTS and OBS. An experiment that only
+   runs its workload (UNC, CONST, ABL1, ABL2, ABL7, ABL8, TRY, CLASSES, COW,
+   FS, VERIFY) has no runner here: {!Registry} calls the workload. Each
+   extension experiment is a {!Spec}. *)
 
 open Hector
 open Locks
@@ -395,71 +395,6 @@ let fault_matrix () =
            [ 4000.0; 2000.0; 1000.0 ])
     [ Fault_storm.No_timeout; Fault_storm.Timeout; Fault_storm.Bounded_retry ]
 
-(* -- NUMA-LOCKS: cross-cluster contention, composites vs flat MCS ---------- *)
-
-let numa_algos = Lock.Mcs_h2 :: Lock.all_numa_algos
-
-(* Flat MCS against the three NUMA composites, sweeping how finely 16
-   processors are clustered and how long the lock is held. The composites
-   must show a lower cross-cluster hand-off fraction whenever there is
-   more than one cluster; at hold > 0 the locality should also buy back
-   latency (the protected data stops migrating every hand-off). *)
-let numa_locks ?(algos = numa_algos) () =
-  List.concat_map
-    (fun algo ->
-      List.concat_map
-        (fun n_clusters ->
-          List.map
-            (fun hold_us ->
-              let config =
-                { Numa_stress.default_config with n_clusters; hold_us }
-              in
-              (algo, config, Numa_stress.run ~config algo))
-            [ 0.0; 10.0 ])
-        [ 1; 2; 4 ])
-    algos
-
-(* -- HASH-SCALING: sharded table + optimistic reads ------------------------- *)
-
-(* The single-lock hybrid against the sharded table at several shard
-   counts, with the seqlock read path off and on, sweeping concurrency and
-   read mix. The claims (asserted by the regression tests and exported as
-   HASH-SCALING): throughput scales with the shard count once the single
-   lock saturates, and at read-heavy mixes the optimistic path serves
-   lookups for a pair of loads instead of a lock round-trip. *)
-let hash_procs = [ 4; 8; 16 ]
-
-let hash_scaling ?(procs = hash_procs) () =
-  let point ~p ~read_ratio ~granularity ~shards ~optimistic =
-    let config =
-      {
-        Hash_scaling.default_config with
-        p;
-        read_ratio;
-        granularity;
-        shards;
-        optimistic;
-      }
-    in
-    (config, Hash_scaling.run ~config ())
-  in
-  List.concat_map
-    (fun p ->
-      List.concat_map
-        (fun read_ratio ->
-          point ~p ~read_ratio ~granularity:Hkernel.Khash.Hybrid ~shards:1
-            ~optimistic:false
-          :: List.concat_map
-               (fun shards ->
-                 List.map
-                   (fun optimistic ->
-                     point ~p ~read_ratio ~granularity:Hkernel.Khash.Sharded
-                       ~shards ~optimistic)
-                   [ false; true ])
-               [ 2; 4; 8 ])
-        [ 0.5; 0.9 ])
-    procs
-
 (* -- OBS: contention profile of the fault storm ---------------------------- *)
 
 type obs_result = { obs_rows : Obs.row list; obs_storm : Fault_storm.result }
@@ -491,102 +426,13 @@ let obs_profile () =
   in
   { obs_rows = Obs.profile_rows obs; obs_storm = storm }
 
+(* -- two of the extension experiments' sweeps (see Spec) ------------------- *)
 
-(* -- ABORT-STORM: timed abandonment under a planted holder stall ------------ *)
+let numa_algos = Lock.Mcs_h2 :: Lock.all_numa_algos
 
-(* Each abortable algorithm — flat MCS and the three NUMA composites —
-   under the same planted cross-cluster holder stall. The bound_ratio
-   column is the acceptance criterion: every timed waiter returned within
-   that multiple of its deadline, where the unbounded protocol would have
-   ridden out the whole stall; remote aborts > 0 shows waiters expired at
-   every level of the composite, not just beside the holder. *)
-let abort_storm ?(algos = numa_algos) () =
-  List.map (fun algo -> Abort_storm.run algo) algos
-
-(* -- RW-SCALING: read-mostly lookups, reader parallelism --------------------- *)
-
-(* The read-mostly candidates, one per strategy family: the exclusive-lock
-   baseline every writer-serialising algorithm is stuck at, the RW lock
-   over the MCS cohort (plus its centralised-indicator baseline — the
-   remote-traffic comparator), the seqlock optimistic path, and
-   HURRICANE-shaped per-cluster replication. *)
-let rw_styles =
-  [
-    Rw_scaling.Mutex Lock.c_mcs_mcs;
-    Rw_scaling.Rw_lock
-      {
-        writer = Lock.c_mcs_mcs;
-        policy = Rwlock.Writer_blocking;
-        centralised = false;
-      };
-    Rw_scaling.Rw_lock
-      {
-        writer = Lock.Mcs_h2;
-        policy = Rwlock.Writer_blocking;
-        centralised = true;
-      };
-    Rw_scaling.Seqlock_style { writer = Lock.Mcs_h2 };
-    Rw_scaling.Replicated { writer = Lock.Mcs_h2 };
-  ]
-
-let rw_scaling ?(styles = rw_styles) () =
-  List.concat_map
-    (fun style ->
-      List.concat_map
-        (fun read_ratio ->
-          List.map
-            (fun n_clusters ->
-              Rw_scaling.run
-                ~config:
-                  {
-                    Rw_scaling.default_config with
-                    Rw_scaling.style;
-                    read_ratio;
-                    n_clusters;
-                  }
-                ())
-            [ 1; 2; 4 ])
-        [ 0.95; 0.99; 0.999 ])
-    styles
-
-(* -- CRASH-STORM: fail-stop mid-CS kills, crash-recoverable locking --------- *)
-
-(* Representative flat queue locks (MCS, CLH, and the non-abortable Ticket,
-   whose waiters recover in-spin) plus the NUMA composites — each under the
-   same planted mid-critical-section kill schedule. *)
-let crash_algos = Lock.Mcs_h2 :: Lock.Clh :: Lock.Ticket :: Lock.all_numa_algos
-
-let crash_storm ?(algos = crash_algos) () =
-  List.map (fun algo -> Crash_storm.run algo) algos
-
-(* -- SLO: open-loop sustained-request stream -------------------------------- *)
-
-(* Offered-load sweep: comfortable, near the knee, and past it — the top
-   rate exceeds the measured table capacity (~300 requests/ms for the
+(* SLO's offered-load sweep: comfortable, near the knee, and past it. The
+   top rate exceeds the measured table capacity (~300 requests/ms for the
    default 16 servers over a 16-shard million-element table), so its tail
    percentiles are dominated by queueing; the low rate's tails stay within
    a small multiple of the service time. *)
 let slo_rates = [ 150.0; 250.0; 350.0 ]
-
-let slo ?(rates = slo_rates) () =
-  List.map
-    (fun rate_per_ms ->
-      let config = { Slo_stream.default_config with Slo_stream.rate_per_ms } in
-      (config, Slo_stream.run ~config ()))
-    rates
-
-(* -- DIURNAL: a race of static shapes over the diurnal load cycle ---------- *)
-
-(* The cold-phase favourite (test&set), both flat MCS hybrids and all
-   three NUMA composites. No row tops both phase columns — test&set
-   collapses at the peak, the composites pay for their layers in the
-   trickle. *)
-let diurnal_algos =
-  [ Lock.Spin { max_backoff_us = 35.0 }; Lock.Mcs_h1; Lock.Mcs_h2;
-    Lock.cna; Lock.c_mcs_mcs; Lock.hmcs ]
-
-let diurnal ?(algos = diurnal_algos) () =
-  List.map
-    (fun algo ->
-      Diurnal.run ~config:{ Diurnal.default_config with Diurnal.algo } ())
-    algos

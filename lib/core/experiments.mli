@@ -2,13 +2,11 @@
     ablations in DESIGN.md, wherever a runner does more than call its
     workload's own [run]: an entry that only runs a workload
     ([Uncontended.run_all], [Calibration.run], [Verify_probes.run_all], …)
-    calls it directly from {!Registry}. Shared by the benchmark harness
+    calls it directly from {!Registry}, and the extension experiments
+    (NUMA-LOCKS, HASH-SCALING, ABORT-STORM, CRASH-STORM, RW-SCALING, SLO,
+    DIURNAL) are each one {!Spec}. Shared by the benchmark harness
     ([bench/main.exe]), the CLI ([bin/hurricane_sim]) and the claim-level
-    regression tests. The extension runners (VERIFY, NUMA-LOCKS,
-    HASH-SCALING, ABORT-STORM, RW-SCALING, CRASH-STORM, SLO, DIURNAL)
-    return their workload's own [result], paired with its [config] where
-    the result does not carry the row's sweep coordinates; the fields are
-    documented once, on the workload's interface. *)
+    regression tests. *)
 
 open Locks
 open Workloads
@@ -161,29 +159,6 @@ type fault_row = {
 
 val fault_matrix : unit -> fault_row list
 
-(** NUMA-LOCKS — cross-cluster contention: flat MCS against the NUMA-aware
-    composites (C-MCS-MCS cohort, HMCS, CNA), sweeping cluster count and
-    hold time on 16 processors. One row per (algorithm, clusters, hold);
-    the composites' figure of merit is {!Workloads.Numa_stress.remote_frac}. *)
-
-(** The algorithms NUMA-LOCKS compares: flat H2-MCS plus the composites. *)
-val numa_algos : Lock.algo list
-
-val numa_locks :
-  ?algos:Lock.algo list ->
-  unit ->
-  (Lock.algo * Numa_stress.config * Numa_stress.result) list
-
-(** HASH-SCALING — the sharded hash table: single-lock Hybrid against
-    [Sharded] at several shard counts, optimistic seqlock reads off/on,
-    sweeping concurrency and read mix. One row per configuration. *)
-
-(** The processor counts HASH-SCALING sweeps (its outermost axis). *)
-val hash_procs : int list
-
-val hash_scaling :
-  ?procs:int list -> unit -> (Hash_scaling.config * Hash_scaling.result) list
-
 (** OBS — the contention profile ({!Obs}) of a dosed fault storm: which
     lock class, on which cluster (station), burned the waiting cycles. *)
 
@@ -191,62 +166,9 @@ type obs_result = { obs_rows : Obs.row list; obs_storm : Fault_storm.result }
 
 val obs_profile : unit -> obs_result
 
-(** ABORT-STORM — timed acquisition under a planted cross-cluster holder
-    stall ({!Workloads.Abort_storm}): flat MCS and the NUMA composites,
-    each with a holder that goes dark far longer than any waiter's
-    deadline. The acceptance bound is [bound_ratio], the worst
-    return-time-to-timeout multiple over every expired attempt; remote
-    aborts show waiters expiring at every level of the composite. *)
-val abort_storm : ?algos:Lock.algo list -> unit -> Abort_storm.result list
-
-(** RW-SCALING — read-mostly page-descriptor lookups
-    ({!Workloads.Rw_scaling}): the exclusive-lock baseline against the
-    distributed RW lock (plus its centralised-indicator comparator), the
-    seqlock optimistic path and per-cluster replication, sweeping read
-    ratio and cluster count. [peak_readers] > 1 is the reader-parallelism
-    evidence; [read_remote] = 0 the distributed layout's locality
-    evidence. *)
-
-(** The candidate styles RW-SCALING compares. *)
-val rw_styles : Rw_scaling.style list
-
-val rw_scaling :
-  ?styles:Rw_scaling.style list -> unit -> Rw_scaling.result list
-
-(** CRASH-STORM — fail-stop processor crashes planted mid-critical-section
-    ({!Workloads.Crash_storm}): representative flat queue locks and the
-    NUMA composites, each with victims dying while holding the lock and
-    every survivor acquiring through the recoverable face. Conservation
-    (every kill recovered), legality (an installed lockdep checker sees
-    every forced release as a recovery transfer, zero violations) and the
-    kill-to-forced-release latency distribution, worst cluster included. *)
-
-(** The algorithms CRASH-STORM kills and recovers. *)
-val crash_algos : Lock.algo list
-
-val crash_storm : ?algos:Lock.algo list -> unit -> Crash_storm.result list
-
-(** SLO — open-loop sustained-request stream over the sharded
-    million-element table ({!Workloads.Slo_stream}): exponential arrivals
-    at a fixed offered rate, FIFO queueing behind a random server,
-    arrival-to-completion latency with p50/p99/p99.9 tails. One row per
-    offered rate; the top rate sits past the knee so the tails visibly
-    leave the service time while the stream still drains. *)
-
-(** The offered-load sweep the SLO experiment runs. *)
+(** Two sweeps of the extension experiments ({!Spec}) that the host-cost
+    benchmark also reads: the algorithms NUMA-LOCKS and ABORT-STORM race
+    (flat H2-MCS plus the NUMA composites), and the offered loads (requests
+    per virtual ms) SLO sweeps. *)
+val numa_algos : Lock.algo list
 val slo_rates : float list
-
-val slo :
-  ?rates:float list -> unit -> (Slo_stream.config * Slo_stream.result) list
-
-(** DIURNAL — a race of static lock shapes over the diurnal load cycle
-    ({!Workloads.Diurnal}): load ramps cold → hot → cold, and no shape
-    wins both phases. One row per algorithm raced over the identical
-    cycle. *)
-
-(** The shapes the DIURNAL experiment races: test&set (35 µs cap),
-    H1-MCS, H2-MCS, CNA, the cohort composite and HMCS — a field wide
-    enough that each phase's winner is a different shape. *)
-val diurnal_algos : Lock.algo list
-
-val diurnal : ?algos:Lock.algo list -> unit -> Diurnal.result list

@@ -96,19 +96,6 @@ let uncontended_json =
            | None -> Json.Null);
         ])
 
-let summary_fields (s : Measure.summary) =
-  [
-    ("n", Json.Int s.Measure.n);
-    ("mean_us", Json.Float s.Measure.mean_us);
-    ("p50_us", Json.Float s.Measure.p50_us);
-    ("p90_us", Json.Float s.Measure.p90_us);
-    ("p99_us", Json.Float s.Measure.p99_us);
-    ("p999_us", Json.Float s.Measure.p999_us);
-    ("min_us", Json.Float s.Measure.min_us);
-    ("max_us", Json.Float s.Measure.max_us);
-    ("frac_above_2ms", Json.Float s.Measure.frac_above_2ms);
-  ]
-
 let fig5_json ~hold_us series =
   Json.Obj
     [
@@ -124,7 +111,7 @@ let fig5_json ~hold_us series =
                   (fun (p, (r : Lock_stress.result)) ->
                     Json.Obj
                       (("p", Json.Int p)
-                       :: summary_fields r.Lock_stress.summary
+                       :: Spec.summary_fields r.Lock_stress.summary
                       @ [
                           ("acquisitions", Json.Int r.Lock_stress.acquisitions);
                         ]))
@@ -170,136 +157,14 @@ let constants_json (r : Calibration.result) =
       ("replicate_extra_us", Json.Float r.Calibration.replicate_extra_us);
     ]
 
-(* The extension experiments' row encoders are exposed: [hurricane_sim]
-   prints one row per run through them. *)
-
-let numa_locks_row (algo, (c : Numa_stress.config), (r : Numa_stress.result))
-    =
-  Json.Obj
-    [
-      ("algo", Json.String (Lock.algo_name algo));
-      ("clusters", Json.Int c.n_clusters);
-      ("hold_us", Json.Float c.hold_us);
-      ("mean_us", Json.Float r.summary.Measure.mean_us);
-      ("p99_us", Json.Float r.summary.Measure.p99_us);
-      ("acquisitions", Json.Int r.acquisitions);
-      ("local_handoffs", Json.Int r.local_handoffs);
-      ("remote_handoffs", Json.Int r.remote_handoffs);
-      ("remote_frac", Json.Float (Numa_stress.remote_frac r));
-      ("max_wait_us", Json.Float r.max_wait_us);
-    ]
-
-let hash_scaling_row ((c : Hash_scaling.config), (r : Hash_scaling.result)) =
-  Json.Obj
-    [
-      ("granularity",
-       Json.String (Hkernel.Khash.granularity_name r.granularity));
-      ("shards", Json.Int r.shards);
-      ("optimistic", Json.Bool r.optimistic);
-      ("p", Json.Int c.p);
-      ("read_ratio", Json.Float c.read_ratio);
-      ("read_mean_us", Json.Float r.read_summary.Measure.mean_us);
-      ("read_p99_us", Json.Float r.read_summary.Measure.p99_us);
-      ("update_mean_us", Json.Float r.update_summary.Measure.mean_us);
-      ("throughput_ops_ms", Json.Float r.throughput_ops_ms);
-      ("optimistic_hits", Json.Int r.optimistic_hits);
-      ("optimistic_fallbacks", Json.Int r.optimistic_fallbacks);
-      ("atomics", Json.Int r.atomics);
-    ]
-
-let abort_storm_row (r : Abort_storm.result) =
-  Json.Obj
-    [
-      ("algo", Json.String (Lock.algo_name r.algo));
-      ("attempts", Json.Int r.attempts);
-      ("acquisitions", Json.Int r.acquisitions);
-      ("aborts", Json.Int r.aborts);
-      ("fast_fails", Json.Int r.fast_fails);
-      ("stalls", Json.Int r.stalls);
-      ("overshoot_mean_us", Json.Float r.overshoot.Measure.mean_us);
-      ("overshoot_p99_us", Json.Float r.overshoot.Measure.p99_us);
-      ("overshoot_max_us", Json.Float r.max_overshoot_us);
-      ("bound_ratio", Json.Float r.bound_ratio);
-      ("recovery_mean_us", Json.Float r.recovery.Measure.mean_us);
-      ("recovery_max_us", Json.Float r.recovery.Measure.max_us);
-      ("obs_aborts", Json.Int r.obs_aborts);
-      ("obs_repairs", Json.Int r.obs_repairs);
-      ("remote_aborts", Json.Int r.remote_aborts);
-      ("final_free", Json.Bool r.final_free);
-    ]
-
-let crash_storm_row (r : Crash_storm.result) =
-  Json.Obj
-    [
-      ("algo", Json.String (Lock.algo_name r.algo));
-      ("kills", Json.Int r.kills);
-      ("acquisitions", Json.Int r.acquisitions);
-      ("obs_crashes", Json.Int r.obs_crashes);
-      ("obs_recoveries", Json.Int r.obs_recoveries);
-      ("lockdep_recoveries", Json.Int r.lockdep_recoveries);
-      ("lockdep_violations", Json.Int r.lockdep_violations);
-      ("recovery_mean_us", Json.Float r.recovery.Measure.mean_us);
-      ("recovery_p99_us", Json.Float r.recovery.Measure.p99_us);
-      ("recovery_max_us", Json.Float r.recovery.Measure.max_us);
-      ("recovery_n", Json.Int r.recovery.Measure.n);
-      ("clusters_hit", Json.Int (Crash_storm.clusters_hit r));
-      ("worst_cluster_p99_us",
-       Json.Float (Crash_storm.worst_cluster_p99_us r));
-      ("final_free", Json.Bool r.final_free);
-    ]
-
-let rw_scaling_row (r : Rw_scaling.result) =
-  Json.Obj
-    [
-      ("style", Json.String r.style_name);
-      ("read_ratio", Json.Float r.read_ratio);
-      ("clusters", Json.Int r.n_clusters);
-      ("p", Json.Int r.p);
-      ("read_mean_us", Json.Float r.read_summary.Measure.mean_us);
-      ("read_p99_us", Json.Float r.read_summary.Measure.p99_us);
-      ("read_p999_us", Json.Float r.read_summary.Measure.p999_us);
-      ("write_mean_us", Json.Float r.write_summary.Measure.mean_us);
-      ("throughput_ops_ms", Json.Float r.throughput_ops_ms);
-      ("read_throughput_ops_ms", Json.Float r.read_throughput_ops_ms);
-      ("reads", Json.Int r.reads_done);
-      ("writes", Json.Int r.writes_done);
-      ("peak_readers", Json.Int r.peak_readers);
-      ("read_remote", Json.Int r.read_remote);
-      ("seq_aborts", Json.Int r.seq_aborts);
-      ("lockdep_violations", Json.Int r.lockdep_violations);
-    ]
-
-let slo_row ((c : Slo_stream.config), (r : Slo_stream.result)) =
-  Json.Obj
-    [
-      ("offered_per_ms", Json.Float c.rate_per_ms);
-      ("p", Json.Int c.p);
-      ("elements", Json.Int c.elements);
-      ("shards", Json.Int c.shards);
-      ("completed", Json.Int r.completed);
-      ("achieved_per_ms", Json.Float r.achieved_per_ms);
-      ("read", Json.Obj (summary_fields r.read_summary));
-      ("update", Json.Obj (summary_fields r.update_summary));
-      ("peak_backlog", Json.Int r.peak_backlog);
-      ("optimistic_hits", Json.Int r.optimistic_hits);
-      ("optimistic_fallbacks", Json.Int r.optimistic_fallbacks);
-      ("lockdep_violations", Json.Int r.lockdep_violations);
-    ]
-
-let diurnal_row (r : Diurnal.result) =
-  Json.Obj
-    [
-      ("lock", Json.String r.algo_name);
-      ("cold1_ops", Json.Int r.cold1_ops);
-      ("hot_ops", Json.Int r.hot_ops);
-      ("cold2_ops", Json.Int r.cold2_ops);
-      ("cold_throughput_ops_ms", Json.Float r.cold_throughput_ops_ms);
-      ("hot_throughput_ops_ms", Json.Float r.hot_throughput_ops_ms);
-      ("final_free", Json.Bool r.final_free);
-      ("lockdep_violations", Json.Int r.lockdep_violations);
-    ]
-
 (* -- the entries ----------------------------------------------------------- *)
+
+(* An extension experiment: one cell per grid config; the rows' JSON and
+   text table come from the spec's columns. *)
+let of_spec (Spec.Spec s) =
+  split s.section s.grid
+    (fun _ c -> [ (c, s.run c) ])
+    (Spec.print s) ~json:(rows (Spec.row s))
 
 let fig5 name ~title ~hold_us =
   split name Experiments.fig5_algos
@@ -328,7 +193,7 @@ let all =
       Report.uncontended;
     fig5 "fig5a" ~title:"FIG5a" ~hold_us:0.0;
     fig5 "fig5b" ~title:"FIG5b" ~hold_us:25.0;
-    one "starvation" ~json:(fun s -> Json.Obj (summary_fields s))
+    one "starvation" ~json:(fun s -> Json.Obj (Spec.summary_fields s))
       Experiments.starvation Report.starvation;
     fig7 "fig7a" ~title:"FIG7a - independent faults, one 16-processor cluster"
       ~by:`P
@@ -379,29 +244,9 @@ let all =
     one "fs" File_read.run_grid Report.fs;
     one "fault-matrix" Experiments.fault_matrix Report.fault_matrix;
     one "verify" Verify_probes.run_all Report.verify;
-    one "obs" Experiments.obs_profile (fun ppf r -> Report.obs ppf r);
-    split "numa_locks" ~json:(rows numa_locks_row) Experiments.numa_algos
-      (fun _ a -> Experiments.numa_locks ~algos:[ a ] ())
-      Report.numa_locks;
-    split "hash_scaling" ~json:(rows hash_scaling_row) Experiments.hash_procs
-      (fun _ p -> Experiments.hash_scaling ~procs:[ p ] ())
-      Report.hash_scaling;
-    split "abort_storm" ~json:(rows abort_storm_row) Experiments.numa_algos
-      (fun _ a -> Experiments.abort_storm ~algos:[ a ] ())
-      Report.abort_storm;
-    split "crash_storm" ~json:(rows crash_storm_row) Experiments.crash_algos
-      (fun _ a -> Experiments.crash_storm ~algos:[ a ] ())
-      Report.crash_storm;
-    split "rw_scaling" ~json:(rows rw_scaling_row) Experiments.rw_styles
-      (fun _ s -> Experiments.rw_scaling ~styles:[ s ] ())
-      Report.rw_scaling;
-    split "slo" ~json:(rows slo_row) Experiments.slo_rates
-      (fun _ r -> Experiments.slo ~rates:[ r ] ())
-      Report.slo;
-    split "diurnal" ~json:(rows diurnal_row) Experiments.diurnal_algos
-      (fun _ a -> Experiments.diurnal ~algos:[ a ] ())
-      Report.diurnal;
+    one "obs" Experiments.obs_profile Report.obs;
   ]
+  @ List.map of_spec Spec.all
 
 let find n =
   match List.find_opt (fun e -> name e = n) all with

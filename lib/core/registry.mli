@@ -1,5 +1,6 @@
 (** The experiment registry: one ordered entry per table, figure, ablation
-    and extension experiment. An entry holds the experiment's name, its
+    and extension experiment (each extension experiment's entry derives
+    from its {!Spec}). An entry holds the experiment's name, its
     cells along the outermost sweep axis, how the cell results combine, its
     text report, and, where it has them, its JSON encoder and its .dat
     emitter. The bench text run, the JSON export ({!Bench_json}), [--dat]
@@ -50,25 +51,3 @@ val json : outcome -> Json.t option
     file plus [plots.gp] into [dir], creating it if needed. Returns the
     written paths, [plots.gp] last. *)
 val write_dat : ?knobs:knobs -> string -> string list
-
-(** {2 Row encoders}
-
-    One row of an extension experiment's JSON section, exactly as the
-    export writes it. [hurricane_sim]'s workload subcommands print the row
-    of their one run through these. *)
-
-val numa_locks_row :
-  Locks.Lock.algo
-  * Workloads.Numa_stress.config
-  * Workloads.Numa_stress.result ->
-  Json.t
-
-val hash_scaling_row :
-  Workloads.Hash_scaling.config * Workloads.Hash_scaling.result -> Json.t
-
-val abort_storm_row : Workloads.Abort_storm.result -> Json.t
-val crash_storm_row : Workloads.Crash_storm.result -> Json.t
-val rw_scaling_row : Workloads.Rw_scaling.result -> Json.t
-val slo_row :
-  Workloads.Slo_stream.config * Workloads.Slo_stream.result -> Json.t
-val diurnal_row : Workloads.Diurnal.result -> Json.t

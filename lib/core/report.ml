@@ -1,6 +1,7 @@
 (* Text reports for the reproduction harness: one printer per experiment,
    each stating what the paper reports next to what we measured so the
-   output reads as an EXPERIMENTS.md draft. *)
+   output reads as an EXPERIMENTS.md draft. The extension experiments print
+   through [table], from their specs' columns. *)
 
 open Locks
 open Workloads
@@ -12,6 +13,15 @@ let section ppf title paper_claim =
   Format.fprintf ppf "%s@." title;
   Format.fprintf ppf "paper: %s@." paper_claim;
   hr ppf
+
+(* A section with one table: the first head is left-aligned, the rest
+   right-aligned at their widths; each row's cells come padded. *)
+let table ppf ~title ~claim heads rows =
+  section ppf title claim;
+  let line cells = Format.fprintf ppf "%s@." (String.concat " " cells) in
+  let head i (h, w) = Printf.sprintf (if i = 0 then "%-*s" else "%*s") w h in
+  line (List.mapi head heads);
+  List.iter line rows
 
 let fig4 ppf rows =
   section ppf "FIG4 - instruction counts per uncontended lock/unlock pair"
@@ -338,125 +348,12 @@ let verify ppf rows =
           (Verify_probes.probe_name r.probe) r.first)
     rows
 
-let numa_locks ppf rows =
-  section ppf "NUMA-LOCKS - cross-cluster contention (cohort/HMCS/CNA vs MCS)"
-    "16 processors hammer one lock, partitioned into clusters; NUMA-aware \
-     locks hand off within a cluster when they can, so the fraction of \
-     hand-offs crossing a cluster boundary - and with it the data's \
-     migration traffic - drops against flat MCS";
-  Format.fprintf ppf "%-15s %8s %9s %10s %9s %9s %9s %8s %10s@." "lock"
-    "clusters" "hold(us)" "mean(us)" "p99(us)" "local" "remote" "rem%"
-    "maxw(us)";
-  List.iter
-    (fun (algo, (c : Numa_stress.config), (r : Numa_stress.result)) ->
-      Format.fprintf ppf "%-15s %8d %9.0f %10.2f %9.1f %9d %9d %7.1f%% %10.1f@."
-        (Lock.algo_name algo) c.n_clusters c.hold_us r.summary.Measure.mean_us
-        r.summary.Measure.p99_us r.local_handoffs r.remote_handoffs
-        (100.0 *. Numa_stress.remote_frac r)
-        r.max_wait_us)
-    rows
-
-let hash_scaling ppf rows =
-  section ppf "HASH-SCALING - sharded table + seqlock optimistic reads"
-    "the hybrid table's single coarse lock is the ceiling within a \
-     cluster; splitting the bins over per-shard locks homed on distinct \
-     PMMs restores scaling, and a per-shard sequence word lets read-only \
-     lookups skip the lock entirely (a pair of loads instead of an \
-     acquire/release round-trip)";
-  Format.fprintf ppf "%-8s %6s %4s %5s %5s %10s %9s %10s %9s %6s %5s@."
-    "mode" "shards" "opt" "p" "read" "read(us)" "p99(us)" "upd(us)"
-    "thr/ms" "hits" "fb";
-  List.iter
-    (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
-      Format.fprintf ppf
-        "%-8s %6d %4s %5d %4.0f%% %10.2f %9.1f %10.2f %9.1f %6d %5d@."
-        (Hkernel.Khash.granularity_name r.granularity)
-        r.shards
-        (if r.optimistic then "yes" else "no")
-        c.p
-        (100.0 *. c.read_ratio)
-        r.read_summary.Measure.mean_us r.read_summary.Measure.p99_us
-        r.update_summary.Measure.mean_us r.throughput_ops_ms
-        r.optimistic_hits r.optimistic_fallbacks)
-    rows
-
-let abort_storm ppf rows =
-  section ppf "ABORT-STORM - timed abandonment under a stalled holder"
-    "one processor takes the lock and goes dark for ~10x any waiter's \
-     deadline; every other processor attempts through the timed face. \
-     Each expired waiter must return within a bounded multiple of its \
-     deadline (the ratio column) instead of riding out the stall, remote \
-     aborts show waiters expiring at every level of the NUMA composite, \
-     and the lock must recover promptly - abandoned queue nodes repaired \
-     at the next hand-offs - once the holder releases";
-  Format.fprintf ppf "%-15s %8s %6s %7s %6s %9s %9s %6s %9s %7s %7s %5s@."
-    "lock" "attempts" "acq" "aborts" "stall" "over(us)" "maxov(us)" "ratio"
-    "rec(us)" "rem-ab" "repair" "free";
-  List.iter
-    (fun (r : Abort_storm.result) ->
-      Format.fprintf ppf
-        "%-15s %8d %6d %7d %6d %9.2f %9.1f %6.2f %9.1f %7d %7d %5s@."
-        (Lock.algo_name r.algo)
-        r.attempts r.acquisitions r.aborts r.stalls
-        r.overshoot.Measure.mean_us r.max_overshoot_us r.bound_ratio
-        r.recovery.Measure.mean_us r.remote_aborts r.obs_repairs
-        (if r.final_free then "yes" else "NO"))
-    rows
-
-let crash_storm ppf rows =
-  section ppf "CRASH-STORM - fail-stop kills mid-critical-section"
-    "victim processors fail-stop while holding the lock (the fiber parks, \
-     releasing nothing); every survivor acquires through the recoverable \
-     face, whose dead-holder detector force-releases each orphaned hold. \
-     Conservation demands a recovery per kill, an installed lockdep \
-     checker must see every forced release as a legal transfer (zero \
-     violations), and the storm must end with the lock free";
-  Format.fprintf ppf "%-15s %6s %6s %7s %6s %6s %5s %9s %9s %9s %5s %10s %5s@."
-    "lock" "kills" "acq" "crashes" "recov" "lkdep" "viol" "rec(us)" "p99(us)"
-    "max(us)" "clus" "worstp99" "free";
-  List.iter
-    (fun (r : Crash_storm.result) ->
-      Format.fprintf ppf
-        "%-15s %6d %6d %7d %6d %6d %5d %9.1f %9.1f %9.1f %5d %10.1f %5s@."
-        (Lock.algo_name r.algo)
-        r.kills r.acquisitions r.obs_crashes r.obs_recoveries
-        r.lockdep_recoveries r.lockdep_violations r.recovery.Measure.mean_us
-        r.recovery.Measure.p99_us r.recovery.Measure.max_us
-        (Crash_storm.clusters_hit r) (Crash_storm.worst_cluster_p99_us r)
-        (if r.final_free then "yes" else "NO"))
-    rows
-
-let rw_scaling ppf rows =
-  section ppf "RW-SCALING - read-mostly lookups: RW lock vs seqlock vs replication"
-    "every writer-serialising lock queues readers like writers (peak \
-     concurrent readers 1 by construction); per-cluster reader indicators \
-     let readers CAS their own cluster's word and run in parallel, the \
-     seqlock serves reads for a pair of loads, and replication reads a \
-     local copy but pays an update broadcast per write. rd-rem counts \
-     read-path indicator ops that crossed a cluster boundary - zero for \
-     the distributed layout, the centralised baseline's defining cost";
-  Format.fprintf ppf
-    "%-22s %5s %4s %3s %9s %8s %9s %9s %7s %5s %7s %6s@." "style" "read"
-    "clus" "p" "read(us)" "p99.9" "write(us)" "rdthr/ms" "peak-rd" "rd-rem"
-    "sq-ab" "viol";
-  List.iter
-    (fun (r : Rw_scaling.result) ->
-      Format.fprintf ppf
-        "%-22s %4.1f%% %4d %3d %9.2f %8.1f %9.2f %9.1f %7d %5d %7d %6d@."
-        r.style_name
-        (100.0 *. r.read_ratio)
-        r.n_clusters r.p r.read_summary.Measure.mean_us
-        r.read_summary.Measure.p999_us r.write_summary.Measure.mean_us
-        r.read_throughput_ops_ms r.peak_readers r.read_remote r.seq_aborts
-        r.lockdep_violations)
-    rows
-
-let obs ?(cfg = Hector.Config.hector) ppf (r : Experiments.obs_result) =
+let obs ppf (r : Experiments.obs_result) =
   section ppf "OBS - where did the cycles go (dosed fault storm)"
     "the argument of Figures 5/7 is made by attributing waiting time to \
      specific locks; here every wait/hold cycle is charged to its lock \
      class and the waiting processor's cluster";
-  let us c = Hector.Config.us_of_cycles cfg c in
+  let us c = Hector.Config.us_of_cycles Hector.Config.hector c in
   Format.fprintf ppf "%-16s %-8s %9s %9s %12s %10s %10s %12s %9s %11s@."
     "class" "cluster" "acqs" "cont" "wait(us)" "avg(us)" "maxw(us)" "hold(us)"
     "handoff" "local/rem";
@@ -484,42 +381,3 @@ let obs ?(cfg = Hector.Config.hector) ppf (r : Experiments.obs_result) =
     s.Fault_storm.ops s.Fault_storm.deferred s.Fault_storm.rpc_ok
     s.Fault_storm.rpc_calls s.Fault_storm.stalls_injected
     (Fault_storm.mechanism_name s.Fault_storm.mechanism)
-
-let slo ppf rows =
-  section ppf "SLO - open-loop request stream over the million-element table"
-    "requests arrive on their own clock and queue behind a random server, \
-     so latency includes queueing delay: as the offered rate approaches \
-     the table's capacity the p99/p99.9 tails leave the service time long \
-     before the mean moves - the closed-loop workloads cannot show this. \
-     every point runs under the lockdep checker (viol must be 0)";
-  Format.fprintf ppf
-    "%-9s %3s %9s %7s %9s %8s %8s %9s %9s %8s %6s %5s@." "rate/ms" "p"
-    "elements" "done" "ach/ms" "rd-p50" "rd-p99" "rd-p99.9" "up-p99" "backlog"
-    "opt-h" "viol";
-  List.iter
-    (fun ((c : Slo_stream.config), (r : Slo_stream.result)) ->
-      Format.fprintf ppf
-        "%9.1f %3d %9d %7d %9.1f %8.2f %8.2f %9.2f %9.2f %8d %6d %5d@."
-        c.rate_per_ms c.p c.elements r.completed r.achieved_per_ms
-        r.read_summary.Measure.p50_us r.read_summary.Measure.p99_us
-        r.read_summary.Measure.p999_us r.update_summary.Measure.p99_us
-        r.peak_backlog r.optimistic_hits r.lockdep_violations)
-    rows
-
-let diurnal ppf rows =
-  section ppf "DIURNAL - static lock shapes raced over the diurnal load cycle"
-    "load ramps cold -> hot -> cold in three equal plateaus: a same-cluster \
-     trickle where a test&set lock is unbeatable, then every processor \
-     across every cluster where hand-offs go mostly remote and a NUMA \
-     composite wins, then the trickle again. No shape tops both phase \
-     columns. Every row runs under the lockdep checker (viol must be 0)";
-  Format.fprintf ppf "%-16s %9s %9s %9s %9s %9s %5s %5s@." "lock" "cold1-ops"
-    "hot-ops" "cold2-ops" "cold/ms" "hot/ms" "free" "viol";
-  List.iter
-    (fun (r : Diurnal.result) ->
-      Format.fprintf ppf "%-16s %9d %9d %9d %9.1f %9.1f %5s %5d@." r.algo_name
-        r.cold1_ops r.hot_ops r.cold2_ops r.cold_throughput_ops_ms
-        r.hot_throughput_ops_ms
-        (if r.final_free then "yes" else "NO")
-        r.lockdep_violations)
-    rows

@@ -1,11 +1,23 @@
 (** Text reports, one per experiment: each prints what the paper reports
-    beside what the reproduction measured. *)
+    beside what the reproduction measured. The extension experiments'
+    tables are {!table} over their {!Spec} columns. *)
 
 open Locks
 open Workloads
 
 val hr : Format.formatter -> unit
 val section : Format.formatter -> string -> string -> unit
+
+(** [table ppf ~title ~claim heads rows]: the section, then a line of column
+    heads (each [(head, width)], the first left-aligned, the rest
+    right-aligned) and one line per row of already padded cells. *)
+val table :
+  Format.formatter ->
+  title:string ->
+  claim:string ->
+  (string * int) list ->
+  string list list ->
+  unit
 
 val fig4 : Format.formatter -> Experiments.fig4_row list -> unit
 val uncontended : Format.formatter -> Uncontended.result list -> unit
@@ -65,22 +77,4 @@ val fault_matrix : Format.formatter -> Experiments.fault_row list -> unit
 
 val verify : Format.formatter -> Verify_probes.result list -> unit
 
-val numa_locks :
-  Format.formatter ->
-  (Lock.algo * Numa_stress.config * Numa_stress.result) list ->
-  unit
-
-val hash_scaling :
-  Format.formatter -> (Hash_scaling.config * Hash_scaling.result) list -> unit
-
-val abort_storm : Format.formatter -> Abort_storm.result list -> unit
-val crash_storm : Format.formatter -> Crash_storm.result list -> unit
-val rw_scaling : Format.formatter -> Rw_scaling.result list -> unit
-
-val obs :
-  ?cfg:Hector.Config.t -> Format.formatter -> Experiments.obs_result -> unit
-
-val slo :
-  Format.formatter -> (Slo_stream.config * Slo_stream.result) list -> unit
-
-val diurnal : Format.formatter -> Diurnal.result list -> unit
+val obs : Format.formatter -> Experiments.obs_result -> unit

@@ -71,7 +71,6 @@ let default_config =
   }
 
 type result = {
-  algo : Lock.algo;
   attempts : int;  (* timed acquisition attempts (staller excluded) *)
   acquisitions : int;  (* timed attempts that got the lock *)
   aborts : int;  (* timed attempts that expired and gave up *)
@@ -244,7 +243,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) algo =
     | None -> 0
   in
   {
-    algo;
     attempts = !attempts;
     acquisitions = !acquisitions;
     aborts = !aborts;

@@ -30,7 +30,6 @@ type config = {
 val default_config : config
 
 type result = {
-  algo : Lock.algo;
   attempts : int;  (** timed acquisition attempts (staller excluded) *)
   acquisitions : int;  (** timed attempts that got the lock *)
   aborts : int;  (** timed attempts that expired and gave up *)

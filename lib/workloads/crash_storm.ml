@@ -61,7 +61,6 @@ let default_config =
   }
 
 type result = {
-  algo : Lock.algo;
   kills : int;  (* planted mid-CS kills performed *)
   acquisitions : int;  (* successful worker acquisitions *)
   obs_crashes : int;  (* crashes seen by the observer *)
@@ -224,7 +223,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?obs algo =
       crash_rows
   in
   {
-    algo;
     kills = !kills;
     acquisitions = !acquisitions;
     obs_crashes = Obs.crashes_observed obs;

@@ -30,7 +30,6 @@ type config = {
 val default_config : config
 
 type result = {
-  algo : Lock.algo;
   kills : int;  (** planted mid-CS kills performed *)
   acquisitions : int;  (** successful worker acquisitions *)
   obs_crashes : int;  (** crashes seen by the observer *)

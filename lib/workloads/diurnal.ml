@@ -48,12 +48,7 @@ let default_config =
   }
 
 type result = {
-  algo : Lock.algo;
   algo_name : string;
-  p_hot : int;
-  p_cold : int;
-  n_clusters : int;
-  phase_us : float;
   cold1_ops : int; (* completed in the first cold plateau *)
   hot_ops : int;
   cold2_ops : int;
@@ -187,12 +182,7 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?obs () =
   Verify.finish verify ~now:(Machine.now machine);
   let phase_ms = config.phase_us /. 1000.0 in
   {
-    algo = config.algo;
     algo_name = lock.Lock.name;
-    p_hot = config.p_hot;
-    p_cold = config.p_cold;
-    n_clusters = config.n_clusters;
-    phase_us = config.phase_us;
     cold1_ops = !cold1_ops;
     hot_ops = !hot_ops;
     cold2_ops = !cold2_ops;

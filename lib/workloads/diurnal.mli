@@ -26,12 +26,7 @@ type config = {
 val default_config : config
 
 type result = {
-  algo : Lock.algo;
   algo_name : string;
-  p_hot : int;
-  p_cold : int;
-  n_clusters : int;
-  phase_us : float;
   cold1_ops : int;
   hot_ops : int;
   cold2_ops : int;

@@ -60,9 +60,8 @@ let default_config =
   }
 
 type result = {
-  granularity : Khash.granularity;
   shards : int;
-  optimistic : bool;
+  optimistic : bool; (* only [Sharded] has the seqlock read path *)
   read_summary : Measure.summary; (* lookup latency *)
   update_summary : Measure.summary; (* with_element latency, work excluded *)
   makespan_us : float;
@@ -167,9 +166,8 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?(observe = false) ()
   let total_ops = config.p * config.ops in
   let makespan_us = Config.us_of_cycles cfg makespan in
   {
-    granularity = config.granularity;
     shards = Khash.shards table;
-    optimistic = config.optimistic;
+    optimistic = config.optimistic && config.granularity = Khash.Sharded;
     read_summary = Measure.of_stat cfg ~label:"lookup" read_stat;
     update_summary = Measure.of_stat cfg ~label:"update" update_stat;
     makespan_us;

@@ -30,9 +30,10 @@ type config = {
 val default_config : config
 
 type result = {
-  granularity : Khash.granularity;
   shards : int;
   optimistic : bool;
+      (** lookups took the seqlock read path: [config.optimistic] on a
+          [Sharded] table, the only granularity that has one *)
   read_summary : Measure.summary;  (** lookup latency *)
   update_summary : Measure.summary;  (** update latency, element work excluded *)
   makespan_us : float;

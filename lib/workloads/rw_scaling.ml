@@ -77,11 +77,6 @@ let default_config =
   }
 
 type result = {
-  style : style;
-  style_name : string;
-  read_ratio : float;
-  n_clusters : int;
-  p : int;
   read_summary : Measure.summary;
   write_summary : Measure.summary;
   makespan_us : float;
@@ -292,11 +287,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?obs () =
     else 0.0
   in
   {
-    style = config.style;
-    style_name = style_name config.style;
-    read_ratio = config.read_ratio;
-    n_clusters = config.n_clusters;
-    p = config.p;
     read_summary = Measure.of_stat cfg ~label:"read" read_stat;
     write_summary = Measure.of_stat cfg ~label:"write" write_stat;
     makespan_us;

@@ -34,12 +34,8 @@ type config = {
 
 val default_config : config
 
+(** One run's measurements; the run's coordinates are its config's. *)
 type result = {
-  style : style;
-  style_name : string;
-  read_ratio : float;
-  n_clusters : int;
-  p : int;
   read_summary : Measure.summary;  (** latency, section work excluded *)
   write_summary : Measure.summary;
   makespan_us : float;

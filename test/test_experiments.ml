@@ -242,20 +242,26 @@ let test_granularity_ablation () =
    machine is busy (p >= 8) for every shard count, and the seqlock
    optimistic read path undercuts locked lookups at a 90% read ratio. *)
 let test_hash_scaling_claims () =
-  let rows = Hurricane.Experiments.hash_scaling ~procs:[ 8; 16 ] () in
+  let s = Hurricane.Spec.hash_scaling in
+  let rows =
+    List.filter_map
+      (fun (c : Hash_scaling.config) ->
+        if List.mem c.p [ 8; 16 ] then Some (c, s.run c) else None)
+      s.grid
+  in
   let mean_read (r : Hash_scaling.result) =
     r.Hash_scaling.read_summary.Measure.mean_us
   in
   let hybrid p rr =
     List.find
-      (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
-        r.granularity = Hkernel.Khash.Hybrid && c.p = p && c.read_ratio = rr)
+      (fun ((c : Hash_scaling.config), _) ->
+        c.granularity = Hkernel.Khash.Hybrid && c.p = p && c.read_ratio = rr)
       rows
     |> snd
   in
   List.iter
     (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
-      if r.granularity = Hkernel.Khash.Sharded then begin
+      if c.granularity = Hkernel.Khash.Sharded then begin
         let base = hybrid c.p c.read_ratio in
         Alcotest.(check bool)
           (Printf.sprintf
@@ -269,13 +275,13 @@ let test_hash_scaling_claims () =
   List.iter
     (fun ((c : Hash_scaling.config), (r : Hash_scaling.result)) ->
       if
-        r.granularity = Hkernel.Khash.Sharded && r.optimistic
+        c.granularity = Hkernel.Khash.Sharded && r.optimistic
         && c.read_ratio = 0.9
       then begin
         let locked =
           List.find
             (fun ((lc : Hash_scaling.config), (l : Hash_scaling.result)) ->
-              l.granularity = Hkernel.Khash.Sharded
+              lc.granularity = Hkernel.Khash.Sharded
               && (not l.optimistic)
               && l.shards = r.shards && lc.p = c.p
               && lc.read_ratio = c.read_ratio)
@@ -299,7 +305,8 @@ let test_hash_scaling_claims () =
    different winners, and every row runs clean through all three
    plateaus. *)
 let test_diurnal_race () =
-  let rows = Hurricane.Experiments.diurnal () in
+  let s = Hurricane.Spec.diurnal in
+  let rows = List.map s.run s.grid in
   List.iter
     (fun (r : Diurnal.result) ->
       let n = r.algo_name in
@@ -317,7 +324,7 @@ let test_diurnal_race () =
     (Printf.sprintf "no shape wins both phases (cold: %s, hot: %s)"
        cold.algo_name hot.algo_name)
     true
-    (cold.algo <> hot.algo)
+    (cold.algo_name <> hot.algo_name)
 
 let suite =
   [

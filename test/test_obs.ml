@@ -417,13 +417,13 @@ let test_bench_json_schema () =
      clean after the drain). *)
   (match Json.get exps "abort_storm" with
   | Json.List rows ->
-    let direct = Experiments.abort_storm () in
+    let s = Spec.abort_storm in
+    let direct = List.map (fun c -> (fst c, s.run c)) s.grid in
     Alcotest.(check int) "abort rows" (List.length direct) (List.length rows);
     List.iter2
-      (fun row (d : Abort_storm.result) ->
+      (fun row (algo, (d : Abort_storm.result)) ->
         Alcotest.(check bool) "abort algo" true
-          (Json.get row "algo"
-          = Json.String (Locks.Lock.algo_name d.Abort_storm.algo));
+          (Json.get row "algo" = Json.String (Locks.Lock.algo_name algo));
         Alcotest.(check int) "abort aborts" d.Abort_storm.aborts
           (match Json.get row "aborts" with Json.Int i -> i | _ -> -1);
         Alcotest.(check (float 0.0)) "abort bound ratio"
@@ -440,13 +440,13 @@ let test_bench_json_schema () =
      forced release with zero violations, lock free after the drain). *)
   (match Json.get exps "crash_storm" with
   | Json.List rows ->
-    let direct = Experiments.crash_storm () in
+    let s = Spec.crash_storm in
+    let direct = List.map (fun c -> (fst c, s.run c)) s.grid in
     Alcotest.(check int) "crash rows" (List.length direct) (List.length rows);
     List.iter2
-      (fun row (d : Crash_storm.result) ->
+      (fun row (algo, (d : Crash_storm.result)) ->
         Alcotest.(check bool) "crash algo" true
-          (Json.get row "algo"
-          = Json.String (Locks.Lock.algo_name d.Crash_storm.algo));
+          (Json.get row "algo" = Json.String (Locks.Lock.algo_name algo));
         Alcotest.(check int) "crash kills" d.Crash_storm.kills
           (match Json.get row "kills" with Json.Int i -> i | _ -> -1);
         Alcotest.(check int) "crash recovery samples" d.Crash_storm.kills

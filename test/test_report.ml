@@ -131,38 +131,34 @@ let test_default_names_are_exported_entries () =
   Alcotest.(check int) "17 exported" 17 (List.length Bench_json.default_names)
 
 (* [hurricane_sim]'s workload subcommands run their workload once at its
-   [default_config] (the lock-argument ones on H2-MCS, the CLI's default
-   lock) and print the run's row: each must be a row of the committed
-   export, or a default has drifted from the experiment's sweep. *)
+   spec's default (the lock-argument ones on H2-MCS, the CLI's default lock)
+   and print the run's row: each default must be one of the spec's grid
+   configs, and its row a row of the committed export, or a default has
+   drifted from the experiment's sweep. *)
+let check_exported section row =
+  match List.assoc section (committed_experiments ()) with
+  | Json.List rows when List.mem row rows -> ()
+  | _ ->
+    Alcotest.failf "%s: the row is not exported: %s" section
+      (Json.to_string ~compact:true row)
+
 let test_defaults_are_export_rows () =
-  let exps = committed_experiments () in
-  let check section row =
-    match List.assoc section exps with
-    | Json.List rows when List.mem row rows -> ()
-    | _ ->
-      Alcotest.failf "%s: the default row is not exported: %s" section
-        (Json.to_string ~compact:true row)
+  List.iter
+    (fun (Spec.Spec s) ->
+      Alcotest.(check bool) (s.section ^ " default is a grid config") true
+        (List.mem s.default s.grid);
+      check_exported s.section (Spec.row s (s.default, s.run s.default)))
+    Spec.all
+
+(* [hash -g hybrid -p 8]: the hybrid table has no seqlock read path, so the
+   run reports [optimistic = false] whatever the config asks, and its row is
+   the export's hybrid p=8 row at read ratio 0.9. *)
+let test_hybrid_hash_row_is_exported () =
+  let s = Spec.hash_scaling in
+  let c =
+    { s.default with granularity = Hkernel.Khash.Hybrid; p = 8; read_ratio = 0.9 }
   in
-  let h2 = Lock.Mcs_h2 in
-  let numa = Numa_stress.default_config in
-  check "numa_locks"
-    (Registry.numa_locks_row (h2, numa, Numa_stress.run ~config:numa h2));
-  check "abort_storm"
-    (Registry.abort_storm_row
-       (Abort_storm.run ~config:Abort_storm.default_config h2));
-  check "crash_storm"
-    (Registry.crash_storm_row
-       (Crash_storm.run ~config:Crash_storm.default_config h2));
-  check "rw_scaling"
-    (Registry.rw_scaling_row
-       (Rw_scaling.run ~config:Rw_scaling.default_config ()));
-  let hash = Hash_scaling.default_config in
-  check "hash_scaling"
-    (Registry.hash_scaling_row (hash, Hash_scaling.run ~config:hash ()));
-  let slo = Slo_stream.default_config in
-  check "slo" (Registry.slo_row (slo, Slo_stream.run ~config:slo ()));
-  check "diurnal"
-    (Registry.diurnal_row (Diurnal.run ~config:Diurnal.default_config ()))
+  check_exported s.section (Spec.row s (c, s.run c))
 
 let test_every_name_resolves () =
   List.iter
@@ -260,6 +256,8 @@ let suite =
       test_default_names_are_exported_entries;
     Alcotest.test_case "CLI defaults are rows of the committed export" `Quick
       test_defaults_are_export_rows;
+    Alcotest.test_case "hash -g hybrid -p 8 is a row of the committed export"
+      `Quick test_hybrid_hash_row_is_exported;
     Alcotest.test_case "every registry name resolves" `Quick
       test_every_name_resolves;
     Alcotest.test_case "unknown name lists the available names" `Quick
