@@ -214,7 +214,7 @@ let () =
     Format.printf
       "HURRICANE locking reproduction - all experiments (simulated HECTOR \
        time)@.";
-    print Registry.all
+    print (Lazy.force Registry.all)
   | names -> (
     match List.map Registry.find names with
     | entries -> print entries

@@ -434,7 +434,8 @@ let figure_cmd =
       & info [] ~docv:"FIGURE"
           ~doc:
             ("Experiment name: "
-            ^ String.concat ", " (List.map Registry.name Registry.all)
+            ^ String.concat ", "
+                (List.map Registry.name (Lazy.force Registry.all))
             ^ "."))
   in
   cmd "figure"
@@ -456,7 +457,7 @@ let main_cmd =
       verify_cmd;
       trace_cmd;
     ]
-    @ List.map row_cmd Spec.all
+    @ List.map row_cmd (Lazy.force Spec.all)
     @ [ figure_cmd ])
 
 let () = exit (Cmd.eval main_cmd)

@@ -13,13 +13,13 @@
 (* The version history is in bench_json.mli. *)
 let schema_version = 9
 
-let default_names =
+let default_names () =
   List.filter_map
     (fun e -> if Registry.exported e then Some (Registry.name e) else None)
-    Registry.all
+    (Lazy.force Registry.all)
 
 let document ?knobs ?(jobs = 1) ~names () =
-  let names = if names = [] then default_names else names in
+  let names = if names = [] then default_names () else names in
   (* Resolve every name first so an unknown one fails before any cell has
      burned simulation time. *)
   let entries =
@@ -28,14 +28,14 @@ let document ?knobs ?(jobs = 1) ~names () =
         match
           List.find_opt
             (fun e -> Registry.name e = n && Registry.exported e)
-            Registry.all
+            (Lazy.force Registry.all)
         with
         | Some e -> e
         | None ->
           invalid_arg
             (Printf.sprintf
                "Bench_json.document: unknown experiment %S; available: %s" n
-               (String.concat ", " default_names)))
+               (String.concat ", " (default_names ()))))
       names
   in
   let experiments =

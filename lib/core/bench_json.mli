@@ -97,7 +97,7 @@ val schema_version : int
     "constants"; "numa_locks"; "hash_scaling"; "abort_storm";
     "crash_storm"; "rw_scaling"; "slo"; "diurnal"] — what a bare [--json]
     exports. *)
-val default_names : string list
+val default_names : unit -> string list
 
 (** Build the document for the named experiments (unknown names raise
     [Invalid_argument]). [knobs] defaults to {!Registry.full}, the paper's

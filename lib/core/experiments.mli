@@ -11,7 +11,6 @@
 open Locks
 open Workloads
 
-val paper_procs : int list
 val paper_cluster_sizes : int list
 
 (** Figure 5's five algorithms. *)
@@ -136,7 +135,6 @@ type abl9_row = {
   space : int;
 }
 
-val abl9_algos : Lock.algo list
 val ablation_lock_family : unit -> abl9_row list
 
 (** FAULTS — injected lock-holder stalls (1 ms, scheduled at a fixed

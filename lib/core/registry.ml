@@ -186,7 +186,7 @@ let fig7 name ~title ~claim ~by run =
     ~json:(fig7_json ~xlabel:json_xlabel)
     ~dat:(fun dir s -> Dat.plot ~xlabel:plot_xlabel (Dat.fig7 dir ~name s) s)
 
-let all =
+let entries () =
   [
     one "fig4" ~json:fig4_json Experiments.fig4 Report.fig4;
     one "uncontended" ~json:uncontended_json Uncontended.run_all
@@ -246,9 +246,12 @@ let all =
     one "verify" Verify_probes.run_all Report.verify;
     one "obs" Experiments.obs_profile Report.obs;
   ]
-  @ List.map of_spec Spec.all
+  @ List.map of_spec (Lazy.force Spec.all)
+
+let all = lazy (entries ())
 
 let find n =
+  let all = Lazy.force all in
   match List.find_opt (fun e -> name e = n) all with
   | Some e -> e
   | None ->
@@ -288,7 +291,11 @@ let json (Outcome (s, r)) = Option.map (fun encode -> encode r) s.json
 
 let write_dat ?knobs dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let plotted = List.filter (fun (Experiment s) -> Option.is_some s.dat) all in
+  let plotted =
+    List.filter
+      (fun (Experiment s) -> Option.is_some s.dat)
+      (Lazy.force all)
+  in
   let plots =
     List.filter_map
       (fun (Outcome (s, r)) -> Option.map (fun emit -> emit dir r) s.dat)

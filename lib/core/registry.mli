@@ -20,8 +20,9 @@ val full : knobs
 
 type t
 
-(** Every experiment, in the order [bench] prints them. *)
-val all : t list
+(** Every experiment, in the order [bench] prints them, built on first
+    use. *)
+val all : t list Lazy.t
 
 val name : t -> string
 

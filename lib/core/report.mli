@@ -5,7 +5,6 @@
 open Locks
 open Workloads
 
-val hr : Format.formatter -> unit
 val section : Format.formatter -> string -> string -> unit
 
 (** [table ppf ~title ~claim heads rows]: the section, then a line of column

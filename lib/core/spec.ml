@@ -158,7 +158,7 @@ let ( let* ) xs f = List.concat_map f xs
    must show a lower cross-cluster hand-off fraction whenever there is more
    than one cluster; at hold > 0 the locality should also buy back latency
    (the protected data stops migrating every hand-off). *)
-let numa_locks : (Lock.algo * Numa_stress.config, Numa_stress.result) t =
+let numa_locks () : (Lock.algo * Numa_stress.config, Numa_stress.result) t =
   let open Numa_stress in
   {
     section = "numa_locks";
@@ -210,7 +210,7 @@ let numa_locks : (Lock.algo * Numa_stress.config, Numa_stress.result) t =
    throughput scales with the shard count once the single lock saturates,
    and at read-heavy mixes the optimistic path serves lookups for a pair of
    loads instead of a lock round-trip. *)
-let hash_scaling : (Hash_scaling.config, Hash_scaling.result) t =
+let hash_scaling () : (Hash_scaling.config, Hash_scaling.result) t =
   let open Hkernel in
   let open Hash_scaling in
   let granularities =
@@ -289,7 +289,7 @@ let hash_scaling : (Hash_scaling.config, Hash_scaling.result) t =
 
 (* Flat MCS and the three NUMA composites under the same planted
    cross-cluster holder stall. *)
-let abort_storm : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
+let abort_storm () : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
   let open Abort_storm in
   {
     section = "abort_storm";
@@ -353,7 +353,7 @@ let abort_storm : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
 (* Representative flat queue locks (MCS, CLH, and the non-abortable Ticket,
    whose waiters recover in-spin) plus the NUMA composites, each under the
    same planted mid-critical-section kill schedule. *)
-let crash_storm : (Lock.algo * Crash_storm.config, Crash_storm.result) t =
+let crash_storm () : (Lock.algo * Crash_storm.config, Crash_storm.result) t =
   let open Crash_storm in
   {
     section = "crash_storm";
@@ -484,7 +484,7 @@ let rw_style (d : Rw_scaling.config) =
    cohort (plus its centralised-indicator baseline, the remote-traffic
    comparator), the seqlock optimistic path, and HURRICANE-shaped
    per-cluster replication. *)
-let rw_scaling : (Rw_scaling.config, Rw_scaling.result) t =
+let rw_scaling () : (Rw_scaling.config, Rw_scaling.result) t =
   let open Rw_scaling in
   let rw writer centralised =
     Rw_lock { writer; policy = Rwlock.Writer_blocking; centralised }
@@ -556,7 +556,7 @@ let rw_scaling : (Rw_scaling.config, Rw_scaling.result) t =
           ]);
   }
 
-let slo : (Slo_stream.config, Slo_stream.result) t =
+let slo () : (Slo_stream.config, Slo_stream.result) t =
   let open Slo_stream in
   {
     section = "slo";
@@ -626,7 +626,7 @@ let slo : (Slo_stream.config, Slo_stream.result) t =
 (* The cold-phase favourite (test&set), both flat MCS hybrids and all three
    NUMA composites. No row tops both phase columns: test&set collapses at
    the peak, the composites pay for their layers in the trickle. *)
-let diurnal : (Diurnal.config, Diurnal.result) t =
+let diurnal () : (Diurnal.config, Diurnal.result) t =
   let open Diurnal in
   {
     section = "diurnal";
@@ -687,7 +687,9 @@ let diurnal : (Diurnal.config, Diurnal.result) t =
 type any = Spec : ('c, 'r) t -> any
 
 let all =
-  [
-    Spec numa_locks; Spec hash_scaling; Spec abort_storm; Spec crash_storm;
-    Spec rw_scaling; Spec slo; Spec diurnal;
-  ]
+  lazy
+    [
+      Spec (numa_locks ()); Spec (hash_scaling ()); Spec (abort_storm ());
+      Spec (crash_storm ()); Spec (rw_scaling ()); Spec (slo ());
+      Spec (diurnal ());
+    ]

@@ -33,6 +33,12 @@ type t = {
          [no_tick] while they are free *)
   mutable polls : (int * Engine.wait) list;
       (* per gap, the chain this processor's poll waits elide *)
+  mutable pads : (int * Engine.wait) list;
+      (* per work gap, the chain this processor's local pads elide *)
+  mutable pad_resume : unit -> unit;
+      (* the fiber of the pad that holds its chain elided or placed *)
+  mutable pad_at : int; (* the element that chain resumed it at *)
+  pad_credited : int ref; (* that chain's elements accounted *)
 }
 
 and handler = t -> unit
@@ -57,6 +63,10 @@ let create machine ~proc rng =
     instr_cycles = 0;
     poll_tick = no_tick;
     polls = [];
+    pads = [];
+    pad_resume = ignore;
+    pad_at = 0;
+    pad_credited = ref 0;
   }
 
 let machine t = t.machine
@@ -228,22 +238,36 @@ let post_ipi target h =
    wait). A dead processor's wait just stops, leaving the fiber suspended
    for good — parked, as [halt_if_dead] would park it. *)
 
+(* The chain keyed [gap] in [chains], if one was made. *)
+let rec chain gap = function
+  | (g, w) :: rest -> if g = gap then Some w else chain gap rest
+  | [] -> None
+
 (* This processor's chain of [gap]-cycle polls, made on first use: its
    poll waits share one chain per gap, so a wait allocates no chain of its
    own. The chain runs whichever tick [poll_tick] holds. *)
 let poller t gap =
-  let rec find = function
-    | (g, w) :: rest -> if g = gap then w else find rest
-    | [] ->
-      let w =
-        Engine.wait ~owner:t.proc ~even_gap:gap ~odd_gap:gap
-          ~fire:(fun _ -> t.poll_tick ())
-          ~credit:ignore
-      in
-      t.polls <- (gap, w) :: t.polls;
-      w
-  in
-  find t.polls
+  match chain gap t.polls with
+  | Some w -> w
+  | None ->
+    let w =
+      Engine.wait ~owner:t.proc ~even_gap:gap ~odd_gap:gap
+        ~fire:(fun _ -> t.poll_tick ())
+        ~credit:ignore
+    in
+    t.polls <- (gap, w) :: t.polls;
+    w
+
+(* A read-then-compute chain's elements [!credited, j) have run: each odd
+   one issued a read, each even one charged [cycles] instruction cycles. *)
+let credit_chain t credited ~cycles j =
+  let a = !credited in
+  if j > a then begin
+    Machine.credit_reads t.machine ((j / 2) - (a / 2));
+    t.instr_cycles <-
+      t.instr_cycles + (cycles * (((j + 1) / 2) - ((a + 1) / 2)));
+    credited := j
+  end
 
 (* Free the shared chains if [tick]'s wait holds them. *)
 let release t tick = if t.poll_tick == tick then t.poll_tick <- no_tick
@@ -412,21 +436,12 @@ let spin_while ?deadline t cell keep =
     else if not (Machine.proc_alive m t.proc) then ()
     else if interrupt_pending t then !resume ()
     else issue ()
-  and credit j =
-    (* Elements [credited, j): each odd one issued a read, each even one
-       charged a branch. *)
-    let a = !credited in
-    if j > a then begin
-      Machine.credit_reads m ((j / 2) - (a / 2));
-      t.instr_cycles <- t.instr_cycles + (b * (((j + 1) / 2) - ((a + 1) / 2)));
-      credited := j
-    end
   and w =
     lazy
       (Engine.wait ~owner:t.proc ~even_gap:b
          ~odd_gap:cfg.Config.local_latency
          ~fire:(fun j -> if j land 1 = 0 then missed () else branch ())
-         ~credit)
+         ~credit:(credit_chain t credited ~cycles:b))
   in
   let rec loop () =
     poll t;
@@ -436,6 +451,92 @@ let spin_while ?deadline t cell keep =
     if !over then !v else loop ()
   in
   loop ()
+
+(* This processor's chain of local reads [work] cycles apart, made on
+   first use, as [poller] makes its poll chains. Its element 2m is a read's
+   completion, 2m+1 the end of the work after it; firing one resumes the
+   pad that holds the chain at that element. *)
+let padder t work =
+  match chain work t.pads with
+  | Some w -> w
+  | None ->
+    let w =
+      Engine.wait ~owner:t.proc ~even_gap:work
+        ~odd_gap:(config t).Config.local_latency
+        ~fire:(fun j ->
+          let resume = t.pad_resume in
+          t.pad_resume <- ignore;
+          t.pad_at <- j;
+          resume ())
+        ~credit:(credit_chain t t.pad_credited ~cycles:work)
+    in
+    t.pads <- (work, w) :: t.pads;
+    w
+
+(* Padding: [read t cell; work t w] while fewer than [iters] iterations
+   have run and [now t] is before [deadline]; returns the number run.
+
+   On this processor's own PMM, on an uncached machine with no fault plan,
+   a read reserves nothing and takes exactly [local_latency], and nothing
+   reads the value, so after the first read the iterations are a fixed
+   chain ({!Engine.elide}): element 0 is that read's completion, then
+   alternately [w] and [local_latency] cycles apart, and its last element
+   is the last iteration's work end ([until]). Only an IPI (taken at the
+   next read's poll) or the processor's death ({!Machine.wake}) can change
+   what an iteration does before then. Whichever element ends the chain
+   resumes the fiber there, and the fiber runs the loop's code from it: the
+   work after a read's completion, or the test and next read after a work
+   end. A fault plan installed meanwhile wakes the chain, and its next
+   read runs as an event. *)
+let local_pad t cell ~work:w ~iters ~deadline =
+  let m = t.machine and cfg = config t in
+  let pad =
+    if cfg.Config.cache_coherent || Cell.home cell <> t.proc || w <= 0
+       || w > Engine.max_gap || cfg.Config.local_latency > Engine.max_gap
+    then None
+    else Some (padder t w)
+  in
+  let period = w + cfg.Config.local_latency in
+  let rec loop k =
+    if k >= iters || now t >= deadline then k
+    else
+      match pad with
+      | None ->
+        ignore (read t cell);
+        work t w;
+        loop (k + 1)
+      | Some pad ->
+        poll t;
+        t.overlap_credit <- 0;
+        let at = Machine.read_start m ~proc:t.proc cell in
+        (* The chain's last element: the work end of iteration [k + last],
+           the first after which the loop stops. *)
+        let last =
+          let d = deadline - at - w in
+          min (iters - k - 1) (if d <= 0 then 0 else ((d - 1) / period) + 1)
+        in
+        let until = at + w + (last * period) in
+        let elided = ref false in
+        Process.suspend (fun resume ->
+            if
+              Option.is_none (Machine.fault_plan m)
+              && Machine.elide_wait ~until m ~proc:t.proc pad ~at
+            then begin
+              (* Set only now: a handler taken in the [poll] above may
+                 have padded with this chain. *)
+              t.pad_resume <- resume;
+              t.pad_credited := 0;
+              elided := true
+            end
+            else Engine.schedule (engine t) ~at resume);
+        let j = if !elided then t.pad_at else 0 in
+        if j land 1 = 0 then begin
+          work t w;
+          loop (k + (j / 2) + 1)
+        end
+        else loop (k + ((j + 1) / 2))
+  in
+  loop 0
 
 (* Fault-injection point: code that wants to be subject to injected
    lock-holder stalls (e.g. a workload's critical section) calls this at

@@ -105,14 +105,18 @@ val halt_if_dead : t -> unit
     dies. Every event, its time and its order match the equivalent loop of
     [poll]/{!read}, {!instr} and pauses written out in the fiber — except
     the iterations of an elided wait, which run no event at all but leave
-    every result as the loop would: a local spin ({!spin_while}) and the
-    polls of {!interruptible_pause}, {!await} and {!await_timeout}. A poll
-    changes nothing, so after the first one a poll wait schedules nothing
-    until an IPI to this processor, its death, the fill of the awaited
-    ivar or the wait's deadline; then the one poll the loop would run next
-    runs at exactly its place ({!Eventsim.Engine.elide}). A processor has
-    at most one elided wait, and a poll interval or granule wider than
-    {!Eventsim.Engine.max_gap} keeps every poll as an event. *)
+    every result as the loop would: a local spin ({!spin_while}), local
+    padding ({!local_pad}) and the polls of {!interruptible_pause},
+    {!await} and {!await_timeout}. A poll changes nothing, so after the
+    first one a poll wait schedules nothing until an IPI to this
+    processor, its death, the fill of the awaited ivar or the wait's
+    deadline; then the one poll the loop would run next runs at exactly
+    its place ({!Eventsim.Engine.elide}). A local pad's iterations after
+    its first read have fixed times, so they schedule nothing until an
+    IPI, the processor's death or the work end of the last iteration the
+    loop runs. A processor has at most one elided wait, and a poll
+    interval or granule wider than {!Eventsim.Engine.max_gap} keeps every
+    poll as an event. *)
 
 (** Pause while continuing to take interrupts every [granule] cycles: for
     backoffs and polling delays, where the processor is waiting rather than
@@ -155,6 +159,37 @@ val interruptible_pause : ?granule:int -> t -> int -> unit
     coherent, faulted and deadline spins run every iteration as
     events. *)
 val spin_while : ?deadline:int -> t -> Cell.t -> (int -> bool) -> int
+
+(** [local_pad t cell ~work:w ~iters ~deadline] pads with memory-bound
+    compute: it {!read}s [cell] and spends [w] cycles ({!work}), while
+    fewer than [iters] iterations have run and {!now} is before [deadline],
+    and returns the number of iterations run. Exactly the loop
+
+    {[
+      let rec loop k =
+        if k < iters && now t < deadline then begin
+          ignore (read t cell);
+          work t w;
+          loop (k + 1)
+        end
+        else k
+    ]}
+
+    — same reads, cycles, interrupts and results.
+
+    A pad on a cell homed on this processor's own PMM, on a machine without
+    cache coherence and with no fault plan installed, is elided: such a
+    read reserves no shared resource, always takes [local_latency] cycles
+    and its value is unused, so after the first read the iterations'
+    times are fixed, and only an IPI to this processor (taken at the next
+    read's {!poll}) or its death can change what one does. No event is
+    scheduled until one of those ({!Machine.wake}) or the work end of the
+    last iteration the loop runs; then the loop's code runs from exactly
+    there, and the skipped reads and work cycles are credited to
+    {!Machine.reads} and {!instr_cycles}. Only
+    {!Eventsim.Engine.events_executed} differs from the loop. Remote,
+    coherent and faulted pads run every iteration as events. *)
+val local_pad : t -> Cell.t -> work:int -> iters:int -> deadline:int -> int
 
 (** Busy-wait for an ivar, polling every [poll_interval] cycles and taking
     interrupts meanwhile — how a processor waits for an RPC reply in an

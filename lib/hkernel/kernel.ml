@@ -155,21 +155,33 @@ let install_verify t v = Machine.set_verify t.machine v
    structures spread over the cluster's memory. Under load the shared part
    queues behind lock traffic at the memory modules and interconnect — the
    coupling that lets remote spinning stretch kernel operations (Section
-   2.1). [cycles] is the uncontended duration. *)
+   2.1). [cycles] is the uncontended duration.
+
+   Iteration [i] touches a random shared word when [i land 7 = 0] (writing
+   it when [i land 15 = 0]) and otherwise reads the processor's own word.
+   So the seven iterations between two shared ones only read a cell on this
+   processor's PMM — its writes fall on shared iterations — and run as one
+   [Ctx.local_pad], which elides them exactly: an own-PMM read reserves
+   nothing and its value is unused, so only an IPI or this processor's
+   death can change when they end, and either wakes the chain. *)
 let kernel_work t ctx cycles =
   let cd = t.clusters.(cluster_of_proc t (Ctx.proc ctx)) in
   let scratch = cd.scratch in
   let n = Array.length scratch in
-  let proc = Ctx.proc ctx in
-  let local = t.local_scratch.(proc) in
-  let start = Machine.now t.machine in
+  let local = t.local_scratch.(Ctx.proc ctx) in
+  let deadline = Machine.now t.machine + cycles in
   let rng = Ctx.rng ctx in
   let rec step i =
-    if Machine.now t.machine - start < cycles then begin
-      let c = if i land 7 = 0 then scratch.(Rng.int rng n) else local in
-      if i land 15 = 0 then Ctx.write ctx c i else ignore (Ctx.read ctx c);
-      Ctx.work ctx 6;
-      step (i + 1)
+    if Machine.now t.machine < deadline then begin
+      if i land 7 = 0 then begin
+        let c = scratch.(Rng.int rng n) in
+        if i land 15 = 0 then Ctx.write ctx c i else ignore (Ctx.read ctx c);
+        Ctx.work ctx 6;
+        step (i + 1)
+      end
+      else
+        let iters = 8 - (i land 7) in
+        step (i + Ctx.local_pad ctx local ~work:6 ~iters ~deadline)
     end
   in
   step 1
@@ -177,15 +189,21 @@ let kernel_work t ctx cycles =
 (* Work bound to a structure homed on a particular PMM — mapping a page
    reads and writes its descriptor's words repeatedly, so those accesses
    land on the descriptor's module and queue behind whatever lock traffic
-   loads it. *)
+   loads it. Every fourth iteration writes; the reads between are one
+   [Ctx.local_pad], elided when [home] is this processor's PMM. *)
 let struct_work t ctx ~home cycles =
   let cell = t.pmm_scratch.(home) in
-  let start = Machine.now t.machine in
+  let deadline = Machine.now t.machine + cycles in
   let rec step i =
-    if Machine.now t.machine - start < cycles then begin
-      if i land 3 = 0 then Ctx.write ctx cell i else ignore (Ctx.read ctx cell);
-      Ctx.work ctx 6;
-      step (i + 1)
+    if Machine.now t.machine < deadline then begin
+      if i land 3 = 0 then begin
+        Ctx.write ctx cell i;
+        Ctx.work ctx 6;
+        step (i + 1)
+      end
+      else
+        let iters = 4 - (i land 3) in
+        step (i + Ctx.local_pad ctx cell ~work:6 ~iters ~deadline)
     end
   in
   step 1

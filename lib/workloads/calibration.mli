@@ -13,8 +13,4 @@ type result = {
   replicate_extra_us : float;  (** over a local soft fault *)
 }
 
-val measure_fault : ?lockless:bool -> ?iters:int -> Config.t -> float
-val measure_null_rpc : ?iters:int -> Config.t -> float
-val measure_replicate_fault : ?iters:int -> Config.t -> float
-
 val run : ?cfg:Config.t -> unit -> result

@@ -25,7 +25,4 @@ type result = {
   total_us : float;
 }
 
-val root_pid : int -> int
-val child_pid : int -> int -> int
-
 val run : ?cfg:Hector.Config.t -> ?config:config -> unit -> result

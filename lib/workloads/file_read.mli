@@ -4,8 +4,6 @@
 
 type sharing = Private_files | Shared_file
 
-val sharing_name : sharing -> string
-
 type config = {
   p : int;
   blocks_per_file : int;

@@ -5,9 +5,6 @@
 open Hector
 open Locks
 
-(** Cycles of measurement-loop bookkeeping per iteration. *)
-val loop_overhead : int
-
 type result = {
   algo : Lock.algo;
   pair_us : float;  (** measured lock+unlock+loop time *)

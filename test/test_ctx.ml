@@ -150,10 +150,11 @@ let test_with_soft_mask_restores_on_exception () =
 
 (* -- Waits run as engine events ------------------------------------------ *)
 
-(* The fiber loops that [Ctx.spin_while], [interruptible_pause], [await] and
-   [await_timeout] replace, written out with the public primitives: the
-   reference model the engine-driven waits must match — every event of the
-   loop, or for an elided spin every event but its iterations'. *)
+(* The fiber loops that [Ctx.spin_while], [local_pad],
+   [interruptible_pause], [await] and [await_timeout] replace, written out
+   with the public primitives: the reference model the engine-driven waits
+   must match — every event of the loop, or for an elided wait every event
+   but its iterations'. *)
 module Fiber_loops = struct
   let spin_while ?deadline c cell keep =
     let rec loop () =
@@ -165,6 +166,17 @@ module Fiber_loops = struct
       if keep v && live then loop () else v
     in
     loop ()
+
+  let local_pad c cell ~work ~iters ~deadline =
+    let rec loop k =
+      if k < iters && Ctx.now c < deadline then begin
+        ignore (Ctx.read c cell);
+        Ctx.work c work;
+        loop (k + 1)
+      end
+      else k
+    in
+    loop 0
 
   let interruptible_pause ~granule c cycles =
     let deadline = Ctx.now c + cycles in
@@ -207,6 +219,7 @@ end
 
 type waits = {
   spin : ?deadline:int -> Ctx.t -> Cell.t -> (int -> bool) -> int;
+  pad : Ctx.t -> Cell.t -> work:int -> iters:int -> deadline:int -> int;
   pause : granule:int -> Ctx.t -> int -> unit;
   await : poll_interval:int -> Ctx.t -> int Ivar.t -> int;
   await_timeout :
@@ -216,6 +229,7 @@ type waits = {
 let library =
   {
     spin = Ctx.spin_while;
+    pad = Ctx.local_pad;
     pause = (fun ~granule c n -> Ctx.interruptible_pause ~granule c n);
     await = (fun ~poll_interval c iv -> Ctx.await ~poll_interval c iv);
     await_timeout =
@@ -226,6 +240,7 @@ let library =
 let reference =
   {
     spin = Fiber_loops.spin_while;
+    pad = Fiber_loops.local_pad;
     pause = Fiber_loops.interruptible_pause;
     await = Fiber_loops.await;
     await_timeout = Fiber_loops.await_timeout;
@@ -242,28 +257,32 @@ type tick =
 
 (* A random scenario on 4-8 processors (2 stations), HECTOR or (a quarter
    of the time) NUMAchine, with a fault plan a quarter of the time, so more
-   than half the scenarios can elide local spins. Every processor but the
-   last runs a list of waits — spins on its own and on shared cells (some
-   deadline-bounded, some soft-masked), awaits with and without timeout,
-   interruptible pauses — while the last processor flips cell values, ivars
-   fill, IPIs land mid-wait (some writing cells from the handler),
-   processors die and restart, and hot-spots slow PMMs. Waiters also post
-   IPIs to each other between waits, so wakes go on after the scheduled
-   ones run out, and end with a pause into a quiet tail past them.
+   than half the scenarios can elide local spins and pads. Every processor
+   but the last runs a list of waits — spins on its own and on shared cells
+   (some deadline-bounded, some soft-masked), pads (mostly on its own cell,
+   bounded by a count, a deadline or both, some soft-masked), awaits with
+   and without timeout, interruptible pauses — while the last processor
+   flips cell values, ivars fill, IPIs land mid-wait (some writing cells
+   from the handler, some padding on the target's own cell, so a pad can
+   run inside another's poll), processors die and restart, and hot-spots
+   slow PMMs. Waiters also post IPIs to each other between waits, so wakes
+   go on after the scheduled ones run out, and end with a pause into a
+   quiet tail past them.
 
    Metronomes force ties: engine-event chains that step with the spin's own
    gaps (alternately [local_latency] and [branch_cost], so same-time events
-   tie at every depth), with one of them only (a tie at depth 1), with
-   both and a third (ties that end at depth 1, 2 or 3), at random, or with
-   the poll interval or granule of a waiter's first wait. Most of the first
-   kind and all of the last start at time 0, in step with every waiter's
-   first spin or that waiter's first poll. Half the poll waits share one
-   interval, so their chains also tie with each other. Every tick is
-   logged with its time, as are IPI handlers, timed-write completions,
-   kills and waiter returns, and some ticks poke cells (one, or every
-   waiter's own, which wakes spins in lock-step at once), post IPIs, kill
-   waiters or start timed writes: a wake placed in the wrong order among
-   same-time events reorders the log.
+   tie at every depth), with a pad's ([local_latency] and 6 cycles of
+   work), with one of them only (a tie at depth 1), with both and a third
+   (ties that end at depth 1, 2 or 3), at random, or with the poll interval
+   or granule of a waiter's first wait. Most of the first two kinds and all
+   of the last start at time 0, in step with every waiter's first spin or
+   pad or that waiter's first poll. Half the poll waits share one interval,
+   so their chains also tie with each other. Every tick is logged with its
+   time, as are IPI handlers, timed-write completions, kills and waiter
+   returns, and some ticks poke cells (one, or every waiter's own, which
+   wakes spins in lock-step at once), post IPIs, kill waiters or start
+   timed writes: a wake placed in the wrong order among same-time events
+   reorders the log.
 
    The whole run is replayed from [seed], so both wait implementations see
    the same scenario. Returns the events executed, and everything the two
@@ -315,8 +334,8 @@ let run_scenario ?(polls_only = false) waits seed =
         List.init (2 + int 5) (fun k ->
             match
               if polls_only then 2 + int 3
-              else if k = 0 && bool () then 0
-              else int 5
+              else if k = 0 && bool () then if bool () then 0 else 5
+              else int 6
             with
             | 0 | 1 ->
               (* Half the spins go to this processor's own cell. *)
@@ -327,12 +346,28 @@ let run_scenario ?(polls_only = false) waits seed =
               `Spin (cell, int 3, deadline, bool ())
             | 2 -> `Await (int 4, gap 40)
             | 3 -> `Await_timeout (int 4, gap 40, int 2000)
-            | _ -> `Pause (int 1500, gap 64)))
+            | 4 -> `Pause (int 1500, gap 64)
+            | _ ->
+              (* Most pads go to this processor's own cell, with 6 cycles
+                 of work, as the kernel's do. *)
+              let cell = if int 4 > 0 then cells.(3 + p) else cells.(int 3) in
+              let work = if bool () then 6 else 1 + int 12 in
+              let iters, deadline =
+                match int 3 with
+                | 0 -> (1 + int 300, None)
+                | 1 -> (max_int, Some (int 3000))
+                | _ -> (1 + int 300, Some (int 3000))
+              in
+              `Pad (cell, work, iters, deadline, int 4 = 0)))
   in
   let ipi id target work write =
     Ctx.post_ipi ctxs.(target) (fun tc ->
         note "ipi" id;
-        Ctx.work tc work;
+        if work mod 5 = 0 then
+          note "pad"
+            (waits.pad tc cells.(3 + target) ~work:6 ~iters:work
+               ~deadline:max_int)
+        else Ctx.work tc work;
         Option.iter (fun (cell, v) -> Ctx.write tc cells.(cell) v) write)
   in
   let run_waits tag p () =
@@ -349,6 +384,12 @@ let run_scenario ?(polls_only = false) waits seed =
             if masked then
               Ctx.with_soft_mask c (fun () -> waits.spin ?deadline c cell keep)
             else waits.spin ?deadline c cell keep
+          | `Pad (cell, work, iters, deadline, masked) ->
+            let deadline =
+              match deadline with Some d -> Ctx.now c + d | None -> max_int
+            in
+            let pad () = waits.pad c cell ~work ~iters ~deadline in
+            if masked then Ctx.with_soft_mask c pad else pad ()
           | `Await (i, poll_interval) -> waits.await ~poll_interval c ivars.(i)
           | `Await_timeout (i, poll_interval, timeout) -> (
             match waits.await_timeout ~poll_interval c ~timeout ivars.(i) with
@@ -423,9 +464,11 @@ let run_scenario ?(polls_only = false) waits seed =
   in
   for metronome = 1 to 3 + int 6 do
     let gaps, start =
-      match int 12 with
+      match int 15 with
       | 0 | 1 | 2 | 3 -> ([| l; b |], 0)
       | 4 | 5 -> ([| l; b |], int horizon)
+      | 12 | 13 -> ([| l; 6 |], 0)
+      | 14 -> ([| l; 6 |], int horizon)
       | 6 -> ([| l |], int horizon)
       | 7 -> ([| b |], int horizon)
       | 8 -> ([| l; b; 1 + int 12 |], int (l + b))
@@ -552,6 +595,62 @@ let test_local_spin_elided () =
   Alcotest.(check (pair int int)) "as the loop counts them" ref_counts counts;
   Alcotest.(check int) "the loop's events" 20_002 ref_events;
   if events > 4 then Alcotest.failf "elided spin ran %d events" events
+
+(* One 1 000-iteration pad (6 cycles of work a read), run by [waits], with
+   an IPI at [ipi_at] if given: what it returned and when, the events
+   executed, the read and instruction counts, and when the IPI was served. *)
+let pad_run ?(cfg = Config.hector) ?plan ?ipi_at waits ~home =
+  let eng, machine, ctx = make ~cfg () in
+  Option.iter (fun p -> Machine.set_fault_plan machine (Some p)) plan;
+  let c = ctx 0 in
+  let cell = Machine.alloc machine ~home 0 in
+  let served = ref (-1) in
+  Option.iter
+    (fun at ->
+      Engine.schedule eng ~at (fun () ->
+          Ctx.post_ipi c (fun c ->
+              served := Ctx.now c;
+              Ctx.work c 40)))
+    ipi_at;
+  let got = ref (-1, -1) in
+  simulate eng (fun () ->
+      let k = waits.pad c cell ~work:6 ~iters:1_000 ~deadline:max_int in
+      got := (k, Ctx.now c));
+  ( (!got, !served),
+    Engine.events_executed eng,
+    (Machine.reads machine, Ctx.instr_cycles c) )
+
+(* An own-PMM pad on HECTOR reads every 16 cycles (10 for the read, 6 of
+   work): 1 000 iterations end at 16 000. Elided, they run a handful of
+   events, an IPI mid-stretch adds a few more, and every count matches the
+   loop's. Remote, coherent and faulted pads run the loop's events. *)
+let test_local_pad () =
+  let plan = Fault.create (Fault.validate Fault.disabled) in
+  List.iter
+    (fun (what, cfg, plan, home, ipi_at, max_events) ->
+      let got, events, counts =
+        pad_run ~cfg ?plan ?ipi_at library ~home
+      in
+      let ref_got, ref_events, ref_counts =
+        pad_run ~cfg ?plan ?ipi_at reference ~home
+      in
+      Alcotest.(check (pair (pair int int) int))
+        (what ^ ": returns as the loop") ref_got got;
+      Alcotest.(check (pair int int)) (what ^ ": counts as the loop")
+        ref_counts counts;
+      Alcotest.(check int) (what ^ ": 1 000 reads") 1_000 (fst counts);
+      match max_events with
+      | Some n ->
+        if events > n then
+          Alcotest.failf "%s: %d events, the loop %d" what events ref_events
+      | None -> Alcotest.(check int) (what ^ ": same events") ref_events events)
+    [
+      ("own PMM", Config.hector, None, 0, None, Some 3);
+      ("IPI mid-pad", Config.hector, None, 0, Some 8_003, Some 9);
+      ("remote", Config.hector, None, 1, None, None);
+      ("coherent", Config.numachine, None, 0, None, None);
+      ("fault plan", Config.hector, Some plan, 0, None, None);
+    ]
 
 (* -- Elided poll waits ------------------------------------------------------
 
@@ -854,6 +953,8 @@ let suite =
       test_spin_while_allocates_o1;
     Alcotest.test_case "own-PMM spin elided with exact counts" `Quick
       test_local_spin_elided;
+    Alcotest.test_case "local_pad elided on its own PMM only" `Quick
+      test_local_pad;
     Alcotest.test_case "await elided, returns as the loop" `Quick
       test_await_elided;
     Alcotest.test_case "interruptible_pause ends at its deadline" `Quick

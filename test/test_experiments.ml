@@ -242,7 +242,7 @@ let test_granularity_ablation () =
    machine is busy (p >= 8) for every shard count, and the seqlock
    optimistic read path undercuts locked lookups at a 90% read ratio. *)
 let test_hash_scaling_claims () =
-  let s = Hurricane.Spec.hash_scaling in
+  let s = Hurricane.Spec.hash_scaling () in
   let rows =
     List.filter_map
       (fun (c : Hash_scaling.config) ->
@@ -305,7 +305,7 @@ let test_hash_scaling_claims () =
    different winners, and every row runs clean through all three
    plateaus. *)
 let test_diurnal_race () =
-  let s = Hurricane.Spec.diurnal in
+  let s = Hurricane.Spec.diurnal () in
   let rows = List.map s.run s.grid in
   List.iter
     (fun (r : Diurnal.result) ->

@@ -53,6 +53,78 @@ let test_struct_work_hits_the_right_module () =
   Alcotest.(check bool) "module 9 served the accesses" true
     (Resource.n_requests (Machine.mem_resource machine 9) > 5)
 
+(* The padding loops as written before their own-PMM reads were elided:
+   [kernel_work] reads [local] except on every eighth iteration, which
+   touches a random cluster-shared word (writing it on every sixteenth);
+   [struct_work] writes [cell] on every fourth iteration and reads it
+   otherwise. *)
+let plain_kernel_work kernel ctx ~local cycles =
+  let scratch = (Kernel.local_cluster kernel ctx).Kernel.scratch in
+  let deadline = Ctx.now ctx + cycles in
+  let rec step i =
+    if Ctx.now ctx < deadline then begin
+      let c =
+        if i land 7 = 0 then
+          scratch.(Rng.int (Ctx.rng ctx) (Array.length scratch))
+        else local
+      in
+      if i land 15 = 0 then Ctx.write ctx c i else ignore (Ctx.read ctx c);
+      Ctx.work ctx 6;
+      step (i + 1)
+    end
+  in
+  step 1
+
+let plain_struct_work ctx ~cell cycles =
+  let deadline = Ctx.now ctx + cycles in
+  let rec step i =
+    if Ctx.now ctx < deadline then begin
+      if i land 3 = 0 then Ctx.write ctx cell i
+      else ignore (Ctx.read ctx cell);
+      Ctx.work ctx 6;
+      step (i + 1)
+    end
+  in
+  step 1
+
+(* [work kernel ctx ~local] from processor 0 of an idle HECTOR, [local]
+   being a fresh word on its PMM: when it ends, the reads and instruction
+   cycles it ran, and the events executed. *)
+let pad_run work =
+  let eng, machine, kernel = make () in
+  let ctx = Kernel.ctx kernel 0 in
+  let local = Machine.alloc machine ~home:0 0 in
+  Process.spawn eng (fun () -> work kernel ctx ~local);
+  Engine.run eng;
+  ((Engine.now eng, Machine.reads machine, Ctx.instr_cycles ctx),
+   Engine.events_executed eng)
+
+(* The own-PMM reads between the shared or written iterations run as
+   elided chains: same end, reads and instruction cycles as the loops, under
+   a pinned event bound. As loops, [kernel_work 500] runs 63 events and
+   [struct_work] on its own PMM for 400 cycles 51; elided they run 11 (a
+   sixth) and 20. A write and its work keep their two events every fourth
+   iteration, so [struct_work] cannot reach a third. *)
+let test_padding_elided () =
+  List.iter
+    (fun (what, lib, plain, max_events) ->
+      let got, events = pad_run lib and expected, ref_events = pad_run plain in
+      Alcotest.(check (triple int int int))
+        (what ^ ": end, reads and instruction cycles as the loop") expected
+        got;
+      if events > max_events then
+        Alcotest.failf "%s: %d events, the loop %d" what events ref_events)
+    [
+      ( "kernel_work",
+        (fun k c ~local:_ -> Kernel.kernel_work k c 500),
+        (fun k c ~local -> plain_kernel_work k c ~local 500),
+        11 );
+      ( "struct_work",
+        (fun k c ~local:_ -> Kernel.struct_work k c ~home:0 400),
+        (fun _ c ~local -> plain_struct_work c ~cell:local 400),
+        20 );
+    ]
+
 let test_lockless_kernel_uses_null_locks () =
   let _, _, kernel = make ~lockless:true () in
   Alcotest.(check bool) "lockless flag" true (Kernel.lockless kernel);
@@ -124,6 +196,8 @@ let suite =
       test_kernel_work_duration;
     Alcotest.test_case "struct_work hits its module" `Quick
       test_struct_work_hits_the_right_module;
+    Alcotest.test_case "own-PMM padding elided exactly" `Quick
+      test_padding_elided;
     Alcotest.test_case "lockless kernel" `Quick test_lockless_kernel_uses_null_locks;
     Alcotest.test_case "populate and find" `Quick test_populate_and_find;
     Alcotest.test_case "idle processors serve and terminate" `Quick

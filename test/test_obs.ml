@@ -417,7 +417,7 @@ let test_bench_json_schema () =
      clean after the drain). *)
   (match Json.get exps "abort_storm" with
   | Json.List rows ->
-    let s = Spec.abort_storm in
+    let s = Spec.abort_storm () in
     let direct = List.map (fun c -> (fst c, s.run c)) s.grid in
     Alcotest.(check int) "abort rows" (List.length direct) (List.length rows);
     List.iter2
@@ -440,7 +440,7 @@ let test_bench_json_schema () =
      forced release with zero violations, lock free after the drain). *)
   (match Json.get exps "crash_storm" with
   | Json.List rows ->
-    let s = Spec.crash_storm in
+    let s = Spec.crash_storm () in
     let direct = List.map (fun c -> (fst c, s.run c)) s.grid in
     Alcotest.(check int) "crash rows" (List.length direct) (List.length rows);
     List.iter2
@@ -488,7 +488,7 @@ let test_bench_json_rejects_unknown () =
           (fun n ->
             Alcotest.(check bool) (n ^ " listed") true
               (Astring.String.is_infix ~affix:n msg))
-          Bench_json.default_names)
+          (Bench_json.default_names ()))
     (* A name no entry has, and an entry with no JSON encoder. *)
     [ "fig9000"; "retries" ]
 

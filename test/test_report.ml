@@ -95,7 +95,7 @@ let read_lines path =
 
 (* -- the experiment registry --------------------------------------------- *)
 
-let registry_names = List.map Registry.name Registry.all
+let registry_names = List.map Registry.name (Lazy.force Registry.all)
 
 let test_registry_names_unique () =
   Alcotest.(check int) "34 experiments" 34 (List.length registry_names);
@@ -122,13 +122,14 @@ let test_default_names_are_exported_entries () =
   let exported =
     List.filter_map
       (fun e -> if Registry.exported e then Some (Registry.name e) else None)
-      Registry.all
+      (Lazy.force Registry.all)
   in
   Alcotest.(check (list string)) "exported entries in registry order" exported
-    Bench_json.default_names;
+    (Bench_json.default_names ());
   Alcotest.(check (list string)) "the committed BENCH_results.json keys"
-    (committed_keys ()) Bench_json.default_names;
-  Alcotest.(check int) "17 exported" 17 (List.length Bench_json.default_names)
+    (committed_keys ()) (Bench_json.default_names ());
+  Alcotest.(check int) "17 exported" 17
+    (List.length (Bench_json.default_names ()))
 
 (* [hurricane_sim]'s workload subcommands run their workload once at its
    spec's default (the lock-argument ones on H2-MCS, the CLI's default lock)
@@ -148,13 +149,13 @@ let test_defaults_are_export_rows () =
       Alcotest.(check bool) (s.section ^ " default is a grid config") true
         (List.mem s.default s.grid);
       check_exported s.section (Spec.row s (s.default, s.run s.default)))
-    Spec.all
+    (Lazy.force Spec.all)
 
 (* [hash -g hybrid -p 8]: the hybrid table has no seqlock read path, so the
    run reports [optimistic = false] whatever the config asks, and its row is
    the export's hybrid p=8 row at read ratio 0.9. *)
 let test_hybrid_hash_row_is_exported () =
-  let s = Spec.hash_scaling in
+  let s = Spec.hash_scaling () in
   let c =
     { s.default with granularity = Hkernel.Khash.Hybrid; p = 8; read_ratio = 0.9 }
   in
