@@ -527,8 +527,8 @@ let place t w j =
         if u.state = placed && u.m_time = time && u.m_seq > floor
            && u.m_seq < ceiling
         then begin
-          if before t (w_elem u u.m_j) me then lo := max !lo u.m_seq
-          else hi := min !hi u.m_seq
+          if before t (w_elem u u.m_j) me then lo := Int.max !lo u.m_seq
+          else hi := Int.min !hi u.m_seq
         end
       done;
       if !hi - !lo < 2 then failwith "Engine: no free seq for an elided wait";
@@ -659,7 +659,7 @@ let park_after t limit =
     let w = t.active.(a) in
     if w.state = elided then begin
       let j = first_from w (limit + 1) in
-      if j > 0 then t.now <- max t.now (w_time w (j - 1));
+      if j > 0 then t.now <- Int.max t.now (w_time w (j - 1));
       place t w j
     end
   done

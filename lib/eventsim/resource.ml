@@ -30,7 +30,7 @@ let name t = t.name
 
 let reserve t ~now ~service =
   if service < 0 then invalid_arg "Resource.reserve: negative service";
-  let start = max now t.next_free in
+  let start = Int.max now t.next_free in
   let finish = start + service in
   t.next_free <- finish;
   t.busy_cycles <- t.busy_cycles + service;

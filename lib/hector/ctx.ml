@@ -114,7 +114,7 @@ let work t cycles =
 (* Charge [cost] instruction cycles, minus those hidden by the overlap
    window; returns the cycles left to spend. *)
 let charge t cost =
-  let hidden = min t.overlap_credit cost in
+  let hidden = Int.min t.overlap_credit cost in
   t.overlap_credit <- t.overlap_credit - hidden;
   let cost = cost - hidden in
   t.instr_cycles <- t.instr_cycles + cost;
@@ -513,7 +513,7 @@ let local_pad t cell ~work:w ~iters ~deadline =
            the first after which the loop stops. *)
         let last =
           let d = deadline - at - w in
-          min (iters - k - 1) (if d <= 0 then 0 else ((d - 1) / period) + 1)
+          Int.min (iters - k - 1) (if d <= 0 then 0 else ((d - 1) / period) + 1)
         in
         let until = at + w + (last * period) in
         let elided = ref false in

@@ -313,7 +313,7 @@ let access_finish_time t ~proc ~home ~accesses ~atomic =
   in
   path := Resource.reserve t.mem.(home) ~now:!path ~service;
   let base = base_latency t ~proc ~home * accesses * hot in
-  max !path (start + base)
+  Int.max !path (start + base)
   end
 
 (* Perform one timed access and suspend until it completes. The value

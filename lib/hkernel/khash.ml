@@ -27,12 +27,17 @@
    word holding key and status), so long chains and remote bins cost what
    they should.
 
-   Untimed (set-up) inserts outside [Fine] are only recorded: key, seeded
-   status, home and payload go into table-owned columns, threaded per bin
-   newest first, and the first operation that walks the bin builds them
-   into ordinary elements in front of its chain. A table pre-populated
-   with 10^6 keys but visited on a few thousand bins builds only those
-   bins. *)
+   Untimed (set-up) inserts outside [Fine] are only recorded, and the
+   first operation that walks a bin builds its recorded inserts into
+   ordinary elements in front of its chain. A table pre-populated with
+   10^6 keys but visited on a few thousand bins builds only those bins.
+   When a table's first untimed inserts are dense — consecutive keys from
+   a non-negative one, one seeded status, one payload (physically), cell
+   ids and homes in sequence, no bin walked, a power-of-two bin count —
+   they are one run record, and a bin finds its members by arithmetic:
+   the keys congruent to [b * knuth^-1] modulo [nbins]. Any other insert
+   closes the run and is recorded in table-owned columns, threaded per
+   bin newest first. *)
 
 open Hector
 open Locks
@@ -57,28 +62,43 @@ type 'a elem = {
          sweep can tell an orphaned reservation from a live one. *)
 }
 
+(* The dense run of a table's first untimed inserts: member [m] has key
+   [key0 + m], status word [status0], cell id [id0 + m], home
+   [elem_homes.((h0 + m) mod length elem_homes)] and [payload]. *)
+type 'a run = {
+  key0 : int;
+  status0 : int;
+  id0 : int;
+  h0 : int;
+  payload : 'a;
+  mutable n : int;
+}
+
 (* A block of recorded untimed inserts. Entry [o] is [ints.(4o)] (key),
    [ints.(4o+1)] (seeded status word), [ints.(4o+2)] (the status cell's
    id, reserved at insert so ids are numbered as if built there) and
-   [ints.(4o+3)], which packs the next older pending entry of the same bin
-   ([-1] for none) with the index of the element's home in [elem_homes];
-   its payload is [payloads.(o)]. A built entry's payload slot is reset to
-   [fill] (the block's first payload), so a block keeps at most one built
-   payload alive. *)
+   [ints.(4o+3)], which packs what is pending in the bin before it (the
+   next older entry or a [pfirst] marker below, plus 2) with the index of
+   the element's home in [elem_homes]; its payload is [payloads.(o)]. A
+   built entry's payload slot is reset to [fill] (the block's first
+   payload), so a block keeps at most one built payload alive. *)
 type 'a chunk = { ints : int array; payloads : 'a array; fill : 'a }
 
 type 'a t = {
   machine : Machine.t;
   granularity : granularity;
   nbins : int;
+  mask : int; (* [nbins - 1] when [nbins] is a power of two, else -1 *)
   nshards : int; (* 1 unless [Sharded] *)
   bins : 'a elem list array; (* built elements, newest first *)
-  mutable pfirst : int array;
-      (* per bin, the newest pending entry, -1 for none; [||] until the
-         first untimed insert *)
+  pfirst : int array;
+      (* per bin, the newest pending entry; [run_pending] when only the
+         run's members (if any) are pending, [no_pending] once walked *)
+  mutable run : 'a run option; (* the first untimed inserts' dense run *)
+  mutable walked : bool; (* some bin has been walked: no run may grow *)
   mutable chunks : 'a chunk array;
       (* pending entry [i] is in [chunks.(i / chunk_size)] *)
-  mutable recorded : int; (* untimed inserts ever recorded *)
+  mutable recorded : int; (* untimed inserts recorded outside the run *)
   bin_heads : Cell.t array; (* chain-head words, co-located with the lock *)
   lock : Lock.t; (* coarse table lock (Hybrid / Coarse) *)
   shard_locks : Lock.t array; (* Sharded: one coarse lock per shard *)
@@ -101,11 +121,31 @@ type 'a t = {
 let fine_backoff machine =
   Backoff.of_us (Machine.config machine) ~max_us:35.0 ()
 
+let knuth = 2654435761
+
+(* [knuth]'s inverse modulo 2^63 (Newton's iteration; each step doubles
+   the correct low bits, from 3), so [key * knuth land mask = b] exactly
+   when [key land mask = b * knuth_inv land mask]. *)
+let knuth_inv =
+  let x = ref knuth in
+  for _ = 1 to 5 do
+    x := !x * (2 - (knuth * !x))
+  done;
+  !x
+
 (* Multiplicative hash, reduced with the shared Euclidean modulus: [abs
    (key * knuth) mod nbins] overflows to [min_int] for adversarial keys,
    where [abs] is a no-op and the "bin" goes negative — the same pathology
-   {!Clustering.positive_mod} was introduced for. *)
-let bin_of_key t key = Clustering.positive_mod (key * 2654435761) t.nbins
+   {!Clustering.positive_mod} was introduced for. For a power-of-two
+   [nbins] that modulus is the low bits, in two's complement for every
+   int. *)
+let bin_of_key t key =
+  if t.mask >= 0 then (key * knuth) land t.mask
+  else Clustering.positive_mod (key * knuth) t.nbins
+
+(* [pfirst] values that are no pending entry. *)
+let no_pending = -1
+let run_pending = -2
 
 let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
     ?(vname = "khash") ~lock_algo ~homes machine =
@@ -136,9 +176,12 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
     machine;
     granularity;
     nbins;
+    mask = (if nbins land (nbins - 1) = 0 then nbins - 1 else -1);
     nshards;
     bins = Array.make nbins [];
-    pfirst = [||];
+    pfirst = Array.make nbins run_pending;
+    run = None;
+    walked = false;
     chunks = [||];
     recorded = 0;
     bin_heads =
@@ -259,10 +302,7 @@ let pending_chunk t i = t.chunks.(i / chunk_size)
    needed; [payload] is that entry's payload. *)
 let pending_slot t payload =
   let i = t.recorded in
-  if i = 0 then begin
-    t.pfirst <- Array.make t.nbins (-1);
-    t.chunks <- [| new_chunk 8 payload |]
-  end
+  if i = 0 then t.chunks <- [| new_chunk 8 payload |]
   else if i mod chunk_size = 0 then
     t.chunks <- Array.append t.chunks [| new_chunk chunk_size payload |]
   else if i = Array.length t.chunks.(0).payloads then begin
@@ -274,9 +314,33 @@ let pending_slot t payload =
   end;
   pending_chunk t i
 
-(* Record an untimed insert homed on [elem_homes.(hidx)] as bin [b]'s newest
-   pending entry, reserving its status cell's id. *)
-let record t key ~status0 ~hidx payload =
+(* Take an untimed insert into the table's run if it extends it: the run
+   starts at the table's first untimed insert (power-of-two [nbins]) and
+   grows while no bin has been walked and each insert brings the next key,
+   cell id and home index, the run's status and the very same payload.
+   Every key is >= 0, so none wraps. Once any of these fails the run is
+   closed for good: that insert and all later ones are recorded. *)
+let extend_run t key ~status0 ~hidx ~id payload =
+  if t.walked || t.recorded > 0 || key < 0 then false
+  else
+    match t.run with
+    | None when t.mask >= 0 ->
+      t.run <-
+        Some { key0 = key; status0; id0 = id; h0 = hidx; payload; n = 1 };
+      true
+    | None -> false
+    | Some r ->
+      let next =
+        key = r.key0 + r.n && id = r.id0 + r.n && status0 = r.status0
+        && payload == r.payload
+        && hidx = (r.h0 + r.n) mod Array.length t.elem_homes
+      in
+      if next then r.n <- r.n + 1;
+      next
+
+(* Record an untimed insert homed on [elem_homes.(hidx)], its status cell
+   to take [id], as its bin's newest pending entry. *)
+let record t key ~status0 ~hidx ~id payload =
   let i = t.recorded in
   let c = pending_slot t payload in
   let o = i mod chunk_size in
@@ -284,17 +348,27 @@ let record t key ~status0 ~hidx payload =
   let b = bin_of_key t key in
   c.ints.(at) <- key;
   c.ints.(at + 1) <- status0;
-  c.ints.(at + 2) <- Cell.reserve_id ();
-  c.ints.(at + 3) <- ((t.pfirst.(b) + 1) * Array.length t.elem_homes) + hidx;
+  c.ints.(at + 2) <- id;
+  c.ints.(at + 3) <- ((t.pfirst.(b) + 2) * Array.length t.elem_homes) + hidx;
   c.payloads.(o) <- payload;
   t.pfirst.(b) <- i;
   t.recorded <- i + 1
 
-(* Build pending entry [i] and the older ones of its bin, newest first, in
-   front of [built]. Top level and tail-mod-cons, so a bin's build costs
-   what eager building did: the element, its status cell and one cons. *)
-let[@tail_mod_cons] rec build_pending t i built =
-  if i < 0 then built
+(* Build bin [b]'s pending entry [i] and the older ones of its bin, newest
+   first, in front of [built]: the recorded entries, then, at
+   [run_pending], the run's members with keys [k], [k - nbins], ... down to
+   its first key. Top level and tail-mod-cons, so a bin's build costs what
+   eager building did: the element, its status cell and one cons. *)
+let[@tail_mod_cons] rec build_pending t b i built =
+  if i = no_pending then built
+  else if i = run_pending then
+    match t.run with
+    | None -> built
+    | Some r ->
+      (* The bin's newest member: the largest key up to the run's last
+         that is congruent to [b * knuth_inv] modulo [nbins]. *)
+      let last = r.key0 + r.n - 1 in
+      build_run t r (last - ((last - (b * knuth_inv)) land t.mask)) built
   else begin
     let nh = Array.length t.elem_homes in
     let c = pending_chunk t i in
@@ -307,20 +381,34 @@ let[@tail_mod_cons] rec build_pending t i built =
         ~payload:c.payloads.(o) ~reserver:(-1)
     in
     c.payloads.(o) <- c.fill;
-    e :: build_pending t ((packed / nh) - 1) built
+    e :: build_pending t b ((packed / nh) - 2) built
+  end
+
+and[@tail_mod_cons] build_run t r k built =
+  if k < r.key0 then built
+  else begin
+    let m = k - r.key0 in
+    let e =
+      build_elem t k ~status0:r.status0 ~id:(r.id0 + m)
+        ~home:t.elem_homes.((r.h0 + m) mod Array.length t.elem_homes)
+        ~payload:r.payload ~reserver:(-1)
+    in
+    e :: build_run t r (k - t.nbins) built
   end
 
 (* Build bin [b]'s pending entries and put them in front of its chain,
    newest first: every pending entry was recorded after every element
-   already linked there, since linking builds the bin first. *)
+   already linked there, since linking builds the bin first. A walk
+   closes the run: its members in [b] are built now. *)
 let build_bin t b =
   let first = t.pfirst.(b) in
-  t.pfirst.(b) <- -1;
-  t.bins.(b) <- build_pending t first t.bins.(b)
+  t.pfirst.(b) <- no_pending;
+  t.walked <- true;
+  t.bins.(b) <- build_pending t b first t.bins.(b)
 
 (* Bin [b]'s chain, built first if it holds pending entries. *)
 let chain t b =
-  if t.recorded > 0 && t.pfirst.(b) >= 0 then build_bin t b;
+  if t.pfirst.(b) <> no_pending then build_bin t b;
   t.bins.(b)
 
 (* -- operations that require the protecting lock to be held ------------- *)
@@ -641,7 +729,10 @@ let insert_untimed t key ~status0 ~make =
   | Fine -> link t (make_elem t key ~status0 ~make ~reserver:(-1))
   | Hybrid | Coarse | Sharded ->
     let hidx = next_home_index t in
-    record t key ~status0 ~hidx (make t.elem_homes.(hidx));
+    let payload = make t.elem_homes.(hidx) in
+    let id = Cell.reserve_id () in
+    if not (extend_run t key ~status0 ~hidx ~id payload) then
+      record t key ~status0 ~hidx ~id payload;
     t.n_elems <- t.n_elems + 1
 
 (* Untimed whole-table iteration, for tests and invariant checks. *)

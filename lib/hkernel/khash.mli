@@ -118,7 +118,9 @@ val seqlock : 'a t -> int -> Seqlock.t
 (** The bin for a key: multiplicative hash reduced with
     {!Clustering.positive_mod}, so it is total and in [0, nbins) for every
     key including [min_int] (where the previous [abs _ mod _] reduction
-    went negative). Exposed for property tests. *)
+    went negative). For a power-of-two [nbins] the reduction is the hash's
+    low bits ([land (nbins - 1)]), which equals that modulus for every
+    int. Exposed for property tests. *)
 val bin_of_key : 'a t -> int -> int
 
 (** Run [f] with the coarse lock held and the soft interrupt mask set.
@@ -186,7 +188,14 @@ val with_element : 'a t -> Ctx.t -> int -> ('a elem -> 'b) -> 'b option
     built here. Its status cell takes the id reserved at insert; the
     order in which cells are built is diagnostic only. A table
     pre-populated with many keys but visited on few bins builds only
-    those bins. *)
+    those bins.
+
+    A table's first untimed inserts cost no per-key memory while they form
+    a dense run: power-of-two [nbins], keys [k0 >= 0], [k0 + 1], ..., one
+    [status0], one payload (physically equal), cell ids and homes in
+    sequence (no cell allocated between two inserts), and no bin walked
+    since the first. The first insert that breaks it is recorded, and so
+    is every later one. *)
 val insert_untimed : 'a t -> int -> status0:int -> make:(int -> 'a) -> unit
 
 (** Untimed iteration/membership, for tests and invariant checks. Both

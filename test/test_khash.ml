@@ -277,6 +277,30 @@ let prop_bin_of_key_in_range =
       let b = Khash.bin_of_key table k in
       b >= 0 && b < 16)
 
+(* For a power-of-two bin count the bin is the hash's low bits, which in
+   two's complement is the Euclidean modulus for every int. *)
+let prop_bin_of_key_low_bits =
+  let eng = Engine.create () in
+  let machine = Machine.create eng Config.hector in
+  let tables =
+    List.map
+      (fun nbins ->
+        ( nbins,
+          Khash.create machine ~nbins ~lock_algo:Lock.Mcs_h2 ~homes:[ 0; 1 ] ))
+      [ 1; 2; 16; 1024 ]
+  in
+  QCheck.Test.make ~name:"bin_of_key = positive_mod on power-of-two tables"
+    ~count:1000
+    QCheck.(
+      make ~print:Print.int
+        Gen.(frequency [ (8, int); (1, oneofl [ min_int; max_int; -1 ]) ]))
+    (fun k ->
+      List.for_all
+        (fun (nbins, table) ->
+          Khash.bin_of_key table k
+          = Clustering.positive_mod (k * 2654435761) nbins)
+        tables)
+
 let make_sharded_raw seed =
   let eng = Engine.create () in
   let machine = Machine.create eng Config.hector in
@@ -637,6 +661,199 @@ let prop_lazy_build_matches_model =
       Engine.run eng;
       true)
 
+(* Set-up inserts that form a dense run, and every way of breaking it.
+   Untimed inserts take consecutive keys from [k0] (negative for some
+   tables) and share one payload, so a run forms whenever the bin count is
+   a power of two; a key gap, a new seeded status, a payload of its own, a
+   timed insert or lookup, an [iter_untimed], a [Machine.alloc] between
+   two inserts or a [make] that raises (the home moves on, the key and id
+   do not) closes it. The model is a list per bin, newest first, of (key,
+   home, status word, cell id, payload): the n-th insert of any kind is
+   homed on the n-th storage PMM in turn, and each insert or allocation
+   takes the next cell id. *)
+type run_step =
+  | Dense of int (* that many untimed inserts of the next keys *)
+  | Gap of int (* skip that many keys *)
+  | Status of int (* seed later untimed inserts with this status *)
+  | Own (* an untimed insert of the next key with a payload of its own *)
+  | Raise (* an untimed insert whose [make] raises *)
+  | Timed (* a timed insert of the next key *)
+  | Probe of int (* a timed lookup of the key that many below the next *)
+  | Walk (* iter_untimed *)
+  | Alloc (* a cell allocated between two inserts *)
+
+let show_run_step = function
+  | Dense n -> Printf.sprintf "dense %d" n
+  | Gap d -> Printf.sprintf "gap %d" d
+  | Status s -> Printf.sprintf "status %d" s
+  | Own -> "own"
+  | Raise -> "raise"
+  | Timed -> "timed"
+  | Probe d -> Printf.sprintf "probe -%d" d
+  | Walk -> "walk"
+  | Alloc -> "alloc"
+
+let arb_run_case =
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun n -> Dense n) (int_range 1 12));
+          (1, map (fun d -> Gap d) (int_range 1 5));
+          (1, map (fun s -> Status s) (oneofl [ 0; 2; 4 ]));
+          (1, return Own);
+          (1, return Raise);
+          (1, return Timed);
+          (1, map (fun d -> Probe d) (int_range 1 20));
+          (1, return Walk);
+          (1, return Alloc);
+        ])
+  in
+  QCheck.make
+    ~shrink:QCheck.Shrink.(triple nil nil list)
+    ~print:(fun (nbins, k0, steps) ->
+      Printf.sprintf "nbins %d, from key %d: %s" nbins k0
+        (String.concat "; " (List.map show_run_step steps)))
+    QCheck.Gen.(
+      triple (oneofl [ 4; 8; 6 ]) (int_range (-3) 20)
+        (list_size (int_bound 12) step))
+
+let prop_runs_match_model =
+  QCheck.Test.make ~name:"dense untimed runs: keys, homes, status, ids, probes"
+    ~count:200 arb_run_case (fun (nbins, k0, steps) ->
+      let eng = Engine.create () in
+      let machine = Machine.create eng Config.hector in
+      let table =
+        Khash.create machine ~granularity:Khash.Sharded ~nbins ~shards:2
+          ~lock_algo:Lock.Mcs_h2
+          ~homes:(List.init 16 (fun i -> i))
+      in
+      let model = Array.make nbins [] in
+      let shared = ref 0 in
+      let next_key = ref k0 and status = ref 0 in
+      let inserts = ref 0 and probes = ref 0 in
+      (* The next cell id, read off a probe cell; a timed operation may
+         allocate lock cells, so it is read again after each. *)
+      let next_id = ref 0 in
+      let sync_id () =
+        next_id := Cell.id (Machine.alloc machine ~home:0 0) + 1
+      in
+      let fail step fmt =
+        QCheck.Test.fail_reportf ("after %s: " ^^ fmt) (show_run_step step)
+      in
+      let fresh () =
+        let n = !inserts in
+        incr inserts;
+        if n mod 2 = 0 then 8 else 9
+      in
+      let take_key () =
+        let k = !next_key in
+        incr next_key;
+        k
+      in
+      let take_id () =
+        let id = !next_id in
+        incr next_id;
+        id
+      in
+      let push k entry =
+        let b = Khash.bin_of_key table k in
+        model.(b) <- entry :: model.(b)
+      in
+      let check_elem step (e : int ref Khash.elem) (k, home, st, id, p) =
+        if
+          e.Khash.key <> k
+          || Cell.home e.Khash.status <> home
+          || Cell.peek e.Khash.status <> st
+          || (id >= 0 && Cell.id e.Khash.status <> id)
+          || e.Khash.payload != p
+        then
+          fail step
+            "element (key %d, home %d, status %d, id %d, payload %d), model \
+             (%d, %d, %d, %d, %d)"
+            e.Khash.key (Cell.home e.Khash.status) (Cell.peek e.Khash.status)
+            (Cell.id e.Khash.status) !(e.Khash.payload) k home st id !p
+      in
+      let check_all step =
+        let seen = ref [] in
+        Khash.iter_untimed table (fun e -> seen := e :: !seen);
+        let expected = List.concat (Array.to_list model) in
+        if List.length !seen <> List.length expected then
+          fail step "iter_untimed saw %d elements, model has %d"
+            (List.length !seen) (List.length expected);
+        List.iter2 (check_elem step) (List.rev !seen) expected
+      in
+      let run c step =
+        match step with
+        | Dense n ->
+          for _ = 1 to n do
+            let k = take_key () in
+            let home = fresh () in
+            Khash.insert_untimed table k ~status0:!status ~make:(fun _ ->
+                shared);
+            push k (k, home, !status, take_id (), shared)
+          done
+        | Own ->
+          let k = take_key () in
+          let home = fresh () in
+          let p = ref k in
+          Khash.insert_untimed table k ~status0:!status ~make:(fun _ -> p);
+          push k (k, home, !status, take_id (), p)
+        | Raise -> (
+          ignore (fresh () : int);
+          try
+            Khash.insert_untimed table !next_key ~status0:!status
+              ~make:(fun _ -> raise Exit)
+          with Exit -> ())
+        | Gap d -> next_key := !next_key + d
+        | Status st -> status := st
+        | Timed ->
+          let k = take_key () in
+          let home = fresh () in
+          let e = Khash.insert table c k ~make:(fun _ -> shared) in
+          (* The lock may take cell ids too: read the element's off it. *)
+          check_elem step e (k, home, 0, -1, shared);
+          push k (k, home, 0, Cell.id e.Khash.status, shared);
+          sync_id ()
+        | Probe d -> (
+          let k = !next_key - d in
+          let rec find i = function
+            | [] -> (None, i)
+            | ((k', _, _, _, _) as m) :: rest ->
+              if k' = k then (Some m, i + 1) else find (i + 1) rest
+          in
+          let found, pos = find 0 model.(Khash.bin_of_key table k) in
+          probes := !probes + pos;
+          (match (Khash.lookup table c k, found) with
+          | None, None -> ()
+          | Some e, Some m -> check_elem step e m
+          | Some _, None -> fail step "lookup found an absent key"
+          | None, Some _ -> fail step "lookup missed a present key");
+          sync_id ())
+        | Walk -> check_all step
+        | Alloc ->
+          let id = take_id () in
+          if Cell.id (Machine.alloc machine ~home:0 0) <> id then
+            fail step "allocated cell is not id %d" id
+      in
+      Process.spawn eng (fun () ->
+          let c = Ctx.create machine ~proc:0 (Rng.create 7) in
+          sync_id ();
+          List.iter
+            (fun step ->
+              run c step;
+              let size =
+                Array.fold_left (fun n l -> n + List.length l) 0 model
+              in
+              if Khash.size table <> size then
+                fail step "size %d, model %d" (Khash.size table) size;
+              if Khash.probes table <> !probes then
+                fail step "probes %d, model %d" (Khash.probes table) !probes)
+            steps;
+          check_all Walk);
+      Engine.run eng;
+      true)
+
 (* The SLO table: 2^17 bins over 16 shards. *)
 
 (* Words reachable from the table and not from its machine (which the
@@ -710,6 +927,91 @@ let test_untouched_table_retained_size () =
        per_key)
     true (per_key <= 8.0)
 
+(* Untimed-insert [keys] into [table] and check, after every bin is
+   walked, each element's key, home, status word and cell id, and each
+   chain's order, against a list-per-bin model: the i-th key takes cell id
+   [base + i] and the i-th storage PMM in turn ([homes], from [h0]). *)
+let check_untimed_build table ~homes ~h0 ~base keys =
+  let model = Hashtbl.create 64 in
+  Array.iteri
+    (fun i k ->
+      let b = Khash.bin_of_key table k in
+      let home = homes.((h0 + i) mod Array.length homes) in
+      Hashtbl.replace model b
+        ((k, home, base + i)
+        :: Option.value ~default:[] (Hashtbl.find_opt model b)))
+    keys;
+  let seen = ref [] in
+  Khash.iter_untimed table (fun e ->
+      seen :=
+        (e.Khash.key, Cell.home e.Khash.status, Cell.id e.Khash.status)
+        :: !seen;
+      if Cell.peek e.Khash.status <> 0 then
+        Alcotest.failf "key %d: status %d" e.Khash.key
+          (Cell.peek e.Khash.status));
+  let expected =
+    List.sort_uniq compare (Hashtbl.fold (fun b _ acc -> b :: acc) model [])
+    |> List.concat_map (fun b -> Hashtbl.find model b)
+  in
+  Alcotest.(check int) "elements" (Array.length keys) (List.length !seen);
+  Alcotest.(check bool) "keys, homes, ids and chain order" true
+    (List.rev !seen = expected)
+
+(* A dense pre-populated table is one run record: 10^5 consecutive keys
+   retain at most 1 word each beyond the empty table, take the cell ids
+   that follow the last allocation in insert order, and leave the next
+   allocation the id after them. *)
+let test_dense_run_ids_and_size () =
+  let _, machine, table = slo_shaped_table () in
+  let words () = own_words machine table in
+  let empty = words () in
+  let base = Cell.id (Machine.alloc machine ~home:0 0) + 1 in
+  let n = 100_000 in
+  for k = 0 to n - 1 do
+    Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ())
+  done;
+  let per_key = float_of_int (words () - empty) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "retained words per untouched dense key <= 1 (got %.2f)"
+       per_key)
+    true (per_key <= 1.0);
+  Alcotest.(check int) "next allocation's id" (base + n)
+    (Cell.id (Machine.alloc machine ~home:0 0));
+  check_untimed_build table ~homes:[| 8; 9 |] ~h0:0 ~base
+    (Array.init n Fun.id)
+
+(* A table whose bin count is not a power of two, or whose first key is
+   negative, records every insert (more than 1 word a key, and at most the
+   8 the records may cost) and still builds what the model says. *)
+let test_run_fallbacks () =
+  List.iter
+    (fun (nbins, k0) ->
+      let eng = Engine.create () in
+      let machine = Machine.create eng Config.hector in
+      let table =
+        Khash.create machine ~granularity:Khash.Hybrid ~nbins
+          ~lock_algo:Lock.Mcs_h2
+          ~homes:(List.init 16 (fun i -> i))
+      in
+      let words () = own_words machine table in
+      let empty = words () in
+      let base = Cell.id (Machine.alloc machine ~home:0 0) + 1 in
+      let keys = Array.init 500 (fun i -> k0 + i) in
+      Array.iter
+        (fun k -> Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ()))
+        keys;
+      let per_key =
+        float_of_int (words () - empty) /. float_of_int (Array.length keys)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "nbins %d from %d: recorded, 1 < words a key <= 8 (got %.2f)" nbins
+           k0 per_key)
+        true
+        (per_key > 1.0 && per_key <= 8.0);
+      check_untimed_build table ~homes:[| 8; 9 |] ~h0:0 ~base keys)
+    [ (6, 0); (100, 3); (16, -1); (16, -250) ]
+
 (* Crash repair on a populated table nobody has touched: no processor died,
    so nothing is repaired, and the sweep builds no pending element. *)
 let test_recover_builds_nothing () =
@@ -760,11 +1062,17 @@ let suite =
       `Quick test_untouched_table_retained_size;
     Alcotest.test_case "recover on an untouched table builds nothing" `Quick
       test_recover_builds_nothing;
+    Alcotest.test_case "a dense run keeps cell ids and 1 word a key" `Quick
+      test_dense_run_ids_and_size;
+    Alcotest.test_case "no run: odd bin counts and negative keys" `Quick
+      test_run_fallbacks;
     Alcotest.test_case "sharded runs attribute waits to shard classes" `Quick
       test_sharded_obs_attribution;
     Qc.to_alcotest prop_bin_of_key_in_range;
+    Qc.to_alcotest prop_bin_of_key_low_bits;
     Qc.to_alcotest prop_sharded_mutual_exclusion;
     Qc.to_alcotest prop_sharded_optimistic_lookup_consistency;
     Qc.to_alcotest prop_untimed_matches_inserted;
     Qc.to_alcotest prop_lazy_build_matches_model;
+    Qc.to_alcotest prop_runs_match_model;
   ]
