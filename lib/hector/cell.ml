@@ -23,7 +23,8 @@ type t = {
    numbering order being nondeterministic is harmless. *)
 let counter = Atomic.make 0
 
-let reserve_id () = 1 + Atomic.fetch_and_add counter 1
+let reserve_ids n = 1 + Atomic.fetch_and_add counter n
+let reserve_id () = reserve_ids 1
 
 let make_reserved ?(label = "") ~id ~home value =
   { value; home; id; label; cached_by = 0; excl = -1 }

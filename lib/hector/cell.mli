@@ -13,6 +13,10 @@ val make : ?label:string -> home:int -> int -> t
     {!make_reserved}. *)
 val reserve_id : unit -> int
 
+(** Consume the ids the next [n] {!make}s would take, in one step; returns
+    the first, and the other [n - 1] follow it. *)
+val reserve_ids : int -> int
+
 (** A cell taking [id], handed out earlier by {!reserve_id}: for a cell
     built later than the moment it stands for (a deferred table element). *)
 val make_reserved : ?label:string -> id:int -> home:int -> int -> t

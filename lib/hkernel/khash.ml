@@ -27,6 +27,11 @@
    word holding key and status), so long chains and remote bins cost what
    they should.
 
+   A bin costs one word, [Unbuilt], until an operation first walks it.
+   Its head word is a cell only once a search first reads it: the cell
+   takes the id [create] reserved for it and the home eager creation gave
+   it, so ids, homes and cache state are as if it had been built there.
+
    Untimed (set-up) inserts outside [Fine] are only recorded, and the
    first operation that walks a bin builds its recorded inserts into
    ordinary elements in front of its chain. A table pre-populated with
@@ -37,7 +42,8 @@
    they are one run record, and a bin finds its members by arithmetic:
    the keys congruent to [b * knuth^-1] modulo [nbins]. Any other insert
    closes the run and is recorded in table-owned columns, threaded per
-   bin newest first. *)
+   bin newest first; the per-bin thread heads ([pfirst]) are allocated at
+   the first such record, so a table whose set-up is one run has none. *)
 
 open Hector
 open Locks
@@ -62,9 +68,20 @@ type 'a elem = {
          sweep can tell an orphaned reservation from a live one. *)
 }
 
+(* A bin: [Unbuilt] until an operation first walks it, then its chain,
+   newest first, of [Elem]s ending in [Nil]. A search's first read of the
+   bin's head word puts the word in front as [Head]; nothing else reads
+   it, so a bin that is only walked costs no more than its elements. *)
+type 'a bin =
+  | Unbuilt
+  | Nil
+  | Elem of 'a elem * 'a bin (* the rest is [Nil] or an [Elem] *)
+  | Head of { head : Cell.t; mutable chain : 'a bin (* never a [Head] *) }
+
 (* The dense run of a table's first untimed inserts: member [m] has key
    [key0 + m], status word [status0], cell id [id0 + m], home
-   [elem_homes.((h0 + m) mod length elem_homes)] and [payload]. *)
+   [elem_homes.((h0 + m) mod length elem_homes)] and [payload]. The next
+   member's home index is [hnext]. *)
 type 'a run = {
   key0 : int;
   status0 : int;
@@ -72,13 +89,14 @@ type 'a run = {
   h0 : int;
   payload : 'a;
   mutable n : int;
+  mutable hnext : int;
 }
 
 (* A block of recorded untimed inserts. Entry [o] is [ints.(4o)] (key),
    [ints.(4o+1)] (seeded status word), [ints.(4o+2)] (the status cell's
    id, reserved at insert so ids are numbered as if built there) and
    [ints.(4o+3)], which packs what is pending in the bin before it (the
-   next older entry or a [pfirst] marker below, plus 2) with the index of
+   next older entry or [no_pending], plus 1) with the index of
    the element's home in [elem_homes]; its payload is [payloads.(o)]. A
    built entry's payload slot is reset to [fill] (the block's first
    payload), so a block keeps at most one built payload alive. *)
@@ -90,16 +108,16 @@ type 'a t = {
   nbins : int;
   mask : int; (* [nbins - 1] when [nbins] is a power of two, else -1 *)
   nshards : int; (* 1 unless [Sharded] *)
-  bins : 'a elem list array; (* built elements, newest first *)
-  pfirst : int array;
-      (* per bin, the newest pending entry; [run_pending] when only the
-         run's members (if any) are pending, [no_pending] once walked *)
+  bins : 'a bin array;
+  head_id0 : int; (* bin [b]'s head word takes cell id [head_id0 + b] *)
+  mutable pfirst : int array;
+      (* per bin, the newest recorded entry not yet built, or
+         [no_pending]; empty until the first record *)
   mutable run : 'a run option; (* the first untimed inserts' dense run *)
   mutable walked : bool; (* some bin has been walked: no run may grow *)
   mutable chunks : 'a chunk array;
       (* pending entry [i] is in [chunks.(i / chunk_size)] *)
   mutable recorded : int; (* untimed inserts recorded outside the run *)
-  bin_heads : Cell.t array; (* chain-head words, co-located with the lock *)
   lock : Lock.t; (* coarse table lock (Hybrid / Coarse) *)
   shard_locks : Lock.t array; (* Sharded: one coarse lock per shard *)
   seqlocks : Seqlock.t array; (* Sharded: per-shard sequence words *)
@@ -107,7 +125,7 @@ type 'a t = {
   backoff : Backoff.t; (* for reserve-bit waiters *)
   homes : int array; (* the cluster's PMMs (for Fine-mode bin locks) *)
   elem_homes : int array; (* PMMs the table's storage lives on *)
-  mutable next_home : int;
+  mutable next_home : int; (* index in [elem_homes] of the next home *)
   mutable n_elems : int;
   mutable searches : int;
   mutable probes : int;
@@ -143,9 +161,9 @@ let bin_of_key t key =
   if t.mask >= 0 then (key * knuth) land t.mask
   else Clustering.positive_mod (key * knuth) t.nbins
 
-(* [pfirst] values that are no pending entry. *)
+(* The [pfirst] value, and the end of a bin's thread of records, that is
+   no pending entry. *)
 let no_pending = -1
-let run_pending = -2
 
 let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
     ?(vname = "khash") ~lock_algo ~homes machine =
@@ -166,58 +184,63 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
      memory modules. *)
   let lock_home = homes.(Array.length homes / 2) in
   let shard_home s = homes.(s mod Array.length homes) in
-  let shard_of_bin b = b mod nshards in
   let elem_homes =
     let n = Array.length homes in
     if n = 1 then [| lock_home |]
     else [| lock_home; homes.(((n / 2) + 1) mod n) |]
   in
+  (* Lock classes and cell ids are taken in this order, the bin heads'
+     ids last, so both number as they did when [create] built the heads. *)
+  let rcls = Verify.lock_class (vname ^ ".reserve") in
+  let bin_locks =
+    match granularity with
+    | Fine ->
+      Array.init nbins (fun i ->
+          Spin_lock.create machine
+            ~home:homes.(i mod Array.length homes)
+            ~vclass:(vname ^ ".bin")
+            (fine_backoff machine))
+    | Hybrid | Coarse | Sharded -> [||]
+  in
+  let seqlocks =
+    match granularity with
+    | Sharded ->
+      Array.init nshards (fun s ->
+          Seqlock.create machine ~home:(shard_home s)
+            ~vclass:(Printf.sprintf "%s.seq%d" vname s)
+            ())
+    | Hybrid | Coarse | Fine -> [||]
+  in
+  let shard_locks =
+    match granularity with
+    | Sharded ->
+      Array.init nshards (fun s ->
+          Lock.make machine ~home:(shard_home s)
+            ~vclass:(Printf.sprintf "%s.shard%d" vname s)
+            lock_algo)
+    | Hybrid | Coarse | Fine -> [||]
+  in
+  let lock =
+    Lock.make machine ~home:lock_home ~vclass:(vname ^ ".lock") lock_algo
+  in
+  let head_id0 = Cell.reserve_ids nbins in
   {
     machine;
     granularity;
     nbins;
     mask = (if nbins land (nbins - 1) = 0 then nbins - 1 else -1);
     nshards;
-    bins = Array.make nbins [];
-    pfirst = Array.make nbins run_pending;
+    bins = Array.make nbins Unbuilt;
+    head_id0;
+    pfirst = [||];
     run = None;
     walked = false;
     chunks = [||];
     recorded = 0;
-    bin_heads =
-      Array.init nbins (fun i ->
-          let home =
-            match granularity with
-            | Sharded -> shard_home (shard_of_bin i)
-            | Hybrid | Coarse | Fine -> lock_home
-          in
-          Machine.alloc machine ~home 0);
-    lock = Lock.make machine ~home:lock_home ~vclass:(vname ^ ".lock") lock_algo;
-    shard_locks =
-      (match granularity with
-      | Sharded ->
-        Array.init nshards (fun s ->
-            Lock.make machine ~home:(shard_home s)
-              ~vclass:(Printf.sprintf "%s.shard%d" vname s)
-              lock_algo)
-      | Hybrid | Coarse | Fine -> [||]);
-    seqlocks =
-      (match granularity with
-      | Sharded ->
-        Array.init nshards (fun s ->
-            Seqlock.create machine ~home:(shard_home s)
-              ~vclass:(Printf.sprintf "%s.seq%d" vname s)
-              ())
-      | Hybrid | Coarse | Fine -> [||]);
-    bin_locks =
-      (match granularity with
-      | Fine ->
-        Array.init nbins (fun i ->
-            Spin_lock.create machine
-              ~home:homes.(i mod Array.length homes)
-              ~vclass:(vname ^ ".bin")
-              (fine_backoff machine))
-      | Hybrid | Coarse | Sharded -> [||]);
+    lock;
+    shard_locks;
+    seqlocks;
+    bin_locks;
     backoff = fine_backoff machine;
     homes;
     elem_homes;
@@ -228,7 +251,7 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
     reserve_conflicts = 0;
     optimistic_hits = 0;
     optimistic_fallbacks = 0;
-    rcls = Verify.lock_class (vname ^ ".reserve");
+    rcls;
     elem_vclass = vname ^ ".elem";
   }
 
@@ -248,9 +271,30 @@ let seqlock t s = t.seqlocks.(s)
 (* The index in [elem_homes] of the next element's home: the storage PMMs
    in turn, in global insert order. *)
 let next_home_index t =
-  let h = t.next_home mod Array.length t.elem_homes in
-  t.next_home <- t.next_home + 1;
+  let h = t.next_home in
+  t.next_home <- (if h + 1 = Array.length t.elem_homes then 0 else h + 1);
   h
+
+(* Bin [b]'s head word, built at its first read: homed on the table lock's
+   PMM, or on its shard's under [Sharded]. *)
+let head t b =
+  match t.bins.(b) with
+  | Head h -> h.head
+  | (Unbuilt | Nil | Elem _) as chain ->
+    let homes = t.homes in
+    let home =
+      match t.granularity with
+      | Sharded -> homes.(b mod t.nshards mod Array.length homes)
+      | Hybrid | Coarse | Fine -> homes.(Array.length homes / 2)
+    in
+    let head = Machine.alloc_reserved t.machine ~id:(t.head_id0 + b) ~home 0 in
+    t.bins.(b) <- Head { head; chain };
+    head
+
+let bin_head t b =
+  match t.bins.(b) with
+  | Head h -> Some h.head
+  | Unbuilt | Nil | Elem _ -> None
 
 (* -- elements and pending (recorded, unbuilt) entries ----------------- *)
 
@@ -326,22 +370,34 @@ let extend_run t key ~status0 ~hidx ~id payload =
     match t.run with
     | None when t.mask >= 0 ->
       t.run <-
-        Some { key0 = key; status0; id0 = id; h0 = hidx; payload; n = 1 };
+        Some
+          {
+            key0 = key;
+            status0;
+            id0 = id;
+            h0 = hidx;
+            payload;
+            n = 1;
+            hnext = t.next_home;
+          };
       true
     | None -> false
     | Some r ->
       let next =
         key = r.key0 + r.n && id = r.id0 + r.n && status0 = r.status0
-        && payload == r.payload
-        && hidx = (r.h0 + r.n) mod Array.length t.elem_homes
+        && payload == r.payload && hidx = r.hnext
       in
-      if next then r.n <- r.n + 1;
+      if next then begin
+        r.n <- r.n + 1;
+        r.hnext <- t.next_home
+      end;
       next
 
 (* Record an untimed insert homed on [elem_homes.(hidx)], its status cell
    to take [id], as its bin's newest pending entry. *)
 let record t key ~status0 ~hidx ~id payload =
   let i = t.recorded in
+  if i = 0 then t.pfirst <- Array.make t.nbins no_pending;
   let c = pending_slot t payload in
   let o = i mod chunk_size in
   let at = stride * o in
@@ -349,26 +405,16 @@ let record t key ~status0 ~hidx ~id payload =
   c.ints.(at) <- key;
   c.ints.(at + 1) <- status0;
   c.ints.(at + 2) <- id;
-  c.ints.(at + 3) <- ((t.pfirst.(b) + 2) * Array.length t.elem_homes) + hidx;
+  c.ints.(at + 3) <- ((t.pfirst.(b) + 1) * Array.length t.elem_homes) + hidx;
   c.payloads.(o) <- payload;
   t.pfirst.(b) <- i;
   t.recorded <- i + 1
 
-(* Build bin [b]'s pending entry [i] and the older ones of its bin, newest
-   first, in front of [built]: the recorded entries, then, at
-   [run_pending], the run's members with keys [k], [k - nbins], ... down to
-   its first key. Top level and tail-mod-cons, so a bin's build costs what
-   eager building did: the element, its status cell and one cons. *)
-let[@tail_mod_cons] rec build_pending t b i built =
+(* Build pending entry [i] and the older ones of its bin, newest first, in
+   front of [built]. Top level and tail-mod-cons, so a bin's build costs
+   what eager building did: the element, its status cell and one [Elem]. *)
+let[@tail_mod_cons] rec build_pending t i built =
   if i = no_pending then built
-  else if i = run_pending then
-    match t.run with
-    | None -> built
-    | Some r ->
-      (* The bin's newest member: the largest key up to the run's last
-         that is congruent to [b * knuth_inv] modulo [nbins]. *)
-      let last = r.key0 + r.n - 1 in
-      build_run t r (last - ((last - (b * knuth_inv)) land t.mask)) built
   else begin
     let nh = Array.length t.elem_homes in
     let c = pending_chunk t i in
@@ -381,10 +427,12 @@ let[@tail_mod_cons] rec build_pending t b i built =
         ~payload:c.payloads.(o) ~reserver:(-1)
     in
     c.payloads.(o) <- c.fill;
-    e :: build_pending t b ((packed / nh) - 2) built
+    Elem (e, build_pending t ((packed / nh) - 1) built)
   end
 
-and[@tail_mod_cons] build_run t r k built =
+(* Build the run's members with keys [k], [k - nbins], ... down to its
+   first key, in front of [built]. *)
+let[@tail_mod_cons] rec build_run t r k built =
   if k < r.key0 then built
   else begin
     let m = k - r.key0 in
@@ -393,23 +441,60 @@ and[@tail_mod_cons] build_run t r k built =
         ~home:t.elem_homes.((r.h0 + m) mod Array.length t.elem_homes)
         ~payload:r.payload ~reserver:(-1)
     in
-    e :: build_run t r (k - t.nbins) built
+    Elem (e, build_run t r (k - t.nbins) built)
   end
 
-(* Build bin [b]'s pending entries and put them in front of its chain,
-   newest first: every pending entry was recorded after every element
-   already linked there, since linking builds the bin first. A walk
-   closes the run: its members in [b] are built now. *)
-let build_bin t b =
-  let first = t.pfirst.(b) in
-  t.pfirst.(b) <- no_pending;
-  t.walked <- true;
-  t.bins.(b) <- build_pending t b first t.bins.(b)
+(* Bin [b]'s chain as stored, built or not. *)
+let stored t b =
+  match t.bins.(b) with
+  | Head h -> h.chain
+  | (Unbuilt | Nil | Elem _) as chain -> chain
 
-(* Bin [b]'s chain, built first if it holds pending entries. *)
+let store t b chain =
+  match t.bins.(b) with
+  | Head h -> h.chain <- chain
+  | Unbuilt | Nil | Elem _ -> t.bins.(b) <- chain
+
+(* Bin [b]'s newest recorded entry not yet built, taken for building. *)
+let take_pending t b =
+  if t.recorded = 0 then no_pending
+  else begin
+    let i = t.pfirst.(b) in
+    t.pfirst.(b) <- no_pending;
+    i
+  end
+
+(* Bin [b]'s chain, built first if it holds pending entries: on the bin's
+   first walk its run members, newest first (the keys up to the run's last
+   that are congruent to [b * knuth_inv] modulo [nbins]), and then, in
+   front, its records. Every record was taken after every element already
+   linked there, since linking walks the bin first. A walk closes the
+   run. *)
 let chain t b =
-  if t.pfirst.(b) <> no_pending then build_bin t b;
-  t.bins.(b)
+  match stored t b with
+  | Unbuilt ->
+    t.walked <- true;
+    let members =
+      match t.run with
+      | None -> Nil
+      | Some r ->
+        let last = r.key0 + r.n - 1 in
+        build_run t r (last - ((last - (b * knuth_inv)) land t.mask)) Nil
+    in
+    let chain = build_pending t (take_pending t b) members in
+    store t b chain;
+    chain
+  | chain when t.recorded > 0 && t.pfirst.(b) <> no_pending ->
+    let chain = build_pending t (take_pending t b) chain in
+    store t b chain;
+    chain
+  | chain -> chain
+
+let rec iter_chain f = function
+  | Elem (e, rest) ->
+    f e;
+    iter_chain f rest
+  | Unbuilt | Nil | Head _ -> ()
 
 (* -- operations that require the protecting lock to be held ------------- *)
 
@@ -418,7 +503,8 @@ let chain t b =
    per element examined. *)
 let search_locked_status ctx t key =
   t.searches <- t.searches + 1;
-  ignore (Ctx.read ctx t.bin_heads.(bin_of_key t key));
+  let b = bin_of_key t key in
+  ignore (Ctx.read ctx (head t b));
   let costs_probe e =
     t.probes <- t.probes + 1;
     let v = Ctx.read ctx e.status in
@@ -426,12 +512,12 @@ let search_locked_status ctx t key =
     v
   in
   let rec go = function
-    | [] -> None
-    | e :: rest ->
+    | Elem (e, rest) ->
       let v = costs_probe e in
       if e.key = key then Some (e, v) else go rest
+    | Unbuilt | Nil | Head _ -> None
   in
-  go (chain t (bin_of_key t key))
+  go (chain t b)
 
 let search_locked ctx t key =
   Option.map fst (search_locked_status ctx t key)
@@ -458,7 +544,7 @@ let seq_write_end t ctx key =
    the header write). *)
 let link t elem =
   let b = bin_of_key t elem.key in
-  t.bins.(b) <- elem :: chain t b;
+  store t b (Elem (elem, chain t b));
   t.n_elems <- t.n_elems + 1
 
 let insert_locked ctx t key ~status0 ~make =
@@ -488,15 +574,14 @@ let remove_locked ctx t key =
   let b = bin_of_key t key in
   let found = ref false in
   seq_write_begin t ctx key;
-  t.bins.(b) <-
-    List.filter
-      (fun e ->
-        if e.key = key && not !found then begin
-          found := true;
-          false
-        end
-        else true)
-      (chain t b);
+  let[@tail_mod_cons] rec drop = function
+    | Elem (e, rest) when e.key = key ->
+      found := true;
+      rest
+    | Elem (e, rest) -> Elem (e, drop rest)
+    | (Unbuilt | Nil | Head _) as rest -> rest
+  in
+  store t b (drop (chain t b));
   if !found then begin
     t.n_elems <- t.n_elems - 1;
     (* Unlink write. *)
@@ -626,16 +711,17 @@ let lookup_locked t ctx key =
    the snapshot was consistent. *)
 let search_unlocked ctx t key =
   t.searches <- t.searches + 1;
-  ignore (Ctx.read ctx t.bin_heads.(bin_of_key t key));
+  let b = bin_of_key t key in
+  ignore (Ctx.read ctx (head t b));
   let rec go = function
-    | [] -> None
-    | e :: rest ->
+    | Elem (e, rest) ->
       t.probes <- t.probes + 1;
       ignore (Ctx.read ctx e.status);
       Ctx.instr ctx ~reg:1 ~br:1 ();
       if e.key = key then Some e else go rest
+    | Unbuilt | Nil | Head _ -> None
   in
-  go (chain t (bin_of_key t key))
+  go (chain t b)
 
 (* Read-only lookup. Under [Sharded] this is the optimistic read path:
    sample the shard's sequence word, probe the chain unlocked, validate.
@@ -738,11 +824,15 @@ let insert_untimed t key ~status0 ~make =
 (* Untimed whole-table iteration, for tests and invariant checks. *)
 let iter_untimed t f =
   for b = 0 to t.nbins - 1 do
-    List.iter f (chain t b)
+    iter_chain f (chain t b)
   done
 
 let mem_untimed t key =
-  List.exists (fun e -> e.key = key) (chain t (bin_of_key t key))
+  let rec mem = function
+    | Elem (e, rest) -> e.key = key || mem rest
+    | Unbuilt | Nil | Head _ -> false
+  in
+  mem (chain t (bin_of_key t key))
 
 (* -- crash repair --------------------------------------------------------- *)
 
@@ -770,17 +860,18 @@ let recover t ctx =
     t.shard_locks;
   bump (t.lock.Lock.recover ctx);
   Array.iter (fun l -> bump (Spin_lock.Core.recover l ctx)) t.bin_locks;
-  (* Built elements only: [t.bins], not {!chain}. *)
-  Array.iter
-    (List.iter (fun e ->
-         (match e.elem_lock with
-         | Some l -> bump (Spin_lock.Core.recover l ctx)
-         | None -> ());
-         if e.reserver >= 0 && not (Machine.proc_alive t.machine e.reserver)
-         then begin
-           bump
-             (Reserve.clear_orphan ~cls:t.rcls ctx e.status ~dead:e.reserver);
-           e.reserver <- -1
-         end))
-    t.bins;
+  (* Built elements only: {!stored}, not {!chain}. *)
+  for b = 0 to t.nbins - 1 do
+    iter_chain
+      (fun e ->
+        (match e.elem_lock with
+        | Some l -> bump (Spin_lock.Core.recover l ctx)
+        | None -> ());
+        if e.reserver >= 0 && not (Machine.proc_alive t.machine e.reserver)
+        then begin
+          bump (Reserve.clear_orphan ~cls:t.rcls ctx e.status ~dead:e.reserver);
+          e.reserver <- -1
+        end)
+      (stored t b)
+  done;
   !repairs

@@ -75,7 +75,13 @@ type 'a t
 
     [shards] is only meaningful with [~granularity:Sharded] (ignored
     otherwise) and must be in [1, nbins]; shard [s]'s lock, sequence word
-    and bin heads are homed on [homes.(s mod length homes)]. *)
+    and bin heads are homed on [homes.(s mod length homes)].
+
+    A bin costs one word until an operation first touches it. Its head
+    word is built when a search first reads it, taking the cell id
+    [create] reserved for it: [create] takes the [nbins] ids after those
+    of its locks, and the head of bin [b] is the [b]-th, so ids, homes and
+    every simulated result are as if [create] had built the heads. *)
 val create :
   ?granularity:granularity ->
   ?nbins:int ->
@@ -122,6 +128,10 @@ val seqlock : 'a t -> int -> Seqlock.t
     low bits ([land (nbins - 1)]), which equals that modulus for every
     int. Exposed for property tests. *)
 val bin_of_key : 'a t -> int -> int
+
+(** Bin [b]'s head word, once a search has read it ([None] before).
+    Exposed for tests. *)
+val bin_head : 'a t -> int -> Cell.t option
 
 (** Run [f] with the coarse lock held and the soft interrupt mask set.
     Exception-safe: the lock is released and the mask cleared if [f]

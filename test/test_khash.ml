@@ -1026,6 +1026,178 @@ let test_recover_builds_nothing () =
   Alcotest.(check int) "no repairs" 0 (Khash.recover table c);
   Alcotest.(check int) "no element built" before (words ())
 
+(* Words the live heap holds after a full major collection. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* A bin costs one word until it is touched: the SLO table (2^17 bins over
+   16 shards) retains at most 1.5 words a bin after [create], where
+   building every head word there cost about 10, and still after 10^6
+   dense untimed inserts, which are one run record. *)
+let test_untouched_bin_words () =
+  let eng = Engine.create () in
+  let machine = Machine.create eng Config.hector in
+  let nbins = 1 lsl 17 in
+  let before = live_words () in
+  let table =
+    Khash.create machine ~granularity:Khash.Sharded ~nbins ~shards:16
+      ~lock_algo:Lock.Mcs_h2
+      ~homes:(List.init 16 (fun i -> i))
+  in
+  let check what =
+    let per_bin =
+      float_of_int (live_words () - before) /. float_of_int nbins
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: live words a bin <= 1.5 (got %.2f)" what per_bin)
+      true (per_bin <= 1.5)
+  in
+  check "after create";
+  for k = 0 to 999_999 do
+    Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ())
+  done;
+  check "after 10^6 dense untimed inserts";
+  ignore (Sys.opaque_identity (eng, machine, table))
+
+(* The cell ids building [granularity]'s locks takes, in the order eager
+   creation took them: Fine-mode bin locks, then under [Sharded] each
+   shard's sequence word and lock, then the table lock. *)
+let lock_ids granularity ~nbins ~shards ~homes =
+  let machine = Machine.create (Engine.create ()) Config.hector in
+  let next () = Cell.id (Machine.alloc machine ~home:0 0) in
+  let first = next () in
+  let backoff = Backoff.of_us (Machine.config machine) ~max_us:35.0 () in
+  (match granularity with
+  | Khash.Fine ->
+    for i = 0 to nbins - 1 do
+      ignore
+        (Spin_lock.create machine
+           ~home:(List.nth homes (i mod List.length homes))
+           backoff)
+    done
+  | Khash.Sharded ->
+    for _ = 1 to shards do
+      ignore (Seqlock.create machine ~home:0 ())
+    done;
+    for _ = 1 to shards do
+      ignore (Lock.make machine ~home:0 Lock.Mcs_h2)
+    done
+  | Khash.Hybrid | Khash.Coarse -> ());
+  ignore (Lock.make machine ~home:0 Lock.Mcs_h2);
+  next () - first - 1
+
+(* Bin heads built on first search have the ids and homes eager creation
+   gave them: [create] takes its locks' ids and then [nbins] more, the
+   last [nbins] of its ids being the heads in bin order, and a head is
+   homed on the table lock's PMM ([homes.(length / 2)]) or, under
+   [Sharded], on its shard's ([homes.(b mod shards mod length)]). Bins are
+   touched in random order by a timed insert, a lookup or both; a bin
+   nothing touched has no head, and a touch takes no cell id beyond an
+   insert's element. *)
+let prop_lazy_heads_match_eager =
+  let granularities = Khash.[ Hybrid; Coarse; Sharded; Fine ] in
+  QCheck.Test.make ~name:"lazy bin heads: ids and homes as eager creation"
+    ~count:60
+    QCheck.(
+      triple
+        (make ~print:Khash.granularity_name (Gen.oneofl granularities))
+        (make ~print:string_of_int (Gen.oneofl [ 1; 6; 64; 1024 ]))
+        small_nat)
+    (fun (granularity, nbins, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let homes = [ 2; 5; 7; 11; 13 ] in
+      let shards = min 4 nbins in
+      (* Counted first: the count allocates cells of its own. *)
+      let expected = lock_ids granularity ~nbins ~shards ~homes + nbins in
+      let per_insert =
+        match granularity with
+        | Khash.Fine ->
+          (* the element's status word and spin lock *)
+          1 + lock_ids Khash.Fine ~nbins:1 ~shards ~homes
+          - lock_ids Khash.Hybrid ~nbins:1 ~shards ~homes
+        | Khash.Hybrid | Khash.Coarse | Khash.Sharded -> 1
+      in
+      let machine = Machine.create (Engine.create ()) Config.hector in
+      let next () = Cell.id (Machine.alloc machine ~home:0 0) in
+      let before = next () in
+      let table =
+        Khash.create machine ~granularity ~nbins ~shards
+          ~lock_algo:Lock.Mcs_h2 ~homes
+      in
+      let after = next () in
+      let used = after - before - 1 in
+      if used <> expected then
+        QCheck.Test.fail_reportf "create took %d cell ids, eager took %d" used
+          expected;
+      let home b =
+        match granularity with
+        | Khash.Sharded -> List.nth homes (b mod shards mod List.length homes)
+        | Khash.Hybrid | Khash.Coarse | Khash.Fine -> List.nth homes 2
+      in
+      let check_head ~searched b =
+        match Khash.bin_head table b with
+        | None ->
+          if searched then
+            QCheck.Test.fail_reportf "bin %d: searched, no head" b
+        | Some h ->
+          if Cell.id h <> after - nbins + b || Cell.home h <> home b then
+            QCheck.Test.fail_reportf
+              "bin %d: head id %d on %d, eager id %d on %d" b (Cell.id h)
+              (Cell.home h) (after - nbins + b) (home b)
+      in
+      (* A key in each bin. *)
+      let key_of_bin = Array.make nbins (-1) in
+      let k = ref 0 in
+      while Array.exists (fun k -> k < 0) key_of_bin do
+        let b = Khash.bin_of_key table !k in
+        if key_of_bin.(b) < 0 then key_of_bin.(b) <- !k;
+        incr k
+      done;
+      let order = Array.init nbins Fun.id in
+      for i = nbins - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      let touched = Array.make nbins false in
+      let inserts = ref 0 in
+      let eng = Machine.engine machine in
+      Process.spawn eng (fun () ->
+          let c = Ctx.create machine ~proc:0 (Rng.create seed) in
+          Array.iteri
+            (fun i b ->
+              (* Leave a quarter of the bins untouched. *)
+              if 4 * i < 3 * nbins then begin
+                (match Khash.bin_head table b with
+                | Some _ ->
+                  QCheck.Test.fail_reportf "bin %d: head before touch" b
+                | None -> ());
+                let op = Random.State.int rng 3 in
+                if op > 0 then begin
+                  ignore (Khash.insert table c key_of_bin.(b) ~make:ignore);
+                  incr inserts;
+                  check_head ~searched:false b
+                end;
+                if op < 2 then ignore (Khash.lookup table c key_of_bin.(b));
+                touched.(b) <- true;
+                check_head ~searched:(op < 2) b
+              end)
+            order);
+      Engine.run eng;
+      Array.iteri
+        (fun b t ->
+          if (not t) && Khash.bin_head table b <> None then
+            QCheck.Test.fail_reportf "bin %d: untouched, has a head" b)
+        touched;
+      let id = next () in
+      if id <> after + 1 + (!inserts * per_insert) then
+        QCheck.Test.fail_reportf "next cell id %d after %d inserts, expected %d"
+          id !inserts
+          (after + 1 + (!inserts * per_insert));
+      true)
+
 let suite =
   [
     Alcotest.test_case "insert and find" `Quick test_insert_and_find;
@@ -1068,6 +1240,8 @@ let suite =
       test_run_fallbacks;
     Alcotest.test_case "sharded runs attribute waits to shard classes" `Quick
       test_sharded_obs_attribution;
+    Alcotest.test_case "an untouched bin costs at most 1.5 words" `Quick
+      test_untouched_bin_words;
     Qc.to_alcotest prop_bin_of_key_in_range;
     Qc.to_alcotest prop_bin_of_key_low_bits;
     Qc.to_alcotest prop_sharded_mutual_exclusion;
@@ -1075,4 +1249,5 @@ let suite =
     Qc.to_alcotest prop_untimed_matches_inserted;
     Qc.to_alcotest prop_lazy_build_matches_model;
     Qc.to_alcotest prop_runs_match_model;
+    Qc.to_alcotest prop_lazy_heads_match_eager;
   ]
