@@ -1,9 +1,10 @@
 (* A small work-stealing-free domain pool for embarrassingly parallel maps.
 
    The bench matrix is a list of independent experiment cells: each one
-   builds its own Engine + Machine + seeded Rng, so cells share no mutable
-   state beyond a few atomics (Cell.counter, Verify interning) that never
-   reach exported results. [map] hands cells to [jobs] domains through a
+   builds its own Engine + Machine + seeded Rng, and a machine numbers its
+   own cells, so cells share no mutable state beyond Verify's class
+   interning and lock-instance counter, which never reach exported
+   results. [map] hands cells to [jobs] domains through a
    single atomic work index and writes each result into its input's slot, so
    the output order — and therefore any serialisation of it — is identical
    to the sequential order no matter how the domains interleave.

@@ -7,7 +7,7 @@
 type t = {
   mutable value : int;
   home : int; (* PMM id *)
-  id : int; (* allocation order, for debugging *)
+  id : int; (* allocation order on its machine, for diagnostics *)
   label : string;
   (* Cache-coherence bookkeeping, used only when the machine configuration
      enables hardware coherence (the Section 5.2 discussion): which
@@ -17,19 +17,8 @@ type t = {
   mutable excl : int; (* processor id or -1 *)
 }
 
-(* Atomic so that independent experiment cells built on parallel domains
-   (Hurricane.Par) allocate distinct debug ids without a data race. Ids are
-   never exported — they only label diagnostics — so the cross-domain
-   numbering order being nondeterministic is harmless. *)
-let counter = Atomic.make 0
-
-let reserve_ids n = 1 + Atomic.fetch_and_add counter n
-let reserve_id () = reserve_ids 1
-
-let make_reserved ?(label = "") ~id ~home value =
+let create ?(label = "") ~id ~home value =
   { value; home; id; label; cached_by = 0; excl = -1 }
-
-let make ?label ~home value = make_reserved ?label ~id:(reserve_id ()) ~home value
 
 let home t = t.home
 let id t = t.id

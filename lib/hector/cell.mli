@@ -6,20 +6,11 @@
 
 type t
 
-(** The cell takes the next id. *)
-val make : ?label:string -> home:int -> int -> t
-
-(** Consume the id the next {!make} would take, for a later
-    {!make_reserved}. *)
-val reserve_id : unit -> int
-
-(** Consume the ids the next [n] {!make}s would take, in one step; returns
-    the first, and the other [n - 1] follow it. *)
-val reserve_ids : int -> int
-
-(** A cell taking [id], handed out earlier by {!reserve_id}: for a cell
-    built later than the moment it stands for (a deferred table element). *)
-val make_reserved : ?label:string -> id:int -> home:int -> int -> t
+(** A cell taking [id]. Ids are numbered per machine: build cells with
+    {!Machine.alloc}, which takes the machine's next id, or
+    {!Machine.alloc_reserved}, for one reserved earlier with
+    {!Machine.reserve_ids}. *)
+val create : ?label:string -> id:int -> home:int -> int -> t
 
 val home : t -> int
 val id : t -> int

@@ -23,6 +23,7 @@ type t = {
   mutable writes : int;
   mutable atomics : int;
   mutable cache_hits : int;
+  mutable next_id : int; (* the id the next cell allocated here takes *)
   mutable fault : Fault.t option; (* installed fault plan, for hot-spots *)
   mutable verify : Verify.t option; (* installed lockdep checker *)
   mutable obs : Obs.t option; (* installed contention observer *)
@@ -65,6 +66,7 @@ let create eng cfg =
     writes = 0;
     atomics = 0;
     cache_hits = 0;
+    next_id = 1;
     fault = None;
     verify = None;
     obs = None;
@@ -243,13 +245,18 @@ let check_home t home =
   if home < 0 || home >= n_procs t then
     invalid_arg (Printf.sprintf "Machine.alloc: bad home PMM %d" home)
 
+let reserve_ids t n =
+  let id = t.next_id in
+  t.next_id <- id + n;
+  id
+
 let alloc t ?label ~home v =
   check_home t home;
-  Cell.make ?label ~home v
+  Cell.create ?label ~id:(reserve_ids t 1) ~home v
 
 let alloc_reserved t ~id ~home v =
   check_home t home;
-  Cell.make_reserved ~id ~home v
+  Cell.create ~id ~home v
 
 let us_of_cycles t c = Config.us_of_cycles t.cfg c
 let cycles_of_us t us = Config.cycles_of_us t.cfg us

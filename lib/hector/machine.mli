@@ -105,11 +105,19 @@ val mem_resource : t -> int -> Resource.t
 val bus_resource : t -> int -> Resource.t
 val ring_resource : t -> Resource.t
 
-(** Allocate a cell homed on the given PMM. *)
+(** Allocate a cell homed on the given PMM. It takes the machine's next
+    cell id: a machine numbers its own cells from 1, in allocation order,
+    so ids depend on nothing outside it. *)
 val alloc : t -> ?label:string -> home:int -> int -> Cell.t
 
-(** As {!alloc}, taking the id [id] as for {!Cell.make_reserved}; no
-    optional argument, so a hot caller boxes nothing. *)
+(** Consume the ids the next [n] {!alloc}s would take, in one step; returns
+    the first, and the other [n - 1] follow it. *)
+val reserve_ids : t -> int -> int
+
+(** As {!alloc}, taking the id [id] handed out earlier by {!reserve_ids}:
+    for a cell built later than the moment it stands for (a deferred table
+    element or bin head). No optional argument, so a hot caller boxes
+    nothing. *)
 val alloc_reserved : t -> id:int -> home:int -> int -> Cell.t
 
 val us_of_cycles : t -> int -> float

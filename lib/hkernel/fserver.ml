@@ -95,7 +95,7 @@ let create_file_untimed t ~file ~blocks =
   let clustering = Kernel.clustering t.kernel in
   let home = home_cluster t file in
   let cell v =
-    Cell.make
+    Machine.alloc (Kernel.machine t.kernel)
       ~home:(Clustering.home_in_cluster clustering ~cluster:home ~salt:file)
       v
   in
@@ -187,7 +187,7 @@ let open_file t ctx ~file =
         {
           f_file = file;
           f_blocks = 0;
-          opens = Cell.make ~home 0;
+          opens = Machine.alloc (Kernel.machine t.kernel) ~home 0;
         })
   with
   | `Reserved e ->
@@ -241,7 +241,11 @@ let read_block t ctx ~file ~index =
   let c = my_cluster t ctx in
   let cache = t.block_caches.(c) in
   let make_placeholder idx home =
-    { b_file = file; b_index = idx; version = Cell.make ~home 0 }
+    {
+      b_file = file;
+      b_index = idx;
+      version = Machine.alloc (Kernel.machine t.kernel) ~home 0;
+    }
   in
   match
     Khash.reserve_or_insert cache ctx (block_key ~file ~index)

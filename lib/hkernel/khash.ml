@@ -32,18 +32,17 @@
    takes the id [create] reserved for it and the home eager creation gave
    it, so ids, homes and cache state are as if it had been built there.
 
-   Untimed (set-up) inserts outside [Fine] are only recorded, and the
-   first operation that walks a bin builds its recorded inserts into
-   ordinary elements in front of its chain. A table pre-populated with
-   10^6 keys but visited on a few thousand bins builds only those bins.
-   When a table's first untimed inserts are dense — consecutive keys from
-   a non-negative one, one seeded status, one payload (physically), cell
-   ids and homes in sequence, no bin walked, a power-of-two bin count —
-   they are one run record, and a bin finds its members by arithmetic:
-   the keys congruent to [b * knuth^-1] modulo [nbins]. Any other insert
-   closes the run and is recorded in table-owned columns, threaded per
-   bin newest first; the per-bin thread heads ([pfirst]) are allocated at
-   the first such record, so a table whose set-up is one run has none. *)
+   A table's first untimed (set-up) inserts, while dense — consecutive
+   keys from a non-negative one, one seeded status, one payload
+   (physically), cell ids and homes in sequence, no bin walked, a
+   power-of-two bin count, not [Fine] — are one run record and build no
+   element. The first operation that walks a bin builds its members in
+   front of its chain, found by arithmetic: the keys congruent to
+   [b * knuth^-1] modulo [nbins]. A table pre-populated with 10^6 keys
+   but visited on a few thousand bins builds only those bins. Any other
+   untimed insert builds and links its element at once, which walks its
+   bin and so closes the run. Cell ids are numbered per machine, so only
+   the table's own machine can break a run's id sequence. *)
 
 open Hector
 open Locks
@@ -92,16 +91,6 @@ type 'a run = {
   mutable hnext : int;
 }
 
-(* A block of recorded untimed inserts. Entry [o] is [ints.(4o)] (key),
-   [ints.(4o+1)] (seeded status word), [ints.(4o+2)] (the status cell's
-   id, reserved at insert so ids are numbered as if built there) and
-   [ints.(4o+3)], which packs what is pending in the bin before it (the
-   next older entry or [no_pending], plus 1) with the index of
-   the element's home in [elem_homes]; its payload is [payloads.(o)]. A
-   built entry's payload slot is reset to [fill] (the block's first
-   payload), so a block keeps at most one built payload alive. *)
-type 'a chunk = { ints : int array; payloads : 'a array; fill : 'a }
-
 type 'a t = {
   machine : Machine.t;
   granularity : granularity;
@@ -110,14 +99,8 @@ type 'a t = {
   nshards : int; (* 1 unless [Sharded] *)
   bins : 'a bin array;
   head_id0 : int; (* bin [b]'s head word takes cell id [head_id0 + b] *)
-  mutable pfirst : int array;
-      (* per bin, the newest recorded entry not yet built, or
-         [no_pending]; empty until the first record *)
   mutable run : 'a run option; (* the first untimed inserts' dense run *)
   mutable walked : bool; (* some bin has been walked: no run may grow *)
-  mutable chunks : 'a chunk array;
-      (* pending entry [i] is in [chunks.(i / chunk_size)] *)
-  mutable recorded : int; (* untimed inserts recorded outside the run *)
   lock : Lock.t; (* coarse table lock (Hybrid / Coarse) *)
   shard_locks : Lock.t array; (* Sharded: one coarse lock per shard *)
   seqlocks : Seqlock.t array; (* Sharded: per-shard sequence words *)
@@ -160,10 +143,6 @@ let knuth_inv =
 let bin_of_key t key =
   if t.mask >= 0 then (key * knuth) land t.mask
   else Clustering.positive_mod (key * knuth) t.nbins
-
-(* The [pfirst] value, and the end of a bin's thread of records, that is
-   no pending entry. *)
-let no_pending = -1
 
 let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
     ?(vname = "khash") ~lock_algo ~homes machine =
@@ -223,7 +202,7 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
   let lock =
     Lock.make machine ~home:lock_home ~vclass:(vname ^ ".lock") lock_algo
   in
-  let head_id0 = Cell.reserve_ids nbins in
+  let head_id0 = Machine.reserve_ids machine nbins in
   {
     machine;
     granularity;
@@ -232,11 +211,8 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
     nshards;
     bins = Array.make nbins Unbuilt;
     head_id0;
-    pfirst = [||];
     run = None;
     walked = false;
-    chunks = [||];
-    recorded = 0;
     lock;
     shard_locks;
     seqlocks;
@@ -296,19 +272,17 @@ let bin_head t b =
   | Head h -> Some h.head
   | Unbuilt | Nil | Elem _ -> None
 
-(* -- elements and pending (recorded, unbuilt) entries ----------------- *)
+(* -- elements and the run ------------------------------------------------ *)
 
 (* The element on PMM [home]: its status word seeded with [status0] (e.g.
    already reserved, for placeholder descriptors — the combining-tree
-   trick) and taking cell id [id] if it is not [-1] (a fresh id
-   otherwise), plus, in Fine mode, its spin lock. No label: Verify names
-   reserve words by class and cell id. *)
+   trick) and taking cell id [id], reserved by the caller, plus, in Fine
+   mode, its spin lock. No label: Verify names reserve words by class and
+   cell id. *)
 let build_elem t key ~id ~home ~status0 ~payload ~reserver =
   {
     key;
-    status =
-      (if id < 0 then Machine.alloc t.machine ~home status0
-       else Machine.alloc_reserved t.machine ~id ~home status0);
+    status = Machine.alloc_reserved t.machine ~id ~home status0;
     elem_lock =
       (match t.granularity with
       | Fine ->
@@ -322,53 +296,26 @@ let build_elem t key ~id ~home ~status0 ~payload ~reserver =
 
 (* Build an element on the table's next storage PMM, unlinked and untimed.
    [make] builds the payload given the element's home PMM, so payload cells
-   can be co-located with the element. *)
+   can be co-located with the element; the status cell's id is reserved
+   after them. *)
 let make_elem t key ~status0 ~make ~reserver =
   let home = t.elem_homes.(next_home_index t) in
   let payload = make home in
-  build_elem t key ~id:(-1) ~home ~status0 ~payload ~reserver
-
-(* Pending entries live in blocks of [chunk_size]; the first block starts at
-   8 entries and doubles, so the kernel's small tables stay small. *)
-let chunk_size = 16_384
-let stride = 4
-
-let new_chunk n payload =
-  {
-    ints = Array.make (stride * n) 0;
-    payloads = Array.make n payload;
-    fill = payload;
-  }
-
-let pending_chunk t i = t.chunks.(i / chunk_size)
-
-(* The block that will hold the next pending entry, allocated or grown as
-   needed; [payload] is that entry's payload. *)
-let pending_slot t payload =
-  let i = t.recorded in
-  if i = 0 then t.chunks <- [| new_chunk 8 payload |]
-  else if i mod chunk_size = 0 then
-    t.chunks <- Array.append t.chunks [| new_chunk chunk_size payload |]
-  else if i = Array.length t.chunks.(0).payloads then begin
-    let c = t.chunks.(0) in
-    let c' = new_chunk (2 * i) c.fill in
-    Array.blit c.ints 0 c'.ints 0 (stride * i);
-    Array.blit c.payloads 0 c'.payloads 0 i;
-    t.chunks.(0) <- c'
-  end;
-  pending_chunk t i
+  let id = Machine.reserve_ids t.machine 1 in
+  build_elem t key ~id ~home ~status0 ~payload ~reserver
 
 (* Take an untimed insert into the table's run if it extends it: the run
-   starts at the table's first untimed insert (power-of-two [nbins]) and
-   grows while no bin has been walked and each insert brings the next key,
-   cell id and home index, the run's status and the very same payload.
-   Every key is >= 0, so none wraps. Once any of these fails the run is
-   closed for good: that insert and all later ones are recorded. *)
+   starts at the table's first untimed insert (power-of-two [nbins], not
+   [Fine], whose elements carry locks) and grows while no bin has been
+   walked and each insert brings the next key, cell id and home index, the
+   run's status and the very same payload. Every key is >= 0, so none
+   wraps. An insert that fails any of these is linked at once, which walks
+   its bin: the run is closed for good. *)
 let extend_run t key ~status0 ~hidx ~id payload =
-  if t.walked || t.recorded > 0 || key < 0 then false
+  if t.walked || key < 0 then false
   else
     match t.run with
-    | None when t.mask >= 0 ->
+    | None when t.mask >= 0 && t.granularity <> Fine ->
       t.run <-
         Some
           {
@@ -393,47 +340,11 @@ let extend_run t key ~status0 ~hidx ~id payload =
       end;
       next
 
-(* Record an untimed insert homed on [elem_homes.(hidx)], its status cell
-   to take [id], as its bin's newest pending entry. *)
-let record t key ~status0 ~hidx ~id payload =
-  let i = t.recorded in
-  if i = 0 then t.pfirst <- Array.make t.nbins no_pending;
-  let c = pending_slot t payload in
-  let o = i mod chunk_size in
-  let at = stride * o in
-  let b = bin_of_key t key in
-  c.ints.(at) <- key;
-  c.ints.(at + 1) <- status0;
-  c.ints.(at + 2) <- id;
-  c.ints.(at + 3) <- ((t.pfirst.(b) + 1) * Array.length t.elem_homes) + hidx;
-  c.payloads.(o) <- payload;
-  t.pfirst.(b) <- i;
-  t.recorded <- i + 1
-
-(* Build pending entry [i] and the older ones of its bin, newest first, in
-   front of [built]. Top level and tail-mod-cons, so a bin's build costs
-   what eager building did: the element, its status cell and one [Elem]. *)
-let[@tail_mod_cons] rec build_pending t i built =
-  if i = no_pending then built
-  else begin
-    let nh = Array.length t.elem_homes in
-    let c = pending_chunk t i in
-    let o = i mod chunk_size in
-    let at = stride * o in
-    let packed = c.ints.(at + 3) in
-    let e =
-      build_elem t c.ints.(at) ~status0:c.ints.(at + 1) ~id:c.ints.(at + 2)
-        ~home:t.elem_homes.(packed mod nh)
-        ~payload:c.payloads.(o) ~reserver:(-1)
-    in
-    c.payloads.(o) <- c.fill;
-    Elem (e, build_pending t ((packed / nh) - 1) built)
-  end
-
 (* Build the run's members with keys [k], [k - nbins], ... down to its
-   first key, in front of [built]. *)
-let[@tail_mod_cons] rec build_run t r k built =
-  if k < r.key0 then built
+   first key. Top level and tail-mod-cons, so a bin's build costs what
+   eager building did: the element, its status cell and one [Elem]. *)
+let[@tail_mod_cons] rec build_run t r k =
+  if k < r.key0 then Nil
   else begin
     let m = k - r.key0 in
     let e =
@@ -441,7 +352,7 @@ let[@tail_mod_cons] rec build_run t r k built =
         ~home:t.elem_homes.((r.h0 + m) mod Array.length t.elem_homes)
         ~payload:r.payload ~reserver:(-1)
     in
-    Elem (e, build_run t r (k - t.nbins) built)
+    Elem (e, build_run t r (k - t.nbins))
   end
 
 (* Bin [b]'s chain as stored, built or not. *)
@@ -455,37 +366,20 @@ let store t b chain =
   | Head h -> h.chain <- chain
   | Unbuilt | Nil | Elem _ -> t.bins.(b) <- chain
 
-(* Bin [b]'s newest recorded entry not yet built, taken for building. *)
-let take_pending t b =
-  if t.recorded = 0 then no_pending
-  else begin
-    let i = t.pfirst.(b) in
-    t.pfirst.(b) <- no_pending;
-    i
-  end
-
-(* Bin [b]'s chain, built first if it holds pending entries: on the bin's
-   first walk its run members, newest first (the keys up to the run's last
-   that are congruent to [b * knuth_inv] modulo [nbins]), and then, in
-   front, its records. Every record was taken after every element already
-   linked there, since linking walks the bin first. A walk closes the
-   run. *)
+(* Bin [b]'s chain, built on its first walk: its run members, newest first
+   (the keys up to the run's last that are congruent to [b * knuth_inv]
+   modulo [nbins]). A walk closes the run. *)
 let chain t b =
   match stored t b with
   | Unbuilt ->
     t.walked <- true;
-    let members =
+    let chain =
       match t.run with
       | None -> Nil
       | Some r ->
         let last = r.key0 + r.n - 1 in
-        build_run t r (last - ((last - (b * knuth_inv)) land t.mask)) Nil
+        build_run t r (last - ((last - (b * knuth_inv)) land t.mask))
     in
-    let chain = build_pending t (take_pending t b) members in
-    store t b chain;
-    chain
-  | chain when t.recorded > 0 && t.pfirst.(b) <> no_pending ->
-    let chain = build_pending t (take_pending t b) chain in
     store t b chain;
     chain
   | chain -> chain
@@ -500,27 +394,24 @@ let rec iter_chain f = function
 
 (* Search a chain: one read of the bin-head word (which lives beside the
    lock, as the table header does on real hardware), then one header read
-   per element examined. *)
-let search_locked_status ctx t key =
+   per element examined. [found e v] is the element with [key] and the
+   status word its probe read; [absent ()] is called when there is none. *)
+let search_with ctx t key ~found ~absent =
   t.searches <- t.searches + 1;
   let b = bin_of_key t key in
   ignore (Ctx.read ctx (head t b));
-  let costs_probe e =
-    t.probes <- t.probes + 1;
-    let v = Ctx.read ctx e.status in
-    Ctx.instr ctx ~reg:1 ~br:1 ();
-    v
-  in
   let rec go = function
     | Elem (e, rest) ->
-      let v = costs_probe e in
-      if e.key = key then Some (e, v) else go rest
-    | Unbuilt | Nil | Head _ -> None
+      t.probes <- t.probes + 1;
+      let v = Ctx.read ctx e.status in
+      Ctx.instr ctx ~reg:1 ~br:1 ();
+      if e.key = key then found e v else go rest
+    | Unbuilt | Nil | Head _ -> absent ()
   in
   go (chain t b)
 
 let search_locked ctx t key =
-  Option.map fst (search_locked_status ctx t key)
+  search_with ctx t key ~found:(fun e _ -> Some e) ~absent:(fun () -> None)
 
 (* The seqlock covering [key]'s shard, when the granularity has one. Chain
    mutations bump it inside the shard lock so unlocked readers can detect
@@ -608,27 +499,32 @@ let with_key_locked t ctx key f =
   | Sharded -> Lock.with_lock_masked t.shard_locks.(shard_of_key t key) ctx f
   | Hybrid | Coarse | Fine -> with_coarse t ctx f
 
-(* Acquire the protecting lock, search, and reserve the element, retrying
-   the whole dance whenever the element is found reserved by someone else
-   (Figure 1b). Returns [None] if the key is absent. *)
-let rec reserve_existing t ctx key =
-  let outcome =
-    with_key_locked t ctx key (fun () ->
-        match search_locked_status ctx t key with
-        | None -> `Absent
-        | Some (e, st) ->
+(* Under [key]'s protecting lock, search and try to reserve the element
+   found: [`Got e] if this processor now holds it, [`Busy e] if another
+   does, and [absent ()] if the key is not there. *)
+let reserve_step t ctx key ~absent =
+  with_key_locked t ctx key (fun () ->
+      search_with ctx t key ~absent ~found:(fun e st ->
           if Reserve.try_reserve ~known:st ~cls:t.rcls ctx e.status then begin
             e.reserver <- Ctx.proc ctx;
             `Got e
           end
-          else `Busy e)
-  in
-  match outcome with
+          else `Busy e))
+
+(* A reserve-bit conflict on [e]: wait, off the lock, for the bit to clear. *)
+let wait_reserved t ctx e =
+  t.reserve_conflicts <- t.reserve_conflicts + 1;
+  Reserve.spin_until_clear ~cls:t.rcls ctx t.backoff e.status
+
+(* Acquire the protecting lock, search, and reserve the element, retrying
+   the whole dance whenever the element is found reserved by someone else
+   (Figure 1b). Returns [None] if the key is absent. *)
+let rec reserve_existing t ctx key =
+  match reserve_step t ctx key ~absent:(fun () -> `Absent) with
   | `Absent -> None
   | `Got e -> Some e
   | `Busy e ->
-    t.reserve_conflicts <- t.reserve_conflicts + 1;
-    Reserve.spin_until_clear ~cls:t.rcls ctx t.backoff e.status;
+    wait_reserved t ctx e;
     reserve_existing t ctx key
 
 (* Like [reserve_existing], but when the key is absent insert a reserved
@@ -636,44 +532,24 @@ let rec reserve_existing t ctx key =
    one processor per cluster goes remote for the data while the others wait
    on the placeholder's reserve bit. *)
 let rec reserve_or_insert t ctx key ~make =
-  let outcome =
-    with_key_locked t ctx key (fun () ->
-        match search_locked_status ctx t key with
-        | None -> `New (insert_locked ctx t key ~status0:1 ~make)
-        | Some (e, st) ->
-          if Reserve.try_reserve ~known:st ~cls:t.rcls ctx e.status then begin
-            e.reserver <- Ctx.proc ctx;
-            `Got e
-          end
-          else `Busy e)
-  in
-  match outcome with
-  | `New e -> `Inserted e
+  match
+    reserve_step t ctx key ~absent:(fun () ->
+        `Inserted (insert_locked ctx t key ~status0:1 ~make))
+  with
+  | `Inserted _ as r -> r
   | `Got e -> `Reserved e
   | `Busy e ->
-    t.reserve_conflicts <- t.reserve_conflicts + 1;
-    Reserve.spin_until_clear ~cls:t.rcls ctx t.backoff e.status;
+    wait_reserved t ctx e;
     reserve_or_insert t ctx key ~make
 
 (* Non-blocking reservation attempt: used by RPC service handlers, which
    must fail with a potential-deadlock indication rather than spin
    (Section 2.3). *)
 let try_reserve_existing t ctx key =
-  let outcome =
-    with_key_locked t ctx key (fun () ->
-        match search_locked_status ctx t key with
-        | None -> `Absent
-        | Some (e, st) ->
-          if Reserve.try_reserve ~known:st ~cls:t.rcls ctx e.status then begin
-            e.reserver <- Ctx.proc ctx;
-            `Got e
-          end
-          else `Busy)
-  in
-  match outcome with
+  match reserve_step t ctx key ~absent:(fun () -> `Absent) with
   | `Absent -> `Absent
   | `Got e -> `Reserved e
-  | `Busy ->
+  | `Busy _ ->
     t.reserve_conflicts <- t.reserve_conflicts + 1;
     `Would_deadlock
 
@@ -705,26 +581,9 @@ let lookup_locked t ctx key =
   | Hybrid | Coarse | Sharded ->
     with_key_locked t ctx key (fun () -> search_locked ctx t key)
 
-(* Unlocked probe for the optimistic path: identical cost charging to
-   [search_locked_status] (bin-head read, one header read per element).
-   Runs against a chain snapshot; the seqlock validation decides whether
-   the snapshot was consistent. *)
-let search_unlocked ctx t key =
-  t.searches <- t.searches + 1;
-  let b = bin_of_key t key in
-  ignore (Ctx.read ctx (head t b));
-  let rec go = function
-    | Elem (e, rest) ->
-      t.probes <- t.probes + 1;
-      ignore (Ctx.read ctx e.status);
-      Ctx.instr ctx ~reg:1 ~br:1 ();
-      if e.key = key then Some e else go rest
-    | Unbuilt | Nil | Head _ -> None
-  in
-  go (chain t b)
-
 (* Read-only lookup. Under [Sharded] this is the optimistic read path:
-   sample the shard's sequence word, probe the chain unlocked, validate.
+   sample the shard's sequence word, search the chain unlocked (the same
+   search and charges as the locked path, on a snapshot), validate.
    A writer-busy sample or failed validation falls back to the locked
    search — one bounded retry through the lock, no unbounded spinning.
    The other granularities always use the locked path. *)
@@ -738,7 +597,7 @@ let lookup t ctx key =
       t.optimistic_fallbacks <- t.optimistic_fallbacks + 1;
       lookup_locked t ctx key
     | Some seq ->
-      let r = search_unlocked ctx t key in
+      let r = search_locked ctx t key in
       if Seqlock.read_validate sq ctx seq then begin
         t.optimistic_hits <- t.optimistic_hits + 1;
         r
@@ -803,23 +662,19 @@ let with_element t ctx key f =
 
 (* Untimed insertion for experiment setup (pre-populating descriptors
    before the simulation starts). The home is picked, [make] called and the
-   status cell's id reserved now, in insert order, as for a timed insert;
-   the element itself is built when an operation first walks its bin
-   ({!chain}). A Fine-mode element also carries a spin lock with its own
-   cell and {!Verify} instance id, so Fine tables (the small ABL1
-   ablation) build at once and number those ids in insert order too. No
-   live processor set a seeded reserve bit, so a crash sweep has no corpse
-   to attribute it to. *)
+   status cell's id reserved now, in insert order, as for a timed insert.
+   The insert then extends the table's run, whose members are built when
+   an operation first walks their bin ({!chain}), or its element is built
+   and linked at once. No live processor set a seeded reserve bit, so a
+   crash sweep has no corpse to attribute it to. *)
 let insert_untimed t key ~status0 ~make =
-  match t.granularity with
-  | Fine -> link t (make_elem t key ~status0 ~make ~reserver:(-1))
-  | Hybrid | Coarse | Sharded ->
-    let hidx = next_home_index t in
-    let payload = make t.elem_homes.(hidx) in
-    let id = Cell.reserve_id () in
-    if not (extend_run t key ~status0 ~hidx ~id payload) then
-      record t key ~status0 ~hidx ~id payload;
+  let hidx = next_home_index t in
+  let home = t.elem_homes.(hidx) in
+  let payload = make home in
+  let id = Machine.reserve_ids t.machine 1 in
+  if extend_run t key ~status0 ~hidx ~id payload then
     t.n_elems <- t.n_elems + 1
+  else link t (build_elem t key ~id ~home ~status0 ~payload ~reserver:(-1))
 
 (* Untimed whole-table iteration, for tests and invariant checks. *)
 let iter_untimed t f =
@@ -847,9 +702,9 @@ let mem_untimed t key =
    [write_begin] asserts an even word. The roll itself cannot race a live
    writer because the corpse still notionally holds the shard lock while
    we repair. Free when nobody died — every check is host-side except one
-   probe load per dead-owned reservation. Pending (unbuilt) entries are
-   skipped: none has a reserver, and Fine tables, whose elements carry
-   locks, build at insert. *)
+   probe load per dead-owned reservation. Run members not yet built are
+   skipped: none has a reserver, and a Fine table, whose elements carry
+   locks, never starts a run. *)
 let recover t ctx =
   let repairs = ref 0 in
   let bump b = if b then incr repairs in

@@ -189,27 +189,25 @@ val lookup_locked : 'a t -> Ctx.t -> int -> 'a elem option
 val with_element : 'a t -> Ctx.t -> int -> ('a elem -> 'b) -> 'b option
 
 (** Untimed setup insertion (pre-populating before a run). The element's
-    home is picked and [make] called at once, in insert order, as for
-    {!insert}; except under [Fine], the element itself (status word,
-    chain cons) is built only when an operation first walks its bin — any
-    timed operation, {!mem_untimed} or {!iter_untimed} — and goes in
-    front of the bin's built elements, so chain order, homes, status
-    words, probe counts and every simulated result are as if it had been
-    built here. Its status cell takes the id reserved at insert; the
-    order in which cells are built is diagnostic only. A table
-    pre-populated with many keys but visited on few bins builds only
-    those bins.
+    home is picked, [make] called and its status cell's id reserved at
+    once, in insert order, as for {!insert}.
 
-    A table's first untimed inserts cost no per-key memory while they form
-    a dense run: power-of-two [nbins], keys [k0 >= 0], [k0 + 1], ..., one
-    [status0], one payload (physically equal), cell ids and homes in
-    sequence (no cell allocated between two inserts), and no bin walked
-    since the first. The first insert that breaks it is recorded, and so
-    is every later one. *)
+    A table's first untimed inserts build nothing and cost no per-key
+    memory while they form a dense run: power-of-two [nbins], not [Fine],
+    keys [k0 >= 0], [k0 + 1], ..., one [status0], one payload (physically
+    equal), cell ids and homes in sequence (no cell allocated on the
+    table's machine between two inserts), and no bin walked since the
+    first. A run member is built when an operation first walks its bin —
+    any timed operation, {!mem_untimed} or {!iter_untimed} — so chain
+    order, homes, status words, probe counts and every simulated result
+    are as if it had been built at insert; a table pre-populated with many
+    keys but visited on few bins builds only those bins. Every other
+    untimed insert builds and links its element at once, which closes the
+    run for good. *)
 val insert_untimed : 'a t -> int -> status0:int -> make:(int -> 'a) -> unit
 
 (** Untimed iteration/membership, for tests and invariant checks. Both
-    build the pending elements they walk ([iter_untimed]: all of them). *)
+    build the run members they walk ([iter_untimed]: all of them). *)
 val iter_untimed : 'a t -> ('a elem -> unit) -> unit
 
 val mem_untimed : 'a t -> int -> bool
@@ -221,7 +219,8 @@ val mem_untimed : 'a t -> int -> bool
     reserve bits whose recorded owner is dead. Per shard, the sequence
     word is repaired {e before} the shard lock changes hands, so the next
     writer's [write_begin] finds it even. Returns the number of repairs
-    performed; free when no processor has died. Elements {!insert_untimed}
-    recorded and nothing has walked yet are skipped, not built: no
-    processor reserved them and no lock of theirs exists to be held. *)
+    performed; free when no processor has died. Run members
+    ({!insert_untimed}) that nothing has walked yet are skipped, not
+    built: no processor reserved them and no lock of theirs exists to be
+    held. *)
 val recover : 'a t -> Ctx.t -> int

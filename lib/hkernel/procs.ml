@@ -134,11 +134,11 @@ let spawn_process_untimed t ~pid ~parent =
   let make home =
     {
       pid;
-      parent = Cell.make ~label:"parent" ~home parent;
-      alive = Cell.make ~label:"alive" ~home 1;
-      nchildren = Cell.make ~label:"nchildren" ~home 0;
+      parent = Machine.alloc machine ~label:"parent" ~home parent;
+      alive = Machine.alloc machine ~label:"alive" ~home 1;
+      nchildren = Machine.alloc machine ~label:"nchildren" ~home 0;
       children = ref [];
-      mailbox = Cell.make ~label:"mailbox" ~home 0;
+      mailbox = Machine.alloc machine ~label:"mailbox" ~home 0;
     }
   in
   ignore (Khash.insert_untimed (table_of_pid t pid) pid ~status0:0 ~make);
@@ -148,8 +148,8 @@ let spawn_process_untimed t ~pid ~parent =
     let make_tnode home =
       {
         t_pid = pid;
-        t_parent = Cell.make ~label:"t.parent" ~home parent;
-        t_nchildren = Cell.make ~label:"t.nchildren" ~home 0;
+        t_parent = Machine.alloc machine ~label:"t.parent" ~home parent;
+        t_nchildren = Machine.alloc machine ~label:"t.nchildren" ~home 0;
         t_children = ref [];
       }
     in

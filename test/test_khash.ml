@@ -871,9 +871,8 @@ let slo_shaped_table () =
   in
   (eng, machine, table)
 
-(* An untimed insert records the key in the table's packed columns and
-   builds no element, so its minor-heap cost is the columns' amortised
-   growth: no record, status cell, chain cons or closure per key. *)
+(* A dense untimed insert extends the table's run and builds no element:
+   no record, status cell, chain cons or closure per key. *)
 let test_insert_untimed_allocation () =
   let _, _, table = slo_shaped_table () in
   let n = 20_000 in
@@ -910,9 +909,9 @@ let test_insert_untimed_build_allocation () =
     true (per_elem <= 16.0);
   Alcotest.(check int) "all built" n !built
 
-(* An untouched pre-populated table keeps its keys in the columns alone:
-   10^5 keys cost at most 8 words each beyond the empty table (bin
-   heads and locks), where built elements cost 16. *)
+(* An untouched pre-populated table of consecutive keys keeps them in its
+   run record alone: 10^5 keys cost at most 8 words each beyond the empty
+   table (bin heads and locks), where built elements cost 16. *)
 let test_untouched_table_retained_size () =
   let _, machine, table = slo_shaped_table () in
   let words () = own_words machine table in
@@ -981,8 +980,10 @@ let test_dense_run_ids_and_size () =
     (Array.init n Fun.id)
 
 (* A table whose bin count is not a power of two, or whose first key is
-   negative, records every insert (more than 1 word a key, and at most the
-   8 the records may cost) and still builds what the model says. *)
+   negative, has no run: it builds every insert at once (more than 1 word
+   a key, and at most the 16 a built element costs, as in
+   [test_insert_untimed_build_allocation]) and builds what the model
+   says. *)
 let test_run_fallbacks () =
   List.iter
     (fun (nbins, k0) ->
@@ -1000,17 +1001,41 @@ let test_run_fallbacks () =
       Array.iter
         (fun k -> Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ()))
         keys;
+      (* Less the one empty label string the built status cells share. *)
       let per_key =
-        float_of_int (words () - empty) /. float_of_int (Array.length keys)
+        float_of_int (words () - empty - Obj.reachable_words (Obj.repr ""))
+        /. float_of_int (Array.length keys)
       in
       Alcotest.(check bool)
         (Printf.sprintf
-           "nbins %d from %d: recorded, 1 < words a key <= 8 (got %.2f)" nbins
-           k0 per_key)
+           "nbins %d from %d: built, 1 < words a key <= 16 (got %.2f)" nbins k0
+           per_key)
         true
-        (per_key > 1.0 && per_key <= 8.0);
+        (per_key > 1.0 && per_key <= 16.0);
       check_untimed_build table ~homes:[| 8; 9 |] ~h0:0 ~base keys)
     [ (6, 0); (100, 3); (16, -1); (16, -250) ]
+
+(* Cell ids are numbered per machine, so allocations on another machine
+   leave a dense run whole: 10^4 consecutive untimed inserts, each followed
+   by a cell allocated on a second machine, still retain at most 1 word a
+   key and build the ids, homes and chains of an eager build. *)
+let test_run_survives_other_machines () =
+  let _, machine, table = slo_shaped_table () in
+  let other = Machine.create (Engine.create ()) Config.hector in
+  let words () = own_words machine table in
+  let empty = words () in
+  let base = Cell.id (Machine.alloc machine ~home:0 0) + 1 in
+  let n = 10_000 in
+  for k = 0 to n - 1 do
+    Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ());
+    ignore (Machine.alloc other ~home:0 0)
+  done;
+  let per_key = float_of_int (words () - empty) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "retained words per dense key <= 1 (got %.2f)" per_key)
+    true (per_key <= 1.0);
+  check_untimed_build table ~homes:[| 8; 9 |] ~h0:0 ~base
+    (Array.init n Fun.id)
 
 (* Crash repair on a populated table nobody has touched: no processor died,
    so nothing is repaired, and the sweep builds no pending element. *)
@@ -1238,6 +1263,8 @@ let suite =
       test_dense_run_ids_and_size;
     Alcotest.test_case "no run: odd bin counts and negative keys" `Quick
       test_run_fallbacks;
+    Alcotest.test_case "a dense run survives other machines' allocations"
+      `Quick test_run_survives_other_machines;
     Alcotest.test_case "sharded runs attribute waits to shard classes" `Quick
       test_sharded_obs_attribution;
     Alcotest.test_case "an untouched bin costs at most 1.5 words" `Quick

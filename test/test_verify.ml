@@ -64,6 +64,18 @@ let test_probe_interrupt () = check_probe Verify_probes.Interrupt_spin
 let test_probe_stall () = check_probe ~aborts:true Verify_probes.Stalled_holder
 let test_probe_deadlock () = check_probe ~aborts:true Verify_probes.Deadlock
 
+(* A report names a cell by its id on the probe's own machine, so it reads
+   the same whatever the process ran before: a second pass over every
+   probe, after a workload that allocated cells of its own, repeats the
+   first pass's reports exactly. *)
+let test_probe_reports_deterministic () =
+  let firsts () =
+    List.map (fun r -> r.Verify_probes.first) (Verify_probes.run_all ())
+  in
+  let before = firsts () in
+  ignore (Uncontended.run ~iters:50 Lock.Mcs_h2);
+  Alcotest.(check (list string)) "first violations" before (firsts ())
+
 let test_probe_aborted_waiter () =
   (* Self-resolving ABBA via timed acquisitions: the checker must stay
      silent — no phantom order or deadlock report from waits that can (and
@@ -157,6 +169,8 @@ let suite =
     Alcotest.test_case "probe: aborted waiter is silent" `Quick
       test_probe_aborted_waiter;
     Alcotest.test_case "probe: clean" `Quick test_probe_clean;
+    Alcotest.test_case "probe reports do not depend on earlier runs" `Quick
+      test_probe_reports_deterministic;
     Alcotest.test_case "checker on/off identity" `Quick test_checker_identity;
     Qc.to_alcotest prop_status_word;
   ]
