@@ -10,6 +10,24 @@
    cost the heap sift plus the thunk itself and, while a wait is elided,
    one ring record (below).
 
+   In-place dispatch. A fiber's sleep ([Process.pause], [wait_until]) whose
+   wake is provably the next dispatch skips the heap and the effect round
+   trip ([sleep_in_place]). The proof has three parts. The fiber is all
+   that is left of the dispatch in progress: that dispatch resumed it from
+   its own sleep ([resumed_sleeper]) and no other fiber has been resumed
+   since ([resumed_other] and each dispatch clear the flag), so once it
+   would suspend nothing else would run. Nothing comes first: the wake is
+   strictly before [Pqueue.min_time] (a tie would lose on seq) and before
+   [horizon], so no elided chain ends first. And [run]'s loop would
+   dispatch it next: inside [run] ([limit]), within its [until], and with
+   the event budget not spent. Then the engine makes the bookkeeping the
+   round trip would: it takes the next seq as [schedule] would, counts the
+   event, sets [cur_seq], [cur_first] and [cur_entry], records the
+   dispatch in the ring while waits are active, and moves the clock. So
+   the seq counter, the ring and [events_executed] are exactly as after
+   the round trip, and every later seq, tie and elided wait's place with
+   them.
+
    Elided waits. A wait whose iterations change nothing another event can
    observe (a processor spinning on its own memory module) need not put an
    event in the heap for every iteration. Its owner declares it with
@@ -179,6 +197,12 @@ type t = {
   mutable memo : Pairs.t;
   mutable memo_old : Pairs.t;
   mutable memo_swap : int;
+  (* In-place dispatch ([sleep_in_place]): [run]'s limit while inside it
+     ([min_int] outside, even after a raise), and whether the code running
+     is the fiber this dispatch resumed from its sleep, with no other fiber
+     resumed since. *)
+  mutable limit : int;
+  mutable sleeper : bool;
 }
 
 let create ?(max_events = 200_000_000) () =
@@ -206,6 +230,8 @@ let create ?(max_events = 200_000_000) () =
     memo = Pairs.create 16;
     memo_old = Pairs.create 16;
     memo_swap = memo_period;
+    limit = min_int;
+    sleeper = false;
   }
 
 let now t = t.now
@@ -613,8 +639,38 @@ let[@inline] dispatch t =
   t.cur_seq <- seq;
   t.cur_first <- t.seq;
   t.cur_entry <- -1;
+  t.sleeper <- false;
   if t.n_active > 0 then track t;
   f ()
+
+let resumed_sleeper t = t.sleeper <- true
+
+let resumed_other t = t.sleeper <- false
+
+(* The dispatch a sleep until [at] would lead to, made here when it is
+   provably the next one: the running fiber is all that is left of the
+   dispatch in progress, no event in the heap comes before [at], no
+   elided chain's end is due by then ([horizon]; a stale one is only
+   lower), and [run]'s loop would dispatch it next without stopping. Then
+   the bookkeeping is the heap round trip's — a seq taken as [schedule]
+   takes it, the count, the dispatch's seq and counter, the ring record —
+   so every later seq, and every elided wait's place, is as before. *)
+let sleep_in_place t at =
+  if
+    t.sleeper && at < Pqueue.min_time t.events && at < t.horizon
+    && at <= t.limit && t.executed <= t.max_events
+  then begin
+    let c = t.seq in
+    t.seq <- c + 1;
+    t.now <- at;
+    t.executed <- t.executed + 1;
+    t.cur_seq <- c lsl seq_bits;
+    t.cur_first <- t.seq;
+    t.cur_entry <- -1;
+    if t.n_active > 0 then track t;
+    true
+  end
+  else false
 
 let leave_dispatch t =
   t.cur_seq <- -1;
@@ -679,11 +735,9 @@ let end_chains t =
   done;
   t.horizon <- !h
 
-let run ?until t =
-  (* [Pqueue.min_time] reads the earliest timestamp as a bare int, so the
-     loop's test is three comparisons and allocates nothing. *)
-  let limit = match until with None -> max_int | Some l -> l in
-  if t.executed > t.max_events then budget_exhausted t;
+(* [Pqueue.min_time] reads the earliest timestamp as a bare int, so the
+   loop's test is three comparisons and allocates nothing. *)
+let run_loop t limit =
   let go = ref true in
   while !go do
     let next = Pqueue.min_time t.events in
@@ -694,7 +748,15 @@ let run ?until t =
       if t.executed > t.max_events then budget_exhausted t
     end
     else go := false
-  done;
+  done
+
+let run ?until t =
+  let limit = match until with None -> max_int | Some l -> l in
+  if t.executed > t.max_events then budget_exhausted t;
+  t.limit <- limit;
+  Fun.protect
+    ~finally:(fun () -> t.limit <- min_int)
+    (fun () -> run_loop t limit);
   leave_dispatch t;
   if t.live > 0 then begin
     match until with None -> stuck t | Some limit -> park_after t limit

@@ -52,6 +52,36 @@ val step : t -> bool
     event, so it can run chain elements one at a time. *)
 val run : ?until:int -> t -> unit
 
+(** {2 In-place dispatch}
+
+    A fiber's sleep ([Process.pause], [Process.wait_until]) whose wake is
+    provably the next dispatch need not go through the heap and the
+    effect handler: the engine makes that dispatch's bookkeeping where the
+    fiber stands, and the fiber runs on. The proof: the running code is the
+    fiber this dispatch resumed from its own sleep, and no other fiber has
+    been resumed since ([resumed_sleeper], cleared by [resumed_other] and at
+    each dispatch); the wake is strictly before every queued event and
+    every elided chain's end; and {!run} would dispatch it next — it is
+    inside [run], the wake is within [run]'s [until], and the event budget
+    is not spent. Nothing runs in place under {!step}. The bookkeeping is
+    the round trip's (a seq taken as {!schedule} takes it, the count, the
+    dispatch's seq, the ring record while waits are elided), so every seq,
+    every elided wait's place and {!events_executed} stay exactly as if
+    the wake had been scheduled. *)
+
+(** [sleep_in_place t at]: if a wake at [at] is provably the next dispatch,
+    make that dispatch (the clock moves to [at]) and return [true];
+    otherwise change nothing and return [false]. [at >= now t]. *)
+val sleep_in_place : t -> int -> bool
+
+(** The dispatch in progress is resuming a fiber from its sleep: that fiber
+    alone holds the rest of the dispatch. *)
+val resumed_sleeper : t -> unit
+
+(** Some other fiber is being resumed: nothing runs in place until the next
+    dispatch. *)
+val resumed_other : t -> unit
+
 (** {2 Elided waits}
 
     A wait whose iterations change nothing another event can observe can

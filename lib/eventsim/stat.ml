@@ -53,7 +53,7 @@ let max_value t = if t.len = 0 then 0 else t.max_v
 let ensure_sorted t =
   if not t.sorted then begin
     let live = Array.sub t.samples 0 t.len in
-    Array.sort compare live;
+    Array.sort Int.compare live;
     Array.blit live 0 t.samples 0 t.len;
     t.sorted <- true
   end

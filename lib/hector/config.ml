@@ -136,7 +136,6 @@ let validate cfg =
 (* Each PMM pairs one processor with one memory module, so the PMM id of a
    processor is the processor id itself. *)
 let station_of_proc cfg p = p / cfg.procs_per_station
-let station_of_pmm cfg m = m / cfg.procs_per_station
 let index_in_station cfg p = p mod cfg.procs_per_station
 
 let us_of_cycles cfg c = float_of_int c /. float_of_int cfg.mhz

@@ -47,7 +47,6 @@ val n_procs : t -> int
 val validate : t -> t
 
 val station_of_proc : t -> int -> int
-val station_of_pmm : t -> int -> int
 val index_in_station : t -> int -> int
 
 (** Convert simulated cycles to microseconds at the configured clock rate. *)

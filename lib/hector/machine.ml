@@ -19,6 +19,9 @@ type t = {
   mem : Resource.t array; (* one per PMM *)
   bus : Resource.t array; (* one per station *)
   ring : Resource.t;
+  station : int array;
+      (* per processor (and per PMM: PMM [i] sits beside processor [i]):
+         its station, so an access divides nothing *)
   mutable reads : int;
   mutable writes : int;
   mutable atomics : int;
@@ -62,6 +65,7 @@ let create eng cfg =
       Array.init cfg.Config.stations (fun i ->
           Resource.create (Printf.sprintf "bus%d" i));
     ring = Resource.create "ring";
+    station = Array.init n (Config.station_of_proc cfg);
     reads = 0;
     writes = 0;
     atomics = 0;
@@ -265,7 +269,7 @@ let cycles_of_us t us = Config.cycles_of_us t.cfg us
 let base_latency t ~proc ~home =
   let cfg = t.cfg in
   if proc = home then cfg.Config.local_latency
-  else if Config.station_of_proc cfg proc = Config.station_of_pmm cfg home then
+  else if t.station.(proc) = t.station.(home) then
     cfg.Config.station_latency
   else cfg.Config.ring_latency
 
@@ -277,8 +281,7 @@ let base_latency t ~proc ~home =
 let access_finish_time t ~proc ~home ~accesses ~atomic =
   let cfg = t.cfg in
   let start = Engine.now t.eng in
-  let sp = Config.station_of_proc cfg proc
-  and sm = Config.station_of_pmm cfg home in
+  let sp = t.station.(proc) and sm = t.station.(home) in
   (* Injected hot-spot: the destination PMM may be serving at a multiple of
      its normal latency. 1 when no plan is installed or the PMM is cool, so
      the factor costs nothing when injection is off. *)

@@ -248,13 +248,9 @@ let populate_page t ~vpage ~master_cluster ~frame =
   in
   ignore (Khash.insert_untimed cd.page_hash vpage ~status0:0 ~make)
 
-(* Untimed: the master-cluster descriptor for a page, for assertions. *)
+(* Untimed: the descriptor for a page in [cluster]'s page hash. *)
 let find_descriptor_untimed t ~cluster ~vpage =
-  let cd = t.clusters.(cluster) in
-  let found = ref None in
-  Khash.iter_untimed cd.page_hash (fun e ->
-      if e.Khash.key = vpage then found := Some e);
-  !found
+  Khash.find_untimed t.clusters.(cluster).page_hash vpage
 
 (* The RPC layer's marshal/dispatch cycles are kernel code too: route them
    through the memory-bound worker. Done here (after [kernel_work] exists)

@@ -100,6 +100,7 @@ val spawn_idle_except : t -> active:int list -> unit
     owner and sole sharer). *)
 val populate_page : t -> vpage:int -> master_cluster:int -> frame:int -> unit
 
-(** Untimed lookup of a cluster's descriptor instance, for assertions. *)
+(** Untimed lookup of a cluster's descriptor instance: the fault path's
+    location resolution, and assertions. Walks the page's bin only. *)
 val find_descriptor_untimed :
   t -> cluster:int -> vpage:int -> Page.pdesc Khash.elem option

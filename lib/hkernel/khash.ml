@@ -682,12 +682,15 @@ let iter_untimed t f =
     iter_chain f (chain t b)
   done
 
-let mem_untimed t key =
-  let rec mem = function
-    | Elem (e, rest) -> e.key = key || mem rest
-    | Unbuilt | Nil | Head _ -> false
+(* Untimed keyed lookup: walks [key]'s bin only. *)
+let find_untimed t key =
+  let rec find = function
+    | Elem (e, rest) -> if e.key = key then Some e else find rest
+    | Unbuilt | Nil | Head _ -> None
   in
-  mem (chain t (bin_of_key t key))
+  find (chain t (bin_of_key t key))
+
+let mem_untimed t key = Option.is_some (find_untimed t key)
 
 (* -- crash repair --------------------------------------------------------- *)
 

@@ -212,6 +212,10 @@ val iter_untimed : 'a t -> ('a elem -> unit) -> unit
 
 val mem_untimed : 'a t -> int -> bool
 
+(** Untimed lookup of [key]'s element, walking (and building) its bin
+    only. *)
+val find_untimed : 'a t -> int -> 'a elem option
+
 (** Crash repair: force the release of every protecting lock whose holder
     has fail-stopped (coarse, shard, and Fine-mode bin / element locks),
     roll forward any shard sequence word a dead writer left odd (so

@@ -107,6 +107,14 @@ type frame =
 
 type hold = { h_id : int; h_cls : int; h_since : int }
 
+(* One lock instance's state, made at its first hook and kept: its holder
+   and last releaser (-1 for none) and how many waiters it has. *)
+type lock_state = {
+  mutable holder : int;
+  mutable waiters : int;
+  mutable last_releaser : int;
+}
+
 (* Crash/recovery accounting lives beside the profile buckets, not inside
    them: the [cells] record is schema-stable (profile rows and their JSON
    export are byte-compared across versions), and crash evidence wants
@@ -136,9 +144,7 @@ type t = {
   mutable classes : bucket array option array; (* class id -> per-cluster *)
   frames : frame list array; (* per proc, newest first *)
   holds : hold list array; (* per proc, lock holds, newest first *)
-  lock_holder : (int, int) Hashtbl.t; (* instance id -> holding proc *)
-  lock_waiters : (int, int) Hashtbl.t; (* instance id -> waiter count *)
-  last_releaser : (int, int) Hashtbl.t; (* instance id -> last releasing proc *)
+  locks : (int, lock_state) Hashtbl.t; (* instance id -> its state *)
   words : (int, int * int * int) Hashtbl.t; (* word -> proc, cls, since *)
   read_words : (int * int, int * int) Hashtbl.t; (* word,proc -> cls,since *)
   word_waiters : (int, int) Hashtbl.t; (* word -> spinner count *)
@@ -165,9 +171,7 @@ let create ?(trace = 0) ?cluster_of ?(n_clusters = 1) ~n_procs () =
     classes = Array.make 16 None;
     frames = Array.make n_procs [];
     holds = Array.make n_procs [];
-    lock_holder = Hashtbl.create 64;
-    lock_waiters = Hashtbl.create 64;
-    last_releaser = Hashtbl.create 64;
+    locks = Hashtbl.create 64;
     words = Hashtbl.create 64;
     read_words = Hashtbl.create 64;
     word_waiters = Hashtbl.create 64;
@@ -228,24 +232,34 @@ let count tbl key =
 
 (* -- lock hooks ----------------------------------------------------------- *)
 
+let lock_state t id =
+  match Hashtbl.find t.locks id with
+  | s -> s
+  | exception Not_found ->
+    let s = { holder = -1; waiters = 0; last_releaser = -1 } in
+    Hashtbl.add t.locks id s;
+    s
+
+let unwait s = if s.waiters > 0 then s.waiters <- s.waiters - 1
+
 let lock_wait t ~proc ~cls ~id ~now =
+  let s = lock_state t id in
   (* Contended if someone holds the lock — or if waiters are queued while
      it is in flight between holders (a queue lock mid-hand-off): either
      way this acquisition will receive the lock from a releaser. *)
-  let contended =
-    Hashtbl.mem t.lock_holder id || count t.lock_waiters id > 0
-  in
+  let contended = s.holder >= 0 || s.waiters > 0 in
   t.frames.(proc) <- Flock { id; cls; since = now; contended } :: t.frames.(proc);
-  bump t.lock_waiters id 1
+  s.waiters <- s.waiters + 1
 
-let start_hold t ~proc ~cls ~id ~now =
-  Hashtbl.replace t.lock_holder id proc;
+let start_hold t s ~proc ~cls ~id ~now =
+  s.holder <- proc;
   t.holds.(proc) <- { h_id = id; h_cls = cls; h_since = now } :: t.holds.(proc)
 
 let lock_acquired t ~proc ~cls ~id ~now =
+  let s = lock_state t id in
   (match pop_frame t proc (function Flock f -> f.id = id | _ -> false) with
   | Some (Flock f) ->
-    bump t.lock_waiters id (-1);
+    unwait s;
     let b = bucket t ~cls ~proc in
     b.b_acqs <- b.b_acqs + 1;
     if f.contended then begin
@@ -254,12 +268,12 @@ let lock_acquired t ~proc ~cls ~id ~now =
          last: classify the hand-off by whether it crossed a cluster
          boundary — the locality a NUMA-aware lock exists to improve.
          Attributed to the *receiving* processor's cluster row. *)
-      match Hashtbl.find_opt t.last_releaser id with
-      | Some r ->
+      let r = s.last_releaser in
+      if r >= 0 then begin
         if cluster t r = cluster t proc then
           b.b_handoffs_local <- b.b_handoffs_local + 1
         else b.b_handoffs_remote <- b.b_handoffs_remote + 1
-      | None -> ()
+      end
     end;
     let dur = now - f.since in
     b.b_wait <- b.b_wait + dur;
@@ -268,13 +282,13 @@ let lock_acquired t ~proc ~cls ~id ~now =
   | _ ->
     let b = bucket t ~cls ~proc in
     b.b_acqs <- b.b_acqs + 1);
-  start_hold t ~proc ~cls ~id ~now
+  start_hold t s ~proc ~cls ~id ~now
 
 let lock_try_acquired t ~proc ~cls ~id ~now =
   let b = bucket t ~cls ~proc in
   b.b_acqs <- b.b_acqs + 1;
   record t Lock_try ~proc ~cls ~time:now ~dur:0;
-  start_hold t ~proc ~cls ~id ~now
+  start_hold t (lock_state t id) ~proc ~cls ~id ~now
 
 (* Abandonments bump [aborts] *before* [contended]: hooks run host-
    atomically, so a mid-run sampler (a periodic reporter) lands between hooks, never inside one —
@@ -284,7 +298,7 @@ let lock_try_acquired t ~proc ~cls ~id ~now =
 let lock_wait_abandoned t ~proc ~now =
   match pop_frame t proc (function Flock _ -> true | _ -> false) with
   | Some (Flock f) ->
-    bump t.lock_waiters f.id (-1);
+    unwait (lock_state t f.id);
     let b = bucket t ~cls:f.cls ~proc in
     b.b_aborts <- b.b_aborts + 1;
     b.b_contended <- b.b_contended + 1;
@@ -312,9 +326,10 @@ let lock_released t ~proc ~cls ~id ~now =
      | h :: rest -> go (h :: skipped) rest
    in
    go [] t.holds.(proc));
-  Hashtbl.remove t.lock_holder id;
-  Hashtbl.replace t.last_releaser id proc;
-  if count t.lock_waiters id > 0 then begin
+  let s = lock_state t id in
+  s.holder <- -1;
+  s.last_releaser <- proc;
+  if s.waiters > 0 then begin
     let b = bucket t ~cls ~proc in
     b.b_handoffs <- b.b_handoffs + 1
   end

@@ -6,6 +6,7 @@ let () =
       ("pqueue", Test_pqueue.suite);
       ("engine", Test_engine.suite);
       ("process", Test_process.suite);
+      ("alloc", Test_alloc.suite);
       ("resource", Test_resource.suite);
       ("stat", Test_stat.suite);
       ("rng", Test_rng.suite);

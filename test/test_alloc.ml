@@ -1,0 +1,91 @@
+(* Minor-word pins: what one operation of each hot layer allocates in
+   steady state, measured with [Gc.minor_words] around a loop inside one
+   simulated process (after warm-up iterations, so first-touch tables and
+   chains are built). Each bound is the measured value plus a little
+   slack, so an allocation that creeps back onto a hot path fails here.
+   Measured (OCaml 5.1, dev profile): fault + unmap 1 504 words, null RPC
+   494, MCS pair 14, elided wait 73. *)
+
+open Eventsim
+open Hector
+open Locks
+open Hkernel
+
+let warm = 50
+let n = 500
+
+(* Minor words per call of [op], run in a process on [eng]. *)
+let words_per_op eng op =
+  let words = ref nan in
+  Process.spawn eng (fun () ->
+      for _ = 1 to warm do
+        op ()
+      done;
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        op ()
+      done;
+      words := (Gc.minor_words () -. before) /. float_of_int n);
+  Engine.run eng;
+  !words
+
+let check name ~bound words =
+  if words > bound then
+    Alcotest.failf "%s: %.1f minor words per operation (bound %.0f)" name
+      words bound
+
+let machine () =
+  let eng = Engine.create () in
+  (eng, Machine.create eng Config.hector)
+
+(* Processor 0 works alone; the others idle in their RPC service loops. *)
+let kernel ~cluster_size =
+  let eng, machine = machine () in
+  let kernel = Kernel.create machine ~cluster_size in
+  Kernel.populate_page kernel ~vpage:1 ~master_cluster:0 ~frame:1;
+  Kernel.spawn_idle_except kernel ~active:[ 0 ];
+  (eng, kernel, Kernel.ctx kernel 0)
+
+(* A write fault on a page mastered in the faulting cluster, and the unmap
+   that lets the next iteration fault again. *)
+let test_page_fault () =
+  let eng, kernel, ctx = kernel ~cluster_size:16 in
+  words_per_op eng (fun () ->
+      Memmgr.fault kernel ctx ~vpage:1 ~write:true;
+      Memmgr.unmap kernel ctx ~vpage:1)
+  |> check "uncontended fault + unmap" ~bound:1_600.
+
+(* A null RPC to a processor in another cluster. *)
+let test_null_rpc () =
+  let eng, kernel, ctx = kernel ~cluster_size:4 in
+  words_per_op eng (fun () ->
+      ignore (Rpc.call (Kernel.rpc kernel) ctx ~target:4 (fun _ -> Rpc.Ok 0)))
+  |> check "null RPC" ~bound:530.
+
+let test_mcs_pair () =
+  let eng, machine = machine () in
+  let lock = Lock.make machine ~home:0 Lock.Mcs_h2 in
+  let ctx = Ctx.create machine ~proc:0 (Rng.create 1) in
+  words_per_op eng (fun () ->
+      lock.Lock.acquire ctx;
+      lock.Lock.release ctx)
+  |> check "H2-MCS acquire/release" ~bound:20.
+
+(* An interruptible pause of 10 000 cycles: one poll wait, elided, so its
+   312 polls run as no events. *)
+let test_elided_wait () =
+  let eng, machine = machine () in
+  let ctx = Ctx.create machine ~proc:0 (Rng.create 1) in
+  words_per_op eng (fun () -> Ctx.interruptible_pause ctx 10_000)
+  |> check "elided interruptible_pause" ~bound:80.;
+  if Engine.events_executed eng > 10 * (warm + n) then
+    Alcotest.failf "%d events: the polls ran as events"
+      (Engine.events_executed eng)
+
+let suite =
+  [
+    Alcotest.test_case "uncontended page fault" `Quick test_page_fault;
+    Alcotest.test_case "null RPC" `Quick test_null_rpc;
+    Alcotest.test_case "MCS acquire/release pair" `Quick test_mcs_pair;
+    Alcotest.test_case "elided wait" `Quick test_elided_wait;
+  ]
