@@ -20,6 +20,14 @@ let print entries =
       List.iter (Registry.print Format.std_formatter) (Registry.run [ e ]))
     entries
 
+(* A refused invocation is a one-line message and exit 2. *)
+let usage fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "%s@." msg;
+      exit 2)
+    fmt
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
@@ -34,26 +42,29 @@ let () =
       | "--jobs" :: n :: tl -> (
         match int_of_string_opt n with
         | Some j when j >= 1 -> parse names j path tl
-        | _ ->
-          Format.eprintf "--jobs expects a positive integer, got %S@." n;
-          exit 2)
-      | [ "--jobs" ] ->
-        Format.eprintf "--jobs expects a positive integer@.";
-        exit 2
+        | _ -> usage "--jobs expects a positive integer, got %S" n)
+      | [ "--jobs" ] -> usage "--jobs expects a positive integer"
       | "--out" :: p :: tl -> parse names jobs p tl
-      | [ "--out" ] ->
-        Format.eprintf "--out expects a path@.";
-        exit 2
+      | [ "--out" ] -> usage "--out expects a path"
       | name :: tl -> parse (name :: names) jobs path tl
     in
     let names, jobs, path = parse [] 1 "BENCH_results.json" rest in
-    (try Bench_json.write ~path (Bench_json.document ~jobs ~names ())
-     with Invalid_argument msg ->
-       Format.eprintf "%s@." msg;
-       exit 2);
+    (* Open (or create) the output before any cell runs, without truncating
+       it: a path the system refuses fails now, not after the export. *)
+    let existed = Sys.file_exists path in
+    (try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path)
+     with Sys_error msg -> usage "%s" msg);
+    (match Bench_json.document ~jobs ~names () with
+    | doc -> Bench_json.write ~path doc
+    | exception Invalid_argument msg ->
+      if not existed then Sys.remove path;
+      usage "%s" msg);
     Format.printf "wrote %s@." path
-  | [ "--dat"; dir ] ->
-    List.iter (Format.printf "wrote %s@.") (Registry.write_dat dir)
+  | [ "--dat"; dir ] -> (
+    match Registry.write_dat dir with
+    | paths -> List.iter (Format.printf "wrote %s@.") paths
+    | exception Sys_error msg -> usage "%s" msg)
+  | "--dat" :: _ -> usage "--dat expects one directory"
   | [] ->
     Format.printf
       "HURRICANE locking reproduction - all experiments (simulated HECTOR \
@@ -62,6 +73,4 @@ let () =
   | names -> (
     match List.map Registry.find names with
     | entries -> print entries
-    | exception Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit 2)
+    | exception Invalid_argument msg -> usage "%s" msg)

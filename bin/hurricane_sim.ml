@@ -141,20 +141,15 @@ let destroy_cmd =
 
 let sweep_cmd =
   let run algo shared sizes () =
-    let series =
-      if shared then Experiments.fig7d ~algos:[ algo ] ~sizes ()
-      else Experiments.fig7c ~algos:[ algo ] ~sizes ()
-    in
+    let s = if shared then Spec.fig7d () else Spec.fig7c () in
+    let points = s.run { Spec.full with sizes = Some sizes } algo in
     Format.fprintf ppf "%-14s" "cluster";
-    List.iter (fun c -> Format.fprintf ppf "%9d" c) sizes;
+    List.iter (fun (c, _) -> Format.fprintf ppf "%9d" c) points;
     Format.fprintf ppf "@.%-14s" (Locks.Lock.algo_name algo);
     List.iter
-      (fun (s : Experiments.fig7_series) ->
-        List.iter
-          (fun (pt : Experiments.fig7_point) ->
-            Format.fprintf ppf "%9.1f" pt.mean_us)
-          s.series)
-      series;
+      (fun (_, ((m : Measure.summary), _, _)) ->
+        Format.fprintf ppf "%9.1f" m.mean_us)
+      points;
     Format.fprintf ppf "@."
   in
   let shared =
@@ -165,7 +160,7 @@ let sweep_cmd =
   let sizes =
     Arg.(
       value
-      & opt (list int) Experiments.paper_cluster_sizes
+      & opt (list int) Spec.paper_cluster_sizes
       & info [ "sizes" ] ~docv:"N,N,..." ~doc:"Cluster sizes to sweep.")
   in
   cmd "sweep"
@@ -402,24 +397,28 @@ let trace_cmd =
 
 (* -- the workload subcommands ---------------------------------------------- *)
 
-(* Each extension experiment's spec is a subcommand: it runs the workload
+(* Each rows spec with a command line is a subcommand: it runs the workload
    once, on the config the spec's knobs build over its default, and prints
    that run's row of the export as one line of compact JSON, from the
    spec's own columns. A row that reports lockdep violations exits 1. *)
 let row_cmd (Spec.Spec s) =
-  let run c () =
-    let r = Spec.row s (c, s.run c) in
-    print_endline (Json.to_string ~compact:true r);
-    match Json.member r "lockdep_violations" with
-    | Some (Json.Int n) when n > 0 -> exit 1
-    | _ -> ()
-  in
-  cmd s.command
-    ~doc:
-      (s.doc
-     ^ " Prints the run's export row (as in BENCH_results.json) as one line \
-        of JSON; exits 1 if the row reports lockdep violations.")
-    Term.(const run $ config s.default (s.knobs s.default))
+  match s.shape with
+  | Rows { columns; cli = Some cli } ->
+    let run c () =
+      let r = Spec.row columns (c, s.run Spec.full c) in
+      print_endline (Json.to_string ~compact:true r);
+      match Json.member r "lockdep_violations" with
+      | Some (Json.Int n) when n > 0 -> exit 1
+      | _ -> ()
+    in
+    Some
+      (cmd cli.command
+         ~doc:
+           (cli.doc
+          ^ " Prints the run's export row (as in BENCH_results.json) as one \
+             line of JSON; exits 1 if the row reports lockdep violations.")
+         Term.(const run $ config cli.default (cli.knobs cli.default)))
+  | Rows { cli = None; _ } | Series _ | Record _ -> None
 
 (* -- figure subcommand -------------------------------------------------------- *)
 
@@ -457,7 +456,7 @@ let main_cmd =
       verify_cmd;
       trace_cmd;
     ]
-    @ List.map row_cmd (Lazy.force Spec.all)
+    @ List.filter_map row_cmd (Spec.paper () @ Spec.extensions ())
     @ [ figure_cmd ])
 
 let () = exit (Cmd.eval main_cmd)

@@ -55,9 +55,12 @@
                           final_free, lockdep_violations} ]
       } }
     v}
-    The seven extension sections ("numa_locks" .. "diurnal") hold one row
-    per grid config of their {!Spec}; a row's fields are the spec's keyed
-    columns, in column order (the listing above).
+    Every section is its {!Spec}'s cells encoded by the spec's shape: the
+    rows sections ("fig4", "uncontended", "numa_locks" .. "diurnal") hold
+    one row per grid config, a row's fields being the spec's keyed columns
+    in column order (the listing above); a series section ("fig5a" ..
+    "fig7d") one series per lock algorithm; a record section
+    ("starvation", "constants") one object.
     Version 2 added "numa_locks" (cross-cluster contention: NUMA-aware
     composites vs flat MCS, with hand-off locality and worst-case waits).
     Version 3 added "hash_scaling" (sharded hash table + seqlock
@@ -87,9 +90,8 @@
     lock's row and the three fields that counted its morphs (the lock was
     deleted); the six static rows and every other experiment's values are
     unchanged.
-    Every number is the exact value the in-process runner returned — the
-    schema test re-runs an experiment and compares the parsed file against
-    it. *)
+    Every number is the exact value the in-process run returned — a test
+    re-runs every spec's cells and compares each section against them. *)
 
 val schema_version : int
 

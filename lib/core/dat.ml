@@ -1,98 +1,23 @@
-(* TSV emitters for the figure series, for plotting.
+(* TSV files of the figure series, for plotting.
 
    `bench/main.exe --dat DIR` writes one file per plotted figure of the
    registry plus a gnuplot script that renders them; columns are
    tab-separated with a commented header, so any plotting tool can read
    them. *)
 
-open Locks
-open Workloads
-
 let write_file dir name lines =
   let path = Filename.concat dir name in
-  let oc = open_out path in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    lines;
-  close_out oc;
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
   path
-
-(* Figure 5 series: p vs mean latency per algorithm. *)
-let fig5 dir ~name (series : Experiments.fig5_series list) =
-  let header =
-    "# p\t"
-    ^ String.concat "\t"
-        (List.map
-           (fun (s : Experiments.fig5_series) ->
-             Lock.algo_name s.Experiments.algo)
-           series)
-  in
-  let xs =
-    match series with
-    | s :: _ -> List.map fst s.Experiments.points
-    | [] -> []
-  in
-  let row p =
-    string_of_int p
-    ^ "\t"
-    ^ String.concat "\t"
-        (List.map
-           (fun (s : Experiments.fig5_series) ->
-             let r =
-               (* Each series swept the same processor counts; a missing
-                  point means a runner bug, and a bare [Not_found] from
-                  deep inside the emitter names neither the figure nor
-                  the hole. *)
-               try List.assoc p s.Experiments.points
-               with Not_found ->
-                 failwith
-                   (Printf.sprintf
-                      "Dat.fig5 (%s): series %s has no point at p=%d" name
-                      (Lock.algo_name s.Experiments.algo) p)
-             in
-             Printf.sprintf "%.2f" r.Lock_stress.summary.Measure.mean_us)
-           series)
-  in
-  write_file dir (name ^ ".dat") (header :: List.map row xs)
-
-(* Figure 7 series: x vs mean latency per lock algorithm. *)
-let fig7 dir ~name (series : Experiments.fig7_series list) =
-  let header =
-    "# x\t"
-    ^ String.concat "\t"
-        (List.map (fun s -> Lock.algo_name s.Experiments.lock_algo) series)
-  in
-  let xs =
-    match series with
-    | s :: _ -> List.map (fun p -> p.Experiments.x) s.Experiments.series
-    | [] -> []
-  in
-  let row x =
-    string_of_int x
-    ^ "\t"
-    ^ String.concat "\t"
-        (List.map
-           (fun s ->
-             let p =
-               try
-                 List.find (fun p -> p.Experiments.x = x) s.Experiments.series
-               with Not_found ->
-                 failwith
-                   (Printf.sprintf
-                      "Dat.fig7 (%s): series %s has no point at x=%d" name
-                      (Lock.algo_name s.Experiments.lock_algo) x)
-             in
-             Printf.sprintf "%.2f" p.Experiments.mean_us)
-           series)
-  in
-  write_file dir (name ^ ".dat") (header :: List.map row xs)
 
 type plot = { path : string; xlabel : string; columns : int }
 
-let plot ~xlabel path series =
-  { path; xlabel; columns = 1 + List.length series }
+let write dir ~name ~xlabel = function
+  | [] -> invalid_arg "Dat.write: no header"
+  | header :: _ as lines ->
+    let columns = List.length (String.split_on_char '\t' header) in
+    { path = write_file dir (name ^ ".dat") lines; xlabel; columns }
 
 (* One [plot] per .dat file, each over exactly the columns that file has. *)
 let gnuplot_script dir plots =

@@ -1,17 +1,14 @@
-(** TSV emitters for the figure series plus a gnuplot script —
-    [bench/main.exe --dat DIR] (driven by {!Registry.write_dat}). Each
-    emitter returns the written path. *)
-
-val fig5 : string -> name:string -> Experiments.fig5_series list -> string
-val fig7 : string -> name:string -> Experiments.fig7_series list -> string
+(** TSV files of the figure series plus a gnuplot script —
+    [bench/main.exe --dat DIR] (driven by {!Registry.write_dat}). *)
 
 (** A written .dat file, its x-axis label, and its column count: the x
     column plus one per series. *)
 type plot = { path : string; xlabel : string; columns : int }
 
-(** [plot ~xlabel path series] describes the file [path] holding [series]. *)
-val plot : xlabel:string -> string -> 'a list -> plot
+(** [write dir ~name ~xlabel lines] writes [lines], a tab-separated header
+    first, to [dir/name.dat]. *)
+val write : string -> name:string -> xlabel:string -> string list -> plot
 
 (** [gnuplot_script dir plots] writes [dir/plots.gp], one [plot] command per
-    file, each over exactly that file's columns. *)
+    file, each over exactly that file's columns; returns its path. *)
 val gnuplot_script : string -> plot list -> string

@@ -1,170 +1,23 @@
-(* One runner per table/figure of the paper's evaluation (plus the
-   ablations called out in DESIGN.md). Each returns structured rows so the
-   benchmark harness, the CLI and the test suite all share the same code.
+(* One runner per unexported experiment of the evaluation (the ablations
+   called out in DESIGN.md and the fault studies). Each returns structured
+   rows so the benchmark harness, the CLI and the test suite all share the
+   same code.
 
-   Experiment ids (DESIGN.md): FIG4, FIG5a, FIG5b, FIG7a, FIG7b, FIG7c,
-   FIG7d, RETRY, ABL3-ABL6, ABL9, FAULTS and OBS. An experiment that only
-   runs its workload (UNC, CONST, ABL1, ABL2, ABL7, ABL8, TRY, CLASSES, COW,
-   FS, VERIFY) has no runner here: {!Registry} calls the workload. Each
-   extension experiment is a {!Spec}. *)
+   Experiment ids (DESIGN.md): RETRY, ABL3-ABL6, ABL9, FAULTS and OBS. An
+   experiment that only runs its workload (ABL1, ABL2, ABL7, ABL8, TRY,
+   CLASSES, COW, FS, VERIFY) has no runner here: {!Registry} calls the
+   workload. Each exported experiment, the paper's figures included, is a
+   {!Spec}. *)
 
 open Hector
 open Locks
 open Workloads
-
-let paper_procs = [ 1; 2; 4; 8; 12; 16 ]
-let paper_cluster_sizes = [ 1; 2; 4; 8; 16 ]
-
-(* The lock algorithms of Figure 5. *)
-let fig5_algos = Lock.all_paper_algos
 
 (* The kernel-lock algorithms compared in Figure 7: the paper plots
    "Distributed Locks" vs exponential-backoff spin locks; we show both
    modified-MCS variants. *)
 let fig7_algos =
   [ Lock.Mcs_h1; Lock.Mcs_h2; Lock.Spin { max_backoff_us = 35.0 } ]
-
-(* -- FIG4: instruction counts -------------------------------------------- *)
-
-type fig4_row = {
-  algo : Instr_model.algo;
-  ours : Instr_model.counts;
-  paper : Instr_model.counts;
-  predicted_us : float;
-}
-
-let fig4 () =
-  List.map
-    (fun a ->
-      {
-        algo = a;
-        ours = Instr_model.counts a;
-        paper = Instr_model.paper_counts a;
-        predicted_us = Instr_model.predicted_us Config.hector a;
-      })
-    Instr_model.all
-
-(* -- FIG5: lock latency under contention ---------------------------------- *)
-
-type fig5_series = {
-  algo : Lock.algo;
-  points : (int * Lock_stress.result) list; (* p, result *)
-}
-
-let fig5 ?(hold_us = 0.0) ?(procs = paper_procs)
-    ?(window_us = Lock_stress.default_config.Lock_stress.window_us)
-    ?(algos = fig5_algos) () =
-  List.map
-    (fun algo ->
-      {
-        algo;
-        points =
-          List.map
-            (fun p ->
-              ( p,
-                Lock_stress.run
-                  ~config:
-                    { Lock_stress.default_config with p; hold_us; window_us }
-                  algo ))
-            procs;
-      })
-    algos
-
-(* The Section 4.1.2 starvation observation: fraction of acquisitions of
-   the 2 ms-backoff spin lock taking more than 2 ms, at p = 16 and a 25 us
-   hold. *)
-let starvation () =
-  let r =
-    Lock_stress.run
-      ~config:
-        {
-          Lock_stress.default_config with
-          p = 16;
-          hold_us = 25.0;
-          window_us = 60_000.0;
-        }
-      (Lock.Spin { max_backoff_us = 2000.0 })
-  in
-  r.Lock_stress.summary
-
-(* -- FIG7a/b: fault latency vs processors --------------------------------- *)
-
-type fig7_point = {
-  x : int; (* p for 7a/7b, cluster size for 7c/7d *)
-  mean_us : float;
-  p99_us : float;
-  retries : int;
-  rpcs : int;
-}
-
-type fig7_series = { lock_algo : Lock.algo; series : fig7_point list }
-
-(* One series per lock algorithm, one point per [xs] value; [run] builds
-   and runs the fault test for one (algorithm, x). *)
-let fig7 ~algos xs run =
-  List.map
-    (fun lock_algo ->
-      {
-        lock_algo;
-        series =
-          List.map
-            (fun x ->
-              let summary, retries, rpcs = run lock_algo x in
-              {
-                x;
-                mean_us = summary.Measure.mean_us;
-                p99_us = summary.Measure.p99_us;
-                retries;
-                rpcs;
-              })
-            xs;
-      })
-    algos
-
-let independent config =
-  let r = Independent_faults.run ~config () in
-  Independent_faults.(r.summary, r.retries, r.rpcs)
-
-let shared config =
-  let r = Shared_faults.run ~config () in
-  Shared_faults.(r.summary, r.retries, r.rpcs)
-
-let fig7a ?(procs = paper_procs) ?(iters = 100)
-    ?(algos = fig7_algos) () =
-  fig7 ~algos procs (fun lock_algo p ->
-      independent
-        { Independent_faults.default_config with p; iters; lock_algo })
-
-let fig7b ?(procs = paper_procs) ?(rounds = 20)
-    ?(algos = fig7_algos) () =
-  fig7 ~algos procs (fun lock_algo p ->
-      shared { Shared_faults.default_config with p; rounds; lock_algo })
-
-(* -- FIG7c/d: fault latency vs cluster size at p = 16 ---------------------- *)
-
-let fig7c ?(sizes = paper_cluster_sizes) ?(iters = 100)
-    ?(algos = fig7_algos) () =
-  fig7 ~algos sizes (fun lock_algo cluster_size ->
-      independent
-        {
-          Independent_faults.default_config with
-          p = 16;
-          iters;
-          cluster_size;
-          lock_algo;
-        })
-
-let fig7d ?(sizes = paper_cluster_sizes) ?(rounds = 15)
-    ?(algos = fig7_algos) () =
-  fig7 ~algos sizes (fun lock_algo cluster_size ->
-      shared
-        {
-          Shared_faults.default_config with
-          p = 16;
-          rounds;
-          cluster_size;
-          lock_algo;
-        })
 
 (* -- RETRY: optimistic vs pessimistic deadlock management ------------------ *)
 

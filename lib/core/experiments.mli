@@ -1,94 +1,18 @@
-(** One runner per table/figure of the paper's evaluation, plus the
-    ablations in DESIGN.md, wherever a runner does more than call its
-    workload's own [run]: an entry that only runs a workload
-    ([Uncontended.run_all], [Calibration.run], [Verify_probes.run_all], …)
-    calls it directly from {!Registry}, and the extension experiments
-    (NUMA-LOCKS, HASH-SCALING, ABORT-STORM, CRASH-STORM, RW-SCALING, SLO,
-    DIURNAL) are each one {!Spec}. Shared by the benchmark harness
-    ([bench/main.exe]), the CLI ([bin/hurricane_sim]) and the claim-level
-    regression tests. *)
+(** One runner per unexported experiment of the evaluation (the ablations
+    in DESIGN.md and the fault studies), wherever a runner does more than
+    call its workload's own [run]: an entry that only runs a workload
+    ([Verify_probes.run_all], [File_read.run_grid], …) calls it directly
+    from {!Registry}, and every exported experiment (the paper's figures
+    and the extension experiments) is one {!Spec}. Shared by the benchmark
+    harness ([bench/main.exe]), the CLI ([bin/hurricane_sim]) and the
+    claim-level regression tests. *)
 
 open Locks
 open Workloads
 
-val paper_cluster_sizes : int list
-
-(** Figure 5's five algorithms. *)
-val fig5_algos : Lock.algo list
-
 (** Figure 7's kernel-lock algorithms (both modified-MCS variants and the
     35 µs spin lock). *)
 val fig7_algos : Lock.algo list
-
-(** FIG4 — the instruction-count table. *)
-
-type fig4_row = {
-  algo : Instr_model.algo;
-  ours : Instr_model.counts;
-  paper : Instr_model.counts;
-  predicted_us : float;
-}
-
-val fig4 : unit -> fig4_row list
-
-(** FIG5a/FIG5b — lock response time under contention. *)
-
-type fig5_series = {
-  algo : Lock.algo;
-  points : (int * Lock_stress.result) list;
-}
-
-val fig5 :
-  ?hold_us:float ->
-  ?procs:int list ->
-  ?window_us:float ->
-  ?algos:Lock.algo list ->
-  unit ->
-  fig5_series list
-
-(** The Section 4.1.2 starvation measurement (2 ms spin lock, p=16,
-    25 µs hold). *)
-val starvation : unit -> Measure.summary
-
-(** FIG7 — page-fault latency series. *)
-
-type fig7_point = {
-  x : int;  (** p for 7a/7b; cluster size for 7c/7d *)
-  mean_us : float;
-  p99_us : float;
-  retries : int;
-  rpcs : int;
-}
-
-type fig7_series = { lock_algo : Lock.algo; series : fig7_point list }
-
-val fig7a :
-  ?procs:int list ->
-  ?iters:int ->
-  ?algos:Lock.algo list ->
-  unit ->
-  fig7_series list
-
-val fig7b :
-  ?procs:int list ->
-  ?rounds:int ->
-  ?algos:Lock.algo list ->
-  unit ->
-  fig7_series list
-
-val fig7c :
-  ?sizes:int list ->
-  ?iters:int ->
-  ?algos:Lock.algo list ->
-  unit ->
-  fig7_series list
-
-val fig7d :
-  ?sizes:int list ->
-  ?rounds:int ->
-  ?algos:Lock.algo list ->
-  unit ->
-  fig7_series list
 
 (** RETRY — optimistic vs pessimistic destruction storms. *)
 val retries : unit -> Destruction.result * Destruction.result

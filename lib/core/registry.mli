@@ -1,14 +1,13 @@
 (** The experiment registry: one ordered entry per table, figure, ablation
-    and extension experiment (each extension experiment's entry derives
-    from its {!Spec}). An entry holds the experiment's name, its
-    cells along the outermost sweep axis, how the cell results combine, its
-    text report, and, where it has them, its JSON encoder and its .dat
-    emitter. The bench text run, the JSON export ({!Bench_json}), [--dat]
-    and [hurricane_sim figure] are all derived from {!all} and {!run}. *)
+    and extension experiment. An exported experiment's entry derives from
+    its {!Spec} (one cell per grid config; its JSON section, text report
+    and, for a series, .dat file from the spec's shape); every other entry
+    runs its experiment whole as one cell and prints its own report. The
+    bench text run, the JSON export ({!Bench_json}), [--dat] and
+    [hurricane_sim figure] are all derived from {!all} and {!run}. *)
 
-(** The sweep knobs a cell takes; [None] keeps the paper's full setting. A
-    knob an experiment's runner has no parameter for is ignored. *)
-type knobs = {
+(** {!Spec.knobs}. *)
+type knobs = Spec.knobs = {
   procs : int list option;
   sizes : int list option;
   iters : int option;
@@ -26,7 +25,8 @@ val all : t list Lazy.t
 
 val name : t -> string
 
-(** Whether the entry has a JSON encoder (is part of [BENCH_results.json]). *)
+(** Whether the entry comes from a {!Spec} (is part of
+    [BENCH_results.json]). *)
 val exported : t -> bool
 
 (** [find name]: the entry called [name]; raises [Invalid_argument] with a
@@ -48,7 +48,8 @@ val print : Format.formatter -> outcome -> unit
 (** The entry's JSON value, if it is exported. *)
 val json : outcome -> Json.t option
 
-(** [write_dat ?knobs dir] runs every plotted figure and writes its .dat
-    file plus [plots.gp] into [dir], creating it if needed. Returns the
-    written paths, [plots.gp] last. *)
+(** [write_dat ?knobs dir] creates [dir] if needed (a [Sys_error] if it
+    cannot, before any cell runs), runs every series spec and writes its
+    .dat file plus [plots.gp] into [dir]. Returns the written paths,
+    [plots.gp] last. *)
 val write_dat : ?knobs:knobs -> string -> string list

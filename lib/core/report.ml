@@ -1,7 +1,7 @@
-(* Text reports for the reproduction harness: one printer per experiment,
-   each stating what the paper reports next to what we measured so the
-   output reads as an EXPERIMENTS.md draft. The extension experiments print
-   through [table], from their specs' columns. *)
+(* Text reports for the reproduction harness: one printer per unexported
+   experiment, each stating what the paper reports next to what we measured
+   so the output reads as an EXPERIMENTS.md draft. The exported experiments
+   print from their specs, through [section] and [table]. *)
 
 open Locks
 open Workloads
@@ -22,91 +22,6 @@ let table ppf ~title ~claim heads rows =
   let head i (h, w) = Printf.sprintf (if i = 0 then "%-*s" else "%*s") w h in
   line (List.mapi head heads);
   List.iter line rows
-
-let fig4 ppf rows =
-  section ppf "FIG4 - instruction counts per uncontended lock/unlock pair"
-    "MCS 2/2/3/5, H1 2/1/3/5, H2 2/0/3/4, Spin 2/0/1/3 (Atomic/Mem/Reg/Br)";
-  Format.fprintf ppf "%-8s %7s %5s %5s %5s   %-6s %9s@." "algo" "Atomic"
-    "Mem" "Reg" "Br" "match" "pred(us)";
-  List.iter
-    (fun (r : Experiments.fig4_row) ->
-      let c = r.ours in
-      Format.fprintf ppf "%-8s %7d %5d %5d %5d   %-6b %9.2f@."
-        (Instr_model.algo_name r.algo)
-        c.Instr_model.atomic c.Instr_model.mem c.Instr_model.reg
-        c.Instr_model.br (r.ours = r.paper) r.predicted_us)
-    rows
-
-let uncontended ppf results =
-  section ppf "UNC - uncontended lock/unlock latency (Section 4.1.1)"
-    "MCS 5.40us -> H2-MCS 3.69us (32% better); spin 3.65us";
-  Format.fprintf ppf "%-10s %12s %12s@." "algo" "measured(us)" "model(us)";
-  List.iter
-    (fun (r : Uncontended.result) ->
-      Format.fprintf ppf "%-10s %12.2f %12s@."
-        (Lock.algo_name r.Uncontended.algo)
-        r.Uncontended.pair_us
-        (match r.Uncontended.predicted_us with
-        | Some v -> Printf.sprintf "%.2f" v
-        | None -> "-"))
-    results
-
-let fig5 ppf ~name ~hold_us series =
-  section ppf
-    (Printf.sprintf "%s - lock response time under contention (hold %.0fus)"
-       name hold_us)
-    "MCS/H1 scale best; H2 adds a constant repair cost (visible at hold 0); \
-     spin(35us) degrades; spin(2ms) competitive in mean but starves";
-  Format.fprintf ppf "%-12s" "p";
-  (match series with
-  | { Experiments.points; _ } :: _ ->
-    List.iter (fun (p, _) -> Format.fprintf ppf "%9d" p) points
-  | [] -> ());
-  Format.fprintf ppf "@.";
-  List.iter
-    (fun { Experiments.algo; points } ->
-      Format.fprintf ppf "%-12s" (Lock.algo_name algo);
-      List.iter
-        (fun (_, (r : Lock_stress.result)) ->
-          Format.fprintf ppf "%9.1f" r.Lock_stress.summary.Measure.mean_us)
-        points;
-      Format.fprintf ppf "@.")
-    series
-
-let starvation ppf (s : Measure.summary) =
-  section ppf "STARVATION - spin(2ms), p=16, hold 25us (Section 4.1.2)"
-    "over 13% of acquisitions took more than 2ms";
-  Format.fprintf ppf
-    "measured: %.1f%% of %d acquisitions over 2ms (p99 = %.0fus, max = %.0fus)@."
-    (100.0 *. s.Measure.frac_above_2ms)
-    s.Measure.n s.Measure.p99_us s.Measure.max_us
-
-let fig7 ppf ~name ~xlabel ~claim series =
-  section ppf name claim;
-  Format.fprintf ppf "%-12s" xlabel;
-  (match series with
-  | { Experiments.series = pts; _ } :: _ ->
-    List.iter (fun p -> Format.fprintf ppf "%9d" p.Experiments.x) pts
-  | [] -> ());
-  Format.fprintf ppf "@.";
-  List.iter
-    (fun { Experiments.lock_algo; series = pts } ->
-      Format.fprintf ppf "%-12s" (Lock.algo_name lock_algo);
-      List.iter (fun p -> Format.fprintf ppf "%9.1f" p.Experiments.mean_us) pts;
-      Format.fprintf ppf "@.")
-    series
-
-let constants ppf (c : Calibration.result) =
-  section ppf "CONST - absolute cost anchors"
-    "soft fault ~160us of which ~40us locking; null RPC ~27us; \
-     lookup+replicate ~88us";
-  Format.fprintf ppf "soft page fault     : %7.1f us@."
-    c.Calibration.soft_fault_us;
-  Format.fprintf ppf "  lock overhead     : %7.1f us@."
-    c.Calibration.lock_overhead_us;
-  Format.fprintf ppf "null RPC            : %7.1f us@." c.Calibration.null_rpc_us;
-  Format.fprintf ppf "lookup + replicate  : %7.1f us (extra over a local fault)@."
-    c.Calibration.replicate_extra_us
 
 let retries ppf ((opt : Destruction.result), (pes : Destruction.result)) =
   section ppf "RETRY - program destruction, optimistic vs pessimistic (2.3/2.5)"

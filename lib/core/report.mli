@@ -1,6 +1,6 @@
-(** Text reports, one per experiment: each prints what the paper reports
-    beside what the reproduction measured. The extension experiments'
-    tables are {!table} over their {!Spec} columns. *)
+(** Text reports, one per unexported experiment: each prints what the paper
+    reports beside what the reproduction measured. The exported experiments
+    print from their {!Spec}, through {!section} and {!table}. *)
 
 open Locks
 open Workloads
@@ -17,28 +17,6 @@ val table :
   (string * int) list ->
   string list list ->
   unit
-
-val fig4 : Format.formatter -> Experiments.fig4_row list -> unit
-val uncontended : Format.formatter -> Uncontended.result list -> unit
-
-val fig5 :
-  Format.formatter ->
-  name:string ->
-  hold_us:float ->
-  Experiments.fig5_series list ->
-  unit
-
-val starvation : Format.formatter -> Measure.summary -> unit
-
-val fig7 :
-  Format.formatter ->
-  name:string ->
-  xlabel:string ->
-  claim:string ->
-  Experiments.fig7_series list ->
-  unit
-
-val constants : Format.formatter -> Calibration.result -> unit
 
 val retries :
   Format.formatter -> Destruction.result * Destruction.result -> unit

@@ -1,9 +1,19 @@
-(* The extension experiments' specs (interface in spec.mli): each states its
-   sweep, its row's columns and its command-line knobs once. *)
+(* Every exported experiment's spec (interface in spec.mli): each states
+   its sweep, its result's columns and, for a workload subcommand, its
+   command-line knobs once. *)
 
 open Cmdliner
 open Locks
 open Workloads
+
+type knobs = {
+  procs : int list option;
+  sizes : int list option;
+  iters : int option;
+  rounds : int option;
+}
+
+let full = { procs = None; sizes = None; iters = None; rounds = None }
 
 module Col = struct
   type ('c, 'r) t = {
@@ -17,26 +27,26 @@ module Col = struct
   type ('c, 'r, 'v) make =
     string -> string -> int -> ('c -> 'r -> 'v) -> ('c, 'r) t
 
-  let col key head width json cell get =
+  let custom key head width json cell get =
     let json c r = json (get c r) and cell c r = cell (get c r) in
     { key; head; width; json; cell }
 
   let int k h w =
-    col k h w (fun v -> Json.Int v) (fun v -> Printf.sprintf "%*d" w v)
+    custom k h w (fun v -> Json.Int v) (fun v -> Printf.sprintf "%*d" w v)
 
   let float k h w d =
-    col k h w (fun v -> Json.Float v) (fun v -> Printf.sprintf "%*.*f" w d v)
+    custom k h w (fun v -> Json.Float v) (fun v -> Printf.sprintf "%*.*f" w d v)
 
   let pct k h w d =
-    col k h w (fun v -> Json.Float v) (fun v ->
+    custom k h w (fun v -> Json.Float v) (fun v ->
         Printf.sprintf "%*.*f%%" (w - 1) d (100.0 *. v))
 
   let bool ?(no = "NO") k h w =
-    col k h w (fun b -> Json.Bool b) (fun b ->
+    custom k h w (fun b -> Json.Bool b) (fun b ->
         Printf.sprintf "%*s" w (if b then "yes" else no))
 
   let text k h w =
-    col k h w (fun s -> Json.String s) (fun s -> Printf.sprintf "%-*s" w s)
+    custom k h w (fun s -> Json.String s) (fun s -> Printf.sprintf "%-*s" w s)
 
   let json key json =
     { key; head = ""; width = 0; json; cell = (fun _ _ -> "") }
@@ -108,50 +118,402 @@ end
 
 open Knob
 
-type ('c, 'r) t = {
-  section : string;
+type 'c cli = {
   command : string;
   doc : string;
-  title : string;
-  claim : string;
   default : 'c;
-  grid : 'c list;
-  run : 'c -> 'r;
-  columns : ('c, 'r) Col.t list;
   knobs : 'c -> 'c Knob.t list;
 }
 
-let row s (c, r) =
+type ('c, 'r) t = {
+  section : string;
+  title : string;
+  claim : string;
+  grid : 'c list;
+  run : knobs -> 'c -> 'r;
+  shape : ('c, 'r) shape;
+}
+
+and (_, _) shape =
+  | Rows : {
+      columns : ('c, 'r) Col.t list;
+      cli : 'c cli option;
+    }
+      -> ('c, 'r) shape
+  | Series : {
+      fields : (string * Json.t) list;
+      points : (int, 'p) Col.t list;
+      axis : string;
+    }
+      -> (Lock.algo, (int * 'p) list) shape
+  | Record : {
+      columns : (unit, 'r) Col.t list;
+      lines : 'r -> string list;
+    }
+      -> (unit, 'r) shape
+
+let row columns (c, r) =
   Json.Obj
     (List.filter_map
        (fun (col : _ Col.t) ->
          if col.key = "" then None else Some (col.key, col.json c r))
-       s.columns)
+       columns)
 
-let print s ppf rows =
-  let cols = List.filter (fun (c : _ Col.t) -> c.head <> "") s.columns in
-  Report.table ppf ~title:s.title ~claim:s.claim
-    (List.map (fun (c : _ Col.t) -> (c.head, c.width)) cols)
-    (List.map (fun (c, r) -> List.map (fun (col : _ Col.t) -> col.cell c r) cols)
-       rows)
+let headed columns = List.filter (fun (c : _ Col.t) -> c.head <> "") columns
 
-let summary_fields (s : Measure.summary) =
-  [
-    ("n", Json.Int s.n);
-    ("mean_us", Json.Float s.mean_us);
-    ("p50_us", Json.Float s.p50_us);
-    ("p90_us", Json.Float s.p90_us);
-    ("p99_us", Json.Float s.p99_us);
-    ("p999_us", Json.Float s.p999_us);
-    ("min_us", Json.Float s.min_us);
-    ("max_us", Json.Float s.max_us);
-    ("frac_above_2ms", Json.Float s.frac_above_2ms);
-  ]
+(* A series plots its two headed point columns: x, then the value. *)
+let plotted points =
+  match headed points with
+  | [ x; v ] -> (x, v)
+  | _ -> invalid_arg "Spec: a series needs exactly two headed point columns"
 
+(* Every series has the same x values: the first series' points give them. *)
+let first = function (_, points) :: _ -> points | [] -> []
+
+let json (type c r) (s : (c, r) t) (cells : (c * r) list) =
+  match s.shape with
+  | Rows { columns; _ } -> Json.List (List.map (row columns) cells)
+  | Series { fields; points; _ } ->
+    let series (algo, pts) =
+      Json.Obj
+        [
+          ("algo", Json.String (Lock.algo_name algo));
+          ("points", Json.List (List.map (row points) pts));
+        ]
+    in
+    Json.Obj (fields @ [ ("series", Json.List (List.map series cells)) ])
+  | Record { columns; _ } -> row columns (List.hd cells)
+
+let print (type c r) (s : (c, r) t) ppf (cells : (c * r) list) =
+  match s.shape with
+  | Rows { columns; _ } ->
+    let cols = headed columns in
+    Report.table ppf ~title:s.title ~claim:s.claim
+      (List.map (fun (c : _ Col.t) -> (c.head, c.width)) cols)
+      (List.map
+         (fun (c, r) -> List.map (fun (col : _ Col.t) -> col.cell c r) cols)
+         cells)
+  | Series { points; _ } ->
+    Report.section ppf s.title s.claim;
+    let x, v = plotted points in
+    let line label cells =
+      Format.fprintf ppf "%-12s%s@." label (String.concat "" cells)
+    in
+    line x.head (List.map (fun (p, r) -> x.cell p r) (first cells));
+    List.iter
+      (fun (algo, pts) ->
+        line (Lock.algo_name algo) (List.map (fun (p, r) -> v.cell p r) pts))
+      cells
+  | Record { lines; _ } ->
+    Report.section ppf s.title s.claim;
+    List.iter
+      (fun (_, r) -> List.iter (Format.fprintf ppf "%s@.") (lines r))
+      cells
+
+let dat (type c r) (s : (c, r) t) :
+    (string -> (c * r) list -> Dat.plot) option =
+  match s.shape with
+  | Series { points; axis; _ } ->
+    let x, v = plotted points in
+    let value p r =
+      match v.json p r with
+      | Json.Float f -> Printf.sprintf "%.2f" f
+      | j -> Json.to_string j
+    in
+    Some
+      (fun dir cells ->
+        let header =
+          String.concat "\t"
+            (("# " ^ x.key) :: List.map (fun (a, _) -> Lock.algo_name a) cells)
+        in
+        let line (p, _) =
+          String.concat "\t"
+            (string_of_int p
+            :: List.map (fun (_, pts) -> value p (List.assoc p pts)) cells)
+        in
+        Dat.write dir ~name:s.section ~xlabel:axis
+          (header :: List.map line (first cells)))
+  | Rows _ | Record _ -> None
+
+(* A latency summary's columns. The mean is headed, so a series plots it. *)
+let summary get =
+  let field f c r = f (get c r : Measure.summary) in
+  Col.
+    [
+      int "n" "" 0 (field (fun s -> s.n));
+      float "mean_us" "mean(us)" 9 1 (field (fun s -> s.mean_us));
+      float "p50_us" "" 0 0 (field (fun s -> s.p50_us));
+      float "p90_us" "" 0 0 (field (fun s -> s.p90_us));
+      float "p99_us" "" 0 0 (field (fun s -> s.p99_us));
+      float "p999_us" "" 0 0 (field (fun s -> s.p999_us));
+      float "min_us" "" 0 0 (field (fun s -> s.min_us));
+      float "max_us" "" 0 0 (field (fun s -> s.max_us));
+      float "frac_above_2ms" "" 0 0 (field (fun s -> s.frac_above_2ms));
+    ]
+
+let summary_json s = row (summary (fun () s -> s)) ((), s)
 let algo_name (a, _) _ = Lock.algo_name a
 
 (* The grids are products of their sweep axes, outermost first. *)
 let ( let* ) xs f = List.concat_map f xs
+
+(* -- the paper's tables and figures ------------------------------------- *)
+
+let paper_procs = [ 1; 2; 4; 8; 12; 16 ]
+let paper_cluster_sizes = [ 1; 2; 4; 8; 16 ]
+
+let fig4 () : (Instr_model.algo, Instr_model.counts) t =
+  let counts (c : Instr_model.counts) =
+    Json.Obj
+      [
+        ("atomic", Json.Int c.atomic); ("mem", Json.Int c.mem);
+        ("reg", Json.Int c.reg); ("br", Json.Int c.br);
+      ]
+  in
+  let columns =
+    Col.
+      [
+        text "algo" "algo" 8 (fun a _ -> Instr_model.algo_name a);
+        int "" "Atomic" 7 (fun _ (c : Instr_model.counts) -> c.atomic);
+        int "" "Mem" 5 (fun _ (c : Instr_model.counts) -> c.mem);
+        int "" "Reg" 5 (fun _ (c : Instr_model.counts) -> c.reg);
+        int "" "Br" 5 (fun _ (c : Instr_model.counts) -> c.br);
+        json "ours" (fun _ c -> counts c);
+        json "paper" (fun a _ -> counts (Instr_model.paper_counts a));
+        (* Left-aligned, three spaces after Br. *)
+        custom "matches_paper" "  match " 8
+          (fun b -> Json.Bool b)
+          (Printf.sprintf "  %-6b")
+          (fun a c -> c = Instr_model.paper_counts a);
+        float "predicted_us" "pred(us)" 9 2 (fun a _ ->
+            Instr_model.predicted_us Hector.Config.hector a);
+      ]
+  in
+  {
+    section = "fig4";
+    title = "FIG4 - instruction counts per uncontended lock/unlock pair";
+    claim =
+      "MCS 2/2/3/5, H1 2/1/3/5, H2 2/0/3/4, Spin 2/0/1/3 (Atomic/Mem/Reg/Br)";
+    grid = Instr_model.all;
+    run = (fun _ a -> Instr_model.counts a);
+    shape = Rows { columns; cli = None };
+  }
+
+let uncontended () : (Lock.algo, Uncontended.result) t =
+  let model = function Some us -> Printf.sprintf "%.2f" us | None -> "-" in
+  let columns =
+    Col.
+      [
+        text "algo" "algo" 10 (fun a _ -> Lock.algo_name a);
+        float "pair_us" "measured(us)" 12 2 (fun _ r -> r.Uncontended.pair_us);
+        custom "predicted_us" "model(us)" 12
+          (function Some us -> Json.Float us | None -> Json.Null)
+          (fun us -> Printf.sprintf "%12s" (model us))
+          (fun _ (r : Uncontended.result) -> r.predicted_us);
+      ]
+  in
+  {
+    section = "uncontended";
+    title = "UNC - uncontended lock/unlock latency (Section 4.1.1)";
+    claim = "MCS 5.40us -> H2-MCS 3.69us (32% better); spin 3.65us";
+    grid = Uncontended.algos;
+    run = (fun _ a -> Uncontended.run a);
+    shape = Rows { columns; cli = None };
+  }
+
+(* One cell and one series per algorithm, one point per x. *)
+let series ~section ~title ~claim ~axis ~fields ~algos ~xs point points =
+  {
+    section;
+    title;
+    claim;
+    grid = algos;
+    run = (fun k algo -> List.map (fun x -> (x, point k algo x)) (xs k));
+    shape = Series { fields; points; axis };
+  }
+
+let sweep_procs k = Option.value k.procs ~default:paper_procs
+
+let fig5 section ~title ~hold_us =
+  let open Lock_stress in
+  series ~section
+    ~title:
+      (Printf.sprintf "%s - lock response time under contention (hold %.0fus)"
+         title hold_us)
+    ~claim:
+      "MCS/H1 scale best; H2 adds a constant repair cost (visible at hold 0); \
+       spin(35us) degrades; spin(2ms) competitive in mean but starves"
+    ~axis:"contending processors"
+    ~fields:[ ("hold_us", Json.Float hold_us) ]
+    ~algos:Lock.all_paper_algos ~xs:sweep_procs
+    (fun _ algo p -> run ~config:{ default_config with p; hold_us } algo)
+    Col.(
+      (int "p" "p" 9 (fun p _ -> p) :: summary (fun _ r -> r.summary))
+      @ [ int "acquisitions" "" 0 (fun _ r -> r.acquisitions) ])
+
+(* A Figure 7 point: the fault latency summary, retries and RPCs. *)
+type fault = Measure.summary * int * int
+
+let independent config : fault =
+  let r = Independent_faults.run ~config () in
+  (r.summary, r.retries, r.rpcs)
+
+let shared config : fault =
+  let r = Shared_faults.run ~config () in
+  (r.summary, r.retries, r.rpcs)
+
+let fig7 section ~title ~claim ~by point =
+  let xlabel, json_xlabel, axis, xs =
+    match by with
+    | `P -> ("p", "p", "contending processors", sweep_procs)
+    | `Cluster ->
+      ( "cluster",
+        "cluster_size",
+        "cluster size",
+        fun k -> Option.value k.sizes ~default:paper_cluster_sizes )
+  in
+  series ~section ~title ~claim ~axis
+    ~fields:[ ("xlabel", Json.String json_xlabel) ]
+    ~algos:Experiments.fig7_algos ~xs point
+    Col.
+      [
+        int "x" xlabel 9 (fun x _ -> x);
+        float "mean_us" "mean(us)" 9 1 (fun _ ((s : Measure.summary), _, _) ->
+            s.mean_us);
+        float "p99_us" "" 0 0 (fun _ ((s : Measure.summary), _, _) -> s.p99_us);
+        int "retries" "" 0 (fun _ (_, retries, _) -> retries);
+        int "rpcs" "" 0 (fun _ (_, _, rpcs) -> rpcs);
+      ]
+
+let iters k = Option.value k.iters ~default:100
+
+let fig7a () =
+  fig7 "fig7a" ~title:"FIG7a - independent faults, one 16-processor cluster"
+    ~by:`P
+    ~claim:
+      "little difference up to p=4; beyond that spin degrades; at p=16 spin \
+       is over 2x the distributed locks"
+    (fun k lock_algo p ->
+      independent
+        {
+          Independent_faults.default_config with
+          p;
+          iters = iters k;
+          lock_algo;
+        })
+
+let fig7b () =
+  fig7 "fig7b" ~title:"FIG7b - shared faults, one 16-processor cluster" ~by:`P
+    ~claim:
+      "smaller gap between distributed and spin locks: contention shifts to \
+       the reserve bits"
+    (fun k lock_algo p ->
+      let rounds = Option.value k.rounds ~default:20 in
+      shared { Shared_faults.default_config with p; rounds; lock_algo })
+
+let fig7c () =
+  fig7 "fig7c" ~title:"FIG7c - independent faults, p=16, cluster-size sweep"
+    ~by:`Cluster
+    ~claim:
+      "small clusters best; no degradation for cluster size <= 4 (hybrid \
+       matches fine-grain locking)"
+    (fun k lock_algo cluster_size ->
+      independent
+        {
+          Independent_faults.default_config with
+          p = 16;
+          iters = iters k;
+          cluster_size;
+          lock_algo;
+        })
+
+let fig7d () =
+  fig7 "fig7d" ~title:"FIG7d - shared faults, p=16, cluster-size sweep"
+    ~by:`Cluster
+    ~claim:
+      "moderate cluster sizes win: inter-cluster ownership traffic dominates \
+       very small clusters, lock contention the largest"
+    (fun k lock_algo cluster_size ->
+      let rounds = Option.value k.rounds ~default:15 in
+      shared
+        {
+          Shared_faults.default_config with
+          p = 16;
+          rounds;
+          cluster_size;
+          lock_algo;
+        })
+
+(* The Section 4.1.2 observation: the fraction of the 2 ms-backoff spin
+   lock's acquisitions that take more than 2 ms, at p = 16 and a 25 us
+   hold. *)
+let starvation () : (unit, Measure.summary) t =
+  {
+    section = "starvation";
+    title = "STARVATION - spin(2ms), p=16, hold 25us (Section 4.1.2)";
+    claim = "over 13% of acquisitions took more than 2ms";
+    grid = [ () ];
+    run =
+      (fun _ () ->
+        let config =
+          { Lock_stress.default_config with p = 16; hold_us = 25.0;
+            window_us = 60_000.0 }
+        in
+        (Lock_stress.run ~config (Lock.Spin { max_backoff_us = 2000.0 }))
+          .summary);
+    shape =
+      Record
+        {
+          columns = summary (fun () s -> s);
+          lines =
+            (fun s ->
+              [
+                Printf.sprintf
+                  "measured: %.1f%% of %d acquisitions over 2ms (p99 = %.0fus, \
+                   max = %.0fus)"
+                  (100.0 *. s.frac_above_2ms) s.n s.p99_us s.max_us;
+              ]);
+        };
+  }
+
+let constants () : (unit, Calibration.result) t =
+  let open Calibration in
+  let us key get = Col.float key "" 0 0 (fun () r -> get r) in
+  {
+    section = "constants";
+    title = "CONST - absolute cost anchors";
+    claim =
+      "soft fault ~160us of which ~40us locking; null RPC ~27us; \
+       lookup+replicate ~88us";
+    grid = [ () ];
+    run = (fun _ () -> run ());
+    shape =
+      Record
+        {
+          columns =
+            [
+              us "soft_fault_us" (fun r -> r.soft_fault_us);
+              us "lockless_fault_us" (fun r -> r.lockless_fault_us);
+              us "lock_overhead_us" (fun r -> r.lock_overhead_us);
+              us "null_rpc_us" (fun r -> r.null_rpc_us);
+              us "replicate_fault_us" (fun r -> r.replicate_fault_us);
+              us "replicate_extra_us" (fun r -> r.replicate_extra_us);
+            ];
+          lines =
+            (fun r ->
+              Printf.
+                [
+                  sprintf "soft page fault     : %7.1f us" r.soft_fault_us;
+                  sprintf "  lock overhead     : %7.1f us" r.lock_overhead_us;
+                  sprintf "null RPC            : %7.1f us" r.null_rpc_us;
+                  sprintf
+                    "lookup + replicate  : %7.1f us (extra over a local fault)"
+                    r.replicate_extra_us;
+                ]);
+        };
+  }
+
+(* -- the extension experiments ------------------------------------------- *)
 
 (* Flat MCS against the three NUMA composites, sweeping how finely 16
    processors are clustered and how long the lock is held. The composites
@@ -160,49 +522,55 @@ let ( let* ) xs f = List.concat_map f xs
    (the protected data stops migrating every hand-off). *)
 let numa_locks () : (Lock.algo * Numa_stress.config, Numa_stress.result) t =
   let open Numa_stress in
+  let cli =
+    {
+      command = "numa";
+      doc =
+        "Cross-cluster lock stress: hand-off locality (local vs remote) and \
+         worst-case waits for one lock algorithm (experiment NUMA-LOCKS). \
+         Compare cohort/hmcs/cna against h2.";
+      default = (Lock.Mcs_h2, default_config);
+      knobs =
+        (fun (a, c) ->
+          lock a (fun (_, c) a -> (a, c))
+          :: List.map second
+               [
+                 clusters c.n_clusters (fun c n_clusters -> { c with n_clusters });
+                 hold c.hold_us (fun c hold_us -> { c with hold_us });
+                 window c.window_us (fun c window_us -> { c with window_us });
+               ]);
+    }
+  in
+  let columns =
+    Col.
+      [
+        text "algo" "lock" 15 algo_name;
+        int "clusters" "clusters" 8 (fun (_, c) _ -> c.n_clusters);
+        float "hold_us" "hold(us)" 9 0 (fun (_, c) _ -> c.hold_us);
+        float "mean_us" "mean(us)" 10 2 (fun _ r -> r.summary.mean_us);
+        float "p99_us" "p99(us)" 9 1 (fun _ r -> r.summary.p99_us);
+        int "acquisitions" "" 0 (fun _ r -> r.acquisitions);
+        int "local_handoffs" "local" 9 (fun _ r -> r.local_handoffs);
+        int "remote_handoffs" "remote" 9 (fun _ r -> r.remote_handoffs);
+        pct "remote_frac" "rem%" 8 1 (fun _ r -> remote_frac r);
+        float "max_wait_us" "maxw(us)" 10 1 (fun _ r -> r.max_wait_us);
+      ]
+  in
   {
     section = "numa_locks";
-    command = "numa";
-    doc =
-      "Cross-cluster lock stress: hand-off locality (local vs remote) and \
-       worst-case waits for one lock algorithm (experiment NUMA-LOCKS). \
-       Compare cohort/hmcs/cna against h2.";
     title = "NUMA-LOCKS - cross-cluster contention (cohort/HMCS/CNA vs MCS)";
     claim =
       "16 processors hammer one lock, partitioned into clusters; NUMA-aware \
        locks hand off within a cluster when they can, so the fraction of \
        hand-offs crossing a cluster boundary - and with it the data's \
        migration traffic - drops against flat MCS";
-    default = (Lock.Mcs_h2, default_config);
     grid =
       (let* algo = Experiments.numa_algos in
        let* n_clusters = [ 1; 2; 4 ] in
        let* hold_us = [ 0.0; 10.0 ] in
        [ (algo, { default_config with n_clusters; hold_us }) ]);
-    run = (fun (algo, config) -> run ~config algo);
-    columns =
-      Col.
-        [
-          text "algo" "lock" 15 algo_name;
-          int "clusters" "clusters" 8 (fun (_, c) _ -> c.n_clusters);
-          float "hold_us" "hold(us)" 9 0 (fun (_, c) _ -> c.hold_us);
-          float "mean_us" "mean(us)" 10 2 (fun _ r -> r.summary.mean_us);
-          float "p99_us" "p99(us)" 9 1 (fun _ r -> r.summary.p99_us);
-          int "acquisitions" "" 0 (fun _ r -> r.acquisitions);
-          int "local_handoffs" "local" 9 (fun _ r -> r.local_handoffs);
-          int "remote_handoffs" "remote" 9 (fun _ r -> r.remote_handoffs);
-          pct "remote_frac" "rem%" 8 1 (fun _ r -> remote_frac r);
-          float "max_wait_us" "maxw(us)" 10 1 (fun _ r -> r.max_wait_us);
-        ];
-    knobs =
-      (fun (a, c) ->
-        lock a (fun (_, c) a -> (a, c))
-        :: List.map second
-             [
-               clusters c.n_clusters (fun c n_clusters -> { c with n_clusters });
-               hold c.hold_us (fun c hold_us -> { c with hold_us });
-               window c.window_us (fun c window_us -> { c with window_us });
-             ]);
+    run = (fun _ (algo, config) -> run ~config algo);
+    shape = Rows { columns; cli = Some cli };
   }
 
 (* The single-lock hybrid against the sharded table at several shard counts,
@@ -221,13 +589,61 @@ let hash_scaling () : (Hash_scaling.config, Hash_scaling.result) t =
   let point p read_ratio granularity shards optimistic =
     { default_config with p; read_ratio; granularity; shards; optimistic }
   in
+  let cli =
+    {
+      command = "hash";
+      doc =
+        "Read/update mix over one hash table: sharded granularity and the \
+         seqlock optimistic read path against the single-lock hybrid \
+         (experiment HASH-SCALING).";
+      default = default_config;
+      knobs =
+        (fun d ->
+          [
+            lock d.lock_algo (fun c lock_algo -> { c with lock_algo });
+            knob (Arg.enum granularities) [ "g"; "granularity" ] ~docv:"G"
+              ~doc:("Table granularity: " ^ Arg.doc_alts_enum granularities ^ ".")
+              d.granularity (fun c granularity -> { c with granularity });
+            procs ~doc:"Contending processors." d.p (fun c p -> { c with p });
+            knob Arg.int [ "shards" ] ~docv:"S"
+              ~doc:"Shard count (sharded granularity)." d.shards
+              (fun (c : config) shards -> { c with shards });
+            read_ratio d.read_ratio (fun c read_ratio -> { c with read_ratio });
+            switch [ "locked" ]
+              ~doc:
+                "Force lookups through the locked path (disable the seqlock \
+                 optimistic reads)."
+              (fun (c : config) -> { c with optimistic = false });
+            knob Arg.float [ "churn" ] ~docv:"F"
+              ~doc:
+                "Fraction of non-read operations that delete and re-insert \
+                 their key (chain mutations)."
+              d.churn_fraction (fun c churn_fraction -> { c with churn_fraction });
+            seed d.seed (fun c seed -> { c with seed });
+          ]);
+    }
+  in
+  let columns =
+    Col.
+      [
+        text "granularity" "mode" 8 (fun c _ ->
+            Khash.granularity_name c.granularity);
+        int "shards" "shards" 6 (fun _ r -> r.shards);
+        bool ~no:"no" "optimistic" "opt" 4 (fun _ r -> r.optimistic);
+        int "p" "p" 5 (fun c _ -> c.p);
+        pct "read_ratio" "read" 5 0 (fun c _ -> c.read_ratio);
+        float "read_mean_us" "read(us)" 10 2 (fun _ r -> r.read_summary.mean_us);
+        float "read_p99_us" "p99(us)" 9 1 (fun _ r -> r.read_summary.p99_us);
+        float "update_mean_us" "upd(us)" 10 2 (fun _ r ->
+            r.update_summary.mean_us);
+        float "throughput_ops_ms" "thr/ms" 9 1 (fun _ r -> r.throughput_ops_ms);
+        int "optimistic_hits" "hits" 6 (fun _ r -> r.optimistic_hits);
+        int "optimistic_fallbacks" "fb" 5 (fun _ r -> r.optimistic_fallbacks);
+        int "atomics" "" 0 (fun _ r -> r.atomics);
+      ]
+  in
   {
     section = "hash_scaling";
-    command = "hash";
-    doc =
-      "Read/update mix over one hash table: sharded granularity and the \
-       seqlock optimistic read path against the single-lock hybrid \
-       (experiment HASH-SCALING).";
     title = "HASH-SCALING - sharded table + seqlock optimistic reads";
     claim =
       "the hybrid table's single coarse lock is the ceiling within a \
@@ -235,70 +651,71 @@ let hash_scaling () : (Hash_scaling.config, Hash_scaling.result) t =
        PMMs restores scaling, and a per-shard sequence word lets read-only \
        lookups skip the lock entirely (a pair of loads instead of an \
        acquire/release round-trip)";
-    default = default_config;
     grid =
       (let* p = [ 4; 8; 16 ] in
        let* rr = [ 0.5; 0.9 ] in
        point p rr Khash.Hybrid 1 false
        :: (let* s = [ 2; 4; 8 ] in
            List.map (point p rr Khash.Sharded s) [ false; true ]));
-    run = (fun config -> run ~config ());
-    columns =
-      Col.
-        [
-          text "granularity" "mode" 8 (fun c _ ->
-              Khash.granularity_name c.granularity);
-          int "shards" "shards" 6 (fun _ r -> r.shards);
-          bool ~no:"no" "optimistic" "opt" 4 (fun _ r -> r.optimistic);
-          int "p" "p" 5 (fun c _ -> c.p);
-          pct "read_ratio" "read" 5 0 (fun c _ -> c.read_ratio);
-          float "read_mean_us" "read(us)" 10 2 (fun _ r -> r.read_summary.mean_us);
-          float "read_p99_us" "p99(us)" 9 1 (fun _ r -> r.read_summary.p99_us);
-          float "update_mean_us" "upd(us)" 10 2 (fun _ r ->
-              r.update_summary.mean_us);
-          float "throughput_ops_ms" "thr/ms" 9 1 (fun _ r -> r.throughput_ops_ms);
-          int "optimistic_hits" "hits" 6 (fun _ r -> r.optimistic_hits);
-          int "optimistic_fallbacks" "fb" 5 (fun _ r -> r.optimistic_fallbacks);
-          int "atomics" "" 0 (fun _ r -> r.atomics);
-        ];
-    knobs =
-      (fun d ->
-        [
-          lock d.lock_algo (fun c lock_algo -> { c with lock_algo });
-          knob (Arg.enum granularities) [ "g"; "granularity" ] ~docv:"G"
-            ~doc:("Table granularity: " ^ Arg.doc_alts_enum granularities ^ ".")
-            d.granularity (fun c granularity -> { c with granularity });
-          procs ~doc:"Contending processors." d.p (fun c p -> { c with p });
-          knob Arg.int [ "shards" ] ~docv:"S"
-            ~doc:"Shard count (sharded granularity)." d.shards
-            (fun (c : config) shards -> { c with shards });
-          read_ratio d.read_ratio (fun c read_ratio -> { c with read_ratio });
-          switch [ "locked" ]
-            ~doc:
-              "Force lookups through the locked path (disable the seqlock \
-               optimistic reads)."
-            (fun (c : config) -> { c with optimistic = false });
-          knob Arg.float [ "churn" ] ~docv:"F"
-            ~doc:
-              "Fraction of non-read operations that delete and re-insert \
-               their key (chain mutations)."
-            d.churn_fraction (fun c churn_fraction -> { c with churn_fraction });
-          seed d.seed (fun c seed -> { c with seed });
-        ]);
+    run = (fun _ config -> run ~config ());
+    shape = Rows { columns; cli = Some cli };
   }
 
 (* Flat MCS and the three NUMA composites under the same planted
    cross-cluster holder stall. *)
 let abort_storm () : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
   let open Abort_storm in
+  let cli =
+    {
+      command = "abort";
+      doc =
+        "Timed acquisition under a planted cross-cluster holder stall: every \
+         waiter attempts through the timed face and must return within a \
+         bounded overshoot of its deadline (experiment ABORT-STORM). Only \
+         abortable algorithms are accepted.";
+      default = (Lock.Mcs_h2, default_config);
+      knobs =
+        (fun (a, c) ->
+          lock a (fun (_, c) a -> (a, c))
+          :: List.map second
+               [
+                 clusters c.n_clusters (fun c n_clusters -> { c with n_clusters });
+                 knob Arg.float [ "timeout" ] ~docv:"US"
+                   ~doc:"Per-attempt deadline in us." c.timeout_us
+                   (fun c timeout_us -> { c with timeout_us });
+                 knob Arg.float [ "stall" ] ~docv:"US"
+                   ~doc:"How long the planted holder goes dark per stall."
+                   c.stall_us (fun c stall_us -> { c with stall_us });
+                 window c.window_us (fun c window_us -> { c with window_us });
+                 seed c.seed (fun c seed -> { c with seed });
+               ]);
+    }
+  in
+  let columns =
+    Col.
+      [
+        text "algo" "lock" 15 algo_name;
+        int "attempts" "attempts" 8 (fun _ r -> r.attempts);
+        int "acquisitions" "acq" 6 (fun _ r -> r.acquisitions);
+        int "aborts" "aborts" 7 (fun _ r -> r.aborts);
+        int "fast_fails" "" 0 (fun _ r -> r.fast_fails);
+        int "stalls" "stall" 6 (fun _ r -> r.stalls);
+        float "overshoot_mean_us" "over(us)" 9 2 (fun _ r -> r.overshoot.mean_us);
+        float "overshoot_p99_us" "" 0 0 (fun _ r -> r.overshoot.p99_us);
+        float "overshoot_max_us" "maxov(us)" 9 1 (fun _ r -> r.max_overshoot_us);
+        float "bound_ratio" "ratio" 6 2 (fun _ r -> r.bound_ratio);
+        float "recovery_mean_us" "rec(us)" 9 1 (fun _ r -> r.recovery.mean_us);
+        float "recovery_max_us" "" 0 0 (fun _ r -> r.recovery.max_us);
+        int "obs_aborts" "" 0 (fun _ r -> r.obs_aborts);
+        (* The JSON has repairs before remote aborts, the table after. *)
+        int "obs_repairs" "" 0 (fun _ r -> r.obs_repairs);
+        int "remote_aborts" "rem-ab" 7 (fun _ r -> r.remote_aborts);
+        int "" "repair" 7 (fun _ r -> r.obs_repairs);
+        bool "final_free" "free" 5 (fun _ r -> r.final_free);
+      ]
+  in
   {
     section = "abort_storm";
-    command = "abort";
-    doc =
-      "Timed acquisition under a planted cross-cluster holder stall: every \
-       waiter attempts through the timed face and must return within a \
-       bounded overshoot of its deadline (experiment ABORT-STORM). Only \
-       abortable algorithms are accepted.";
     title = "ABORT-STORM - timed abandonment under a stalled holder";
     claim =
       "one processor takes the lock and goes dark for ~10x any waiter's \
@@ -308,46 +725,9 @@ let abort_storm () : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
        aborts show waiters expiring at every level of the NUMA composite, \
        and the lock must recover promptly - abandoned queue nodes repaired \
        at the next hand-offs - once the holder releases";
-    default = (Lock.Mcs_h2, default_config);
     grid = List.map (fun a -> (a, default_config)) Experiments.numa_algos;
-    run = (fun (algo, config) -> run ~config algo);
-    columns =
-      Col.
-        [
-          text "algo" "lock" 15 algo_name;
-          int "attempts" "attempts" 8 (fun _ r -> r.attempts);
-          int "acquisitions" "acq" 6 (fun _ r -> r.acquisitions);
-          int "aborts" "aborts" 7 (fun _ r -> r.aborts);
-          int "fast_fails" "" 0 (fun _ r -> r.fast_fails);
-          int "stalls" "stall" 6 (fun _ r -> r.stalls);
-          float "overshoot_mean_us" "over(us)" 9 2 (fun _ r -> r.overshoot.mean_us);
-          float "overshoot_p99_us" "" 0 0 (fun _ r -> r.overshoot.p99_us);
-          float "overshoot_max_us" "maxov(us)" 9 1 (fun _ r -> r.max_overshoot_us);
-          float "bound_ratio" "ratio" 6 2 (fun _ r -> r.bound_ratio);
-          float "recovery_mean_us" "rec(us)" 9 1 (fun _ r -> r.recovery.mean_us);
-          float "recovery_max_us" "" 0 0 (fun _ r -> r.recovery.max_us);
-          int "obs_aborts" "" 0 (fun _ r -> r.obs_aborts);
-          (* The JSON has repairs before remote aborts, the table after. *)
-          int "obs_repairs" "" 0 (fun _ r -> r.obs_repairs);
-          int "remote_aborts" "rem-ab" 7 (fun _ r -> r.remote_aborts);
-          int "" "repair" 7 (fun _ r -> r.obs_repairs);
-          bool "final_free" "free" 5 (fun _ r -> r.final_free);
-        ];
-    knobs =
-      (fun (a, c) ->
-        lock a (fun (_, c) a -> (a, c))
-        :: List.map second
-             [
-               clusters c.n_clusters (fun c n_clusters -> { c with n_clusters });
-               knob Arg.float [ "timeout" ] ~docv:"US"
-                 ~doc:"Per-attempt deadline in us." c.timeout_us
-                 (fun c timeout_us -> { c with timeout_us });
-               knob Arg.float [ "stall" ] ~docv:"US"
-                 ~doc:"How long the planted holder goes dark per stall."
-                 c.stall_us (fun c stall_us -> { c with stall_us });
-               window c.window_us (fun c window_us -> { c with window_us });
-               seed c.seed (fun c seed -> { c with seed });
-             ]);
+    run = (fun _ (algo, config) -> run ~config algo);
+    shape = Rows { columns; cli = Some cli };
   }
 
 (* Representative flat queue locks (MCS, CLH, and the non-abortable Ticket,
@@ -355,14 +735,60 @@ let abort_storm () : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
    same planted mid-critical-section kill schedule. *)
 let crash_storm () : (Lock.algo * Crash_storm.config, Crash_storm.result) t =
   let open Crash_storm in
+  let cli =
+    {
+      command = "crash";
+      doc =
+        "Fail-stop crashes planted mid-critical-section: victims die holding \
+         the lock, survivors acquire through the recoverable face and \
+         force-release each orphaned hold (experiment CRASH-STORM). Only \
+         recoverable algorithms are accepted.";
+      default = (Lock.Mcs_h2, default_config);
+      knobs =
+        (fun (a, c) ->
+          lock a (fun (_, c) a -> (a, c))
+          :: List.map second
+               [
+                 clusters c.n_clusters (fun c n_clusters -> { c with n_clusters });
+                 knob Arg.int [ "kills" ] ~docv:"N"
+                   ~doc:
+                     "Victim processors, each fail-stopped once \
+                      mid-critical-section."
+                   c.n_kills (fun c n_kills -> { c with n_kills });
+                 knob Arg.float [ "check-period" ] ~docv:"US"
+                   ~doc:
+                     "Recoverable-acquire slice (the dead-holder detector \
+                      period)."
+                   c.check_period_us (fun c check_period_us ->
+                     { c with check_period_us });
+                 hold c.hold_us (fun c hold_us -> { c with hold_us });
+                 window c.window_us (fun c window_us -> { c with window_us });
+                 seed c.seed (fun c seed -> { c with seed });
+               ]);
+    }
+  in
+  let columns =
+    Col.
+      [
+        text "algo" "lock" 15 algo_name;
+        int "kills" "kills" 6 (fun _ r -> r.kills);
+        int "acquisitions" "acq" 6 (fun _ r -> r.acquisitions);
+        int "obs_crashes" "crashes" 7 (fun _ r -> r.obs_crashes);
+        int "obs_recoveries" "recov" 6 (fun _ r -> r.obs_recoveries);
+        int "lockdep_recoveries" "lkdep" 6 (fun _ r -> r.lockdep_recoveries);
+        int "lockdep_violations" "viol" 5 (fun _ r -> r.lockdep_violations);
+        float "recovery_mean_us" "rec(us)" 9 1 (fun _ r -> r.recovery.mean_us);
+        float "recovery_p99_us" "p99(us)" 9 1 (fun _ r -> r.recovery.p99_us);
+        float "recovery_max_us" "max(us)" 9 1 (fun _ r -> r.recovery.max_us);
+        int "recovery_n" "" 0 (fun _ r -> r.recovery.n);
+        int "clusters_hit" "clus" 5 (fun _ r -> clusters_hit r);
+        float "worst_cluster_p99_us" "worstp99" 10 1 (fun _ r ->
+            worst_cluster_p99_us r);
+        bool "final_free" "free" 5 (fun _ r -> r.final_free);
+      ]
+  in
   {
     section = "crash_storm";
-    command = "crash";
-    doc =
-      "Fail-stop crashes planted mid-critical-section: victims die holding \
-       the lock, survivors acquire through the recoverable face and \
-       force-release each orphaned hold (experiment CRASH-STORM). Only \
-       recoverable algorithms are accepted.";
     title = "CRASH-STORM - fail-stop kills mid-critical-section";
     claim =
       "victim processors fail-stop while holding the lock (the fiber parks, \
@@ -371,52 +797,12 @@ let crash_storm () : (Lock.algo * Crash_storm.config, Crash_storm.result) t =
        Conservation demands a recovery per kill, an installed lockdep \
        checker must see every forced release as a legal transfer (zero \
        violations), and the storm must end with the lock free";
-    default = (Lock.Mcs_h2, default_config);
     grid =
       List.map
         (fun a -> (a, default_config))
         (Lock.Mcs_h2 :: Lock.Clh :: Lock.Ticket :: Lock.all_numa_algos);
-    run = (fun (algo, config) -> run ~config algo);
-    columns =
-      Col.
-        [
-          text "algo" "lock" 15 algo_name;
-          int "kills" "kills" 6 (fun _ r -> r.kills);
-          int "acquisitions" "acq" 6 (fun _ r -> r.acquisitions);
-          int "obs_crashes" "crashes" 7 (fun _ r -> r.obs_crashes);
-          int "obs_recoveries" "recov" 6 (fun _ r -> r.obs_recoveries);
-          int "lockdep_recoveries" "lkdep" 6 (fun _ r -> r.lockdep_recoveries);
-          int "lockdep_violations" "viol" 5 (fun _ r -> r.lockdep_violations);
-          float "recovery_mean_us" "rec(us)" 9 1 (fun _ r -> r.recovery.mean_us);
-          float "recovery_p99_us" "p99(us)" 9 1 (fun _ r -> r.recovery.p99_us);
-          float "recovery_max_us" "max(us)" 9 1 (fun _ r -> r.recovery.max_us);
-          int "recovery_n" "" 0 (fun _ r -> r.recovery.n);
-          int "clusters_hit" "clus" 5 (fun _ r -> clusters_hit r);
-          float "worst_cluster_p99_us" "worstp99" 10 1 (fun _ r ->
-              worst_cluster_p99_us r);
-          bool "final_free" "free" 5 (fun _ r -> r.final_free);
-        ];
-    knobs =
-      (fun (a, c) ->
-        lock a (fun (_, c) a -> (a, c))
-        :: List.map second
-             [
-               clusters c.n_clusters (fun c n_clusters -> { c with n_clusters });
-               knob Arg.int [ "kills" ] ~docv:"N"
-                 ~doc:
-                   "Victim processors, each fail-stopped once \
-                    mid-critical-section."
-                 c.n_kills (fun c n_kills -> { c with n_kills });
-               knob Arg.float [ "check-period" ] ~docv:"US"
-                 ~doc:
-                   "Recoverable-acquire slice (the dead-holder detector \
-                    period)."
-                 c.check_period_us (fun c check_period_us ->
-                   { c with check_period_us });
-               hold c.hold_us (fun c hold_us -> { c with hold_us });
-               window c.window_us (fun c window_us -> { c with window_us });
-               seed c.seed (fun c seed -> { c with seed });
-             ]);
+    run = (fun _ (algo, config) -> run ~config algo);
+    shape = Rows { columns; cli = Some cli };
   }
 
 (* The read-path style is one field set by four flags: --style picks the
@@ -489,14 +875,54 @@ let rw_scaling () : (Rw_scaling.config, Rw_scaling.result) t =
   let rw writer centralised =
     Rw_lock { writer; policy = Rwlock.Writer_blocking; centralised }
   in
+  let cli =
+    {
+      command = "rw";
+      doc =
+        "Read-mostly lookups: distributed reader-writer lock vs seqlock vs \
+         per-cluster replication vs one exclusive lock (experiment \
+         RW-SCALING): reader-parallelism peaks, remote read-path traffic and \
+         lockdep violations.";
+      default = default_config;
+      knobs =
+        (fun d ->
+          rw_style d
+          @ [
+              procs ~doc:"Contending processors." d.p (fun c p -> { c with p });
+              clusters ~doc:"Clusters the processors are spread across."
+                d.n_clusters (fun c n_clusters -> { c with n_clusters });
+              read_ratio d.read_ratio (fun c read_ratio -> { c with read_ratio });
+              knob Arg.int [ "ops" ] ~docv:"N" ~doc:"Operations per processor."
+                d.ops (fun c ops -> { c with ops });
+              seed d.seed (fun c seed -> { c with seed });
+            ]);
+    }
+  in
+  let columns =
+    Col.
+      [
+        text "style" "style" 22 (fun c _ -> style_name c.style);
+        pct "read_ratio" "read" 5 1 (fun c _ -> c.read_ratio);
+        int "clusters" "clus" 4 (fun c _ -> c.n_clusters);
+        int "p" "p" 3 (fun c _ -> c.p);
+        float "read_mean_us" "read(us)" 9 2 (fun _ r -> r.read_summary.mean_us);
+        float "read_p99_us" "" 0 0 (fun _ r -> r.read_summary.p99_us);
+        float "read_p999_us" "p99.9" 8 1 (fun _ r -> r.read_summary.p999_us);
+        float "write_mean_us" "write(us)" 9 2 (fun _ r ->
+            r.write_summary.mean_us);
+        float "throughput_ops_ms" "" 0 0 (fun _ r -> r.throughput_ops_ms);
+        float "read_throughput_ops_ms" "rdthr/ms" 9 1 (fun _ r ->
+            r.read_throughput_ops_ms);
+        int "reads" "" 0 (fun _ r -> r.reads_done);
+        int "writes" "" 0 (fun _ r -> r.writes_done);
+        int "peak_readers" "peak-rd" 7 (fun _ r -> r.peak_readers);
+        int "read_remote" "rd-rem" 5 (fun _ r -> r.read_remote);
+        int "seq_aborts" "sq-ab" 7 (fun _ r -> r.seq_aborts);
+        int "lockdep_violations" "viol" 6 (fun _ r -> r.lockdep_violations);
+      ]
+  in
   {
     section = "rw_scaling";
-    command = "rw";
-    doc =
-      "Read-mostly lookups: distributed reader-writer lock vs seqlock vs \
-       per-cluster replication vs one exclusive lock (experiment \
-       RW-SCALING): reader-parallelism peaks, remote read-path traffic and \
-       lockdep violations.";
     title =
       "RW-SCALING - read-mostly lookups: RW lock vs seqlock vs replication";
     claim =
@@ -507,7 +933,6 @@ let rw_scaling () : (Rw_scaling.config, Rw_scaling.result) t =
        local copy but pays an update broadcast per write. rd-rem counts \
        read-path indicator ops that crossed a cluster boundary - zero for \
        the distributed layout, the centralised baseline's defining cost";
-    default = default_config;
     grid =
       (let* style =
          [
@@ -519,53 +944,68 @@ let rw_scaling () : (Rw_scaling.config, Rw_scaling.result) t =
        let* read_ratio = [ 0.95; 0.99; 0.999 ] in
        let* n_clusters = [ 1; 2; 4 ] in
        [ { default_config with style; read_ratio; n_clusters } ]);
-    run = (fun config -> run ~config ());
-    columns =
-      Col.
-        [
-          text "style" "style" 22 (fun c _ -> style_name c.style);
-          pct "read_ratio" "read" 5 1 (fun c _ -> c.read_ratio);
-          int "clusters" "clus" 4 (fun c _ -> c.n_clusters);
-          int "p" "p" 3 (fun c _ -> c.p);
-          float "read_mean_us" "read(us)" 9 2 (fun _ r -> r.read_summary.mean_us);
-          float "read_p99_us" "" 0 0 (fun _ r -> r.read_summary.p99_us);
-          float "read_p999_us" "p99.9" 8 1 (fun _ r -> r.read_summary.p999_us);
-          float "write_mean_us" "write(us)" 9 2 (fun _ r ->
-              r.write_summary.mean_us);
-          float "throughput_ops_ms" "" 0 0 (fun _ r -> r.throughput_ops_ms);
-          float "read_throughput_ops_ms" "rdthr/ms" 9 1 (fun _ r ->
-              r.read_throughput_ops_ms);
-          int "reads" "" 0 (fun _ r -> r.reads_done);
-          int "writes" "" 0 (fun _ r -> r.writes_done);
-          int "peak_readers" "peak-rd" 7 (fun _ r -> r.peak_readers);
-          int "read_remote" "rd-rem" 5 (fun _ r -> r.read_remote);
-          int "seq_aborts" "sq-ab" 7 (fun _ r -> r.seq_aborts);
-          int "lockdep_violations" "viol" 6 (fun _ r -> r.lockdep_violations);
-        ];
-    knobs =
-      (fun d ->
-        rw_style d
-        @ [
-            procs ~doc:"Contending processors." d.p (fun c p -> { c with p });
-            clusters ~doc:"Clusters the processors are spread across."
-              d.n_clusters (fun c n_clusters -> { c with n_clusters });
-            read_ratio d.read_ratio (fun c read_ratio -> { c with read_ratio });
-            knob Arg.int [ "ops" ] ~docv:"N" ~doc:"Operations per processor."
-              d.ops (fun c ops -> { c with ops });
-            seed d.seed (fun c seed -> { c with seed });
-          ]);
+    run = (fun _ config -> run ~config ());
+    shape = Rows { columns; cli = Some cli };
   }
 
 let slo () : (Slo_stream.config, Slo_stream.result) t =
   let open Slo_stream in
+  let cli =
+    {
+      command = "slo";
+      doc =
+        "Open-loop sustained-request stream over the sharded million-element \
+         table: exponential arrivals at a fixed offered rate, FIFO queueing \
+         behind a random server, arrival-to-completion p50/p99/p99.9 \
+         (experiment SLO).";
+      default = default_config;
+      knobs =
+        (fun d ->
+          [
+            lock d.lock_algo (fun c lock_algo -> { c with lock_algo });
+            procs ~doc:"Server processors." d.p (fun c p -> { c with p });
+            knob Arg.int [ "elements" ] ~docv:"N"
+              ~doc:"Keys pre-inserted into the table (requests target these)."
+              d.elements (fun c elements -> { c with elements });
+            knob Arg.float [ "rate" ] ~docv:"R"
+              ~doc:"Offered load: requests per virtual millisecond, total."
+              d.rate_per_ms (fun c rate_per_ms -> { c with rate_per_ms });
+            knob Arg.int [ "requests" ] ~docv:"N" ~doc:"Arrivals generated."
+              d.requests (fun c requests -> { c with requests });
+            knob Arg.int [ "shards" ] ~docv:"S" ~doc:"Table shard count." d.shards
+              (fun c shards -> { c with shards });
+            read_ratio ~doc:"Fraction of requests that are read-only lookups."
+              d.read_ratio (fun c read_ratio -> { c with read_ratio });
+            knob Arg.float [ "work" ] ~docv:"US"
+              ~doc:"Update work under the element, us." d.element_work_us
+              (fun c element_work_us -> { c with element_work_us });
+            seed d.seed (fun c seed -> { c with seed });
+          ]);
+    }
+  in
+  let columns =
+    Col.
+      [
+        float "offered_per_ms" "rate/ms" 9 1 (fun c _ -> c.rate_per_ms);
+        int "p" "p" 3 (fun c _ -> c.p);
+        int "elements" "elements" 9 (fun c _ -> c.elements);
+        int "shards" "" 0 (fun c _ -> c.shards);
+        int "completed" "done" 7 (fun _ r -> r.completed);
+        float "achieved_per_ms" "ach/ms" 9 1 (fun _ r -> r.achieved_per_ms);
+        float "" "rd-p50" 8 2 (fun _ r -> r.read_summary.p50_us);
+        float "" "rd-p99" 8 2 (fun _ r -> r.read_summary.p99_us);
+        float "" "rd-p99.9" 9 2 (fun _ r -> r.read_summary.p999_us);
+        json "read" (fun _ r -> summary_json r.read_summary);
+        float "" "up-p99" 9 2 (fun _ r -> r.update_summary.p99_us);
+        json "update" (fun _ r -> summary_json r.update_summary);
+        int "peak_backlog" "backlog" 8 (fun _ r -> r.peak_backlog);
+        int "optimistic_hits" "opt-h" 6 (fun _ r -> r.optimistic_hits);
+        int "optimistic_fallbacks" "" 0 (fun _ r -> r.optimistic_fallbacks);
+        int "lockdep_violations" "viol" 5 (fun _ r -> r.lockdep_violations);
+      ]
+  in
   {
     section = "slo";
-    command = "slo";
-    doc =
-      "Open-loop sustained-request stream over the sharded million-element \
-       table: exponential arrivals at a fixed offered rate, FIFO queueing \
-       behind a random server, arrival-to-completion p50/p99/p99.9 \
-       (experiment SLO).";
     title = "SLO - open-loop request stream over the million-element table";
     claim =
       "requests arrive on their own clock and queue behind a random server, \
@@ -573,54 +1013,12 @@ let slo () : (Slo_stream.config, Slo_stream.result) t =
        the table's capacity the p99/p99.9 tails leave the service time long \
        before the mean moves - the closed-loop workloads cannot show this. \
        every point runs under the lockdep checker (viol must be 0)";
-    default = default_config;
     grid =
       List.map
         (fun rate_per_ms -> { default_config with rate_per_ms })
         Experiments.slo_rates;
-    run = (fun config -> run ~config ());
-    columns =
-      Col.
-        [
-          float "offered_per_ms" "rate/ms" 9 1 (fun c _ -> c.rate_per_ms);
-          int "p" "p" 3 (fun c _ -> c.p);
-          int "elements" "elements" 9 (fun c _ -> c.elements);
-          int "shards" "" 0 (fun c _ -> c.shards);
-          int "completed" "done" 7 (fun _ r -> r.completed);
-          float "achieved_per_ms" "ach/ms" 9 1 (fun _ r -> r.achieved_per_ms);
-          float "" "rd-p50" 8 2 (fun _ r -> r.read_summary.p50_us);
-          float "" "rd-p99" 8 2 (fun _ r -> r.read_summary.p99_us);
-          float "" "rd-p99.9" 9 2 (fun _ r -> r.read_summary.p999_us);
-          json "read" (fun _ r -> Json.Obj (summary_fields r.read_summary));
-          float "" "up-p99" 9 2 (fun _ r -> r.update_summary.p99_us);
-          json "update" (fun _ r -> Json.Obj (summary_fields r.update_summary));
-          int "peak_backlog" "backlog" 8 (fun _ r -> r.peak_backlog);
-          int "optimistic_hits" "opt-h" 6 (fun _ r -> r.optimistic_hits);
-          int "optimistic_fallbacks" "" 0 (fun _ r -> r.optimistic_fallbacks);
-          int "lockdep_violations" "viol" 5 (fun _ r -> r.lockdep_violations);
-        ];
-    knobs =
-      (fun d ->
-        [
-          lock d.lock_algo (fun c lock_algo -> { c with lock_algo });
-          procs ~doc:"Server processors." d.p (fun c p -> { c with p });
-          knob Arg.int [ "elements" ] ~docv:"N"
-            ~doc:"Keys pre-inserted into the table (requests target these)."
-            d.elements (fun c elements -> { c with elements });
-          knob Arg.float [ "rate" ] ~docv:"R"
-            ~doc:"Offered load: requests per virtual millisecond, total."
-            d.rate_per_ms (fun c rate_per_ms -> { c with rate_per_ms });
-          knob Arg.int [ "requests" ] ~docv:"N" ~doc:"Arrivals generated."
-            d.requests (fun c requests -> { c with requests });
-          knob Arg.int [ "shards" ] ~docv:"S" ~doc:"Table shard count." d.shards
-            (fun c shards -> { c with shards });
-          read_ratio ~doc:"Fraction of requests that are read-only lookups."
-            d.read_ratio (fun c read_ratio -> { c with read_ratio });
-          knob Arg.float [ "work" ] ~docv:"US"
-            ~doc:"Update work under the element, us." d.element_work_us
-            (fun c element_work_us -> { c with element_work_us });
-          seed d.seed (fun c seed -> { c with seed });
-        ]);
+    run = (fun _ config -> run ~config ());
+    shape = Rows { columns; cli = Some cli };
   }
 
 (* The cold-phase favourite (test&set), both flat MCS hybrids and all three
@@ -628,12 +1026,50 @@ let slo () : (Slo_stream.config, Slo_stream.result) t =
    the peak, the composites pay for their layers in the trickle. *)
 let diurnal () : (Diurnal.config, Diurnal.result) t =
   let open Diurnal in
+  let cli =
+    {
+      command = "diurnal";
+      doc =
+        "The diurnal load cycle: load ramps cold -> hot -> cold over one lock, \
+         with per-phase throughput (experiment DIURNAL).";
+      default = default_config;
+      knobs =
+        (fun d ->
+          [
+            lock d.algo (fun c algo -> { c with algo });
+            knob Arg.int [ "p-hot" ] ~docv:"P"
+              ~doc:"Processors at the daytime peak." d.p_hot (fun c p_hot ->
+                { c with p_hot });
+            knob Arg.int [ "p-cold" ] ~docv:"P"
+              ~doc:"Processors in the overnight trickle." d.p_cold
+              (fun c p_cold -> { c with p_cold });
+            clusters ~doc:"Number of clusters." d.n_clusters (fun c n_clusters ->
+                { c with n_clusters });
+            knob Arg.float [ "phase" ] ~docv:"US"
+              ~doc:"Length of each of the three plateaus in us." d.phase_us
+              (fun c phase_us -> { c with phase_us });
+            hold d.hold_us (fun c hold_us -> { c with hold_us });
+            seed d.seed (fun c seed -> { c with seed });
+          ]);
+    }
+  in
+  let columns =
+    Col.
+      [
+        text "lock" "lock" 16 (fun _ r -> r.algo_name);
+        int "cold1_ops" "cold1-ops" 9 (fun _ r -> r.cold1_ops);
+        int "hot_ops" "hot-ops" 9 (fun _ r -> r.hot_ops);
+        int "cold2_ops" "cold2-ops" 9 (fun _ r -> r.cold2_ops);
+        float "cold_throughput_ops_ms" "cold/ms" 9 1 (fun _ r ->
+            r.cold_throughput_ops_ms);
+        float "hot_throughput_ops_ms" "hot/ms" 9 1 (fun _ r ->
+            r.hot_throughput_ops_ms);
+        bool "final_free" "free" 5 (fun _ r -> r.final_free);
+        int "lockdep_violations" "viol" 5 (fun _ r -> r.lockdep_violations);
+      ]
+  in
   {
     section = "diurnal";
-    command = "diurnal";
-    doc =
-      "The diurnal load cycle: load ramps cold -> hot -> cold over one lock, \
-       with per-phase throughput (experiment DIURNAL).";
     title = "DIURNAL - static lock shapes raced over the diurnal load cycle";
     claim =
       "load ramps cold -> hot -> cold in three equal plateaus: a same-cluster \
@@ -641,7 +1077,6 @@ let diurnal () : (Diurnal.config, Diurnal.result) t =
        across every cluster where hand-offs go mostly remote and a NUMA \
        composite wins, then the trickle again. No shape tops both phase \
        columns. Every row runs under the lockdep checker (viol must be 0)";
-    default = default_config;
     grid =
       List.map
         (fun algo -> { default_config with algo })
@@ -649,47 +1084,24 @@ let diurnal () : (Diurnal.config, Diurnal.result) t =
           Lock.Spin { max_backoff_us = 35.0 }; Lock.Mcs_h1; Lock.Mcs_h2;
           Lock.cna; Lock.c_mcs_mcs; Lock.hmcs;
         ];
-    run = (fun config -> run ~config ());
-    columns =
-      Col.
-        [
-          text "lock" "lock" 16 (fun _ r -> r.algo_name);
-          int "cold1_ops" "cold1-ops" 9 (fun _ r -> r.cold1_ops);
-          int "hot_ops" "hot-ops" 9 (fun _ r -> r.hot_ops);
-          int "cold2_ops" "cold2-ops" 9 (fun _ r -> r.cold2_ops);
-          float "cold_throughput_ops_ms" "cold/ms" 9 1 (fun _ r ->
-              r.cold_throughput_ops_ms);
-          float "hot_throughput_ops_ms" "hot/ms" 9 1 (fun _ r ->
-              r.hot_throughput_ops_ms);
-          bool "final_free" "free" 5 (fun _ r -> r.final_free);
-          int "lockdep_violations" "viol" 5 (fun _ r -> r.lockdep_violations);
-        ];
-    knobs =
-      (fun d ->
-        [
-          lock d.algo (fun c algo -> { c with algo });
-          knob Arg.int [ "p-hot" ] ~docv:"P"
-            ~doc:"Processors at the daytime peak." d.p_hot (fun c p_hot ->
-              { c with p_hot });
-          knob Arg.int [ "p-cold" ] ~docv:"P"
-            ~doc:"Processors in the overnight trickle." d.p_cold
-            (fun c p_cold -> { c with p_cold });
-          clusters ~doc:"Number of clusters." d.n_clusters (fun c n_clusters ->
-              { c with n_clusters });
-          knob Arg.float [ "phase" ] ~docv:"US"
-            ~doc:"Length of each of the three plateaus in us." d.phase_us
-            (fun c phase_us -> { c with phase_us });
-          hold d.hold_us (fun c hold_us -> { c with hold_us });
-          seed d.seed (fun c seed -> { c with seed });
-        ]);
+    run = (fun _ config -> run ~config ());
+    shape = Rows { columns; cli = Some cli };
   }
 
 type any = Spec : ('c, 'r) t -> any
 
-let all =
-  lazy
-    [
-      Spec (numa_locks ()); Spec (hash_scaling ()); Spec (abort_storm ());
-      Spec (crash_storm ()); Spec (rw_scaling ()); Spec (slo ());
-      Spec (diurnal ());
-    ]
+let paper () =
+  [
+    Spec (fig4 ()); Spec (uncontended ());
+    Spec (fig5 "fig5a" ~title:"FIG5a" ~hold_us:0.0);
+    Spec (fig5 "fig5b" ~title:"FIG5b" ~hold_us:25.0);
+    Spec (starvation ()); Spec (fig7a ()); Spec (fig7b ()); Spec (fig7c ());
+    Spec (fig7d ()); Spec (constants ());
+  ]
+
+let extensions () =
+  [
+    Spec (numa_locks ()); Spec (hash_scaling ()); Spec (abort_storm ());
+    Spec (crash_storm ()); Spec (rw_scaling ()); Spec (slo ());
+    Spec (diurnal ());
+  ]

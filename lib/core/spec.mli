@@ -1,13 +1,30 @@
-(** One spec per extension experiment (NUMA-LOCKS, HASH-SCALING,
-    ABORT-STORM, CRASH-STORM, RW-SCALING, SLO, DIURNAL): its sweep, its
-    columns and its command-line knobs in one value. A row is a config
-    paired with its run's result. {!Registry} derives the experiment's
-    entry from the spec (one cell per grid config, the JSON section, the
-    text table), and [hurricane_sim] derives its subcommand (the knobs over
-    [default], printing the run's JSON row). *)
+(** One spec per exported experiment: the paper's ten tables and figures
+    (FIG4, UNC, FIG5a/b, STARVATION, FIG7a-d, CONST) and the seven extension
+    experiments (NUMA-LOCKS, HASH-SCALING, ABORT-STORM, CRASH-STORM,
+    RW-SCALING, SLO, DIURNAL). A spec states its sweep (one cell per grid
+    config), its run, and the shape its results take: rows, one series per
+    lock algorithm, or a single record. {!Registry} derives the experiment's
+    entry from the spec (the cells, the JSON section, the text report and,
+    for a series, the .dat file), and [hurricane_sim] derives a subcommand
+    from each rows spec that has a command line (the knobs over its
+    default, printing the run's JSON row). *)
 
 open Locks
 open Workloads
+
+(** The sweep knobs a cell takes; [None] keeps the paper's full setting.
+    Only the paper's figures read them: [procs] is FIG5's and FIG7a/b's
+    processor counts, [sizes] FIG7c/d's cluster sizes, [iters] FIG7a/c's
+    faults per processor and [rounds] FIG7b/d's fault rounds. *)
+type knobs = {
+  procs : int list option;
+  sizes : int list option;
+  iters : int option;
+  rounds : int option;
+}
+
+(** Every knob at its full setting. *)
+val full : knobs
 
 (** A row's column: its JSON key and encoder, its text head and width, and
     its cell format. A column reads a config and its run's result. *)
@@ -40,6 +57,17 @@ module Col : sig
 
   (** A JSON-only column with its own encoder. *)
   val json : string -> ('c -> 'r -> Json.t) -> ('c, 'r) t
+
+  (** [custom key head width json cell get]: the value's JSON and its cell,
+      padded by [cell] itself. *)
+  val custom :
+    string ->
+    string ->
+    int ->
+    ('v -> Json.t) ->
+    ('v -> string) ->
+    ('c -> 'r -> 'v) ->
+    ('c, 'r) t
 end
 
 (** Command-line knobs. A knob is one flag that updates one field of a
@@ -86,30 +114,77 @@ module Knob : sig
   val read_ratio : ?doc:string -> ('c, float) field
 end
 
-type ('c, 'r) t = {
-  section : string;  (** export section and registry name *)
-  command : string;  (** [hurricane_sim] subcommand *)
-  doc : string;  (** the subcommand's doc *)
-  title : string;  (** the text table's section title *)
-  claim : string;  (** what the table shows, as its section states it *)
-  default : 'c;  (** the subcommand's config; a member of [grid] *)
-  grid : 'c list;  (** the exported configs, in row order *)
-  run : 'c -> 'r;
-  columns : ('c, 'r) Col.t list;
-  knobs : 'c -> 'c Knob.t list;  (** the subcommand's flags over a default *)
+(** A workload subcommand: its name, its doc, the config it runs at its
+    defaults, and its flags over a default. *)
+type 'c cli = {
+  command : string;
+  doc : string;
+  default : 'c;  (** a member of the spec's [grid] *)
+  knobs : 'c -> 'c Knob.t list;
 }
 
-(** A row's JSON object: its keyed columns, in order. *)
-val row : ('c, 'r) t -> 'c * 'r -> Json.t
+type ('c, 'r) t = {
+  section : string;  (** export section and registry name *)
+  title : string;  (** the text report's section title *)
+  claim : string;  (** what the report shows, as its section states it *)
+  grid : 'c list;  (** one cell per config, in output order *)
+  run : knobs -> 'c -> 'r;
+  shape : ('c, 'r) shape;
+}
 
-(** The text table: the section, the column heads, one line per row. *)
+(** What a spec's cells make together. *)
+and (_, _) shape =
+  | Rows : {
+      columns : ('c, 'r) Col.t list;
+      cli : 'c cli option;  (** the subcommand, if the spec has one *)
+    }
+      -> ('c, 'r) shape
+      (** One row per cell: the JSON section is the list of rows, the text a
+          table of the headed columns. *)
+  | Series : {
+      fields : (string * Json.t) list;  (** the JSON's fields before "series" *)
+      points : (int, 'p) Col.t list;
+      axis : string;  (** the .dat file's x-axis label *)
+    }
+      -> (Lock.algo, (int * 'p) list) shape
+      (** One series per cell, each a list of [(x, point)]: the JSON is
+          [{fields.., series: [{algo, points: [..]}]}], a point's object its
+          keyed columns. Exactly two point columns are headed: the first is
+          x (its head labels the text table's x row, its key heads the .dat
+          file's x column), the second the value the text table (at the
+          column's format) and the .dat file (at two decimals) plot. *)
+  | Record : {
+      columns : (unit, 'r) Col.t list;
+      lines : 'r -> string list;
+    }
+      -> (unit, 'r) shape
+      (** One cell: the JSON is its object of keyed columns, the text
+          [lines]. *)
+
+(** A row's JSON object: its keyed columns, in order. *)
+val row : ('c, 'r) Col.t list -> 'c * 'r -> Json.t
+
+(** The export section of the spec's cells, in grid order. *)
+val json : ('c, 'r) t -> ('c * 'r) list -> Json.t
+
+(** The text report: the section, then the table, the series or the
+    record's lines. *)
 val print : ('c, 'r) t -> Format.formatter -> ('c * 'r) list -> unit
 
-(** A latency summary's JSON fields. *)
-val summary_fields : Measure.summary -> (string * Json.t) list
+(** For a series, [Some emit]: [emit dir cells] writes [dir/<section>.dat]. *)
+val dat : ('c, 'r) t -> (string -> ('c * 'r) list -> Dat.plot) option
+
+(** FIG7c/d's cluster sizes at the full setting ([sizes = None]). *)
+val paper_cluster_sizes : int list
+
+(** A Figure 7 point: the fault latency summary, retries and RPCs. *)
+type fault = Measure.summary * int * int
 
 (** Each spec is built when called, so a program that links this module
     but reads no spec (one that only exports) pays nothing for it. *)
+
+val fig7c : unit -> (Lock.algo, (int * fault) list) t
+val fig7d : unit -> (Lock.algo, (int * fault) list) t
 
 val numa_locks :
   unit -> (Lock.algo * Numa_stress.config, Numa_stress.result) t
@@ -130,5 +205,8 @@ val diurnal : unit -> (Diurnal.config, Diurnal.result) t
 
 type any = Spec : ('c, 'r) t -> any
 
-(** The seven, in export order, built on first use. *)
-val all : any list Lazy.t
+(** The paper's ten, in export order. *)
+val paper : unit -> any list
+
+(** The seven extension experiments, in export order. *)
+val extensions : unit -> any list

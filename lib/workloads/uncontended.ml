@@ -53,7 +53,8 @@ let run ?(cfg = Config.hector) ?(iters = 2000) algo =
         (model_algo algo);
   }
 
-let run_all ?cfg ?iters () =
-  List.map (fun a -> run ?cfg ?iters a)
-    [ Lock.Mcs_original; Lock.Mcs_h1; Lock.Mcs_h2;
-      Lock.Spin { max_backoff_us = 35.0 } ]
+let algos =
+  [ Lock.Mcs_original; Lock.Mcs_h1; Lock.Mcs_h2;
+    Lock.Spin { max_backoff_us = 35.0 } ]
+
+let run_all ?cfg ?iters () = List.map (fun a -> run ?cfg ?iters a) algos

@@ -14,4 +14,7 @@ type result = {
 val run : ?cfg:Config.t -> ?iters:int -> Lock.algo -> result
 
 (** MCS, H1, H2 and the 35 µs spin lock — the Section 4.1.1 table. *)
+val algos : Lock.algo list
+
+(** [run] over {!algos}. *)
 val run_all : ?cfg:Config.t -> ?iters:int -> unit -> result list

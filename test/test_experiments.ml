@@ -246,7 +246,8 @@ let test_hash_scaling_claims () =
   let rows =
     List.filter_map
       (fun (c : Hash_scaling.config) ->
-        if List.mem c.p [ 8; 16 ] then Some (c, s.run c) else None)
+        if List.mem c.p [ 8; 16 ] then Some (c, s.run Hurricane.Spec.full c)
+        else None)
       s.grid
   in
   let mean_read (r : Hash_scaling.result) =
@@ -306,7 +307,7 @@ let test_hash_scaling_claims () =
    plateaus. *)
 let test_diurnal_race () =
   let s = Hurricane.Spec.diurnal () in
-  let rows = List.map s.run s.grid in
+  let rows = List.map (s.run Hurricane.Spec.full) s.grid in
   List.iter
     (fun (r : Diurnal.result) ->
       let n = r.algo_name in

@@ -335,41 +335,23 @@ let test_storm_attribution () =
 
 (* -- BENCH_results.json ----------------------------------------------------- *)
 
-let get_float doc key =
-  match Json.get doc key with
-  | Json.Float f -> f
-  | Json.Int i -> float_of_int i
-  | _ -> Alcotest.failf "%s is not a number" key
+let get_int row key =
+  match Json.get row key with
+  | Json.Int i -> i
+  | _ -> Alcotest.failf "%s is not an int" key
 
-(* The acceptance set, on reduced knobs, through the same code path as the
-   full export: schema fields present, document round-trips, and the
-   numbers equal what the in-process runners return. *)
+let reduced =
+  { Registry.procs = Some [ 2 ]; sizes = Some [ 4 ]; iters = Some 5;
+    rounds = Some 2 }
+
+(* The whole export on reduced knobs, through the same code path as the full
+   one; shared by the two tests below. *)
+let document = lazy (Bench_json.document ~knobs:reduced ~jobs:2 ~names:[] ())
+
+(* The schema fields are present, the document round-trips, and the abort
+   and crash sections carry their acceptance facts. *)
 let test_bench_json_schema () =
-  let names =
-    [
-      "fig4";
-      "uncontended";
-      "fig5a";
-      "fig5b";
-      "fig7a";
-      "fig7b";
-      "fig7c";
-      "fig7d";
-      "abort_storm";
-      "crash_storm";
-    ]
-  in
-  let doc =
-    Bench_json.document
-      ~knobs:
-        {
-          Registry.procs = Some [ 2 ];
-          sizes = Some [ 4 ];
-          iters = Some 5;
-          rounds = Some 2;
-        }
-      ~names ()
-  in
+  let doc = Lazy.force document in
   Alcotest.(check bool) "document round trips" true
     (Json.of_string (Json.to_string doc) = doc);
   Alcotest.(check bool) "schema_version" true
@@ -380,103 +362,49 @@ let test_bench_json_schema () =
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " present") true (Json.member exps n <> None))
-    names;
-  (* fig4: rows equal the in-process model (which is deterministic). *)
-  (match Json.get exps "fig4" with
-  | Json.List rows ->
-    let direct = Experiments.fig4 () in
-    Alcotest.(check int) "fig4 rows" (List.length direct) (List.length rows);
-    List.iter2
-      (fun row (d : Experiments.fig4_row) ->
-        Alcotest.(check bool) "fig4 algo" true
-          (Json.get row "algo"
-          = Json.String (Locks.Instr_model.algo_name d.Experiments.algo));
-        Alcotest.(check (float 0.0)) "fig4 predicted"
-          d.Experiments.predicted_us
-          (get_float row "predicted_us");
-        Alcotest.(check bool) "fig4 atomic count" true
-          (Json.get (Json.get row "ours") "atomic"
-          = Json.Int d.Experiments.ours.Locks.Instr_model.atomic))
-      rows direct
-  | _ -> Alcotest.fail "fig4 not a list");
-  (* uncontended: measured latencies equal a direct deterministic rerun. *)
-  (match Json.get exps "uncontended" with
-  | Json.List rows ->
-    let direct = Uncontended.run_all () in
-    List.iter2
-      (fun row (d : Uncontended.result) ->
-        Alcotest.(check bool) "unc algo" true
-          (Json.get row "algo"
-          = Json.String (Locks.Lock.algo_name d.Uncontended.algo));
-        Alcotest.(check (float 0.0)) "unc pair_us" d.Uncontended.pair_us
-          (get_float row "pair_us"))
-      rows direct
-  | _ -> Alcotest.fail "uncontended not a list");
-  (* abort_storm: rows equal a direct deterministic rerun, and carry the
-     acceptance facts (everyone aborts somewhere, bounded return, lock
-     clean after the drain). *)
+    (Bench_json.default_names ());
+  (* abort_storm: everyone aborts somewhere, the return is bounded, and the
+     lock is clean after the drain. *)
   (match Json.get exps "abort_storm" with
   | Json.List rows ->
-    let s = Spec.abort_storm () in
-    let direct = List.map (fun c -> (fst c, s.run c)) s.grid in
-    Alcotest.(check int) "abort rows" (List.length direct) (List.length rows);
-    List.iter2
-      (fun row (algo, (d : Abort_storm.result)) ->
-        Alcotest.(check bool) "abort algo" true
-          (Json.get row "algo" = Json.String (Locks.Lock.algo_name algo));
-        Alcotest.(check int) "abort aborts" d.Abort_storm.aborts
-          (match Json.get row "aborts" with Json.Int i -> i | _ -> -1);
-        Alcotest.(check (float 0.0)) "abort bound ratio"
-          d.Abort_storm.bound_ratio
-          (get_float row "bound_ratio");
+    List.iter
+      (fun row ->
         Alcotest.(check bool) "abort final free" true
           (Json.get row "final_free" = Json.Bool true);
         Alcotest.(check bool) "abort remote aborts" true
-          (d.Abort_storm.remote_aborts > 0))
-      rows direct
+          (get_int row "remote_aborts" > 0))
+      rows
   | _ -> Alcotest.fail "abort_storm not a list");
-  (* crash_storm: rows equal a direct deterministic rerun, and carry the
-     acceptance facts (every kill recovered, the checker legalised every
-     forced release with zero violations, lock free after the drain). *)
-  (match Json.get exps "crash_storm" with
+  (* crash_storm: every kill recovered, the checker legalised every forced
+     release with zero violations, lock free after the drain. *)
+  match Json.get exps "crash_storm" with
   | Json.List rows ->
-    let s = Spec.crash_storm () in
-    let direct = List.map (fun c -> (fst c, s.run c)) s.grid in
-    Alcotest.(check int) "crash rows" (List.length direct) (List.length rows);
-    List.iter2
-      (fun row (algo, (d : Crash_storm.result)) ->
-        Alcotest.(check bool) "crash algo" true
-          (Json.get row "algo" = Json.String (Locks.Lock.algo_name algo));
-        Alcotest.(check int) "crash kills" d.Crash_storm.kills
-          (match Json.get row "kills" with Json.Int i -> i | _ -> -1);
-        Alcotest.(check int) "crash recovery samples" d.Crash_storm.kills
-          (match Json.get row "recovery_n" with Json.Int i -> i | _ -> -1);
-        Alcotest.(check (float 0.0)) "crash recovery p99"
-          d.Crash_storm.recovery.Measure.p99_us
-          (get_float row "recovery_p99_us");
-        Alcotest.(check bool) "crash zero violations" true
-          (Json.get row "lockdep_violations" = Json.Int 0);
+    List.iter
+      (fun row ->
+        Alcotest.(check int) "crash recovery samples" (get_int row "kills")
+          (get_int row "recovery_n");
+        Alcotest.(check int) "crash zero violations" 0
+          (get_int row "lockdep_violations");
         Alcotest.(check bool) "crash final free" true
           (Json.get row "final_free" = Json.Bool true))
-      rows direct
-  | _ -> Alcotest.fail "crash_storm not a list");
-  (* fig5a on the same knobs: series values equal the in-process sweep. *)
-  let direct5 = Experiments.fig5 ~procs:[ 2 ] () in
-  match Json.get (Json.get exps "fig5a") "series" with
-  | Json.List series ->
-    Alcotest.(check int) "fig5a series count" (List.length direct5)
-      (List.length series);
-    List.iter2
-      (fun s (d : Experiments.fig5_series) ->
-        match (Json.get s "points", d.Experiments.points) with
-        | Json.List [ point ], [ (p, r) ] ->
-          Alcotest.(check bool) "fig5a p" true (Json.get point "p" = Json.Int p);
-          Alcotest.(check (float 0.0)) "fig5a mean"
-            r.Lock_stress.summary.Measure.mean_us
-            (get_float point "mean_us")
-        | _ -> Alcotest.fail "fig5a point shape")
-      series direct5
-  | _ -> Alcotest.fail "fig5a series not a list"
+      rows
+  | _ -> Alcotest.fail "crash_storm not a list"
+
+(* Every exported spec's section of the export is its cells, run directly
+   on the same knobs and encoded by the spec: the registry, the domain pool
+   and the document add and drop nothing. *)
+let test_sections_are_specs () =
+  let exps = Json.get (Lazy.force document) "experiments" in
+  let specs = Spec.paper () @ Spec.extensions () in
+  Alcotest.(check (list string)) "one spec per section"
+    (Bench_json.default_names ())
+    (List.map (fun (Spec.Spec s) -> s.section) specs);
+  List.iter
+    (fun (Spec.Spec s) ->
+      let cells = List.map (fun c -> (c, s.run reduced c)) s.grid in
+      Alcotest.(check bool) (s.section ^ " is its cells encoded") true
+        (Json.get exps s.section = Spec.json s cells))
+    specs
 
 let test_bench_json_rejects_unknown () =
   List.iter
@@ -511,6 +439,8 @@ let suite =
       test_storm_attribution;
     Alcotest.test_case "bench json schema and values" `Quick
       test_bench_json_schema;
+    Alcotest.test_case "every export section is its spec's cells encoded"
+      `Quick test_sections_are_specs;
     Alcotest.test_case "bench json rejects unknown names" `Quick
       test_bench_json_rejects_unknown;
   ]

@@ -1,6 +1,6 @@
-(* Smoke tests for the report printers and the TSV emitters: every printer
-   renders its experiment's output without raising, and the .dat files are
-   well-formed. Run on reduced-size experiments. *)
+(* Shape tests for the text reports and the .dat files, run on reduced-size
+   experiments (test/golden pins their bytes), and the registry's names,
+   exports and CLI defaults. *)
 
 open Hurricane
 open Locks
@@ -13,75 +13,6 @@ let buf_print f =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let nonempty name s =
-  Alcotest.(check bool) (name ^ " produced output") true (String.length s > 40)
-
-let test_fig4_printer () =
-  nonempty "fig4" (buf_print (fun ppf -> Report.fig4 ppf (Experiments.fig4 ())))
-
-let test_uncontended_printer () =
-  nonempty "uncontended"
-    (buf_print (fun ppf -> Report.uncontended ppf (Uncontended.run_all ())))
-
-let test_fig5_printer () =
-  let series = Experiments.fig5 ~procs:[ 1; 2 ] ~window_us:1000.0 () in
-  nonempty "fig5"
-    (buf_print (fun ppf -> Report.fig5 ppf ~name:"FIG5a" ~hold_us:0.0 series))
-
-let test_fig7_printer () =
-  let series = Experiments.fig7a ~procs:[ 1; 2 ] ~iters:10 () in
-  nonempty "fig7"
-    (buf_print (fun ppf ->
-         Report.fig7 ppf ~name:"FIG7a" ~xlabel:"p" ~claim:"c" series))
-
-let test_constants_printer () =
-  nonempty "constants"
-    (buf_print (fun ppf -> Report.constants ppf (Calibration.run ())))
-
-let test_section_format () =
-  let s = buf_print (fun ppf -> Report.section ppf "TITLE" "CLAIM") in
-  Alcotest.(check bool) "has title" true
-    (Astring.String.is_infix ~affix:"TITLE" s
-    || String.length s > 0 && String.sub s 0 1 = "-")
-
-let test_dat_files () =
-  let dir = Filename.temp_file "hurricane" "" in
-  Sys.remove dir;
-  let series = Experiments.fig5 ~procs:[ 1; 2 ] ~window_us:1000.0 () in
-  Sys.mkdir dir 0o755;
-  let path = Dat.fig5 dir ~name:"t5" series in
-  let ic = open_in path in
-  let header = input_line ic in
-  let row1 = input_line ic in
-  let row2 = input_line ic in
-  close_in ic;
-  Alcotest.(check bool) "header is a comment" true (header.[0] = '#');
-  let cols s = List.length (String.split_on_char '\t' s) in
-  Alcotest.(check int) "columns = 1 + algorithms" (1 + 5) (cols row1);
-  Alcotest.(check int) "rows consistent" (cols row1) (cols row2);
-  Alcotest.(check bool) "x values" true
-    (String.sub row1 0 1 = "1" && String.sub row2 0 1 = "2")
-
-let test_dat_fig7 () =
-  let dir = Filename.temp_file "hurricane" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let series = Experiments.fig7a ~procs:[ 1; 4 ] ~iters:10 () in
-  let path = Dat.fig7 dir ~name:"t7" series in
-  let ic = open_in path in
-  let header = input_line ic in
-  close_in ic;
-  Alcotest.(check bool) "mentions the algorithms" true
-    (Astring.String.is_infix ~affix:"H1-MCS" header
-    && Astring.String.is_infix ~affix:"Spin" header)
-
-let test_gnuplot_script () =
-  let dir = Filename.temp_file "hurricane" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let path = Dat.gnuplot_script dir [] in
-  Alcotest.(check bool) "written" true (Sys.file_exists path)
-
 let read_lines path =
   let ic = open_in path in
   let rec go acc =
@@ -92,6 +23,117 @@ let read_lines path =
       List.rev acc
   in
   go []
+
+(* The sweep knobs [test_registry_dat] and the golden outputs use. *)
+let reduced =
+  { Registry.procs = Some [ 1; 2 ]; sizes = Some [ 4 ]; iters = Some 5;
+    rounds = Some 2 }
+
+(* An entry's text report at reduced knobs, below its four-line section
+   header, one list of blank-separated words per line. *)
+let report name =
+  let text =
+    buf_print (fun ppf ->
+        List.iter (Registry.print ppf)
+          (Registry.run ~knobs:reduced [ Registry.find name ]))
+  in
+  String.split_on_char '\n' text
+  |> List.filteri (fun i l -> i >= 4 && l <> "")
+  |> List.map (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+
+(* FIG4: a head and one row per algorithm, whose counts match the paper. *)
+let test_fig4_printer () =
+  match report "fig4" with
+  | head :: rows ->
+    Alcotest.(check int) "columns" 7 (List.length head);
+    Alcotest.(check int) "one row per algorithm"
+      (List.length Instr_model.all) (List.length rows);
+    List.iter
+      (fun row ->
+        Alcotest.(check string) (List.hd row ^ " matches the paper") "true"
+          (List.nth row 5))
+      rows
+  | [] -> Alcotest.fail "fig4 printed nothing"
+
+let test_uncontended_printer () =
+  match report "uncontended" with
+  | head :: rows ->
+    Alcotest.(check (list string)) "head"
+      [ "algo"; "measured(us)"; "model(us)" ] head;
+    Alcotest.(check int) "one row per algorithm"
+      (List.length Uncontended.algos) (List.length rows)
+  | [] -> Alcotest.fail "uncontended printed nothing"
+
+(* A series table: the x row, then one row per algorithm with one value per
+   x. *)
+let check_series name x algos =
+  match report name with
+  | head :: rows ->
+    Alcotest.(check (list string)) (name ^ " x row") (x :: [ "1"; "2" ]) head;
+    Alcotest.(check (list string)) (name ^ " one row per algorithm")
+      (List.map Lock.algo_name algos) (List.map List.hd rows);
+    List.iter
+      (fun row ->
+        Alcotest.(check int) (List.hd row ^ " values") 3 (List.length row))
+      rows
+  | [] -> Alcotest.failf "%s printed nothing" name
+
+let test_fig5_printer () = check_series "fig5a" "p" Lock.all_paper_algos
+let test_fig7_printer () = check_series "fig7a" "p" Experiments.fig7_algos
+
+let test_constants_printer () =
+  Alcotest.(check int) "four anchors" 4
+    (List.length
+       (List.filter (fun l -> List.mem "us" l) (report "constants")))
+
+let test_section_format () =
+  let rule = String.make 78 '-' in
+  Alcotest.(check string) "rule, title, claim, rule"
+    (String.concat "\n" [ rule; "TITLE"; "paper: CLAIM"; rule; "" ])
+    (buf_print (fun ppf -> Report.section ppf "TITLE" "CLAIM"))
+
+(* [name]'s .dat file, written at reduced knobs through its spec. *)
+let dat_lines name =
+  let dir = Filename.temp_dir "hurricane" "" in
+  match
+    List.find (fun (Spec.Spec s) -> s.section = name) (Spec.paper ())
+  with
+  | Spec.Spec s ->
+    let emit = Option.get (Spec.dat s) in
+    let plot = emit dir (List.map (fun c -> (c, s.run reduced c)) s.grid) in
+    let lines = read_lines plot.Dat.path in
+    Sys.remove plot.path;
+    Sys.rmdir dir;
+    (plot, lines)
+
+let test_dat_files () =
+  let plot, lines = dat_lines "fig5a" in
+  let cols s = String.split_on_char '\t' s in
+  match lines with
+  | [ header; row1; row2 ] ->
+    Alcotest.(check bool) "header is a comment" true (header.[0] = '#');
+    Alcotest.(check int) "columns = 1 + algorithms" (1 + 5)
+      (List.length (cols row1));
+    Alcotest.(check int) "rows consistent" (List.length (cols row1))
+      (List.length (cols row2));
+    Alcotest.(check int) "the plot's column count" plot.columns
+      (List.length (cols header));
+    Alcotest.(check (list string)) "x values" [ "1"; "2" ]
+      (List.map (fun r -> List.hd (cols r)) [ row1; row2 ])
+  | _ -> Alcotest.failf "fig5a.dat has %d lines" (List.length lines)
+
+let test_dat_fig7 () =
+  let plot, lines = dat_lines "fig7c" in
+  Alcotest.(check string) "header names x and the algorithms"
+    "# x\tH1-MCS\tH2-MCS\tSpin(35us)" (List.hd lines);
+  Alcotest.(check string) "x-axis label" "cluster size" plot.xlabel
+
+let test_gnuplot_script () =
+  let dir = Filename.temp_file "hurricane" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Dat.gnuplot_script dir [] in
+  Alcotest.(check bool) "written" true (Sys.file_exists path)
 
 (* -- the experiment registry --------------------------------------------- *)
 
@@ -146,20 +188,28 @@ let check_exported section row =
 let test_defaults_are_export_rows () =
   List.iter
     (fun (Spec.Spec s) ->
-      Alcotest.(check bool) (s.section ^ " default is a grid config") true
-        (List.mem s.default s.grid);
-      check_exported s.section (Spec.row s (s.default, s.run s.default)))
-    (Lazy.force Spec.all)
+      match s.shape with
+      | Rows { columns; cli = Some cli } ->
+        Alcotest.(check bool) (s.section ^ " default is a grid config") true
+          (List.mem cli.default s.grid);
+        check_exported s.section
+          (Spec.row columns (cli.default, s.run Spec.full cli.default))
+      | Rows { cli = None; _ } | Series _ | Record _ -> ())
+    (Spec.extensions ())
 
 (* [hash -g hybrid -p 8]: the hybrid table has no seqlock read path, so the
    run reports [optimistic = false] whatever the config asks, and its row is
    the export's hybrid p=8 row at read ratio 0.9. *)
 let test_hybrid_hash_row_is_exported () =
   let s = Spec.hash_scaling () in
-  let c =
-    { s.default with granularity = Hkernel.Khash.Hybrid; p = 8; read_ratio = 0.9 }
-  in
-  check_exported s.section (Spec.row s (c, s.run c))
+  match s.shape with
+  | Rows { columns; cli = Some cli } ->
+    let c =
+      { cli.default with granularity = Hkernel.Khash.Hybrid; p = 8;
+        read_ratio = 0.9 }
+    in
+    check_exported s.section (Spec.row columns (c, s.run Spec.full c))
+  | Rows { cli = None; _ } -> Alcotest.fail "hash_scaling has no subcommand"
 
 let test_every_name_resolves () =
   List.iter
@@ -195,15 +245,9 @@ let test_unknown_name_lists_available () =
 let test_registry_dat () =
   let dir = Filename.temp_file "hurricane" "" in
   Sys.remove dir;
-  let knobs =
-    {
-      Registry.procs = Some [ 1; 2 ];
-      sizes = Some [ 4 ];
-      iters = Some 5;
-      rounds = Some 2;
-    }
+  let written =
+    List.map Filename.basename (Registry.write_dat ~knobs:reduced dir)
   in
-  let written = List.map Filename.basename (Registry.write_dat ~knobs dir) in
   Alcotest.(check (list string)) "files written"
     [
       "fig5a.dat"; "fig5b.dat"; "fig7a.dat"; "fig7b.dat"; "fig7c.dat";
