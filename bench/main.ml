@@ -71,6 +71,9 @@ let () =
        time)@.";
     print (Lazy.force Registry.all)
   | names -> (
+    (match List.find_opt (fun a -> a = "--jobs" || a = "--out") names with
+    | Some flag -> usage "%s needs --json" flag
+    | None -> ());
     match List.map Registry.find names with
     | entries -> print entries
     | exception Invalid_argument msg -> usage "%s" msg)

@@ -18,39 +18,29 @@ let default_names () =
     (fun e -> if Registry.exported e then Some (Registry.name e) else None)
     (Lazy.force Registry.all)
 
-let document ?knobs ?(jobs = 1) ~names () =
-  let names = if names = [] then default_names () else names in
-  (* Resolve every name first so an unknown one fails before any cell has
-     burned simulation time. *)
-  let entries =
-    List.map
-      (fun n ->
-        match
-          List.find_opt
-            (fun e -> Registry.name e = n && Registry.exported e)
-            (Lazy.force Registry.all)
-        with
-        | Some e -> e
-        | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Bench_json.document: unknown experiment %S; available: %s" n
-               (String.concat ", " (default_names ()))))
-      names
-  in
-  let experiments =
-    List.map2
-      (fun n o -> (n, Option.get (Registry.json o)))
-      names
-      (Registry.run ~jobs ?knobs entries)
-  in
+let of_outcomes outcomes =
   Json.Obj
     [
       ("schema_version", Json.Int schema_version);
       ("config", Json.String "hector");
       ("units", Json.Obj [ ("latency", Json.String "us") ]);
-      ("experiments", Json.Obj experiments);
+      ("experiments", Json.Obj (List.filter_map Registry.json outcomes));
     ]
+
+let document ?knobs ?(jobs = 1) ~names () =
+  let exported = default_names () in
+  let names = if names = [] then exported else names in
+  (* Resolve every name first so an unknown one fails before any cell has
+     burned simulation time. *)
+  List.iter
+    (fun n ->
+      if not (List.mem n exported) then
+        invalid_arg
+          (Printf.sprintf
+             "Bench_json.document: unknown experiment %S; available: %s" n
+             (String.concat ", " exported)))
+    names;
+  of_outcomes (Registry.run ~jobs ?knobs (List.map Registry.find names))
 
 let write ~path doc =
   let oc = open_out path in

@@ -90,8 +90,9 @@
     lock's row and the three fields that counted its morphs (the lock was
     deleted); the six static rows and every other experiment's values are
     unchanged.
-    Every number is the exact value the in-process run returned — a test
-    re-runs every spec's cells and compares each section against them. *)
+    Every number is the exact value the in-process run returned — the
+    claims suite runs the full export once and compares it with the
+    committed BENCH_results.json byte for byte. *)
 
 val schema_version : int
 
@@ -115,6 +116,9 @@ val document :
   names:string list ->
   unit ->
   Json.t
+
+(** The document of the outcomes' exported entries, in order. *)
+val of_outcomes : Registry.outcome list -> Json.t
 
 (** [write ~path doc] serialises with a trailing newline. *)
 val write : path:string -> Json.t -> unit

@@ -25,6 +25,7 @@ type ('c, 'r) spec = {
   report : Format.formatter -> 'r -> unit;
   json : ('r -> Json.t) option;
   dat : (string -> 'r -> Dat.plot) option;
+  unexpected : 'r -> string list;
 }
 
 type t = Experiment : ('c, 'r) spec -> t
@@ -42,6 +43,7 @@ let one name run report =
       report;
       json = None;
       dat = None;
+      unexpected = (fun _ -> []);
     }
 
 (* An exported experiment: one cell per grid config, each paired with its
@@ -55,6 +57,7 @@ let of_spec (Spec.Spec s) =
       report = Spec.print s;
       json = Some (Spec.json s);
       dat = Spec.dat s;
+      unexpected = Spec.unexpected s;
     }
 
 let entries () =
@@ -124,7 +127,10 @@ let run ?(jobs = 1) ?(knobs = full) entries =
   List.map (fun (_, finish) -> finish ()) staged
 
 let print ppf (Outcome (s, r)) = s.report ppf r
-let json (Outcome (s, r)) = Option.map (fun encode -> encode r) s.json
+let json (Outcome (s, r)) =
+  Option.map (fun encode -> (s.name, encode r)) s.json
+
+let unexpected (Outcome (s, r)) = s.unexpected r
 
 let write_dat ?knobs dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then Sys.mkdir dir 0o755;

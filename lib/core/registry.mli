@@ -45,8 +45,12 @@ val run : ?jobs:int -> ?knobs:knobs -> t list -> outcome list
 (** The entry's text report. *)
 val print : Format.formatter -> outcome -> unit
 
-(** The entry's JSON value, if it is exported. *)
-val json : outcome -> Json.t option
+(** The entry's name and JSON value, if it is exported. *)
+val json : outcome -> (string * Json.t) option
+
+(** {!Spec.unexpected} on the entry's cells: none for an unexported
+    entry. *)
+val unexpected : outcome -> string list
 
 (** [write_dat ?knobs dir] creates [dir] if needed (a [Sys_error] if it
     cannot, before any cell runs), runs every series spec and writes its

@@ -125,6 +125,14 @@ type 'c cli = {
   knobs : 'c -> 'c Knob.t list;
 }
 
+type expect = Holds | Miss of string
+
+type 'cells claim = {
+  statement : string;
+  expect : expect;
+  check : 'cells -> string * bool;
+}
+
 type ('c, 'r) t = {
   section : string;
   title : string;
@@ -132,6 +140,7 @@ type ('c, 'r) t = {
   grid : 'c list;
   run : knobs -> 'c -> 'r;
   shape : ('c, 'r) shape;
+  claims : ('c * 'r) list claim list;
 }
 
 and (_, _) shape =
@@ -235,6 +244,55 @@ let dat (type c r) (s : (c, r) t) :
           (header :: List.map line (first cells)))
   | Rows _ | Record _ -> None
 
+let unexpected s cells =
+  List.filter_map
+    (fun c ->
+      let measured, holds = c.check cells in
+      let line verdict =
+        Some
+          (Printf.sprintf "%s: %s: %s, measured %s" s.section c.statement
+             verdict measured)
+      in
+      match c.expect with
+      | Holds when not holds -> line "missed"
+      | Miss reason when holds -> line ("declared miss (" ^ reason ^ ") holds")
+      | Holds | Miss _ -> None)
+    s.claims
+
+(* -- claims ---------------------------------------------------------------- *)
+
+let holds statement check = { statement; expect = Holds; check }
+let miss statement ~reason check = { statement; expect = Miss reason; check }
+
+(* Whether [ok] holds on every row, of which there must be one: the measured
+   text counts the rows, or shows the first that fails. *)
+let each rows ~show ok =
+  match (rows, List.find_opt (fun row -> not (ok row)) rows) with
+  | [], _ -> ("no rows", false)
+  | _, None -> (Printf.sprintf "all %d rows" (List.length rows), true)
+  | _, Some row -> (show row, false)
+
+let every ?(where = fun _ -> true) statement ~show ok =
+  holds statement (fun cells -> each (List.filter where cells) ~show ok)
+
+(* The point at [x] of [algo]'s series. *)
+let at cells algo x = List.assoc x (List.assoc algo cells)
+
+(* A target [ok x y] on two measured means, named [a] and [b]: the measured
+   text shows both and their ratio. *)
+let pair (a, x) (b, y) ok cells =
+  let x = x cells and y = y cells in
+  (Printf.sprintf "%s %.2fus vs %s %.2fus (%.2fx)" a x b y (x /. y), ok x y)
+
+(* Zero lockdep violations on every row; [show] names a row. *)
+let clean statement ~show violations =
+  every statement
+    ~show:(fun row ->
+      Printf.sprintf "%s: %d violations" (show row) (violations row))
+    (fun row -> violations row = 0)
+
+let spin35 = Lock.Spin { max_backoff_us = 35.0 }
+
 (* A latency summary's columns. The mean is headed, so a series plots it. *)
 let summary get =
   let field f c r = f (get c r : Measure.summary) in
@@ -297,6 +355,12 @@ let fig4 () : (Instr_model.algo, Instr_model.counts) t =
     grid = Instr_model.all;
     run = (fun _ a -> Instr_model.counts a);
     shape = Rows { columns; cli = None };
+    claims =
+      [
+        every "every algorithm's counts are the paper's"
+          ~show:(fun (a, _) -> Instr_model.algo_name a ^ " differs")
+          (fun (a, c) -> c = Instr_model.paper_counts a);
+      ];
   }
 
 let uncontended () : (Lock.algo, Uncontended.result) t =
@@ -319,10 +383,28 @@ let uncontended () : (Lock.algo, Uncontended.result) t =
     grid = Uncontended.algos;
     run = (fun _ a -> Uncontended.run a);
     shape = Rows { columns; cli = None };
+    claims =
+      (let pair_us a cells = (List.assoc a cells).Uncontended.pair_us in
+       [
+         holds "H2-MCS within 5% of spin(35us) (paper: 3.69 vs 3.65us)"
+           (pair
+              ("H2-MCS", pair_us Lock.Mcs_h2)
+              ("spin(35us)", pair_us spin35)
+              (fun h2 spin -> h2 /. spin < 1.05));
+         holds "MCS -> H2-MCS improves the pair by 20-45% (paper: 32%)"
+           (fun cells ->
+             let mcs = pair_us Lock.Mcs_original cells
+             and h2 = pair_us Lock.Mcs_h2 cells in
+             let improvement = (mcs -. h2) /. mcs in
+             ( Printf.sprintf "%.0f%% (MCS %.2fus, H2-MCS %.2fus)"
+                 (100.0 *. improvement) mcs h2,
+               improvement > 0.20 && improvement < 0.45 ));
+       ]);
   }
 
 (* One cell and one series per algorithm, one point per x. *)
-let series ~section ~title ~claim ~axis ~fields ~algos ~xs point points =
+let series ~section ~title ~claim ~axis ~fields ~algos ~xs ~claims point points
+    =
   {
     section;
     title;
@@ -330,13 +412,14 @@ let series ~section ~title ~claim ~axis ~fields ~algos ~xs point points =
     grid = algos;
     run = (fun k algo -> List.map (fun x -> (x, point k algo x)) (xs k));
     shape = Series { fields; points; axis };
+    claims;
   }
 
 let sweep_procs k = Option.value k.procs ~default:paper_procs
 
-let fig5 section ~title ~hold_us =
+let fig5 section ~title ~hold_us ~claims =
   let open Lock_stress in
-  series ~section
+  series ~section ~claims
     ~title:
       (Printf.sprintf "%s - lock response time under contention (hold %.0fus)"
          title hold_us)
@@ -351,6 +434,41 @@ let fig5 section ~title ~hold_us =
       (int "p" "p" 9 (fun p _ -> p) :: summary (fun _ r -> r.summary))
       @ [ int "acquisitions" "" 0 (fun _ r -> r.acquisitions) ])
 
+(* Figure 5's claims are at p = 16. *)
+let mean5 algo cells = (at cells algo 16).Lock_stress.summary.mean_us
+
+let fig5a () =
+  let mcs = ("MCS", mean5 Lock.Mcs_original)
+  and h1 = ("H1-MCS", mean5 Lock.Mcs_h1)
+  and h2 = ("H2-MCS", mean5 Lock.Mcs_h2) in
+  fig5 "fig5a" ~title:"FIG5a" ~hold_us:0.0
+    ~claims:
+      [
+        holds "at p=16 H1-MCS within 15% of MCS"
+          (pair h1 mcs (fun h1 mcs -> h1 /. mcs < 1.15 && mcs /. h1 < 1.15));
+        holds "at p=16 H2-MCS pays a visible repair cost, over 1.5x H1-MCS"
+          (pair h2 h1 (fun h2 h1 -> h2 > h1 *. 1.5));
+        holds "at p=16 spin(35us) degrades past 2x MCS"
+          (pair ("spin(35us)", mean5 spin35) mcs (fun spin mcs ->
+               spin > mcs *. 2.0));
+      ]
+
+let fig5b () =
+  let h1 = ("H1-MCS", mean5 Lock.Mcs_h1) in
+  fig5 "fig5b" ~title:"FIG5b" ~hold_us:25.0
+    ~claims:
+      [
+        holds "at p=16 H2-MCS under 1.45x H1-MCS: the repair cost much smaller"
+          (pair ("H2-MCS", mean5 Lock.Mcs_h2) h1 (fun h2 h1 ->
+               h2 /. h1 < 1.45));
+        holds "at p=16 spin(2ms) competitive with H1-MCS in the mean, under \
+               1.5x"
+          (pair
+             ("spin(2ms)", mean5 (Lock.Spin { max_backoff_us = 2000.0 }))
+             h1
+             (fun spin h1 -> spin < h1 *. 1.5));
+      ]
+
 (* A Figure 7 point: the fault latency summary, retries and RPCs. *)
 type fault = Measure.summary * int * int
 
@@ -362,7 +480,7 @@ let shared config : fault =
   let r = Shared_faults.run ~config () in
   (r.summary, r.retries, r.rpcs)
 
-let fig7 section ~title ~claim ~by point =
+let fig7 section ~title ~claim ~by ~claims point =
   let xlabel, json_xlabel, axis, xs =
     match by with
     | `P -> ("p", "p", "contending processors", sweep_procs)
@@ -372,7 +490,7 @@ let fig7 section ~title ~claim ~by point =
         "cluster size",
         fun k -> Option.value k.sizes ~default:paper_cluster_sizes )
   in
-  series ~section ~title ~claim ~axis
+  series ~section ~title ~claim ~axis ~claims
     ~fields:[ ("xlabel", Json.String json_xlabel) ]
     ~algos:Experiments.fig7_algos ~xs point
     Col.
@@ -387,12 +505,33 @@ let fig7 section ~title ~claim ~by point =
 
 let iters k = Option.value k.iters ~default:100
 
+(* The mean fault latency of [algo] at [x]. *)
+let mean7 algo x cells =
+  let (s : Measure.summary), _, _ = at cells algo x in
+  s.mean_us
+
 let fig7a () =
   fig7 "fig7a" ~title:"FIG7a - independent faults, one 16-processor cluster"
     ~by:`P
     ~claim:
       "little difference up to p=4; beyond that spin degrades; at p=16 spin \
        is over 2x the distributed locks"
+    ~claims:
+      (let at_p name algo p = (Printf.sprintf "%s p=%d" name p, mean7 algo p) in
+       let h1 = at_p "H1-MCS" Lock.Mcs_h1 and spin = at_p "spin(35us)" spin35 in
+       [
+         holds "flat to p=4: H1-MCS at p=4 within 15% of p=1"
+           (pair (h1 4) (h1 1) (fun p4 p1 -> p4 < p1 *. 1.15));
+         holds "little difference at p=4: spin(35us) within 15% of H1-MCS"
+           (pair (spin 4) (h1 4) (fun spin h1 -> spin < h1 *. 1.15));
+         holds "at p=16 spin(35us) is well above H1-MCS: over 1.5x"
+           (pair (spin 16) (h1 16) (fun spin h1 -> spin > h1 *. 1.5));
+         miss "at p=16 spin(35us) is over 2x the distributed locks (H1-MCS)"
+           ~reason:
+             "known deviation 2: the interconnect serves requests in issue \
+              order and lacks HECTOR's arbitration pathologies"
+           (pair (spin 16) (h1 16) (fun spin h1 -> spin > h1 *. 2.0));
+       ])
     (fun k lock_algo p ->
       independent
         {
@@ -407,6 +546,7 @@ let fig7b () =
     ~claim:
       "smaller gap between distributed and spin locks: contention shifts to \
        the reserve bits"
+    ~claims:[]
     (fun k lock_algo p ->
       let rounds = Option.value k.rounds ~default:20 in
       shared { Shared_faults.default_config with p; rounds; lock_algo })
@@ -417,6 +557,14 @@ let fig7c () =
     ~claim:
       "small clusters best; no degradation for cluster size <= 4 (hybrid \
        matches fine-grain locking)"
+    ~claims:
+      (let h2 x = (Printf.sprintf "size %d" x, mean7 Lock.Mcs_h2 x) in
+       [
+         holds "H2-MCS: cluster size 4 within 25% of cluster size 1"
+           (pair (h2 4) (h2 1) (fun c4 c1 -> c4 < c1 *. 1.25));
+         holds "H2-MCS: cluster size 16 clearly worse than 4, over 1.5x"
+           (pair (h2 16) (h2 4) (fun c16 c4 -> c16 > c4 *. 1.5));
+       ])
     (fun k lock_algo cluster_size ->
       independent
         {
@@ -433,6 +581,34 @@ let fig7d () =
     ~claim:
       "moderate cluster sizes win: inter-cluster ownership traffic dominates \
        very small clusters, lock contention the largest"
+    ~claims:
+      (let size algo x = (Printf.sprintf "size %d" x, mean7 algo x) in
+       List.concat_map
+         (fun algo ->
+           let name = Lock.algo_name algo and size = size algo in
+           [
+             holds
+               (name ^ ": cluster size 1 is dominated by inter-cluster \
+                        traffic, over 2x size 4")
+               (pair (size 1) (size 4) (fun c1 c4 -> c1 > c4 *. 2.0));
+             holds
+               (name ^ ": moderate size 4 at least as good as 16, within 20%")
+               (pair (size 4) (size 16) (fun c4 c16 -> c4 < c16 *. 1.2));
+           ])
+         [ Lock.Mcs_h2; spin35 ]
+       @ [
+           miss
+             "H1-MCS: moderate cluster sizes win, the mean stops falling \
+              before size 16"
+             ~reason:
+               "known deviation 5: under H1-MCS the mean keeps falling to \
+                size 16, not yet explained"
+             (fun cells ->
+               let c x = mean7 Lock.Mcs_h1 x cells in
+               ( Printf.sprintf "%.1f / %.1f / %.1fus at sizes 4 / 8 / 16" (c 4)
+                   (c 8) (c 16),
+                 not (c 4 > c 8 && c 8 > c 16) ));
+         ])
     (fun k lock_algo cluster_size ->
       let rounds = Option.value k.rounds ~default:15 in
       shared
@@ -474,6 +650,25 @@ let starvation () : (unit, Measure.summary) t =
                   (100.0 *. s.frac_above_2ms) s.n s.p99_us s.max_us;
               ]);
         };
+    claims =
+      (let summary f cells = f (snd (List.hd cells) : Measure.summary) in
+       let frac target =
+         summary (fun s ->
+             ( Printf.sprintf "%.1f%% over 2ms" (100.0 *. s.frac_above_2ms),
+               s.frac_above_2ms > target ))
+       in
+       [
+         holds "a real tail: over 0.5% of acquisitions take more than 2ms"
+           (frac 0.005);
+         holds "the worst wait exceeds 2ms"
+           (summary (fun s ->
+                (Printf.sprintf "max %.0fus" s.max_us, s.max_us > 2000.0)));
+         miss "over 13% of acquisitions took more than 2ms (Section 4.1.2)"
+           ~reason:
+             "known deviation 1: the tail reproduces, its magnitude depends on \
+              unmodelled details of the 1994 measurement loop"
+           (frac 0.13);
+       ]);
   }
 
 let constants () : (unit, Calibration.result) t =
@@ -511,6 +706,7 @@ let constants () : (unit, Calibration.result) t =
                     r.replicate_extra_us;
                 ]);
         };
+    claims = [];
   }
 
 (* -- the extension experiments ------------------------------------------- *)
@@ -571,6 +767,7 @@ let numa_locks () : (Lock.algo * Numa_stress.config, Numa_stress.result) t =
        [ (algo, { default_config with n_clusters; hold_us }) ]);
     run = (fun _ (algo, config) -> run ~config algo);
     shape = Rows { columns; cli = Some cli };
+    claims = [];
   }
 
 (* The single-lock hybrid against the sharded table at several shard counts,
@@ -659,6 +856,57 @@ let hash_scaling () : (Hash_scaling.config, Hash_scaling.result) t =
            List.map (point p rr Khash.Sharded s) [ false; true ]));
     run = (fun _ config -> run ~config ());
     shape = Rows { columns; cli = Some cli };
+    claims =
+      (let label (c, r) =
+         Printf.sprintf "s=%d opt=%b p=%d read %.1f" r.shards r.optimistic c.p
+           c.read_ratio
+       in
+       let busy (c, _) = c.p >= 8 && c.granularity = Khash.Sharded in
+       (* The result at [c]'s p and read ratio that [same] selects. *)
+       let peer cells same (c : config) =
+         snd
+           (List.find
+              (fun ((pc : config), pr) ->
+                pc.p = c.p && pc.read_ratio = c.read_ratio && same pc pr)
+              cells)
+       in
+       let hybrid cells = peer cells (fun c _ -> c.granularity = Khash.Hybrid) in
+       let locked cells (c, r) =
+         peer cells
+           (fun pc pr ->
+             pc.granularity = Khash.Sharded && (not pr.optimistic)
+             && pr.shards = r.shards)
+           c
+       in
+       let read_mean r = r.read_summary.mean_us in
+       [
+         holds "at p >= 8 every sharded table out-runs the single-lock hybrid"
+           (fun cells ->
+             each (List.filter busy cells)
+               ~show:(fun (c, r) ->
+                 Printf.sprintf "%s: %.1f vs hybrid %.1f ops/ms" (label (c, r))
+                   r.throughput_ops_ms (hybrid cells c).throughput_ops_ms)
+               (fun (c, r) ->
+                 r.throughput_ops_ms > (hybrid cells c).throughput_ops_ms));
+         holds
+           "at p >= 8 and 90% reads, optimistic reads undercut locked reads \
+            on the same shards"
+           (fun cells ->
+             each
+               (List.filter
+                  (fun (c, r) ->
+                    busy (c, r) && r.optimistic && c.read_ratio = 0.9)
+                  cells)
+               ~show:(fun row ->
+                 Printf.sprintf "%s: %.2f vs locked %.2fus" (label row)
+                   (read_mean (snd row))
+                   (read_mean (locked cells row)))
+               (fun row -> read_mean (snd row) < read_mean (locked cells row)));
+         every ~where:(fun (_, r) -> r.optimistic)
+           "every optimistic row takes the optimistic read path (hits > 0)"
+           ~show:label
+           (fun (_, r) -> r.optimistic_hits > 0);
+       ]);
   }
 
 (* Flat MCS and the three NUMA composites under the same planted
@@ -728,6 +976,24 @@ let abort_storm () : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
     grid = List.map (fun a -> (a, default_config)) Experiments.numa_algos;
     run = (fun _ (algo, config) -> run ~config algo);
     shape = Rows { columns; cli = Some cli };
+    claims =
+      (let show f ((a, _), r) = Lock.algo_name a ^ ": " ^ f r in
+       [
+         every "every expired waiter returns within 8x its deadline"
+           ~show:(show (fun r -> Printf.sprintf "ratio %.2f" r.bound_ratio))
+           (fun (_, r) -> r.bound_ratio < 8.0);
+         every
+           "every algorithm abandons expired waits (aborts > 0), some at a \
+            remote level (remote aborts > 0)"
+           ~show:
+             (show (fun r ->
+                  Printf.sprintf "%d aborts, %d remote" r.aborts
+                    r.remote_aborts))
+           (fun (_, r) -> r.aborts > 0 && r.remote_aborts > 0);
+         every "the lock ends free once the storm drains"
+           ~show:(show (fun _ -> "not free"))
+           (fun (_, r) -> r.final_free);
+       ]);
   }
 
 (* Representative flat queue locks (MCS, CLH, and the non-abortable Ticket,
@@ -803,6 +1069,26 @@ let crash_storm () : (Lock.algo * Crash_storm.config, Crash_storm.result) t =
         (Lock.Mcs_h2 :: Lock.Clh :: Lock.Ticket :: Lock.all_numa_algos);
     run = (fun _ (algo, config) -> run ~config algo);
     shape = Rows { columns; cli = Some cli };
+    claims =
+      (let name ((a, _), _) = Lock.algo_name a in
+       let show f row = name row ^ ": " ^ f (snd row) in
+       [
+         every
+           "every planted kill is recovered: kills > 0, one recovery sample \
+            per kill, an observed recovery per kill"
+           ~show:
+             (show (fun r ->
+                  Printf.sprintf "%d kills, %d samples, %d observed" r.kills
+                    r.recovery.n r.obs_recoveries))
+           (fun (_, r) ->
+             r.kills > 0 && r.recovery.n = r.kills
+             && r.obs_recoveries >= r.kills);
+         clean "the checker legalises every forced release: zero violations"
+           ~show:name (fun (_, r) -> r.lockdep_violations);
+         every "the lock ends free once the survivors drain"
+           ~show:(show (fun _ -> "not free"))
+           (fun (_, r) -> r.final_free);
+       ]);
   }
 
 (* The read-path style is one field set by four flags: --style picks the
@@ -946,6 +1232,34 @@ let rw_scaling () : (Rw_scaling.config, Rw_scaling.result) t =
        [ { default_config with style; read_ratio; n_clusters } ]);
     run = (fun _ config -> run ~config ());
     shape = Rows { columns; cli = Some cli };
+    claims =
+      (let name (c, _) =
+         Printf.sprintf "%s read %.3f clusters %d" (style_name c.style)
+           c.read_ratio c.n_clusters
+       in
+       let show f row = name row ^ ": " ^ f (snd row) in
+       [
+         clean "no run trips the lockdep checker" ~show:name (fun (_, r) ->
+             r.lockdep_violations);
+         every
+           "a mutex pins peak concurrent readers at 1; every other style runs \
+            readers in parallel (peak > 1)"
+           ~show:(show (fun r -> Printf.sprintf "peak %d" r.peak_readers))
+           (fun (c, r) ->
+             match c.style with
+             | Mutex _ -> r.peak_readers = 1
+             | Rw_lock _ | Seqlock_style _ | Replicated _ ->
+               r.peak_readers > 1);
+         every
+           ~where:(fun (c, _) ->
+             match c.style with
+             | Rw_lock { centralised = false; _ } -> true
+             | _ -> false)
+           "the distributed indicator layout keeps the read path \
+            cluster-local: zero remote read-path ops"
+           ~show:(show (fun r -> Printf.sprintf "%d remote" r.read_remote))
+           (fun (_, r) -> r.read_remote = 0);
+       ]);
   }
 
 let slo () : (Slo_stream.config, Slo_stream.result) t =
@@ -1019,6 +1333,19 @@ let slo () : (Slo_stream.config, Slo_stream.result) t =
         Experiments.slo_rates;
     run = (fun _ config -> run ~config ());
     shape = Rows { columns; cli = Some cli };
+    claims =
+      (let name (c, _) = Printf.sprintf "%.0f/ms" c.rate_per_ms in
+       [
+         every
+           "every offered rate completes requests and exports its p99.9 read \
+            tail (both > 0)"
+           ~show:(fun (c, r) ->
+             Printf.sprintf "%s: %d done, p99.9 %.2fus" (name (c, r))
+               r.completed r.read_summary.p999_us)
+           (fun (_, r) -> r.completed > 0 && r.read_summary.p999_us > 0.0);
+         clean "no run trips the lockdep checker" ~show:name (fun (_, r) ->
+             r.lockdep_violations);
+       ]);
   }
 
 (* The cold-phase favourite (test&set), both flat MCS hybrids and all three
@@ -1081,11 +1408,36 @@ let diurnal () : (Diurnal.config, Diurnal.result) t =
       List.map
         (fun algo -> { default_config with algo })
         [
-          Lock.Spin { max_backoff_us = 35.0 }; Lock.Mcs_h1; Lock.Mcs_h2;
+          spin35; Lock.Mcs_h1; Lock.Mcs_h2;
           Lock.cna; Lock.c_mcs_mcs; Lock.hmcs;
         ];
     run = (fun _ config -> run ~config ());
     shape = Rows { columns; cli = Some cli };
+    claims =
+      [
+        every
+          "every shape ends the cycle free, with zero lockdep violations"
+          ~show:(fun (_, r) ->
+            Printf.sprintf "%s: %d violations, free %b" r.algo_name
+              r.lockdep_violations r.final_free)
+          (fun (_, r) -> r.lockdep_violations = 0 && r.final_free);
+        every "every shape completes work in all three phases"
+          ~show:(fun (_, r) ->
+            Printf.sprintf "%s: %d / %d / %d ops" r.algo_name r.cold1_ops
+              r.hot_ops r.cold2_ops)
+          (fun (_, r) -> r.cold1_ops > 0 && r.hot_ops > 0 && r.cold2_ops > 0);
+        holds "no shape tops both phase columns" (fun cells ->
+            let rows = List.map snd cells in
+            let best f =
+              List.fold_left
+                (fun a r -> if f r > f a then r else a)
+                (List.hd rows) rows
+            in
+            let cold = best (fun r -> r.cold_throughput_ops_ms)
+            and hot = best (fun r -> r.hot_throughput_ops_ms) in
+            ( Printf.sprintf "cold: %s, hot: %s" cold.algo_name hot.algo_name,
+              cold.algo_name <> hot.algo_name ));
+      ];
   }
 
 type any = Spec : ('c, 'r) t -> any
@@ -1093,8 +1445,7 @@ type any = Spec : ('c, 'r) t -> any
 let paper () =
   [
     Spec (fig4 ()); Spec (uncontended ());
-    Spec (fig5 "fig5a" ~title:"FIG5a" ~hold_us:0.0);
-    Spec (fig5 "fig5b" ~title:"FIG5b" ~hold_us:25.0);
+    Spec (fig5a ()); Spec (fig5b ());
     Spec (starvation ()); Spec (fig7a ()); Spec (fig7b ()); Spec (fig7c ());
     Spec (fig7d ()); Spec (constants ());
   ]

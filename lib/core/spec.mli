@@ -123,6 +123,19 @@ type 'c cli = {
   knobs : 'c -> 'c Knob.t list;
 }
 
+(** A claim's declared verdict: its target holds, or it is a known
+    deviation that misses the target, for the reason given. *)
+type expect = Holds | Miss of string
+
+(** A claim about a spec's cells: the paper's words and target (or an
+    extension's), its declared verdict, and its check, which gives the
+    measured value as text and whether the target holds. *)
+type 'cells claim = {
+  statement : string;
+  expect : expect;
+  check : 'cells -> string * bool;
+}
+
 type ('c, 'r) t = {
   section : string;  (** export section and registry name *)
   title : string;  (** the text report's section title *)
@@ -130,6 +143,8 @@ type ('c, 'r) t = {
   grid : 'c list;  (** one cell per config, in output order *)
   run : knobs -> 'c -> 'r;
   shape : ('c, 'r) shape;
+  claims : ('c * 'r) list claim list;
+      (** each stated once, beside the columns that export its numbers *)
 }
 
 (** What a spec's cells make together. *)
@@ -173,6 +188,11 @@ val print : ('c, 'r) t -> Format.formatter -> ('c * 'r) list -> unit
 
 (** For a series, [Some emit]: [emit dir cells] writes [dir/<section>.dat]. *)
 val dat : ('c, 'r) t -> (string -> ('c * 'r) list -> Dat.plot) option
+
+(** [unexpected s cells]: one line for each of [s]'s claims whose verdict
+    on [cells] is not the declared one (a target that misses, or a declared
+    miss that holds), with its statement and measured value. *)
+val unexpected : ('c, 'r) t -> ('c * 'r) list -> string list
 
 (** FIG7c/d's cluster sizes at the full setting ([sizes = None]). *)
 val paper_cluster_sizes : int list

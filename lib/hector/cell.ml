@@ -45,7 +45,3 @@ let cache_take_exclusive t proc =
   t.excl <- proc
 
 let cache_drop_exclusive t = t.excl <- -1
-
-let cache_flush t =
-  t.cached_by <- 0;
-  t.excl <- -1

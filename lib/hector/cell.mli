@@ -32,4 +32,3 @@ val exclusive_of : t -> int
 val cache_fill : t -> int -> unit
 val cache_take_exclusive : t -> int -> unit
 val cache_drop_exclusive : t -> unit
-val cache_flush : t -> unit

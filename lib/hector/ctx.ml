@@ -83,7 +83,6 @@ let instr_cycles t =
   t.instr_cycles
 let soft_masked t = t.soft_masked
 let in_interrupt t = t.in_interrupt
-let pending_interrupts t = Queue.length t.inbox
 
 let hooked t = Machine.hooked t.machine
 let emit t e = Machine.emit t.machine ~proc:t.proc ~now:(now t) e

@@ -33,7 +33,6 @@ val soft_masked : t -> bool
     or deferred-work record drained by [poll]). Used by the verification
     layer to flag blocking waits from interrupt context. *)
 val in_interrupt : t -> bool
-val pending_interrupts : t -> int
 
 (** {2 Hook events} *)
 

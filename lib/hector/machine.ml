@@ -440,12 +440,3 @@ let compare_and_swap t ~proc cell ~expect ~set =
 
 let cpu_work t cycles = Process.pause t.eng cycles
 
-let reset_counters t =
-  settle_all t;
-  t.reads <- 0;
-  t.writes <- 0;
-  t.atomics <- 0;
-  t.cache_hits <- 0;
-  Array.iter Resource.reset t.mem;
-  Array.iter Resource.reset t.bus;
-  Resource.reset t.ring

@@ -194,6 +194,3 @@ val settle : t -> proc:int -> unit
 
 (** Add [n] elided reads to the read count. *)
 val credit_reads : t -> int -> unit
-
-(** Zero operation counters and free all resources (between experiments). *)
-val reset_counters : t -> unit

@@ -137,12 +137,6 @@ let replications t = t.replications
 let invalidations t = t.invalidations
 let degradations t = t.degradations
 
-(* Install (or clear) a fault plan machine-wide: memory hot-spots at the
-   machine layer, delay/loss and the reply timeout at the RPC layer. *)
-let install_fault_plan t plan =
-  Machine.set_fault_plan t.machine plan;
-  Rpc.set_fault_plan t.rpc plan
-
 (* Install (or remove) a lockdep checker machine-wide; every lock family
    and reserve bit reports to it from then on. *)
 let install_verify t v = Machine.set_verify t.machine v

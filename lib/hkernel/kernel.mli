@@ -72,11 +72,6 @@ val count_replication : t -> unit
 val count_invalidation : t -> unit
 val count_degradation : t -> unit
 
-(** Install (or clear) a fault plan on the whole kernel: memory hot-spots
-    at the machine layer, RPC delay/loss and the reply timeout at the RPC
-    layer. [None] restores fault-free execution. *)
-val install_fault_plan : t -> Fault.t option -> unit
-
 (** Install (or remove) a lockdep checker on the kernel's machine: every
     lock family and reserve bit reports acquisitions, releases and
     ownership transitions to it from then on. [None] restores unchecked

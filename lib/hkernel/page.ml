@@ -36,12 +36,6 @@ let make machine ~home ~vpage ~frame ~master_cluster ~vstate:v0 =
     dir_owner = Machine.alloc machine ~label:"owner" ~home 0;
   }
 
-let state_name s =
-  if s = st_invalid then "invalid"
-  else if s = st_valid_read then "valid-read"
-  else if s = st_valid_write then "valid-write"
-  else "?"
-
 (* Sharer bitmask helpers. *)
 let sharer_bit c = 1 lsl c
 let has_sharer mask c = mask land sharer_bit c <> 0

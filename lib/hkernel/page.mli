@@ -13,8 +13,6 @@ val st_invalid : int
 val st_valid_read : int
 val st_valid_write : int
 
-val state_name : int -> string
-
 type pdesc = {
   vpage : int;
   frame : int;

@@ -30,13 +30,6 @@ type outcome =
   | Gave_up (* call_until_resolved exhausted its attempt budget *)
   | Dead_target (* the target processor fail-stopped; do not re-retry *)
 
-let outcome_name = function
-  | Ok v -> Printf.sprintf "Ok(%d)" v
-  | Would_deadlock -> "Would_deadlock"
-  | Absent -> "Absent"
-  | Gave_up -> "Gave_up"
-  | Dead_target -> "Dead_target"
-
 type t = {
   ctxs : Ctx.t array;
   costs : Costs.t;

@@ -33,8 +33,6 @@ type outcome =
           [reply_timeout], or an in-flight call to the victim spins on its
           reply forever. *)
 
-val outcome_name : outcome -> string
-
 type t
 
 val create : Machine.t -> Ctx.t array -> Costs.t -> t

@@ -24,6 +24,7 @@ let () =
       ("procs", Test_procs.suite);
       ("workloads", Test_workloads.suite);
       ("experiments", Test_experiments.suite);
+      ("claims", Test_claims.suite);
       ("extensions", Test_extensions.suite);
       ("lock_family", Test_lock_family.suite);
       ("numa_locks", Test_numa_locks.suite);

@@ -144,17 +144,9 @@ let test_registry_names_unique () =
   Alcotest.(check int) "no name twice" (List.length registry_names)
     (List.length (List.sort_uniq compare registry_names))
 
-(* The committed export's sections, in file order. The file sits at the
-   project root: one level up from the test's build directory. *)
+(* The committed export's sections, in file order. *)
 let committed_experiments () =
-  let path =
-    List.find Sys.file_exists [ "../BENCH_results.json"; "BENCH_results.json" ]
-  in
-  match
-    Json.get
-      (Json.of_string (String.concat "\n" (read_lines path)))
-      "experiments"
-  with
+  match Json.get (Json.of_string (Test_claims.committed ())) "experiments" with
   | Json.Obj fields -> fields
   | _ -> Alcotest.fail "experiments is not an object"
 

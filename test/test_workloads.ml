@@ -1,6 +1,6 @@
 (* Tests for the workload harnesses: each runs at reduced scale and is
-   checked for sane, internally consistent results. The paper-facing claim
-   checks live in test_experiments.ml. *)
+   checked for sane, internally consistent results. The paper-facing claims
+   are the specs' claims (lib/core/spec.ml), checked by the claims suite. *)
 
 open Eventsim
 open Hector
