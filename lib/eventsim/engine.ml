@@ -14,9 +14,10 @@
    wake is provably the next dispatch skips the heap and the effect round
    trip ([sleep_in_place]). The proof has three parts. The fiber is all
    that is left of the dispatch in progress: that dispatch resumed it from
-   its own sleep ([resumed_sleeper]) and no other fiber has been resumed
-   since ([resumed_other] and each dispatch clear the flag), so once it
-   would suspend nothing else would run. Nothing comes first: the wake is
+   its own sleep, or as its last act, or started it ([resumed_sleeper]),
+   and no other fiber has been resumed since ([resumed_other] and each
+   dispatch clear the flag), so once it would suspend nothing else would
+   run. Nothing comes first: the wake is
    strictly before [Pqueue.min_time] (a tie would lose on seq) and before
    [horizon], so no elided chain ends first. And [run]'s loop would
    dispatch it next: inside [run] ([limit]), within its [until], and with
@@ -27,6 +28,17 @@
    the seq counter, the ring and [events_executed] are exactly as after
    the round trip, and every later seq, tie and elided wait's place with
    them.
+
+   Each dispatch touches only the waits it affects. Elided waits sit in
+   [active] and placed ones in [placed], each at its [slot]: [track] finds
+   a placed element's chain, and [place] orders a new element against the
+   others of its time, among the placed waits alone. The elided waits that
+   end on their own sit in [ends], a binary min-heap by end time at their
+   [hslot]; its top is the horizon, exact at every dispatch, so [run]'s
+   loop and [sleep_in_place] read it without a scan and [end_chains] pops
+   it.
+   The library builds without [-opaque], so [Pqueue]'s accessors are
+   inlined into [dispatch] and [dispatch] into [run]'s loop.
 
    Elided waits. A wait whose iterations change nothing another event can
    observe (a processor spinning on its own memory module) need not put an
@@ -83,7 +95,8 @@ type wait = {
   fire : int -> unit;
   credit : int -> unit;
   mutable state : int;
-  mutable slot : int; (* index in [active] while elided or placed *)
+  mutable slot : int; (* in [active] while elided, [placed] while placed *)
+  mutable hslot : int; (* index in [ends] while elided with an end, else -1 *)
   mutable t0 : int; (* time of element 0 *)
   mutable s0 : int; (* element 0's reserved seq *)
   mutable root : int; (* ring index of the dispatch that elided it *)
@@ -93,6 +106,60 @@ type wait = {
   mutable end_j : int; (* the chain's last element, index and time; *)
   mutable end_time : int; (* [max_int] when only a wake can end it *)
 }
+
+(* A gap must fit the 16 bits a ring entry keeps for it. *)
+let max_gap = 0xffff
+
+let wait ~owner ~even_gap ~odd_gap ~fire ~credit =
+  if even_gap <= 0 || odd_gap <= 0 || even_gap > max_gap || odd_gap > max_gap
+  then invalid_arg "Engine.wait: chain gaps must be in [1, 65535]";
+  {
+    owner;
+    even_gap;
+    odd_gap;
+    fire;
+    credit;
+    state = idle;
+    slot = -1;
+    hslot = -1;
+    t0 = 0;
+    s0 = 0;
+    root = 0;
+    m_time = 0;
+    m_seq = 0;
+    m_j = 0;
+    end_j = max_int;
+    end_time = max_int;
+  }
+
+(* Fills the free cells of [waits] and [ends], so they keep no finished wait
+   alive; its [end_time] is [max_int], so an empty [ends] has no horizon. *)
+let no_wait =
+  wait ~owner:(-1) ~even_gap:1 ~odd_gap:1 ~fire:ignore ~credit:ignore
+
+(* An unordered set of waits, each at its [slot]. *)
+type waits = { mutable ws : wait array; mutable n : int }
+
+let waits () = { ws = [||]; n = 0 }
+
+let add s w =
+  if s.n = Array.length s.ws then begin
+    let a = Array.make (max 4 (2 * s.n)) no_wait in
+    Array.blit s.ws 0 a 0 s.n;
+    s.ws <- a
+  end;
+  s.ws.(s.n) <- w;
+  w.slot <- s.n;
+  s.n <- s.n + 1
+
+let remove s w =
+  let last = s.n - 1 in
+  let moved = s.ws.(last) in
+  s.ws.(w.slot) <- moved;
+  moved.slot <- w.slot;
+  s.ws.(last) <- no_wait;
+  s.n <- last;
+  w.slot <- -1
 
 (* A map from a pair of real seqs [a < b] to a bool, by open addressing
    over int columns. A [Hashtbl] entry is a key tuple and a bucket cell
@@ -172,12 +239,15 @@ type t = {
   mutable cur_seq : int;
   mutable cur_first : int;
   mutable cur_entry : int;
-  (* Waits elided or placed, and how many are elided. *)
-  mutable active : wait array;
-  mutable n_active : int;
-  mutable live : int;
+  (* Elided waits, and placed ones. *)
+  active : waits;
+  placed : waits;
   mutable min_root : int; (* lower bound on an elided wait's root *)
-  mutable horizon : int; (* lower bound on an elided chain's end time *)
+  (* The elided waits that have an end: a binary min-heap by [end_time],
+     each at its [hslot], [no_wait] beyond [n_ends]. Its top's end is the
+     horizon, the earliest time an elided chain ends on its own. *)
+  mutable ends : wait array;
+  mutable n_ends : int;
   (* The dispatch ring: one column per field, allocated on first use.
      Entries [r_base, r_next) are valid, at index [i land ring_mask]. *)
   mutable r_time : int array;
@@ -215,11 +285,11 @@ let create ?(max_events = 200_000_000) () =
     cur_seq = -1;
     cur_first = 0;
     cur_entry = -1;
-    active = [||];
-    n_active = 0;
-    live = 0;
+    active = waits ();
+    placed = waits ();
     min_root = max_int;
-    horizon = max_int;
+    ends = [| no_wait |];
+    n_ends = 0;
     r_time = [||];
     r_first = [||];
     r_seq = [||];
@@ -251,7 +321,10 @@ let schedule_after t ~delay f =
   schedule t ~at:(t.now + delay) f
 
 (* An elided wait stands for the one event its chain keeps in the heap. *)
-let pending t = Pqueue.length t.events + t.live
+let pending t = Pqueue.length t.events + t.active.n
+
+(* Some wait is elided or placed: dispatches must be recorded. *)
+let[@inline] waiting t = t.active.n > 0 || t.placed.n > 0
 
 (* -- The dispatch ring ---------------------------------------------------- *)
 
@@ -396,34 +469,6 @@ let rec before t a b =
 
 (* -- Elided waits ---------------------------------------------------------- *)
 
-(* A gap must fit the 16 bits a ring entry keeps for it. *)
-let max_gap = 0xffff
-
-let wait ~owner ~even_gap ~odd_gap ~fire ~credit =
-  if even_gap <= 0 || odd_gap <= 0 || even_gap > max_gap || odd_gap > max_gap
-  then invalid_arg "Engine.wait: chain gaps must be in [1, 65535]";
-  {
-    owner;
-    even_gap;
-    odd_gap;
-    fire;
-    credit;
-    state = idle;
-    slot = -1;
-    t0 = 0;
-    s0 = 0;
-    root = 0;
-    m_time = 0;
-    m_seq = 0;
-    m_j = 0;
-    end_j = max_int;
-    end_time = max_int;
-  }
-
-(* Fills [active]'s free slots, so they keep no finished wait alive. *)
-let no_wait =
-  wait ~owner:(-1) ~even_gap:1 ~odd_gap:1 ~fire:ignore ~credit:ignore
-
 let w_elem w j =
   elem ~t0:w.t0 ~s0:w.s0 ~even:w.even_gap ~odd:w.odd_gap j
 
@@ -435,30 +480,91 @@ let first_from w time =
   if d <= 0 then 0
   else begin
     let p = w.even_gap + w.odd_gap in
-    let m = d / p and r = d mod p in
+    let m = d / p in
+    let r = d - (m * p) in
     if r = 0 then 2 * m
     else if r <= w.even_gap then (2 * m) + 1
     else (2 * m) + 2
   end
 
-let add_active t w =
-  if t.n_active = Array.length t.active then begin
-    let a = Array.make (max 4 (2 * t.n_active)) no_wait in
-    Array.blit t.active 0 a 0 t.n_active;
-    t.active <- a
-  end;
-  t.active.(t.n_active) <- w;
-  w.slot <- t.n_active;
-  t.n_active <- t.n_active + 1
+(* -- Chain ends: the [ends] heap ----------------------------------------- *)
 
-let remove_active t w =
-  let last = t.n_active - 1 in
-  let moved = t.active.(last) in
-  t.active.(w.slot) <- moved;
-  moved.slot <- w.slot;
-  t.active.(last) <- no_wait;
-  t.n_active <- last;
-  w.slot <- -1
+let horizon t = t.ends.(0).end_time
+
+let h_set t i w =
+  t.ends.(i) <- w;
+  w.hslot <- i
+
+let rec h_up t i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    let w = t.ends.(i) and u = t.ends.(p) in
+    if w.end_time < u.end_time then begin
+      h_set t p w;
+      h_set t i u;
+      h_up t p
+    end
+  end
+
+let rec h_down t i =
+  let l = (2 * i) + 1 in
+  if l < t.n_ends then begin
+    let r = l + 1 in
+    let c =
+      if r < t.n_ends && t.ends.(r).end_time < t.ends.(l).end_time then r
+      else l
+    in
+    let w = t.ends.(i) and u = t.ends.(c) in
+    if u.end_time < w.end_time then begin
+      h_set t i u;
+      h_set t c w;
+      h_down t c
+    end
+  end
+
+let add_end t w =
+  if t.n_ends = Array.length t.ends then begin
+    let a = Array.make (2 * t.n_ends) no_wait in
+    Array.blit t.ends 0 a 0 t.n_ends;
+    t.ends <- a
+  end;
+  h_set t t.n_ends w;
+  t.n_ends <- t.n_ends + 1;
+  h_up t w.hslot
+
+let remove_end t w =
+  let i = w.hslot and last = t.n_ends - 1 in
+  let moved = t.ends.(last) in
+  t.ends.(last) <- no_wait;
+  t.n_ends <- last;
+  w.hslot <- -1;
+  if i < last then begin
+    h_set t i moved;
+    h_up t i;
+    h_down t moved.hslot
+  end
+
+(* -- Eliding and placing ------------------------------------------------- *)
+
+(* Carry the memo's pairs of elided and placed waits into the other
+   generation, and make it current. *)
+let swap_memo t =
+  let fresh = t.memo_old in
+  Pairs.clear fresh;
+  let na = t.active.n in
+  let nth i = if i < na then t.active.ws.(i) else t.placed.ws.(i - na) in
+  let n = na + t.placed.n in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      let x = (nth a).s0 and y = (nth b).s0 in
+      let lo = if x < y then x else y and hi = if x < y then y else x in
+      let r = Pairs.find t.memo lo hi in
+      if r >= 0 then Pairs.add fresh lo hi (r = 1)
+    done
+  done;
+  t.memo_old <- t.memo;
+  t.memo <- fresh;
+  t.memo_swap <- t.r_next + memo_period
 
 let elide ?until t w ~at =
   if t.cur_seq < 0 || w.state <> idle || at <= t.now then false
@@ -471,7 +577,7 @@ let elide ?until t w ~at =
       if t.cur_entry < 0 then begin
         (* Nothing was active when this dispatch began, so the ring holds no
            current history: restart it here. *)
-        if t.n_active = 0 then t.r_base <- t.r_next;
+        if not (waiting t) then t.r_base <- t.r_next;
         record t
       end;
       let c = t.seq in
@@ -479,39 +585,26 @@ let elide ?until t w ~at =
       w.s0 <- c lsl seq_bits;
       w.end_j <- end_j;
       w.end_time <- (if end_j = max_int then max_int else w_time w end_j);
-      if w.end_time < t.horizon then t.horizon <- w.end_time;
       w.root <- t.cur_entry;
-      if t.r_next >= t.memo_swap then begin
-        let fresh = t.memo_old in
-        Pairs.clear fresh;
-        for a = 0 to t.n_active - 1 do
-          for b = a + 1 to t.n_active - 1 do
-            let x = t.active.(a).s0 and y = t.active.(b).s0 in
-            let lo = if x < y then x else y and hi = if x < y then y else x in
-            let r = Pairs.find t.memo lo hi in
-            if r >= 0 then Pairs.add fresh lo hi (r = 1)
-          done
-        done;
-        t.memo_old <- t.memo;
-        t.memo <- fresh;
-        t.memo_swap <- t.r_next + memo_period
-      end;
+      if t.r_next >= t.memo_swap then swap_memo t;
       (* Order this chain against each elided lock-step chain: element 0
-         against that chain's element at the same time. *)
-      for a = 0 to t.n_active - 1 do
-        let u = t.active.(a) in
-        if
-          u.state = elided && u.even_gap = w.even_gap
-          && u.odd_gap = w.odd_gap
-        then begin
-          let j = first_from u at in
-          if w_time u j = at && (u.even_gap = u.odd_gap || j land 1 = 0) then
-            memo_add t w.s0 u.s0 (before t (Seq (at, w.s0)) (w_elem u j))
+         against that chain's element at the same time, if it has one (an
+         even element, or either when both gaps are equal). *)
+      for a = 0 to t.active.n - 1 do
+        let u = t.active.ws.(a) in
+        if u.even_gap = w.even_gap && u.odd_gap = w.odd_gap then begin
+          let d = at - u.t0 in
+          if d >= 0 then begin
+            let r = d mod (u.even_gap + u.odd_gap) in
+            if r = 0 || (r = u.even_gap && u.even_gap = u.odd_gap) then
+              memo_add t w.s0 u.s0
+                (before t (Seq (at, w.s0)) (w_elem u (first_from u at)))
+          end
         end
       done;
       w.state <- elided;
-      t.live <- t.live + 1;
-      add_active t w;
+      add t.active w;
+      if w.end_time < max_int then add_end t w;
       if w.root < t.min_root then t.min_root <- w.root;
       true
     end
@@ -519,7 +612,7 @@ let elide ?until t w ~at =
 
 (* Run a placed element: it is the dispatch in progress. *)
 let fire_placed t w j () =
-  remove_active t w;
+  remove t.placed w;
   w.state <- idle;
   w.fire j
 
@@ -548,11 +641,9 @@ let place t w j =
       let floor = (!x - 1) lsl seq_bits and ceiling = !x lsl seq_bits in
       let lo = ref floor and hi = ref ceiling in
       let me = w_elem w j in
-      for a = 0 to t.n_active - 1 do
-        let u = t.active.(a) in
-        if u.state = placed && u.m_time = time && u.m_seq > floor
-           && u.m_seq < ceiling
-        then begin
+      for a = 0 to t.placed.n - 1 do
+        let u = t.placed.ws.(a) in
+        if u.m_time = time && u.m_seq > floor && u.m_seq < ceiling then begin
           if before t (w_elem u u.m_j) me then lo := Int.max !lo u.m_seq
           else hi := Int.min !hi u.m_seq
         end
@@ -561,11 +652,13 @@ let place t w j =
       (!lo + !hi) / 2
     end
   in
+  remove t.active w;
+  if w.hslot >= 0 then remove_end t w;
   w.state <- placed;
   w.m_time <- time;
   w.m_seq <- seq;
   w.m_j <- j;
-  t.live <- t.live - 1;
+  add t.placed w;
   w.credit j;
   Pqueue.push t.events ~time ~seq (fire_placed t w j)
 
@@ -587,25 +680,25 @@ let is_elided w = w.state = elided
 
 (* Every elided wait, materialised after ring entry [e]. *)
 let place_all_after t e =
-  for a = 0 to t.n_active - 1 do
-    let w = t.active.(a) in
-    if w.state = elided then place t w (first_after_entry t w e)
+  while t.active.n > 0 do
+    let w = t.active.ws.(t.active.n - 1) in
+    place t w (first_after_entry t w e)
   done
 
 (* The oldest root an elided wait may keep. *)
 let root_limit t = t.r_next - (ring_cap * 7 / 8)
 
 (* Re-root the waits whose root is about to leave the ring: each runs one
-   real element and, if it spins on, elides again from a recent root. *)
+   real element and, if it spins on, elides again from a recent root.
+   Downwards, so a wait placed (and swapped out of [active]) leaves only
+   visited waits behind it. *)
 let reroot t =
   let limit = root_limit t in
   let m = ref max_int in
-  for a = 0 to t.n_active - 1 do
-    let w = t.active.(a) in
-    if w.state = elided then begin
-      if w.root < limit then place t w (first_after_entry t w t.cur_entry)
-      else if w.root < !m then m := w.root
-    end
+  for a = t.active.n - 1 downto 0 do
+    let w = t.active.ws.(a) in
+    if w.root < limit then place t w (first_after_entry t w t.cur_entry)
+    else if w.root < !m then m := w.root
   done;
   t.min_root <- !m
 
@@ -617,9 +710,9 @@ let track t =
   let s = t.cur_seq in
   if s land frac_mask <> 0 then begin
     let k = t.cur_entry land ring_mask in
-    for a = 0 to t.n_active - 1 do
-      let w = t.active.(a) in
-      if w.state = placed && w.m_seq = s && w.m_time = t.now then begin
+    for a = 0 to t.placed.n - 1 do
+      let w = t.placed.ws.(a) in
+      if w.m_seq = s && w.m_time = t.now then begin
         t.r_s0.(k) <- w.s0;
         t.r_jg.(k) <- (w.m_j lsl 32) lor (w.even_gap lsl 16) lor w.odd_gap
       end
@@ -640,7 +733,7 @@ let[@inline] dispatch t =
   t.cur_first <- t.seq;
   t.cur_entry <- -1;
   t.sleeper <- false;
-  if t.n_active > 0 then track t;
+  if waiting t then track t;
   f ()
 
 let resumed_sleeper t = t.sleeper <- true
@@ -650,14 +743,14 @@ let resumed_other t = t.sleeper <- false
 (* The dispatch a sleep until [at] would lead to, made here when it is
    provably the next one: the running fiber is all that is left of the
    dispatch in progress, no event in the heap comes before [at], no
-   elided chain's end is due by then ([horizon]; a stale one is only
-   lower), and [run]'s loop would dispatch it next without stopping. Then
-   the bookkeeping is the heap round trip's — a seq taken as [schedule]
-   takes it, the count, the dispatch's seq and counter, the ring record —
-   so every later seq, and every elided wait's place, is as before. *)
+   elided chain's end is due by then ([horizon]), and [run]'s loop would
+   dispatch it next without stopping. Then the bookkeeping is the heap
+   round trip's — a seq taken as [schedule] takes it, the count, the
+   dispatch's seq and counter, the ring record — so every later seq, and
+   every elided wait's place, is as before. *)
 let sleep_in_place t at =
   if
-    t.sleeper && at < Pqueue.min_time t.events && at < t.horizon
+    t.sleeper && at < Pqueue.min_time t.events && at < horizon t
     && at <= t.limit && t.executed <= t.max_events
   then begin
     let c = t.seq in
@@ -667,7 +760,7 @@ let sleep_in_place t at =
     t.cur_seq <- c lsl seq_bits;
     t.cur_first <- t.seq;
     t.cur_entry <- -1;
-    if t.n_active > 0 then track t;
+    if waiting t then track t;
     true
   end
   else false
@@ -678,9 +771,8 @@ let leave_dispatch t =
 
 let stuck t =
   let owners = ref [] in
-  for a = 0 to t.n_active - 1 do
-    let w = t.active.(a) in
-    if w.state = elided then owners := w.owner :: !owners
+  for a = 0 to t.active.n - 1 do
+    owners := t.active.ws.(a).owner :: !owners
   done;
   raise
     (Deadlock
@@ -691,12 +783,12 @@ let stuck t =
              (List.map string_of_int (List.sort compare !owners)))))
 
 let step t =
-  if Pqueue.is_empty t.events && t.live > 0 then
+  if Pqueue.is_empty t.events && t.active.n > 0 then
     place_all_after t (t.r_next - 1);
   if Pqueue.is_empty t.events then false
   else begin
     dispatch t;
-    if t.live > 0 then place_all_after t t.cur_entry;
+    if t.active.n > 0 then place_all_after t t.cur_entry;
     leave_dispatch t;
     true
   end
@@ -711,38 +803,31 @@ let budget_exhausted t =
    run: the clock stands at the last of them, and the next goes into the
    heap, as a real run would leave it. *)
 let park_after t limit =
-  for a = 0 to t.n_active - 1 do
-    let w = t.active.(a) in
-    if w.state = elided then begin
-      let j = first_from w (limit + 1) in
-      if j > 0 then t.now <- Int.max t.now (w_time w (j - 1));
-      place t w j
-    end
+  while t.active.n > 0 do
+    let w = t.active.ws.(t.active.n - 1) in
+    let j = first_from w (limit + 1) in
+    if j > 0 then t.now <- Int.max t.now (w_time w (j - 1));
+    place t w j
   done
 
-(* Place the last element of every elided chain that ends at [horizon],
-   and move [horizon] to the earliest end left. Called before the clock
-   reaches [horizon], so every dispatch so far precedes those elements.
-   Only the earliest: what they run may wake a chain that ends later. *)
+(* Place the last element of every elided chain that ends at the horizon.
+   Called before the clock reaches it, so every dispatch so far precedes
+   those elements. Only the earliest: what they run may wake a chain that
+   ends later. *)
 let end_chains t =
-  let h = ref max_int in
-  for a = 0 to t.n_active - 1 do
-    let w = t.active.(a) in
-    if w.state = elided && w.end_time < max_int then begin
-      if w.end_time <= t.horizon then place t w w.end_j
-      else if w.end_time < !h then h := w.end_time
-    end
-  done;
-  t.horizon <- !h
+  let h = horizon t in
+  while horizon t = h do
+    let w = t.ends.(0) in
+    place t w w.end_j
+  done
 
 (* [Pqueue.min_time] reads the earliest timestamp as a bare int, so the
-   loop's test is three comparisons and allocates nothing. *)
+   loop's test is a few comparisons and allocates nothing. *)
 let run_loop t limit =
   let go = ref true in
   while !go do
-    let next = Pqueue.min_time t.events in
-    if next >= t.horizon && t.horizon <= limit && t.horizon < max_int then
-      end_chains t
+    let next = Pqueue.min_time t.events and h = horizon t in
+    if next >= h && h <= limit && h < max_int then end_chains t
     else if next <= limit && not (Pqueue.is_empty t.events) then begin
       dispatch t;
       if t.executed > t.max_events then budget_exhausted t
@@ -758,7 +843,7 @@ let run ?until t =
     ~finally:(fun () -> t.limit <- min_int)
     (fun () -> run_loop t limit);
   leave_dispatch t;
-  if t.live > 0 then begin
+  if t.active.n > 0 then begin
     match until with None -> stuck t | Some limit -> park_after t limit
   end;
   match until with

@@ -74,8 +74,9 @@ val run : ?until:int -> t -> unit
     otherwise change nothing and return [false]. [at >= now t]. *)
 val sleep_in_place : t -> int -> bool
 
-(** The dispatch in progress is resuming a fiber from its sleep: that fiber
-    alone holds the rest of the dispatch. *)
+(** The dispatch in progress is resuming a fiber that alone holds the rest
+    of the dispatch: from its sleep, from a suspension whose resume is the
+    dispatch's last act ([Process.suspend_tail]), or at its start. *)
 val resumed_sleeper : t -> unit
 
 (** Some other fiber is being resumed: nothing runs in place until the next

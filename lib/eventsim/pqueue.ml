@@ -41,8 +41,8 @@ type 'a t = {
 let create () =
   { times = [||]; seqs = [||]; slots = [||]; payloads = [||]; len = 0 }
 
-let length t = t.len
-let is_empty t = t.len = 0
+let[@inline] length t = t.len
+let[@inline] is_empty t = t.len = 0
 
 let grow t payload =
   let cap = Array.length t.times in
@@ -107,10 +107,11 @@ let peek t =
 let peek_time t = if t.len = 0 then None else Some t.times.(0)
 
 (* Allocation-free view of the earliest timestamp: [max_int] when empty, so
-   the engine's run loop can compare against a limit without an option. *)
-let min_time t = if t.len = 0 then max_int else t.times.(0)
+   the engine's run loop can compare against a limit without an option.
+   Inlined into the engine's dispatch, as [min_seq] is. *)
+let[@inline] min_time t = if t.len = 0 then max_int else t.times.(0)
 
-let min_seq t = if t.len = 0 then max_int else t.seqs.(0)
+let[@inline] min_seq t = if t.len = 0 then max_int else t.seqs.(0)
 
 (* Remove the root, returning only its payload. The root's table entry is
    overwritten with the filler and its slot goes back on the free stack.

@@ -12,16 +12,22 @@
    and the fiber runs on without suspending. Otherwise the fiber performs
    [Sleep]; its wake tells the engine that the fiber it resumes alone holds
    the dispatch, which is what lets that fiber's next sleep run in place.
-   Every other resume tells it the opposite. *)
+   So does [suspend_tail]'s resume when a later dispatch calls it, as its
+   last act; a [suspend] resume, and a tail resume in the dispatch that
+   suspended, tell it the opposite. A spawned fiber starts as a sleeper:
+   its start is its event's whole work. *)
 
 open Effect
 open Effect.Deep
 
 type _ Effect.t +=
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Suspend_tail : Engine.t * ((unit -> unit) -> unit) -> unit Effect.t
   | Sleep : Engine.t * int -> unit Effect.t
 
 let suspend reg = perform (Suspend reg)
+
+let suspend_tail eng reg = perform (Suspend_tail (eng, reg))
 
 let sleep eng at =
   if not (Engine.sleep_in_place eng at) then perform (Sleep (eng, at))
@@ -51,6 +57,15 @@ let run_fiber eng f =
                 reg (fun () ->
                     Engine.resumed_other eng;
                     continue k ()))
+          | Suspend_tail (e, reg) ->
+            Some
+              (fun (k : (c, unit) continuation) ->
+                let n = Engine.events_executed e in
+                reg (fun () ->
+                    if Engine.events_executed e > n then
+                      Engine.resumed_sleeper e
+                    else Engine.resumed_other e;
+                    continue k ()))
           | Sleep (e, at) ->
             Some
               (fun (k : (c, unit) continuation) ->
@@ -60,6 +75,9 @@ let run_fiber eng f =
           | _ -> None);
     }
 
-let spawn_at eng ~at f = Engine.schedule eng ~at (fun () -> run_fiber eng f)
+let spawn_at eng ~at f =
+  Engine.schedule eng ~at (fun () ->
+      Engine.resumed_sleeper eng;
+      run_fiber eng f)
 
 let spawn eng f = spawn_at eng ~at:(Engine.now eng) f

@@ -10,6 +10,18 @@
     the thunk is invoked (exactly once). *)
 val suspend : ((unit -> unit) -> unit) -> unit
 
+(** [suspend_tail eng reg] is [suspend reg] for a resume that is always
+    the last act of the engine event that calls it: nothing of that
+    dispatch runs after the fiber suspends again. So when a later dispatch
+    than the suspension calls it, the fiber alone holds the rest of that
+    dispatch, and its next sleep may run in place (below), as after a
+    sleep's own wake. A resume inside [reg] itself, or anywhere else in the
+    dispatch that suspended, counts as an ordinary resume. A resume called
+    from code that goes on after it (another fiber's body, a callback that
+    does more work) must use [suspend]: its sleep could run ahead of that
+    code. *)
+val suspend_tail : Engine.t -> ((unit -> unit) -> unit) -> unit
+
 (** {2 Sleeps}
 
     [wait_until] and [pause] sleep: the fiber's wake is one event at a known
@@ -21,7 +33,10 @@ val suspend : ((unit -> unit) -> unit) -> unit
     record — and the clock moves to the wake. Seqs are taken in the same
     order as the heap round trip would take them, so every later tie and
     every simulated result is unchanged. Otherwise the fiber suspends and
-    its wake is scheduled as an event. *)
+    its wake is scheduled as an event. A fiber resumed by its wake, by a
+    later dispatch's {!suspend_tail} resume, or started by {!spawn} or
+    {!spawn_at} holds its dispatch in this sense; a {!suspend} resume
+    gives up the rest of the dispatch's in-place sleeps. *)
 
 (** Sleep until the given absolute time.
     @raise Invalid_argument if it is in the past. *)

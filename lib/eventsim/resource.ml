@@ -44,12 +44,6 @@ let busy_cycles t = t.busy_cycles
 let queued_cycles t = t.queued_cycles
 let n_requests t = t.n_requests
 
-let reset t =
-  t.next_free <- 0;
-  t.busy_cycles <- 0;
-  t.queued_cycles <- 0;
-  t.n_requests <- 0
-
 let utilization t ~horizon =
   if horizon <= 0 then 0.0
   else float_of_int t.busy_cycles /. float_of_int horizon

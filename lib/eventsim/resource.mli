@@ -25,9 +25,6 @@ val queued_cycles : t -> int
 
 val n_requests : t -> int
 
-(** Zero all counters and make the resource immediately free. *)
-val reset : t -> unit
-
 (** Fraction of [horizon] cycles the resource was busy. *)
 val utilization : t -> horizon:int -> float
 

@@ -234,7 +234,9 @@ let post_ipi target h =
    call the fiber loop would make, at the same time and in the same order.
    The fiber is resumed only when it has to run: the wait is over, or
    [poll] would take an interrupt (the fiber takes it and re-enters the
-   wait). A dead processor's wait just stops, leaving the fiber suspended
+   wait). Each resume is the last act of the event that calls it
+   ({!Process.suspend_tail}), so the fiber's next sleep may run in place.
+   A dead processor's wait just stops, leaving the fiber suspended
    for good — parked, as [halt_if_dead] would park it. *)
 
 (* The chain keyed [gap] in [chains], if one was made. *)
@@ -292,7 +294,7 @@ let poll_wait ?ivar ?until t ~gap step =
     poll t;
     let d = step () in
     if d > 0 then begin
-      Process.suspend (fun k ->
+      Process.suspend_tail (engine t) (fun k ->
           resume := k;
           if t.poll_tick == no_tick && gap <= Engine.max_gap then
             t.poll_tick <- tick;
@@ -395,7 +397,7 @@ let spin_while ?deadline t cell keep =
     deadline = None && (not cfg.Config.cache_coherent)
     && Cell.home cell = t.proc && b > 0
   in
-  let credited = ref 0 in
+  let credited = ref 0 and chain = ref None in
   let rec issue () =
     t.overlap_credit <- 0;
     let finish = Machine.read_start m ~proc:t.proc cell in
@@ -405,7 +407,7 @@ let spin_while ?deadline t cell keep =
          it. *)
       let x = Cell.peek cell in
       if elidable && keep x
-         && Machine.elide_wait m ~cell ~proc:t.proc (Lazy.force w) ~at:finish
+         && Machine.elide_wait m ~cell ~proc:t.proc (wait ()) ~at:finish
       then begin
         v := x;
         credited := 0
@@ -435,16 +437,24 @@ let spin_while ?deadline t cell keep =
     else if not (Machine.proc_alive m t.proc) then ()
     else if interrupt_pending t then !resume ()
     else issue ()
-  and w =
-    lazy
-      (Engine.wait ~owner:t.proc ~even_gap:b
-         ~odd_gap:cfg.Config.local_latency
-         ~fire:(fun j -> if j land 1 = 0 then missed () else branch ())
-         ~credit:(credit_chain t credited ~cycles:b))
+  (* The chain, made on first elision. A function, not a [lazy], so the
+     group is plain closures and a spin builds it without back-patching. *)
+  and wait () =
+    match !chain with
+    | Some w -> w
+    | None ->
+      let w =
+        Engine.wait ~owner:t.proc ~even_gap:b
+          ~odd_gap:cfg.Config.local_latency
+          ~fire:(fun j -> if j land 1 = 0 then missed () else branch ())
+          ~credit:(credit_chain t credited ~cycles:b)
+      in
+      chain := Some w;
+      w
   in
   let rec loop () =
     poll t;
-    Process.suspend (fun k ->
+    Process.suspend_tail eng (fun k ->
         resume := k;
         issue ());
     if !over then !v else loop ()
@@ -516,7 +526,7 @@ let local_pad t cell ~work:w ~iters ~deadline =
         in
         let until = at + w + (last * period) in
         let elided = ref false in
-        Process.suspend (fun resume ->
+        Process.suspend_tail (engine t) (fun resume ->
             if
               Option.is_none (Machine.fault_plan m)
               && Machine.elide_wait ~until m ~proc:t.proc pad ~at

@@ -22,6 +22,16 @@ let unexpected section =
     (Lazy.force outcomes)
   |> Registry.unexpected
 
+(* The JSON of [section] in the one export. *)
+let exported section =
+  List.find_map
+    (fun o ->
+      match Registry.json o with
+      | Some (name, json) when name = section -> Some json
+      | _ -> None)
+    (Lazy.force outcomes)
+  |> Option.get
+
 let test_claims section () =
   match unexpected section with
   | [] -> ()

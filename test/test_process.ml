@@ -116,7 +116,12 @@ let test_many_processes () =
    and the event count — must be as if it had gone through the heap. *)
 
 (* A random fiber program. [Wake j] resumes fiber [j] synchronously if it
-   is parked, as [Ctx.post_ipi] resumes an idle processor. *)
+   is parked, as [Ctx.post_ipi] resumes an idle processor. [Tail] and
+   [Tpark] suspend with {!Process.suspend_tail}, whose resumes are always
+   an event's last act, as [Ctx]'s waits resume their fibers: [Tail (h, g)]
+   is resumed after [h] events [g] cycles apart (at once, inside the
+   suspension, for [h = 0]), and a tail-parked fiber [j] by [Twake j]'s
+   event at the current time. *)
 type op =
   | Pause of int
   | Until of int (* [wait_until (now + d)] *)
@@ -125,6 +130,9 @@ type op =
   | Spawn of prog
   | Park
   | Wake of int
+  | Tail of int * int
+  | Tpark
+  | Twake of int
 
 and prog = { id : int; ops : op list }
 
@@ -141,7 +149,10 @@ let rec pp_prog ppf { id; ops } =
       | Read i -> Format.fprintf ppf "@ r%d" i
       | Spawn p -> Format.fprintf ppf "@ s%a" pp_prog p
       | Park -> Format.fprintf ppf "@ park"
-      | Wake j -> Format.fprintf ppf "@ w%d" j)
+      | Wake j -> Format.fprintf ppf "@ w%d" j
+      | Tail (h, g) -> Format.fprintf ppf "@ t%d.%d" h g
+      | Tpark -> Format.fprintf ppf "@ tpark"
+      | Twake j -> Format.fprintf ppf "@ tw%d" j)
     ops;
   Format.fprintf ppf "]@]"
 
@@ -159,6 +170,9 @@ let gen_progs =
             (2, map (fun i -> `Read i) (int_bound (n_ivars - 1)));
             (1, return `Park);
             (2, map (fun j -> `Wake j) (int_bound 7));
+            (3, map2 (fun h g -> `Tail (h, g)) (int_bound 2) (int_bound 3));
+            (1, return `Tpark);
+            (2, map (fun j -> `Twake j) (int_bound 7));
           ]
          @ if depth > 0 then [ (1, map (fun p -> `Spawn p) (raw (depth - 1))) ]
            else []))
@@ -180,6 +194,9 @@ let gen_progs =
                 | `Read i -> Read i
                 | `Park -> Park
                 | `Wake j -> Wake j
+                | `Tail (h, g) -> Tail (h, g)
+                | `Tpark -> Tpark
+                | `Twake j -> Twake j
                 | `Spawn r -> Spawn (number r))
               ops;
         }
@@ -227,10 +244,25 @@ let drive s start =
   in
   (List.rev !log, Engine.events_executed eng, exhausted)
 
+(* [k ()] as the last act of the [hops]-th event [gap] cycles apart, or at
+   once for [hops = 0]. *)
+let rec hop eng hops gap k =
+  if hops = 0 then k ()
+  else Engine.schedule_after eng ~delay:gap (fun () -> hop eng (hops - 1) gap k)
+
+(* An event now that resumes tail-parked fiber [j], if it is parked then. *)
+let twake eng tparked j =
+  Engine.schedule eng ~at:(Engine.now eng) (fun () ->
+      match Hashtbl.find_opt tparked j with
+      | Some resume ->
+        Hashtbl.remove tparked j;
+        resume ()
+      | None -> ())
+
 (* The program as fibers. *)
 let as_fibers eng note =
   let ivars = Array.init n_ivars (fun _ -> Ivar.create ()) in
-  let parked = Hashtbl.create 8 in
+  let parked = Hashtbl.create 8 and tparked = Hashtbl.create 8 in
   let rec fiber { id; ops } () =
     List.iteri
       (fun k op ->
@@ -246,7 +278,12 @@ let as_fibers eng note =
           | Some resume ->
             Hashtbl.remove parked j;
             resume ()
-          | None -> ()));
+          | None -> ())
+        | Tail (h, g) -> Process.suspend_tail eng (hop eng h g)
+        | Tpark ->
+          Process.suspend_tail eng (fun resume ->
+              Hashtbl.replace tparked id resume)
+        | Twake j -> twake eng tparked j);
         note id k)
       ops
   in
@@ -257,7 +294,7 @@ let as_fibers eng note =
 let as_callbacks eng note =
   let full = Array.make n_ivars false in
   let readers = Array.make n_ivars [] in
-  let parked = Hashtbl.create 8 in
+  let parked = Hashtbl.create 8 and tparked = Hashtbl.create 8 in
   let rec exec id k = function
     | [] -> ()
     | op :: rest -> (
@@ -289,6 +326,11 @@ let as_callbacks eng note =
           Hashtbl.remove parked j;
           resume ()
         | None -> ());
+        next ()
+      | Tail (h, g) -> hop eng h g next
+      | Tpark -> Hashtbl.replace tparked id next
+      | Twake j ->
+        twake eng tparked j;
         next ())
   in
   fun p ->
@@ -364,6 +406,30 @@ let test_synchronous_resume_never_runs_ahead () =
   Alcotest.(check (list (pair string int)))
     "a's code runs before b's sleep ends"
     [ ("b resumed", 5); ("a after resume", 5); ("a slept", 8); ("b slept", 15) ]
+    (List.rev !log)
+
+(* As above, but [b] then suspends with [suspend_tail] and is resumed
+   inside the suspension itself: that resume is in the dispatch that
+   suspended, so [b]'s sleep still must not run ahead of [a]'s code. *)
+let test_synchronous_tail_resume_never_runs_ahead () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s = log := (s, Engine.now eng) :: !log in
+  let parked = ref None in
+  Process.spawn eng (fun () ->
+      Process.suspend (fun resume -> parked := Some resume);
+      Process.suspend_tail eng (fun resume -> resume ());
+      note "b resumed";
+      Process.pause eng 10;
+      note "b slept");
+  Process.spawn eng (fun () ->
+      Process.pause eng 5;
+      Option.iter (fun resume -> resume ()) !parked;
+      note "a after resume");
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "a's code runs before b's sleep ends"
+    [ ("b resumed", 5); ("a after resume", 5); ("b slept", 15) ]
     (List.rev !log)
 
 (* The same through [Ctx.post_ipi]: the idle processor's interrupt entry
@@ -445,6 +511,8 @@ let suite =
       test_pause_past_until_suspends;
     Alcotest.test_case "a synchronous resume never runs ahead" `Quick
       test_synchronous_resume_never_runs_ahead;
+    Alcotest.test_case "a synchronous tail resume never runs ahead" `Quick
+      test_synchronous_tail_resume_never_runs_ahead;
     Alcotest.test_case "a post_ipi wake never runs ahead" `Quick
       test_post_ipi_never_runs_ahead;
     Alcotest.test_case "budget exhaustion at the same count" `Quick

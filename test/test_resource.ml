@@ -34,14 +34,6 @@ let test_accounting () =
   Alcotest.(check (float 0.001)) "utilization" 0.5
     (Resource.utilization r ~horizon:40)
 
-let test_reset () =
-  let r = Resource.create "r" in
-  ignore (Resource.reserve r ~now:0 ~service:10);
-  Resource.reset r;
-  Alcotest.(check int) "busy cleared" 0 (Resource.busy_cycles r);
-  Alcotest.(check int) "requests cleared" 0 (Resource.n_requests r);
-  Alcotest.(check int) "free now" 0 (Resource.next_free r)
-
 let test_zero_service () =
   let r = Resource.create "r" in
   let f = Resource.reserve r ~now:7 ~service:0 in
@@ -93,7 +85,6 @@ let suite =
       test_busy_resource_queues;
     Alcotest.test_case "idle gaps do not queue" `Quick test_idle_gap;
     Alcotest.test_case "busy/queued accounting" `Quick test_accounting;
-    Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "zero service" `Quick test_zero_service;
     Alcotest.test_case "negative service rejected" `Quick
       test_negative_service_rejected;
