@@ -20,13 +20,12 @@ let paper =
     "fig7c"; "fig7d"; "constants";
   ]
 
-(* Left out for their run time: ablation-clh, ablation-lock-family and
-   fault-matrix. *)
+(* Left out for their run time: ablation-clh and ablation-lock-family. *)
 let unexported =
   [
     "retries"; "ablation-granularity"; "ablation-combining"; "ablation-cas";
     "ablation-cached-locks"; "ablation-spin-then-block"; "ablation-lockfree";
-    "ablation-layout"; "trylock"; "classes"; "cow"; "fs"; "verify"; "obs";
+    "ablation-layout"; "trylock"; "classes"; "cow"; "fs"; "fault-matrix"; "verify"; "obs";
   ]
 
 let print ?knobs names =
