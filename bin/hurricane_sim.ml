@@ -300,8 +300,9 @@ let storm_cmd =
 
 let verify_cmd =
   let run () =
-    let rows = Verify_probes.run_all () in
-    Report.verify ppf rows;
+    let s = Spec.verify () in
+    let rows = s.run Spec.full () in
+    Spec.print s ppf [ ((), rows) ];
     if List.for_all (fun r -> r.Verify_probes.ok) rows then begin
       Format.fprintf ppf "verify: all probes behaved as planted@.";
       exit 0
@@ -356,7 +357,7 @@ let trace_cmd =
       out
       (List.length (Obs.trace obs))
       (Obs.trace_recorded obs) (Obs.trace_dropped obs);
-    Report.obs ppf { Experiments.obs_rows = Obs.profile_rows obs; obs_storm = r }
+    Spec.print (Spec.obs ()) ppf [ ((), (Obs.profile_rows obs, r)) ]
   in
   let out =
     Arg.(

@@ -54,7 +54,23 @@ let () =
         (Lock.algo_name algo)
         r.Lock_stress.summary.Measure.mean_us
         (100.0 *. r.Lock_stress.summary.Measure.frac_above_2ms))
-    (Hurricane.Experiments.ablation_spin_then_block ());
+    (List.map
+       (fun algo ->
+         ( algo,
+           Lock_stress.run
+             ~config:
+               {
+                 Lock_stress.default_config with
+                 p = 12;
+                 hold_us = 50.0;
+                 window_us = 20_000.0;
+               }
+             algo ))
+       [
+         Lock.Mcs_h1;
+         Lock.Spin { max_backoff_us = 35.0 };
+         Lock.Spin_then_block { spin_us = 10.0 };
+       ]);
   Format.printf "@.";
 
   (* 4. Clustering still pays with caches: the shared-fault sweep on the

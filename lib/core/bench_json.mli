@@ -6,7 +6,7 @@
 
     Schema (version {!schema_version}):
     {v
-    { "schema_version": 8,
+    { "schema_version": 9,
       "config": "hector",
       "units": { "latency": "us" },
       "experiments": {
@@ -102,10 +102,11 @@ val schema_version : int
     exports. *)
 val default_names : unit -> string list
 
-(** Build the document for the named experiments (unknown names raise
-    [Invalid_argument]). [knobs] defaults to {!Registry.full}, the paper's
-    full settings; tests and CI pass reduced ones through the same code
-    path. [jobs] runs the independent experiment
+(** Build the document for the named experiments, all of them for [[]].
+    A name that is unknown, a study's or given twice raises
+    [Invalid_argument] before any cell runs. [knobs] defaults to
+    {!Registry.full}, the paper's full settings; tests pass reduced ones
+    through the same code path. [jobs] runs the independent experiment
     cells on that many OCaml domains via {!Par.map}; the document is
     byte-identical to a [jobs = 1] run (each cell owns its Engine, Machine
     and seeded Rng, and fragments are reassembled in the sequential

@@ -1,10 +1,12 @@
-(** The experiment registry: one ordered entry per table, figure, ablation
-    and extension experiment. An exported experiment's entry derives from
-    its {!Spec} (one cell per grid config; its JSON section, text report
-    and, for a series, .dat file from the spec's shape); every other entry
-    runs its experiment whole as one cell and prints its own report. The
-    bench text run, the JSON export ({!Bench_json}), [--dat] and
-    [hurricane_sim figure] are all derived from {!all} and {!run}. *)
+(** The experiment registry: one ordered entry per table, figure, study and
+    extension experiment, each a {!Spec}: the paper's ({!Spec.paper}), the
+    studies ({!Spec.studies}), then the extension experiments
+    ({!Spec.extensions}). An entry's cells are its spec's grid configs; its
+    text report, its JSON section and, for a series, its .dat file come
+    from the spec's shape. The bench text run, the JSON export
+    ({!Bench_json}, which writes the paper's and the extensions' sections),
+    [--dat] and [hurricane_sim figure] are all derived from {!all} and
+    {!run}. *)
 
 (** {!Spec.knobs}. *)
 type knobs = Spec.knobs = {
@@ -17,39 +19,38 @@ type knobs = Spec.knobs = {
 (** Every knob at its full setting. *)
 val full : knobs
 
-type t
+type t = Spec.any
 
 (** Every experiment, in the order [bench] prints them, built on first
     use. *)
 val all : t list Lazy.t
 
+(** The spec's section. *)
 val name : t -> string
-
-(** Whether the entry comes from a {!Spec} (is part of
-    [BENCH_results.json]). *)
-val exported : t -> bool
 
 (** [find name]: the entry called [name]; raises [Invalid_argument] with a
     message listing every available name. *)
 val find : string -> t
 
-(** An entry's combined result. *)
+(** An entry's cells, each a grid config and its result. *)
 type outcome
 
 (** [run ?jobs ?knobs entries] runs every cell of the entries on up to
-    [jobs] domains ({!Par.map}) and combines each entry's results in cell
-    order. The outcomes are in [entries] order and identical whatever
-    [jobs] is. *)
+    [jobs] domains ({!Par.map}) and keeps each entry's cells in grid order.
+    The outcomes are in [entries] order and identical whatever [jobs]
+    is. *)
 val run : ?jobs:int -> ?knobs:knobs -> t list -> outcome list
 
-(** The entry's text report. *)
+(** The entry the outcome is of. *)
+val entry : outcome -> t
+
+(** The entry's text report ({!Spec.print}). *)
 val print : Format.formatter -> outcome -> unit
 
-(** The entry's name and JSON value, if it is exported. *)
-val json : outcome -> (string * Json.t) option
+(** The entry's name and JSON value ({!Spec.json}). *)
+val json : outcome -> string * Json.t
 
-(** {!Spec.unexpected} on the entry's cells: none for an unexported
-    entry. *)
+(** {!Spec.unexpected} on the entry's cells. *)
 val unexpected : outcome -> string list
 
 (** [write_dat ?knobs dir] creates [dir] if needed (a [Sys_error] if it

@@ -20,6 +20,7 @@ module Col = struct
     key : string;
     head : string;
     width : int;
+    left : bool;  (* a left-aligned name: its head is left-aligned too *)
     json : 'c -> 'r -> Json.t;
     cell : 'c -> 'r -> string;
   }
@@ -29,7 +30,7 @@ module Col = struct
 
   let custom key head width json cell get =
     let json c r = json (get c r) and cell c r = cell (get c r) in
-    { key; head; width; json; cell }
+    { key; head; width; left = false; json; cell }
 
   let int k h w =
     custom k h w (fun v -> Json.Int v) (fun v -> Printf.sprintf "%*d" w v)
@@ -45,11 +46,14 @@ module Col = struct
     custom k h w (fun b -> Json.Bool b) (fun b ->
         Printf.sprintf "%*s" w (if b then "yes" else no))
 
-  let text k h w =
-    custom k h w (fun s -> Json.String s) (fun s -> Printf.sprintf "%-*s" w s)
+  let text k h w get =
+    let col =
+      custom k h w (fun s -> Json.String s) (fun s -> Printf.sprintf "%-*s" w s)
+    in
+    { (col get) with left = true }
 
   let json key json =
-    { key; head = ""; width = 0; json; cell = (fun _ _ -> "") }
+    { key; head = ""; width = 0; left = false; json; cell = (fun _ _ -> "") }
 end
 
 module Knob = struct
@@ -193,17 +197,28 @@ let json (type c r) (s : (c, r) t) (cells : (c * r) list) =
     Json.Obj (fields @ [ ("series", Json.List (List.map series cells)) ])
   | Record { columns; _ } -> row columns (List.hd cells)
 
+let section ppf title claim =
+  let rule = String.make 78 '-' in
+  Format.fprintf ppf "%s@.%s@.paper: %s@.%s@." rule title claim rule
+
 let print (type c r) (s : (c, r) t) ppf (cells : (c * r) list) =
+  section ppf s.title s.claim;
   match s.shape with
   | Rows { columns; _ } ->
+    (* A head is left-aligned in the first column and over a name, else
+       right-aligned; each cell comes padded. *)
     let cols = headed columns in
-    Report.table ppf ~title:s.title ~claim:s.claim
-      (List.map (fun (c : _ Col.t) -> (c.head, c.width)) cols)
-      (List.map
-         (fun (c, r) -> List.map (fun (col : _ Col.t) -> col.cell c r) cols)
-         cells)
+    let line cells = Format.fprintf ppf "%s@." (String.concat " " cells) in
+    line
+      (List.mapi
+         (fun i (c : _ Col.t) ->
+           Printf.sprintf (if i = 0 || c.left then "%-*s" else "%*s") c.width
+             c.head)
+         cols);
+    List.iter
+      (fun (c, r) -> line (List.map (fun (col : _ Col.t) -> col.cell c r) cols))
+      cells
   | Series { points; _ } ->
-    Report.section ppf s.title s.claim;
     let x, v = plotted points in
     let line label cells =
       Format.fprintf ppf "%-12s%s@." label (String.concat "" cells)
@@ -214,7 +229,6 @@ let print (type c r) (s : (c, r) t) ppf (cells : (c * r) list) =
         line (Lock.algo_name algo) (List.map (fun (p, r) -> v.cell p r) pts))
       cells
   | Record { lines; _ } ->
-    Report.section ppf s.title s.claim;
     List.iter
       (fun (_, r) -> List.iter (Format.fprintf ppf "%s@.") (lines r))
       cells
@@ -708,6 +722,521 @@ let constants () : (unit, Calibration.result) t =
         };
     claims = [];
   }
+
+(* -- the studies: ablations, fault studies and tool demonstrations ------- *)
+
+(* A study is a table with one row per config, or one cell printed as
+   free-form lines. Neither is exported, so their columns have no keys. *)
+let table section ~title ~claim ?(claims = []) grid run columns =
+  {
+    section;
+    title;
+    claim;
+    grid;
+    run = (fun _ c -> run c);
+    shape = Rows { columns; cli = None };
+    claims;
+  }
+
+let record section ~title ~claim ?(claims = []) run lines =
+  {
+    section;
+    title;
+    claim;
+    grid = [ () ];
+    run = (fun _ () -> run ());
+    shape = Record { columns = []; lines };
+    claims;
+  }
+
+(* A claim's check on a one-cell spec's result. *)
+let only check cells = check (snd (List.hd cells))
+
+let hector = Hector.Config.hector
+let machines = [ ("hector", hector); ("numachine", Hector.Config.numachine) ]
+let machine_col w = Col.text "" "machine" w (fun ((m, _), _) _ -> m)
+
+(* The result of [algo]'s row on the machine named [m]. *)
+let on m algo cells =
+  snd (List.find (fun (((m', _), a), _) -> m' = m && a = algo) cells)
+
+(* An uncontended lock/unlock pair, and the mean response time of [p]
+   processors that hold the lock [hold_us]. *)
+let unc_us cfg algo = (Uncontended.run ~cfg algo).pair_us
+
+let contended_us cfg ~p ~hold_us ~window_us algo =
+  (Lock_stress.run ~cfg
+     ~config:{ Lock_stress.default_config with p; hold_us; window_us }
+     algo)
+    .summary
+    .mean_us
+
+let retries () =
+  let run strategy =
+    Destruction.run ~config:{ Destruction.default_config with strategy } ()
+  in
+  let line (r : Destruction.result) =
+    Printf.sprintf
+      "%-12s destroys=%4d retries=%4d revalidations=%4d lost=%3d \
+       mean=%8.1fus total=%9.0fus"
+      (Hkernel.Procs.strategy_name r.strategy)
+      r.destroys r.retries r.revalidations r.lost_races
+      r.destroy_summary.mean_us r.total_us
+  in
+  let revalidations (r : Destruction.result) ok =
+    (Printf.sprintf "%d revalidations" r.revalidations, ok r.revalidations)
+  in
+  record "retries"
+    ~title:"RETRY - program destruction, optimistic vs pessimistic (2.3/2.5)"
+    ~claim:
+      "retries are common for destruction regardless of strategy; the \
+       optimistic protocol avoids re-establishing state in the common case"
+    (fun () -> (run Hkernel.Procs.Optimistic, run Hkernel.Procs.Pessimistic))
+    (fun (opt, pes) -> [ line opt; line pes ])
+    ~claims:
+      [
+        holds "the optimistic strategy never revalidates"
+          (only (fun (opt, _) -> revalidations opt (fun n -> n = 0)));
+        holds "the pessimistic strategy revalidates per step, over 20 times"
+          (only (fun (_, pes) -> revalidations pes (fun n -> n > 20)));
+        holds "retries are common under both strategies (Section 2.5)"
+          (only (fun ((opt : Destruction.result), (pes : Destruction.result)) ->
+               ( Printf.sprintf "%d / %d retries" opt.retries pes.retries,
+                 opt.retries > 0 && pes.retries > 0 )));
+      ]
+
+let ablation_granularity () =
+  let open Hash_stress in
+  let mean g cells = (List.assoc g cells).summary.mean_us in
+  table "ablation-granularity"
+    ~title:"ABL1 - hybrid vs coarse vs fine locking of the hash table"
+    ~claim:
+      "hybrid matches fine-grained concurrency for independent requests at a \
+       fraction of the lock words; coarse serialises"
+    Hkernel.Khash.[ Hybrid; Coarse; Fine ]
+    (fun g -> run g)
+    Col.
+      [
+        text "" "mode" 8 (fun g _ -> Hkernel.Khash.granularity_name g);
+        float "" "mean(us)" 10 1 (fun _ r -> r.summary.mean_us);
+        float "" "p99(us)" 10 1 (fun _ r -> r.summary.p99_us);
+        int "" "atomics" 10 (fun _ r -> r.atomics);
+        int "" "lock words" 12 (fun _ r -> r.lock_words);
+      ]
+    ~claims:
+      Hkernel.Khash.
+        [
+          holds "hybrid within 2x of fine-grained locking"
+            (pair ("hybrid", mean Hybrid) ("fine", mean Fine) (fun h f ->
+                 h < f *. 2.0));
+          holds "coarse locking clearly worse than hybrid, over 1.3x"
+            (pair ("coarse", mean Coarse) ("hybrid", mean Hybrid) (fun c h ->
+                 c > h *. 1.3));
+        ]
+
+let ablation_combining () =
+  let line (r : Replication_storm.result) =
+    Printf.sprintf
+      "%-14s mean=%8.1fus p99=%8.1fus master-rpcs/storm=%5.1f \
+       replications/storm=%5.1f"
+      r.summary.label r.summary.mean_us r.summary.p99_us
+      r.master_rpcs_per_storm r.replications_per_storm
+  in
+  record "ablation-combining"
+    ~title:"ABL2 - combining tree for descriptor replication (Section 2.2)"
+    ~claim:
+      "the combining tree bounds demand on the master to one request per \
+       cluster under bursty simultaneous misses"
+    (fun () -> Replication_storm.run_both ())
+    (fun (comb, direct) -> [ line comb; line direct ])
+
+let ablation_cas () =
+  let cas = Hector.Config.with_cas hector in
+  table "ablation-cas" ~title:"ABL3 - compare&swap release (Section 5.2)"
+    ~claim:"with CAS the contended differential of the fetch&store repair shrinks"
+    [
+      (("hector(swap)", hector), Lock.Mcs_h2);
+      (("hector(+cas)", cas), Lock.Mcs_h2);
+      (("hector(+cas)", cas), Lock.Mcs_cas);
+    ]
+    (fun ((_, cfg), algo) ->
+      ( unc_us cfg algo,
+        contended_us cfg ~p:16 ~hold_us:0.0 ~window_us:30_000.0 algo ))
+    Col.
+      [
+        machine_col 14;
+        text "" "algo" 12 (fun (_, a) _ -> Lock.algo_name a);
+        float "" "uncontended(us)" 14 2 (fun _ (unc, _) -> unc);
+        float "" "contended p16(us)" 16 1 (fun _ (_, con) -> con);
+      ]
+    ~claims:
+      [
+        holds
+          "the CAS release beats the fetch&store repair under contention, \
+           with and without CAS"
+          (fun cells ->
+            match List.map (fun (_, (_, con)) -> con) cells with
+            | [ swap_h2; cas_h2; cas_release ] ->
+              ( Printf.sprintf "%.1fus vs H2-MCS %.1fus (+cas), %.1fus (swap)"
+                  cas_release cas_h2 swap_h2,
+                cas_release < cas_h2 && cas_release < swap_h2 )
+            | rows -> (Printf.sprintf "%d rows" (List.length rows), false));
+      ]
+
+let ablation_clh () =
+  table "ablation-clh"
+    ~title:"ABL4 - CLH vs MCS queue locks across machines (Section 5.2)"
+    ~claim:
+      "CLH spins on the predecessor's node: fine with coherent caches, remote \
+       traffic on HECTOR — why Hurricane picked MCS"
+    (let* m = machines in
+     let* algo = [ Lock.Mcs_h1; Lock.Clh ] in
+     [ (m, algo) ])
+    (fun ((_, cfg), algo) ->
+      contended_us cfg ~p:12 ~hold_us:5.0 ~window_us:10_000.0 algo)
+    Col.
+      [
+        machine_col 12;
+        text "" "algo" 8 (fun (_, a) _ -> Lock.algo_name a);
+        float "" "contended(us)" 14 1 (fun _ us -> us);
+      ]
+    ~claims:
+      (let clh m = ("CLH on " ^ m, on m Lock.Clh)
+       and mcs m = ("H1-MCS", on m Lock.Mcs_h1) in
+       [
+         holds "CLH hurts on non-coherent HECTOR: over 1.5x H1-MCS"
+           (pair (clh "hector") (mcs "hector") (fun clh mcs -> clh > mcs *. 1.5));
+         holds "CLH competitive with coherent caches: under 1.25x H1-MCS"
+           (pair (clh "numachine") (mcs "numachine") (fun clh mcs ->
+                clh < mcs *. 1.25));
+       ])
+
+let ablation_cached_locks () =
+  table "ablation-cached-locks"
+    ~title:"ABL5 - uncontended lock cost with cache-based primitives"
+    ~claim:
+      "on the coherent machine, lock pairs run in the cache: tens of lock \
+       operations per miss (Section 5.3)"
+    (let* m = machines in
+     let* algo = [ spin35; Lock.Mcs_h2 ] in
+     [ (m, algo) ])
+    (fun ((_, cfg), algo) -> unc_us cfg algo)
+    Col.
+      [
+        machine_col 12;
+        text "" "algo" 12 (fun (_, a) _ -> Lock.algo_name a);
+        float "" "pair(us)" 10 3 (fun _ us -> us);
+        float "" "pair(cycles)" 12 0 (fun ((_, cfg), _) us ->
+            us *. float_of_int cfg.Hector.Config.mhz);
+      ]
+    ~claims:
+      [
+        holds "the cached H2-MCS pair is an order of magnitude cheaper: under \
+               1/8 of HECTOR's"
+          (pair
+             ("numachine", on "numachine" Lock.Mcs_h2)
+             ("hector", on "hector" Lock.Mcs_h2)
+             (fun numa hector -> numa < hector /. 8.0));
+      ]
+
+let ablation_spin_then_block () =
+  let config =
+    { Lock_stress.default_config with p = 12; hold_us = 50.0;
+      window_us = 20_000.0 }
+  in
+  record "ablation-spin-then-block"
+    ~title:"ABL6 - spin-then-block under long holds (Section 5.3)"
+    ~claim:
+      "with long critical sections, blocked waiters generate no traffic; the \
+       hand-off premium is small"
+    (fun () ->
+      List.map
+        (fun algo -> (algo, (Lock_stress.run ~config algo).summary))
+        [ Lock.Mcs_h1; spin35; Lock.Spin_then_block { spin_us = 10.0 } ])
+    (List.map (fun (algo, s) ->
+         Format.asprintf "%-14s %a" (Lock.algo_name algo) Measure.pp s))
+
+let ablation_lockfree () =
+  let open Counter_stress in
+  table "ablation-lockfree"
+    ~title:"ABL7 - lock-free single-word updates (Section 5.3)"
+    ~claim:
+      "a CAS retry loop beats lock/update/unlock for leaf data on the CAS \
+       machine, with exact results"
+    [ Lock_free; Locked spin35; Locked Lock.Mcs_cas ]
+    (fun mode -> run mode)
+    Col.
+      [
+        text "" "mode" 22 (fun mode _ -> mode_name mode);
+        float "" "per-op(us)" 10 2 (fun _ r -> r.per_op_us);
+        int "" "atomics" 10 (fun _ r -> r.atomics);
+        custom "" "exact" 8
+          (fun b -> Json.Bool b)
+          (Printf.sprintf "%8b")
+          (fun _ r -> r.final_value = r.expected_value);
+        int "" "cas-fail" 10 (fun _ r -> r.cas_failures);
+      ]
+
+let ablation_layout () =
+  let line (r : Messaging_mix.result) =
+    Printf.sprintf
+      "%-14s sends=%4d send-retries=%4d destroys=%3d destroy-retries=%4d \
+       send-mean=%7.1fus destroy-mean=%8.1fus"
+      (Hkernel.Procs.layout_name r.layout)
+      r.sends r.send_retries r.destroys r.destroy_retries
+      r.send_summary.mean_us r.destroy_summary.mean_us
+  in
+  record "ablation-layout"
+    ~title:"ABL8 - combined vs separate family tree (Section 2.5)"
+    ~claim:
+      "tree links inside the process descriptors make destruction and message \
+       passing contend on the same reserve bits; a separate tree removes the \
+       interference"
+    (fun () -> Messaging_mix.run_both ())
+    (fun (combined, separate) -> [ line combined; line separate ])
+
+let ablation_lock_family () =
+  let cfg = Hector.Config.numachine in
+  table "ablation-lock-family"
+    ~title:"ABL9 - the lock family on the modern machine (Section 5.2)"
+    ~claim:
+      "spin: cheapest, unfair; ticket: fair, 2 words, one hot word; Anderson: \
+       fair, P words/lock; CLH/MCS: fair, per-processor nodes; \
+       spin-then-block: fair, no waiting traffic"
+    [
+      spin35; Lock.Ticket; Lock.Anderson; Lock.Clh; Lock.Mcs_cas;
+      Lock.Spin_then_block { spin_us = 10.0 };
+    ]
+    (fun algo ->
+      ( unc_us cfg algo,
+        contended_us cfg ~p:12 ~hold_us:5.0 ~window_us:10_000.0 algo ))
+    Col.
+      [
+        text "" "algo" 14 (fun a _ -> Lock.algo_name a);
+        float "" "uncontended(us)" 14 3 (fun _ (unc, _) -> unc);
+        float "" "contended p12(us)" 16 1 (fun _ (_, con) -> con);
+        int "" "words/lock(P=16)" 14 (fun a _ -> Lock.space_words ~n_procs:16 a);
+      ]
+    ~claims:
+      [
+        holds "all six algorithms run" (fun cells ->
+            let n = List.length cells in
+            (Printf.sprintf "%d rows" n, n = 6));
+        every
+          "every algorithm is sane: its uncontended pair takes time, and 12 \
+           contending processors take longer"
+          ~show:(fun (a, (unc, con)) ->
+            Printf.sprintf "%s: %.3f / %.1fus" (Lock.algo_name a) unc con)
+          (fun (_, (unc, con)) -> unc > 0.0 && con > unc);
+      ]
+
+let trylock () =
+  let open Trylock_starvation in
+  record "trylock"
+    ~title:"TRY - TryLock under a saturated distributed lock (Section 3.2)"
+    ~claim:
+      "retry-based TryLock starves (the lock is never observed free); the \
+       soft-mask + deferred-work scheme completes every request"
+    (fun () -> run ())
+    (fun r ->
+      [
+        Printf.sprintf "trylock-v2: %d/%d attempts succeeded (%.1f%%)"
+          r.try_successes r.try_attempts (100.0 *. r.try_success_rate);
+        Format.asprintf "deferred-work: %d/%d completed; latency %a"
+          r.deferred_completed r.deferred_posted Measure.pp r.deferred_latency;
+      ])
+    ~claims:
+      [
+        holds "TryLock success under saturation is marginal: under 15%"
+          (only (fun r ->
+               ( Printf.sprintf "%.1f%%" (100.0 *. r.try_success_rate),
+                 r.try_success_rate < 0.15 )));
+        holds "every deferred request completes"
+          (only (fun r ->
+               ( Printf.sprintf "%d of %d" r.deferred_completed
+                   r.deferred_posted,
+                 r.deferred_posted = r.deferred_completed )));
+      ]
+
+let classes () =
+  let open Four_classes in
+  record "classes"
+    ~title:"CLASSES - the four access-behaviour classes at once (Section 1)"
+    ~claim:
+      "clustering isolates the independent classes; replication absorbs read \
+       sharing; only write sharing pays cross-cluster costs"
+    (fun () -> run ())
+    (fun r ->
+      List.map
+        (Format.asprintf "  %a" Measure.pp)
+        [ r.non_concurrent; r.independent; r.read_shared; r.write_shared ]
+      @ [
+          Printf.sprintf
+            "  cross-cluster: %d replications, %d invalidations, %d retries"
+            r.replications r.invalidations r.retries;
+        ])
+
+let cow () =
+  let line (r : Cow_storm.result) =
+    Printf.sprintf
+      "%-12s broke=%4d found-gone=%3d retries=%4d mean=%8.1fus p99=%8.1fus"
+      (Hkernel.Procs.strategy_name r.strategy)
+      r.broke r.found_gone r.retries r.summary.mean_us r.summary.p99_us
+  in
+  record "cow" ~title:"COW - simultaneous copy-on-write faults (Sections 2.3/2.5)"
+    ~claim:
+      "retries are required independent of the strategy; the pessimistic one \
+       additionally finds the shared page gone and must handle it"
+    (fun () -> Cow_storm.run_both ())
+    (fun (opt, pes) -> [ line opt; line pes ])
+
+let fs () =
+  let open File_read in
+  table "fs" ~title:"FS - the file server, same techniques (Section 5.1)"
+    ~claim:
+      "per-cluster block caches + combining fetches give the file system the \
+       same concurrency; read-ahead turns sequential misses into hits"
+    (let* sharing = [ Private_files; Shared_file ] in
+     let* read_ahead = [ 0; default_config.read_ahead ] in
+     [ { default_config with sharing; read_ahead } ])
+    (fun config -> run ~config ())
+    Col.
+      [
+        text "" "workload" 16 (fun _ r -> r.summary.label);
+        float "" "mean(us)" 10 1 (fun _ r -> r.summary.mean_us);
+        float "" "p99(us)" 10 1 (fun _ r -> r.summary.p99_us);
+        pct "" "hit rate" 10 0 (fun _ r -> r.hit_rate);
+        int "" "fetch RPCs" 12 (fun _ r -> r.fetch_rpcs);
+      ]
+
+(* One stall dose (scheduled, the same for every mechanism) per period and
+   mechanism, after a fault-free run per mechanism, against which each
+   run's throughput is the retained fraction. *)
+let fault_matrix () =
+  let run mech period_us =
+    let fault =
+      if period_us <= 0.0 then None
+      else
+        Some
+          {
+            Eventsim.Fault.disabled with
+            seed = 42;
+            stall_every = Hector.Config.cycles_of_us hector period_us;
+            stall_cycles = Hector.Config.cycles_of_us hector 1000.0;
+          }
+    in
+    Fault_storm.run ~cfg:hector ~config:{ Fault_storm.default_config with fault }
+      mech
+  in
+  let line base (period_us, (r : Fault_storm.result)) =
+    Printf.sprintf "%-14s %10.0f %6d %9d %10.0f%% %11.1f %6d %6d %6d %7d %7.1f"
+      (Fault_storm.mechanism_name r.mechanism)
+      period_us r.stalls_injected r.ops
+      (if base.Fault_storm.ops = 0 then 0.0
+       else 100.0 *. (float_of_int r.ops /. float_of_int base.ops))
+      r.recovery.mean_us r.lock_timeouts r.reserve_timeouts r.rpc_gave_ups
+      r.deferred r.recovery.p99_us
+  in
+  record "fault-matrix"
+    ~title:"FAULTS - injected holder stalls vs recovery mechanisms"
+    ~claim:
+      "a stalled holder freezes everything behind an unbounded spin or retry; \
+       timeouts re-search around it and a bounded RPC budget degrades to \
+       pessimistic fallbacks instead of looping"
+    (fun () ->
+      List.map
+        (fun mech -> List.map (fun p -> (p, run mech p)) [ 0.0; 4000.0; 2000.0; 1000.0 ])
+        Fault_storm.[ No_timeout; Timeout; Bounded_retry ])
+    (fun mechs ->
+      Printf.sprintf "%-14s %10s %6s %9s %11s %11s %6s %6s %6s %7s %7s"
+        "mechanism" "stall/us" "doses" "ops" "retained" "recov(us)" "ltmo"
+        "rtmo" "gaveup" "defer" "p99(us)"
+      :: List.concat_map
+           (fun runs -> List.map (line (List.assoc 0.0 runs)) runs)
+           mechs)
+
+let verify () : (unit, Verify_probes.result list) t =
+  let open Verify_probes in
+  record "verify" ~title:"VERIFY - lockdep checker vs planted violations"
+    ~claim:
+      "each probe plants one class of locking error; the checker must catch \
+       every one (the watchdog probes by aborting an otherwise-endless run) \
+       and stay silent on the clean storm"
+    run_all
+    (fun rows ->
+      Printf.sprintf "%-16s %-18s %6s %6s %8s %6s" "probe" "expected" "total"
+        "hits" "aborted" "ok"
+      :: List.map
+           (fun r ->
+             Printf.sprintf "%-16s %-18s %6d %6d %8s %6s" (probe_name r.probe)
+               (expected_name r) r.violations r.hits
+               (if r.aborted then "yes" else "no")
+               (if r.ok then "ok" else "FAIL"))
+           rows
+      @ List.filter_map
+          (fun r ->
+            if r.first = "" then None
+            else Some (Printf.sprintf "  %-16s %s" (probe_name r.probe) r.first))
+          rows)
+
+(* Station = cluster: the storm runs on a bare machine, so the natural
+   cluster attribution is the HECTOR station each processor sits on. The
+   dosed stall plan matches the fault matrix's middle column, giving the
+   profile real contention to attribute. *)
+let obs () : (unit, Obs.row list * Fault_storm.result) t =
+  let us c = Hector.Config.us_of_cycles hector c in
+  let line name cluster (c : Obs.cells) =
+    Printf.sprintf "%-16s %-8s %9d %9d %12.1f %10.2f %10.1f %12.1f %9d %5d/%-5d"
+      name cluster c.acqs c.contended (us c.wait_cycles)
+      (if c.acqs + c.contended = 0 then 0.0
+       else us c.wait_cycles /. float_of_int (max c.acqs c.contended))
+      (us c.max_wait_cycles) (us c.hold_cycles) c.handoffs c.handoffs_local
+      c.handoffs_remote
+  in
+  record "obs" ~title:"OBS - where did the cycles go (dosed fault storm)"
+    ~claim:
+      "the argument of Figures 5/7 is made by attributing waiting time to \
+       specific locks; here every wait/hold cycle is charged to its lock \
+       class and the waiting processor's cluster"
+    (fun () ->
+      let obs =
+        Obs.create
+          ~cluster_of:(Hector.Config.station_of_proc hector)
+          ~n_clusters:hector.Hector.Config.stations ~n_procs:(Hector.Config.n_procs hector)
+          ()
+      in
+      let fault =
+        Some
+          {
+            Eventsim.Fault.disabled with
+            seed = 42;
+            stall_every = Hector.Config.cycles_of_us hector 2000.0;
+            stall_cycles = Hector.Config.cycles_of_us hector 1000.0;
+          }
+      in
+      let storm =
+        Fault_storm.run ~cfg:hector
+          ~config:{ Fault_storm.default_config with fault }
+          ~obs Fault_storm.Timeout
+      in
+      (Obs.profile_rows obs, storm))
+    (fun (rows, (s : Fault_storm.result)) ->
+      Printf.sprintf "%-16s %-8s %9s %9s %12s %10s %10s %12s %9s %11s" "class"
+        "cluster" "acqs" "cont" "wait(us)" "avg(us)" "maxw(us)" "hold(us)"
+        "handoff" "local/rem"
+      :: List.concat_map
+           (fun (row : Obs.row) ->
+             line row.row_class "total" row.total
+             :: List.map
+                  (fun (cl, cells) -> line "" (Printf.sprintf "  c%d" cl) cells)
+                  row.by_cluster)
+           rows
+      @ [
+          Printf.sprintf
+            "storm: ops=%d deferred=%d rpc=%d/%d stalls=%d (mechanism %s)"
+            s.ops s.deferred s.rpc_ok s.rpc_calls s.stalls_injected
+            (Fault_storm.mechanism_name s.mechanism);
+        ])
 
 (* -- the extension experiments ------------------------------------------- *)
 
@@ -1448,6 +1977,17 @@ let paper () =
     Spec (fig5a ()); Spec (fig5b ());
     Spec (starvation ()); Spec (fig7a ()); Spec (fig7b ()); Spec (fig7c ());
     Spec (fig7d ()); Spec (constants ());
+  ]
+
+let studies () =
+  [
+    Spec (retries ()); Spec (ablation_granularity ());
+    Spec (ablation_combining ()); Spec (ablation_cas ());
+    Spec (ablation_clh ()); Spec (ablation_cached_locks ());
+    Spec (ablation_spin_then_block ()); Spec (ablation_lockfree ());
+    Spec (ablation_layout ()); Spec (ablation_lock_family ());
+    Spec (trylock ()); Spec (classes ()); Spec (cow ()); Spec (fs ());
+    Spec (fault_matrix ()); Spec (verify ()); Spec (obs ());
   ]
 
 let extensions () =

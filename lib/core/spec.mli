@@ -1,13 +1,16 @@
-(** One spec per exported experiment: the paper's ten tables and figures
-    (FIG4, UNC, FIG5a/b, STARVATION, FIG7a-d, CONST) and the seven extension
-    experiments (NUMA-LOCKS, HASH-SCALING, ABORT-STORM, CRASH-STORM,
-    RW-SCALING, SLO, DIURNAL). A spec states its sweep (one cell per grid
-    config), its run, and the shape its results take: rows, one series per
-    lock algorithm, or a single record. {!Registry} derives the experiment's
-    entry from the spec (the cells, the JSON section, the text report and,
-    for a series, the .dat file), and [hurricane_sim] derives a subcommand
-    from each rows spec that has a command line (the knobs over its
-    default, printing the run's JSON row). *)
+(** One spec per experiment: the paper's ten tables and figures (FIG4, UNC,
+    FIG5a/b, STARVATION, FIG7a-d, CONST), the seventeen studies (the
+    ablations ABL1-ABL9, RETRY, TRY, CLASSES, COW, FS, FAULTS, and the
+    VERIFY and OBS tool demonstrations) and the seven extension experiments
+    (NUMA-LOCKS, HASH-SCALING, ABORT-STORM, CRASH-STORM, RW-SCALING, SLO,
+    DIURNAL). A spec states its sweep (one cell per grid config), its run,
+    its claims and the shape its results take: rows, one series per lock
+    algorithm, or a single record. {!Registry} runs every spec's cells and
+    prints its text report; {!Bench_json} exports the paper's and the
+    extensions' specs, which list a spec is in being what makes it
+    exported; [hurricane_sim] derives a subcommand from each rows spec that
+    has a command line (the knobs over its default, printing the run's JSON
+    row). *)
 
 open Locks
 open Workloads
@@ -34,7 +37,8 @@ module Col : sig
   (** Each constructor takes the JSON key, the text head and the width. An
       empty key leaves the column out of the JSON row; an empty head leaves
       it out of the text table. Cells are right-aligned at the width, except
-      {!text}'s. *)
+      {!text}'s. A head is right-aligned too, except in the first column
+      and over a {!text} column. *)
   type ('c, 'r, 'v) make =
     string -> string -> int -> ('c -> 'r -> 'v) -> ('c, 'r) t
 
@@ -182,6 +186,10 @@ val row : ('c, 'r) Col.t list -> 'c * 'r -> Json.t
 (** The export section of the spec's cells, in grid order. *)
 val json : ('c, 'r) t -> ('c * 'r) list -> Json.t
 
+(** [section ppf title claim]: a rule, the title, ["paper: "] and the
+    claim, and a rule, each on its own line. *)
+val section : Format.formatter -> string -> string -> unit
+
 (** The text report: the section, then the table, the series or the
     record's lines. *)
 val print : ('c, 'r) t -> Format.formatter -> ('c * 'r) list -> unit
@@ -223,10 +231,19 @@ val slo : unit -> (Slo_stream.config, Slo_stream.result) t
 
 val diurnal : unit -> (Diurnal.config, Diurnal.result) t
 
+(** VERIFY: the lockdep checker against its planted-violation probes. *)
+val verify : unit -> (unit, Verify_probes.result list) t
+
+(** OBS: the contention profile of a dosed fault storm, and the storm. *)
+val obs : unit -> (unit, Obs.row list * Fault_storm.result) t
+
 type any = Spec : ('c, 'r) t -> any
 
 (** The paper's ten, in export order. *)
 val paper : unit -> any list
+
+(** The seventeen studies, in [bench]'s order. None is exported. *)
+val studies : unit -> any list
 
 (** The seven extension experiments, in export order. *)
 val extensions : unit -> any list

@@ -1,33 +1,54 @@
-(* The exported experiments' claims, checked on one full-knob export.
+(* Every experiment's claims, checked on one full-knob run.
 
-   Every exported spec runs once, at the paper's full settings, through
-   the registry on two domains. On those outcomes each spec's claims must
-   give their declared verdicts (a target holds, a known deviation still
-   misses), and the document built from them must be the committed
+   Every registry entry (the exported specs and the studies) runs once, at
+   the paper's full settings, through the registry on two domains. On
+   those outcomes each spec's claims must give their declared verdicts (a
+   target holds, a known deviation still misses), and the document built
+   from them, which holds only the exported entries, must be the committed
    BENCH_results.json, byte for byte. *)
 
 open Hurricane
 
+(* The obs study's result, which its entry in the one run keeps for
+   test_obs. *)
+let obs = ref None
+
 let outcomes =
   lazy
-    (let entries = List.map Registry.find (Bench_json.default_names ()) in
-     Registry.run ~jobs:2 entries)
+    (let spec = Spec.obs () in
+     let keep =
+       Spec.Spec
+         {
+           spec with
+           run =
+             (fun k c ->
+               let r = spec.run k c in
+               obs := Some r;
+               r);
+         }
+     in
+     Registry.run ~jobs:2
+       (List.map
+          (fun e -> if Registry.name e = spec.section then keep else e)
+          (Lazy.force Registry.all)))
 
-let specs () = Spec.paper () @ Spec.extensions ()
+let obs_profile () =
+  ignore (Lazy.force outcomes);
+  Option.get !obs
 
 (* One line per claim of [section] whose verdict is not the declared one. *)
 let unexpected section =
   List.find
-    (fun o -> Option.map fst (Registry.json o) = Some section)
+    (fun o -> Registry.name (Registry.entry o) = section)
     (Lazy.force outcomes)
   |> Registry.unexpected
 
-(* The JSON of [section] in the one export. *)
+(* The JSON of [section] in the one run. *)
 let exported section =
   List.find_map
     (fun o ->
       match Registry.json o with
-      | Some (name, json) when name = section -> Some json
+      | name, json when name = section -> Some json
       | _ -> None)
     (Lazy.force outcomes)
   |> Option.get
@@ -46,7 +67,7 @@ let test_group section prefix () =
         if s.section = section then
           List.map (fun (c : _ Spec.claim) -> c.statement) s.claims
         else [])
-      (specs ())
+      (Lazy.force Registry.all)
   in
   Alcotest.(check bool)
     (Printf.sprintf "%s states claims on %s" section prefix)
@@ -95,7 +116,7 @@ let suite =
       match s.claims with
       | [] -> None
       | _ -> Some (Alcotest.test_case s.section `Slow (test_claims s.section)))
-    (specs ())
+    (Lazy.force Registry.all)
   @ [
       Alcotest.test_case "export equals BENCH_results.json" `Slow
         test_export;

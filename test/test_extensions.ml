@@ -272,36 +272,6 @@ let test_counter_workload_modes_agree () =
        ~config:{ Workloads.Counter_stress.default_config with ops = 30 }
        ())
 
-(* -- claim-level checks for the new ablations -------------------------------------------- *)
-
-let test_clh_vs_mcs_claim () =
-  let rows = Hurricane.Experiments.ablation_clh () in
-  let find machine algo =
-    (List.find
-       (fun (r : Hurricane.Experiments.abl4_row) ->
-         r.Hurricane.Experiments.machine4 = machine
-         && r.Hurricane.Experiments.algo4 = algo)
-       rows)
-      .Hurricane.Experiments.contended_us
-  in
-  Alcotest.(check bool) "CLH hurts on non-coherent HECTOR" true
-    (find "hector" Lock.Clh > find "hector" Lock.Mcs_h1 *. 1.5);
-  Alcotest.(check bool) "CLH competitive with coherent caches" true
-    (find "numachine" Lock.Clh < find "numachine" Lock.Mcs_h1 *. 1.25)
-
-let test_cached_locks_claim () =
-  let rows = Hurricane.Experiments.ablation_cached_locks () in
-  let pair machine =
-    (List.find
-       (fun (r : Hurricane.Experiments.abl5_row) ->
-         r.Hurricane.Experiments.machine5 = machine
-         && r.Hurricane.Experiments.algo5 = Lock.Mcs_h2)
-       rows)
-      .Hurricane.Experiments.pair_us
-  in
-  Alcotest.(check bool) "cached pair is an order of magnitude cheaper" true
-    (pair "numachine" < pair "hector" /. 8.0)
-
 let suite =
   [
     Alcotest.test_case "NUMAchine preset" `Quick test_numachine_preset;
@@ -330,6 +300,4 @@ let suite =
       test_lockfree_stack_concurrent;
     Alcotest.test_case "counter workload modes agree" `Quick
       test_counter_workload_modes_agree;
-    Alcotest.test_case "ABL4 claim: CLH vs MCS" `Slow test_clh_vs_mcs_claim;
-    Alcotest.test_case "ABL5 claim: cached locks" `Slow test_cached_locks_claim;
   ]

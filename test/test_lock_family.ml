@@ -313,19 +313,6 @@ let test_four_classes_shape () =
   Alcotest.(check bool) "replication happened" true
     (r.Four_classes.replications >= 16)
 
-let test_lock_family_ablation_runs () =
-  let rows = Hurricane.Experiments.ablation_lock_family () in
-  Alcotest.(check int) "all six algorithms" 6 (List.length rows);
-  List.iter
-    (fun (r : Hurricane.Experiments.abl9_row) ->
-      Alcotest.(check bool)
-        (Lock.algo_name r.Hurricane.Experiments.algo9 ^ " sane")
-        true
-        (r.Hurricane.Experiments.unc_us > 0.0
-        && r.Hurricane.Experiments.contended12_us
-           > r.Hurricane.Experiments.unc_us))
-    rows
-
 let suite =
   [
     Alcotest.test_case "ticket mutual exclusion" `Quick
@@ -344,6 +331,4 @@ let suite =
       test_lock_family_via_uniform_interface;
     Alcotest.test_case "CLASSES: four access classes" `Slow
       test_four_classes_shape;
-    Alcotest.test_case "ABL9: lock family runs" `Slow
-      test_lock_family_ablation_runs;
   ]

@@ -303,9 +303,9 @@ let test_observer_identity () =
   Alcotest.(check bool) "and the trace recorded events" true
     (Obs.trace_recorded o > 0)
 
+(* The obs study's profile, from the claims suite's one run. *)
 let test_storm_attribution () =
-  let r = Experiments.obs_profile () in
-  let rows = r.Experiments.obs_rows in
+  let rows, _ = Test_claims.obs_profile () in
   (* The storm's coarse locks, reserve bits and RPCs must all appear, with
      waiting attributed to the lock classes... *)
   let mcs = find_row rows "mcs" in
@@ -368,7 +368,7 @@ let test_bench_json_schema () =
   List.iter
     (fun o ->
       match Registry.json o with
-      | Some (("abort_storm" | "crash_storm"), _) ->
+      | ("abort_storm" | "crash_storm"), _ ->
         Alcotest.(check (list string)) "claims as declared" []
           (Registry.unexpected o)
       | _ -> ())
@@ -392,17 +392,21 @@ let test_sections_are_specs () =
 
 let test_bench_json_rejects_unknown () =
   List.iter
-    (fun unknown ->
-      match Bench_json.document ~names:[ unknown ] () with
-      | _ -> Alcotest.failf "%s exported" unknown
+    (fun (names, why) ->
+      match Bench_json.document ~names () with
+      | _ -> Alcotest.failf "%s exported" (String.concat " " names)
       | exception Invalid_argument msg ->
         List.iter
-          (fun n ->
-            Alcotest.(check bool) (n ^ " listed") true
-              (Astring.String.is_infix ~affix:n msg))
-          (Bench_json.default_names ()))
-    (* A name no entry has, and an entry with no JSON encoder. *)
-    [ "fig9000"; "retries" ]
+          (fun affix ->
+            Alcotest.(check bool) (affix ^ " in the message") true
+              (Astring.String.is_infix ~affix msg))
+          (why :: Bench_json.default_names ()))
+    (* A name no entry has, a study's, and a name given twice. *)
+    [
+      ([ "fig9000" ], "unknown");
+      ([ "retries" ], "a study, not exported");
+      ([ "constants"; "constants" ], "named twice");
+    ]
 
 let suite =
   [

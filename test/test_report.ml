@@ -90,7 +90,7 @@ let test_section_format () =
   let rule = String.make 78 '-' in
   Alcotest.(check string) "rule, title, claim, rule"
     (String.concat "\n" [ rule; "TITLE"; "paper: CLAIM"; rule; "" ])
-    (buf_print (fun ppf -> Report.section ppf "TITLE" "CLAIM"))
+    (buf_print (fun ppf -> Spec.section ppf "TITLE" "CLAIM"))
 
 (* [name]'s .dat file, written at reduced knobs through its spec. *)
 let dat_lines name =
@@ -152,13 +152,15 @@ let committed_experiments () =
 
 let committed_keys () = List.map fst (committed_experiments ())
 
+(* The registry is the paper's specs, the studies, then the extensions;
+   the export holds the paper's and the extensions'. *)
 let test_default_names_are_exported_entries () =
-  let exported =
-    List.filter_map
-      (fun e -> if Registry.exported e then Some (Registry.name e) else None)
-      (Lazy.force Registry.all)
-  in
-  Alcotest.(check (list string)) "exported entries in registry order" exported
+  let names specs = List.map Registry.name specs in
+  Alcotest.(check (list string)) "paper, studies, extensions"
+    (names (Spec.paper () @ Spec.studies () @ Spec.extensions ()))
+    registry_names;
+  Alcotest.(check (list string)) "the paper's and the extensions' entries"
+    (names (Spec.paper () @ Spec.extensions ()))
     (Bench_json.default_names ());
   Alcotest.(check (list string)) "the committed BENCH_results.json keys"
     (committed_keys ()) (Bench_json.default_names ());
