@@ -115,13 +115,14 @@ let test_many_processes () =
    ({!Engine.sleep_in_place}); everything observable — times, order, seqs
    and the event count — must be as if it had gone through the heap. *)
 
-(* A random fiber program. [Wake j] resumes fiber [j] synchronously if it
-   is parked, as [Ctx.post_ipi] resumes an idle processor. [Tail] and
-   [Tpark] suspend with {!Process.suspend_tail}, whose resumes are always
-   an event's last act, as [Ctx]'s waits resume their fibers: [Tail (h, g)]
-   is resumed after [h] events [g] cycles apart (at once, inside the
-   suspension, for [h = 0]), and a tail-parked fiber [j] by [Twake j]'s
-   event at the current time. *)
+(* A random fiber program. [Wake j] synchronously resumes the [j]-th of
+   the fibers parked when it runs (by id, cyclically), as [Ctx.post_ipi]
+   resumes an idle processor. [Tail] and [Tpark] suspend with
+   {!Process.suspend_tail}, whose resumes are always an event's last act,
+   as [Ctx]'s waits resume their fibers: [Tail (h, g)] is resumed after [h]
+   events [g] cycles apart (at once, inside the suspension, for [h = 0]),
+   and [Twake j] picks the [j]-th tail-parked fiber the same way and
+   resumes it by an event at the current time. *)
 type op =
   | Pause of int
   | Until of int (* [wait_until (now + d)] *)
@@ -156,8 +157,8 @@ let rec pp_prog ppf { id; ops } =
     ops;
   Format.fprintf ppf "]@]"
 
-(* Programs with ids numbered in pre-order, so both interpreters agree on
-   who [Wake j] names. Delays are small so that wakes tie often. *)
+(* Programs with ids numbered in pre-order. Delays are small so that wakes
+   tie often. *)
 let gen_progs =
   let open QCheck.Gen in
   let rec raw depth =
@@ -250,14 +251,29 @@ let rec hop eng hops gap k =
   if hops = 0 then k ()
   else Engine.schedule_after eng ~delay:gap (fun () -> hop eng (hops - 1) gap k)
 
-(* An event now that resumes tail-parked fiber [j], if it is parked then. *)
+(* The [j]-th of the fibers parked in [tbl], by id and cyclically, if any
+   is. Both interpreters resolve a wake against the same parked set. *)
+let pick tbl j =
+  match List.sort compare (Hashtbl.fold (fun id _ ids -> id :: ids) tbl []) with
+  | [] -> None
+  | ids -> Some (List.nth ids (j mod List.length ids))
+
+(* Resume fiber [id] of [tbl], if it is parked there. *)
+let resume tbl id =
+  match Hashtbl.find_opt tbl id with
+  | Some resume ->
+    Hashtbl.remove tbl id;
+    resume ()
+  | None -> ()
+
+let wake parked j = Option.iter (resume parked) (pick parked j)
+
+(* An event now that resumes the [j]-th tail-parked fiber, if it is still
+   parked then. *)
 let twake eng tparked j =
-  Engine.schedule eng ~at:(Engine.now eng) (fun () ->
-      match Hashtbl.find_opt tparked j with
-      | Some resume ->
-        Hashtbl.remove tparked j;
-        resume ()
-      | None -> ())
+  Option.iter
+    (fun id -> Engine.schedule eng ~at:(Engine.now eng) (fun () -> resume tparked id))
+    (pick tparked j)
 
 (* The program as fibers. *)
 let as_fibers eng note =
@@ -273,12 +289,7 @@ let as_fibers eng note =
         | Read i -> Ivar.read ivars.(i)
         | Spawn p -> Process.spawn eng (fiber p)
         | Park -> Process.suspend (fun resume -> Hashtbl.replace parked id resume)
-        | Wake j -> (
-          match Hashtbl.find_opt parked j with
-          | Some resume ->
-            Hashtbl.remove parked j;
-            resume ()
-          | None -> ())
+        | Wake j -> wake parked j
         | Tail (h, g) -> Process.suspend_tail eng (hop eng h g)
         | Tpark ->
           Process.suspend_tail eng (fun resume ->
@@ -321,11 +332,7 @@ let as_callbacks eng note =
         next ()
       | Park -> Hashtbl.replace parked id next
       | Wake j ->
-        (match Hashtbl.find_opt parked j with
-        | Some resume ->
-          Hashtbl.remove parked j;
-          resume ()
-        | None -> ());
+        wake parked j;
         next ()
       | Tail (h, g) -> hop eng h g next
       | Tpark -> Hashtbl.replace tparked id next
