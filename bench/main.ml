@@ -32,11 +32,11 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
   | "--json" :: rest ->
-    (* Machine-readable export; non-flag arguments restrict to a subset of
-       experiments (CI runs a fast one). [--jobs N] runs the independent
-       experiment cells on N domains — the file is byte-identical to a
-       sequential run — and [--out PATH] redirects the output. See
-       Bench_json for the schema. *)
+    (* Machine-readable export; non-flag arguments restrict it to some of
+       the exported experiments, each named once. [--jobs N] runs the
+       independent experiment cells on N domains — the file is
+       byte-identical to a sequential run — and [--out PATH] redirects the
+       output. See Bench_json for the schema. *)
     let rec parse names jobs path = function
       | [] -> (List.rev names, jobs, path)
       | "--jobs" :: n :: tl -> (

@@ -52,7 +52,8 @@ let document ?knobs ?(jobs = 1) ~names () =
       if List.mem n (List.filteri (fun j _ -> j < i) names) then
         refuse "%S is named twice" n
       else if List.mem n exported then ()
-      else if List.exists (fun e -> Registry.name e = n) (Lazy.force Registry.all)
+      else if
+        List.exists (fun e -> Registry.name e = n) (Lazy.force Registry.all)
       then refuse "%S is a study, not exported" n
       else refuse "unknown experiment %S" n)
     names;

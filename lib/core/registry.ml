@@ -61,11 +61,14 @@ let unexpected (Outcome (s, cells)) = Spec.unexpected s cells
 let write_dat ?knobs dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then Sys.mkdir dir 0o755;
   let plotted =
-    List.filter (fun (Spec.Spec s) -> Option.is_some (Spec.dat s)) (Lazy.force all)
+    List.filter
+      (fun (Spec.Spec s) -> Option.is_some (Spec.dat s))
+      (Lazy.force all)
   in
   let plots =
     List.filter_map
-      (fun (Outcome (s, cells)) -> Option.map (fun emit -> emit dir cells) (Spec.dat s))
+      (fun (Outcome (s, cells)) ->
+        Option.map (fun emit -> emit dir cells) (Spec.dat s))
       (run ?knobs plotted)
   in
   List.map (fun p -> p.Dat.path) plots @ [ Dat.gnuplot_script dir plots ]

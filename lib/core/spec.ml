@@ -1,6 +1,6 @@
-(* Every exported experiment's spec (interface in spec.mli): each states
-   its sweep, its result's columns and, for a workload subcommand, its
-   command-line knobs once. *)
+(* Every experiment's spec (interface in spec.mli): each states its
+   sweep, its result's columns, its claims and, for a workload subcommand,
+   its command-line knobs once. *)
 
 open Cmdliner
 open Locks
@@ -853,7 +853,8 @@ let ablation_combining () =
 let ablation_cas () =
   let cas = Hector.Config.with_cas hector in
   table "ablation-cas" ~title:"ABL3 - compare&swap release (Section 5.2)"
-    ~claim:"with CAS the contended differential of the fetch&store repair shrinks"
+    ~claim:
+      "with CAS the contended differential of the fetch&store repair shrinks"
     [
       (("hector(swap)", hector), Lock.Mcs_h2);
       (("hector(+cas)", cas), Lock.Mcs_h2);
@@ -905,7 +906,8 @@ let ablation_clh () =
        and mcs m = ("H1-MCS", on m Lock.Mcs_h1) in
        [
          holds "CLH hurts on non-coherent HECTOR: over 1.5x H1-MCS"
-           (pair (clh "hector") (mcs "hector") (fun clh mcs -> clh > mcs *. 1.5));
+           (pair (clh "hector") (mcs "hector") (fun clh mcs ->
+                clh > mcs *. 1.5));
          holds "CLH competitive with coherent caches: under 1.25x H1-MCS"
            (pair (clh "numachine") (mcs "numachine") (fun clh mcs ->
                 clh < mcs *. 1.25));
@@ -1015,7 +1017,8 @@ let ablation_lock_family () =
         text "" "algo" 14 (fun a _ -> Lock.algo_name a);
         float "" "uncontended(us)" 14 3 (fun _ (unc, _) -> unc);
         float "" "contended p12(us)" 16 1 (fun _ (_, con) -> con);
-        int "" "words/lock(P=16)" 14 (fun a _ -> Lock.space_words ~n_procs:16 a);
+        int "" "words/lock(P=16)" 14 (fun a _ ->
+            Lock.space_words ~n_procs:16 a);
       ]
     ~claims:
       [
@@ -1083,7 +1086,8 @@ let cow () =
       (Hkernel.Procs.strategy_name r.strategy)
       r.broke r.found_gone r.retries r.summary.mean_us r.summary.p99_us
   in
-  record "cow" ~title:"COW - simultaneous copy-on-write faults (Sections 2.3/2.5)"
+  record "cow"
+    ~title:"COW - simultaneous copy-on-write faults (Sections 2.3/2.5)"
     ~claim:
       "retries are required independent of the strategy; the pessimistic one \
        additionally finds the shared page gone and must handle it"
@@ -1125,7 +1129,8 @@ let fault_matrix () =
             stall_cycles = Hector.Config.cycles_of_us hector 1000.0;
           }
     in
-    Fault_storm.run ~cfg:hector ~config:{ Fault_storm.default_config with fault }
+    Fault_storm.run ~cfg:hector
+      ~config:{ Fault_storm.default_config with fault }
       mech
   in
   let line base (period_us, (r : Fault_storm.result)) =
@@ -1145,7 +1150,8 @@ let fault_matrix () =
        pessimistic fallbacks instead of looping"
     (fun () ->
       List.map
-        (fun mech -> List.map (fun p -> (p, run mech p)) [ 0.0; 4000.0; 2000.0; 1000.0 ])
+        (fun mech ->
+          List.map (fun p -> (p, run mech p)) [ 0.0; 4000.0; 2000.0; 1000.0 ])
         Fault_storm.[ No_timeout; Timeout; Bounded_retry ])
     (fun mechs ->
       Printf.sprintf "%-14s %10s %6s %9s %11s %11s %6s %6s %6s %7s %7s"
@@ -1176,7 +1182,8 @@ let verify () : (unit, Verify_probes.result list) t =
       @ List.filter_map
           (fun r ->
             if r.first = "" then None
-            else Some (Printf.sprintf "  %-16s %s" (probe_name r.probe) r.first))
+            else
+              Some (Printf.sprintf "  %-16s %s" (probe_name r.probe) r.first))
           rows)
 
 (* Station = cluster: the storm runs on a bare machine, so the natural
@@ -1202,7 +1209,8 @@ let obs () : (unit, Obs.row list * Fault_storm.result) t =
       let obs =
         Obs.create
           ~cluster_of:(Hector.Config.station_of_proc hector)
-          ~n_clusters:hector.Hector.Config.stations ~n_procs:(Hector.Config.n_procs hector)
+          ~n_clusters:hector.Hector.Config.stations
+          ~n_procs:(Hector.Config.n_procs hector)
           ()
       in
       let fault =

@@ -272,7 +272,8 @@ let wake parked j = Option.iter (resume parked) (pick parked j)
    parked then. *)
 let twake eng tparked j =
   Option.iter
-    (fun id -> Engine.schedule eng ~at:(Engine.now eng) (fun () -> resume tparked id))
+    (fun id ->
+      Engine.schedule eng ~at:(Engine.now eng) (fun () -> resume tparked id))
     (pick tparked j)
 
 (* The program as fibers. *)
