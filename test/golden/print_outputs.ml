@@ -1,7 +1,7 @@
 (* Prints, through the registry, what no other test pins byte for byte: the
    ten paper entries' text tables, then the six .dat files and plots.gp, all
-   on reduced knobs, then the text of the unexported entries that run in a
-   fraction of a second (no knob reaches them). The output is diffed against
+   on reduced knobs, then the text of the studies that run in a fraction of
+   a second (no knob reaches them). The output is diffed against
    outputs.expected. *)
 
 open Hurricane
@@ -21,7 +21,7 @@ let paper =
   ]
 
 (* Left out for their run time: ablation-clh and ablation-lock-family. *)
-let unexported =
+let studies =
   [
     "retries"; "ablation-granularity"; "ablation-combining"; "ablation-cas";
     "ablation-cached-locks"; "ablation-spin-then-block"; "ablation-lockfree";
@@ -43,4 +43,4 @@ let () =
       Sys.remove path)
     (Registry.write_dat ~knobs dir);
   Sys.rmdir dir;
-  print unexported
+  print studies
