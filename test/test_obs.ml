@@ -303,7 +303,7 @@ let test_observer_identity () =
   Alcotest.(check bool) "and the trace recorded events" true
     (Obs.trace_recorded o > 0)
 
-(* The obs study's profile, from the claims suite's one run. *)
+(* The obs study's profile, from the claims suite's run. *)
 let test_storm_attribution () =
   let rows, _ = Test_claims.obs_profile () in
   (* The storm's coarse locks, reserve bits and RPCs must all appear, with
