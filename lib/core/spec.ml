@@ -298,6 +298,9 @@ let pair (a, x) (b, y) ok cells =
   let x = x cells and y = y cells in
   (Printf.sprintf "%s %.2fus vs %s %.2fus (%.2fx)" a x b y (x /. y), ok x y)
 
+(* A claim's check on a one-cell spec's result. *)
+let only check cells = check (snd (List.hd cells))
+
 (* Zero lockdep violations on every row; [show] names a row. *)
 let clean statement ~show violations =
   every statement
@@ -720,7 +723,23 @@ let constants () : (unit, Calibration.result) t =
                     r.replicate_extra_us;
                 ]);
         };
-    claims = [];
+    claims =
+      (let near what paper get =
+         holds
+           (Printf.sprintf "%s ~%.0fus, within 10%%" what paper)
+           (only (fun r ->
+                let v = get r in
+                ( Printf.sprintf "%.1fus (%+.1f%%)" v
+                    (100.0 *. (v -. paper) /. paper),
+                  Float.abs (v -. paper) <= 0.1 *. paper )))
+       in
+       [
+         near "a simple soft page fault" 160.0 (fun r -> r.soft_fault_us);
+         near "its locking" 40.0 (fun r -> r.lock_overhead_us);
+         near "a null RPC" 27.0 (fun r -> r.null_rpc_us);
+         near "a cluster-wide lookup + replicate" 88.0 (fun r ->
+             r.replicate_extra_us);
+       ]);
   }
 
 (* -- the studies: ablations, fault studies and tool demonstrations ------- *)
@@ -748,9 +767,6 @@ let record section ~title ~claim ?(claims = []) run lines =
     shape = Record { columns = []; lines };
     claims;
   }
-
-(* A claim's check on a one-cell spec's result. *)
-let only check cells = check (snd (List.hd cells))
 
 let hector = Hector.Config.hector
 let machines = [ ("hector", hector); ("numachine", Hector.Config.numachine) ]

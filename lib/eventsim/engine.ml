@@ -12,33 +12,30 @@
 
    In-place dispatch. A fiber's sleep ([Process.pause], [wait_until]) whose
    wake is provably the next dispatch skips the heap and the effect round
-   trip ([sleep_in_place]). The proof has three parts. The fiber is all
-   that is left of the dispatch in progress: that dispatch resumed it from
-   its own sleep, or as its last act, or started it ([resumed_sleeper]),
-   and no other fiber has been resumed since ([resumed_other] and each
-   dispatch clear the flag), so once it would suspend nothing else would
-   run. Nothing comes first: the wake is
-   strictly before [Pqueue.min_time] (a tie would lose on seq) and before
-   [horizon], so no elided chain ends first. And [run]'s loop would
-   dispatch it next: inside [run] ([limit]), within its [until], and with
-   the event budget not spent. Then the engine makes the bookkeeping the
-   round trip would: it takes the next seq as [schedule] would, counts the
-   event, sets [cur_seq], [cur_first] and [cur_entry], records the
-   dispatch in the ring while waits are active, and moves the clock. So
-   the seq counter, the ring and [events_executed] are exactly as after
-   the round trip, and every later seq, tie and elided wait's place with
-   them.
+   trip ([sleep_in_place] gives the proof). The engine then makes the round
+   trip's bookkeeping ([start_dispatch], with the seq [schedule] would
+   take), so the seq counter, the ring and [events_executed], and every
+   later seq, tie and elided wait's place with them, are exactly as after
+   the round trip.
 
-   Each dispatch touches only the waits it affects. Elided waits sit in
-   [active] and placed ones in [placed], each at its [slot]: [track] finds
-   a placed element's chain, and [place] orders a new element against the
-   others of its time, among the placed waits alone. The elided waits that
-   end on their own sit in [ends], a binary min-heap by end time at their
-   [hslot]; its top is the horizon, exact at every dispatch, so [run]'s
-   loop and [sleep_in_place] read it without a scan and [end_chains] pops
-   it.
-   The library builds without [-opaque], so [Pqueue]'s accessors are
-   inlined into [dispatch] and [dispatch] into [run]'s loop.
+   Each dispatch touches only the waits it affects, and stores only ints.
+   A wait leaving [idle] takes an id in the registry ([reg]) and gives it
+   back on returning, so the registry is written twice per chain and holds
+   at most as many waits as are ever elided or placed at once. Elided
+   waits sit in [active] and placed ones in [placed], by id, each at its
+   [slot], beside an int key: in [active] a chain's lock-step key (its
+   gaps, and its element 0's time modulo the lock-step period), so [elide]
+   reads only the records of the chains that match it; in [placed] the
+   element's time, so [track] and [place] read only those of that time.
+   The elided waits that end on their own sit in [ends], a binary min-heap
+   of (end time, id) at their [hslot]; its top is the horizon, exact at
+   every dispatch, so [run]'s loop and [sleep_in_place] read it without a
+   scan. A chain that ends alone at the horizon, before every queued
+   event, is dispatched at once by [end_chains]: no heap push and pop. A
+   placed element runs through its wait's one closure, [run], made at the
+   wait's first elision. The library builds without [-opaque], so
+   [Pqueue]'s accessors are inlined into [dispatch] and [dispatch] into
+   [run]'s loop.
 
    Elided waits. A wait whose iterations change nothing another event can
    observe (a processor spinning on its own memory module) need not put an
@@ -94,6 +91,8 @@ type wait = {
   odd_gap : int; (* from element 2m+1 to 2m+2 *)
   fire : int -> unit;
   credit : int -> unit;
+  mutable run : unit -> unit; (* fires element [m_j]; made at 1st elision *)
+  mutable id : int; (* registry id while elided or placed, else -1 *)
   mutable state : int;
   mutable slot : int; (* in [active] while elided, [placed] while placed *)
   mutable hslot : int; (* index in [ends] while elided with an end, else -1 *)
@@ -110,6 +109,9 @@ type wait = {
 (* A gap must fit the 16 bits a ring entry keeps for it. *)
 let max_gap = 0xffff
 
+(* A wait's [run] before its first elision. *)
+let no_run () = ()
+
 let wait ~owner ~even_gap ~odd_gap ~fire ~credit =
   if even_gap <= 0 || odd_gap <= 0 || even_gap > max_gap || odd_gap > max_gap
   then invalid_arg "Engine.wait: chain gaps must be in [1, 65535]";
@@ -119,6 +121,8 @@ let wait ~owner ~even_gap ~odd_gap ~fire ~credit =
     odd_gap;
     fire;
     credit;
+    run = no_run;
+    id = -1;
     state = idle;
     slot = -1;
     hslot = -1;
@@ -132,34 +136,40 @@ let wait ~owner ~even_gap ~odd_gap ~fire ~credit =
     end_time = max_int;
   }
 
-(* Fills the free cells of [waits] and [ends], so they keep no finished wait
-   alive; its [end_time] is [max_int], so an empty [ends] has no horizon. *)
+(* Fills the free cells of the registry, so it keeps no finished wait
+   alive. *)
 let no_wait =
   wait ~owner:(-1) ~even_gap:1 ~odd_gap:1 ~fire:ignore ~credit:ignore
 
-(* An unordered set of waits, each at its [slot]. *)
-type waits = { mutable ws : wait array; mutable n : int }
+(* The lock-step key of a chain whose element 0 is at [t0]: two chains of
+   the same gaps have elements of the same parity (of either parity, when
+   the gaps are equal) at one time exactly when their keys are equal and
+   the later one starts at or after the earlier's element 0. Each field
+   fits its 20 bits, as a gap is at most [max_gap]. *)
+let key ~even ~odd t0 =
+  let period = if even = odd then even else even + odd in
+  (even lsl 40) lor (odd lsl 20) lor (t0 mod period)
 
-let waits () = { ws = [||]; n = 0 }
+(* An unordered set of registry ids, each wait at its [slot], with an int
+   key beside each: the lock-step key in [active], the placed element's
+   time in [placed]. *)
+type waits = {
+  mutable ids : int array;
+  mutable keys : int array;
+  mutable n : int;
+}
 
-let add s w =
-  if s.n = Array.length s.ws then begin
-    let a = Array.make (max 4 (2 * s.n)) no_wait in
-    Array.blit s.ws 0 a 0 s.n;
-    s.ws <- a
+let waits () = { ids = [||]; keys = [||]; n = 0 }
+
+let add s w key =
+  if s.n = Array.length s.ids then begin
+    s.ids <- Array.append s.ids (Array.make (max 4 s.n) 0);
+    s.keys <- Array.append s.keys (Array.make (max 4 s.n) 0)
   end;
-  s.ws.(s.n) <- w;
+  s.ids.(s.n) <- w.id;
+  s.keys.(s.n) <- key;
   w.slot <- s.n;
   s.n <- s.n + 1
-
-let remove s w =
-  let last = s.n - 1 in
-  let moved = s.ws.(last) in
-  s.ws.(w.slot) <- moved;
-  moved.slot <- w.slot;
-  s.ws.(last) <- no_wait;
-  s.n <- last;
-  w.slot <- -1
 
 (* A map from a pair of real seqs [a < b] to a bool, by open addressing
    over int columns. A [Hashtbl] entry is a key tuple and a bucket cell
@@ -239,16 +249,24 @@ type t = {
   mutable cur_seq : int;
   mutable cur_first : int;
   mutable cur_entry : int;
+  (* The registry: each elided or placed wait at its [id], [no_wait]
+     elsewhere. The free ids are the stack [free.(0 .. n_free - 1)]. *)
+  mutable reg : wait array;
+  mutable free : int array;
+  mutable n_free : int;
   (* Elided waits, and placed ones. *)
   active : waits;
   placed : waits;
   mutable min_root : int; (* lower bound on an elided wait's root *)
-  (* The elided waits that have an end: a binary min-heap by [end_time],
-     each at its [hslot], [no_wait] beyond [n_ends]. Its top's end is the
-     horizon, the earliest time an elided chain ends on its own. *)
-  mutable ends : wait array;
+  (* [ends], the elided waits that have an end: a binary min-heap by end
+     time in two columns (end time, id), each wait at its [hslot]; [max_int]
+     times beyond [n_ends]. Its top's end is the horizon, the earliest time
+     an elided chain ends on its own. *)
+  mutable e_time : int array;
+  mutable e_id : int array;
   mutable n_ends : int;
-  (* The dispatch ring: one column per field, allocated on first use.
+  (* The dispatch ring: one column per field, allocated at the first
+     elision.
      Entries [r_base, r_next) are valid, at index [i land ring_mask]. *)
   mutable r_time : int array;
   mutable r_first : int array;
@@ -285,10 +303,14 @@ let create ?(max_events = 200_000_000) () =
     cur_seq = -1;
     cur_first = 0;
     cur_entry = -1;
+    reg = [||];
+    free = [||];
+    n_free = 0;
     active = waits ();
     placed = waits ();
     min_root = max_int;
-    ends = [| no_wait |];
+    e_time = [| max_int |];
+    e_id = [| 0 |];
     n_ends = 0;
     r_time = [||];
     r_first = [||];
@@ -326,16 +348,44 @@ let pending t = Pqueue.length t.events + t.active.n
 (* Some wait is elided or placed: dispatches must be recorded. *)
 let[@inline] waiting t = t.active.n > 0 || t.placed.n > 0
 
+(* -- The registry --------------------------------------------------------- *)
+
+(* Give [w], leaving [idle], an id. *)
+let register t w =
+  if t.n_free = 0 then begin
+    (* Every id is in use: double the registry, and free the new ids. *)
+    let n = Array.length t.reg in
+    let m = max 4 (2 * n) in
+    t.reg <- Array.append t.reg (Array.make (m - n) no_wait);
+    t.free <- Array.init m (fun i -> m - 1 - i);
+    t.n_free <- m - n
+  end;
+  t.n_free <- t.n_free - 1;
+  let id = t.free.(t.n_free) in
+  t.reg.(id) <- w;
+  w.id <- id
+
+(* Take back the id of [w], returning to [idle]. *)
+let unregister t w =
+  t.reg.(w.id) <- no_wait;
+  t.free.(t.n_free) <- w.id;
+  t.n_free <- t.n_free + 1;
+  w.id <- -1
+
+let registry t = (Array.length t.reg - t.n_free, Array.length t.reg)
+
+let remove t s w =
+  let last = s.n - 1 in
+  let moved = s.ids.(last) in
+  s.ids.(w.slot) <- moved;
+  s.keys.(w.slot) <- s.keys.(last);
+  t.reg.(moved).slot <- w.slot;
+  s.n <- last;
+  w.slot <- -1
+
 (* -- The dispatch ring ---------------------------------------------------- *)
 
-let record t =
-  if Array.length t.r_time = 0 then begin
-    t.r_time <- Array.make ring_cap 0;
-    t.r_first <- Array.make ring_cap 0;
-    t.r_seq <- Array.make ring_cap 0;
-    t.r_s0 <- Array.make ring_cap 0;
-    t.r_jg <- Array.make ring_cap 0
-  end;
+let[@inline] record t =
   let i = t.r_next in
   let k = i land ring_mask in
   t.r_time.(k) <- t.now;
@@ -411,7 +461,10 @@ let ambiguous () =
    descends from one; anything else is a tie the ring cannot break. *)
 let rec before_ring_precedes t = function
   | Entry _ -> true
-  | Seq (_, s) -> lookup t (s asr seq_bits) <> Before_ring || ambiguous ()
+  | Seq (_, s) -> (
+    match lookup t (s asr seq_bits) with
+    | Before_ring -> ambiguous ()
+    | Entry _ | Seq _ | Elem _ -> true)
   | Elem (t0, s0, _, _, _) -> before_ring_precedes t (Seq (t0, s0))
   | Before_ring -> ambiguous ()
 
@@ -489,19 +542,21 @@ let first_from w time =
 
 (* -- Chain ends: the [ends] heap ----------------------------------------- *)
 
-let horizon t = t.ends.(0).end_time
+let horizon t = t.e_time.(0)
 
-let h_set t i w =
-  t.ends.(i) <- w;
-  w.hslot <- i
+let h_set t i time id =
+  t.e_time.(i) <- time;
+  t.e_id.(i) <- id;
+  t.reg.(id).hslot <- i
 
 let rec h_up t i =
   if i > 0 then begin
     let p = (i - 1) / 2 in
-    let w = t.ends.(i) and u = t.ends.(p) in
-    if w.end_time < u.end_time then begin
-      h_set t p w;
-      h_set t i u;
+    let ti = t.e_time.(i) and tp = t.e_time.(p) in
+    if ti < tp then begin
+      let idi = t.e_id.(i) and idp = t.e_id.(p) in
+      h_set t p ti idi;
+      h_set t i tp idp;
       h_up t p
     end
   end
@@ -510,38 +565,35 @@ let rec h_down t i =
   let l = (2 * i) + 1 in
   if l < t.n_ends then begin
     let r = l + 1 in
-    let c =
-      if r < t.n_ends && t.ends.(r).end_time < t.ends.(l).end_time then r
-      else l
-    in
-    let w = t.ends.(i) and u = t.ends.(c) in
-    if u.end_time < w.end_time then begin
-      h_set t i u;
-      h_set t c w;
+    let c = if r < t.n_ends && t.e_time.(r) < t.e_time.(l) then r else l in
+    let ti = t.e_time.(i) and tc = t.e_time.(c) in
+    if tc < ti then begin
+      let idi = t.e_id.(i) and idc = t.e_id.(c) in
+      h_set t i tc idc;
+      h_set t c ti idi;
       h_down t c
     end
   end
 
 let add_end t w =
-  if t.n_ends = Array.length t.ends then begin
-    let a = Array.make (2 * t.n_ends) no_wait in
-    Array.blit t.ends 0 a 0 t.n_ends;
-    t.ends <- a
+  if t.n_ends = Array.length t.e_time then begin
+    t.e_time <- Array.append t.e_time (Array.make t.n_ends max_int);
+    t.e_id <- Array.append t.e_id (Array.make t.n_ends 0)
   end;
-  h_set t t.n_ends w;
+  h_set t t.n_ends w.end_time w.id;
   t.n_ends <- t.n_ends + 1;
   h_up t w.hslot
 
 let remove_end t w =
   let i = w.hslot and last = t.n_ends - 1 in
-  let moved = t.ends.(last) in
-  t.ends.(last) <- no_wait;
+  let time = t.e_time.(last) and id = t.e_id.(last) in
+  t.e_time.(last) <- max_int;
   t.n_ends <- last;
   w.hslot <- -1;
   if i < last then begin
-    h_set t i moved;
+    h_set t i time id;
     h_up t i;
-    h_down t moved.hslot
+    h_down t t.reg.(id).hslot
   end
 
 (* -- Eliding and placing ------------------------------------------------- *)
@@ -552,7 +604,9 @@ let swap_memo t =
   let fresh = t.memo_old in
   Pairs.clear fresh;
   let na = t.active.n in
-  let nth i = if i < na then t.active.ws.(i) else t.placed.ws.(i - na) in
+  let nth i =
+    t.reg.(if i < na then t.active.ids.(i) else t.placed.ids.(i - na))
+  in
   let n = na + t.placed.n in
   for a = 0 to n - 1 do
     for b = a + 1 to n - 1 do
@@ -566,6 +620,13 @@ let swap_memo t =
   t.memo <- fresh;
   t.memo_swap <- t.r_next + memo_period
 
+(* Run a placed element: it is the dispatch in progress. *)
+let fire_placed t w =
+  remove t t.placed w;
+  unregister t w;
+  w.state <- idle;
+  w.fire w.m_j
+
 let elide ?until t w ~at =
   if t.cur_seq < 0 || w.state <> idle || at <= t.now then false
   else begin
@@ -574,6 +635,13 @@ let elide ?until t w ~at =
     (* A chain that ends at element 0 has nothing to elide. *)
     if end_j = 0 then false
     else begin
+      if Array.length t.r_time = 0 then begin
+        t.r_time <- Array.make ring_cap 0;
+        t.r_first <- Array.make ring_cap 0;
+        t.r_seq <- Array.make ring_cap 0;
+        t.r_s0 <- Array.make ring_cap 0;
+        t.r_jg <- Array.make ring_cap 0
+      end;
       if t.cur_entry < 0 then begin
         (* Nothing was active when this dispatch began, so the ring holds no
            current history: restart it here. *)
@@ -589,35 +657,29 @@ let elide ?until t w ~at =
       if t.r_next >= t.memo_swap then swap_memo t;
       (* Order this chain against each elided lock-step chain: element 0
          against that chain's element at the same time, if it has one (an
-         even element, or either when both gaps are equal). *)
+         even element, or either when both gaps are equal). Only a chain
+         with the same key can have one. *)
+      let k = key ~even:w.even_gap ~odd:w.odd_gap at in
       for a = 0 to t.active.n - 1 do
-        let u = t.active.ws.(a) in
-        if u.even_gap = w.even_gap && u.odd_gap = w.odd_gap then begin
-          let d = at - u.t0 in
-          if d >= 0 then begin
-            let r = d mod (u.even_gap + u.odd_gap) in
-            if r = 0 || (r = u.even_gap && u.even_gap = u.odd_gap) then
-              memo_add t w.s0 u.s0
-                (before t (Seq (at, w.s0)) (w_elem u (first_from u at)))
-          end
-        end
+        let u = t.reg.(t.active.ids.(a)) in
+        if t.active.keys.(a) = k && at >= u.t0 then
+          memo_add t w.s0 u.s0
+            (before t (Seq (at, w.s0)) (w_elem u (first_from u at)))
       done;
+      if w.run == no_run then w.run <- (fun () -> fire_placed t w);
+      register t w;
       w.state <- elided;
-      add t.active w;
+      add t.active w k;
       if w.end_time < max_int then add_end t w;
       if w.root < t.min_root then t.min_root <- w.root;
       true
     end
   end
 
-(* Run a placed element: it is the dispatch in progress. *)
-let fire_placed t w j () =
-  remove t.placed w;
-  w.state <- idle;
-  w.fire j
-
-(* Put element [j] of elided wait [w] into the heap at its exact place. *)
-let place t w j =
+(* Make element [j] of elided wait [w] the placed one, at its exact place
+   ([m_time], [m_seq]), crediting the elements before it. The caller puts
+   it in the heap, or dispatches it. *)
+let enter t w j =
   let time = w_time w j in
   let seq =
     if j = 0 then w.s0
@@ -642,8 +704,9 @@ let place t w j =
       let lo = ref floor and hi = ref ceiling in
       let me = w_elem w j in
       for a = 0 to t.placed.n - 1 do
-        let u = t.placed.ws.(a) in
-        if u.m_time = time && u.m_seq > floor && u.m_seq < ceiling then begin
+        let u = t.reg.(t.placed.ids.(a)) in
+        if t.placed.keys.(a) = time && u.m_seq > floor && u.m_seq < ceiling
+        then begin
           if before t (w_elem u u.m_j) me then lo := Int.max !lo u.m_seq
           else hi := Int.min !hi u.m_seq
         end
@@ -652,15 +715,19 @@ let place t w j =
       (!lo + !hi) / 2
     end
   in
-  remove t.active w;
+  remove t t.active w;
   if w.hslot >= 0 then remove_end t w;
   w.state <- placed;
   w.m_time <- time;
   w.m_seq <- seq;
   w.m_j <- j;
-  add t.placed w;
-  w.credit j;
-  Pqueue.push t.events ~time ~seq (fire_placed t w j)
+  add t.placed w time;
+  w.credit j
+
+(* Put element [j] of elided wait [w] into the heap at its exact place. *)
+let place t w j =
+  enter t w j;
+  Pqueue.push t.events ~time:w.m_time ~seq:w.m_seq w.run
 
 (* The first element of [w] ordered after ring entry [e]. *)
 let first_after_entry t w e =
@@ -681,7 +748,7 @@ let is_elided w = w.state = elided
 (* Every elided wait, materialised after ring entry [e]. *)
 let place_all_after t e =
   while t.active.n > 0 do
-    let w = t.active.ws.(t.active.n - 1) in
+    let w = t.reg.(t.active.ids.(t.active.n - 1)) in
     place t w (first_after_entry t w e)
   done
 
@@ -696,29 +763,39 @@ let reroot t =
   let limit = root_limit t in
   let m = ref max_int in
   for a = t.active.n - 1 downto 0 do
-    let w = t.active.ws.(a) in
+    let w = t.reg.(t.active.ids.(a)) in
     if w.root < limit then place t w (first_after_entry t w t.cur_entry)
     else if w.root < !m then m := w.root
   done;
   t.min_root <- !m
 
-(* Book-keeping for a dispatch that starts while waits are active. A
-   fractional seq is a placed element: its entry keeps that element's chain,
-   which is its ancestry. *)
+(* Book-keeping for a dispatch that starts while waits are active: record
+   it in the ring. A fractional seq is a placed element: its entry keeps
+   that element's chain, which is its ancestry. *)
 let track t =
   record t;
   let s = t.cur_seq in
   if s land frac_mask <> 0 then begin
     let k = t.cur_entry land ring_mask in
     for a = 0 to t.placed.n - 1 do
-      let w = t.placed.ws.(a) in
-      if w.m_seq = s && w.m_time = t.now then begin
+      let w = t.reg.(t.placed.ids.(a)) in
+      if t.placed.keys.(a) = t.now && w.m_seq = s then begin
         t.r_s0.(k) <- w.s0;
         t.r_jg.(k) <- (w.m_j lsl 32) lor (w.even_gap lsl 16) lor w.odd_gap
       end
     done
   end;
   if t.min_root < root_limit t then reroot t
+
+(* Make the event at ([time], [seq]) the dispatch in progress: move the
+   clock, count it, and record it while waits are elided or placed. *)
+let[@inline] start_dispatch t ~time ~seq =
+  t.now <- time;
+  t.executed <- t.executed + 1;
+  t.cur_seq <- seq;
+  t.cur_first <- t.seq;
+  t.cur_entry <- -1;
+  if waiting t then track t
 
 (* Run the earliest event: advance the clock to its time, count it, call it.
    The caller has checked that the heap is not empty. Inlined, so [run]'s
@@ -727,13 +804,8 @@ let[@inline] dispatch t =
   let time = Pqueue.min_time t.events in
   let seq = Pqueue.min_seq t.events in
   let f = Pqueue.pop_payload t.events in
-  t.now <- time;
-  t.executed <- t.executed + 1;
-  t.cur_seq <- seq;
-  t.cur_first <- t.seq;
-  t.cur_entry <- -1;
   t.sleeper <- false;
-  if waiting t then track t;
+  start_dispatch t ~time ~seq;
   f ()
 
 let resumed_sleeper t = t.sleeper <- true
@@ -742,12 +814,13 @@ let resumed_other t = t.sleeper <- false
 
 (* The dispatch a sleep until [at] would lead to, made here when it is
    provably the next one: the running fiber is all that is left of the
-   dispatch in progress, no event in the heap comes before [at], no
-   elided chain's end is due by then ([horizon]), and [run]'s loop would
-   dispatch it next without stopping. Then the bookkeeping is the heap
-   round trip's — a seq taken as [schedule] takes it, the count, the
-   dispatch's seq and counter, the ring record — so every later seq, and
-   every elided wait's place, is as before. *)
+   dispatch in progress ([sleeper]: that dispatch resumed it from its own
+   sleep, as its last act or at its start, and no other fiber since), no
+   queued event comes before [at] (a tie would lose on seq), no elided
+   chain ends by then ([horizon]), and [run]'s loop would dispatch it next
+   (inside [run], within its [until], the budget not spent). Then
+   [start_dispatch] makes the round trip's bookkeeping, with the seq
+   [schedule] would take. *)
 let sleep_in_place t at =
   if
     t.sleeper && at < Pqueue.min_time t.events && at < horizon t
@@ -755,12 +828,7 @@ let sleep_in_place t at =
   then begin
     let c = t.seq in
     t.seq <- c + 1;
-    t.now <- at;
-    t.executed <- t.executed + 1;
-    t.cur_seq <- c lsl seq_bits;
-    t.cur_first <- t.seq;
-    t.cur_entry <- -1;
-    if waiting t then track t;
+    start_dispatch t ~time:at ~seq:(c lsl seq_bits);
     true
   end
   else false
@@ -770,17 +838,15 @@ let leave_dispatch t =
   t.cur_entry <- -1
 
 let stuck t =
-  let owners = ref [] in
-  for a = 0 to t.active.n - 1 do
-    owners := t.active.ws.(a).owner :: !owners
-  done;
+  let owner a = t.reg.(t.active.ids.(a)).owner in
+  let owners = List.init t.active.n owner in
   raise
     (Deadlock
        (Printf.sprintf
           "no event can end the elided waits of processors %s: the event \
            heap is empty"
           (String.concat ", "
-             (List.map string_of_int (List.sort compare !owners)))))
+             (List.map string_of_int (List.sort compare owners)))))
 
 let step t =
   if Pqueue.is_empty t.events && t.active.n > 0 then
@@ -804,7 +870,7 @@ let budget_exhausted t =
    heap, as a real run would leave it. *)
 let park_after t limit =
   while t.active.n > 0 do
-    let w = t.active.ws.(t.active.n - 1) in
+    let w = t.reg.(t.active.ids.(t.active.n - 1)) in
     let j = first_from w (limit + 1) in
     if j > 0 then t.now <- Int.max t.now (w_time w (j - 1));
     place t w j
@@ -813,13 +879,27 @@ let park_after t limit =
 (* Place the last element of every elided chain that ends at the horizon.
    Called before the clock reaches it, so every dispatch so far precedes
    those elements. Only the earliest: what they run may wake a chain that
-   ends later. *)
+   ends later. A chain that ends there alone, before every queued event,
+   is dispatched at once: pushed, it would be the next event popped. *)
 let end_chains t =
   let h = horizon t in
-  while horizon t = h do
-    let w = t.ends.(0) in
-    place t w w.end_j
-  done
+  if
+    (t.n_ends < 2 || t.e_time.(1) > h)
+    && (t.n_ends < 3 || t.e_time.(2) > h)
+    && h < Pqueue.min_time t.events
+  then begin
+    let w = t.reg.(t.e_id.(0)) in
+    enter t w w.end_j;
+    t.sleeper <- false;
+    start_dispatch t ~time:h ~seq:w.m_seq;
+    w.run ();
+    if t.executed > t.max_events then budget_exhausted t
+  end
+  else
+    while horizon t = h do
+      let w = t.reg.(t.e_id.(0)) in
+      place t w w.end_j
+    done
 
 (* [Pqueue.min_time] reads the earliest timestamp as a bare int, so the
    loop's test is a few comparisons and allocates nothing. *)

@@ -112,7 +112,8 @@ val max_gap : int
 (** [wait ~owner ~even_gap ~odd_gap ~fire ~credit] describes one wait of
     processor [owner]. [fire j] runs element [j] for real; [credit j] is
     told that elements [0, j) have virtually run (it is called with a
-    non-decreasing [j] per elision and must account for them itself).
+    non-decreasing [j] per elision and must account for them itself). A
+    wait belongs to the engine that first elides it.
     @raise Invalid_argument unless both gaps are in [1, {!max_gap}]. *)
 val wait :
   owner:int ->
@@ -144,3 +145,7 @@ val is_elided : wait -> bool
 (** Credit [w]'s elements earlier than [now] (a no-op unless elided), so
     counters read in between are up to date. *)
 val settle : t -> wait -> unit
+
+(** The wait registry's ids in use (one per elided or placed wait) and
+    ids ever given out (its peak). Exposed for tests. *)
+val registry : t -> int * int

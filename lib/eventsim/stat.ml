@@ -50,11 +50,57 @@ let mean t = if t.len = 0 then 0.0 else t.sum /. float_of_int t.len
 let min_value t = if t.len = 0 then 0 else t.min_v
 let max_value t = if t.len = 0 then 0 else t.max_v
 
+(* Sort [a.(lo .. hi)] ascending, in place. Monomorphic on ints, so no
+   comparison goes through a closure: quicksort with a median-of-three
+   pivot and Hoare's partition (a run of equal keys splits evenly), down to
+   insertion sort on short ranges. It recurses into the shorter side and
+   loops on the longer, so the stack stays O(log n); only an input built
+   against the median of three makes it quadratic. *)
+let rec sort_ints (a : int array) lo hi =
+  if hi - lo < 16 then
+    for i = lo + 1 to hi do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi) in
+    let p =
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < p do incr i done;
+      while a.(!j) > p do decr j done;
+      if !i <= !j then begin
+        let v = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- v;
+        incr i;
+        decr j
+      end
+    done;
+    (* Now [a.(lo .. !j)] <= p <= [a.(!i .. hi)]. *)
+    if !j - lo < hi - !i then begin
+      sort_ints a lo !j;
+      sort_ints a !i hi
+    end
+    else begin
+      sort_ints a !i hi;
+      sort_ints a lo !j
+    end
+  end
+
 let ensure_sorted t =
   if not t.sorted then begin
-    let live = Array.sub t.samples 0 t.len in
-    Array.sort Int.compare live;
-    Array.blit live 0 t.samples 0 t.len;
+    sort_ints t.samples 0 (t.len - 1);
     t.sorted <- true
   end
 

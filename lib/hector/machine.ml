@@ -326,16 +326,6 @@ let access_finish_time t ~proc ~home ~accesses ~atomic =
   Int.max !path (start + base)
   end
 
-(* Perform one timed access and suspend until it completes. The value
-   operation [op] runs at completion time, which orders conflicting
-   operations by their service order at the memory module. *)
-let timed_access t ~proc cell ~accesses ?(atomic = false) op =
-  let finish =
-    access_finish_time t ~proc ~home:(Cell.home cell) ~accesses ~atomic
-  in
-  Process.wait_until t.eng finish;
-  op ()
-
 (* Hardware cache coherence (Section 5.2 discussion, NUMAchine preset):
    a read hits in the local cache if the processor holds a valid copy; a
    write or atomic is cheap only if the processor already holds the line
@@ -380,6 +370,15 @@ let read t ~proc cell =
     read_finish t ~proc cell
   end
 
+(* The timed half of a write or atomic: suspend until the access
+   completes, then take the line. The caller's value operation follows in
+   line, with no closure per access, so it runs at completion time and
+   conflicting operations are ordered by their service at the module. *)
+let[@inline] access_wait t ~proc cell ~accesses ~atomic =
+  Process.wait_until t.eng
+    (access_finish_time t ~proc ~home:(Cell.home cell) ~accesses ~atomic);
+  if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc
+
 let write t ~proc cell v =
   t.writes <- t.writes + 1;
   if t.cfg.Config.cache_coherent && Cell.exclusive_of cell = proc then begin
@@ -387,10 +386,10 @@ let write t ~proc cell v =
     cache_hit t;
     poke t cell v
   end
-  else
-    timed_access t ~proc cell ~accesses:1 (fun () ->
-        if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
-        poke t cell v)
+  else begin
+    access_wait t ~proc cell ~accesses:1 ~atomic:false;
+    poke t cell v
+  end
 
 let fetch_and_store t ~proc cell v =
   t.atomics <- t.atomics + 1;
@@ -403,14 +402,13 @@ let fetch_and_store t ~proc cell v =
     poke t cell v;
     old
   end
-  else
-    timed_access t ~proc cell ~accesses:t.cfg.Config.atomic_mem_accesses
-      ~atomic:true
-      (fun () ->
-        if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
-        let old = Cell.peek cell in
-        poke t cell v;
-        old)
+  else begin
+    access_wait t ~proc cell ~accesses:t.cfg.Config.atomic_mem_accesses
+      ~atomic:true;
+    let old = Cell.peek cell in
+    poke t cell v;
+    old
+  end
 
 let test_and_set t ~proc cell = fetch_and_store t ~proc cell 1
 
@@ -427,16 +425,15 @@ let compare_and_swap t ~proc cell ~expect ~set =
     end
     else false
   end
-  else
-    timed_access t ~proc cell ~accesses:t.cfg.Config.atomic_mem_accesses
-      ~atomic:true
-      (fun () ->
-        if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
-        if Cell.peek cell = expect then begin
-          poke t cell set;
-          true
-        end
-        else false)
+  else begin
+    access_wait t ~proc cell ~accesses:t.cfg.Config.atomic_mem_accesses
+      ~atomic:true;
+    if Cell.peek cell = expect then begin
+      poke t cell set;
+      true
+    end
+    else false
+  end
 
 let cpu_work t cycles = Process.pause t.eng cycles
 

@@ -216,6 +216,37 @@ let test_wide_gap_rejected () =
         (Engine.wait ~owner:0 ~even_gap:(Engine.max_gap + 1) ~odd_gap:1
            ~fire:ignore ~credit:ignore))
 
+(* -- The wait registry -------------------------------------------------------
+
+   A wait takes a registry id when it leaves idle and gives it back when it
+   returns, so a loop of spins, each building a fresh wait, keeps the
+   registry at one wait in use while it runs and leaves none after [run]. *)
+let test_registry_bounded () =
+  let open Hector in
+  let eng = Engine.create () in
+  let m = Machine.create eng Config.hector in
+  let cell = Machine.alloc m ~home:0 0 in
+  let ctx = Ctx.create m ~proc:0 (Rng.create 1) in
+  let rounds = 200 and used = ref 0 and size = ref 0 in
+  Process.spawn eng (fun () ->
+      for r = 1 to rounds do
+        ignore (Ctx.spin_while ctx cell (fun v -> v < r))
+      done);
+  Process.spawn eng (fun () ->
+      for r = 1 to rounds do
+        Process.pause eng 1_000;
+        let u, n = Engine.registry eng in
+        used := max !used u;
+        size := max !size n;
+        Machine.write m ~proc:1 cell r
+      done);
+  Engine.run eng;
+  Alcotest.(check int) "one wait in use at a time" 1 !used;
+  Alcotest.(check bool) "registry stays small" true (!size <= 4);
+  Alcotest.(check int) "none in use after run" 0 (fst (Engine.registry eng));
+  Alcotest.(check bool) "the spins were elided" true
+    (Engine.events_executed eng < 20 * rounds)
+
 let suite =
   [
     Alcotest.test_case "time starts at zero" `Quick test_time_starts_at_zero;
@@ -244,4 +275,6 @@ let suite =
       test_chain_ending_at_zero_refused;
     Alcotest.test_case "gap wider than max_gap rejected" `Quick
       test_wide_gap_rejected;
+    Alcotest.test_case "wait registry stays bounded" `Quick
+      test_registry_bounded;
   ]

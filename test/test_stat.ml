@@ -115,6 +115,56 @@ let prop_mean_bounds =
       float_of_int (Stat.min_value s) <= Stat.mean s +. 1e-9
       && Stat.mean s <= float_of_int (Stat.max_value s) +. 1e-9)
 
+(* The in-place sort against a reference: arrays long enough to reach its
+   quicksort, with duplicates and negatives, in random, ascending,
+   descending or organ-pipe order, sorted once, then again after more
+   adds. *)
+let prop_sorted_stats_match_reference =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 3_000 and* spread = oneofl [ 3; 100; 1_000_000 ] in
+      let* xs = list_repeat n (int_range (-spread) spread) in
+      let* shape = int_bound 3 and* more = list_size (int_bound 40) int in
+      let xs =
+        match shape with
+        | 0 -> xs
+        | 1 -> List.sort compare xs
+        | 2 -> List.rev (List.sort compare xs)
+        | _ ->
+          let up = List.sort compare xs in
+          List.filteri (fun i _ -> i mod 2 = 0) up
+          @ List.rev (List.filteri (fun i _ -> i mod 2 = 1) up)
+      in
+      return (xs, more))
+  in
+  QCheck.Test.make ~name:"sorted statistics match a List.sort reference"
+    ~count:100
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list int) (list int))
+       gen)
+    (fun (xs, more) ->
+      let s = with_samples xs in
+      let agree samples =
+        let sorted = Array.of_list (List.sort compare samples) in
+        let n = Array.length sorted in
+        let at q =
+          if n = 0 then 0
+          else
+            let rank = int_of_float (ceil (q *. float_of_int n)) in
+            sorted.(max 0 (min (n - 1) (rank - 1)))
+        in
+        List.for_all
+          (fun q -> Stat.percentile s q = at q)
+          [ 0.0; 0.01; 0.25; 0.5; 0.9; 0.99; 0.999; 1.0 ]
+        && Stat.median s = at 0.5
+        && Stat.min_value s = (if n = 0 then 0 else sorted.(0))
+        && Stat.max_value s = if n = 0 then 0 else sorted.(n - 1)
+      in
+      agree xs
+      &&
+      (List.iter (Stat.add s) more;
+       agree (xs @ more)))
+
 let suite =
   [
     Alcotest.test_case "empty stat" `Quick test_empty;
@@ -131,4 +181,5 @@ let suite =
     Alcotest.test_case "to_list keeps order" `Quick test_to_list;
     Qc.to_alcotest prop_percentile_matches_sorted;
     Qc.to_alcotest prop_mean_bounds;
+    Qc.to_alcotest prop_sorted_stats_match_reference;
   ]
