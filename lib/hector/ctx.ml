@@ -166,6 +166,11 @@ let read t cell =
   t.overlap_credit <- 0;
   Machine.read t.machine ~proc:t.proc cell
 
+let read_untouched t ~home =
+  poll t;
+  t.overlap_credit <- 0;
+  Machine.read_untouched t.machine ~proc:t.proc ~home
+
 let write t cell v =
   poll t;
   t.overlap_credit <- 0;

@@ -61,6 +61,13 @@ val instr : t -> ?reg:int -> ?br:int -> unit -> unit
 val poll : t -> unit
 
 val read : t -> Cell.t -> int
+
+(** {!read} of a word on PMM [home] that no access has touched since it was
+    made, without its cell: the same poll, overlap reset and
+    {!Machine.read_untouched} charge, for a caller that knows the value and
+    runs on a machine without caches. *)
+val read_untouched : t -> home:int -> unit
+
 val write : t -> Cell.t -> int -> unit
 
 (** Atomic swap; returns the previous value and opens the overlap window. *)

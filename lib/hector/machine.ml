@@ -359,16 +359,30 @@ let read_finish t ~proc cell =
   end;
   Cell.peek cell
 
+(* A read of a word on [home] that no access has touched since it was
+   made: it misses, so it costs what any read costs on a machine without
+   caches. The caller knows the word's value; on a coherent machine it
+   also owes the line fill, which needs the cell. *)
+let read_untouched t ~proc ~home =
+  t.reads <- t.reads + 1;
+  Process.wait_until t.eng
+    (access_finish_time t ~proc ~home ~accesses:1 ~atomic:false)
+
 let read t ~proc cell =
-  let finish = read_start t ~proc cell in
-  if finish < 0 then begin
-    cache_hit t;
+  if not t.cfg.Config.cache_coherent then begin
+    read_untouched t ~proc ~home:(Cell.home cell);
     Cell.peek cell
   end
-  else begin
-    Process.wait_until t.eng finish;
-    read_finish t ~proc cell
-  end
+  else
+    let finish = read_start t ~proc cell in
+    if finish < 0 then begin
+      cache_hit t;
+      Cell.peek cell
+    end
+    else begin
+      Process.wait_until t.eng finish;
+      read_finish t ~proc cell
+    end
 
 (* The timed half of a write or atomic: suspend until the access
    completes, then take the line. The caller's value operation follows in

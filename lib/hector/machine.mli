@@ -131,6 +131,14 @@ val base_latency : t -> proc:int -> home:int -> int
     when the memory module serviced the access. *)
 val read : t -> proc:int -> Cell.t -> int
 
+(** The charge of a {!read} of a word on PMM [home] that no access has
+    touched since it was made, without the cell: it counts the read and
+    suspends until the miss completes, as {!read} of that cell does. The
+    caller knows the value (the word's initial one). On a machine without
+    caches this is all {!read} does before returning {!Cell.peek}; on a
+    coherent one the cell's line fill is left undone, so use {!read} there. *)
+val read_untouched : t -> proc:int -> home:int -> unit
+
 (** Issue half of {!read}, for waits that run as engine events: counts the
     read and reserves its path. Returns the time a miss completes — call
     {!read_finish} then — or [-1] for a coherent cache hit, which costs

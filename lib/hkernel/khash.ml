@@ -36,10 +36,17 @@
    keys from a non-negative one, one seeded status, one payload
    (physically), cell ids and homes in sequence, no bin walked, a
    power-of-two bin count, not [Fine] — are one run record and build no
-   element. The first operation that walks a bin builds its members in
-   front of its chain, found by arithmetic: the keys congruent to
-   [b * knuth^-1] modulo [nbins]. A table pre-populated with 10^6 keys
-   but visited on a few thousand bins builds only those bins. Any other
+   element. A bin's members are found by arithmetic: the keys congruent
+   to [b * knuth^-1] modulo [nbins]. The first timed search or insert
+   that walks a bin gives it a slot per member, each holding the run's
+   pristine sentinel. A search reads a pristine member's status word by
+   arithmetic (its home and seeded value come from the run) and builds,
+   in its slot, only the member it returns; an insert links in front of
+   the slots. A remove, [iter_untimed] or [find_untimed] builds the
+   bin's remaining members into their slots and walks a plain chain. On
+   a cache-coherent machine a read fills the line, so a search builds
+   each member before it reads it. A table pre-populated with 10^6 keys
+   and visited on a few thousand keys builds only those keys. Any other
    untimed insert builds and links its element at once, which walks its
    bin and so closes the run. Cell ids are numbered per machine, so only
    the table's own machine can break a run's id sequence. *)
@@ -68,25 +75,32 @@ type 'a elem = {
 }
 
 (* A bin: [Unbuilt] until an operation first walks it, then its chain,
-   newest first, of [Elem]s ending in [Nil]. A search's first read of the
-   bin's head word puts the word in front as [Head]; nothing else reads
-   it, so a bin that is only walked costs no more than its elements. *)
+   newest first, of [Elem]s ending in [Nil] or in [Run], the bin's run
+   members, newest first. A [Run] slot holds the run's [pristine]
+   sentinel until its member is built there; a slot is never emptied or
+   rebuilt, so every walker of the array sees one element per member. A
+   search's first read of the bin's head word puts the word in front as
+   [Head]; nothing else reads it, so a bin that is only walked costs no
+   more than its elements. *)
 type 'a bin =
   | Unbuilt
   | Nil
-  | Elem of 'a elem * 'a bin (* the rest is [Nil] or an [Elem] *)
+  | Elem of 'a elem * 'a bin (* the rest is [Nil], an [Elem] or a [Run] *)
+  | Run of 'a elem array
   | Head of { head : Cell.t; mutable chain : 'a bin (* never a [Head] *) }
 
 (* The dense run of a table's first untimed inserts: member [m] has key
    [key0 + m], status word [status0], cell id [id0 + m], home
    [elem_homes.((h0 + m) mod length elem_homes)] and [payload]. The next
-   member's home index is [hnext]. *)
+   member's home index is [hnext]. [pristine] marks an unbuilt member's
+   slot: an element of no key (-1) and no cell id (-1), never linked. *)
 type 'a run = {
   key0 : int;
   status0 : int;
   id0 : int;
   h0 : int;
   payload : 'a;
+  pristine : 'a elem;
   mutable n : int;
   mutable hnext : int;
 }
@@ -256,7 +270,7 @@ let next_home_index t =
 let head t b =
   match t.bins.(b) with
   | Head h -> h.head
-  | (Unbuilt | Nil | Elem _) as chain ->
+  | (Unbuilt | Nil | Elem _ | Run _) as chain ->
     let homes = t.homes in
     let home =
       match t.granularity with
@@ -270,7 +284,7 @@ let head t b =
 let bin_head t b =
   match t.bins.(b) with
   | Head h -> Some h.head
-  | Unbuilt | Nil | Elem _ -> None
+  | Unbuilt | Nil | Elem _ | Run _ -> None
 
 (* -- elements and the run ------------------------------------------------ *)
 
@@ -316,6 +330,10 @@ let extend_run t key ~status0 ~hidx ~id payload =
   else
     match t.run with
     | None when t.mask >= 0 && t.granularity <> Fine ->
+      let pristine =
+        build_elem t (-1) ~id:(-1) ~home:t.elem_homes.(hidx) ~status0 ~payload
+          ~reserver:(-1)
+      in
       t.run <-
         Some
           {
@@ -324,6 +342,7 @@ let extend_run t key ~status0 ~hidx ~id payload =
             id0 = id;
             h0 = hidx;
             payload;
+            pristine;
             n = 1;
             hnext = t.next_home;
           };
@@ -340,36 +359,58 @@ let extend_run t key ~status0 ~hidx ~id payload =
       end;
       next
 
-(* Build the run's members with keys [k], [k - nbins], ... down to its
-   first key. Top level and tail-mod-cons, so a bin's build costs what
-   eager building did: the element, its status cell and one [Elem]. *)
-let[@tail_mod_cons] rec build_run t r k =
-  if k < r.key0 then Nil
+let the_run t =
+  match t.run with
+  | Some r -> r
+  | None -> invalid_arg "Khash: run slots in a table with no run"
+
+let member_home t r m =
+  t.elem_homes.((r.h0 + m) mod Array.length t.elem_homes)
+
+(* Run member [m], built. *)
+let member t r m =
+  build_elem t (r.key0 + m) ~status0:r.status0 ~id:(r.id0 + m)
+    ~home:(member_home t r m) ~payload:r.payload ~reserver:(-1)
+
+(* Bin [b]'s newest run member: the run's last key congruent to
+   [b * knuth_inv] modulo [nbins], less [key0]. Negative when the bin has
+   none; the next older member is [nbins] lower. *)
+let top_member t r b =
+  let last = r.key0 + r.n - 1 in
+  last - ((last - (b * knuth_inv)) land t.mask) - r.key0
+
+(* Build the run's members [m], [m - nbins], ... down to its first. Top
+   level and tail-mod-cons, so a bin's build costs what eager building
+   did: the element, its status cell and one [Elem]. *)
+let[@tail_mod_cons] rec build_run t r m =
+  if m < 0 then Nil else Elem (member t r m, build_run t r (m - t.nbins))
+
+(* Slot [j] of a bin's run slots (member [top - j * nbins]), built in
+   place if pristine. *)
+let slot t r slots ~top j =
+  let e = slots.(j) in
+  if e != r.pristine then e
   else begin
-    let m = k - r.key0 in
-    let e =
-      build_elem t k ~status0:r.status0 ~id:(r.id0 + m)
-        ~home:t.elem_homes.((r.h0 + m) mod Array.length t.elem_homes)
-        ~payload:r.payload ~reserver:(-1)
-    in
-    Elem (e, build_run t r (k - t.nbins))
+    let e = member t r (top - (j * t.nbins)) in
+    slots.(j) <- e;
+    e
   end
 
 (* Bin [b]'s chain as stored, built or not. *)
 let stored t b =
   match t.bins.(b) with
   | Head h -> h.chain
-  | (Unbuilt | Nil | Elem _) as chain -> chain
+  | (Unbuilt | Nil | Elem _ | Run _) as chain -> chain
 
 let store t b chain =
   match t.bins.(b) with
   | Head h -> h.chain <- chain
-  | Unbuilt | Nil | Elem _ -> t.bins.(b) <- chain
+  | Unbuilt | Nil | Elem _ | Run _ -> t.bins.(b) <- chain
 
-(* Bin [b]'s chain, built on its first walk: its run members, newest first
-   (the keys up to the run's last that are congruent to [b * knuth_inv]
-   modulo [nbins]). A walk closes the run. *)
-let chain t b =
+(* Bin [b]'s chain as a timed search or insert walks it: on its first
+   walk, its run members as pristine slots ([Nil] when it has none). A
+   walk closes the run. *)
+let walk t b =
   match stored t b with
   | Unbuilt ->
     t.walked <- true;
@@ -377,20 +418,91 @@ let chain t b =
       match t.run with
       | None -> Nil
       | Some r ->
-        let last = r.key0 + r.n - 1 in
-        build_run t r (last - ((last - (b * knuth_inv)) land t.mask))
+        let top = top_member t r b in
+        if top < 0 then Nil
+        else Run (Array.make ((top / t.nbins) + 1) r.pristine)
     in
     store t b chain;
     chain
   | chain -> chain
 
-let rec iter_chain f = function
+let rec has_slots = function
+  | Elem (_, rest) -> has_slots rest
+  | Run _ -> true
+  | Unbuilt | Nil | Head _ -> false
+
+(* [chain] with its run slots built in place and made [Elem]s. *)
+let[@tail_mod_cons] rec build_slots t b = function
+  | Elem (e, rest) -> Elem (e, build_slots t b rest)
+  | Run slots ->
+    let r = the_run t in
+    let top = top_member t r b in
+    for j = 0 to Array.length slots - 1 do
+      ignore (slot t r slots ~top j : _ elem)
+    done;
+    Array.fold_right (fun e rest -> Elem (e, rest)) slots Nil
+  | (Unbuilt | Nil | Head _) as chain -> chain
+
+(* Bin [b]'s chain, every member built: on its first walk, its run
+   members, newest first, and afterwards its run slots, built in the
+   same slots, so a walker of the old slots sees these elements. A walk
+   closes the run. *)
+let chain t b =
+  match stored t b with
+  | Unbuilt ->
+    t.walked <- true;
+    let chain =
+      match t.run with
+      | None -> Nil
+      | Some r -> build_run t r (top_member t r b)
+    in
+    store t b chain;
+    chain
+  | chain when has_slots chain ->
+    let chain = build_slots t b chain in
+    store t b chain;
+    chain
+  | chain -> chain
+
+(* The built elements of a chain: run slots still pristine are skipped. *)
+let rec iter_built t f = function
   | Elem (e, rest) ->
     f e;
-    iter_chain f rest
+    iter_built t f rest
+  | Run slots ->
+    let pristine = (the_run t).pristine in
+    Array.iter (fun e -> if e != pristine then f e) slots
   | Unbuilt | Nil | Head _ -> ()
 
 (* -- operations that require the protecting lock to be held ------------- *)
+
+(* Probe a bin's run slots from slot [j] on, as [search_with] probes a
+   chain. A pristine member's status word has not been touched since the
+   run began, so without caches its read is charged by arithmetic (home
+   and value from the run) and only the member found is built, in its
+   slot. A member built during that read is read as its cell: the value
+   the read of the built element would return. On a coherent machine a
+   read fills the line, so each member is built before it is read. *)
+let rec probe_slots ctx t r slots ~top j key ~found ~absent =
+  if j = Array.length slots then absent ()
+  else begin
+    t.probes <- t.probes + 1;
+    let m = top - (j * t.nbins) in
+    let v =
+      if
+        slots.(j) == r.pristine
+        && not (Machine.config t.machine).Config.cache_coherent
+      then begin
+        Ctx.read_untouched ctx ~home:(member_home t r m);
+        let e = slots.(j) in
+        if e == r.pristine then r.status0 else Cell.peek e.status
+      end
+      else Ctx.read ctx (slot t r slots ~top j).status
+    in
+    Ctx.instr ctx ~reg:1 ~br:1 ();
+    if r.key0 + m = key then found (slot t r slots ~top j) v
+    else probe_slots ctx t r slots ~top (j + 1) key ~found ~absent
+  end
 
 (* Search a chain: one read of the bin-head word (which lives beside the
    lock, as the table header does on real hardware), then one header read
@@ -406,9 +518,12 @@ let search_with ctx t key ~found ~absent =
       let v = Ctx.read ctx e.status in
       Ctx.instr ctx ~reg:1 ~br:1 ();
       if e.key = key then found e v else go rest
+    | Run slots ->
+      let r = the_run t in
+      probe_slots ctx t r slots ~top:(top_member t r b) 0 key ~found ~absent
     | Unbuilt | Nil | Head _ -> absent ()
   in
-  go (chain t b)
+  go (walk t b)
 
 let search_locked ctx t key =
   search_with ctx t key ~found:(fun e _ -> Some e) ~absent:(fun () -> None)
@@ -431,11 +546,11 @@ let seq_write_end t ctx key =
   | Some sq -> Seqlock.write_end sq ctx
   | None -> ()
 
-(* Push onto the head of the key's chain (host-side; timed callers charge
-   the header write). *)
+(* Push onto the head of the key's chain, in front of any run slots
+   (host-side; timed callers charge the header write). *)
 let link t elem =
   let b = bin_of_key t elem.key in
-  store t b (Elem (elem, chain t b));
+  store t b (Elem (elem, walk t b));
   t.n_elems <- t.n_elems + 1
 
 let insert_locked ctx t key ~status0 ~make =
@@ -470,7 +585,7 @@ let remove_locked ctx t key =
       found := true;
       rest
     | Elem (e, rest) -> Elem (e, drop rest)
-    | (Unbuilt | Nil | Head _) as rest -> rest
+    | (Unbuilt | Nil | Run _ | Head _) as rest -> rest
   in
   store t b (drop (chain t b));
   if !found then begin
@@ -664,7 +779,7 @@ let with_element t ctx key f =
    before the simulation starts). The home is picked, [make] called and the
    status cell's id reserved now, in insert order, as for a timed insert.
    The insert then extends the table's run, whose members are built when
-   an operation first walks their bin ({!chain}), or its element is built
+   an operation keeps them ({!walk}, {!chain}), or its element is built
    and linked at once. No live processor set a seeded reserve bit, so a
    crash sweep has no corpse to attribute it to. *)
 let insert_untimed t key ~status0 ~make =
@@ -679,14 +794,14 @@ let insert_untimed t key ~status0 ~make =
 (* Untimed whole-table iteration, for tests and invariant checks. *)
 let iter_untimed t f =
   for b = 0 to t.nbins - 1 do
-    iter_chain f (chain t b)
+    iter_built t f (chain t b)
   done
 
 (* Untimed keyed lookup: walks [key]'s bin only. *)
 let find_untimed t key =
   let rec find = function
     | Elem (e, rest) -> if e.key = key then Some e else find rest
-    | Unbuilt | Nil | Head _ -> None
+    | Unbuilt | Nil | Run _ | Head _ -> None
   in
   find (chain t (bin_of_key t key))
 
@@ -720,7 +835,7 @@ let recover t ctx =
   Array.iter (fun l -> bump (Spin_lock.Core.recover l ctx)) t.bin_locks;
   (* Built elements only: {!stored}, not {!chain}. *)
   for b = 0 to t.nbins - 1 do
-    iter_chain
+    iter_built t
       (fun e ->
         (match e.elem_lock with
         | Some l -> bump (Spin_lock.Core.recover l ctx)

@@ -139,7 +139,12 @@ val bin_head : 'a t -> int -> Cell.t option
 val with_coarse : 'a t -> Ctx.t -> (unit -> 'b) -> 'b
 
 (** Search a chain; requires the protecting lock (or [with_coarse]).
-    Charges one read of the bin head plus one per element examined. *)
+    Charges one read of the bin head plus one per element examined. Of a
+    bin's unbuilt run members ({!insert_untimed}) it builds only the one it
+    returns: the others' status words, untouched since the run began, are
+    read by arithmetic ({!Ctx.read_untouched}) at the same charge.
+    On a cache-coherent machine, where a read fills the line, it builds
+    each member it reads. *)
 val search_locked : Ctx.t -> 'a t -> int -> 'a elem option
 
 (** Acquire the key's protecting lock (table lock, or shard lock under
@@ -175,7 +180,8 @@ val insert : 'a t -> Ctx.t -> int -> make:(int -> 'a) -> 'a elem
 (** Read-only lookup. Under [Sharded] this is the optimistic read path
     described above (unlocked probe validated by the shard's seqlock,
     locked fallback on conflict); under every other granularity it is
-    {!lookup_locked}. *)
+    {!lookup_locked}. Like {!search_locked}, it builds no run member but
+    the one it returns. *)
 val lookup : 'a t -> Ctx.t -> int -> 'a elem option
 
 (** Search under the key's protecting lock (bin spin lock in [Fine] mode).
@@ -197,13 +203,15 @@ val with_element : 'a t -> Ctx.t -> int -> ('a elem -> 'b) -> 'b option
     keys [k0 >= 0], [k0 + 1], ..., one [status0], one payload (physically
     equal), cell ids and homes in sequence (no cell allocated on the
     table's machine between two inserts), and no bin walked since the
-    first. A run member is built when an operation first walks its bin —
-    any timed operation, {!mem_untimed} or {!iter_untimed} — so chain
-    order, homes, status words, probe counts and every simulated result
-    are as if it had been built at insert; a table pre-populated with many
-    keys but visited on few bins builds only those bins. Every other
-    untimed insert builds and links its element at once, which closes the
-    run for good. *)
+    first. A run member is built only when an operation keeps it: the
+    element a search returns, or every member of its bin once a {!remove},
+    {!mem_untimed}, {!find_untimed} or {!iter_untimed} walks the bin. A
+    timed insert links in front of them and builds none. Chain order,
+    homes, status words, probe counts and every simulated result are as if
+    each member had been built at insert; a table pre-populated with many
+    keys but visited on few builds only the elements its searches return.
+    Every other untimed insert builds and links its element at once, which
+    closes the run for good. *)
 val insert_untimed : 'a t -> int -> status0:int -> make:(int -> 'a) -> unit
 
 (** Untimed iteration/membership, for tests and invariant checks. Both

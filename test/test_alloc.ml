@@ -5,7 +5,7 @@
    slack, so an allocation that creeps back onto a hot path fails here.
    Measured (OCaml 5.1.1, the default release profile): fault + unmap 979
    words, null RPC 387, MCS pair 0, elided wait 68, remote write and
-   fetch-and-store 0. *)
+   fetch-and-store 0, first lookup of an unbuilt bin 47, Rng.int 0. *)
 
 open Eventsim
 open Hector
@@ -93,6 +93,35 @@ let test_elided_wait () =
     Alcotest.failf "%d events: the polls ran as events"
       (Engine.events_executed eng)
 
+(* The first lookup of a bin of the SLO table (2^17 bins over 16 shards,
+   10^6 dense untimed keys): the bin's head word and run slots, and only
+   the element it returns. Building the bin's whole chain, about eight
+   members at 16 words each, cost about 150. *)
+let test_first_lookup () =
+  let eng, machine = machine () in
+  let table =
+    Khash.create machine ~granularity:Khash.Sharded ~nbins:(1 lsl 17)
+      ~shards:16 ~lock_algo:Lock.Mcs_h2
+      ~homes:(List.init 16 (fun i -> i))
+  in
+  for k = 0 to 999_999 do
+    Khash.insert_untimed table k ~status0:0 ~make:ignore
+  done;
+  let ctx = Ctx.create machine ~proc:0 (Rng.create 1) in
+  (* Consecutive keys fall in distinct bins: the hash is a bijection on
+     the low 17 bits. *)
+  let key = ref 0 in
+  words_per_op eng (fun () ->
+      ignore (Khash.lookup table ctx !key : unit Khash.elem option);
+      incr key)
+  |> check "first lookup of an unbuilt bin" ~bound:55.
+
+let test_rng_int () =
+  let eng, _ = machine () in
+  let rng = Rng.create 1 in
+  words_per_op eng (fun () -> ignore (Rng.int rng 1_000 : int))
+  |> check "Rng.int" ~bound:0.
+
 let suite =
   [
     Alcotest.test_case "uncontended page fault" `Quick test_page_fault;
@@ -100,4 +129,7 @@ let suite =
     Alcotest.test_case "MCS acquire/release pair" `Quick test_mcs_pair;
     Alcotest.test_case "elided wait" `Quick test_elided_wait;
     Alcotest.test_case "remote write and atomic" `Quick test_remote_access;
+    Alcotest.test_case "first lookup of an unbuilt bin" `Quick
+      test_first_lookup;
+    Alcotest.test_case "Rng.int" `Quick test_rng_int;
   ]

@@ -1085,6 +1085,30 @@ let test_untouched_bin_words () =
   check "after 10^6 dense untimed inserts";
   ignore (Sys.opaque_identity (eng, machine, table))
 
+(* A bin one lookup has walked keeps its head word, its run slots and the
+   one member the lookup returned: at most 40 live words on the SLO table,
+   where building the bin's whole chain kept about 8 members at 16 words
+   each. 2 000 consecutive keys walk 2 000 distinct bins. *)
+let test_walked_bin_words () =
+  let eng, machine, table = slo_shaped_table () in
+  for k = 0 to 999_999 do
+    Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ())
+  done;
+  let c = Ctx.create machine ~proc:0 (Rng.create 1) in
+  let walked = 2_000 in
+  let before = live_words () in
+  simulate eng (fun () ->
+      for k = 0 to walked - 1 do
+        if Khash.lookup table c k = None then Alcotest.failf "key %d absent" k
+      done);
+  let per_bin =
+    float_of_int (live_words () - before) /. float_of_int walked
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words a walked bin <= 40 (got %.2f)" per_bin)
+    true (per_bin <= 40.0);
+  ignore (Sys.opaque_identity (eng, machine, table, c))
+
 (* The cell ids building [granularity]'s locks takes, in the order eager
    creation took them: Fine-mode bin locks, then under [Sharded] each
    shard's sequence word and lock, then the table lock. *)
@@ -1223,6 +1247,141 @@ let prop_lazy_heads_match_eager =
           (after + 1 + (!inserts * per_insert));
       true)
 
+(* Twin tables: one random multi-fiber program runs against a dense-run
+   table and against a twin whose members [iter_untimed] built before the
+   first timed operation, each on its own engine. Pristine members read by
+   arithmetic, and built only when an operation keeps them, must leave
+   everything eager building gave: after each operation the clock,
+   [Machine.reads], [Khash.probes] and the result (key, status cell id,
+   home and value). Fibers on four stations start together, so removes
+   race optimistic lookups still walking the bin they change. *)
+type twin_op =
+  | Tw_lookup of int (* optimistic *)
+  | Tw_locked of int
+  | Tw_with of int (* holds the reservation for 200 cycles *)
+  | Tw_insert of int
+  | Tw_remove of int
+  | Tw_mem of int
+  | Tw_iter
+  | Tw_work of int
+
+let show_twin_op = function
+  | Tw_lookup k -> Printf.sprintf "lookup %d" k
+  | Tw_locked k -> Printf.sprintf "locked lookup %d" k
+  | Tw_with k -> Printf.sprintf "with_element %d" k
+  | Tw_insert k -> Printf.sprintf "insert %d" k
+  | Tw_remove k -> Printf.sprintf "remove %d" k
+  | Tw_mem k -> Printf.sprintf "mem %d" k
+  | Tw_iter -> "iter"
+  | Tw_work c -> Printf.sprintf "work %d" c
+
+let arb_twin =
+  let op n =
+    QCheck.Gen.(
+      let key = int_bound (n + 7) in
+      frequency
+        [
+          (8, map (fun k -> Tw_lookup k) key);
+          (4, map (fun k -> Tw_locked k) key);
+          (4, map (fun k -> Tw_with k) key);
+          (2, map (fun k -> Tw_insert k) key);
+          (4, map (fun k -> Tw_remove k) key);
+          (2, map (fun k -> Tw_mem k) key);
+          (1, return Tw_iter);
+          (4, map (fun c -> Tw_work c) (int_bound 400));
+        ])
+  in
+  QCheck.make
+    ~print:(fun (nbins, n, fibers) ->
+      Printf.sprintf "nbins %d, keys 0..%d: %s" nbins (n - 1)
+        (String.concat " | "
+           (List.map
+              (fun ops -> String.concat "; " (List.map show_twin_op ops))
+              fibers)))
+    QCheck.Gen.(
+      oneofl [ 4; 8 ] >>= fun nbins ->
+      int_range 4 40 >>= fun n ->
+      list_size (int_range 2 4) (list_size (int_bound 12) (op n))
+      >|= fun fibers -> (nbins, n, fibers))
+
+(* The log of one run: a line per operation, in completion order. *)
+let run_twin cfg (nbins, n, fibers) ~prebuilt =
+  let eng = Engine.create () in
+  let machine = Machine.create eng cfg in
+  let table =
+    Khash.create machine ~granularity:Khash.Sharded ~nbins ~shards:2
+      ~lock_algo:Lock.Mcs_h2
+      ~homes:(List.init 16 (fun i -> i))
+  in
+  for k = 0 to n - 1 do
+    Khash.insert_untimed table k ~status0:0 ~make:ignore
+  done;
+  if prebuilt then Khash.iter_untimed table ignore;
+  let show (e : unit Khash.elem) =
+    Printf.sprintf "key %d, cell %d on %d = %d" e.Khash.key
+      (Cell.id e.Khash.status) (Cell.home e.Khash.status)
+      (Cell.peek e.Khash.status)
+  in
+  let some = function None -> "none" | Some s -> s in
+  let log = ref [] in
+  List.iteri
+    (fun i ops ->
+      let proc = [| 0; 5; 9; 14 |].(i) in
+      let c = Ctx.create machine ~proc (Rng.create (100 + i)) in
+      Process.spawn eng (fun () ->
+          List.iter
+            (fun op ->
+              let result =
+                match op with
+                | Tw_lookup k -> some (Option.map show (Khash.lookup table c k))
+                | Tw_locked k ->
+                  some (Option.map show (Khash.lookup_locked table c k))
+                | Tw_with k ->
+                  some
+                    (Khash.with_element table c k (fun e ->
+                         let s = show e in
+                         Ctx.work c 200;
+                         s))
+                | Tw_insert k -> show (Khash.insert table c k ~make:ignore)
+                | Tw_remove k -> string_of_bool (Khash.remove table c k)
+                | Tw_mem k -> string_of_bool (Khash.mem_untimed table k)
+                | Tw_iter ->
+                  let seen = ref 0 in
+                  Khash.iter_untimed table (fun _ -> incr seen);
+                  string_of_int !seen
+                | Tw_work cycles ->
+                  Ctx.work c cycles;
+                  ""
+              in
+              log :=
+                Printf.sprintf "fiber %d, %s: %s at %d, %d reads, %d probes" i
+                  (show_twin_op op) result (Machine.now machine)
+                  (Machine.reads machine) (Khash.probes table)
+                :: !log)
+            ops))
+    fibers;
+  Engine.run eng;
+  List.rev !log
+
+let prop_twin_matches_built (cfg_name, cfg) =
+  QCheck.Test.make
+    ~name:("twin tables: a dense run walks as its built twin, " ^ cfg_name)
+    ~count:150 arb_twin (fun case ->
+      let rec compare_logs i = function
+        | a :: dense, b :: built ->
+          if a <> b then
+            QCheck.Test.fail_reportf "operation %d: dense run %s; built twin %s"
+              i a b
+          else compare_logs (i + 1) (dense, built)
+        | [], [] -> true
+        | dense, built ->
+          QCheck.Test.fail_reportf
+            "after %d operations: dense run %d more, built twin %d more" i
+            (List.length dense) (List.length built)
+      in
+      compare_logs 0
+        (run_twin cfg case ~prebuilt:false, run_twin cfg case ~prebuilt:true))
+
 let suite =
   [
     Alcotest.test_case "insert and find" `Quick test_insert_and_find;
@@ -1269,6 +1428,8 @@ let suite =
       test_sharded_obs_attribution;
     Alcotest.test_case "an untouched bin costs at most 1.5 words" `Quick
       test_untouched_bin_words;
+    Alcotest.test_case "a bin walked by one lookup keeps at most 40 words"
+      `Quick test_walked_bin_words;
     Qc.to_alcotest prop_bin_of_key_in_range;
     Qc.to_alcotest prop_bin_of_key_low_bits;
     Qc.to_alcotest prop_sharded_mutual_exclusion;
@@ -1277,4 +1438,6 @@ let suite =
     Qc.to_alcotest prop_lazy_build_matches_model;
     Qc.to_alcotest prop_runs_match_model;
     Qc.to_alcotest prop_lazy_heads_match_eager;
+    Qc.to_alcotest (prop_twin_matches_built ("hector", Config.hector));
+    Qc.to_alcotest (prop_twin_matches_built ("numachine", Config.numachine));
   ]

@@ -58,6 +58,36 @@ let test_float_range () =
     Alcotest.(check bool) "[0,1)" true (v >= 0.0 && v < 1.0)
   done
 
+(* The splitmix64 stream is part of every experiment's output: pin the
+   first draws of three seeds, and of a child stream's [int]s, so a change
+   to how the state is held cannot move a number. *)
+let test_pinned_outputs () =
+  List.iter
+    (fun (seed, first, ints) ->
+      let r = Rng.create seed in
+      Alcotest.(check (list int64))
+        (Printf.sprintf "seed %d: first draws" seed)
+        first
+        (List.init 3 (fun _ -> Rng.next_int64 r));
+      let child = Rng.split (Rng.create seed) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d: a child's first ints" seed)
+        ints
+        (List.init 3 (fun _ -> Rng.int child 1_000_000)))
+    [
+      ( 0,
+        [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ],
+        [ 171247; 794846; 586327 ] );
+      ( 7,
+        [ 7191089600892374487L; 309689372594955804L; -1830642326893942270L ],
+        [ 921413; 106366; 949019 ] );
+      ( 31,
+        [
+          -2929144642507117846L; -4840000547396304936L; -9133900205235055403L;
+        ],
+        [ 884398; 624905; 995610 ] );
+    ]
+
 let prop_int_nonnegative_and_bounded =
   QCheck.Test.make ~name:"Rng.int stays within [0, bound)" ~count:500
     QCheck.(pair small_int (int_range 1 1_000_000))
@@ -92,6 +122,8 @@ let suite =
     Alcotest.test_case "range rejects hi<lo" `Quick test_range_bad;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
     Alcotest.test_case "float in [0,1)" `Quick test_float_range;
+    Alcotest.test_case "first outputs of seeds 0, 7 and 31" `Quick
+      test_pinned_outputs;
     Qc.to_alcotest prop_int_nonnegative_and_bounded;
     Qc.to_alcotest prop_bool_both_values;
   ]
