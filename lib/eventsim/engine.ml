@@ -8,7 +8,10 @@
    the earliest timestamp with [Pqueue.min_time] (an int, [max_int] when
    drained) and takes the thunk with [Pqueue.pop_payload], so sustained runs
    cost the heap sift plus the thunk itself and, while a wait is elided,
-   one ring record (below).
+   one ring record (below). A plan scheduled before [run] in time order
+   (the SLO stream's arrivals) goes past the heap's first 32 entries into
+   [Pqueue]'s in-order lane, so the sift stays as shallow as the fibers'
+   own events; the pop order, and so every seq and tie, is the heap's.
 
    In-place dispatch. A fiber's sleep ([Process.pause], [wait_until]) whose
    wake is provably the next dispatch skips the heap and the effect round

@@ -504,6 +504,20 @@ let rec probe_slots ctx t r slots ~top j key ~found ~absent =
     else probe_slots ctx t r slots ~top (j + 1) key ~found ~absent
   end
 
+(* Probe bin [b]'s chain for [key], one header read per element examined.
+   Top level, not local to [search_with], so a search builds no closure. *)
+let rec probe_chain ctx t b key ~found ~absent = function
+  | Elem (e, rest) ->
+    t.probes <- t.probes + 1;
+    let v = Ctx.read ctx e.status in
+    Ctx.instr ctx ~reg:1 ~br:1 ();
+    if e.key = key then found e v
+    else probe_chain ctx t b key ~found ~absent rest
+  | Run slots ->
+    let r = the_run t in
+    probe_slots ctx t r slots ~top:(top_member t r b) 0 key ~found ~absent
+  | Unbuilt | Nil | Head _ -> absent ()
+
 (* Search a chain: one read of the bin-head word (which lives beside the
    lock, as the table header does on real hardware), then one header read
    per element examined. [found e v] is the element with [key] and the
@@ -512,18 +526,7 @@ let search_with ctx t key ~found ~absent =
   t.searches <- t.searches + 1;
   let b = bin_of_key t key in
   ignore (Ctx.read ctx (head t b));
-  let rec go = function
-    | Elem (e, rest) ->
-      t.probes <- t.probes + 1;
-      let v = Ctx.read ctx e.status in
-      Ctx.instr ctx ~reg:1 ~br:1 ();
-      if e.key = key then found e v else go rest
-    | Run slots ->
-      let r = the_run t in
-      probe_slots ctx t r slots ~top:(top_member t r b) 0 key ~found ~absent
-    | Unbuilt | Nil | Head _ -> absent ()
-  in
-  go (walk t b)
+  probe_chain ctx t b key ~found ~absent (walk t b)
 
 let search_locked ctx t key =
   search_with ctx t key ~found:(fun e _ -> Some e) ~absent:(fun () -> None)
@@ -707,11 +710,12 @@ let lookup t ctx key =
   | Hybrid | Coarse | Fine -> lookup_locked t ctx key
   | Sharded -> (
     let sq = t.seqlocks.(shard_of_key t key) in
-    match Seqlock.read_begin sq ctx with
-    | None ->
+    let seq = Seqlock.read_begin sq ctx in
+    if seq < 0 then begin
       t.optimistic_fallbacks <- t.optimistic_fallbacks + 1;
       lookup_locked t ctx key
-    | Some seq ->
+    end
+    else
       let r = search_locked ctx t key in
       if Seqlock.read_validate sq ctx seq then begin
         t.optimistic_hits <- t.optimistic_hits + 1;

@@ -89,11 +89,11 @@ let with_write t ctx f =
 let read_begin t ctx =
   let v = Ctx.read ctx t.seq in
   Ctx.instr ctx ~br:1 ();
-  if v land 1 = 0 then Some v
+  if v land 1 = 0 then v
   else begin
     t.read_aborts <- t.read_aborts + 1;
     if Ctx.hooked ctx then Ctx.emit ctx (Verify.Optimistic_abort t.vcls);
-    None
+    -1
   end
 
 let read_validate t ctx seq =

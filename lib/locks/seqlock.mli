@@ -74,10 +74,11 @@ val recover_write : t -> Ctx.t -> bool
 
 (** {2 Reader side — no lock held} *)
 
-(** Sample the sequence word (one timed load). [None] if a writer is
-    inside a mutation — the caller should fall back to its locked path
-    rather than spin. *)
-val read_begin : t -> Ctx.t -> int option
+(** Sample the sequence word (one timed load): the even sample, or [-1] if
+    a writer is inside a mutation — the caller should fall back to its
+    locked path rather than spin. An int, not an option, so the optimistic
+    path allocates nothing. *)
+val read_begin : t -> Ctx.t -> int
 
 (** Re-sample and compare (one timed load): [true] iff no writer ran since
     the matching {!read_begin}, i.e. everything probed in between was

@@ -209,15 +209,17 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?obs () =
       let s = Option.get seqlock in
       let m = Option.get mutex in
       let rec attempt () =
-        match Seqlock.read_begin s ctx with
-        | Some seq ->
+        let seq = Seqlock.read_begin s ctx in
+        if seq >= 0 then begin
           let v = read_body ctx desc in
           if not (Seqlock.read_validate s ctx seq) then attempt () else ignore v
-        | None ->
+        end
+        else begin
           (* Writer inside: locked fallback, like Khash.lookup. *)
           m.Lock.acquire ctx;
           ignore (read_body ctx desc);
           m.Lock.release ctx
+        end
       in
       attempt ()
     | Replicated _ ->

@@ -127,28 +127,67 @@ let prop_interleaved_order =
 
 (* The hot path allocates nothing: with the heap 16 deep, a steady stream of
    [pop_payload] + [push] pairs must not move [Gc.minor_words]. Run with int
-   payloads and with preallocated closures, the engine's boxed payloads. *)
-let check_pop_push_allocation_free what payloads =
+   payloads and with preallocated closures, the engine's boxed payloads.
+   The deep case fills 64 entries in time order, so the lane holds all but
+   the first 32, then pops and pushes at the tail: pushes alternate between
+   the lane and the heap as one or the other drains, and after a warm-up
+   that has grown the ring, they allocate nothing either. *)
+let check_pop_push_allocation_free ?(fill_time = fun i -> i * 37 land 255)
+    ?(time = fun seq -> seq * 2654435761 land 0xffff) ?(warm = 0) what
+    payloads =
   let q = Pqueue.create () in
-  Array.iteri
-    (fun i p -> Pqueue.push q ~time:(i * 37 land 255) ~seq:i p)
-    payloads;
-  let pairs = 10_000 in
-  let before = Gc.minor_words () in
-  for seq = 16 to pairs + 15 do
+  let depth = Array.length payloads in
+  Array.iteri (fun i p -> Pqueue.push q ~time:(fill_time i) ~seq:i p) payloads;
+  let step seq =
     let p = Pqueue.pop_payload q in
-    Pqueue.push q ~time:(seq * 2654435761 land 0xffff) ~seq p
+    Pqueue.push q ~time:(time seq) ~seq p
+  in
+  for seq = depth to depth + warm - 1 do
+    step seq
+  done;
+  let pairs = 10_000 in
+  let first = depth + warm in
+  let before = Gc.minor_words () in
+  for seq = first to first + pairs - 1 do
+    step seq
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.))
     ("minor words over 10 000 pop+push pairs, " ^ what)
     0. words;
-  Alcotest.(check int) "still 16 deep" 16 (Pqueue.length q)
+  Alcotest.(check int) (Printf.sprintf "still %d deep" depth) depth
+    (Pqueue.length q)
 
 let test_push_pop_allocation_free () =
   check_pop_push_allocation_free "int payloads" (Array.init 16 Fun.id);
   check_pop_push_allocation_free "closure payloads"
-    (Array.init 16 (fun i () -> i))
+    (Array.init 16 (fun i () -> i));
+  check_pop_push_allocation_free ~fill_time:Fun.id ~time:Fun.id ~warm:200
+    "64 deep, in order at the tail"
+    (Array.init 64 (fun i () -> i))
+
+(* A deep in-order fill opens the lane once the heap holds 32 entries; a
+   push that sorts before the lane's tail, or ties its time with a lower
+   seq, goes to the heap. *)
+let test_lane_opens () =
+  let q = Pqueue.create () in
+  for i = 0 to 99 do
+    Pqueue.push q ~time:i ~seq:(i * 2) i
+  done;
+  Alcotest.(check int) "every push past the 32nd in the lane" 68
+    (Pqueue.lane_length q);
+  Pqueue.push q ~time:99 ~seq:197 (-1);
+  Pqueue.push q ~time:50 ~seq:1_000 (-2);
+  Alcotest.(check int) "earlier pushes go to the heap" 68
+    (Pqueue.lane_length q);
+  Pqueue.push q ~time:99 ~seq:199 (-3);
+  Alcotest.(check int) "a later seq at the tail's time joins the lane" 69
+    (Pqueue.lane_length q);
+  let order = List.map (fun e -> e.Pqueue.payload) (Pqueue.drain q) in
+  Alcotest.(check (list int)) "one total order"
+    (List.init 50 Fun.id @ [ 50; -2 ] @ List.init 48 (fun i -> 51 + i)
+    @ [ -1; 99; -3 ])
+    order
 
 (* Deep heaps with heavy time ties: up to ~2 000 pushes over 8 distinct
    times, interleaved with pops. Every pop must return the first-inserted
@@ -184,6 +223,99 @@ let prop_deep_ties_stable =
         ops;
       let rest = List.map (fun e -> (e.Pqueue.time, e.Pqueue.seq)) (Pqueue.drain q) in
       !ok && rest = List.stable_sort by_time (List.rev !model))
+
+(* The in-order lane against a sorted model. Pops interleave with three
+   kinds of push: in-order runs long enough to open the lane, as an arrival
+   plan scheduled before a run; random pushes around the clock (the last
+   popped time), which tie with lane times on either side of their seqs;
+   and pushes at the time of the last run's tail with a lower seq, as
+   [Engine.place] gives a materialised element. Real seqs are multiples of
+   1024, so the latter take unused seqs below the tail's. Every pop must
+   return the exact (time, seq) minimum, through [min_time], [min_seq] and
+   [pop_payload], and whatever is left must drain in order. *)
+type lane_op = Plan of int * int list | Random of int | Under | Pops of int
+
+module Pairs = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let prop_lane_order =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 2,
+            map2
+              (fun start gaps -> Plan (start, gaps))
+              (int_bound 40)
+              (list_size (int_range 20 90) (int_bound 3)) );
+          (4, map (fun d -> Random d) (int_bound 120));
+          (2, return Under);
+          (4, map (fun k -> Pops k) (int_range 1 40));
+        ])
+  in
+  QCheck.Test.make ~name:"the in-order lane pops the exact (time, seq) minimum"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 25) op))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref Pairs.empty in
+      let next = ref 1 in
+      let clock = ref 0 in
+      (* The last run's tail, and how many seqs below it are taken. *)
+      let tail = ref None and under = ref 0 in
+      let ok = ref true in
+      let push time seq =
+        Pqueue.push q ~time ~seq (time, seq);
+        model := Pairs.add (time, seq) !model
+      in
+      let fresh () =
+        let s = !next lsl 10 in
+        incr next;
+        s
+      in
+      let pop () =
+        match Pairs.min_elt_opt !model with
+        | None -> if not (Pqueue.is_empty q) then ok := false
+        | Some ((time, seq) as m) ->
+          if
+            Pqueue.min_time q <> time
+            || Pqueue.min_seq q <> seq
+            || Pqueue.pop_payload q <> m
+          then ok := false;
+          model := Pairs.remove m !model;
+          clock := time
+      in
+      List.iter
+        (function
+          | Plan (start, gaps) ->
+            let time = ref (!clock + start) in
+            List.iter
+              (fun gap ->
+                time := !time + gap;
+                let seq = fresh () in
+                push !time seq;
+                tail := Some (!time, seq);
+                under := 0)
+              gaps
+          | Random d -> push (!clock + d) (fresh ())
+          | Under -> (
+            match !tail with
+            | Some (time, seq) when !under < 1023 ->
+              incr under;
+              push time (seq - !under)
+            | _ -> ())
+          | Pops k ->
+            for _ = 1 to k do
+              pop ()
+            done)
+        ops;
+      let rest =
+        List.map (fun e -> (e.Pqueue.time, e.Pqueue.seq)) (Pqueue.drain q)
+      in
+      !ok && rest = Pairs.elements !model)
 
 (* Payload identity under the slot indirection. Each case is one or more
    segments separated by [clear]; a segment first pushes [k] entries (the
@@ -249,12 +381,12 @@ let prop_payload_identity =
 
 (* Fills [q] with [n] closures, each capturing a fresh ref, and records them
    in [w]. Not inlined, so no stack slot of the caller keeps one alive. *)
-let[@inline never] fill_tracked q w n =
+let[@inline never] fill_tracked ?(in_order = false) q w n =
   for i = 0 to n - 1 do
     let r = ref i in
     let f () = !r in
     Weak.set w i (Some f);
-    Pqueue.push q ~time:(i * 13 mod 7) ~seq:i f
+    Pqueue.push q ~time:(if in_order then i else i * 13 mod 7) ~seq:i f
   done
 
 let[@inline never] pop_n q n =
@@ -289,7 +421,33 @@ let test_no_retention () =
     (live w2);
   Alcotest.(check (list int)) "filler still the first push" [ 0 ] (live w);
   (* Keep the queue, and so its filler, reachable until here. *)
-  Alcotest.(check int) "empty" 0 (Pqueue.length q)
+  Alcotest.(check int) "empty" 0 (Pqueue.length q);
+  (* A deep in-order fill: the first 32 entries go to the heap and the
+     other 68 to the lane. Popped lane entries are dropped as heap ones
+     are. *)
+  let n = 100 in
+  let q = Pqueue.create () in
+  let w = Weak.create n in
+  fill_tracked ~in_order:true q w n;
+  Alcotest.(check int) "the lane holds 68" 68 (Pqueue.lane_length q);
+  pop_n q 60;
+  Gc.full_major ();
+  Alcotest.(check (list int)) "after 60 pops: 40 live entries + filler"
+    (0 :: List.init 40 (fun i -> 60 + i))
+    (live w);
+  pop_n q 40;
+  Gc.full_major ();
+  Alcotest.(check (list int)) "deep queue drained: only the filler" [ 0 ]
+    (live w);
+  let w2 = Weak.create n in
+  fill_tracked ~in_order:true q w2 n;
+  Pqueue.clear q;
+  Gc.full_major ();
+  Alcotest.(check (list int)) "after clear: nothing from the deep refill" []
+    (live w2);
+  Alcotest.(check (list int)) "deep filler still the first push" [ 0 ]
+    (live w);
+  Alcotest.(check int) "deep queue empty" 0 (Pqueue.length q)
 
 let suite =
   [
@@ -303,9 +461,11 @@ let suite =
       test_push_pop_allocation_free;
     Alcotest.test_case "popped and cleared payloads are not retained" `Quick
       test_no_retention;
+    Alcotest.test_case "in-order pushes open the lane" `Quick test_lane_opens;
     Qc.to_alcotest prop_drain_sorted;
     Qc.to_alcotest prop_multiset_preserved;
     Qc.to_alcotest prop_interleaved_order;
     Qc.to_alcotest prop_deep_ties_stable;
     Qc.to_alcotest prop_payload_identity;
+    Qc.to_alcotest prop_lane_order;
   ]

@@ -512,16 +512,14 @@ let test_seqlock_abort_visible_and_free () =
     let aborted = ref 0 in
     Process.spawn eng (fun () ->
         Ctx.work ctx1 300;
-        (match Seqlock.read_begin sq ctx1 with
-        | None -> incr aborted (* writer mid-section: abort 1 *)
-        | Some _ -> ());
+        (* Writer mid-section: abort 1. *)
+        if Seqlock.read_begin sq ctx1 < 0 then incr aborted;
         Ctx.work ctx1 5_000;
-        match Seqlock.read_begin sq ctx1 with
-        | Some seq ->
-          (* Validation failure is the second abort kind: force it by
-             observing a sequence from before the write. *)
-          if not (Seqlock.read_validate sq ctx1 (seq - 2)) then incr aborted
-        | None -> ());
+        let seq = Seqlock.read_begin sq ctx1 in
+        (* Validation failure is the second abort kind: force it by
+           observing a sequence from before the write. *)
+        if seq >= 0 && not (Seqlock.read_validate sq ctx1 (seq - 2)) then
+          incr aborted);
     Engine.run eng;
     (Machine.now machine, !aborted, Seqlock.read_aborts sq, obs)
   in
