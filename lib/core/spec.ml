@@ -58,7 +58,6 @@ end
 
 module Knob = struct
   type 'c t = ('c -> 'c) Term.t
-  type ('c, 'v) field = 'v -> ('c -> 'v -> 'c) -> 'c t
 
   let knob ?absent typ names ~docv ~doc default (set : 'c -> 'v -> 'c) : 'c t =
     Term.(
@@ -122,13 +121,6 @@ end
 
 open Knob
 
-type 'c cli = {
-  command : string;
-  doc : string;
-  default : 'c;
-  knobs : 'c -> 'c Knob.t list;
-}
-
 type expect = Holds | Miss of string
 
 type 'cells claim = {
@@ -145,14 +137,22 @@ type ('c, 'r) t = {
   run : knobs -> 'c -> 'r;
   shape : ('c, 'r) shape;
   claims : ('c * 'r) list claim list;
+  cli : ('c, 'r) cli option;
+}
+
+and ('c, 'r) cli = {
+  command : string;
+  doc : string;
+  default : 'c;
+  knobs : 'c -> 'c Knob.t list;
+  sweep : knobs Knob.t list;
+  alt : (bool Term.t * ('c, 'r) t Lazy.t) option;
+  observed : (knobs -> 'c -> 'r) Term.t option;
+  finish : ('r -> string option) Term.t;
 }
 
 and (_, _) shape =
-  | Rows : {
-      columns : ('c, 'r) Col.t list;
-      cli : 'c cli option;
-    }
-      -> ('c, 'r) shape
+  | Rows : { columns : ('c, 'r) Col.t list } -> ('c, 'r) shape
   | Series : {
       fields : (string * Json.t) list;
       points : (int, 'p) Col.t list;
@@ -160,10 +160,22 @@ and (_, _) shape =
     }
       -> (Lock.algo, (int * 'p) list) shape
   | Record : {
-      columns : (unit, 'r) Col.t list;
+      columns : ('c, 'r) Col.t list;
+      head : string list;
       lines : 'r -> string list;
     }
-      -> (unit, 'r) shape
+      -> ('c, 'r) shape
+
+let cli ?(sweep = []) ?alt ?observed ?(finish = Term.const (fun _ -> None))
+    command ~doc default knobs =
+  { command; doc; default; knobs; sweep; alt; observed; finish }
+
+(* A run that reports lockdep violations fails its command. *)
+let lockdep violations =
+  Term.const (fun r ->
+      match violations r with
+      | 0 -> None
+      | n -> Some (Printf.sprintf "%d lockdep violations" n))
 
 let row columns (c, r) =
   Json.Obj
@@ -183,19 +195,23 @@ let plotted points =
 (* Every series has the same x values: the first series' points give them. *)
 let first = function (_, points) :: _ -> points | [] -> []
 
+let cell_json (type c r) (s : (c, r) t) ((c, r) : c * r) =
+  match s.shape with
+  | Rows { columns } | Record { columns; _ } -> row columns (c, r)
+  | Series { points; _ } ->
+    Json.Obj
+      [
+        ("algo", Json.String (Lock.algo_name c));
+        ("points", Json.List (List.map (row points) r));
+      ]
+
 let json (type c r) (s : (c, r) t) (cells : (c * r) list) =
   match s.shape with
-  | Rows { columns; _ } -> Json.List (List.map (row columns) cells)
-  | Series { fields; points; _ } ->
-    let series (algo, pts) =
-      Json.Obj
-        [
-          ("algo", Json.String (Lock.algo_name algo));
-          ("points", Json.List (List.map (row points) pts));
-        ]
-    in
-    Json.Obj (fields @ [ ("series", Json.List (List.map series cells)) ])
-  | Record { columns; _ } -> row columns (List.hd cells)
+  | Rows _ -> Json.List (List.map (cell_json s) cells)
+  | Series { fields; _ } ->
+    Json.Obj
+      (fields @ [ ("series", Json.List (List.map (cell_json s) cells)) ])
+  | Record _ -> cell_json s (List.hd cells)
 
 let section ppf title claim =
   let rule = String.make 78 '-' in
@@ -204,7 +220,7 @@ let section ppf title claim =
 let print (type c r) (s : (c, r) t) ppf (cells : (c * r) list) =
   section ppf s.title s.claim;
   match s.shape with
-  | Rows { columns; _ } ->
+  | Rows { columns } ->
     (* A head is left-aligned in the first column and over a name, else
        right-aligned; each cell comes padded. *)
     let cols = headed columns in
@@ -228,10 +244,10 @@ let print (type c r) (s : (c, r) t) ppf (cells : (c * r) list) =
       (fun (algo, pts) ->
         line (Lock.algo_name algo) (List.map (fun (p, r) -> v.cell p r) pts))
       cells
-  | Record { lines; _ } ->
-    List.iter
-      (fun (_, r) -> List.iter (Format.fprintf ppf "%s@.") (lines r))
-      cells
+  | Record { head; lines; _ } ->
+    let line = Format.fprintf ppf "%s@." in
+    List.iter line head;
+    List.iter (fun (_, r) -> List.iter line (lines r)) cells
 
 let dat (type c r) (s : (c, r) t) :
     (string -> (c * r) list -> Dat.plot) option =
@@ -371,7 +387,8 @@ let fig4 () : (Instr_model.algo, Instr_model.counts) t =
       "MCS 2/2/3/5, H1 2/1/3/5, H2 2/0/3/4, Spin 2/0/1/3 (Atomic/Mem/Reg/Br)";
     grid = Instr_model.all;
     run = (fun _ a -> Instr_model.counts a);
-    shape = Rows { columns; cli = None };
+    shape = Rows { columns };
+    cli = None;
     claims =
       [
         every "every algorithm's counts are the paper's"
@@ -399,7 +416,8 @@ let uncontended () : (Lock.algo, Uncontended.result) t =
     claim = "MCS 5.40us -> H2-MCS 3.69us (32% better); spin 3.65us";
     grid = Uncontended.algos;
     run = (fun _ a -> Uncontended.run a);
-    shape = Rows { columns; cli = None };
+    shape = Rows { columns };
+    cli = None;
     claims =
       (let pair_us a cells = (List.assoc a cells).Uncontended.pair_us in
        [
@@ -420,8 +438,8 @@ let uncontended () : (Lock.algo, Uncontended.result) t =
   }
 
 (* One cell and one series per algorithm, one point per x. *)
-let series ~section ~title ~claim ~axis ~fields ~algos ~xs ~claims point points
-    =
+let series ~section ~title ~claim ~axis ~fields ~algos ~xs ~claims ?cli point
+    points =
   {
     section;
     title;
@@ -430,13 +448,36 @@ let series ~section ~title ~claim ~axis ~fields ~algos ~xs ~claims point points
     run = (fun k algo -> List.map (fun x -> (x, point k algo x)) (xs k));
     shape = Series { fields; points; axis };
     claims;
+    cli;
   }
 
 let sweep_procs k = Option.value k.procs ~default:paper_procs
 
-let fig5 section ~title ~hold_us ~claims =
+(* A figure's subcommand runs one algorithm's series: [--lock] picks the
+   cell, [sweep] sets the x values and [alt]'s flag picks the sibling
+   figure. *)
+let series_cli command ~doc ~alt sweep =
+  cli command ~doc Lock.Mcs_h2 ~sweep:[ sweep ] ~alt (fun a ->
+      [ lock a (fun _ a -> a) ])
+
+let sweep_knob names ~doc full set =
+  knob
+    ~absent:(String.concat "," (List.map string_of_int full))
+    Arg.(some (list int))
+    names ~docv:"N,..." ~doc None set
+
+let procs_sweep () =
+  sweep_knob [ "p"; "procs" ] ~doc:"Processor counts to sweep." paper_procs
+    (fun k procs -> { k with procs })
+
+let shared_flag () =
+  Arg.(
+    value & flag
+    & info [ "shared" ] ~doc:"Run the shared-fault figure instead.")
+
+let fig5 section ~title ~hold_us ~claims ?cli () =
   let open Lock_stress in
-  series ~section ~claims
+  series ~section ~claims ?cli
     ~title:
       (Printf.sprintf "%s - lock response time under contention (hold %.0fus)"
          title hold_us)
@@ -454,22 +495,6 @@ let fig5 section ~title ~hold_us ~claims =
 (* Figure 5's claims are at p = 16. *)
 let mean5 algo cells = (at cells algo 16).Lock_stress.summary.mean_us
 
-let fig5a () =
-  let mcs = ("MCS", mean5 Lock.Mcs_original)
-  and h1 = ("H1-MCS", mean5 Lock.Mcs_h1)
-  and h2 = ("H2-MCS", mean5 Lock.Mcs_h2) in
-  fig5 "fig5a" ~title:"FIG5a" ~hold_us:0.0
-    ~claims:
-      [
-        holds "at p=16 H1-MCS within 15% of MCS"
-          (pair h1 mcs (fun h1 mcs -> h1 /. mcs < 1.15 && mcs /. h1 < 1.15));
-        holds "at p=16 H2-MCS pays a visible repair cost, over 1.5x H1-MCS"
-          (pair h2 h1 (fun h2 h1 -> h2 > h1 *. 1.5));
-        holds "at p=16 spin(35us) degrades past 2x MCS"
-          (pair ("spin(35us)", mean5 spin35) mcs (fun spin mcs ->
-               spin > mcs *. 2.0));
-      ]
-
 let fig5b () =
   let h1 = ("H1-MCS", mean5 Lock.Mcs_h1) in
   fig5 "fig5b" ~title:"FIG5b" ~hold_us:25.0
@@ -485,6 +510,39 @@ let fig5b () =
              h1
              (fun spin h1 -> spin < h1 *. 1.5));
       ]
+    ()
+
+let fig5a () =
+  let mcs = ("MCS", mean5 Lock.Mcs_original)
+  and h1 = ("H1-MCS", mean5 Lock.Mcs_h1)
+  and h2 = ("H2-MCS", mean5 Lock.Mcs_h2) in
+  fig5 "fig5a" ~title:"FIG5a" ~hold_us:0.0
+    ~cli:
+      (series_cli "locks"
+         ~doc:
+           "Stress one lock with P processors: one algorithm's Figure 5 \
+            series."
+         ~alt:
+           ( Arg.(
+               value
+               & opt (enum [ ("0", false); ("25", true) ]) false
+               & info [ "hold" ] ~docv:"US"
+                   ~doc:
+                     "Critical-section length in us: 0 (Figure 5a) or 25 \
+                      (Figure 5b)."),
+             lazy (fig5b ()) )
+         (procs_sweep ()))
+    ~claims:
+      [
+        holds "at p=16 H1-MCS within 15% of MCS"
+          (pair h1 mcs (fun h1 mcs -> h1 /. mcs < 1.15 && mcs /. h1 < 1.15));
+        holds "at p=16 H2-MCS pays a visible repair cost, over 1.5x H1-MCS"
+          (pair h2 h1 (fun h2 h1 -> h2 > h1 *. 1.5));
+        holds "at p=16 spin(35us) degrades past 2x MCS"
+          (pair ("spin(35us)", mean5 spin35) mcs (fun spin mcs ->
+               spin > mcs *. 2.0));
+      ]
+    ()
 
 (* A Figure 7 point: the fault latency summary, retries and RPCs. *)
 type fault = Measure.summary * int * int
@@ -497,7 +555,7 @@ let shared config : fault =
   let r = Shared_faults.run ~config () in
   (r.summary, r.retries, r.rpcs)
 
-let fig7 section ~title ~claim ~by ~claims point =
+let fig7 section ~title ~claim ~by ~claims ?cli point =
   let xlabel, json_xlabel, axis, xs =
     match by with
     | `P -> ("p", "p", "contending processors", sweep_procs)
@@ -507,7 +565,7 @@ let fig7 section ~title ~claim ~by ~claims point =
         "cluster size",
         fun k -> Option.value k.sizes ~default:paper_cluster_sizes )
   in
-  series ~section ~title ~claim ~axis ~claims
+  series ~section ~title ~claim ~axis ~claims ?cli
     ~fields:[ ("xlabel", Json.String json_xlabel) ]
     ~algos:Experiments.fig7_algos ~xs point
     Col.
@@ -527,15 +585,24 @@ let mean7 algo x cells =
   let (s : Measure.summary), _, _ = at cells algo x in
   s.mean_us
 
-let fig7a () =
+(* [name] at [p], as a [pair] operand. *)
+let at_p name algo p = (Printf.sprintf "%s p=%d" name p, mean7 algo p)
+
+let rec fig7a () =
   fig7 "fig7a" ~title:"FIG7a - independent faults, one 16-processor cluster"
     ~by:`P
+    ~cli:
+      (series_cli "faults"
+         ~doc:
+           "Page-fault stress on the simulated kernel: one lock algorithm's \
+            Figure 7a series (independent faults, one 16-processor cluster)."
+         ~alt:(shared_flag (), lazy (fig7b ()))
+         (procs_sweep ()))
     ~claim:
       "little difference up to p=4; beyond that spin degrades; at p=16 spin \
        is over 2x the distributed locks"
     ~claims:
-      (let at_p name algo p = (Printf.sprintf "%s p=%d" name p, mean7 algo p) in
-       let h1 = at_p "H1-MCS" Lock.Mcs_h1 and spin = at_p "spin(35us)" spin35 in
+      (let h1 = at_p "H1-MCS" Lock.Mcs_h1 and spin = at_p "spin(35us)" spin35 in
        [
          holds "flat to p=4: H1-MCS at p=4 within 15% of p=1"
            (pair (h1 4) (h1 1) (fun p4 p1 -> p4 < p1 *. 1.15));
@@ -558,19 +625,36 @@ let fig7a () =
           lock_algo;
         })
 
-let fig7b () =
+and fig7b () =
   fig7 "fig7b" ~title:"FIG7b - shared faults, one 16-processor cluster" ~by:`P
     ~claim:
       "smaller gap between distributed and spin locks: contention shifts to \
        the reserve bits"
-    ~claims:[]
+    ~claims:
+      [
+        holds
+          "at p=16 the gap is smaller than FIG7a's: spin(35us) under 1.8x \
+           H1-MCS"
+          (pair
+             (at_p "spin(35us)" spin35 16)
+             (at_p "H1-MCS" Lock.Mcs_h1 16)
+             (fun spin h1 -> spin < h1 *. 1.8));
+      ]
     (fun k lock_algo p ->
       let rounds = Option.value k.rounds ~default:20 in
       shared { Shared_faults.default_config with p; rounds; lock_algo })
 
-let fig7c () =
+let rec fig7c () =
   fig7 "fig7c" ~title:"FIG7c - independent faults, p=16, cluster-size sweep"
     ~by:`Cluster
+    ~cli:
+      (series_cli "sweep"
+         ~doc:
+           "Sweep the cluster size at p=16: one lock algorithm's Figure 7c \
+            series (independent faults)."
+         ~alt:(shared_flag (), lazy (fig7d ()))
+         (sweep_knob [ "sizes" ] ~doc:"Cluster sizes to sweep."
+            paper_cluster_sizes (fun k sizes -> { k with sizes })))
     ~claim:
       "small clusters best; no degradation for cluster size <= 4 (hybrid \
        matches fine-grain locking)"
@@ -592,7 +676,7 @@ let fig7c () =
           lock_algo;
         })
 
-let fig7d () =
+and fig7d () =
   fig7 "fig7d" ~title:"FIG7d - shared faults, p=16, cluster-size sweep"
     ~by:`Cluster
     ~claim:
@@ -658,6 +742,7 @@ let starvation () : (unit, Measure.summary) t =
       Record
         {
           columns = summary (fun () s -> s);
+          head = [];
           lines =
             (fun s ->
               [
@@ -686,6 +771,7 @@ let starvation () : (unit, Measure.summary) t =
               unmodelled details of the 1994 measurement loop"
            (frac 0.13);
        ]);
+    cli = None;
   }
 
 let constants () : (unit, Calibration.result) t =
@@ -711,6 +797,7 @@ let constants () : (unit, Calibration.result) t =
               us "replicate_fault_us" (fun r -> r.replicate_fault_us);
               us "replicate_extra_us" (fun r -> r.replicate_extra_us);
             ];
+          head = [];
           lines =
             (fun r ->
               Printf.
@@ -740,12 +827,14 @@ let constants () : (unit, Calibration.result) t =
          near "a cluster-wide lookup + replicate" 88.0 (fun r ->
              r.replicate_extra_us);
        ]);
+    cli = None;
   }
 
 (* -- the studies: ablations, fault studies and tool demonstrations ------- *)
 
-(* A study is a table with one row per config, or one cell printed as
-   free-form lines. Neither is exported, so their columns have no keys. *)
+(* A study is a table with one row per config, or free-form lines per
+   config under a head. Neither is exported, so their columns have no
+   keys. *)
 let table section ~title ~claim ?(claims = []) grid run columns =
   {
     section;
@@ -753,19 +842,22 @@ let table section ~title ~claim ?(claims = []) grid run columns =
     claim;
     grid;
     run = (fun _ c -> run c);
-    shape = Rows { columns; cli = None };
+    shape = Rows { columns };
     claims;
+    cli = None;
   }
 
-let record section ~title ~claim ?(claims = []) run lines =
+let record section ~title ~claim ?(claims = []) ?(head = []) ?cli grid run
+    lines =
   {
     section;
     title;
     claim;
-    grid = [ () ];
-    run = (fun _ () -> run ());
-    shape = Record { columns = []; lines };
+    grid;
+    run = (fun _ c -> run c);
+    shape = Record { columns = []; head; lines };
     claims;
+    cli;
   }
 
 let hector = Hector.Config.hector
@@ -788,9 +880,6 @@ let contended_us cfg ~p ~hold_us ~window_us algo =
     .mean_us
 
 let retries () =
-  let run strategy =
-    Destruction.run ~config:{ Destruction.default_config with strategy } ()
-  in
   let line (r : Destruction.result) =
     Printf.sprintf
       "%-12s destroys=%4d retries=%4d revalidations=%4d lost=%3d \
@@ -799,26 +888,48 @@ let retries () =
       r.destroys r.retries r.revalidations r.lost_races
       r.destroy_summary.mean_us r.total_us
   in
-  let revalidations (r : Destruction.result) ok =
+  let opt, pes = Hkernel.Procs.(Optimistic, Pessimistic) in
+  let strategy s cells : Destruction.result =
+    snd (List.find (fun ((c : Destruction.config), _) -> c.strategy = s) cells)
+  in
+  let revalidations s ok cells =
+    let r = strategy s cells in
     (Printf.sprintf "%d revalidations" r.revalidations, ok r.revalidations)
   in
+  let d = Destruction.default_config in
   record "retries"
     ~title:"RETRY - program destruction, optimistic vs pessimistic (2.3/2.5)"
     ~claim:
       "retries are common for destruction regardless of strategy; the \
        optimistic protocol avoids re-establishing state in the common case"
-    (fun () -> (run Hkernel.Procs.Optimistic, run Hkernel.Procs.Pessimistic))
-    (fun (opt, pes) -> [ line opt; line pes ])
+    [ d; { d with strategy = pes } ]
+    (fun config -> Destruction.run ~config ())
+    (fun r -> [ line r ])
+    ~cli:
+      (cli "destroy"
+         ~doc:"Program-destruction storm across clusters (Section 2.5)." d
+         (fun d ->
+           [
+             cluster_size d.cluster_size (fun c cluster_size ->
+                 { c with Destruction.cluster_size });
+             switch [ "pessimistic" ]
+               ~doc:"Use the pessimistic deadlock-management strategy."
+               (fun (c : Destruction.config) -> { c with strategy = pes });
+             knob Arg.int [ "children" ] ~docv:"N"
+               ~doc:"Processes per program." d.children (fun c children ->
+                 { c with Destruction.children });
+           ]))
     ~claims:
       [
         holds "the optimistic strategy never revalidates"
-          (only (fun (opt, _) -> revalidations opt (fun n -> n = 0)));
+          (revalidations opt (fun n -> n = 0));
         holds "the pessimistic strategy revalidates per step, over 20 times"
-          (only (fun (_, pes) -> revalidations pes (fun n -> n > 20)));
+          (revalidations pes (fun n -> n > 20));
         holds "retries are common under both strategies (Section 2.5)"
-          (only (fun ((opt : Destruction.result), (pes : Destruction.result)) ->
-               ( Printf.sprintf "%d / %d retries" opt.retries pes.retries,
-                 opt.retries > 0 && pes.retries > 0 )));
+          (fun cells ->
+            let o = strategy opt cells and p = strategy pes cells in
+            ( Printf.sprintf "%d / %d retries" o.retries p.retries,
+              o.retries > 0 && p.retries > 0 ));
       ]
 
 let ablation_granularity () =
@@ -863,7 +974,7 @@ let ablation_combining () =
     ~claim:
       "the combining tree bounds demand on the master to one request per \
        cluster under bursty simultaneous misses"
-    (fun () -> Replication_storm.run_both ())
+    [ () ] (fun () -> Replication_storm.run_both ())
     (fun (comb, direct) -> [ line comb; line direct ])
 
 let ablation_cas () =
@@ -967,7 +1078,7 @@ let ablation_spin_then_block () =
     ~claim:
       "with long critical sections, blocked waiters generate no traffic; the \
        hand-off premium is small"
-    (fun () ->
+    [ () ] (fun () ->
       List.map
         (fun algo -> (algo, (Lock_stress.run ~config algo).summary))
         [ Lock.Mcs_h1; spin35; Lock.Spin_then_block { spin_us = 10.0 } ])
@@ -1010,7 +1121,7 @@ let ablation_layout () =
       "tree links inside the process descriptors make destruction and message \
        passing contend on the same reserve bits; a separate tree removes the \
        interference"
-    (fun () -> Messaging_mix.run_both ())
+    [ () ] (fun () -> Messaging_mix.run_both ())
     (fun (combined, separate) -> [ line combined; line separate ])
 
 let ablation_lock_family () =
@@ -1056,7 +1167,7 @@ let trylock () =
     ~claim:
       "retry-based TryLock starves (the lock is never observed free); the \
        soft-mask + deferred-work scheme completes every request"
-    (fun () -> run ())
+    [ () ] (fun () -> run ())
     (fun r ->
       [
         Printf.sprintf "trylock-v2: %d/%d attempts succeeded (%.1f%%)"
@@ -1084,7 +1195,7 @@ let classes () =
     ~claim:
       "clustering isolates the independent classes; replication absorbs read \
        sharing; only write sharing pays cross-cluster costs"
-    (fun () -> run ())
+    [ () ] (fun () -> run ())
     (fun r ->
       List.map
         (Format.asprintf "  %a" Measure.pp)
@@ -1107,7 +1218,7 @@ let cow () =
     ~claim:
       "retries are required independent of the strategy; the pessimistic one \
        additionally finds the shared page gone and must handle it"
-    (fun () -> Cow_storm.run_both ())
+    [ () ] (fun () -> Cow_storm.run_both ())
     (fun (opt, pes) -> [ line opt; line pes ])
 
 let fs () =
@@ -1129,62 +1240,128 @@ let fs () =
         int "" "fetch RPCs" 12 (fun _ r -> r.fetch_rpcs);
       ]
 
-(* One stall dose (scheduled, the same for every mechanism) per period and
-   mechanism, after a fault-free run per mechanism, against which each
-   run's throughput is the retained fraction. *)
+(* One cell per mechanism: a fault-free run, then the config's stall plan
+   at twice, once and half its period, the same scheduled doses for every
+   mechanism; each run's throughput is the fraction it retains of the
+   fault-free run's. [storm] runs each run without RPC losses under the
+   lockdep checker (a lost reply's resend re-executes a service, which the
+   checker reports); the study does not. *)
 let fault_matrix () =
-  let run mech period_us =
-    let fault =
-      if period_us <= 0.0 then None
-      else
-        Some
-          {
-            Eventsim.Fault.disabled with
-            seed = 42;
-            stall_every = Hector.Config.cycles_of_us hector period_us;
-            stall_cycles = Hector.Config.cycles_of_us hector 1000.0;
-          }
+  let open Fault_storm in
+  let runs ~checked (mech, (c : config)) =
+    let run (config : config) =
+      let verify =
+        if checked && config.drop_rate <= 0.0 then
+          Some (Verify.create ~n_procs:(Hector.Config.n_procs hector) ())
+        else None
+      in
+      ( config.stall_every_us,
+        Fault_storm.run ~cfg:hector ~config ?verify mech,
+        Option.fold ~none:0 ~some:Verify.violation_count verify )
     in
-    Fault_storm.run ~cfg:hector
-      ~config:{ Fault_storm.default_config with fault }
-      mech
+    run { c with stall_every_us = 0.0; drop_rate = 0.0; delay_rate = 0.0 }
+    :: List.map
+         (fun f -> run { c with stall_every_us = f *. c.stall_every_us })
+         (* With no stall period, the config's plan is the one dose. *)
+         (if c.stall_every_us > 0.0 then [ 2.0; 1.0; 0.5 ] else [ 1.0 ])
   in
-  let line base (period_us, (r : Fault_storm.result)) =
+  let line (base : result) (period_us, (r : result), _) =
     Printf.sprintf "%-14s %10.0f %6d %9d %10.0f%% %11.1f %6d %6d %6d %7d %7.1f"
-      (Fault_storm.mechanism_name r.mechanism)
+      (mechanism_name r.mechanism)
       period_us r.stalls_injected r.ops
-      (if base.Fault_storm.ops = 0 then 0.0
+      (if base.ops = 0 then 0.0
        else 100.0 *. (float_of_int r.ops /. float_of_int base.ops))
       r.recovery.mean_us r.lock_timeouts r.reserve_timeouts r.rpc_gave_ups
       r.deferred r.recovery.p99_us
   in
+  let ops period runs =
+    let _, r, _ = List.find (fun (p, _, _) -> p = period) runs in
+    float_of_int r.ops
+  in
+  (* The fraction of its fault-free ops [mech] keeps at 1 ms stalls. *)
+  let kept mech ok cells =
+    let runs = snd (List.find (fun ((m, _), _) -> m = mech) cells) in
+    let f = ops 1000.0 runs /. ops 0.0 runs in
+    (Printf.sprintf "%s keeps %.0f%%" (mechanism_name mech) (100.0 *. f), ok f)
+  in
+  let mechs =
+    [
+      ("no-timeout", No_timeout); ("none", No_timeout); ("timeout", Timeout);
+      ("bounded-retry", Bounded_retry); ("bounded", Bounded_retry);
+    ]
+  in
+  let violations = List.fold_left (fun n (_, _, v) -> n + v) 0 in
   record "fault-matrix"
     ~title:"FAULTS - injected holder stalls vs recovery mechanisms"
     ~claim:
       "a stalled holder freezes everything behind an unbounded spin or retry; \
        timeouts re-search around it and a bounded RPC budget degrades to \
        pessimistic fallbacks instead of looping"
-    (fun () ->
-      List.map
-        (fun mech ->
-          List.map (fun p -> (p, run mech p)) [ 0.0; 4000.0; 2000.0; 1000.0 ])
-        Fault_storm.[ No_timeout; Timeout; Bounded_retry ])
-    (fun mechs ->
-      Printf.sprintf "%-14s %10s %6s %9s %11s %11s %6s %6s %6s %7s %7s"
-        "mechanism" "stall/us" "doses" "ops" "retained" "recov(us)" "ltmo"
-        "rtmo" "gaveup" "defer" "p99(us)"
-      :: List.concat_map
-           (fun runs -> List.map (line (List.assoc 0.0 runs)) runs)
-           mechs)
+    ~head:
+      [
+        Printf.sprintf "%-14s %10s %6s %9s %11s %11s %6s %6s %6s %7s %7s"
+          "mechanism" "stall/us" "doses" "ops" "retained" "recov(us)" "ltmo"
+          "rtmo" "gaveup" "defer" "p99(us)";
+      ]
+    (List.map
+       (fun m -> (m, default_config))
+       [ No_timeout; Timeout; Bounded_retry ])
+    (runs ~checked:false)
+    (fun runs ->
+      let _, base, _ = List.hd runs in
+      List.map (line base) runs)
+    ~cli:
+      (cli "storm"
+         ~doc:
+           "Fault-injection storm: holder stalls, RPC loss/delay, and the \
+            timeout/bounded-retry recovery mechanisms. Runs fault-free, then \
+            at twice, once and half the stall period; a run without RPC \
+            losses runs under the lockdep checker. Exits 1 on a violation."
+         ~observed:(Term.const (fun _ -> runs ~checked:true))
+         ~finish:(lockdep violations) (Timeout, default_config)
+         (fun (m, c) ->
+           knob (Arg.enum mechs) [ "m"; "mechanism" ] ~docv:"MECH"
+             ~doc:("Recovery mechanism: " ^ Arg.doc_alts_enum mechs ^ ".")
+             m (fun (_, c) m -> (m, c))
+           :: List.map second
+                [
+                  knob Arg.float [ "stall-every" ] ~docv:"US"
+                    ~doc:
+                      "Inject a holder stall every US microseconds (0 = none)."
+                    c.stall_every_us (fun c stall_every_us ->
+                      { c with stall_every_us });
+                  knob Arg.float [ "stall" ] ~docv:"US"
+                    ~doc:"Length of an injected stall." c.stall_us
+                    (fun c stall_us -> { c with stall_us });
+                  knob Arg.float [ "drop-rate" ] ~docv:"R"
+                    ~doc:"P(message loss) per RPC call." c.drop_rate
+                    (fun c drop_rate -> { c with drop_rate });
+                  knob Arg.float [ "delay-rate" ] ~docv:"R"
+                    ~doc:"P(delay) per RPC message." c.delay_rate
+                    (fun c delay_rate -> { c with delay_rate });
+                  workers c.p (fun c p -> { c with p });
+                  seed c.seed (fun c seed -> { c with seed });
+                ]))
+    ~claims:
+      [
+        holds "at 1 ms stalls no-timeout keeps under 25% of its fault-free ops"
+          (kept No_timeout (fun f -> f < 0.25));
+        holds "at 1 ms stalls timeout keeps over 70% of its fault-free ops"
+          (kept Timeout (fun f -> f > 0.70));
+        holds
+          "at 1 ms stalls bounded-retry keeps over 70% of its fault-free ops"
+          (kept Bounded_retry (fun f -> f > 0.70));
+      ]
 
 let verify () : (unit, Verify_probes.result list) t =
   let open Verify_probes in
+  let failing = List.filter (fun r -> not r.ok) in
   record "verify" ~title:"VERIFY - lockdep checker vs planted violations"
     ~claim:
       "each probe plants one class of locking error; the checker must catch \
        every one (the watchdog probes by aborting an otherwise-endless run) \
        and stay silent on the clean storm"
-    run_all
+    [ () ] run_all
     (fun rows ->
       Printf.sprintf "%-16s %-18s %6s %6s %8s %6s" "probe" "expected" "total"
         "hits" "aborted" "ok"
@@ -1201,12 +1378,42 @@ let verify () : (unit, Verify_probes.result list) t =
             else
               Some (Printf.sprintf "  %-16s %s" (probe_name r.probe) r.first))
           rows)
+    ~cli:
+      (cli "verify"
+         ~doc:
+           "Run the lockdep checker against the planted-violation probes \
+            (inverted lock order, leaked reserve bit, interrupt-context spin, \
+            stalled holder, true deadlock, plus a clean storm that must stay \
+            silent). Exits 1 if any probe misbehaves."
+         ~finish:
+           (Term.const (fun rows ->
+                match failing rows with
+                | [] -> None
+                | r :: _ -> Some (probe_name r.probe ^ " misbehaved (FAIL)")))
+         ()
+         (fun () -> []))
+    ~claims:
+      [
+        holds
+          "every probe behaves as planted, the aborted-waiter and dead-owner \
+           probes among them"
+          (only (fun rows ->
+               let present name =
+                 List.exists (fun r -> probe_name r.probe = name) rows
+               in
+               match failing rows with
+               | r :: _ -> (probe_name r.probe ^ " misbehaved", false)
+               | [] ->
+                 ( Printf.sprintf "%d probes ok" (List.length rows),
+                   present "aborted-waiter" && present "dead-owner" )));
+      ]
 
 (* Station = cluster: the storm runs on a bare machine, so the natural
    cluster attribution is the HECTOR station each processor sits on. The
-   dosed stall plan matches the fault matrix's middle column, giving the
-   profile real contention to attribute. *)
-let obs () : (unit, Obs.row list * Fault_storm.result) t =
+   storm's default plan is the fault matrix's middle dose, giving the
+   profile real contention to attribute. The study keeps no event trace;
+   [trace] runs its cell with a ring of [--trace-events] and writes it. *)
+let obs () : (Fault_storm.config, Obs.t * Fault_storm.result) t =
   let us c = Hector.Config.us_of_cycles hector c in
   let line name cluster (c : Obs.cells) =
     Printf.sprintf "%-16s %-8s %9d %9d %12.1f %10.2f %10.1f %12.1f %9d %5d/%-5d"
@@ -1216,35 +1423,41 @@ let obs () : (unit, Obs.row list * Fault_storm.result) t =
       (us c.max_wait_cycles) (us c.hold_cycles) c.handoffs c.handoffs_local
       c.handoffs_remote
   in
+  let write_trace out (obs, _) =
+    let doc = Obs.trace_json obs ~us_per_cycle:(us 1) in
+    Out_channel.with_open_bin out (fun oc ->
+        output_string oc (Json.to_string ~compact:true doc);
+        output_char oc '\n');
+    Format.printf "wrote %s: %d trace events (%d recorded, %d dropped)@." out
+      (List.length (Obs.trace obs))
+      (Obs.trace_recorded obs) (Obs.trace_dropped obs);
+    None
+  in
+  (* The per-cluster rows of [row] add up to its total row. *)
+  let sums (row : Obs.row) =
+    let sum f = List.fold_left (fun n (_, c) -> n + f c) 0 row.by_cluster in
+    List.for_all
+      (fun (f : Obs.cells -> int) -> sum f = f row.total)
+      [ (fun c -> c.acqs); (fun c -> c.wait_cycles); (fun c -> c.hold_cycles) ]
+  in
+  let observe trace config =
+    let obs =
+      Obs.create ~trace
+        ~cluster_of:(Hector.Config.station_of_proc hector)
+        ~n_clusters:hector.Hector.Config.stations
+        ~n_procs:(Hector.Config.n_procs hector)
+        ()
+    in
+    (obs, Fault_storm.run ~cfg:hector ~config ~obs Fault_storm.Timeout)
+  in
+  let d = Fault_storm.default_config in
   record "obs" ~title:"OBS - where did the cycles go (dosed fault storm)"
     ~claim:
       "the argument of Figures 5/7 is made by attributing waiting time to \
        specific locks; here every wait/hold cycle is charged to its lock \
        class and the waiting processor's cluster"
-    (fun () ->
-      let obs =
-        Obs.create
-          ~cluster_of:(Hector.Config.station_of_proc hector)
-          ~n_clusters:hector.Hector.Config.stations
-          ~n_procs:(Hector.Config.n_procs hector)
-          ()
-      in
-      let fault =
-        Some
-          {
-            Eventsim.Fault.disabled with
-            seed = 42;
-            stall_every = Hector.Config.cycles_of_us hector 2000.0;
-            stall_cycles = Hector.Config.cycles_of_us hector 1000.0;
-          }
-      in
-      let storm =
-        Fault_storm.run ~cfg:hector
-          ~config:{ Fault_storm.default_config with fault }
-          ~obs Fault_storm.Timeout
-      in
-      (Obs.profile_rows obs, storm))
-    (fun (rows, (s : Fault_storm.result)) ->
+    [ d ] (observe 0)
+    (fun (obs, (s : Fault_storm.result)) ->
       Printf.sprintf "%-16s %-8s %9s %9s %12s %10s %10s %12s %9s %11s" "class"
         "cluster" "acqs" "cont" "wait(us)" "avg(us)" "maxw(us)" "hold(us)"
         "handoff" "local/rem"
@@ -1254,13 +1467,59 @@ let obs () : (unit, Obs.row list * Fault_storm.result) t =
              :: List.map
                   (fun (cl, cells) -> line "" (Printf.sprintf "  c%d" cl) cells)
                   row.by_cluster)
-           rows
+           (Obs.profile_rows obs)
       @ [
           Printf.sprintf
             "storm: ops=%d deferred=%d rpc=%d/%d stalls=%d (mechanism %s)"
             s.ops s.deferred s.rpc_ok s.rpc_calls s.stalls_injected
             (Fault_storm.mechanism_name s.mechanism);
         ])
+    ~cli:
+      (cli "trace"
+         ~doc:
+           "Run a fault storm with the contention observer installed and \
+            export the event trace as Chrome trace-event JSON, plus the \
+            per-lock-class contention profile. Tracing is host-side only: the \
+            storm's simulated timing is identical with and without it."
+         ~observed:
+           Term.(
+             const (fun n _ -> observe n)
+             $ Arg.(
+                 value & opt int 65_536
+                 & info [ "trace-events" ] ~docv:"N"
+                     ~doc:"Ring capacity: keep the last N events."))
+         ~finish:
+           Term.(
+             const write_trace
+             $ Arg.(
+                 value & opt string "trace.json"
+                 & info [ "o"; "out" ] ~docv:"FILE"
+                     ~doc:
+                       "Output file (Chrome trace-event JSON; load in Perfetto \
+                        or chrome://tracing)."))
+         d
+         (fun c ->
+           [
+             knob Arg.float [ "stall-every-us" ] ~docv:"US"
+               ~doc:"Inject a holder stall each period; 0 disables."
+               c.stall_every_us (fun c stall_every_us ->
+                 { c with Fault_storm.stall_every_us });
+             workers c.p (fun c p -> { c with Fault_storm.p });
+             knob Arg.float [ "w"; "window-us" ] ~docv:"US"
+               ~doc:"Storm window, simulated us." c.window_us
+               (fun c window_us -> { c with Fault_storm.window_us });
+             seed c.seed (fun c seed -> { c with Fault_storm.seed });
+           ]))
+    ~claims:
+      [
+        holds
+          "each class's per-cluster rows sum to its total row: acquisitions, \
+           wait and hold cycles"
+          (only (fun (obs, _) ->
+               each (Obs.profile_rows obs)
+                 ~show:(fun row -> row.Obs.row_class ^ " does not sum")
+                 sums));
+      ]
 
 (* -- the extension experiments ------------------------------------------- *)
 
@@ -1272,23 +1531,21 @@ let obs () : (unit, Obs.row list * Fault_storm.result) t =
 let numa_locks () : (Lock.algo * Numa_stress.config, Numa_stress.result) t =
   let open Numa_stress in
   let cli =
-    {
-      command = "numa";
-      doc =
+    cli "numa"
+      ~doc:
         "Cross-cluster lock stress: hand-off locality (local vs remote) and \
          worst-case waits for one lock algorithm (experiment NUMA-LOCKS). \
-         Compare cohort/hmcs/cna against h2.";
-      default = (Lock.Mcs_h2, default_config);
-      knobs =
-        (fun (a, c) ->
-          lock a (fun (_, c) a -> (a, c))
-          :: List.map second
-               [
-                 clusters c.n_clusters (fun c n_clusters -> { c with n_clusters });
-                 hold c.hold_us (fun c hold_us -> { c with hold_us });
-                 window c.window_us (fun c window_us -> { c with window_us });
-               ]);
-    }
+         Compare cohort/hmcs/cna against h2."
+      (Lock.Mcs_h2, default_config)
+      (fun (a, c) ->
+        lock a (fun (_, c) a -> (a, c))
+        :: List.map second
+             [
+               clusters c.n_clusters (fun c n_clusters ->
+                   { c with n_clusters });
+               hold c.hold_us (fun c hold_us -> { c with hold_us });
+               window c.window_us (fun c window_us -> { c with window_us });
+             ])
   in
   let columns =
     Col.
@@ -1319,8 +1576,58 @@ let numa_locks () : (Lock.algo * Numa_stress.config, Numa_stress.result) t =
        let* hold_us = [ 0.0; 10.0 ] in
        [ (algo, { default_config with n_clusters; hold_us }) ]);
     run = (fun _ (algo, config) -> run ~config algo);
-    shape = Rows { columns; cli = Some cli };
-    claims = [];
+    shape = Rows { columns };
+    cli = Some cli;
+    claims =
+      (let flat = Lock.Mcs_h2 in
+       let name ((a, c), _) =
+         Printf.sprintf "%s C=%d hold %.0f" (Lock.algo_name a) c.n_clusters
+           c.hold_us
+       in
+       (* The flat lock's row at [c]'s clusters and hold. *)
+       let flat_at cells c = List.assoc (flat, c) cells in
+       let words (a, c) =
+         Lock.space_words ~n_clusters:c.n_clusters ~n_procs:c.p a
+       in
+       (* The algorithm's footprint at C = 1, 2, 4. *)
+       let footprint a cells =
+         List.filter_map
+           (fun ((a', c), _) ->
+             if a' = a && c.hold_us = 0.0 then Some (words (a, c)) else None)
+           cells
+       in
+       let rec rising = function
+         | a :: (b :: _ as rest) -> a < b && rising rest
+         | _ -> true
+       in
+       [
+         holds
+           "at C >= 2 every composite crosses clusters on a smaller fraction \
+            of hand-offs than flat H2-MCS, at both holds"
+           (fun cells ->
+             each
+               (List.filter
+                  (fun ((a, c), _) -> a <> flat && c.n_clusters >= 2)
+                  cells)
+               ~show:(fun ((a, c), r) ->
+                 Printf.sprintf "%s: %.3f vs flat %.3f" (name ((a, c), r))
+                   (remote_frac r)
+                   (remote_frac (flat_at cells c)))
+               (fun ((_, c), r) ->
+                 remote_frac r < remote_frac (flat_at cells c)));
+         holds
+           "CNA takes 3 + 3P words at every C; a cohort's footprint grows \
+            with C"
+           (fun cells ->
+             let cna = footprint Lock.cna cells
+             and cohort = footprint Lock.c_mcs_mcs cells in
+             let show ws = String.concat "/" (List.map string_of_int ws) in
+             ( Printf.sprintf "CNA %s, cohort %s words at C = 1/2/4" (show cna)
+                 (show cohort),
+               cna <> []
+               && List.for_all (( = ) (3 + (3 * default_config.p))) cna
+               && List.length cohort > 1 && rising cohort ));
+       ]);
   }
 
 (* The single-lock hybrid against the sharded table at several shard counts,
@@ -1340,38 +1647,36 @@ let hash_scaling () : (Hash_scaling.config, Hash_scaling.result) t =
     { default_config with p; read_ratio; granularity; shards; optimistic }
   in
   let cli =
-    {
-      command = "hash";
-      doc =
+    cli "hash"
+      ~doc:
         "Read/update mix over one hash table: sharded granularity and the \
          seqlock optimistic read path against the single-lock hybrid \
-         (experiment HASH-SCALING).";
-      default = default_config;
-      knobs =
-        (fun d ->
-          [
-            lock d.lock_algo (fun c lock_algo -> { c with lock_algo });
-            knob (Arg.enum granularities) [ "g"; "granularity" ] ~docv:"G"
-              ~doc:("Table granularity: " ^ Arg.doc_alts_enum granularities ^ ".")
-              d.granularity (fun c granularity -> { c with granularity });
-            procs ~doc:"Contending processors." d.p (fun c p -> { c with p });
-            knob Arg.int [ "shards" ] ~docv:"S"
-              ~doc:"Shard count (sharded granularity)." d.shards
-              (fun (c : config) shards -> { c with shards });
-            read_ratio d.read_ratio (fun c read_ratio -> { c with read_ratio });
-            switch [ "locked" ]
-              ~doc:
-                "Force lookups through the locked path (disable the seqlock \
-                 optimistic reads)."
-              (fun (c : config) -> { c with optimistic = false });
-            knob Arg.float [ "churn" ] ~docv:"F"
-              ~doc:
-                "Fraction of non-read operations that delete and re-insert \
-                 their key (chain mutations)."
-              d.churn_fraction (fun c churn_fraction -> { c with churn_fraction });
-            seed d.seed (fun c seed -> { c with seed });
-          ]);
-    }
+         (experiment HASH-SCALING)."
+      default_config
+      (fun d ->
+        [
+          lock d.lock_algo (fun c lock_algo -> { c with lock_algo });
+          knob (Arg.enum granularities) [ "g"; "granularity" ] ~docv:"G"
+            ~doc:("Table granularity: " ^ Arg.doc_alts_enum granularities ^ ".")
+            d.granularity (fun c granularity -> { c with granularity });
+          procs ~doc:"Contending processors." d.p (fun c p -> { c with p });
+          knob Arg.int [ "shards" ] ~docv:"S"
+            ~doc:"Shard count (sharded granularity)." d.shards
+            (fun (c : config) shards -> { c with shards });
+          read_ratio d.read_ratio (fun c read_ratio -> { c with read_ratio });
+          switch [ "locked" ]
+            ~doc:
+              "Force lookups through the locked path (disable the seqlock \
+               optimistic reads)."
+            (fun (c : config) -> { c with optimistic = false });
+          knob Arg.float [ "churn" ] ~docv:"F"
+            ~doc:
+              "Fraction of non-read operations that delete and re-insert \
+               their key (chain mutations)."
+            d.churn_fraction (fun c churn_fraction ->
+              { c with churn_fraction });
+          seed d.seed (fun c seed -> { c with seed });
+        ])
   in
   let columns =
     Col.
@@ -1408,7 +1713,8 @@ let hash_scaling () : (Hash_scaling.config, Hash_scaling.result) t =
        :: (let* s = [ 2; 4; 8 ] in
            List.map (point p rr Khash.Sharded s) [ false; true ]));
     run = (fun _ config -> run ~config ());
-    shape = Rows { columns; cli = Some cli };
+    shape = Rows { columns };
+    cli = Some cli;
     claims =
       (let label (c, r) =
          Printf.sprintf "s=%d opt=%b p=%d read %.1f" r.shards r.optimistic c.p
@@ -1467,30 +1773,28 @@ let hash_scaling () : (Hash_scaling.config, Hash_scaling.result) t =
 let abort_storm () : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
   let open Abort_storm in
   let cli =
-    {
-      command = "abort";
-      doc =
+    cli "abort"
+      ~doc:
         "Timed acquisition under a planted cross-cluster holder stall: every \
          waiter attempts through the timed face and must return within a \
          bounded overshoot of its deadline (experiment ABORT-STORM). Only \
-         abortable algorithms are accepted.";
-      default = (Lock.Mcs_h2, default_config);
-      knobs =
-        (fun (a, c) ->
-          lock a (fun (_, c) a -> (a, c))
-          :: List.map second
-               [
-                 clusters c.n_clusters (fun c n_clusters -> { c with n_clusters });
-                 knob Arg.float [ "timeout" ] ~docv:"US"
-                   ~doc:"Per-attempt deadline in us." c.timeout_us
-                   (fun c timeout_us -> { c with timeout_us });
-                 knob Arg.float [ "stall" ] ~docv:"US"
-                   ~doc:"How long the planted holder goes dark per stall."
-                   c.stall_us (fun c stall_us -> { c with stall_us });
-                 window c.window_us (fun c window_us -> { c with window_us });
-                 seed c.seed (fun c seed -> { c with seed });
-               ]);
-    }
+         abortable algorithms are accepted."
+      (Lock.Mcs_h2, default_config)
+      (fun (a, c) ->
+        lock a (fun (_, c) a -> (a, c))
+        :: List.map second
+             [
+               clusters c.n_clusters (fun c n_clusters ->
+                   { c with n_clusters });
+               knob Arg.float [ "timeout" ] ~docv:"US"
+                 ~doc:"Per-attempt deadline in us." c.timeout_us
+                 (fun c timeout_us -> { c with timeout_us });
+               knob Arg.float [ "stall" ] ~docv:"US"
+                 ~doc:"How long the planted holder goes dark per stall."
+                 c.stall_us (fun c stall_us -> { c with stall_us });
+               window c.window_us (fun c window_us -> { c with window_us });
+               seed c.seed (fun c seed -> { c with seed });
+             ])
   in
   let columns =
     Col.
@@ -1528,7 +1832,8 @@ let abort_storm () : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
        at the next hand-offs - once the holder releases";
     grid = List.map (fun a -> (a, default_config)) Experiments.numa_algos;
     run = (fun _ (algo, config) -> run ~config algo);
-    shape = Rows { columns; cli = Some cli };
+    shape = Rows { columns };
+    cli = Some cli;
     claims =
       (let show f ((a, _), r) = Lock.algo_name a ^ ": " ^ f r in
        [
@@ -1555,36 +1860,35 @@ let abort_storm () : (Lock.algo * Abort_storm.config, Abort_storm.result) t =
 let crash_storm () : (Lock.algo * Crash_storm.config, Crash_storm.result) t =
   let open Crash_storm in
   let cli =
-    {
-      command = "crash";
-      doc =
+    cli "crash"
+      ~doc:
         "Fail-stop crashes planted mid-critical-section: victims die holding \
          the lock, survivors acquire through the recoverable face and \
          force-release each orphaned hold (experiment CRASH-STORM). Only \
-         recoverable algorithms are accepted.";
-      default = (Lock.Mcs_h2, default_config);
-      knobs =
-        (fun (a, c) ->
-          lock a (fun (_, c) a -> (a, c))
-          :: List.map second
-               [
-                 clusters c.n_clusters (fun c n_clusters -> { c with n_clusters });
-                 knob Arg.int [ "kills" ] ~docv:"N"
-                   ~doc:
-                     "Victim processors, each fail-stopped once \
-                      mid-critical-section."
-                   c.n_kills (fun c n_kills -> { c with n_kills });
-                 knob Arg.float [ "check-period" ] ~docv:"US"
-                   ~doc:
-                     "Recoverable-acquire slice (the dead-holder detector \
-                      period)."
-                   c.check_period_us (fun c check_period_us ->
-                     { c with check_period_us });
-                 hold c.hold_us (fun c hold_us -> { c with hold_us });
-                 window c.window_us (fun c window_us -> { c with window_us });
-                 seed c.seed (fun c seed -> { c with seed });
-               ]);
-    }
+         recoverable algorithms are accepted."
+      ~finish:(lockdep (fun r -> r.lockdep_violations))
+      (Lock.Mcs_h2, default_config)
+      (fun (a, c) ->
+        lock a (fun (_, c) a -> (a, c))
+        :: List.map second
+             [
+               clusters c.n_clusters (fun c n_clusters ->
+                   { c with n_clusters });
+               knob Arg.int [ "kills" ] ~docv:"N"
+                 ~doc:
+                   "Victim processors, each fail-stopped once \
+                    mid-critical-section."
+                 c.n_kills (fun c n_kills -> { c with n_kills });
+               knob Arg.float [ "check-period" ] ~docv:"US"
+                 ~doc:
+                   "Recoverable-acquire slice (the dead-holder detector \
+                    period)."
+                 c.check_period_us (fun c check_period_us ->
+                   { c with check_period_us });
+               hold c.hold_us (fun c hold_us -> { c with hold_us });
+               window c.window_us (fun c window_us -> { c with window_us });
+               seed c.seed (fun c seed -> { c with seed });
+             ])
   in
   let columns =
     Col.
@@ -1621,7 +1925,8 @@ let crash_storm () : (Lock.algo * Crash_storm.config, Crash_storm.result) t =
         (fun a -> (a, default_config))
         (Lock.Mcs_h2 :: Lock.Clh :: Lock.Ticket :: Lock.all_numa_algos);
     run = (fun _ (algo, config) -> run ~config algo);
-    shape = Rows { columns; cli = Some cli };
+    shape = Rows { columns };
+    cli = Some cli;
     claims =
       (let name ((a, _), _) = Lock.algo_name a in
        let show f row = name row ^ ": " ^ f (snd row) in
@@ -1715,27 +2020,25 @@ let rw_scaling () : (Rw_scaling.config, Rw_scaling.result) t =
     Rw_lock { writer; policy = Rwlock.Writer_blocking; centralised }
   in
   let cli =
-    {
-      command = "rw";
-      doc =
+    cli "rw"
+      ~doc:
         "Read-mostly lookups: distributed reader-writer lock vs seqlock vs \
          per-cluster replication vs one exclusive lock (experiment \
          RW-SCALING): reader-parallelism peaks, remote read-path traffic and \
-         lockdep violations.";
-      default = default_config;
-      knobs =
-        (fun d ->
-          rw_style d
-          @ [
-              procs ~doc:"Contending processors." d.p (fun c p -> { c with p });
-              clusters ~doc:"Clusters the processors are spread across."
-                d.n_clusters (fun c n_clusters -> { c with n_clusters });
-              read_ratio d.read_ratio (fun c read_ratio -> { c with read_ratio });
-              knob Arg.int [ "ops" ] ~docv:"N" ~doc:"Operations per processor."
-                d.ops (fun c ops -> { c with ops });
-              seed d.seed (fun c seed -> { c with seed });
-            ]);
-    }
+         lockdep violations."
+      ~finish:(lockdep (fun r -> r.lockdep_violations))
+      default_config
+      (fun d ->
+        rw_style d
+        @ [
+            procs ~doc:"Contending processors." d.p (fun c p -> { c with p });
+            clusters ~doc:"Clusters the processors are spread across."
+              d.n_clusters (fun c n_clusters -> { c with n_clusters });
+            read_ratio d.read_ratio (fun c read_ratio -> { c with read_ratio });
+            knob Arg.int [ "ops" ] ~docv:"N" ~doc:"Operations per processor."
+              d.ops (fun c ops -> { c with ops });
+            seed d.seed (fun c seed -> { c with seed });
+          ])
   in
   let columns =
     Col.
@@ -1784,7 +2087,8 @@ let rw_scaling () : (Rw_scaling.config, Rw_scaling.result) t =
        let* n_clusters = [ 1; 2; 4 ] in
        [ { default_config with style; read_ratio; n_clusters } ]);
     run = (fun _ config -> run ~config ());
-    shape = Rows { columns; cli = Some cli };
+    shape = Rows { columns };
+    cli = Some cli;
     claims =
       (let name (c, _) =
          Printf.sprintf "%s read %.3f clusters %d" (style_name c.style)
@@ -1818,37 +2122,35 @@ let rw_scaling () : (Rw_scaling.config, Rw_scaling.result) t =
 let slo () : (Slo_stream.config, Slo_stream.result) t =
   let open Slo_stream in
   let cli =
-    {
-      command = "slo";
-      doc =
+    cli "slo"
+      ~doc:
         "Open-loop sustained-request stream over the sharded million-element \
          table: exponential arrivals at a fixed offered rate, FIFO queueing \
          behind a random server, arrival-to-completion p50/p99/p99.9 \
-         (experiment SLO).";
-      default = default_config;
-      knobs =
-        (fun d ->
-          [
-            lock d.lock_algo (fun c lock_algo -> { c with lock_algo });
-            procs ~doc:"Server processors." d.p (fun c p -> { c with p });
-            knob Arg.int [ "elements" ] ~docv:"N"
-              ~doc:"Keys pre-inserted into the table (requests target these)."
-              d.elements (fun c elements -> { c with elements });
-            knob Arg.float [ "rate" ] ~docv:"R"
-              ~doc:"Offered load: requests per virtual millisecond, total."
-              d.rate_per_ms (fun c rate_per_ms -> { c with rate_per_ms });
-            knob Arg.int [ "requests" ] ~docv:"N" ~doc:"Arrivals generated."
-              d.requests (fun c requests -> { c with requests });
-            knob Arg.int [ "shards" ] ~docv:"S" ~doc:"Table shard count." d.shards
-              (fun c shards -> { c with shards });
-            read_ratio ~doc:"Fraction of requests that are read-only lookups."
-              d.read_ratio (fun c read_ratio -> { c with read_ratio });
-            knob Arg.float [ "work" ] ~docv:"US"
-              ~doc:"Update work under the element, us." d.element_work_us
-              (fun c element_work_us -> { c with element_work_us });
-            seed d.seed (fun c seed -> { c with seed });
-          ]);
-    }
+         (experiment SLO)."
+      ~finish:(lockdep (fun r -> r.lockdep_violations))
+      default_config
+      (fun d ->
+        [
+          lock d.lock_algo (fun c lock_algo -> { c with lock_algo });
+          procs ~doc:"Server processors." d.p (fun c p -> { c with p });
+          knob Arg.int [ "elements" ] ~docv:"N"
+            ~doc:"Keys pre-inserted into the table (requests target these)."
+            d.elements (fun c elements -> { c with elements });
+          knob Arg.float [ "rate" ] ~docv:"R"
+            ~doc:"Offered load: requests per virtual millisecond, total."
+            d.rate_per_ms (fun c rate_per_ms -> { c with rate_per_ms });
+          knob Arg.int [ "requests" ] ~docv:"N" ~doc:"Arrivals generated."
+            d.requests (fun c requests -> { c with requests });
+          knob Arg.int [ "shards" ] ~docv:"S" ~doc:"Table shard count." d.shards
+            (fun c shards -> { c with shards });
+          read_ratio ~doc:"Fraction of requests that are read-only lookups."
+            d.read_ratio (fun c read_ratio -> { c with read_ratio });
+          knob Arg.float [ "work" ] ~docv:"US"
+            ~doc:"Update work under the element, us." d.element_work_us
+            (fun c element_work_us -> { c with element_work_us });
+          seed d.seed (fun c seed -> { c with seed });
+        ])
   in
   let columns =
     Col.
@@ -1885,7 +2187,8 @@ let slo () : (Slo_stream.config, Slo_stream.result) t =
         (fun rate_per_ms -> { default_config with rate_per_ms })
         Experiments.slo_rates;
     run = (fun _ config -> run ~config ());
-    shape = Rows { columns; cli = Some cli };
+    shape = Rows { columns };
+    cli = Some cli;
     claims =
       (let name (c, _) = Printf.sprintf "%.0f/ms" c.rate_per_ms in
        [
@@ -1907,31 +2210,29 @@ let slo () : (Slo_stream.config, Slo_stream.result) t =
 let diurnal () : (Diurnal.config, Diurnal.result) t =
   let open Diurnal in
   let cli =
-    {
-      command = "diurnal";
-      doc =
+    cli "diurnal"
+      ~doc:
         "The diurnal load cycle: load ramps cold -> hot -> cold over one lock, \
-         with per-phase throughput (experiment DIURNAL).";
-      default = default_config;
-      knobs =
-        (fun d ->
-          [
-            lock d.algo (fun c algo -> { c with algo });
-            knob Arg.int [ "p-hot" ] ~docv:"P"
-              ~doc:"Processors at the daytime peak." d.p_hot (fun c p_hot ->
-                { c with p_hot });
-            knob Arg.int [ "p-cold" ] ~docv:"P"
-              ~doc:"Processors in the overnight trickle." d.p_cold
-              (fun c p_cold -> { c with p_cold });
-            clusters ~doc:"Number of clusters." d.n_clusters (fun c n_clusters ->
-                { c with n_clusters });
-            knob Arg.float [ "phase" ] ~docv:"US"
-              ~doc:"Length of each of the three plateaus in us." d.phase_us
-              (fun c phase_us -> { c with phase_us });
-            hold d.hold_us (fun c hold_us -> { c with hold_us });
-            seed d.seed (fun c seed -> { c with seed });
-          ]);
-    }
+         with per-phase throughput (experiment DIURNAL)."
+      ~finish:(lockdep (fun r -> r.lockdep_violations))
+      default_config
+      (fun d ->
+        [
+          lock d.algo (fun c algo -> { c with algo });
+          knob Arg.int [ "p-hot" ] ~docv:"P"
+            ~doc:"Processors at the daytime peak." d.p_hot (fun c p_hot ->
+              { c with p_hot });
+          knob Arg.int [ "p-cold" ] ~docv:"P"
+            ~doc:"Processors in the overnight trickle." d.p_cold
+            (fun c p_cold -> { c with p_cold });
+          clusters ~doc:"Number of clusters." d.n_clusters (fun c n_clusters ->
+              { c with n_clusters });
+          knob Arg.float [ "phase" ] ~docv:"US"
+            ~doc:"Length of each of the three plateaus in us." d.phase_us
+            (fun c phase_us -> { c with phase_us });
+          hold d.hold_us (fun c hold_us -> { c with hold_us });
+          seed d.seed (fun c seed -> { c with seed });
+        ])
   in
   let columns =
     Col.
@@ -1965,7 +2266,8 @@ let diurnal () : (Diurnal.config, Diurnal.result) t =
           Lock.cna; Lock.c_mcs_mcs; Lock.hmcs;
         ];
     run = (fun _ config -> run ~config ());
-    shape = Rows { columns; cli = Some cli };
+    shape = Rows { columns };
+    cli = Some cli;
     claims =
       [
         every

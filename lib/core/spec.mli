@@ -5,12 +5,12 @@
     (NUMA-LOCKS, HASH-SCALING, ABORT-STORM, CRASH-STORM, RW-SCALING, SLO,
     DIURNAL). A spec states its sweep (one cell per grid config), its run,
     its claims and the shape its results take: rows, one series per lock
-    algorithm, or a single record. {!Registry} runs every spec's cells and
+    algorithm, or lines per cell. {!Registry} runs every spec's cells and
     prints its text report; {!Bench_json} exports the paper's and the
     extensions' specs, which list a spec is in being what makes it
-    exported; [hurricane_sim] derives a subcommand from each rows spec that
-    has a command line (the knobs over its default, printing the run's JSON
-    row). *)
+    exported; [hurricane_sim] derives a subcommand from each spec that has
+    a command line: it runs one cell, the config its flags build over the
+    spec's default, and prints it through the spec. *)
 
 open Locks
 open Workloads
@@ -75,57 +75,14 @@ module Col : sig
 end
 
 (** Command-line knobs. A knob is one flag that updates one field of a
-    workload's config. Each helper takes the flag's default, which callers
-    read from the field of the workload's default config, so a subcommand at
-    its defaults runs its default config. *)
+    config; its default is read from the field of the default config, so a
+    subcommand at its defaults runs its default config. *)
 module Knob : sig
   type 'c t = ('c -> 'c) Cmdliner.Term.t
 
-  (** A knob over one field: [helper default set] takes the flag's default
-      and the field's setter. *)
-  type ('c, 'v) field = 'v -> ('c -> 'v -> 'c) -> 'c t
-
-  (** [knob typ names ~docv ~doc]: the flag [names] of type [typ]. *)
-  val knob :
-    ?absent:string ->
-    'v Cmdliner.Arg.conv ->
-    string list ->
-    docv:string ->
-    doc:string ->
-    ('c, 'v) field
-
-  (** A flag that applies its update when it is given. *)
-  val switch : string list -> doc:string -> ('c -> 'c) -> 'c t
-
   (** [config d knobs]: [d] with every knob's update applied. *)
   val config : 'c -> 'c t list -> 'c Cmdliner.Term.t
-
-  (** A knob of the config paired with a workload's lock argument. *)
-  val second : 'c t -> ('a * 'c) t
-
-  (** [--lock], in {!Locks.Lock.of_string}'s spellings, as a workload's
-      argument rather than a field. *)
-  val lock_arg : Lock.algo -> Lock.algo Cmdliner.Term.t
-
-  val lock : ('c, Lock.algo) field
-  val procs : ?doc:string -> ('c, int) field
-  val workers : ('c, int) field
-  val cluster_size : ('c, int) field
-  val clusters : ?doc:string -> ('c, int) field
-  val seed : ('c, int) field
-  val window : ('c, float) field
-  val hold : ('c, float) field
-  val read_ratio : ?doc:string -> ('c, float) field
 end
-
-(** A workload subcommand: its name, its doc, the config it runs at its
-    defaults, and its flags over a default. *)
-type 'c cli = {
-  command : string;
-  doc : string;
-  default : 'c;  (** a member of the spec's [grid] *)
-  knobs : 'c -> 'c Knob.t list;
-}
 
 (** A claim's declared verdict: its target holds, or it is a known
     deviation that misses the target, for the reason given. *)
@@ -149,15 +106,31 @@ type ('c, 'r) t = {
   shape : ('c, 'r) shape;
   claims : ('c * 'r) list claim list;
       (** each stated once, beside the columns that export its numbers *)
+  cli : ('c, 'r) cli option;  (** the subcommand, if the spec has one *)
+}
+
+(** A subcommand: its name and doc, the grid config it runs at its
+    defaults, and its flags. *)
+and ('c, 'r) cli = {
+  command : string;
+  doc : string;
+  default : 'c;  (** a member of the spec's [grid] *)
+  knobs : 'c -> 'c Knob.t list;  (** the flags over a default *)
+  sweep : knobs Knob.t list;  (** the flags over the paper's sweep knobs *)
+  alt : (bool Cmdliner.Term.t * ('c, 'r) t Lazy.t) option;
+      (** a flag that runs a sibling spec's cell instead ([faults --shared]
+          runs FIG7b's) *)
+  observed : (knobs -> 'c -> 'r) Cmdliner.Term.t option;
+      (** the subcommand's own run of the spec's cell, with an observer the
+          report does not show ([trace]'s event ring, [storm]'s checker) *)
+  finish : ('r -> string option) Cmdliner.Term.t;
+      (** after the output: writes what its flags ask for ([trace -o]) and
+          reports a failed run, which exits 1 *)
 }
 
 (** What a spec's cells make together. *)
 and (_, _) shape =
-  | Rows : {
-      columns : ('c, 'r) Col.t list;
-      cli : 'c cli option;  (** the subcommand, if the spec has one *)
-    }
-      -> ('c, 'r) shape
+  | Rows : { columns : ('c, 'r) Col.t list } -> ('c, 'r) shape
       (** One row per cell: the JSON section is the list of rows, the text a
           table of the headed columns. *)
   | Series : {
@@ -173,15 +146,21 @@ and (_, _) shape =
           file's x column), the second the value the text table (at the
           column's format) and the .dat file (at two decimals) plot. *)
   | Record : {
-      columns : (unit, 'r) Col.t list;
+      columns : ('c, 'r) Col.t list;
+      head : string list;
       lines : 'r -> string list;
     }
-      -> (unit, 'r) shape
-      (** One cell: the JSON is its object of keyed columns, the text
-          [lines]. *)
+      -> ('c, 'r) shape
+      (** The text is [head], then each cell's [lines]; the JSON is the
+          first cell's object of keyed columns (an exported record has one
+          cell). *)
 
 (** A row's JSON object: its keyed columns, in order. *)
 val row : ('c, 'r) Col.t list -> 'c * 'r -> Json.t
+
+(** One cell's JSON as the export holds it: a row, a series or a
+    record. *)
+val cell_json : ('c, 'r) t -> 'c * 'r -> Json.t
 
 (** The export section of the spec's cells, in grid order. *)
 val json : ('c, 'r) t -> ('c * 'r) list -> Json.t
@@ -202,40 +181,13 @@ val dat : ('c, 'r) t -> (string -> ('c * 'r) list -> Dat.plot) option
     miss that holds), with its statement and measured value. *)
 val unexpected : ('c, 'r) t -> ('c * 'r) list -> string list
 
-(** FIG7c/d's cluster sizes at the full setting ([sizes = None]). *)
-val paper_cluster_sizes : int list
-
-(** A Figure 7 point: the fault latency summary, retries and RPCs. *)
-type fault = Measure.summary * int * int
-
 (** Each spec is built when called, so a program that links this module
     but reads no spec (one that only exports) pays nothing for it. *)
 
-val fig7c : unit -> (Lock.algo, (int * fault) list) t
-val fig7d : unit -> (Lock.algo, (int * fault) list) t
-
-val numa_locks :
-  unit -> (Lock.algo * Numa_stress.config, Numa_stress.result) t
-
 val hash_scaling : unit -> (Hash_scaling.config, Hash_scaling.result) t
 
-val abort_storm :
-  unit -> (Lock.algo * Abort_storm.config, Abort_storm.result) t
-
-val crash_storm :
-  unit -> (Lock.algo * Crash_storm.config, Crash_storm.result) t
-
-val rw_scaling : unit -> (Rw_scaling.config, Rw_scaling.result) t
-
-val slo : unit -> (Slo_stream.config, Slo_stream.result) t
-
-val diurnal : unit -> (Diurnal.config, Diurnal.result) t
-
-(** VERIFY: the lockdep checker against its planted-violation probes. *)
-val verify : unit -> (unit, Verify_probes.result list) t
-
 (** OBS: the contention profile of a dosed fault storm, and the storm. *)
-val obs : unit -> (unit, Obs.row list * Fault_storm.result) t
+val obs : unit -> (Fault_storm.config, Obs.t * Fault_storm.result) t
 
 type any = Spec : ('c, 'r) t -> any
 

@@ -7,10 +7,6 @@
 
 open Hector
 
-(** The per-cluster compute cost of the region-list lookup, held under the
-    region lock. *)
-val region_lookup_work : int
-
 (** Service a soft page fault for [vpage] on the calling processor: map the
     page, acquiring a replica (read) or write ownership (write) from the
     page's master cluster if the local replica is insufficient. Must run
@@ -25,21 +21,9 @@ val unmap : Kernel.t -> Ctx.t -> vpage:int -> unit
     one cluster each go remote. Only for the ABL2 ablation. *)
 val read_fault_no_combining : Kernel.t -> Ctx.t -> vpage:int -> unit
 
-(** The RPC services, exposed for direct testing. All run in the target's
-    interrupt context and never wait. *)
-
-val master_acquire_service :
-  Kernel.t -> vpage:int -> req_cluster:int -> write:bool -> Ctx.t -> Rpc.outcome
-
-val confirm_release_service : Kernel.t -> vpage:int -> Ctx.t -> Rpc.outcome
-
-val demote_service :
-  Kernel.t -> vpage:int -> to_state:int -> Ctx.t -> Rpc.outcome
-
-(** Page-table update helpers (the caller holds the descriptor's reserve). *)
+(** Page-table update helper (the caller holds the descriptor's reserve). *)
 
 val map_page : Kernel.t -> Ctx.t -> Page.pdesc -> unit
-val unmap_pte : Kernel.t -> Ctx.t -> Page.pdesc -> unit
 
 (** Copy-on-write faults (Sections 2.3 / 2.5): break the sharing of
     [vpage] for the caller — drop a share at the master (removing the
@@ -51,8 +35,6 @@ val unmap_pte : Kernel.t -> Ctx.t -> Page.pdesc -> unit
     protocol (counted by {!Kernel.degradations}). *)
 
 type cow_outcome = Broke | Already_gone
-
-val cow_unshare_service : Kernel.t -> vpage:int -> Ctx.t -> Rpc.outcome
 
 val cow_fault :
   ?degrade_after:int ->

@@ -53,7 +53,6 @@ let p_recover (Packed ((module M), v)) ctx = M.recover v ctx
 let p_recoverable (Packed ((module M), v)) = M.recoverable v
 let p_is_free (Packed ((module M), v)) = M.is_free v
 let p_waiters (Packed ((module M), v)) = M.waiters v
-let p_acquisitions (Packed ((module M), v)) = M.acquisitions v
 
 (* Tell the checker the calling processor inherited this (still-held) lock:
    a cohort pass moves the session to a cluster-mate without the global

@@ -98,7 +98,6 @@ val p_recover : packed -> Ctx.t -> bool
 val p_recoverable : packed -> bool
 val p_is_free : packed -> bool
 val p_waiters : packed -> bool
-val p_acquisitions : packed -> int
 
 (** Report to the installed checker (if any) that the calling processor
     inherited this still-held lock — see {!Verify.Transferred}. Fired by

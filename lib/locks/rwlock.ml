@@ -215,14 +215,6 @@ let release_read t ctx =
   if Ctx.hooked ctx then
     Ctx.emit ctx (Verify.Released_shared (t.vcls_rd, t.vid))
 
-let try_acquire_read t ctx =
-  match try_admit t ctx with
-  | `Admitted ->
-    if Ctx.hooked ctx then
-      Ctx.emit ctx (Verify.Try_acquired_shared (t.vcls_rd, t.vid));
-    true
-  | `Gated | `Raced -> false
-
 let try_acquire_read_for t ctx ~deadline =
   if Ctx.now ctx >= deadline then begin
     t.read_timeouts <- t.read_timeouts + 1;
@@ -246,10 +238,6 @@ let try_acquire_read_for t ctx ~deadline =
     in
     go ()
   end
-
-let with_read t ctx f =
-  acquire_read t ctx;
-  Fun.protect ~finally:(fun () -> release_read t ctx) f
 
 (* -- writer side ---------------------------------------------------------- *)
 

@@ -71,9 +71,6 @@ val centralised : t -> bool
 val acquire_read : t -> Ctx.t -> unit
 val release_read : t -> Ctx.t -> unit
 
-(** One admission attempt; may fail spuriously under CAS interference. *)
-val try_acquire_read : t -> Ctx.t -> bool
-
 (** Timed admission: retry until the (absolute) deadline passes. Always
     abortable — an admission loop holds nothing it cannot walk away
     from. *)
@@ -82,9 +79,6 @@ val try_acquire_read_for : t -> Ctx.t -> deadline:int -> bool
 (** Crash-tolerant reader acquire: timed slices with {!recover} between
     them, same slice/jitter discipline as [Lock.acquire_recoverable]. *)
 val acquire_read_recoverable : ?check_period:int -> t -> Ctx.t -> unit
-
-(** [acquire_read]/[release_read] around [f], exception-safe. *)
-val with_read : t -> Ctx.t -> (unit -> 'a) -> 'a
 
 (** {2 Writer side} *)
 

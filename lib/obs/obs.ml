@@ -516,9 +516,6 @@ let on_event t ~proc ~now (e : Verify.event) =
   | Acquired_shared (cls, id) ->
     lock_acquired t ~proc ~cls ~id ~now;
     rw_read_enter t ~proc ~cls
-  | Try_acquired_shared (cls, id) ->
-    lock_try_acquired t ~proc ~cls ~id ~now;
-    rw_read_enter t ~proc ~cls
   | Released_shared (cls, id) ->
     lock_released t ~proc ~cls ~id ~now;
     rw_read_exit t ~proc ~cls

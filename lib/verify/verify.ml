@@ -114,7 +114,6 @@ type event =
   | Wait_abandoned
   | Released of lock_class * int
   | Acquired_shared of lock_class * int
-  | Try_acquired_shared of lock_class * int
   | Released_shared of lock_class * int
   | Released_dead of { cls : lock_class; id : int; dead : int }
   | Transferred of lock_class * int
@@ -685,8 +684,7 @@ let on_event t ~proc ~now = function
   | Wait_timed (cls, id) -> wait_acquire_timed t ~proc ~cls ~id ~now
   | Acquired (cls, id) | Acquired_shared (cls, id) ->
     acquired t ~proc ~cls ~id ~now
-  | Try_acquired (cls, id) | Try_acquired_shared (cls, id) ->
-    try_acquired t ~proc ~cls ~id ~now
+  | Try_acquired (cls, id) -> try_acquired t ~proc ~cls ~id ~now
   | Wait_abandoned -> wait_abandoned t ~proc ~now
   | Released (cls, id) | Released_shared (cls, id) ->
     released t ~proc ~cls ~id ~now

@@ -132,7 +132,6 @@ type event =
           recovery transfer: the corpse's held entry is removed and
           {!recoveries} incremented instead of reporting [Bad_release]. *)
   | Acquired_shared of lock_class * int
-  | Try_acquired_shared of lock_class * int
   | Released_shared of lock_class * int
       (** The shared (reader-side) faces of an RW lock: lockdep-wise
           ordinary acquisitions and releases. The per-processor held lists

@@ -32,8 +32,9 @@
    worker service is a self-contained reserve/work/clear and the hog
    services are idempotent.
 
-   With [fault = None] nothing is injected and all three mechanisms take
-   only fast paths. *)
+   The fault plan is the config's last four fields, seeded by [seed].
+   With no stall period and both RPC rates zero nothing is injected and
+   all three mechanisms take only fast paths. *)
 
 open Eventsim
 open Hector
@@ -61,8 +62,15 @@ type config = {
   hog_hold_us : float;  (* how long the hog keeps the service reserved *)
   hog_idle_us : float;  (* gap between hog holds *)
   seed : int;
-  fault : Fault.config option;
+  stall_every_us : float;  (* one holder stall per period; 0 = none *)
+  stall_us : float;
+  drop_rate : float;  (* P(loss) per RPC call *)
+  delay_rate : float;  (* P(delay) per RPC message *)
 }
+
+(* An injected RPC delay, and the resend timeout that drops need. *)
+let rpc_delay_us = 25.0
+let reply_timeout_us = 250.0
 
 let default_config =
   {
@@ -82,8 +90,33 @@ let default_config =
     hog_hold_us = 400.0;
     hog_idle_us = 600.0;
     seed = 11;
-    fault = None;
+    stall_every_us = 2000.0;
+    stall_us = 1000.0;
+    drop_rate = 0.0;
+    delay_rate = 0.0;
   }
+
+(* The plan the config's fault fields describe, if they inject anything. *)
+let plan cfg c =
+  let cycles = Config.cycles_of_us cfg in
+  if c.stall_every_us <= 0.0 && c.drop_rate <= 0.0 && c.delay_rate <= 0.0
+  then None
+  else
+    Some
+      (Fault.create
+         (Fault.validate
+            {
+              Fault.disabled with
+              seed = c.seed;
+              stall_every =
+                (if c.stall_every_us > 0.0 then cycles c.stall_every_us else 0);
+              stall_cycles = cycles c.stall_us;
+              rpc_delay_rate = c.delay_rate;
+              rpc_delay_cycles = cycles rpc_delay_us;
+              rpc_drop_rate = c.drop_rate;
+              reply_timeout =
+                (if c.drop_rate > 0.0 then cycles reply_timeout_us else 0);
+            }))
 
 type result = {
   mechanism : mechanism;
@@ -139,7 +172,7 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?verify ?obs
   let rng = Rng.create config.seed in
   let ctxs = Array.init n (fun proc -> Ctx.create machine ~proc (Rng.split rng)) in
   let rpc = Rpc.create machine ctxs Costs.default in
-  let plan = Option.map (fun fc -> Fault.create (Fault.validate fc)) config.fault in
+  let plan = plan cfg config in
   Machine.set_fault_plan machine plan;
   Rpc.set_fault_plan rpc plan;
   (* Lockdep: installed before any lock traffic so the checker sees every

@@ -4,7 +4,6 @@
     delay/loss and memory hot-spots. Compares the unbounded pre-existing
     protocol against timeout-capable locking and bounded-retry RPC. *)
 
-open Eventsim
 open Hector
 
 type mechanism =
@@ -28,10 +27,20 @@ type config = {
   max_attempts : int;  (** RPC attempt budget under [Bounded_retry] *)
   hog_hold_us : float;
   hog_idle_us : float;
-  seed : int;
-  fault : Fault.config option;  (** [None]: nothing injected *)
+  seed : int;  (** seeds the storm and its fault plan *)
+  stall_every_us : float;
+      (** the fault plan, which injects nothing with no stall period and
+          both rates zero: one holder stall each period (0 = none) *)
+  stall_us : float;  (** length of an injected stall *)
+  drop_rate : float;
+      (** P(loss) per RPC call; callers resend after {!reply_timeout_us} *)
+  delay_rate : float;  (** P(delay by {!rpc_delay_us}) per RPC message *)
 }
 
+val rpc_delay_us : float
+val reply_timeout_us : float
+
+(** A stall of 1 ms every 2 ms, no RPC faults. *)
 val default_config : config
 
 type result = {

@@ -271,7 +271,11 @@ let run_dead_owner () =
 let run_clean () =
   let v = Verify.create ~n_procs:(Config.n_procs Config.hector) () in
   let config =
-    { Fault_storm.default_config with window_us = 5_000.0; fault = None }
+    {
+      Fault_storm.default_config with
+      window_us = 5_000.0;
+      stall_every_us = 0.0;
+    }
   in
   let (_ : Fault_storm.result) =
     Fault_storm.run ~config ~verify:v Fault_storm.Timeout

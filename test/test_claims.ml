@@ -44,12 +44,21 @@ let obs_profile () =
   ignore (Lazy.force outcomes);
   Option.get !obs
 
-(* One line per claim of [section] whose verdict is not the declared one. *)
-let unexpected section =
+let outcome section =
   List.find
     (fun o -> Registry.name (Registry.entry o) = section)
     (Lazy.force outcomes)
-  |> Registry.unexpected
+
+(* One line per claim of [section] whose verdict is not the declared one. *)
+let unexpected section = Registry.unexpected (outcome section)
+
+(* The text report of [section] in the run. *)
+let text section =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  Registry.print ppf (outcome section);
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
 
 (* The JSON of [section] in the run. *)
 let exported section =

@@ -371,17 +371,12 @@ let test_disabled_plan_identity () =
 
 let test_storm_timeouts_retain_more () =
   let open Workloads in
-  let cycles us = Config.cycles_of_us Config.hector us in
-  let fault =
-    {
-      Fault.disabled with
-      seed = 42;
-      stall_every = cycles 1000.0;
-      stall_cycles = cycles 1000.0;
-    }
-  in
   let config =
-    { Fault_storm.default_config with window_us = 10_000.0; fault = Some fault }
+    {
+      Fault_storm.default_config with
+      window_us = 10_000.0;
+      stall_every_us = 1000.0;
+    }
   in
   let plain = Fault_storm.run ~config Fault_storm.No_timeout in
   let timed = Fault_storm.run ~config Fault_storm.Timeout in

@@ -36,20 +36,13 @@ let test_fault_storm () =
       ~n_clusters:cfg.Config.stations ~n_procs:(Config.n_procs cfg) ()
   in
   let verify = Verify.create ~n_procs:(Config.n_procs cfg) () in
-  let fault =
-    {
-      Eventsim.Fault.disabled with
-      seed = 3;
-      stall_every = Config.cycles_of_us cfg 1500.0;
-      stall_cycles = Config.cycles_of_us cfg 400.0;
-    }
-  in
   let config =
     {
       Fault_storm.default_config with
       p = 6;
       window_us = 6000.0;
-      fault = Some fault;
+      stall_every_us = 1500.0;
+      stall_us = 400.0;
     }
   in
   let r = Fault_storm.run ~cfg ~config ~verify ~obs Fault_storm.Timeout in

@@ -167,49 +167,78 @@ let test_default_names_are_exported_entries () =
   Alcotest.(check int) "17 exported" 17
     (List.length (Bench_json.default_names ()))
 
-(* [hurricane_sim]'s workload subcommands run their workload once at its
-   spec's default (the lock-argument ones on H2-MCS, the CLI's default lock)
-   and print the run's row, which is the row of the default's grid cell:
-   each default must be one of the spec's grid configs, and that cell's row
-   in the claims suite's one export a row of the committed export, or a
-   default has drifted from the experiment's sweep. *)
-let check_exported section row =
-  match List.assoc section (committed_experiments ()) with
-  | Json.List rows when List.mem row rows -> ()
-  | _ ->
-    Alcotest.failf "%s: the row is not exported: %s" section
-      (Json.to_string ~compact:true row)
+(* A rows section's rows, a series section's series: what one cell of an
+   exported spec prints. *)
+let cells_of = function
+  | Json.List cells -> cells
+  | doc -> (
+    match Json.member doc "series" with Some (Json.List s) -> s | _ -> [])
 
+let check_exported section cell =
+  let committed = cells_of (List.assoc section (committed_experiments ())) in
+  if not (List.mem cell committed) then
+    Alcotest.failf "%s: the cell is not exported: %s" section
+      (Json.to_string ~compact:true cell)
+
+(* Each [hurricane_sim] workload subcommand runs, at its defaults, one cell
+   of its spec's grid (given its [alt] flag, of the sibling spec's) and
+   prints it: the default must be a grid config, or it has drifted from the
+   experiment. An exported spec's cell, in the claims suite's run, must be
+   a row or series of the committed export; a study's text, from a fresh
+   run of the default (through the command's [observed] run, at its
+   default flags, if it has one), must be its cell's text in the claims
+   suite's report. *)
 let test_defaults_are_export_rows () =
+  let exported = Bench_json.default_names () in
+  let check ?observed (s : (_, _) Spec.t) default =
+    match List.find_index (( = ) default) s.grid with
+    | None -> Alcotest.failf "%s: the default is not a grid config" s.section
+    | Some i when List.mem s.section exported ->
+      check_exported s.section
+        (List.nth (cells_of (Test_claims.exported s.section)) i)
+    | Some _ ->
+      let text cells = buf_print (fun ppf -> Spec.print s ppf cells) in
+      let head = text [] in
+      let run =
+        match observed with
+        | None -> s.run
+        | Some term -> (
+          let open Cmdliner in
+          let cmd = Cmd.v (Cmd.info "cli") term in
+          match Cmd.eval_value ~argv:[| "cli" |] cmd with
+          | Ok (`Ok run) -> run
+          | _ -> Alcotest.failf "%s: the observed run's flags" s.section)
+      in
+      let cli = text [ (default, run Spec.full default) ] in
+      let n = String.length head in
+      Alcotest.(check bool)
+        (s.section ^ ": the default prints its cell's text")
+        true
+        (String.starts_with ~prefix:head cli
+        && Astring.String.is_infix
+             ~affix:(String.sub cli n (String.length cli - n))
+             (Test_claims.text s.section))
+  in
   List.iter
     (fun (Spec.Spec s) ->
-      match s.shape with
-      | Rows { cli = Some cli; _ } -> (
-        let section = s.section in
-        match
-          ( List.find_index (( = ) cli.default) s.grid,
-            Test_claims.exported section )
-        with
-        | Some i, Json.List rows -> check_exported section (List.nth rows i)
-        | None, _ ->
-          Alcotest.failf "%s: the default is not a grid config" section
-        | Some _, _ -> Alcotest.failf "%s: the export has no rows" section)
-      | Rows { cli = None; _ } | Series _ | Record _ -> ())
-    (Spec.extensions ())
+      Option.iter
+        (fun (cli : _ Spec.cli) ->
+          check ?observed:cli.observed s cli.default;
+          Option.iter (fun (_, alt) -> check (Lazy.force alt) cli.default)
+            cli.alt)
+        s.cli)
+    (Lazy.force Registry.all)
 
 (* [hash -g hybrid -p 8]: the hybrid table has no seqlock read path, so the
    run reports [optimistic = false] whatever the config asks, and its row is
    the export's hybrid p=8 row at read ratio 0.9. *)
 let test_hybrid_hash_row_is_exported () =
   let s = Spec.hash_scaling () in
-  match s.shape with
-  | Rows { columns; cli = Some cli } ->
-    let c =
-      { cli.default with granularity = Hkernel.Khash.Hybrid; p = 8;
-        read_ratio = 0.9 }
-    in
-    check_exported s.section (Spec.row columns (c, s.run Spec.full c))
-  | Rows { cli = None; _ } -> Alcotest.fail "hash_scaling has no subcommand"
+  let c =
+    { (Option.get s.cli).default with granularity = Hkernel.Khash.Hybrid;
+      p = 8; read_ratio = 0.9 }
+  in
+  check_exported s.section (Spec.cell_json s (c, s.run Spec.full c))
 
 let test_every_name_resolves () =
   List.iter

@@ -94,17 +94,12 @@ let test_probe_clean () =
    result record — ops, RPC traffic, timeout counts, recovery summary —
    as an unchecked one, even under (drop-free) injected faults. *)
 let test_checker_identity () =
-  let cycles us = Config.cycles_of_us Config.hector us in
-  let fault =
-    {
-      Fault.disabled with
-      seed = 42;
-      stall_every = cycles 1000.0;
-      stall_cycles = cycles 1000.0;
-    }
-  in
   let config =
-    { Fault_storm.default_config with window_us = 8_000.0; fault = Some fault }
+    {
+      Fault_storm.default_config with
+      window_us = 8_000.0;
+      stall_every_us = 1000.0;
+    }
   in
   let plain = Fault_storm.run ~config Fault_storm.Timeout in
   let v = Verify.create ~n_procs:(Config.n_procs Config.hector) () in
