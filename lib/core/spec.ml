@@ -162,7 +162,7 @@ and (_, _) shape =
   | Record : {
       columns : ('c, 'r) Col.t list;
       head : string list;
-      lines : 'r -> string list;
+      lines : 'c -> 'r -> string list;
     }
       -> ('c, 'r) shape
 
@@ -247,7 +247,7 @@ let print (type c r) (s : (c, r) t) ppf (cells : (c * r) list) =
   | Record { head; lines; _ } ->
     let line = Format.fprintf ppf "%s@." in
     List.iter line head;
-    List.iter (fun (_, r) -> List.iter line (lines r)) cells
+    List.iter (fun (c, r) -> List.iter line (lines c r)) cells
 
 let dat (type c r) (s : (c, r) t) :
     (string -> (c * r) list -> Dat.plot) option =
@@ -313,6 +313,12 @@ let at cells algo x = List.assoc x (List.assoc algo cells)
 let pair (a, x) (b, y) ok cells =
   let x = x cells and y = y cells in
   (Printf.sprintf "%s %.2fus vs %s %.2fus (%.2fx)" a x b y (x /. y), ok x y)
+
+(* A target [ok x y] on [get] of the results of the configs [a] and [b];
+   [fmt] prints both as the measured text. *)
+let versus fmt (a, b) get ok cells =
+  let x = get (List.assoc a cells) and y = get (List.assoc b cells) in
+  (Printf.sprintf fmt x y, ok x y)
 
 (* A claim's check on a one-cell spec's result. *)
 let only check cells = check (snd (List.hd cells))
@@ -744,7 +750,7 @@ let starvation () : (unit, Measure.summary) t =
           columns = summary (fun () s -> s);
           head = [];
           lines =
-            (fun s ->
+            (fun () s ->
               [
                 Printf.sprintf
                   "measured: %.1f%% of %d acquisitions over 2ms (p99 = %.0fus, \
@@ -799,7 +805,7 @@ let constants () : (unit, Calibration.result) t =
             ];
           head = [];
           lines =
-            (fun r ->
+            (fun () r ->
               Printf.
                 [
                   sprintf "soft page fault     : %7.1f us" r.soft_fault_us;
@@ -835,30 +841,15 @@ let constants () : (unit, Calibration.result) t =
 (* A study is a table with one row per config, or free-form lines per
    config under a head. Neither is exported, so their columns have no
    keys. *)
-let table section ~title ~claim ?(claims = []) grid run columns =
-  {
-    section;
-    title;
-    claim;
-    grid;
-    run = (fun _ c -> run c);
-    shape = Rows { columns };
-    claims;
-    cli = None;
-  }
+let study section ~title ~claim ~claims ?cli grid run shape =
+  { section; title; claim; grid; run = (fun _ c -> run c); shape; claims; cli }
 
-let record section ~title ~claim ?(claims = []) ?(head = []) ?cli grid run
-    lines =
-  {
-    section;
-    title;
-    claim;
-    grid;
-    run = (fun _ c -> run c);
-    shape = Record { columns = []; head; lines };
-    claims;
-    cli;
-  }
+let table section ~title ~claim ~claims grid run columns =
+  study section ~title ~claim ~claims grid run (Rows { columns })
+
+let record section ~title ~claim ~claims ?(head = []) ?cli grid run lines =
+  study section ~title ~claim ~claims ?cli grid run
+    (Record { columns = []; head; lines })
 
 let hector = Hector.Config.hector
 let machines = [ ("hector", hector); ("numachine", Hector.Config.numachine) ]
@@ -880,56 +871,51 @@ let contended_us cfg ~p ~hold_us ~window_us algo =
     .mean_us
 
 let retries () =
-  let line (r : Destruction.result) =
-    Printf.sprintf
-      "%-12s destroys=%4d retries=%4d revalidations=%4d lost=%3d \
-       mean=%8.1fus total=%9.0fus"
-      (Hkernel.Procs.strategy_name r.strategy)
-      r.destroys r.retries r.revalidations r.lost_races
-      r.destroy_summary.mean_us r.total_us
+  let open Destruction in
+  let d = default_config in
+  let pes = { d with strategy = Hkernel.Procs.Pessimistic } in
+  let revalidations =
+    versus "%d / %d revalidations" (d, pes) (fun r -> r.revalidations)
   in
-  let opt, pes = Hkernel.Procs.(Optimistic, Pessimistic) in
-  let strategy s cells : Destruction.result =
-    snd (List.find (fun ((c : Destruction.config), _) -> c.strategy = s) cells)
-  in
-  let revalidations s ok cells =
-    let r = strategy s cells in
-    (Printf.sprintf "%d revalidations" r.revalidations, ok r.revalidations)
-  in
-  let d = Destruction.default_config in
   record "retries"
     ~title:"RETRY - program destruction, optimistic vs pessimistic (2.3/2.5)"
     ~claim:
       "retries are common for destruction regardless of strategy; the \
        optimistic protocol avoids re-establishing state in the common case"
-    [ d; { d with strategy = pes } ]
-    (fun config -> Destruction.run ~config ())
-    (fun r -> [ line r ])
+    [ d; pes ]
+    (fun config -> run ~config ())
+    (fun c r ->
+      [
+        Printf.sprintf
+          "%-12s destroys=%4d retries=%4d revalidations=%4d lost=%3d \
+           mean=%8.1fus total=%9.0fus"
+          (Hkernel.Procs.strategy_name c.strategy)
+          r.destroys r.retries r.revalidations r.lost_races
+          r.destroy_summary.mean_us r.total_us;
+      ])
     ~cli:
       (cli "destroy"
          ~doc:"Program-destruction storm across clusters (Section 2.5)." d
          (fun d ->
            [
              cluster_size d.cluster_size (fun c cluster_size ->
-                 { c with Destruction.cluster_size });
+                 { c with cluster_size });
              switch [ "pessimistic" ]
                ~doc:"Use the pessimistic deadlock-management strategy."
-               (fun (c : Destruction.config) -> { c with strategy = pes });
+               (fun c -> { c with strategy = Hkernel.Procs.Pessimistic });
              knob Arg.int [ "children" ] ~docv:"N"
                ~doc:"Processes per program." d.children (fun c children ->
-                 { c with Destruction.children });
+                 { c with children });
            ]))
     ~claims:
       [
         holds "the optimistic strategy never revalidates"
-          (revalidations opt (fun n -> n = 0));
+          (revalidations (fun o _ -> o = 0));
         holds "the pessimistic strategy revalidates per step, over 20 times"
-          (revalidations pes (fun n -> n > 20));
+          (revalidations (fun _ p -> p > 20));
         holds "retries are common under both strategies (Section 2.5)"
-          (fun cells ->
-            let o = strategy opt cells and p = strategy pes cells in
-            ( Printf.sprintf "%d / %d retries" o.retries p.retries,
-              o.retries > 0 && p.retries > 0 ));
+          (versus "%d / %d retries" (d, pes) (fun r -> r.retries) (fun o p ->
+               o > 0 && p > 0));
       ]
 
 let ablation_granularity () =
@@ -962,20 +948,38 @@ let ablation_granularity () =
         ]
 
 let ablation_combining () =
-  let line (r : Replication_storm.result) =
-    Printf.sprintf
-      "%-14s mean=%8.1fus p99=%8.1fus master-rpcs/storm=%5.1f \
-       replications/storm=%5.1f"
-      r.summary.label r.summary.mean_us r.summary.p99_us
-      r.master_rpcs_per_storm r.replications_per_storm
-  in
+  let open Replication_storm in
+  let d = default_config in
   record "ablation-combining"
     ~title:"ABL2 - combining tree for descriptor replication (Section 2.2)"
     ~claim:
       "the combining tree bounds demand on the master to one request per \
        cluster under bursty simultaneous misses"
-    [ () ] (fun () -> Replication_storm.run_both ())
-    (fun (comb, direct) -> [ line comb; line direct ])
+    [ true; false ] (fun combining -> run ~combining ())
+    (fun _ r ->
+      [
+        Printf.sprintf
+          "%-14s mean=%8.1fus p99=%8.1fus master-rpcs/storm=%5.1f \
+           replications/storm=%5.1f"
+          r.summary.label r.summary.mean_us r.summary.p99_us
+          r.master_rpcs_per_storm r.replications_per_storm;
+      ])
+    ~claims:
+      [
+        holds
+          "replications per storm: one per non-master cluster (clusters - 1) \
+           with the tree, one per processor outside the master's cluster (p - \
+           cluster size) without it"
+          (versus "%.1f vs %.1f" (true, false)
+             (fun r -> r.replications_per_storm)
+             (fun tree direct ->
+               tree = float_of_int ((d.p / d.cluster_size) - 1)
+               && direct = float_of_int (d.p - d.cluster_size)));
+        miss "the tree lowers master RPC attempts per storm"
+          ~reason:"known deviation 3: the attempts count retries"
+          (versus "%.1f vs %.1f" (true, false)
+             (fun r -> r.master_rpcs_per_storm) ( < ));
+      ]
 
 let ablation_cas () =
   let cas = Hector.Config.with_cas hector in
@@ -1073,17 +1077,31 @@ let ablation_spin_then_block () =
     { Lock_stress.default_config with p = 12; hold_us = 50.0;
       window_us = 20_000.0 }
   in
+  let stb = Lock.Spin_then_block { spin_us = 10.0 } in
   record "ablation-spin-then-block"
     ~title:"ABL6 - spin-then-block under long holds (Section 5.3)"
     ~claim:
       "with long critical sections, blocked waiters generate no traffic; the \
        hand-off premium is small"
-    [ () ] (fun () ->
-      List.map
-        (fun algo -> (algo, (Lock_stress.run ~config algo).summary))
-        [ Lock.Mcs_h1; spin35; Lock.Spin_then_block { spin_us = 10.0 } ])
-    (List.map (fun (algo, s) ->
-         Format.asprintf "%-14s %a" (Lock.algo_name algo) Measure.pp s))
+    [ Lock.Mcs_h1; spin35; stb ]
+    (fun algo -> (Lock_stress.run ~config algo).summary)
+    (fun algo s ->
+      [ Format.asprintf "%-14s %a" (Lock.algo_name algo) Measure.pp s ])
+    ~claims:
+      [
+        holds "the hand-off premium is small: STB within 1.15x of H1-MCS"
+          (versus "%.1fus vs %.1fus" (stb, Lock.Mcs_h1)
+             (fun (s : Measure.summary) -> s.mean_us)
+             (fun s h -> s < h *. 1.15));
+        every
+          "only spin(35us) has a tail: over 10% of its acquisitions above 2ms, \
+           none of STB's or H1-MCS's"
+          ~show:(fun (algo, (s : Measure.summary)) ->
+            Printf.sprintf "%s: %.3f" (Lock.algo_name algo) s.frac_above_2ms)
+          (fun (algo, s) ->
+            if algo = spin35 then s.frac_above_2ms > 0.10
+            else s.frac_above_2ms = 0.0);
+      ]
 
 let ablation_lockfree () =
   let open Counter_stress in
@@ -1105,24 +1123,56 @@ let ablation_lockfree () =
           (fun _ r -> r.final_value = r.expected_value);
         int "" "cas-fail" 10 (fun _ r -> r.cas_failures);
       ]
+    ~claims:
+      [
+        every "every mode's count is exact"
+          ~show:(fun (mode, _) -> mode_name mode)
+          (fun (_, r) -> r.final_value = r.expected_value);
+        holds "the lock-free update is cheaper per op than both locked modes"
+          (fun cells ->
+            let free = (List.assoc Lock_free cells).per_op_us in
+            each
+              (List.filter (fun (mode, _) -> mode <> Lock_free) cells)
+              ~show:(fun (mode, r) ->
+                Printf.sprintf "%s %.2fus vs %.2fus" (mode_name mode)
+                  r.per_op_us free)
+              (fun (_, r) -> free < r.per_op_us));
+      ]
 
 let ablation_layout () =
-  let line (r : Messaging_mix.result) =
-    Printf.sprintf
-      "%-14s sends=%4d send-retries=%4d destroys=%3d destroy-retries=%4d \
-       send-mean=%7.1fus destroy-mean=%8.1fus"
-      (Hkernel.Procs.layout_name r.layout)
-      r.sends r.send_retries r.destroys r.destroy_retries
-      r.send_summary.mean_us r.destroy_summary.mean_us
-  in
+  let open Messaging_mix in
+  let combined = default_config in
+  let layouts = (combined, { combined with layout = Hkernel.Procs.Separate }) in
   record "ablation-layout"
     ~title:"ABL8 - combined vs separate family tree (Section 2.5)"
     ~claim:
       "tree links inside the process descriptors make destruction and message \
        passing contend on the same reserve bits; a separate tree removes the \
        interference"
-    [ () ] (fun () -> Messaging_mix.run_both ())
-    (fun (combined, separate) -> [ line combined; line separate ])
+    [ fst layouts; snd layouts ]
+    (fun config -> run ~config ())
+    (fun c r ->
+      [
+        Printf.sprintf
+          "%-14s sends=%4d send-retries=%4d destroys=%3d destroy-retries=%4d \
+           send-mean=%7.1fus destroy-mean=%8.1fus"
+          (Hkernel.Procs.layout_name c.layout)
+          r.sends r.send_retries r.destroys r.destroy_retries
+          r.send_summary.mean_us r.destroy_summary.mean_us;
+      ])
+    ~claims:
+      [
+        holds "both layouts destroy the same processes"
+          (versus "%d / %d" layouts (fun r -> r.destroys) ( = ));
+        holds
+          "destroys retry under the combined layout: over 4x the separate \
+           tree's retries plus 4"
+          (versus "%d vs %d" layouts (fun r -> r.destroy_retries) (fun c s ->
+               c > (4 * s) + 4));
+        holds "the separate tree destroys faster"
+          (versus "%.1fus vs %.1fus" layouts
+             (fun r -> r.destroy_summary.mean_us) ( > ));
+      ]
 
 let ablation_lock_family () =
   let cfg = Hector.Config.numachine in
@@ -1168,7 +1218,7 @@ let trylock () =
       "retry-based TryLock starves (the lock is never observed free); the \
        soft-mask + deferred-work scheme completes every request"
     [ () ] (fun () -> run ())
-    (fun r ->
+    (fun () r ->
       [
         Printf.sprintf "trylock-v2: %d/%d attempts succeeded (%.1f%%)"
           r.try_successes r.try_attempts (100.0 *. r.try_success_rate);
@@ -1177,10 +1227,11 @@ let trylock () =
       ])
     ~claims:
       [
-        holds "TryLock success under saturation is marginal: under 15%"
+        holds "TryLock under saturation: under 15% of over 10 attempts succeed"
           (only (fun r ->
-               ( Printf.sprintf "%.1f%%" (100.0 *. r.try_success_rate),
-                 r.try_success_rate < 0.15 )));
+               ( Printf.sprintf "%.1f%% of %d attempts"
+                   (100.0 *. r.try_success_rate) r.try_attempts,
+                 r.try_attempts > 10 && r.try_success_rate < 0.15 )));
         holds "every deferred request completes"
           (only (fun r ->
                ( Printf.sprintf "%d of %d" r.deferred_completed
@@ -1196,7 +1247,7 @@ let classes () =
       "clustering isolates the independent classes; replication absorbs read \
        sharing; only write sharing pays cross-cluster costs"
     [ () ] (fun () -> run ())
-    (fun r ->
+    (fun () r ->
       List.map
         (Format.asprintf "  %a" Measure.pp)
         [ r.non_concurrent; r.independent; r.read_shared; r.write_shared ]
@@ -1205,21 +1256,67 @@ let classes () =
             "  cross-cluster: %d replications, %d invalidations, %d retries"
             r.replications r.invalidations r.retries;
         ])
+    ~claims:
+      (let below name get bound =
+         holds (Printf.sprintf "%s: mean under %.0fus" name bound)
+           (only (fun r ->
+                let m = (get r : Measure.summary).mean_us in
+                (Printf.sprintf "%.1fus" m, m < bound)))
+       in
+       [
+         below "class 1 (non-concurrent) near the uncontended fault cost"
+           (fun r -> r.non_concurrent) 260.0;
+         below "class 2 (independent) near the uncontended fault cost"
+           (fun r -> r.independent) 260.0;
+         below "class 3 (read-shared) absorbed by replication"
+           (fun r -> r.read_shared) 300.0;
+         holds
+           "class 4 (write-shared) pays for write sharing: over 1.2x class 2"
+           (only (fun r ->
+                let w = r.write_shared.mean_us and i = r.independent.mean_us in
+                (Printf.sprintf "%.1fus vs %.1fus" w i, w > i *. 1.2)));
+         holds
+           "ownership moves and reads replicate: invalidations, and at least \
+            16 replications"
+           (only (fun r ->
+                ( Printf.sprintf "%d invalidations, %d replications"
+                    r.invalidations r.replications,
+                  r.invalidations > 0 && r.replications >= 16 )));
+       ])
 
 let cow () =
-  let line (r : Cow_storm.result) =
-    Printf.sprintf
-      "%-12s broke=%4d found-gone=%3d retries=%4d mean=%8.1fus p99=%8.1fus"
-      (Hkernel.Procs.strategy_name r.strategy)
-      r.broke r.found_gone r.retries r.summary.mean_us r.summary.p99_us
-  in
+  let open Cow_storm in
+  let opt = default_config in
+  let strategies = (opt, { opt with strategy = Hkernel.Procs.Pessimistic }) in
+  let name c = Hkernel.Procs.strategy_name c.strategy in
   record "cow"
     ~title:"COW - simultaneous copy-on-write faults (Sections 2.3/2.5)"
     ~claim:
       "retries are required independent of the strategy; the pessimistic one \
        additionally finds the shared page gone and must handle it"
-    [ () ] (fun () -> Cow_storm.run_both ())
-    (fun (opt, pes) -> [ line opt; line pes ])
+    [ fst strategies; snd strategies ]
+    (fun config -> run ~config ())
+    (fun c r ->
+      [
+        Printf.sprintf
+          "%-12s broke=%4d found-gone=%3d retries=%4d mean=%8.1fus p99=%8.1fus"
+          (name c) r.broke r.found_gone r.retries r.summary.mean_us
+          r.summary.p99_us;
+      ])
+    ~claims:
+      [
+        every
+          "every writer breaks every page once: broke + found-gone = p x pages \
+           x rounds"
+          ~show:(fun (c, _) -> name c)
+          (fun (c, r) -> r.broke + r.found_gone = c.p * c.n_pages * c.rounds);
+        holds "only the pessimistic strategy finds the shared page gone"
+          (versus "%d / %d" strategies (fun r -> r.found_gone) (fun o p ->
+               o = 0 && p > 0));
+        holds "retries are needed under both strategies (Section 2.5)"
+          (versus "%d / %d" strategies (fun r -> r.retries) (fun o p ->
+               o > 0 && p > 0));
+      ]
 
 let fs () =
   let open File_read in
@@ -1238,6 +1335,20 @@ let fs () =
         float "" "p99(us)" 10 1 (fun _ r -> r.summary.p99_us);
         pct "" "hit rate" 10 0 (fun _ r -> r.hit_rate);
         int "" "fetch RPCs" 12 (fun _ r -> r.fetch_rpcs);
+      ]
+    ~claims:
+      [
+        every "every hit rate is in [0.4, 1]"
+          ~show:(fun (_, r) -> r.summary.label)
+          (fun (_, r) -> r.hit_rate >= 0.4 && r.hit_rate <= 1.0);
+        holds "read-ahead cuts fetch RPCs more than 3x, private or shared"
+          (fun cells ->
+            each
+              (List.filter (fun (c, _) -> c.read_ahead > 0) cells)
+              ~show:(fun (_, r) -> r.summary.label)
+              (fun (c, r) ->
+                r.fetch_rpcs * 3
+                < (List.assoc { c with read_ahead = 0 } cells).fetch_rpcs));
       ]
 
 (* One cell per mechanism: a fault-free run, then the config's stall plan
@@ -1307,7 +1418,7 @@ let fault_matrix () =
        (fun m -> (m, default_config))
        [ No_timeout; Timeout; Bounded_retry ])
     (runs ~checked:false)
-    (fun runs ->
+    (fun _ runs ->
       let _, base, _ = List.hd runs in
       List.map (line base) runs)
     ~cli:
@@ -1362,7 +1473,7 @@ let verify () : (unit, Verify_probes.result list) t =
        every one (the watchdog probes by aborting an otherwise-endless run) \
        and stay silent on the clean storm"
     [ () ] run_all
-    (fun rows ->
+    (fun () rows ->
       Printf.sprintf "%-16s %-18s %6s %6s %8s %6s" "probe" "expected" "total"
         "hits" "aborted" "ok"
       :: List.map
@@ -1457,7 +1568,7 @@ let obs () : (Fault_storm.config, Obs.t * Fault_storm.result) t =
        specific locks; here every wait/hold cycle is charged to its lock \
        class and the waiting processor's cluster"
     [ d ] (observe 0)
-    (fun (obs, (s : Fault_storm.result)) ->
+    (fun _ (obs, (s : Fault_storm.result)) ->
       Printf.sprintf "%-16s %-8s %9s %9s %12s %10s %10s %12s %9s %11s" "class"
         "cluster" "acqs" "cont" "wait(us)" "avg(us)" "maxw(us)" "hold(us)"
         "handoff" "local/rem"

@@ -148,15 +148,12 @@ and (_, _) shape =
   | Record : {
       columns : ('c, 'r) Col.t list;
       head : string list;
-      lines : 'r -> string list;
+      lines : 'c -> 'r -> string list;
     }
       -> ('c, 'r) shape
-      (** The text is [head], then each cell's [lines]; the JSON is the
-          first cell's object of keyed columns (an exported record has one
-          cell). *)
-
-(** A row's JSON object: its keyed columns, in order. *)
-val row : ('c, 'r) Col.t list -> 'c * 'r -> Json.t
+      (** The text is [head], then each cell's [lines], which read its
+          config and result as a column does; the JSON is the first cell's
+          object of keyed columns (an exported record has one cell). *)
 
 (** One cell's JSON as the export holds it: a row, a series or a
     record. *)

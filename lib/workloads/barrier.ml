@@ -20,9 +20,6 @@ let create ~parties =
   if parties <= 0 then invalid_arg "Barrier.create: parties must be positive";
   { parties; arrived = 0; generation = Ivar.create () }
 
-let parties t = t.parties
-let waiting t = t.arrived
-
 let wait t ctx =
   (* A couple of cycles for the arrival bookkeeping. *)
   Ctx.work ctx 4;

@@ -9,10 +9,5 @@ type t
 
 val create : parties:int -> t
 
-val parties : t -> int
-
-(** Processes currently waiting. *)
-val waiting : t -> int
-
 (** Block until all parties arrive; reusable across rounds. *)
 val wait : t -> Ctx.t -> unit

@@ -22,8 +22,6 @@ type config = { p : int; ops : int; think : int; seed : int }
 let default_config = { p = 8; ops = 100; think = 60; seed = 41 }
 
 type result = {
-  mode : mode;
-  total_us : float;
   per_op_us : float;
   final_value : int;
   expected_value : int;
@@ -60,19 +58,9 @@ let run ?(cfg = Config.numachine) ?(config = default_config) mode =
   let total = Engine.now eng in
   let n_ops = config.p * config.ops in
   {
-    mode;
-    total_us = Config.us_of_cycles cfg total;
     per_op_us = Config.us_of_cycles cfg total /. float_of_int n_ops;
     final_value = Lockfree.counter_value counter;
     expected_value = n_ops;
     cas_failures = Lockfree.counter_cas_failures counter;
     atomics = Machine.atomics machine;
   }
-
-let run_all ?cfg ?config () =
-  List.map (fun m -> run ?cfg ?config m)
-    [
-      Lock_free;
-      Locked (Lock.Spin { max_backoff_us = 35.0 });
-      Locked Lock.Mcs_cas;
-    ]

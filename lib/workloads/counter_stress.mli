@@ -13,8 +13,6 @@ type config = { p : int; ops : int; think : int; seed : int }
 val default_config : config
 
 type result = {
-  mode : mode;
-  total_us : float;
   per_op_us : float;
   final_value : int;
   expected_value : int;
@@ -23,5 +21,3 @@ type result = {
 }
 
 val run : ?cfg:Hector.Config.t -> ?config:config -> mode -> result
-
-val run_all : ?cfg:Hector.Config.t -> ?config:config -> unit -> result list

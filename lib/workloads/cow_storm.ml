@@ -32,7 +32,6 @@ let default_config =
   }
 
 type result = {
-  strategy : Procs.strategy;
   summary : Measure.summary;
   broke : int;
   found_gone : int; (* pessimistic: shared page vanished before we broke it *)
@@ -87,14 +86,9 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
     active;
   Engine.run eng;
   {
-    strategy = config.strategy;
     summary =
       Measure.of_stat cfg ~label:(Procs.strategy_name config.strategy) stat;
     broke = !broke;
     found_gone = !gone;
     retries = Kernel.retries kernel;
   }
-
-let run_both ?cfg ?(config = default_config) () =
-  ( run ?cfg ~config:{ config with strategy = Procs.Optimistic } (),
-    run ?cfg ~config:{ config with strategy = Procs.Pessimistic } () )

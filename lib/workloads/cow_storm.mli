@@ -17,7 +17,6 @@ type config = {
 val default_config : config
 
 type result = {
-  strategy : Procs.strategy;
   summary : Measure.summary;
   broke : int;
   found_gone : int;
@@ -25,5 +24,3 @@ type result = {
 }
 
 val run : ?cfg:Hector.Config.t -> ?config:config -> unit -> result
-
-val run_both : ?cfg:Hector.Config.t -> ?config:config -> unit -> result * result

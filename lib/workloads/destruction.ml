@@ -30,7 +30,6 @@ let default_config =
   }
 
 type result = {
-  strategy : Procs.strategy;
   destroy_summary : Measure.summary;
   destroys : int;
   retries : int;
@@ -90,7 +89,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
     active;
   Engine.run eng;
   {
-    strategy = config.strategy;
     destroy_summary =
       Measure.of_stat cfg ~label:(Procs.strategy_name config.strategy) stat;
     destroys = Procs.destroys procs;

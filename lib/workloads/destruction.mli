@@ -16,7 +16,6 @@ type config = {
 val default_config : config
 
 type result = {
-  strategy : Procs.strategy;
   destroy_summary : Measure.summary;
   destroys : int;
   retries : int;

@@ -39,12 +39,9 @@ let default_config =
   }
 
 type result = {
-  sharing : sharing;
-  read_ahead : int;
   summary : Measure.summary;
   hit_rate : float;
   fetch_rpcs : int;
-  blocks_fetched : int;
 }
 
 (* Private file ids are chosen so each lands at its reader's home cluster;
@@ -106,8 +103,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
     active;
   Engine.run eng;
   {
-    sharing = config.sharing;
-    read_ahead = config.read_ahead;
     summary =
       Measure.of_stat cfg
         ~label:
@@ -116,14 +111,4 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
         stat;
     hit_rate = Fserver.hit_rate server;
     fetch_rpcs = Fserver.fetch_rpcs server;
-    blocks_fetched = Fserver.fetches server;
   }
-
-(* The FS experiment grid: private vs shared, read-ahead off and on. *)
-let run_grid ?cfg ?(config = default_config) () =
-  List.concat_map
-    (fun sharing ->
-      List.map
-        (fun read_ahead -> run ?cfg ~config:{ config with sharing; read_ahead } ())
-        [ 0; config.read_ahead ])
-    [ Private_files; Shared_file ]

@@ -17,15 +17,9 @@ type config = {
 val default_config : config
 
 type result = {
-  sharing : sharing;
-  read_ahead : int;
   summary : Measure.summary;
   hit_rate : float;
   fetch_rpcs : int;
-  blocks_fetched : int;
 }
 
 val run : ?cfg:Hector.Config.t -> ?config:config -> unit -> result
-
-(** Private/shared × read-ahead off/on. *)
-val run_grid : ?cfg:Hector.Config.t -> ?config:config -> unit -> result list

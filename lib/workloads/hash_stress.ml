@@ -40,7 +40,6 @@ let default_config =
   }
 
 type result = {
-  granularity : Khash.granularity;
   summary : Measure.summary;
   atomics : int;
   lock_words : int; (* space: coarse = 1; fine = bins + elements *)
@@ -97,13 +96,9 @@ let run ?(cfg = Config.hector) ?(config = default_config) granularity =
     | Khash.Fine -> 64 + Khash.size table
   in
   {
-    granularity;
     summary =
       Measure.of_stat cfg ~label:(Khash.granularity_name granularity) stat;
     atomics = Machine.atomics machine;
     lock_words;
     reserve_conflicts = Khash.reserve_conflicts table;
   }
-
-let run_all ?cfg ?config () =
-  List.map (fun g -> run ?cfg ?config g) [ Khash.Hybrid; Khash.Coarse; Khash.Fine ]

@@ -19,7 +19,6 @@ type config = {
 val default_config : config
 
 type result = {
-  granularity : Khash.granularity;
   summary : Measure.summary;  (** per-operation latency, work excluded *)
   atomics : int;
   lock_words : int;  (** space cost of the locking strategy *)
@@ -28,5 +27,3 @@ type result = {
 
 val run :
   ?cfg:Hector.Config.t -> ?config:config -> Khash.granularity -> result
-
-val run_all : ?cfg:Hector.Config.t -> ?config:config -> unit -> result list

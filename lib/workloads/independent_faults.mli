@@ -25,7 +25,5 @@ type result = {
   reserve_conflicts : int;
 }
 
-val vpage_of : proc:int -> j:int -> int
-
 (** Raises [Invalid_argument] unless [1 <= p <= Config.n_procs cfg]. *)
 val run : ?cfg:Hector.Config.t -> ?config:config -> unit -> result

@@ -104,13 +104,3 @@ let run ?(cfg = Config.hector) ?(config = default_config) algo =
       Resource.utilization (Machine.mem_resource machine 0) ~horizon;
     atomics = Machine.atomics machine;
   }
-
-(* The Figure 5 sweep: all five algorithms over a list of processor
-   counts. *)
-let sweep ?(cfg = Config.hector) ?(config = default_config) ~algos ~procs () =
-  List.map
-    (fun algo ->
-      ( algo,
-        List.map (fun p -> (p, run ~cfg ~config:{ config with p } algo)) procs
-      ))
-    algos

@@ -26,12 +26,3 @@ type result = {
 
 (** Raises [Invalid_argument] unless [1 <= p <= Config.n_procs cfg]. *)
 val run : ?cfg:Config.t -> ?config:config -> Lock.algo -> result
-
-(** Sweep several algorithms over processor counts. *)
-val sweep :
-  ?cfg:Config.t ->
-  ?config:config ->
-  algos:Lock.algo list ->
-  procs:int list ->
-  unit ->
-  (Lock.algo * (int * result) list) list

@@ -39,14 +39,12 @@ let default_config =
   }
 
 type result = {
-  layout : Procs.layout;
   sends : int;
   send_retries : int;
   destroys : int;
   destroy_retries : int;
   send_summary : Measure.summary;
   destroy_summary : Measure.summary;
-  total_us : float;
 }
 
 (* Process ids: a root, one long-lived "server" process per cluster
@@ -125,16 +123,10 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
   Kernel.spawn_idle_except kernel ~active:!active;
   Engine.run eng;
   {
-    layout = config.layout;
     sends = Procs.sends procs;
     send_retries = Procs.send_retries procs;
     destroys = Procs.destroys procs;
     destroy_retries = Procs.retries procs;
     send_summary = Measure.of_stat cfg ~label:"send" send_stat;
     destroy_summary = Measure.of_stat cfg ~label:"destroy" destroy_stat;
-    total_us = Config.us_of_cycles cfg (Engine.now eng);
   }
-
-let run_both ?cfg ?(config = default_config) () =
-  ( run ?cfg ~config:{ config with layout = Procs.Combined } (),
-    run ?cfg ~config:{ config with layout = Procs.Separate } () )

@@ -18,18 +18,12 @@ type config = {
 val default_config : config
 
 type result = {
-  layout : Procs.layout;
   sends : int;
   send_retries : int;
   destroys : int;
   destroy_retries : int;
   send_summary : Measure.summary;
   destroy_summary : Measure.summary;
-  total_us : float;
 }
 
 val run : ?cfg:Hector.Config.t -> ?config:config -> unit -> result
-
-(** Combined first, then Separate, same parameters. *)
-val run_both :
-  ?cfg:Hector.Config.t -> ?config:config -> unit -> result * result

@@ -21,7 +21,6 @@ type config = {
 let default_config = { p = 16; cluster_size = 4; storms = 20; seed = 23 }
 
 type result = {
-  combining : bool;
   summary : Measure.summary;
   master_rpcs_per_storm : float;
   replications_per_storm : float;
@@ -63,7 +62,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) ~combining () =
   Engine.run eng;
   let storms = float_of_int config.storms in
   {
-    combining;
     summary =
       Measure.of_stat cfg
         ~label:(if combining then "combining" else "no-combining")
@@ -72,6 +70,3 @@ let run ?(cfg = Config.hector) ?(config = default_config) ~combining () =
     replications_per_storm =
       float_of_int (Kernel.replications kernel) /. storms;
   }
-
-let run_both ?cfg ?config () =
-  (run ?cfg ?config ~combining:true (), run ?cfg ?config ~combining:false ())

@@ -7,7 +7,6 @@ type config = { p : int; cluster_size : int; storms : int; seed : int }
 val default_config : config
 
 type result = {
-  combining : bool;
   summary : Measure.summary;
   master_rpcs_per_storm : float;
   replications_per_storm : float;
@@ -15,5 +14,3 @@ type result = {
 
 val run :
   ?cfg:Hector.Config.t -> ?config:config -> combining:bool -> unit -> result
-
-val run_both : ?cfg:Hector.Config.t -> ?config:config -> unit -> result * result

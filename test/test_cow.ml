@@ -86,23 +86,6 @@ let test_concurrent_breaks_all_succeed () =
         false (shared_exists kernel ~vpage:520))
     [ Procs.Optimistic; Procs.Pessimistic ]
 
-let test_storm_share_accounting () =
-  let opt, pes =
-    Workloads.Cow_storm.run_both
-      ~config:{ Workloads.Cow_storm.default_config with rounds = 4 }
-      ()
-  in
-  let total (r : Workloads.Cow_storm.result) =
-    r.Workloads.Cow_storm.broke + r.Workloads.Cow_storm.found_gone
-  in
-  (* Every writer breaks every page exactly once: p * pages * rounds. *)
-  Alcotest.(check int) "optimistic total" (8 * 4 * 4) (total opt);
-  Alcotest.(check int) "pessimistic total" (8 * 4 * 4) (total pes);
-  Alcotest.(check int) "optimistic never sees disappearance" 0
-    opt.Workloads.Cow_storm.found_gone;
-  Alcotest.(check bool) "both strategies retry (the paper's point)" true
-    (opt.Workloads.Cow_storm.retries > 0 && pes.Workloads.Cow_storm.retries > 0)
-
 let suite =
   [
     Alcotest.test_case "single COW break" `Quick test_single_break;
@@ -110,6 +93,4 @@ let suite =
       test_last_break_removes_shared;
     Alcotest.test_case "concurrent breaks all succeed" `Quick
       test_concurrent_breaks_all_succeed;
-    Alcotest.test_case "COW storm share accounting" `Slow
-      test_storm_share_accounting;
   ]

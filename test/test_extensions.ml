@@ -260,18 +260,6 @@ let test_lockfree_stack_concurrent () =
       Alcotest.(check int) "push/pop conservation" (6 * 30) (!popped + remaining));
   Engine.run eng
 
-let test_counter_workload_modes_agree () =
-  List.iter
-    (fun (r : Workloads.Counter_stress.result) ->
-      Alcotest.(check int)
-        (Workloads.Counter_stress.mode_name r.Workloads.Counter_stress.mode
-        ^ " exact")
-        r.Workloads.Counter_stress.expected_value
-        r.Workloads.Counter_stress.final_value)
-    (Workloads.Counter_stress.run_all
-       ~config:{ Workloads.Counter_stress.default_config with ops = 30 }
-       ())
-
 let suite =
   [
     Alcotest.test_case "NUMAchine preset" `Quick test_numachine_preset;
@@ -298,6 +286,4 @@ let suite =
     Alcotest.test_case "lock-free stack LIFO" `Quick test_lockfree_stack;
     Alcotest.test_case "lock-free stack concurrent" `Quick
       test_lockfree_stack_concurrent;
-    Alcotest.test_case "counter workload modes agree" `Quick
-      test_counter_workload_modes_agree;
   ]

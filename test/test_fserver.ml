@@ -136,17 +136,24 @@ let test_rewrite_invalidates () =
   Alcotest.(check bool) "next read refetched" true !refetched
 
 let test_workload_grid_sane () =
+  let config = { Workloads.File_read.default_config with passes = 2; p = 4 } in
   List.iter
-    (fun (r : Workloads.File_read.result) ->
+    (fun (sharing, read_ahead) ->
+      let r =
+        Workloads.File_read.run ~config:{ config with sharing; read_ahead } ()
+      in
       Alcotest.(check bool)
         (r.Workloads.File_read.summary.Workloads.Measure.label ^ " hit rate")
         true
         (r.Workloads.File_read.hit_rate >= 0.4
         && r.Workloads.File_read.hit_rate <= 1.0))
-    (Workloads.File_read.run_grid
-       ~config:
-         { Workloads.File_read.default_config with passes = 2; p = 4 }
-       ())
+    Workloads.File_read.
+      [
+        (Private_files, 0);
+        (Private_files, config.read_ahead);
+        (Shared_file, 0);
+        (Shared_file, config.read_ahead);
+      ]
 
 let test_read_ahead_cuts_fetch_rpcs () =
   let run read_ahead =

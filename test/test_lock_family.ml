@@ -290,29 +290,6 @@ let test_lock_family_via_uniform_interface () =
     ([ Lock.Ticket; Lock.Anderson ] @ Lock.all_numa_algos);
   Engine.run eng
 
-let test_four_classes_shape () =
-  let r =
-    Workloads.Four_classes.run
-      ~config:{ Workloads.Four_classes.default_config with iters = 30 }
-      ()
-  in
-  let open Workloads in
-  (* Classes 1-3 stay near the uncontended fault cost even while class 4
-     runs; class 4 pays the cross-cluster ownership traffic. *)
-  Alcotest.(check bool) "class 1 near baseline" true
-    (r.Four_classes.non_concurrent.Measure.mean_us < 260.0);
-  Alcotest.(check bool) "class 2 near baseline" true
-    (r.Four_classes.independent.Measure.mean_us < 260.0);
-  Alcotest.(check bool) "class 3 absorbed by replication" true
-    (r.Four_classes.read_shared.Measure.mean_us < 300.0);
-  Alcotest.(check bool) "class 4 pays for write sharing" true
-    (r.Four_classes.write_shared.Measure.mean_us
-    > r.Four_classes.independent.Measure.mean_us *. 1.2);
-  Alcotest.(check bool) "ownership traffic happened" true
-    (r.Four_classes.invalidations > 0);
-  Alcotest.(check bool) "replication happened" true
-    (r.Four_classes.replications >= 16)
-
 let suite =
   [
     Alcotest.test_case "ticket mutual exclusion" `Quick
@@ -329,6 +306,4 @@ let suite =
       test_invalid_constructions;
     Alcotest.test_case "ticket/Anderson/composites via Lock.make" `Quick
       test_lock_family_via_uniform_interface;
-    Alcotest.test_case "CLASSES: four access classes" `Slow
-      test_four_classes_shape;
   ]

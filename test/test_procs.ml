@@ -194,25 +194,6 @@ let test_separate_layout_tree_ops () =
   Alcotest.(check (list int)) "grandchild adopted" [ 3 ]
     (Procs.children_untimed procs 1)
 
-let test_layout_ablation_removes_destroy_retries () =
-  let comb, sep =
-    Workloads.Messaging_mix.run_both
-      ~config:
-        {
-          Workloads.Messaging_mix.default_config with
-          messages_per_sender = 40;
-        }
-      ()
-  in
-  Alcotest.(check int) "same destroys" comb.Workloads.Messaging_mix.destroys
-    sep.Workloads.Messaging_mix.destroys;
-  Alcotest.(check bool) "combined layout suffers destroy retries" true
-    (comb.Workloads.Messaging_mix.destroy_retries
-    > (4 * sep.Workloads.Messaging_mix.destroy_retries) + 4);
-  Alcotest.(check bool) "separate tree destroys faster" true
-    (sep.Workloads.Messaging_mix.destroy_summary.Workloads.Measure.mean_us
-    < comb.Workloads.Messaging_mix.destroy_summary.Workloads.Measure.mean_us)
-
 let suite =
   [
     Alcotest.test_case "spawn and family tree" `Quick test_spawn_and_tree;
@@ -234,6 +215,4 @@ let suite =
       test_send_requires_local_src;
     Alcotest.test_case "separate-tree layout destroys correctly" `Quick
       test_separate_layout_tree_ops;
-    Alcotest.test_case "ABL8: separate tree removes destroy retries" `Slow
-      test_layout_ablation_removes_destroy_retries;
   ]

@@ -193,38 +193,23 @@ let test_calibration_anchors () =
 
 let test_hash_stress_all_modes_run () =
   List.iter
-    (fun (r : Hash_stress.result) ->
+    (fun g ->
+      let config = { Hash_stress.default_config with ops = 50 } in
       Alcotest.(check int)
-        (Hkernel.Khash.granularity_name r.Hash_stress.granularity ^ " samples")
-        (4 * 50) r.Hash_stress.summary.Measure.n)
-    (Hash_stress.run_all
-       ~config:{ Hash_stress.default_config with ops = 50 }
-       ())
+        (Hkernel.Khash.granularity_name g ^ " samples")
+        (4 * 50)
+        (Hash_stress.run ~config g).Hash_stress.summary.Measure.n)
+    Hkernel.Khash.[ Hybrid; Coarse; Fine ]
 
 let test_hash_stress_space_accounting () =
-  let rs =
-    Hash_stress.run_all ~config:{ Hash_stress.default_config with ops = 10 } ()
-  in
-  let find g =
-    List.find (fun (r : Hash_stress.result) -> r.Hash_stress.granularity = g) rs
+  let lock_words g =
+    (Hash_stress.run ~config:{ Hash_stress.default_config with ops = 10 } g)
+      .Hash_stress.lock_words
   in
   Alcotest.(check int) "hybrid needs one lock word" 1
-    (find Hkernel.Khash.Hybrid).Hash_stress.lock_words;
+    (lock_words Hkernel.Khash.Hybrid);
   Alcotest.(check bool) "fine needs many" true
-    ((find Hkernel.Khash.Fine).Hash_stress.lock_words > 32)
-
-(* -- replication storm --------------------------------------------------------------- *)
-
-let test_replication_storm_combining_bounds_demand () =
-  let config = { Replication_storm.default_config with p = 8; storms = 6 } in
-  let comb, direct = Replication_storm.run_both ~config () in
-  (* 8 processors over 2 clusters; cluster 0 is the master. Combining must
-     replicate once per non-master cluster per storm. *)
-  Alcotest.(check (float 0.01)) "combining replicates once per cluster" 1.0
-    comb.Replication_storm.replications_per_storm;
-  Alcotest.(check bool) "direct replicates at least as much" true
-    (direct.Replication_storm.replications_per_storm
-    >= comb.Replication_storm.replications_per_storm)
+    (lock_words Hkernel.Khash.Fine > 32)
 
 (* -- destruction storm ----------------------------------------------------------------- *)
 
@@ -291,8 +276,6 @@ let suite =
       test_hash_stress_all_modes_run;
     Alcotest.test_case "hash stress space accounting" `Quick
       test_hash_stress_space_accounting;
-    Alcotest.test_case "combining bounds master demand" `Quick
-      test_replication_storm_combining_bounds_demand;
     Alcotest.test_case "destruction storm consistency" `Quick
       test_destruction_storm_consistency;
     Alcotest.test_case "trylock starvation shape" `Quick
