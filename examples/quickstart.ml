@@ -61,8 +61,7 @@ let () =
   (* 4. The packaged experiments: the Section 4.1.1 uncontended table. *)
   Format.printf "@.uncontended lock/unlock latencies (paper: 5.40 / 3.69 / 3.65 us):@.";
   List.iter
-    (fun (r : Workloads.Uncontended.result) ->
-      Format.printf "  %-10s %.2f us@."
-        (Lock.algo_name r.Workloads.Uncontended.algo)
-        r.Workloads.Uncontended.pair_us)
-    (Workloads.Uncontended.run_all ())
+    (fun algo ->
+      Format.printf "  %-10s %.2f us@." (Lock.algo_name algo)
+        (Workloads.Uncontended.run algo).Workloads.Uncontended.pair_us)
+    Workloads.Uncontended.algos

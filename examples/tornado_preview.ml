@@ -51,35 +51,18 @@ let () =
       ];
   Format.printf "@.";
 
-  (* 3. Spin-then-block fairness without spinning. *)
+  (* 3. Spin-then-block fairness without spinning: the ABL6 ablation's
+     cells. *)
   Format.printf "3. 12 processors, 50 us critical sections:@.";
   List.iter
-    (fun (algo, (r : Lock_stress.result)) ->
-      Format.printf "   %-14s mean %7.1f us, >2ms %4.1f%%@."
-        (Lock.algo_name algo)
-        r.Lock_stress.summary.Measure.mean_us
-        (100.0 *. r.Lock_stress.summary.Measure.frac_above_2ms))
-    (List.map
-       (fun algo ->
-         ( algo,
-           Lock_stress.run
-             ~config:
-               {
-                 Lock_stress.default_config with
-                 p = 12;
-                 hold_us = 50.0;
-                 window_us = 20_000.0;
-               }
-             algo ))
-       [
-         Lock.Mcs_h1;
-         Lock.Spin { max_backoff_us = 35.0 };
-         Lock.Spin_then_block { spin_us = 10.0 };
-       ]);
+    (Hurricane.Registry.print Format.std_formatter)
+    (Hurricane.Registry.run
+       [ Hurricane.Registry.find "ablation-spin-then-block" ]);
   Format.printf "@.";
 
   (* 4. Clustering still pays with caches: the shared-fault sweep on the
-     coherent machine keeps the same shape. *)
+     coherent machine keeps the same shape. No registry cell runs it, since
+     the machine is not yet a cell coordinate (ROADMAP item 19). *)
   Format.printf
     "4. shared faults at p=16 on NUMAchine, cluster sweep (mean us):@.   ";
   List.iter

@@ -1376,9 +1376,9 @@ let fault_matrix () =
          (* With no stall period, the config's plan is the one dose. *)
          (if c.stall_every_us > 0.0 then [ 2.0; 1.0; 0.5 ] else [ 1.0 ])
   in
-  let line (base : result) (period_us, (r : result), _) =
+  let line mech (base : result) (period_us, (r : result), _) =
     Printf.sprintf "%-14s %10.0f %6d %9d %10.0f%% %11.1f %6d %6d %6d %7d %7.1f"
-      (mechanism_name r.mechanism)
+      (mechanism_name mech)
       period_us r.stalls_injected r.ops
       (if base.ops = 0 then 0.0
        else 100.0 *. (float_of_int r.ops /. float_of_int base.ops))
@@ -1418,9 +1418,9 @@ let fault_matrix () =
        (fun m -> (m, default_config))
        [ No_timeout; Timeout; Bounded_retry ])
     (runs ~checked:false)
-    (fun _ runs ->
+    (fun (mech, _) runs ->
       let _, base, _ = List.hd runs in
-      List.map (line base) runs)
+      List.map (line mech base) runs)
     ~cli:
       (cli "storm"
          ~doc:
@@ -1551,6 +1551,7 @@ let obs () : (Fault_storm.config, Obs.t * Fault_storm.result) t =
       (fun (f : Obs.cells -> int) -> sum f = f row.total)
       [ (fun c -> c.acqs); (fun c -> c.wait_cycles); (fun c -> c.hold_cycles) ]
   in
+  let mechanism = Fault_storm.Timeout in
   let observe trace config =
     let obs =
       Obs.create ~trace
@@ -1559,7 +1560,7 @@ let obs () : (Fault_storm.config, Obs.t * Fault_storm.result) t =
         ~n_procs:(Hector.Config.n_procs hector)
         ()
     in
-    (obs, Fault_storm.run ~cfg:hector ~config ~obs Fault_storm.Timeout)
+    (obs, Fault_storm.run ~cfg:hector ~config ~obs mechanism)
   in
   let d = Fault_storm.default_config in
   record "obs" ~title:"OBS - where did the cycles go (dosed fault storm)"
@@ -1583,7 +1584,7 @@ let obs () : (Fault_storm.config, Obs.t * Fault_storm.result) t =
           Printf.sprintf
             "storm: ops=%d deferred=%d rpc=%d/%d stalls=%d (mechanism %s)"
             s.ops s.deferred s.rpc_ok s.rpc_calls s.stalls_injected
-            (Fault_storm.mechanism_name s.mechanism);
+            (Fault_storm.mechanism_name mechanism);
         ])
     ~cli:
       (cli "trace"

@@ -46,6 +46,9 @@ type t = {
       (* per processor: its last elided wait, or [no_wait] (a processor has
          at most one elided wait at a time) *)
   watch_cell : Cell.t option array; (* that wait's cell, for a local spin *)
+  mutable next_lock_id : int;
+      (* the id the next lock created here takes; last, so that adding it
+         moved no hot field *)
 }
 
 (* Two arrays and a sentinel, not a [(cell, wait) option] per elision: an
@@ -82,6 +85,7 @@ let create eng cfg =
     on_restart = None;
     watch = Array.make n no_wait;
     watch_cell = Array.make n None;
+    next_lock_id = 1;
   }
 
 let engine t = t.eng
@@ -261,6 +265,11 @@ let alloc t ?label ~home v =
 let alloc_reserved t ~id ~home v =
   check_home t home;
   Cell.create ~id ~home v
+
+let fresh_lock_id t =
+  let id = t.next_lock_id in
+  t.next_lock_id <- id + 1;
+  id
 
 let us_of_cycles t c = Config.us_of_cycles t.cfg c
 let cycles_of_us t us = Config.cycles_of_us t.cfg us

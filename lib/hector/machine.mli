@@ -120,6 +120,12 @@ val reserve_ids : t -> int -> int
     nothing. *)
 val alloc_reserved : t -> id:int -> home:int -> int -> Cell.t
 
+(** A fresh lock-instance id, the identity a lock reports to the hook
+    sinks ({!Verify.event}). A machine numbers its locks from 1, in
+    creation order, on a counter of their own, so taking one moves no
+    cell id; the sinks keep per-lock state in columns indexed by it. *)
+val fresh_lock_id : t -> int
+
 val us_of_cycles : t -> int -> float
 val cycles_of_us : t -> float -> int
 

@@ -77,7 +77,7 @@ let create ?(home = 0) ?(vclass = "anderson") machine =
     timeouts = 0;
     gc_count = 0;
     vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let acquisitions t = t.acquisitions

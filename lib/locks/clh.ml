@@ -85,7 +85,7 @@ let create ?(home = 0) ?(vclass = "clh") machine =
     gc_count = 0;
     recovering = false;
     vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let acquisitions t = t.acquisitions

@@ -123,7 +123,7 @@ let create ?(vclass = "cohort") ?(max_handoffs = default_max_handoffs) ~topo
     global_releases = 0;
     timeouts = 0;
     vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let acquisitions t = t.acquisitions

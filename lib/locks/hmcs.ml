@@ -179,7 +179,7 @@ let create ?(home = 0) ?(threshold = default_threshold) ?(vclass = "hmcs")
     gc_count = 0;
     recovering = false;
     vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let vclass t = t.vcls

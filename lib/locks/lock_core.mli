@@ -79,7 +79,7 @@ module type OPS = sig
   val vclass : t -> Verify.lock_class
 
   (** The {!Verify} instance identity this lock reports under (drawn from
-      {!Verify.fresh_id} at creation). *)
+      its machine's {!Hector.Machine.fresh_lock_id} at creation). *)
   val vid : t -> int
 end
 

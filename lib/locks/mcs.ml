@@ -119,7 +119,7 @@ let create ?(variant = H2) ?(home = 0) ?(use_cas_release = false)
     timeouts = 0;
     recovering = false;
     vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let variant t = t.variant

@@ -118,7 +118,7 @@ let create ?home ?(vclass = "rwlock") ?(policy = Writer_blocking)
     readers_peak = 0;
     vcls_rd = Verify.lock_class (vclass ^ ".read");
     vcls_wr = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let policy t = t.policy

@@ -31,7 +31,7 @@ let create machine ?(home = 0) ?(vclass = "seqlock") () =
     read_hits = 0;
     read_aborts = 0;
     vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let peek t = Cell.peek t.seq

@@ -33,7 +33,7 @@ let create machine ?(home = 0) ?(vclass = "spinlock") backoff =
     holder_proc = -1;
     recovering = false;
     vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let acquisitions t = t.acquisitions

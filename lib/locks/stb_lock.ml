@@ -37,7 +37,7 @@ let create ?(home = 0) ?(spin_us = 5.0) ?(vclass = "stb") machine =
     blocks = 0;
     handoffs = 0;
     vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let flag t = t.flag

@@ -39,7 +39,7 @@ let create ?(home = 0) ?(spin_unit = 40) ?(vclass = "ticket") machine =
     holder_proc = -1;
     recovering = false;
     vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
+    vid = Machine.fresh_lock_id machine;
   }
 
 let acquisitions t = t.acquisitions

@@ -1,42 +1,35 @@
 (* Contention profiles and event tracing (see obs.mli for the contract).
 
    Everything here is host-side bookkeeping driven by the same hook events
-   as the lockdep checker ([on_event]): per-proc stacks of open waits, a
-   holder table to classify acquisitions as contended, per-word reserve
-   ownership for hold attribution, and a fixed-capacity ring of trace
-   events. No call touches the engine, so installed-vs-not cannot move
-   simulated time. *)
+   as the lockdep checker ([on_event]): per-proc stacks of open waits and
+   holds, per-lock columns (holder, waiters, last releaser) to classify
+   acquisitions as contended, per-word reserve ownership for hold
+   attribution, per-class-and-cluster counters, and a fixed-capacity ring
+   of trace events. All but the ring, the crash buckets and the reader
+   gauge are int columns, in the idiom of fixed per-lock, per-CPU
+   statistics arrays: a lock, reserve or RPC event allocates nothing,
+   hashes nothing polymorphically and stores no young block. No call
+   touches the engine, so installed-vs-not cannot move simulated time. *)
+
+open Eventsim
 
 let rpc_class = Verify.lock_class "rpc"
 
 (* -- profile buckets ------------------------------------------------------ *)
 
-type bucket = {
-  mutable b_acqs : int;
-  mutable b_contended : int;
-  mutable b_wait : int;
-  mutable b_max_wait : int;
-  mutable b_hold : int;
-  mutable b_handoffs : int;
-  mutable b_handoffs_local : int;
-  mutable b_handoffs_remote : int;
-  mutable b_aborts : int;
-  mutable b_abandon_repairs : int;
-}
-
-let fresh_bucket () =
-  {
-    b_acqs = 0;
-    b_contended = 0;
-    b_wait = 0;
-    b_max_wait = 0;
-    b_hold = 0;
-    b_handoffs = 0;
-    b_handoffs_local = 0;
-    b_handoffs_remote = 0;
-    b_aborts = 0;
-    b_abandon_repairs = 0;
-  }
+(* A bucket is one class's ten counters in one cluster, a run of [n_counters]
+   ints in [counts]. *)
+let c_acqs = 0
+let c_contended = 1
+let c_wait = 2
+let c_max_wait = 3
+let c_hold = 4
+let c_handoffs = 5
+let c_handoffs_local = 6
+let c_handoffs_remote = 7
+let c_aborts = 8
+let c_abandon_repairs = 9
+let n_counters = 10
 
 type cells = {
   acqs : int;
@@ -97,23 +90,40 @@ type event = {
 
 (* -- open-wait / ownership state ------------------------------------------ *)
 
-(* One entry per wait a processor currently has open, newest first. Waits
-   nest (a lock wait inside an RPC span, say) and are popped by kind — and
-   for locks/words by identity — so interleavings cannot mispair them. *)
-type frame =
-  | Flock of { id : int; cls : int; since : int; contended : bool }
-  | Fspin of { word : int; cls : int; since : int }
-  | Frpc of { since : int }
+(* Per-proc stacks of open waits and lock holds (Eventsim.Int_stack), per-lock
+   columns indexed by lock id, and open-addressing tables keyed by reserve
+   word (Eventsim.Int_table).
 
-type hold = { h_id : int; h_cls : int; h_since : int }
+   A processor's open waits nest (a lock wait inside an RPC span, say) and
+   are popped by kind — and for locks by identity — so interleavings
+   cannot mispair them. A frame's columns: *)
+let f_kind = 0 (* [flock], [fspin] or [frpc] *)
+let f_id = 1 (* lock id or reserve word *)
+let f_cls = 2
+let f_since = 3
+let f_contended = 4 (* lock frames: 1 if the lock was held or queued *)
+let flock = 0
+let fspin = 1
+let frpc = 2
 
-(* One lock instance's state, made at its first hook and kept: its holder
-   and last releaser (-1 for none) and how many waiters it has. *)
-type lock_state = {
-  mutable holder : int;
-  mutable waiters : int;
-  mutable last_releaser : int;
-}
+(* A lock hold's columns. *)
+let h_id = 0
+let h_cls = 1
+let h_since = 2
+
+(* Per lock id, three columns: its holder and last releaser (-1 for none)
+   and how many waiters it has. *)
+let l_holder = 0
+let l_waiters = 1
+let l_last_releaser = 2
+let lock_cols = 3
+
+(* A write-reserved word's columns, and a read reservation's. *)
+let w_owner = 0
+let w_cls = 1
+let w_since = 2
+let r_cls = 0
+let r_since = 1
 
 (* Crash/recovery accounting lives beside the profile buckets, not inside
    them: the [cells] record is schema-stable (profile rows and their JSON
@@ -139,15 +149,16 @@ type crash_row = {
 type rw_bucket = { mutable rw_now : int; mutable rw_peak : int }
 
 type t = {
+  n_procs : int;
   n_clusters : int;
-  cluster_of : int -> int;
-  mutable classes : bucket array option array; (* class id -> per-cluster *)
-  frames : frame list array; (* per proc, newest first *)
-  holds : hold list array; (* per proc, lock holds, newest first *)
-  locks : (int, lock_state) Hashtbl.t; (* instance id -> its state *)
-  words : (int, int * int * int) Hashtbl.t; (* word -> proc, cls, since *)
-  read_words : (int * int, int * int) Hashtbl.t; (* word,proc -> cls,since *)
-  word_waiters : (int, int) Hashtbl.t; (* word -> spinner count *)
+  cluster : int array; (* proc -> its cluster *)
+  mutable counts : int array; (* (class * n_clusters + cluster) * n_counters *)
+  frames : Int_stack.t array; (* per proc, open waits *)
+  holds : Int_stack.t array; (* per proc, lock holds *)
+  mutable locks : int array; (* lock id * lock_cols + column *)
+  words : Int_table.t; (* word -> owner, class, since *)
+  read_words : Int_table.t; (* word * n_procs + proc -> class, since *)
+  word_waiters : Int_table.t; (* word -> spinner count, while positive *)
   trace_cap : int;
   ring : event array;
   mutable recorded : int; (* monotonic; ring index = recorded mod cap *)
@@ -159,22 +170,30 @@ let create ?(trace = 0) ?cluster_of ?(n_clusters = 1) ~n_procs () =
   if n_procs <= 0 then invalid_arg "Obs.create: n_procs must be positive";
   if n_clusters <= 0 then invalid_arg "Obs.create: n_clusters must be positive";
   if trace < 0 then invalid_arg "Obs.create: negative trace capacity";
-  let cluster_of =
-    match cluster_of with Some f -> f | None -> fun _ -> 0
+  (* A cluster outside [0, n_clusters) counts as cluster 0, and so does a
+     processor the mapping refuses: such a processor never reports. *)
+  let cluster p =
+    match cluster_of with
+    | None -> 0
+    | Some f -> (
+      match f p with
+      | c when c >= 0 && c < n_clusters -> c
+      | _ | (exception Invalid_argument _) -> 0)
   in
   let dummy =
     { kind = Lock_try; proc = 0; cls = 0; time = 0; dur = 0 }
   in
   {
+    n_procs;
     n_clusters;
-    cluster_of;
-    classes = Array.make 16 None;
-    frames = Array.make n_procs [];
-    holds = Array.make n_procs [];
-    locks = Hashtbl.create 64;
-    words = Hashtbl.create 64;
-    read_words = Hashtbl.create 64;
-    word_waiters = Hashtbl.create 64;
+    cluster = Array.init n_procs cluster;
+    counts = [||];
+    frames = Array.init n_procs (fun _ -> Int_stack.create ~width:5);
+    holds = Array.init n_procs (fun _ -> Int_stack.create ~width:3);
+    locks = [||];
+    words = Int_table.create ~width:3;
+    read_words = Int_table.create ~width:2;
+    word_waiters = Int_table.create ~width:1;
     trace_cap = trace;
     ring = Array.make (max trace 1) dummy;
     recorded = 0;
@@ -184,111 +203,138 @@ let create ?(trace = 0) ?cluster_of ?(n_clusters = 1) ~n_procs () =
     rw = Hashtbl.create 8;
   }
 
-let cluster t proc =
-  let c = t.cluster_of proc in
-  if c < 0 || c >= t.n_clusters then 0 else c
+let cluster t proc = t.cluster.(proc)
 
-let bucket t ~cls ~proc =
-  let cap = Array.length t.classes in
-  if cls >= cap then begin
-    let bigger = Array.make (max (cls + 1) (2 * cap)) None in
-    Array.blit t.classes 0 bigger 0 cap;
-    t.classes <- bigger
-  end;
-  let per_cluster =
-    match t.classes.(cls) with
-    | Some bs -> bs
-    | None ->
-      let bs = Array.init t.n_clusters (fun _ -> fresh_bucket ()) in
-      t.classes.(cls) <- Some bs;
-      bs
-  in
-  per_cluster.(cluster t proc)
+let grow_counts t cls =
+  let n = Array.length t.counts / (t.n_clusters * n_counters) in
+  let n = max (cls + 1) (max 16 (2 * n)) in
+  let bigger = Array.make (n * t.n_clusters * n_counters) 0 in
+  Array.blit t.counts 0 bigger 0 (Array.length t.counts);
+  t.counts <- bigger
 
-let record t kind ~proc ~cls ~time ~dur =
-  if t.trace_cap > 0 then begin
-    t.ring.(t.recorded mod t.trace_cap) <- { kind; proc; cls; time; dur };
-    t.recorded <- t.recorded + 1
-  end
+(* The offset of [cls]'s bucket in [proc]'s cluster. *)
+let[@inline] bucket t ~cls ~proc =
+  if (cls + 1) * t.n_clusters * n_counters > Array.length t.counts then
+    grow_counts t cls;
+  ((cls * t.n_clusters) + cluster t proc) * n_counters
 
-(* Pop the newest frame satisfying [pred]; [None] if there is none (the
-   observer was installed after the wait opened). *)
-let pop_frame t proc pred =
-  let rec go skipped = function
-    | [] -> None
-    | f :: rest when pred f ->
-      t.frames.(proc) <- List.rev_append skipped rest;
-      Some f
-    | f :: rest -> go (f :: skipped) rest
-  in
-  go [] t.frames.(proc)
+let[@inline] add t b c n = t.counts.(b + c) <- t.counts.(b + c) + n
 
+(* A wait of [dur] cycles ended. *)
+let[@inline] waited t b dur =
+  add t b c_wait dur;
+  if dur > t.counts.(b + c_max_wait) then t.counts.(b + c_max_wait) <- dur
+
+let add_to_ring t kind ~proc ~cls ~time ~dur =
+  t.ring.(t.recorded mod t.trace_cap) <- { kind; proc; cls; time; dur };
+  t.recorded <- t.recorded + 1
+
+let[@inline] record t kind ~proc ~cls ~time ~dur =
+  if t.trace_cap > 0 then add_to_ring t kind ~proc ~cls ~time ~dur
+
+let push_frame t ~proc kind ~id ~cls ~since ~contended =
+  let s = t.frames.(proc) in
+  let i = Int_stack.push s in
+  Int_stack.set s i f_kind kind;
+  Int_stack.set s i f_id id;
+  Int_stack.set s i f_cls cls;
+  Int_stack.set s i f_since since;
+  Int_stack.set s i f_contended (Bool.to_int contended)
+
+let rec find_lock_frame s id i =
+  if i < 0 then -1
+  else if Int_stack.get s i f_kind = flock && Int_stack.get s i f_id = id then
+    i
+  else find_lock_frame s id (i - 1)
+
+(* Add [delta] to [key]'s count, unbinding it when the count drops to 0. *)
 let bump tbl key delta =
-  let v = (match Hashtbl.find_opt tbl key with Some v -> v | None -> 0) + delta in
-  if v <= 0 then Hashtbl.remove tbl key else Hashtbl.replace tbl key v
+  let s = Int_table.find tbl key in
+  let v = (if s < 0 then 0 else Int_table.get tbl s 0) + delta in
+  if v <= 0 then Int_table.remove tbl key
+  else Int_table.set tbl (if s < 0 then Int_table.add tbl key else s) 0 v
 
 let count tbl key =
-  match Hashtbl.find_opt tbl key with Some v -> v | None -> 0
+  let s = Int_table.find tbl key in
+  if s < 0 then 0 else Int_table.get tbl s 0
 
 (* -- lock hooks ----------------------------------------------------------- *)
 
-let lock_state t id =
-  match Hashtbl.find t.locks id with
-  | s -> s
-  | exception Not_found ->
-    let s = { holder = -1; waiters = 0; last_releaser = -1 } in
-    Hashtbl.add t.locks id s;
-    s
+(* Lock [id]'s first column, its columns made (no holder, no waiters, no
+   releaser) if they are not yet. *)
+let grow_locks t id =
+  let cap = Array.length t.locks / lock_cols in
+  let n = max (id + 1) (max 64 (2 * cap)) in
+  let bigger = Array.make (n * lock_cols) 0 in
+  Array.blit t.locks 0 bigger 0 (Array.length t.locks);
+  for i = cap to n - 1 do
+    bigger.((i * lock_cols) + l_holder) <- -1;
+    bigger.((i * lock_cols) + l_last_releaser) <- -1
+  done;
+  t.locks <- bigger
 
-let unwait s = if s.waiters > 0 then s.waiters <- s.waiters - 1
+let[@inline] lock_base t id =
+  if (id + 1) * lock_cols > Array.length t.locks then grow_locks t id;
+  id * lock_cols
+
+let unwait t l =
+  let w = t.locks.(l + l_waiters) in
+  if w > 0 then t.locks.(l + l_waiters) <- w - 1
 
 let lock_wait t ~proc ~cls ~id ~now =
-  let s = lock_state t id in
+  let l = lock_base t id in
   (* Contended if someone holds the lock — or if waiters are queued while
      it is in flight between holders (a queue lock mid-hand-off): either
      way this acquisition will receive the lock from a releaser. *)
-  let contended = s.holder >= 0 || s.waiters > 0 in
-  t.frames.(proc) <- Flock { id; cls; since = now; contended } :: t.frames.(proc);
-  s.waiters <- s.waiters + 1
+  let contended = t.locks.(l + l_holder) >= 0 || t.locks.(l + l_waiters) > 0 in
+  push_frame t ~proc flock ~id ~cls ~since:now ~contended;
+  t.locks.(l + l_waiters) <- t.locks.(l + l_waiters) + 1
 
-let start_hold t s ~proc ~cls ~id ~now =
-  s.holder <- proc;
-  t.holds.(proc) <- { h_id = id; h_cls = cls; h_since = now } :: t.holds.(proc)
+let start_hold t l ~proc ~cls ~id ~now =
+  t.locks.(l + l_holder) <- proc;
+  let s = t.holds.(proc) in
+  let i = Int_stack.push s in
+  Int_stack.set s i h_id id;
+  Int_stack.set s i h_cls cls;
+  Int_stack.set s i h_since now
 
 let lock_acquired t ~proc ~cls ~id ~now =
-  let s = lock_state t id in
-  (match pop_frame t proc (function Flock f -> f.id = id | _ -> false) with
-  | Some (Flock f) ->
-    unwait s;
+  let l = lock_base t id in
+  let s = t.frames.(proc) in
+  (match find_lock_frame s id (Int_stack.length s - 1) with
+  | -1 ->
     let b = bucket t ~cls ~proc in
-    b.b_acqs <- b.b_acqs + 1;
-    if f.contended then begin
-      b.b_contended <- b.b_contended + 1;
+    add t b c_acqs 1
+  | i ->
+    let since = Int_stack.get s i f_since in
+    let contended = Int_stack.get s i f_contended = 1 in
+    Int_stack.remove s i;
+    unwait t l;
+    let b = bucket t ~cls ~proc in
+    add t b c_acqs 1;
+    if contended then begin
+      add t b c_contended 1;
       (* A contended acquisition received the lock from whoever released it
          last: classify the hand-off by whether it crossed a cluster
          boundary — the locality a NUMA-aware lock exists to improve.
          Attributed to the *receiving* processor's cluster row. *)
-      let r = s.last_releaser in
+      let r = t.locks.(l + l_last_releaser) in
       if r >= 0 then begin
         if cluster t r = cluster t proc then
-          b.b_handoffs_local <- b.b_handoffs_local + 1
-        else b.b_handoffs_remote <- b.b_handoffs_remote + 1
+          add t b c_handoffs_local 1
+        else add t b c_handoffs_remote 1
       end
     end;
-    let dur = now - f.since in
-    b.b_wait <- b.b_wait + dur;
-    if dur > b.b_max_wait then b.b_max_wait <- dur;
-    record t Lock_acquired ~proc ~cls ~time:now ~dur
-  | _ ->
-    let b = bucket t ~cls ~proc in
-    b.b_acqs <- b.b_acqs + 1);
-  start_hold t s ~proc ~cls ~id ~now
+    let dur = now - since in
+    waited t b dur;
+    record t Lock_acquired ~proc ~cls ~time:now ~dur);
+  start_hold t l ~proc ~cls ~id ~now
 
 let lock_try_acquired t ~proc ~cls ~id ~now =
   let b = bucket t ~cls ~proc in
-  b.b_acqs <- b.b_acqs + 1;
+  add t b c_acqs 1;
   record t Lock_try ~proc ~cls ~time:now ~dur:0;
-  start_hold t (lock_state t id) ~proc ~cls ~id ~now
+  start_hold t (lock_base t id) ~proc ~cls ~id ~now
 
 (* Abandonments bump [aborts] *before* [contended]: hooks run host-
    atomically, so a mid-run sampler (a periodic reporter) lands between hooks, never inside one —
@@ -296,42 +342,45 @@ let lock_try_acquired t ~proc ~cls ~id ~now =
    invariant [contended <= acqs + aborts] at every sequencing granularity,
    and the qcheck property in test_obs pins it. *)
 let lock_wait_abandoned t ~proc ~now =
-  match pop_frame t proc (function Flock _ -> true | _ -> false) with
-  | Some (Flock f) ->
-    unwait (lock_state t f.id);
-    let b = bucket t ~cls:f.cls ~proc in
-    b.b_aborts <- b.b_aborts + 1;
-    b.b_contended <- b.b_contended + 1;
-    let dur = now - f.since in
-    b.b_wait <- b.b_wait + dur;
-    if dur > b.b_max_wait then b.b_max_wait <- dur;
-    record t Lock_abandoned ~proc ~cls:f.cls ~time:now ~dur
-  | _ -> ()
+  let s = t.frames.(proc) in
+  match Int_stack.find s f_kind flock with
+  | -1 -> ()
+  | i ->
+    let id = Int_stack.get s i f_id and cls = Int_stack.get s i f_cls in
+    let since = Int_stack.get s i f_since in
+    Int_stack.remove s i;
+    unwait t (lock_base t id);
+    let b = bucket t ~cls ~proc in
+    add t b c_aborts 1;
+    add t b c_contended 1;
+    let dur = now - since in
+    waited t b dur;
+    record t Lock_abandoned ~proc ~cls ~time:now ~dur
 
 (* A releaser (or a later hand-off) reclaimed a node some timed waiter left
    behind: attributed to the repairing processor's cluster. *)
 let lock_abandon_repaired t ~proc ~cls =
   let b = bucket t ~cls ~proc in
-  b.b_abandon_repairs <- b.b_abandon_repairs + 1
+  add t b c_abandon_repairs 1
 
+(* The release ends [proc]'s newest hold on [id]. *)
 let lock_released t ~proc ~cls ~id ~now =
-  (let rec go skipped = function
-     | [] -> ()
-     | h :: rest when h.h_id = id ->
-       t.holds.(proc) <- List.rev_append skipped rest;
-       let b = bucket t ~cls:h.h_cls ~proc in
-       let dur = now - h.h_since in
-       b.b_hold <- b.b_hold + dur;
-       record t Lock_released ~proc ~cls:h.h_cls ~time:now ~dur
-     | h :: rest -> go (h :: skipped) rest
-   in
-   go [] t.holds.(proc));
-  let s = lock_state t id in
-  s.holder <- -1;
-  s.last_releaser <- proc;
-  if s.waiters > 0 then begin
+  let s = t.holds.(proc) in
+  (match Int_stack.find s h_id id with
+  | -1 -> ()
+  | i ->
+    let hcls = Int_stack.get s i h_cls in
+    let dur = now - Int_stack.get s i h_since in
+    Int_stack.remove s i;
+    let b = bucket t ~cls:hcls ~proc in
+    add t b c_hold dur;
+    record t Lock_released ~proc ~cls:hcls ~time:now ~dur);
+  let l = lock_base t id in
+  t.locks.(l + l_holder) <- -1;
+  t.locks.(l + l_last_releaser) <- proc;
+  if t.locks.(l + l_waiters) > 0 then begin
     let b = bucket t ~cls ~proc in
-    b.b_handoffs <- b.b_handoffs + 1
+    add t b c_handoffs 1
   end
 
 (* An optimistic read sampled the lock and had to abort (writer in
@@ -341,8 +390,8 @@ let lock_released t ~proc ~cls ~id ~now =
 let lock_optimistic_abort t ~proc ~cls ~now =
   let b = bucket t ~cls ~proc in
   (* Abort before contended — see lock_wait_abandoned. *)
-  b.b_aborts <- b.b_aborts + 1;
-  b.b_contended <- b.b_contended + 1;
+  add t b c_aborts 1;
+  add t b c_contended 1;
   record t Lock_abandoned ~proc ~cls ~time:now ~dur:0
 
 (* -- reader-concurrency gauge --------------------------------------------- *)
@@ -429,78 +478,97 @@ let recoveries_observed t =
 (* -- reserve hooks -------------------------------------------------------- *)
 
 let reserve_set t ~proc ~cls ~word ~now =
-  Hashtbl.replace t.words word (proc, cls, now);
+  let s = Int_table.add t.words word in
+  Int_table.set t.words s w_owner proc;
+  Int_table.set t.words s w_cls cls;
+  Int_table.set t.words s w_since now;
   let b = bucket t ~cls ~proc in
-  b.b_acqs <- b.b_acqs + 1;
+  add t b c_acqs 1;
   record t Reserve_set ~proc ~cls ~time:now ~dur:0
 
 let reserve_clear t ~proc ~word ~now =
-  match Hashtbl.find_opt t.words word with
-  | None -> ()
-  | Some (owner, cls, since) ->
-    Hashtbl.remove t.words word;
+  match Int_table.find t.words word with
+  | -1 -> ()
+  | s ->
+    let owner = Int_table.get t.words s w_owner in
+    let cls = Int_table.get t.words s w_cls in
+    let since = Int_table.get t.words s w_since in
+    Int_table.remove t.words word;
     (* Attribute the hold to the setter: the clear may run elsewhere (an
        RPC service clearing on the owner's behalf). *)
     let b = bucket t ~cls ~proc:owner in
     let dur = now - since in
-    b.b_hold <- b.b_hold + dur;
-    if count t.word_waiters word > 0 then b.b_handoffs <- b.b_handoffs + 1;
+    add t b c_hold dur;
+    if count t.word_waiters word > 0 then add t b c_handoffs 1;
     record t Reserve_cleared ~proc ~cls ~time:now ~dur
 
+(* Read reservations are keyed by word and reader. *)
+let read_key t ~word ~proc = (word * t.n_procs) + proc
+
 let reserve_read_set t ~proc ~cls ~word ~now =
-  Hashtbl.replace t.read_words (word, proc) (cls, now);
+  let s = Int_table.add t.read_words (read_key t ~word ~proc) in
+  Int_table.set t.read_words s r_cls cls;
+  Int_table.set t.read_words s r_since now;
   let b = bucket t ~cls ~proc in
-  b.b_acqs <- b.b_acqs + 1;
+  add t b c_acqs 1;
   record t Reserve_set ~proc ~cls ~time:now ~dur:0
 
 let reserve_read_clear t ~proc ~word ~now =
-  match Hashtbl.find_opt t.read_words (word, proc) with
-  | None -> ()
-  | Some (cls, since) ->
-    Hashtbl.remove t.read_words (word, proc);
+  let key = read_key t ~word ~proc in
+  match Int_table.find t.read_words key with
+  | -1 -> ()
+  | s ->
+    let cls = Int_table.get t.read_words s r_cls in
+    let since = Int_table.get t.read_words s r_since in
+    Int_table.remove t.read_words key;
     let b = bucket t ~cls ~proc in
     let dur = now - since in
-    b.b_hold <- b.b_hold + dur;
+    add t b c_hold dur;
     record t Reserve_cleared ~proc ~cls ~time:now ~dur
 
 let reserve_wait t ~proc ~cls ~word ~now =
-  t.frames.(proc) <- Fspin { word; cls; since = now } :: t.frames.(proc);
+  push_frame t ~proc fspin ~id:word ~cls ~since:now ~contended:false;
   bump t.word_waiters word 1
 
 let reserve_wait_done t ~proc ~now =
-  match pop_frame t proc (function Fspin _ -> true | _ -> false) with
-  | Some (Fspin f) ->
-    bump t.word_waiters f.word (-1);
-    let b = bucket t ~cls:f.cls ~proc in
-    b.b_contended <- b.b_contended + 1;
-    let dur = now - f.since in
-    b.b_wait <- b.b_wait + dur;
-    if dur > b.b_max_wait then b.b_max_wait <- dur;
-    record t Reserve_spin ~proc ~cls:f.cls ~time:now ~dur
-  | _ -> ()
+  let s = t.frames.(proc) in
+  match Int_stack.find s f_kind fspin with
+  | -1 -> ()
+  | i ->
+    let word = Int_stack.get s i f_id and cls = Int_stack.get s i f_cls in
+    let since = Int_stack.get s i f_since in
+    Int_stack.remove s i;
+    bump t.word_waiters word (-1);
+    let b = bucket t ~cls ~proc in
+    add t b c_contended 1;
+    let dur = now - since in
+    waited t b dur;
+    record t Reserve_spin ~proc ~cls ~time:now ~dur
 
 (* -- rpc hooks ------------------------------------------------------------ *)
 
 let rpc_issue t ~proc ~now =
-  t.frames.(proc) <- Frpc { since = now } :: t.frames.(proc);
+  push_frame t ~proc frpc ~id:0 ~cls:rpc_class ~since:now ~contended:false;
   let b = bucket t ~cls:rpc_class ~proc in
-  b.b_acqs <- b.b_acqs + 1;
+  add t b c_acqs 1;
   record t Rpc_issue ~proc ~cls:rpc_class ~time:now ~dur:0
 
 let rpc_retry t ~proc ~now =
   let b = bucket t ~cls:rpc_class ~proc in
-  b.b_contended <- b.b_contended + 1;
+  add t b c_contended 1;
   record t Rpc_retry ~proc ~cls:rpc_class ~time:now ~dur:0
 
 let rpc_reply t ~proc ~now =
-  match pop_frame t proc (function Frpc _ -> true | _ -> false) with
-  | Some (Frpc f) ->
+  let s = t.frames.(proc) in
+  match Int_stack.find s f_kind frpc with
+  | -1 -> ()
+  | i ->
+    let since = Int_stack.get s i f_since in
+    Int_stack.remove s i;
     let b = bucket t ~cls:rpc_class ~proc in
-    let dur = now - f.since in
-    b.b_wait <- b.b_wait + dur;
-    if dur > b.b_max_wait then b.b_max_wait <- dur;
+    let dur = now - since in
+    waited t b dur;
     record t Rpc_reply ~proc ~cls:rpc_class ~time:now ~dur
-  | _ -> ()
 
 (* -- the one entry point ------------------------------------------------- *)
 
@@ -541,63 +609,54 @@ let on_event t ~proc ~now (e : Verify.event) =
 
 (* -- profile -------------------------------------------------------------- *)
 
-let cells_of_bucket b =
+let cells counts b =
   {
-    acqs = b.b_acqs;
-    contended = b.b_contended;
-    wait_cycles = b.b_wait;
-    max_wait_cycles = b.b_max_wait;
-    hold_cycles = b.b_hold;
-    handoffs = b.b_handoffs;
-    handoffs_local = b.b_handoffs_local;
-    handoffs_remote = b.b_handoffs_remote;
-    aborts = b.b_aborts;
-    abandon_repairs = b.b_abandon_repairs;
+    acqs = counts.(b + c_acqs);
+    contended = counts.(b + c_contended);
+    wait_cycles = counts.(b + c_wait);
+    max_wait_cycles = counts.(b + c_max_wait);
+    hold_cycles = counts.(b + c_hold);
+    handoffs = counts.(b + c_handoffs);
+    handoffs_local = counts.(b + c_handoffs_local);
+    handoffs_remote = counts.(b + c_handoffs_remote);
+    aborts = counts.(b + c_aborts);
+    abandon_repairs = counts.(b + c_abandon_repairs);
   }
 
-let bucket_active b =
-  b.b_acqs <> 0 || b.b_contended <> 0 || b.b_wait <> 0 || b.b_hold <> 0
-  || b.b_handoffs <> 0 || b.b_aborts <> 0 || b.b_abandon_repairs <> 0
+let active c =
+  c.acqs <> 0 || c.contended <> 0 || c.wait_cycles <> 0 || c.hold_cycles <> 0
+  || c.handoffs <> 0 || c.aborts <> 0 || c.abandon_repairs <> 0
+
+let sum a b =
+  {
+    acqs = a.acqs + b.acqs;
+    contended = a.contended + b.contended;
+    wait_cycles = a.wait_cycles + b.wait_cycles;
+    max_wait_cycles = max a.max_wait_cycles b.max_wait_cycles;
+    hold_cycles = a.hold_cycles + b.hold_cycles;
+    handoffs = a.handoffs + b.handoffs;
+    handoffs_local = a.handoffs_local + b.handoffs_local;
+    handoffs_remote = a.handoffs_remote + b.handoffs_remote;
+    aborts = a.aborts + b.aborts;
+    abandon_repairs = a.abandon_repairs + b.abandon_repairs;
+  }
 
 let profile_rows t =
-  let rows = ref [] in
-  Array.iteri
-    (fun cls per_cluster ->
-      match per_cluster with
-      | None -> ()
-      | Some bs ->
-        let total = fresh_bucket () in
-        let by_cluster = ref [] in
-        Array.iteri
-          (fun c b ->
-            if bucket_active b then begin
-              total.b_acqs <- total.b_acqs + b.b_acqs;
-              total.b_contended <- total.b_contended + b.b_contended;
-              total.b_wait <- total.b_wait + b.b_wait;
-              if b.b_max_wait > total.b_max_wait then
-                total.b_max_wait <- b.b_max_wait;
-              total.b_hold <- total.b_hold + b.b_hold;
-              total.b_handoffs <- total.b_handoffs + b.b_handoffs;
-              total.b_handoffs_local <-
-                total.b_handoffs_local + b.b_handoffs_local;
-              total.b_handoffs_remote <-
-                total.b_handoffs_remote + b.b_handoffs_remote;
-              total.b_aborts <- total.b_aborts + b.b_aborts;
-              total.b_abandon_repairs <-
-                total.b_abandon_repairs + b.b_abandon_repairs;
-              by_cluster := (c, cells_of_bucket b) :: !by_cluster
-            end)
-          bs;
-        if bucket_active total then
-          rows :=
-            {
-              row_class = Verify.class_name cls;
-              total = cells_of_bucket total;
-              by_cluster = List.rev !by_cluster;
-            }
-            :: !rows)
-    t.classes;
-  List.stable_sort
+  let zero = cells (Array.make n_counters 0) 0 in
+  let bucket cls c = cells t.counts (((cls * t.n_clusters) + c) * n_counters) in
+  List.init
+    (Array.length t.counts / (t.n_clusters * n_counters))
+    (fun cls ->
+      let by_cluster =
+        List.init t.n_clusters (fun c -> (c, bucket cls c))
+        |> List.filter (fun (_, c) -> active c)
+      in
+      let total = List.fold_left (fun a (_, c) -> sum a c) zero by_cluster in
+      if active total then
+        Some { row_class = Verify.class_name cls; total; by_cluster }
+      else None)
+  |> List.filter_map Fun.id
+  |> List.stable_sort
     (fun a b ->
       match compare b.total.wait_cycles a.total.wait_cycles with
       | 0 -> (
@@ -605,7 +664,6 @@ let profile_rows t =
         | 0 -> compare a.row_class b.row_class
         | c -> c)
       | c -> c)
-    (List.rev !rows)
 
 (* -- trace export --------------------------------------------------------- *)
 

@@ -11,7 +11,14 @@
     same vocabulary as the checker and the [?vclass] arguments the locks
     already take. Proc-to-cluster attribution is a caller-supplied mapping
     (stations for a bare machine, {!Hkernel.Clustering} for clustered
-    workloads). *)
+    workloads).
+
+    Per-lock state lives in int columns indexed by the lock-instance id
+    (see {!Verify.event}): ids are the small, dense per-machine numbers
+    [Hector.Machine.fresh_lock_id] hands out, so an observer serves one
+    machine's locks. Reserve words are keyed by cell id in an
+    open-addressing table, so their ids may be as large as a machine's
+    cell count. A lock, reserve or RPC report allocates nothing. *)
 
 type t
 
@@ -20,7 +27,10 @@ val rpc_class : Verify.lock_class
 
 (** [create ~n_procs ()] profiles only. [trace] > 0 additionally keeps the
     last [trace] events in a ring (older events are dropped, counted in
-    {!trace_dropped}). [cluster_of]/[n_clusters] default to one cluster. *)
+    {!trace_dropped}). [cluster_of]/[n_clusters] default to one cluster;
+    [cluster_of] is read once per processor here, and a processor it maps
+    outside [0, n_clusters) (or refuses with [Invalid_argument]) counts in
+    cluster 0. *)
 val create :
   ?trace:int ->
   ?cluster_of:(int -> int) ->

@@ -41,11 +41,16 @@
       window with no lock/reserve/RPC progress while someone waits is a
       stall. Both dump a per-processor diagnostic and abort the run with
       [Violation] instead of letting the simulation spin to its event
-      budget. *)
+      budget.
+
+   The state a lock or reserve report touches is all int columns (see
+   "checker state" below), so a report costs a few array reads and writes
+   and allocates nothing; lock ids come from the locks' machine, not from
+   a counter here. *)
 
 open Eventsim
 
-(* -- lock classes and instance identities --------------------------------- *)
+(* -- lock classes ----------------------------------------------------------- *)
 
 (* Classes are interned globally by name: identity must exist before any
    checker is installed (locks are created at kernel-construction time),
@@ -97,10 +102,6 @@ let class_name id =
   in
   Mutex.unlock intern_mu;
   name
-
-let instance_counter = Atomic.make 0
-
-let fresh_id () = 1 + Atomic.fetch_and_add instance_counter 1
 
 (* -- hook events ---------------------------------------------------------- *)
 
@@ -171,39 +172,51 @@ let pp_violation ppf v =
 
 (* -- checker state -------------------------------------------------------- *)
 
-type held_kind = Hlock | Hreserve_w | Hreserve_r
+(* Everything a hot event touches is an int column: per-processor stacks of
+   held entries and wait frames (newest on top), a holder column indexed by
+   lock id, and an open-addressing table of reserve words keyed by cell id.
+   So a lock or reserve event allocates nothing, hashes no tuple and
+   stores no young block into the checker. Read reservations, labels,
+   edge witnesses and the class graph are rare and keep ordinary tables. *)
 
-type held = {
-  h_cls : lock_class;
-  h_id : int; (* lock instance id, or the reserve word's cell id *)
-  h_kind : held_kind;
-  h_since : int;
-}
+(* Held-entry kinds, and wait-frame kinds. *)
+let hlock = 0
+let hreserve_w = 1
+let hreserve_r = 2
+let wlock = 0
+let wlock_timed = 1 (* timed acquisition: can abandon, never deadlocks *)
+let wword = 2
 
-type wait = {
-  w_cls : lock_class;
-  w_id : int;
-  w_lock : bool; (* false = reserve word *)
-  w_timed : bool; (* timed acquisition: can abandon, never deadlocks *)
-  w_since : int;
-}
+(* The columns of a held entry or a wait frame: its kind, the lock instance
+   id or reserve word's cell id, the class, and since when. *)
+let c_kind = 0
+let c_id = 1
+let c_cls = 2
+let c_since = 3
 
-type word_state =
-  | Wwrite of { owner : int; since : int }
-  | Wread of (int * int) list (* (reader proc, since); newest first *)
-  | Wfree
+(* A reserve word's columns in [words]: its state (-1 before the checker
+   has seen it set or cleared, 0 free, 1 write-held, 2 read-held with the
+   readers in [readers]), the writer and its set time, and the class it
+   was first reported under (-1 before any report carried one). *)
+let c_state = 0
+let c_owner = 1
+let c_wsince = 2
+let c_wcls = 3
 
 type t = {
   mode : [ `Abort | `Record ];
   n_procs : int;
-  held : held list array; (* per processor, newest first *)
-  waits : wait list array; (* per processor, innermost first *)
+  held : Int_stack.t array; (* per processor *)
+  waits : Int_stack.t array; (* per processor, innermost on top *)
   rpc_to : int array; (* in-flight RPC target per processor, -1 = none *)
   rpc_since : int array;
-  words : (int, word_state) Hashtbl.t; (* cell id -> reserve state *)
-  word_info : (int, lock_class * string) Hashtbl.t; (* class, label *)
-  lock_holder : (int, int) Hashtbl.t; (* lock instance id -> holder proc *)
-  edges : (int * int, string) Hashtbl.t; (* class edge -> first witness *)
+  mutable holder : int array; (* lock instance id -> holder proc, -1 = none *)
+  words : Int_table.t; (* cell id -> state, owner, since, class *)
+  labels : (int, string) Hashtbl.t; (* cell id -> its non-empty label *)
+  readers : (int, (int * int) list) Hashtbl.t;
+      (* read-held word -> (reader proc, since), newest first *)
+  edges : Int_table.t; (* class pairs seen, by [edge_key] *)
+  witness : (int, string) Hashtbl.t; (* edge key -> first witness *)
   succs : (int, int list) Hashtbl.t; (* adjacency for cycle search *)
   mutable violations : violation list; (* newest first *)
   mutable last_progress : int;
@@ -218,14 +231,16 @@ let create ?(mode = `Record) ~n_procs () =
   {
     mode;
     n_procs;
-    held = Array.make n_procs [];
-    waits = Array.make n_procs [];
+    held = Array.init n_procs (fun _ -> Int_stack.create ~width:4);
+    waits = Array.init n_procs (fun _ -> Int_stack.create ~width:4);
     rpc_to = Array.make n_procs (-1);
     rpc_since = Array.make n_procs 0;
-    words = Hashtbl.create 256;
-    word_info = Hashtbl.create 256;
-    lock_holder = Hashtbl.create 64;
-    edges = Hashtbl.create 64;
+    holder = Array.make 64 (-1);
+    words = Int_table.create ~width:4;
+    labels = Hashtbl.create 16;
+    readers = Hashtbl.create 16;
+    edges = Int_table.create ~width:0;
+    witness = Hashtbl.create 64;
     succs = Hashtbl.create 64;
     violations = [];
     last_progress = 0;
@@ -255,54 +270,155 @@ let report_fatal t ~kind ~proc ~now msg =
 let progress t ~now = t.last_progress <- now
 let recoveries t = t.recoveries
 
+(* -- lock holders, held entries, wait frames ------------------------------ *)
+
+let holder t id = if id < Array.length t.holder then t.holder.(id) else -1
+
+let grow_holder t id =
+  let cap = Array.length t.holder in
+  let bigger = Array.make (max (id + 1) (2 * cap)) (-1) in
+  Array.blit t.holder 0 bigger 0 cap;
+  t.holder <- bigger
+
+let[@inline] set_holder t id p =
+  if id >= Array.length t.holder then grow_holder t id;
+  t.holder.(id) <- p
+
+let push_held t ~proc kind ~id ~cls ~since =
+  let s = t.held.(proc) in
+  let i = Int_stack.push s in
+  Int_stack.set s i c_kind kind;
+  Int_stack.set s i c_id id;
+  Int_stack.set s i c_cls cls;
+  Int_stack.set s i c_since since
+
+let rec find_lock s id i =
+  if i < 0 then -1
+  else if Int_stack.get s i c_kind = hlock && Int_stack.get s i c_id = id then i
+  else find_lock s id (i - 1)
+
+(* The newest entry of [proc]'s held stack on lock [id], or -1. *)
+let held_lock t proc id =
+  let s = t.held.(proc) in
+  find_lock s id (Int_stack.length s - 1)
+
+let rec find_word s word i =
+  if i < 0 then -1
+  else if Int_stack.get s i c_kind <> hlock && Int_stack.get s i c_id = word
+  then i
+  else find_word s word (i - 1)
+
+let remove_held_word t ~proc ~word =
+  let s = t.held.(proc) in
+  let i = find_word s word (Int_stack.length s - 1) in
+  if i >= 0 then Int_stack.remove s i
+
+let push_wait t ~proc kind ~id ~cls ~now =
+  let s = t.waits.(proc) in
+  let i = Int_stack.push s in
+  Int_stack.set s i c_kind kind;
+  Int_stack.set s i c_id id;
+  Int_stack.set s i c_cls cls;
+  Int_stack.set s i c_since now
+
+let pop_wait t ~proc = Int_stack.pop t.waits.(proc)
+
 (* A processor fail-stopped. Its held entries stay — it really does still
    own what it owned, and recovery transfers ownership via [released] —
    but its wait frames and in-flight RPC are dropped: the parked fiber
    will never resume them, and the watchdog must not chase a ghost. *)
 let proc_crashed t ~proc ~now =
   t.dead.(proc) <- true;
-  t.waits.(proc) <- [];
+  Int_stack.clear t.waits.(proc);
   t.rpc_to.(proc) <- -1;
   progress t ~now
 
 let proc_revived t ~proc = t.dead.(proc) <- false
+
+(* -- reserve words ---------------------------------------------------------- *)
+
+(* The slot of [word]'s row, made (state and class unknown) if absent. *)
+let word_row t word =
+  let s = Int_table.find t.words word in
+  if s >= 0 then s
+  else begin
+    let s = Int_table.add t.words word in
+    Int_table.set t.words s c_state (-1);
+    Int_table.set t.words s c_wcls (-1);
+    s
+  end
+
+let word_state t word =
+  let s = Int_table.find t.words word in
+  if s < 0 then -1 else Int_table.get t.words s c_state
+
+let word_field t word f = Int_table.get t.words (Int_table.find t.words word) f
+
+let set_word t word state ~owner ~since =
+  let s = word_row t word in
+  Int_table.set t.words s c_state state;
+  Int_table.set t.words s c_owner owner;
+  Int_table.set t.words s c_wsince since
+
+(* A word keeps the class and label of the first report that names one. *)
+let note_word t ~cls ~word ~label =
+  let s = word_row t word in
+  if Int_table.get t.words s c_wcls < 0 then begin
+    Int_table.set t.words s c_wcls cls;
+    if label <> "" then Hashtbl.replace t.labels word label
+  end
+
+let readers t word =
+  match Hashtbl.find_opt t.readers word with Some rs -> rs | None -> []
 
 (* -- diagnostics ---------------------------------------------------------- *)
 
 let describe_instance cls id = Printf.sprintf "%s#%d" (class_name cls) id
 
 let word_desc t word =
-  match Hashtbl.find_opt t.word_info word with
-  | Some (cls, label) ->
-    if label = "" then describe_instance cls word
-    else Printf.sprintf "%s(%s)" (describe_instance cls word) label
-  | None -> Printf.sprintf "word#%d" word
-
-let held_desc t h =
-  match h.h_kind with
-  | Hlock -> Printf.sprintf "%s(since %d)" (describe_instance h.h_cls h.h_id) h.h_since
-  | Hreserve_w -> Printf.sprintf "%s:W(since %d)" (word_desc t h.h_id) h.h_since
-  | Hreserve_r -> Printf.sprintf "%s:R(since %d)" (word_desc t h.h_id) h.h_since
-
-(* Who holds the resource a wait frame is waiting on, if known. *)
-let holder_of_wait t w =
-  if w.w_lock then Hashtbl.find_opt t.lock_holder w.w_id
+  let s = Int_table.find t.words word in
+  let cls = if s < 0 then -1 else Int_table.get t.words s c_wcls in
+  if cls < 0 then Printf.sprintf "word#%d" word
   else
-    match Hashtbl.find_opt t.words w.w_id with
-    | Some (Wwrite { owner; _ }) -> Some owner
-    | Some (Wread ((p, _) :: _)) -> Some p
-    | _ -> None
+    match Hashtbl.find_opt t.labels word with
+    | Some label -> Printf.sprintf "%s(%s)" (describe_instance cls word) label
+    | None -> describe_instance cls word
 
-let wait_desc t w =
+let held_desc t s i =
+  let id = Int_stack.get s i c_id and since = Int_stack.get s i c_since in
+  let kind = Int_stack.get s i c_kind in
+  if kind = hlock then
+    Printf.sprintf "%s(since %d)"
+      (describe_instance (Int_stack.get s i c_cls) id)
+      since
+  else
+    Printf.sprintf "%s:%s(since %d)" (word_desc t id)
+      (if kind = hreserve_w then "W" else "R")
+      since
+
+(* Who holds the resource wait frame [i] of [s] is waiting on, or -1. *)
+let holder_of_wait t s i =
+  let id = Int_stack.get s i c_id in
+  if Int_stack.get s i c_kind <> wword then holder t id
+  else
+    match word_state t id with
+    | 1 -> word_field t id c_owner
+    | 2 -> ( match readers t id with (p, _) :: _ -> p | [] -> -1)
+    | _ -> -1
+
+let wait_desc t s i =
+  let id = Int_stack.get s i c_id in
   let target =
-    if w.w_lock then describe_instance w.w_cls w.w_id else word_desc t w.w_id
+    if Int_stack.get s i c_kind <> wword then
+      describe_instance (Int_stack.get s i c_cls) id
+    else word_desc t id
   in
   let holder =
-    match holder_of_wait t w with
-    | Some p -> Printf.sprintf " held by p%d" p
-    | None -> ""
+    match holder_of_wait t s i with
+    | -1 -> ""
+    | p -> Printf.sprintf " held by p%d" p
   in
-  Printf.sprintf "%s since %d%s" target w.w_since holder
+  Printf.sprintf "%s since %d%s" target (Int_stack.get s i c_since) holder
 
 (* The per-processor state dump attached to watchdog findings: what each
    processor holds, what it waits on (innermost first), any RPC in flight,
@@ -312,22 +428,26 @@ let dump t ~now =
   Buffer.add_string b (Printf.sprintf "verify dump @%d:\n" now);
   let oldest = ref None in
   for p = 0 to t.n_procs - 1 do
+    let hs = t.held.(p) and ws = t.waits.(p) in
     let held =
-      match t.held.(p) with
-      | [] -> "-"
-      | hs -> String.concat ", " (List.map (held_desc t) (List.rev hs))
+      if Int_stack.length hs = 0 then "-"
+      else
+        String.concat ", "
+          (List.init (Int_stack.length hs) (fun i -> held_desc t hs i))
     in
+    let innermost_first = List.rev (List.init (Int_stack.length ws) Fun.id) in
     let waiting =
-      match t.waits.(p) with
-      | [] -> "-"
-      | ws ->
+      if innermost_first = [] then "-"
+      else begin
         List.iter
-          (fun w ->
+          (fun i ->
+            let since = Int_stack.get ws i c_since in
             match !oldest with
-            | Some (_, since) when since <= w.w_since -> ()
-            | _ -> oldest := Some (p, w.w_since))
-          ws;
-        String.concat " <- " (List.map (wait_desc t) ws)
+            | Some (_, o) when o <= since -> ()
+            | _ -> oldest := Some (p, since))
+          innermost_first;
+        String.concat " <- " (List.map (wait_desc t ws) innermost_first)
+      end
     in
     let rpc =
       if t.rpc_to.(p) < 0 then ""
@@ -378,9 +498,12 @@ let find_path t ~src ~target =
         match acc with Some _ -> acc | None -> go n)
       None nexts
 
-let add_edge t ~proc ~now ~from_held cls =
-  let a = from_held.h_cls in
-  if not (Hashtbl.mem t.edges (a, cls)) then begin
+(* A class pair as one int: class ids are small and dense. *)
+let edge_key a b = (a lsl 30) lor b
+
+let add_edge t ~proc ~now a cls =
+  let key = edge_key a cls in
+  if Int_table.find t.edges key < 0 then begin
     let witness =
       Printf.sprintf "p%d acquired %s while holding %s @%d" proc
         (class_name cls) (class_name a) now
@@ -394,7 +517,7 @@ let add_edge t ~proc ~now ~from_held cls =
        | Some path ->
          let cycle = a :: cls :: path in
          let prior =
-           match Hashtbl.find_opt t.edges (cls, a) with
+           match Hashtbl.find_opt t.witness (edge_key cls a) with
            | Some w -> w
            | None -> "earlier nesting"
          in
@@ -403,69 +526,58 @@ let add_edge t ~proc ~now ~from_held cls =
               "lock-order cycle %s: %s, but previously %s"
               (String.concat " -> " (List.map class_name cycle))
               witness prior));
-    Hashtbl.replace t.edges (a, cls) witness;
+    ignore (Int_table.add t.edges key : int);
+    Hashtbl.replace t.witness key witness;
     let nexts =
       match Hashtbl.find_opt t.succs a with Some l -> l | None -> []
     in
     Hashtbl.replace t.succs a (cls :: nexts)
   end
 
+(* An edge from each class [proc] holds, newest first, to [cls]. *)
+let rec add_edges_from t ~proc ~now cls i =
+  if i >= 0 then begin
+    add_edge t ~proc ~now (Int_stack.get t.held.(proc) i c_cls) cls;
+    add_edges_from t ~proc ~now cls (i - 1)
+  end
+
+let add_edges t ~proc ~now cls =
+  add_edges_from t ~proc ~now cls (Int_stack.length t.held.(proc) - 1)
+
 (* -- lock events ---------------------------------------------------------- *)
-
-let push_wait t ~proc w = t.waits.(proc) <- w :: t.waits.(proc)
-
-let holds_lock id h = h.h_kind = Hlock && h.h_id = id
-
-(* Remove and return the newest entry of [proc]'s held list satisfying
-   [pred]. *)
-let take_held t proc pred =
-  let rec go skipped = function
-    | [] -> None
-    | h :: rest when pred h ->
-      t.held.(proc) <- List.rev_append skipped rest;
-      Some h
-    | h :: rest -> go (h :: skipped) rest
-  in
-  go [] t.held.(proc)
-
-let pop_wait t ~proc =
-  match t.waits.(proc) with [] -> () | _ :: rest -> t.waits.(proc) <- rest
 
 (* A blocking acquisition begins: record order edges from everything held,
    flag recursion on an instance we already hold, and register the wait for
    the watchdog. Runs before the first spin, so the dependency is recorded
    even if the lock turns out to be free. *)
 let wait_acquire t ~proc ~cls ~id ~now =
-  if List.exists (holds_lock id) t.held.(proc) then
+  if held_lock t proc id >= 0 then
     report t ~kind:Recursive_acquire ~proc ~now
       (Printf.sprintf "blocking acquire of %s already held by this processor"
          (describe_instance cls id));
-  List.iter (fun h -> add_edge t ~proc ~now ~from_held:h cls) t.held.(proc);
-  push_wait t ~proc
-    { w_cls = cls; w_id = id; w_lock = true; w_timed = false; w_since = now }
+  add_edges t ~proc ~now cls;
+  push_wait t ~proc wlock ~id ~cls ~now
 
 (* A *timed* blocking acquisition begins. Like TryLock it records no order
    edges — a waiter that will abandon its wait at a deadline cannot be the
    permanently-waiting side of a deadlock — but it does register a wait
    frame so the dump shows it and [acquired]/[wait_abandoned] stay
-   balanced. The frame is marked [w_timed] so the watchdog's cycle walk
+   balanced. The frame is marked timed so the watchdog's cycle walk
    skips it: a cycle through a timed waiter self-resolves at the
    deadline. *)
 let wait_acquire_timed t ~proc ~cls ~id ~now =
-  if List.exists (holds_lock id) t.held.(proc) then
+  if held_lock t proc id >= 0 then
     report t ~kind:Recursive_acquire ~proc ~now
       (Printf.sprintf
          "timed blocking acquire of %s already held by this processor"
          (describe_instance cls id));
-  push_wait t ~proc
-    { w_cls = cls; w_id = id; w_lock = true; w_timed = true; w_since = now }
+  push_wait t ~proc wlock_timed ~id ~cls ~now
 
 (* A successful TryLock: held, but no order edges — it could not have
    waited. *)
 let try_acquired t ~proc ~cls ~id ~now =
-  t.held.(proc) <-
-    { h_cls = cls; h_id = id; h_kind = Hlock; h_since = now } :: t.held.(proc);
-  Hashtbl.replace t.lock_holder id proc;
+  push_held t ~proc hlock ~id ~cls ~since:now;
+  set_holder t id proc;
   progress t ~now
 
 let acquired t ~proc ~cls ~id ~now =
@@ -477,48 +589,57 @@ let wait_abandoned t ~proc ~now =
   pop_wait t ~proc;
   progress t ~now
 
+let rec remove_locks s id i =
+  if i >= 0 then begin
+    if Int_stack.get s i c_kind = hlock && Int_stack.get s i c_id = id then
+      Int_stack.remove s i;
+    remove_locks s id (i - 1)
+  end
+
 let released t ~proc ~cls ~id ~now =
-  (match take_held t proc (holds_lock id) with
-  | Some _ -> Hashtbl.remove t.lock_holder id
-  | None -> (
+  (match held_lock t proc id with
+  | -1 -> (
     (* Recovery is a legal ownership transfer: a releaser that does not
        hold the lock, when the registered holder fail-stopped, is a
        recoverer running the dead holder's release on its behalf. Move
        the held entry off the corpse instead of reporting. *)
-    match Hashtbl.find_opt t.lock_holder id with
-    | Some owner when t.dead.(owner) ->
-      t.held.(owner) <-
-        List.filter (fun h -> not (holds_lock id h)) t.held.(owner);
-      Hashtbl.remove t.lock_holder id;
+    match holder t id with
+    | owner when owner >= 0 && t.dead.(owner) ->
+      let s = t.held.(owner) in
+      remove_locks s id (Int_stack.length s - 1);
+      set_holder t id (-1);
       t.recoveries <- t.recoveries + 1
     | _ ->
       report t ~kind:Bad_release ~proc ~now
         (Printf.sprintf "released %s without holding it"
-           (describe_instance cls id))));
+           (describe_instance cls id)))
+  | i ->
+    Int_stack.remove t.held.(proc) i;
+    set_holder t id (-1));
   progress t ~now
 
 (* A recoverer sweeps a hold left by fail-stopped processor [dead]. The
-   [released] dead-holder path cannot legalise this one: [lock_holder]
+   [released] dead-holder path cannot legalise this one: [holder]
    remembers only the *last* acquirer of an instance, and a shared (RW
    reader-side) instance has many concurrent holders, so the registered
    holder may well be a live reader while the corpse being swept is not.
    Naming the corpse removes the ambiguity: legal exactly when [dead]
    fail-stopped and holds the instance. *)
 let released_dead t ~proc ~dead ~cls ~id ~now =
-  if not t.dead.(dead) then
-    report t ~kind:Bad_release ~proc ~now
-      (Printf.sprintf "swept %s off p%d, which is alive"
-         (describe_instance cls id) dead)
-  else if Option.is_some (take_held t dead (holds_lock id)) then begin
-    (match Hashtbl.find_opt t.lock_holder id with
-    | Some owner when owner = dead -> Hashtbl.remove t.lock_holder id
-    | _ -> ());
-    t.recoveries <- t.recoveries + 1
-  end
-  else
-    report t ~kind:Bad_release ~proc ~now
-      (Printf.sprintf "swept %s off p%d, which does not hold it"
-         (describe_instance cls id) dead);
+  (if not t.dead.(dead) then
+     report t ~kind:Bad_release ~proc ~now
+       (Printf.sprintf "swept %s off p%d, which is alive"
+          (describe_instance cls id) dead)
+   else
+     match held_lock t dead id with
+     | -1 ->
+       report t ~kind:Bad_release ~proc ~now
+         (Printf.sprintf "swept %s off p%d, which does not hold it"
+            (describe_instance cls id) dead)
+     | i ->
+       Int_stack.remove t.held.(dead) i;
+       if holder t id = dead then set_holder t id (-1);
+       t.recoveries <- t.recoveries + 1);
   progress t ~now
 
 (* A legal ownership hand-off with no release/acquire pair: a cohort's
@@ -528,118 +649,118 @@ let released_dead t ~proc ~dead ~cls ~id ~now =
    recipient inherits the held entry (original acquisition time included —
    the lock has been continuously held); inheriting off a fail-stopped
    holder is the same move and equally legal, the recovery accounting
-   having been done by the composite's own release. *)
+   having been done by the composite's own release. With no registered
+   holder (checker installed mid-session) the recipient adopts the lock. *)
 let transferred t ~proc ~cls ~id ~now =
-  (match Hashtbl.find_opt t.lock_holder id with
-  | Some owner when owner = proc -> ()
-  | Some owner ->
+  let owner = holder t id in
+  if owner <> proc then begin
     let since =
-      match take_held t owner (holds_lock id) with
-      | Some h -> h.h_since
-      | None -> now
+      if owner < 0 then now
+      else
+        match held_lock t owner id with
+        | -1 -> now
+        | i ->
+          let s = t.held.(owner) in
+          let since = Int_stack.get s i c_since in
+          Int_stack.remove s i;
+          since
     in
-    t.held.(proc) <-
-      { h_cls = cls; h_id = id; h_kind = Hlock; h_since = since }
-      :: t.held.(proc);
-    Hashtbl.replace t.lock_holder id proc
-  | None ->
-    (* No registered holder (checker installed mid-session): adopt. *)
-    t.held.(proc) <-
-      { h_cls = cls; h_id = id; h_kind = Hlock; h_since = now }
-      :: t.held.(proc);
-    Hashtbl.replace t.lock_holder id proc);
+    push_held t ~proc hlock ~id ~cls ~since;
+    set_holder t id proc
+  end;
   progress t ~now
 
 (* -- reserve events ------------------------------------------------------- *)
 
-let note_word t ~cls ~word ~label =
-  if not (Hashtbl.mem t.word_info word) then
-    Hashtbl.replace t.word_info word (cls, label)
-
 let reserve_set t ~proc ~cls ~word ~label ~now =
   note_word t ~cls ~word ~label;
-  (match Hashtbl.find_opt t.words word with
-  | Some (Wwrite { owner; since }) ->
+  (match word_state t word with
+  | 1 ->
     report t ~kind:Double_reserve ~proc ~now
       (Printf.sprintf "write-reserved %s already reserved by p%d since %d"
-         (word_desc t word) owner since)
-  | Some (Wread ((p, _) :: _)) ->
+         (word_desc t word) (word_field t word c_owner)
+         (word_field t word c_wsince))
+  | 2 ->
     report t ~kind:Double_reserve ~proc ~now
       (Printf.sprintf "write-reserved %s with readers (p%d among them)"
-         (word_desc t word) p)
-  | Some (Wread []) | Some Wfree | None -> ());
-  Hashtbl.replace t.words word (Wwrite { owner = proc; since = now });
-  t.held.(proc) <-
-    { h_cls = cls; h_id = word; h_kind = Hreserve_w; h_since = now }
-    :: t.held.(proc);
+         (word_desc t word)
+         (fst (List.hd (readers t word))));
+    Hashtbl.remove t.readers word
+  | _ -> ());
+  set_word t word 1 ~owner:proc ~since:now;
+  push_held t ~proc hreserve_w ~id:word ~cls ~since:now;
   progress t ~now
 
-let remove_held_word t ~proc ~word =
-  ignore (take_held t proc (fun h -> h.h_kind <> Hlock && h.h_id = word))
-
 let reserve_clear t ~proc ~word ~now =
-  (match Hashtbl.find_opt t.words word with
-  | Some (Wwrite { owner; _ }) when owner = proc ->
-    remove_held_word t ~proc ~word
-  | Some (Wwrite { owner; since }) ->
-    remove_held_word t ~proc:owner ~word;
-    (* Sweeping a reservation orphaned by a fail-stopped owner is legal
-       recovery, not a foreign clear. *)
-    if t.dead.(owner) then t.recoveries <- t.recoveries + 1
-    else
-      report t ~kind:Bad_clear ~proc ~now
-        (Printf.sprintf "cleared %s owned by p%d since %d" (word_desc t word)
-           owner since)
-  | Some Wfree ->
+  (match word_state t word with
+  | 1 ->
+    let owner = word_field t word c_owner in
+    if owner = proc then remove_held_word t ~proc ~word
+    else begin
+      remove_held_word t ~proc:owner ~word;
+      (* Sweeping a reservation orphaned by a fail-stopped owner is legal
+         recovery, not a foreign clear. *)
+      if t.dead.(owner) then t.recoveries <- t.recoveries + 1
+      else
+        report t ~kind:Bad_clear ~proc ~now
+          (Printf.sprintf "cleared %s owned by p%d since %d" (word_desc t word)
+             owner
+             (word_field t word c_wsince))
+    end
+  | 0 ->
     report t ~kind:Bad_clear ~proc ~now
       (Printf.sprintf "cleared %s which is not reserved (double clear?)"
          (word_desc t word))
-  | Some (Wread _) ->
+  | 2 ->
     report t ~kind:Bad_clear ~proc ~now
       (Printf.sprintf "write-cleared %s while it holds read reservations"
-         (word_desc t word))
-  | None ->
+         (word_desc t word));
+    Hashtbl.remove t.readers word
+  | _ ->
     (* A word first seen at its clear pre-dates the checker's install;
        adopt it silently. *)
     ());
-  Hashtbl.replace t.words word Wfree;
+  set_word t word 0 ~owner:(-1) ~since:0;
   progress t ~now
 
 let reserve_read_set t ~proc ~cls ~word ~label ~now =
   note_word t ~cls ~word ~label;
-  (match Hashtbl.find_opt t.words word with
-  | Some (Wwrite { owner; since }) ->
+  (match word_state t word with
+  | 1 ->
     report t ~kind:Double_reserve ~proc ~now
       (Printf.sprintf "read-reserved %s write-held by p%d since %d"
-         (word_desc t word) owner since)
-  | Some (Wread rs) -> Hashtbl.replace t.words word (Wread ((proc, now) :: rs))
-  | Some Wfree | None -> Hashtbl.replace t.words word (Wread [ (proc, now) ]));
-  (match Hashtbl.find_opt t.words word with
-  | Some (Wwrite _) -> ()
-  | _ ->
-    t.held.(proc) <-
-      { h_cls = cls; h_id = word; h_kind = Hreserve_r; h_since = now }
-      :: t.held.(proc));
+         (word_desc t word) (word_field t word c_owner)
+         (word_field t word c_wsince))
+  | state ->
+    Hashtbl.replace t.readers word ((proc, now) :: readers t word);
+    if state <> 2 then set_word t word 2 ~owner:(-1) ~since:0;
+    push_held t ~proc hreserve_r ~id:word ~cls ~since:now);
   progress t ~now
 
 let reserve_read_clear t ~proc ~word ~now =
-  (match Hashtbl.find_opt t.words word with
-  | Some (Wread rs) when List.mem_assoc proc rs ->
-    remove_held_word t ~proc ~word;
-    let rs = List.remove_assoc proc rs in
-    Hashtbl.replace t.words word (if rs = [] then Wfree else Wread rs)
-  | Some (Wread ((p, _) :: _)) ->
-    report t ~kind:Bad_clear ~proc ~now
-      (Printf.sprintf "read-cleared %s without a read reservation (p%d has one)"
-         (word_desc t word) p)
-  | Some (Wread []) | Some Wfree ->
+  (match word_state t word with
+  | 2 -> (
+    match readers t word with
+    | rs when List.mem_assoc proc rs -> (
+      remove_held_word t ~proc ~word;
+      match List.remove_assoc proc rs with
+      | [] ->
+        Hashtbl.remove t.readers word;
+        set_word t word 0 ~owner:(-1) ~since:0
+      | rs -> Hashtbl.replace t.readers word rs)
+    | rs ->
+      report t ~kind:Bad_clear ~proc ~now
+        (Printf.sprintf
+           "read-cleared %s without a read reservation (p%d has one)"
+           (word_desc t word) (fst (List.hd rs))))
+  | 0 ->
     report t ~kind:Bad_clear ~proc ~now
       (Printf.sprintf "read-cleared %s which has no readers" (word_desc t word))
-  | Some (Wwrite { owner; _ }) ->
+  | 1 ->
     report t ~kind:Bad_clear ~proc ~now
       (Printf.sprintf "read-cleared %s write-held by p%d" (word_desc t word)
-         owner)
-  | None -> Hashtbl.replace t.words word Wfree);
+         (word_field t word c_owner))
+  | _ -> set_word t word 0 ~owner:(-1) ~since:0);
   progress t ~now
 
 (* A blocking spin on a reserve word. This is where the Would_deadlock
@@ -651,15 +772,13 @@ let reserve_wait t ~proc ~cls ~word ~label ~now ~in_interrupt =
   if in_interrupt then
     report t ~kind:Interrupt_wait ~proc ~now
       (Printf.sprintf "interrupt-context wait on %s" (word_desc t word));
-  (match Hashtbl.find_opt t.words word with
-  | Some (Wwrite { owner; since }) when owner = proc ->
+  if word_state t word = 1 && word_field t word c_owner = proc then
     report t ~kind:Recursive_acquire ~proc ~now
       (Printf.sprintf "waiting on %s reserved by this processor since %d"
-         (word_desc t word) since)
-  | _ -> ());
-  List.iter (fun h -> add_edge t ~proc ~now ~from_held:h cls) t.held.(proc);
-  push_wait t ~proc
-    { w_cls = cls; w_id = word; w_lock = false; w_timed = false; w_since = now }
+         (word_desc t word)
+         (word_field t word c_wsince));
+  add_edges t ~proc ~now cls;
+  push_wait t ~proc wword ~id:word ~cls ~now
 
 let reserve_wait_done t ~proc ~now =
   pop_wait t ~proc;
@@ -713,13 +832,14 @@ let on_event t ~proc ~now = function
    start is an actual deadlock. *)
 let find_deadlock t =
   let next p =
-    match t.waits.(p) with
-    | [] -> None
-    | w :: _ when w.w_timed -> None (* will abandon at its deadline *)
-    | w :: _ -> (
-      match holder_of_wait t w with
-      | Some q when q <> p -> Some q
-      | _ -> None)
+    let ws = t.waits.(p) in
+    let top = Int_stack.length ws - 1 in
+    (* A timed frame will abandon at its deadline. *)
+    if top < 0 || Int_stack.get ws top c_kind = wlock_timed then None
+    else
+      match holder_of_wait t ws top with
+      | q when q >= 0 && q <> p -> Some q
+      | _ -> None
   in
   let rec walk start p steps acc =
     if steps > t.n_procs then None
@@ -748,14 +868,16 @@ let check t ~now ~stall_limit =
   | None -> ());
   (* Timed waiters don't count: they self-resolve at their deadline, and
      each abandonment is itself progress. *)
-  let someone_waits =
-    Array.exists (fun ws -> List.exists (fun w -> not w.w_timed) ws) t.waits
+  let untimed ws =
+    Int_stack.find ws c_kind wlock >= 0 || Int_stack.find ws c_kind wword >= 0
   in
-  if someone_waits && now - t.last_progress > stall_limit then begin
+  if Array.exists untimed t.waits && now - t.last_progress > stall_limit
+  then begin
+    (* The first processor with a wait frame. *)
     let proc =
-      let p = ref 0 in
-      Array.iteri (fun i ws -> if ws <> [] && t.waits.(!p) = [] then p := i) t.waits;
-      !p
+      List.init t.n_procs Fun.id
+      |> List.find_opt (fun p -> Int_stack.length t.waits.(p) > 0)
+      |> Option.value ~default:0
     in
     report_fatal t ~kind:Stall ~proc ~now
       (Printf.sprintf "no lock/reserve/RPC progress for %d cycles\n%s"
@@ -786,19 +908,25 @@ let watchdog ?(period = 50_000) ?(stall_limit = 1_000_000) t eng =
    flagged here (some workloads end their window mid-operation); the dump
    shows it. *)
 let finish t ~now =
-  Hashtbl.iter
-    (fun word state ->
-      match state with
-      | Wfree -> ()
-      | Wwrite { owner; since } ->
+  let held = ref [] in
+  Int_table.iter
+    (fun word s -> if Int_table.get t.words s c_state > 0 then held := word :: !held)
+    t.words;
+  (* In cell-id order, so the report does not depend on the table's. *)
+  List.iter
+    (fun word ->
+      if word_state t word = 1 then begin
+        let owner = word_field t word c_owner in
         report t ~kind:Reserve_leak ~proc:owner ~now
           (Printf.sprintf "%s still write-reserved by p%d since %d (leaked)"
-             (word_desc t word) owner since)
-      | Wread rs ->
+             (word_desc t word) owner
+             (word_field t word c_wsince))
+      end
+      else
         List.iter
           (fun (p, since) ->
             report t ~kind:Reserve_leak ~proc:p ~now
               (Printf.sprintf "%s still read-reserved by p%d since %d (leaked)"
                  (word_desc t word) p since))
-          rs)
-    t.words
+          (readers t word))
+    (List.sort compare !held)

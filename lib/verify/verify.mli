@@ -44,9 +44,12 @@ val lock_class : string -> lock_class
 
 val class_name : lock_class -> string
 
-(** Globally unique lock-instance id; locks draw one at creation so their
-    identity exists before any checker is installed. *)
-val fresh_id : unit -> int
+(** A lock instance is named by an int id, drawn at creation from its
+    machine ([Hector.Machine.fresh_lock_id]): ids are small, dense and
+    numbered per machine from 1, so the checker and the observer keep
+    per-lock state in columns indexed by id, grown on demand. An id must
+    be non-negative, and a sink serves one machine's locks: two machines'
+    locks share ids. *)
 
 (** {1 Violations} *)
 
@@ -96,8 +99,8 @@ val dump : t -> now:int -> string
     code) to the installed checker and then to the installed observer
     ({!Obs.on_event}). Each sink ignores the kinds it does not use. [proc]
     is the reporting processor and [now] the current cycle. A lock event
-    carries the pair [(cls, id)] of the lock's class and its instance
-    ({!fresh_id}); [word] is a reserve status cell's [Cell.id], with
+    carries the pair [(cls, id)] of the lock's class and its instance id
+    (above); [word] is a reserve status cell's [Cell.id], with
     [label] its allocation label for diagnostics.
     Diagnostics name a reserve word [<class>#<cell id>], plus [(<label>)]
     when the label is non-empty; Khash status words carry no label, so

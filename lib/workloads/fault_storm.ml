@@ -119,7 +119,6 @@ let plan cfg c =
             }))
 
 type result = {
-  mechanism : mechanism;
   ops : int;  (* completed element operations *)
   deferred : int;  (* ops deferred to local work after a lock timeout *)
   rpc_ok : int;
@@ -383,7 +382,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?verify ?obs
       (recovery_stat ~label stall_log (List.rev !entries_rev))
   in
   {
-    mechanism;
     ops = !ops;
     deferred = !deferred;
     rpc_ok = !rpc_ok;

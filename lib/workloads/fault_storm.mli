@@ -44,7 +44,6 @@ val reply_timeout_us : float
 val default_config : config
 
 type result = {
-  mechanism : mechanism;
   ops : int;
   deferred : int;  (** ops deferred locally after a lock timeout *)
   rpc_ok : int;

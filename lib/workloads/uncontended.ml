@@ -13,7 +13,6 @@ open Locks
 let loop_overhead = 18
 
 type result = {
-  algo : Lock.algo;
   pair_us : float; (* measured lock+unlock+loop time *)
   predicted_us : float option; (* static model, where one exists *)
 }
@@ -44,7 +43,6 @@ let run ?(cfg = Config.hector) ?(iters = 2000) algo =
       done);
   Engine.run eng;
   {
-    algo;
     pair_us = Config.us_of_cycles cfg !total /. float_of_int iters;
     predicted_us =
       Option.map
@@ -56,5 +54,3 @@ let run ?(cfg = Config.hector) ?(iters = 2000) algo =
 let algos =
   [ Lock.Mcs_original; Lock.Mcs_h1; Lock.Mcs_h2;
     Lock.Spin { max_backoff_us = 35.0 } ]
-
-let run_all ?cfg ?iters () = List.map (fun a -> run ?cfg ?iters a) algos

@@ -6,7 +6,6 @@ open Hector
 open Locks
 
 type result = {
-  algo : Lock.algo;
   pair_us : float;  (** measured lock+unlock+loop time *)
   predicted_us : float option;  (** static Figure-4 model, where defined *)
 }
@@ -15,6 +14,3 @@ val run : ?cfg:Config.t -> ?iters:int -> Lock.algo -> result
 
 (** MCS, H1, H2 and the 35 µs spin lock — the Section 4.1.1 table. *)
 val algos : Lock.algo list
-
-(** [run] over {!algos}. *)
-val run_all : ?cfg:Config.t -> ?iters:int -> unit -> result list

@@ -6,7 +6,7 @@
    Measured (OCaml 5.1.1, the default release profile): fault + unmap 979
    words, null RPC 387, MCS pair 0, elided wait 68, remote write and
    fetch-and-store 0, first lookup of an unbuilt bin 36, lookup on a
-   walked bin 2, Rng.int 0. *)
+   walked bin 2, Rng.int 0, hooked MCS pair 9, hooked optimistic read 6. *)
 
 open Eventsim
 open Hector
@@ -72,6 +72,39 @@ let test_mcs_pair () =
       lock.Lock.acquire ctx;
       lock.Lock.release ctx)
   |> check "H2-MCS acquire/release" ~bound:2.
+
+(* A machine with the lockdep checker and the contention observer
+   installed. *)
+let hooked_machine () =
+  let eng, machine = machine () in
+  let n_procs = Machine.n_procs machine in
+  Machine.set_verify machine (Some (Verify.create ~n_procs ()));
+  Machine.set_obs machine (Some (Obs.create ~n_procs ()));
+  (eng, machine)
+
+(* The same pair reported to both sinks: its three events ([Wait],
+   [Acquired], [Released]) are three words each, and the sinks keep their
+   state in int columns, so they add nothing. *)
+let test_hooked_mcs_pair () =
+  let eng, machine = hooked_machine () in
+  let lock = Lock.make machine ~home:0 Lock.Mcs_h2 in
+  let ctx = Ctx.create machine ~proc:0 (Rng.create 1) in
+  words_per_op eng (fun () ->
+      lock.Lock.acquire ctx;
+      lock.Lock.release ctx)
+  |> check "hooked H2-MCS acquire/release" ~bound:9.
+
+(* A successful optimistic read under both sinks: a zero-length
+   [Try_acquired]/[Released] pair, three words each. *)
+let test_hooked_optimistic_read () =
+  let eng, machine = hooked_machine () in
+  let seq = Seqlock.create machine () in
+  let ctx = Ctx.create machine ~proc:0 (Rng.create 1) in
+  words_per_op eng (fun () ->
+      let v = Seqlock.read_begin seq ctx in
+      if not (Seqlock.read_validate seq ctx v) then
+        Alcotest.fail "an optimistic read with no writer failed")
+  |> check "hooked seqlock read_begin + read_validate" ~bound:6.
 
 (* A timed write and a fetch-and-store to another processor's PMM: each
    runs its value operation in line, with no closure per access. *)
@@ -148,6 +181,10 @@ let suite =
     Alcotest.test_case "uncontended page fault" `Quick test_page_fault;
     Alcotest.test_case "null RPC" `Quick test_null_rpc;
     Alcotest.test_case "MCS acquire/release pair" `Quick test_mcs_pair;
+    Alcotest.test_case "hooked MCS acquire/release pair" `Quick
+      test_hooked_mcs_pair;
+    Alcotest.test_case "hooked optimistic read" `Quick
+      test_hooked_optimistic_read;
     Alcotest.test_case "elided wait" `Quick test_elided_wait;
     Alcotest.test_case "remote write and atomic" `Quick test_remote_access;
     Alcotest.test_case "first lookup of an unbuilt bin" `Quick

@@ -206,6 +206,318 @@ let prop_snapshot_consistent =
       done;
       !ok)
 
+(* -- the profile and trace against a list model ----------------------------
+
+   [Obs] keeps its state in int columns: per-proc stacks, per-lock columns
+   grown on demand and open-addressing tables keyed by reserve word. The
+   model below keeps the same accounting in lists and [Hashtbl]s, one
+   binding per lock, word and open wait, each release ending the newest
+   matching hold. Random event streams over many processors, clusters and
+   classes drive both: lock ids on both sides of the columns' first growth
+   (64 ids), reserve words above 10^6 that share a home slot in tables of
+   up to 1024 slots, and no protocol at all, so releases come out of order
+   and completions arrive with no start. After the stream, every profile
+   bucket and the whole trace must agree. *)
+
+module Model = struct
+  type frame =
+    | Flock of { id : int; cls : int; since : int; contended : bool }
+    | Fspin of { word : int; cls : int; since : int }
+    | Frpc of { since : int }
+
+  type lock = {
+    mutable holder : int;
+    mutable waiters : int;
+    mutable last_releaser : int;
+  }
+
+  (* Bucket counters, by index: acqs, contended, wait, max wait, hold,
+     hand-offs, local, remote, aborts, abandon repairs. *)
+  type t = {
+    cluster : int -> int;
+    buckets : (int * int, int array) Hashtbl.t; (* (class, cluster) *)
+    frames : frame list array; (* newest first *)
+    holds : (int * int * int) list array; (* (id, class, since), newest first *)
+    locks : (int, lock) Hashtbl.t;
+    words : (int, int * int * int) Hashtbl.t; (* owner, class, since *)
+    read_words : (int * int, int * int) Hashtbl.t; (* class, since *)
+    spinners : (int, int) Hashtbl.t; (* word -> spinner count *)
+    mutable trace : Obs.event list; (* newest first *)
+  }
+
+  let create ~cluster ~n_procs =
+    {
+      cluster;
+      buckets = Hashtbl.create 16;
+      frames = Array.make n_procs [];
+      holds = Array.make n_procs [];
+      locks = Hashtbl.create 16;
+      words = Hashtbl.create 16;
+      read_words = Hashtbl.create 16;
+      spinners = Hashtbl.create 16;
+      trace = [];
+    }
+
+  let bucket m ~cls ~proc =
+    let key = (cls, m.cluster proc) in
+    match Hashtbl.find_opt m.buckets key with
+    | Some b -> b
+    | None ->
+      let b = Array.make 10 0 in
+      Hashtbl.replace m.buckets key b;
+      b
+
+  let incr b i = b.(i) <- b.(i) + 1
+
+  let waited b dur =
+    b.(2) <- b.(2) + dur;
+    b.(3) <- max b.(3) dur
+
+  let record m kind ~proc ~cls ~time ~dur =
+    m.trace <- { Obs.kind; proc; cls; time; dur } :: m.trace
+
+  let lock m id =
+    match Hashtbl.find_opt m.locks id with
+    | Some l -> l
+    | None ->
+      let l = { holder = -1; waiters = 0; last_releaser = -1 } in
+      Hashtbl.replace m.locks id l;
+      l
+
+  (* The newest frame satisfying [pred], removed. *)
+  let take_frame m proc pred =
+    let rec go skipped = function
+      | [] -> None
+      | f :: rest when pred f ->
+        m.frames.(proc) <- List.rev_append skipped rest;
+        Some f
+      | f :: rest -> go (f :: skipped) rest
+    in
+    go [] m.frames.(proc)
+
+  let count m word =
+    Option.value ~default:0 (Hashtbl.find_opt m.spinners word)
+
+  let bump m word d =
+    let v = count m word + d in
+    if v <= 0 then Hashtbl.remove m.spinners word
+    else Hashtbl.replace m.spinners word v
+
+  let unwait l = if l.waiters > 0 then l.waiters <- l.waiters - 1
+
+  let hold m l ~proc ~cls ~id ~now =
+    l.holder <- proc;
+    m.holds.(proc) <- (id, cls, now) :: m.holds.(proc)
+
+  let on_event m ~proc ~now (e : Verify.event) =
+    match e with
+    | Wait (cls, id) | Wait_timed (cls, id) ->
+      let l = lock m id in
+      let contended = l.holder >= 0 || l.waiters > 0 in
+      m.frames.(proc) <- Flock { id; cls; since = now; contended } :: m.frames.(proc);
+      l.waiters <- l.waiters + 1
+    | Acquired (cls, id) ->
+      let l = lock m id in
+      let b = bucket m ~cls ~proc in
+      incr b 0;
+      (match
+         take_frame m proc (function Flock f -> f.id = id | _ -> false)
+       with
+      | Some (Flock f) ->
+        unwait l;
+        if f.contended then begin
+          incr b 1;
+          if l.last_releaser >= 0 then
+            incr b
+              (if m.cluster l.last_releaser = m.cluster proc then 6 else 7)
+        end;
+        waited b (now - f.since);
+        record m Obs.Lock_acquired ~proc ~cls ~time:now ~dur:(now - f.since)
+      | _ -> ());
+      hold m l ~proc ~cls ~id ~now
+    | Try_acquired (cls, id) ->
+      incr (bucket m ~cls ~proc) 0;
+      record m Obs.Lock_try ~proc ~cls ~time:now ~dur:0;
+      hold m (lock m id) ~proc ~cls ~id ~now
+    | Wait_abandoned -> (
+      match take_frame m proc (function Flock _ -> true | _ -> false) with
+      | Some (Flock f) ->
+        unwait (lock m f.id);
+        let b = bucket m ~cls:f.cls ~proc in
+        incr b 8;
+        incr b 1;
+        waited b (now - f.since);
+        record m Obs.Lock_abandoned ~proc ~cls:f.cls ~time:now
+          ~dur:(now - f.since)
+      | _ -> ())
+    | Released (cls, id) ->
+      (let rec go skipped = function
+         | [] -> ()
+         | (hid, hcls, since) :: rest when hid = id ->
+           m.holds.(proc) <- List.rev_append skipped rest;
+           let b = bucket m ~cls:hcls ~proc in
+           b.(4) <- b.(4) + (now - since);
+           record m Obs.Lock_released ~proc ~cls:hcls ~time:now
+             ~dur:(now - since)
+         | h :: rest -> go (h :: skipped) rest
+       in
+       go [] m.holds.(proc));
+      let l = lock m id in
+      l.holder <- -1;
+      l.last_releaser <- proc;
+      if l.waiters > 0 then incr (bucket m ~cls ~proc) 5
+    | Optimistic_abort cls ->
+      let b = bucket m ~cls ~proc in
+      incr b 8;
+      incr b 1;
+      record m Obs.Lock_abandoned ~proc ~cls ~time:now ~dur:0
+    | Reserve_set { cls; word; _ } ->
+      Hashtbl.replace m.words word (proc, cls, now);
+      incr (bucket m ~cls ~proc) 0;
+      record m Obs.Reserve_set ~proc ~cls ~time:now ~dur:0
+    | Reserve_clear { word } -> (
+      match Hashtbl.find_opt m.words word with
+      | None -> ()
+      | Some (owner, cls, since) ->
+        Hashtbl.remove m.words word;
+        let b = bucket m ~cls ~proc:owner in
+        b.(4) <- b.(4) + (now - since);
+        if count m word > 0 then incr b 5;
+        record m Obs.Reserve_cleared ~proc ~cls ~time:now ~dur:(now - since))
+    | Reserve_read_set { cls; word; _ } ->
+      Hashtbl.replace m.read_words (word, proc) (cls, now);
+      incr (bucket m ~cls ~proc) 0;
+      record m Obs.Reserve_set ~proc ~cls ~time:now ~dur:0
+    | Reserve_read_clear { word } -> (
+      match Hashtbl.find_opt m.read_words (word, proc) with
+      | None -> ()
+      | Some (cls, since) ->
+        Hashtbl.remove m.read_words (word, proc);
+        let b = bucket m ~cls ~proc in
+        b.(4) <- b.(4) + (now - since);
+        record m Obs.Reserve_cleared ~proc ~cls ~time:now ~dur:(now - since))
+    | Reserve_wait { cls; word; _ } ->
+      m.frames.(proc) <- Fspin { word; cls; since = now } :: m.frames.(proc);
+      bump m word 1
+    | Reserve_wait_done -> (
+      match take_frame m proc (function Fspin _ -> true | _ -> false) with
+      | Some (Fspin f) ->
+        bump m f.word (-1);
+        let b = bucket m ~cls:f.cls ~proc in
+        incr b 1;
+        waited b (now - f.since);
+        record m Obs.Reserve_spin ~proc ~cls:f.cls ~time:now
+          ~dur:(now - f.since)
+      | _ -> ())
+    | Rpc_issue _ ->
+      m.frames.(proc) <- Frpc { since = now } :: m.frames.(proc);
+      incr (bucket m ~cls:Obs.rpc_class ~proc) 0;
+      record m Obs.Rpc_issue ~proc ~cls:Obs.rpc_class ~time:now ~dur:0
+    | Rpc_retry ->
+      incr (bucket m ~cls:Obs.rpc_class ~proc) 1;
+      record m Obs.Rpc_retry ~proc ~cls:Obs.rpc_class ~time:now ~dur:0
+    | Rpc_reply -> (
+      match take_frame m proc (function Frpc _ -> true | _ -> false) with
+      | Some (Frpc f) ->
+        let b = bucket m ~cls:Obs.rpc_class ~proc in
+        waited b (now - f.since);
+        record m Obs.Rpc_reply ~proc ~cls:Obs.rpc_class ~time:now
+          ~dur:(now - f.since)
+      | _ -> ())
+    | _ -> ()
+
+  (* Every active bucket as [((class name, cluster), cells)], sorted. *)
+  let buckets m =
+    Hashtbl.fold
+      (fun (cls, c) b acc ->
+        if b.(0) + b.(1) + b.(2) + b.(4) + b.(5) + b.(8) + b.(9) = 0 then acc
+        else
+          ( (Verify.class_name cls, c),
+            {
+              Obs.acqs = b.(0);
+              contended = b.(1);
+              wait_cycles = b.(2);
+              max_wait_cycles = b.(3);
+              hold_cycles = b.(4);
+              handoffs = b.(5);
+              handoffs_local = b.(6);
+              handoffs_remote = b.(7);
+              aborts = b.(8);
+              abandon_repairs = b.(9);
+            } )
+          :: acc)
+      m.buckets []
+    |> List.sort compare
+end
+
+let cls_model = Array.map Verify.lock_class [| "obs.test.model.a"; "obs.test.model.b"; "obs.test.model.c" |]
+
+(* Lock ids below and past the columns' first growth. *)
+let model_lock_ids = [| 1; 2; 63; 64; 65; 130; 1000 |]
+
+(* Six cell ids above 10^6 with one home slot in every table of up to
+   1024 slots, and two that live elsewhere. *)
+let model_words =
+  let home k = Eventsim.Int_table.hash k land 1023 in
+  let target = home 1_000_001 in
+  let rec collide k acc n =
+    if n = 0 then List.rev acc
+    else if home k = target then collide (k + 1) (k :: acc) (n - 1)
+    else collide (k + 1) acc n
+  in
+  Array.of_list (collide 1_000_001 [] 6 @ [ 999_999; 2_000_000 ])
+
+let random_event rng =
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let cls = pick cls_model and id = pick model_lock_ids in
+  let word = pick model_words in
+  match Rng.int rng 16 with
+  | 0 | 1 -> Verify.Wait (cls, id)
+  | 2 -> Verify.Wait_timed (cls, id)
+  | 3 | 4 -> Verify.Acquired (cls, id)
+  | 5 -> Verify.Try_acquired (cls, id)
+  | 6 | 7 -> Verify.Released (cls, id)
+  | 8 -> Verify.Wait_abandoned
+  | 9 -> Verify.Optimistic_abort cls
+  | 10 -> Verify.Reserve_set { cls; word; label = "" }
+  | 11 -> Verify.Reserve_clear { word }
+  | 12 ->
+    if Rng.int rng 2 = 0 then Verify.Reserve_read_set { cls; word; label = "" }
+    else Verify.Reserve_read_clear { word }
+  | 13 -> Verify.Reserve_wait { cls; word; label = ""; in_interrupt = false }
+  | 14 -> Verify.Reserve_wait_done
+  | _ -> (
+    match Rng.int rng 3 with
+    | 0 -> Verify.Rpc_issue { target = 0 }
+    | 1 -> Verify.Rpc_retry
+    | _ -> Verify.Rpc_reply)
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"profile and trace match a list model" ~count:100
+    QCheck.(triple (int_range 2 12) (int_range 1 4) (int_range 0 100_000))
+    (fun (p, n_clusters, seed) ->
+      let cluster q = q mod n_clusters in
+      let o =
+        Obs.create ~trace:4096 ~cluster_of:cluster ~n_clusters ~n_procs:p ()
+      in
+      let m = Model.create ~cluster ~n_procs:p in
+      let rng = Rng.create seed in
+      let now = ref 0 in
+      for _ = 1 to 400 do
+        now := !now + Rng.int rng 40;
+        let proc = Rng.int rng p and e = random_event rng in
+        Obs.on_event o ~proc ~now:!now e;
+        Model.on_event m ~proc ~now:!now e
+      done;
+      let rows =
+        List.concat_map
+          (fun (r : Obs.row) ->
+            List.map (fun (c, cells) -> ((r.Obs.row_class, c), cells)) r.Obs.by_cluster)
+          (Obs.profile_rows o)
+        |> List.sort compare
+      in
+      rows = Model.buckets m && Obs.trace o = List.rev m.Model.trace)
+
 (* -- trace ring ------------------------------------------------------------ *)
 
 let test_trace_ring_bounded () =
@@ -403,6 +715,7 @@ let suite =
     Alcotest.test_case "unmatched events tolerated" `Quick
       test_unmatched_events_tolerated;
     Qc.to_alcotest prop_snapshot_consistent;
+    Qc.to_alcotest prop_matches_model;
     Alcotest.test_case "trace ring bounded" `Quick test_trace_ring_bounded;
     Alcotest.test_case "trace off records nothing" `Quick
       test_trace_off_records_nothing;

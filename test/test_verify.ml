@@ -38,6 +38,43 @@ let test_ownership_units () =
   Verify.on_event v ~proc:3 ~now:8 (Verify.Released (cls, 99));
   Alcotest.(check int) "bad release" 1 (Verify.count_kind v Verify.Bad_release)
 
+(* A processor holding one lock twice (a try-acquire nested in a hold, or
+   two read reservations of one word) gives up the newer hold first: the
+   dump shows the older one left. Lock ids past the holder column's first
+   growth (64), and words past 10^6, behave the same. *)
+let test_release_ends_newest_hold () =
+  let cls = Verify.lock_class "test.nested" in
+  let dumps_held v held =
+    let dump = Verify.dump v ~now:40 in
+    Alcotest.(check bool) (held ^ " in the dump") true
+      (Astring.String.is_infix ~affix:(Printf.sprintf "held=[%s]" held) dump)
+  in
+  List.iter
+    (fun id ->
+      let v = Verify.create ~n_procs:2 () in
+      Verify.on_event v ~proc:0 ~now:10 (Verify.Try_acquired (cls, id));
+      Verify.on_event v ~proc:0 ~now:20 (Verify.Try_acquired (cls, id));
+      Verify.on_event v ~proc:0 ~now:30 (Verify.Released (cls, id));
+      dumps_held v (Printf.sprintf "test.nested#%d(since 10)" id);
+      Verify.on_event v ~proc:0 ~now:50 (Verify.Released (cls, id));
+      Alcotest.(check int) "no violations" 0 (Verify.violation_count v))
+    [ 3; 64; 1000 ];
+  List.iter
+    (fun word ->
+      let v = Verify.create ~n_procs:2 () in
+      let set now =
+        Verify.on_event v ~proc:0 ~now
+          (Verify.Reserve_read_set { cls; word; label = "" })
+      in
+      set 10;
+      set 20;
+      Verify.on_event v ~proc:0 ~now:30 (Verify.Reserve_read_clear { word });
+      dumps_held v (Printf.sprintf "test.nested#%d:R(since 10)" word);
+      Verify.on_event v ~proc:0 ~now:50 (Verify.Reserve_read_clear { word });
+      Verify.finish v ~now:60;
+      Alcotest.(check int) "no violations" 0 (Verify.violation_count v))
+    [ 7; 1_000_003 ]
+
 let test_abort_mode_raises () =
   let v = Verify.create ~mode:`Abort ~n_procs:2 () in
   let cls = Verify.lock_class "test.abort" in
@@ -156,6 +193,8 @@ let suite =
     Alcotest.test_case "class interning" `Quick test_class_interning;
     Alcotest.test_case "ownership units" `Quick test_ownership_units;
     Alcotest.test_case "abort mode raises" `Quick test_abort_mode_raises;
+    Alcotest.test_case "a release ends the newest hold" `Quick
+      test_release_ends_newest_hold;
     Alcotest.test_case "probe: abba order" `Quick test_probe_abba;
     Alcotest.test_case "probe: reserve leak" `Quick test_probe_leak;
     Alcotest.test_case "probe: interrupt spin" `Quick test_probe_interrupt;

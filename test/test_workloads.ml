@@ -73,14 +73,15 @@ let test_measure_summary () =
 
 let test_uncontended_measured_matches_model () =
   List.iter
-    (fun (r : Uncontended.result) ->
+    (fun algo ->
+      let r = Uncontended.run ~iters:200 algo in
       match r.Uncontended.predicted_us with
       | Some model ->
         Alcotest.(check (float 0.02))
-          (Lock.algo_name r.Uncontended.algo ^ " matches static model")
+          (Lock.algo_name algo ^ " matches static model")
           model r.Uncontended.pair_us
       | None -> ())
-    (Uncontended.run_all ~iters:200 ())
+    Uncontended.algos
 
 (* -- lock stress ------------------------------------------------------------- *)
 
